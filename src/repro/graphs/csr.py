@@ -20,6 +20,12 @@ import scipy.sparse as sp
 __all__ = ["CSRGraph"]
 
 
+def _check_not_nan(weights: np.ndarray) -> None:
+    # ``weights.min() < 0`` is False for NaN, so NaN needs its own check
+    if np.isnan(weights).any():
+        raise ValueError("edge weights must not be NaN")
+
+
 @dataclass(frozen=True)
 class CSRGraph:
     """An immutable weighted directed graph in CSR form.
@@ -62,6 +68,7 @@ class CSRGraph:
         n = indptr.size - 1
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise ValueError("edge head out of range")
+        _check_not_nan(weights)
         if weights.size and weights.min() < 0:
             raise ValueError("edge weights must be non-negative")
         object.__setattr__(self, "indptr", indptr)
@@ -134,6 +141,8 @@ class CSRGraph:
         weights = np.asarray(weights, dtype=np.float64)
         if not (src.shape == dst.shape == weights.shape):
             raise ValueError("src, dst, weights must have equal length")
+        # before dedupe and self-loop removal can drop a NaN silently
+        _check_not_nan(weights)
         if src.size:
             if src.min() < 0 or src.max() >= num_vertices:
                 raise ValueError("src vertex out of range")

@@ -67,7 +67,9 @@ class AdmissionController:
     vnow: float = 0.0
     tenants: dict[str, TenantState] = field(default_factory=dict)
     _full_cost: dict[str, float] = field(default_factory=dict)
-    _row_cost: dict[str, float] = field(default_factory=dict)
+    #: analytic Johnson makespan per fingerprint (prices rows, and full
+    #: solves when Johnson is the only candidate)
+    _johnson_cost: dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Analytic pricing (cached per graph fingerprint)
@@ -93,24 +95,29 @@ class AdmissionController:
             from repro.select.selector import Selector
 
             report = Selector(self.spec, analytic=True).select(graph)
-            cost = report.estimated_seconds()
+            if report.estimates:
+                cost = report.estimated_seconds()
+            else:  # the density band leaves Johnson alone: nothing was priced
+                cost = self._johnson_seconds(graph, fingerprint)
             self._full_cost[fingerprint] = cost
         return cost
 
     def _row_seconds(self, graph: CSRGraph, fingerprint: str) -> float:
-        cost = self._row_cost.get(fingerprint)
+        return self._johnson_seconds(graph, fingerprint) / max(1, graph.num_vertices)
+
+    def _johnson_seconds(self, graph: CSRGraph, fingerprint: str) -> float:
+        cost = self._johnson_cost.get(fingerprint)
         if cost is None:
             from repro.select.cost_models import analytic_estimate_johnson
 
-            estimate = analytic_estimate_johnson(graph, self.spec)
-            cost = estimate.total_seconds / max(1, graph.num_vertices)
-            self._row_cost[fingerprint] = cost
+            cost = analytic_estimate_johnson(graph, self.spec).total_seconds
+            self._johnson_cost[fingerprint] = cost
         return cost
 
     def forget(self, fingerprint: str) -> None:
         """Drop cached prices for a fingerprint (after a mutation)."""
         self._full_cost.pop(fingerprint, None)
-        self._row_cost.pop(fingerprint, None)
+        self._johnson_cost.pop(fingerprint, None)
 
     # ------------------------------------------------------------------
     # Admission + fair queuing

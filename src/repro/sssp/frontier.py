@@ -3,10 +3,12 @@
 These are the numpy equivalents of the GPU kernels' data-parallel steps:
 :func:`expand_frontier` gathers the out-edges of every frontier vertex
 (the coalesced edge-list walk) and :func:`scatter_min` performs the
-``atomicMin`` reduction into the distance array. ``scatter_min`` sorts and
-uses ``np.minimum.reduceat`` instead of ``np.minimum.at`` — same semantics,
-an order of magnitude faster at the batch sizes Johnson's algorithm
-produces.
+``atomicMin`` reduction into the distance array. ``scatter_min`` first
+drops the candidates that cannot beat their target, then groups the rest
+with an unstable sort and reduces each group with ``np.minimum.reduceat``
+— the semantics of ``np.minimum.at``, an order of magnitude faster at the
+batch sizes Johnson's algorithm produces. A minimum does not depend on
+the order of its operands, so sort stability would buy nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from repro.graphs.csr import CSRGraph
 
-__all__ = ["expand_frontier", "scatter_min", "segmented_arange", "suggest_delta"]
+__all__ = ["edge_positions", "expand_frontier", "scatter_min", "segmented_arange", "suggest_delta"]
 
 
 def segmented_arange(counts: np.ndarray) -> np.ndarray:
@@ -26,6 +28,25 @@ def segmented_arange(counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     ends = np.cumsum(counts)
     return np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+
+
+def edge_positions(
+    graph: CSRGraph, vertices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR positions of all out-edges of ``vertices``.
+
+    Returns ``(deg, pos)`` — ``deg[i]`` is the out-degree of
+    ``vertices[i]`` and ``pos`` lists the edge positions vertex by vertex,
+    in input order, so ``np.repeat(state, deg)`` lines per-vertex state up
+    with ``graph.indices[pos]``.
+    """
+    lo = graph.indptr[vertices]
+    deg = graph.indptr[vertices + 1] - lo
+    ends = np.cumsum(deg)
+    # edge j of vertex i sits at lo[i] + j, and at output slot ends[i] - deg[i] + j
+    pos = np.repeat(lo - (ends - deg), deg)
+    pos += np.arange(pos.size, dtype=np.int64)
+    return deg, pos
 
 
 def expand_frontier(
@@ -39,8 +60,7 @@ def expand_frontier(
     batched MSSP).
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    deg = graph.indptr[vertices + 1] - graph.indptr[vertices]
-    pos = np.repeat(graph.indptr[vertices], deg) + segmented_arange(deg)
+    deg, pos = edge_positions(graph, vertices)
     tails = np.repeat(np.arange(vertices.size, dtype=np.int64), deg)
     return tails, graph.indices[pos], graph.weights[pos]
 
@@ -51,23 +71,25 @@ def scatter_min(
     """``target[idx] = min(target[idx], vals)`` with duplicate indices.
 
     Returns ``(improved_idx, improved_vals)`` — the positions whose value
-    actually decreased, already deduplicated. This is the vectorised
-    ``atomicMin`` + "did I win" check of the GPU relax kernel.
+    strictly decreased, unique and in ascending order, with their new
+    values. This is the vectorised ``atomicMin`` + "did I win" check of the
+    GPU relax kernel. A NaN candidate never wins (NaN compares false), so
+    callers must keep NaN out of their inputs.
     """
+    hits = np.flatnonzero(vals < target[idx])
+    idx = idx[hits]
+    vals = vals[hits]
     if idx.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=target.dtype)
-    order = np.argsort(idx, kind="stable")
+    order = np.argsort(idx)
     idx_s = idx[order]
-    vals_s = vals[order]
     first = np.ones(idx_s.size, dtype=bool)
     first[1:] = idx_s[1:] != idx_s[:-1]
-    starts = np.nonzero(first)[0]
-    reduced = np.minimum.reduceat(vals_s, starts)
-    uniq = idx_s[starts]
-    better = reduced < target[uniq]
-    winners = uniq[better]
-    target[winners] = reduced[better]
-    return winners, reduced[better]
+    starts = np.flatnonzero(first)
+    winners = idx_s[starts]
+    reduced = np.minimum.reduceat(vals[order], starts)
+    target[winners] = reduced
+    return winners, reduced
 
 
 def suggest_delta(graph: CSRGraph) -> float:

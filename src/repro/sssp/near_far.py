@@ -18,8 +18,24 @@ Two entry points:
   :func:`repro.gpu.kernels.mssp_batch_cost` turns into simulated kernel
   time.
 
+The batch keeps both queues as worklists of flat positions
+``row · n + vertex`` into the distance matrix, so an iteration costs
+time in proportion to its frontier and relaxations, not to ``bat · n``:
+
+* **Near** is a sorted, duplicate-free array. After a relax step it is
+  exactly the set of improved positions whose new distance is below the
+  split — :func:`~repro.sssp.frontier.scatter_min` already returns those
+  unique and in ascending order — so relaxations run in row-major order.
+* **Far** is a list of position chunks, deduplicated by one ``bat × n``
+  membership mask: an iteration appends only the positions not already
+  in it, and the chunks are concatenated only when the split advances.
+  A refill moves the positions below the new split to Near (sorted back
+  into row-major order) and drops stale ones.
+
 Both are label-correcting and exact for non-negative weights (property
-tests compare against Dijkstra and scipy under Δ sweeps).
+tests compare against Dijkstra and scipy under Δ sweeps). With float64
+weights a row equals the per-source Dijkstra row bit for bit: both reach
+the minimum over paths of the left-to-right path sum.
 """
 
 from __future__ import annotations
@@ -29,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.sssp.frontier import expand_frontier, scatter_min, segmented_arange, suggest_delta
+from repro.sssp.frontier import edge_positions, scatter_min, suggest_delta
 
 __all__ = ["NearFarStats", "near_far", "near_far_batch", "DEFAULT_HEAVY_DEGREE", "EDGES_PER_CHILD_BLOCK"]
 
@@ -91,16 +107,15 @@ def near_far_batch(
         raise ValueError("delta must be positive")
 
     bat = sources.size
-    deg = np.diff(graph.indptr)
-    heavy_vertex = deg > heavy_degree
-
     dist = np.full((bat, n), np.inf)
-    dist[np.arange(bat), sources] = 0.0
     flat = dist.ravel()
-
-    near = np.zeros((bat, n), dtype=bool)
-    near[np.arange(bat), sources] = True
-    far = np.zeros((bat, n), dtype=bool)
+    # Queue entries are flat positions ``row * n + vertex`` into ``dist``.
+    # Near is unique and row-major sorted; Far is a list of chunks whose
+    # union is exactly the positions set in ``in_far``.
+    near = np.arange(bat, dtype=np.int64) * n + sources
+    flat[near] = 0.0
+    in_far = np.zeros(bat * n, dtype=bool)
+    far: list[np.ndarray] = []
 
     split = float(delta)
     relaxations = 0
@@ -110,57 +125,57 @@ def near_far_batch(
     splits_advanced = 0
 
     while True:
-        rows, cols = np.nonzero(near)
-        if rows.size == 0:
+        if near.size == 0:
             # Near exhausted: advance the split past the smallest Far
             # distance (skipping empty Δ ranges) and refill Near.
-            frows, fcols = np.nonzero(far)
-            if frows.size == 0:
+            if not far:
                 break
-            fdist = dist[frows, fcols]
+            fpos = np.concatenate(far)
+            fdist = flat[fpos]
             # Drop stale Far entries (distance may have improved below the
             # current split — those were already processed via Near).
             fresh = fdist >= split
-            far[frows[~fresh], fcols[~fresh]] = False
-            frows, fcols, fdist = frows[fresh], fcols[fresh], fdist[fresh]
-            if frows.size == 0:
+            in_far[fpos[~fresh]] = False
+            fpos, fdist = fpos[fresh], fdist[fresh]
+            if fpos.size == 0:
                 break
             min_far = fdist.min()
             split = (np.floor(min_far / delta) + 1.0) * delta
             splits_advanced += 1
             move = fdist < split
-            near[frows[move], fcols[move]] = True
-            far[frows[move], fcols[move]] = False
+            near = np.sort(fpos[move])
+            in_far[near] = False
+            far = [fpos[~move]]
             continue
 
-        near[rows, cols] = False
         iterations += 1
-
-        tails, heads, w = expand_frontier(graph, cols)
-        relaxations += heads.size
-        if heads.size == 0:
+        cols = near % n
+        deg, pos = edge_positions(graph, cols)
+        relaxations += pos.size
+        if pos.size == 0:
+            near = pos  # empty: no frontier vertex has an out-edge
             continue
-        src_rows = rows[tails]
-        cand = dist[rows[tails], cols[tails]] + w
+        heads = graph.indices[pos]
+        cand = np.repeat(flat[near], deg)
+        cand += graph.weights[pos]
 
         # Dynamic-parallelism accounting: relaxations sourced at heavy
         # vertices, and the child blocks needed for their edge lists.
-        hmask = heavy_vertex[cols]
-        if hmask.any():
-            heavy_deg = deg[cols[hmask]]
-            heavy_relax += int(heavy_deg.sum())
-            child_launches += 2 + int(
-                np.ceil(heavy_deg.sum() / EDGES_PER_CHILD_BLOCK)
-            )
+        heavy = deg > heavy_degree
+        if heavy.any():
+            heavy_edges = int(deg[heavy].sum())
+            heavy_relax += heavy_edges
+            child_launches += 2 + int(np.ceil(heavy_edges / EDGES_PER_CHILD_BLOCK))
 
-        improved_flat, improved_vals = scatter_min(flat, src_rows * n + heads, cand)
-        if improved_flat.size == 0:
-            continue
-        irows = improved_flat // n
-        icols = improved_flat % n
+        # near - cols is each entry's row offset row * n
+        improved, improved_vals = scatter_min(flat, np.repeat(near - cols, deg) + heads, cand)
         go_near = improved_vals < split
-        near[irows[go_near], icols[go_near]] = True
-        far[irows[~go_near], icols[~go_near]] = True
+        near = improved[go_near]
+        to_far = improved[~go_near]
+        to_far = to_far[~in_far[to_far]]
+        if to_far.size:
+            in_far[to_far] = True
+            far.append(to_far)
 
     return dist, NearFarStats(
         relaxations=relaxations,

@@ -57,6 +57,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build(2, [(0, 1, -1.0)])
 
+    def test_nan_weight_rejected(self):
+        # a 3-cycle with one NaN edge: ``min() < 0`` is False for NaN
+        with pytest.raises(ValueError, match="NaN"):
+            build(3, [(0, 1, 1.0), (1, 2, np.nan), (2, 0, 1.0)])
+        with pytest.raises(ValueError, match="NaN"):
+            CSRGraph(np.array([0, 1, 2, 3]), np.array([1, 2, 0]), np.array([1.0, np.nan, 1.0]))
+        # a NaN that dedupe or self-loop removal would drop is still refused
+        with pytest.raises(ValueError, match="NaN"):
+            build(2, [(0, 1, 1.0), (0, 1, np.nan)])
+        with pytest.raises(ValueError, match="NaN"):
+            build(2, [(0, 1, 1.0), (1, 1, np.nan)])
+
     def test_invalid_indptr_rejected(self):
         with pytest.raises(ValueError):
             CSRGraph(np.array([1, 2]), np.array([0]), np.array([1.0]))

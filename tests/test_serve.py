@@ -22,9 +22,11 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.dynamic.patch import EdgeUpdate
 from repro.faults.plan import FaultPlan
-from repro.graphs.generators import erdos_renyi
-from repro.gpu.device import TEST_DEVICE
+from repro.graphs.generators import erdos_renyi, rmat
+from repro.gpu.device import TEST_DEVICE, V100
 from repro.gpu.errors import TransientDeviceError
+from repro.select.cost_models import analytic_estimate_johnson
+from repro.select.selector import Selector
 from repro.serve import AdmissionError, APSPService, Query
 from tests.conftest import oracle_apsp
 
@@ -258,6 +260,18 @@ class TestAdmissionControl:
             service.submit(query)
         responses = service.drain()
         assert [r.served_from for r in responses] == ["closure-cache"] * 3
+
+    def test_full_query_priced_when_johnson_is_the_only_candidate(self):
+        # a middle-band graph: the selector prices no candidate, so the
+        # full query costs the analytic Johnson makespan rows are priced from
+        graph = rmat(600, 1800)
+        service = APSPService(graph, spec=V100)
+        assert Selector(V100, analytic=True).select(graph).candidates == ("johnson",)
+        ticket = service.submit(Query.full())
+        johnson = analytic_estimate_johnson(graph, V100).total_seconds
+        assert ticket.cost_estimate == johnson > 0
+        row = service.submit(Query.sssp(0)).cost_estimate
+        assert row == johnson / graph.num_vertices
 
     def test_backlog_releases_on_completion(self):
         graph = _graph()

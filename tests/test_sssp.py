@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.csr import CSRGraph
 from repro.sssp import (
@@ -162,6 +164,43 @@ class TestNearFar:
     def test_invalid_delta(self, small_rmat):
         with pytest.raises(ValueError):
             near_far(small_rmat, 0, delta=-1.0)
+
+
+@st.composite
+def real_weight_graphs(draw, max_n=24, max_edges=90):
+    """CSR graphs built as drawn, without ``from_edges``' dedupe: real
+    non-negative weights with exact zeros, duplicate edges and self-loops,
+    and no edge between vertices ``[0, cut)`` and ``[cut, n)``."""
+    n = draw(st.integers(1, max_n))
+    cut = draw(st.integers(1, n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=max_edges))
+    pairs = [(u, v) for u, v in pairs if (u < cut) == (v < cut)]
+    pairs += pairs[: draw(st.integers(0, len(pairs)))]  # duplicates, new weights
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False))
+    w = np.array(draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs))), dtype=np.float64)
+    src = np.array([u for u, _ in pairs], dtype=np.int64)
+    dst = np.array([v for _, v in pairs], dtype=np.int64)
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return CSRGraph(indptr, dst[order], w[order])
+
+
+class TestBatchEqualsDijkstra:
+    """Batched Near-Far rows are per-source Dijkstra rows, bit for bit, in
+    float64 — the dynamic increase path writes them back as such. Both
+    reach the minimum over paths of the left-to-right path sum, whatever
+    the Δ and the order of relaxations."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(real_weight_graphs(), st.one_of(st.none(), st.floats(1e-3, 1e3)))
+    def test_rows_bitwise_equal(self, graph, delta):
+        n = graph.num_vertices
+        dist, _ = near_far_batch(graph, np.arange(n), delta=delta)
+        expected = np.stack([dijkstra(graph, s)[0] for s in range(n)])
+        assert dist.dtype == expected.dtype == np.float64
+        assert np.array_equal(dist, expected)
 
 
 class TestWorkEfficiency:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.graphs.csr import CSRGraph
 from repro.sssp.frontier import (
+    edge_positions,
     expand_frontier,
     scatter_min,
     segmented_arange,
@@ -58,6 +59,13 @@ class TestExpandFrontier:
         assert heads.tolist() == [1, 2, 1, 2]
         assert tails.tolist() == [0, 0, 1, 1]
 
+    def test_edge_positions_follow_input_order(self):
+        deg, pos = edge_positions(self.graph(), np.array([2, 3, 0, 2]))
+        assert deg.tolist() == [1, 0, 2, 1]
+        assert pos.tolist() == [3, 0, 1, 3]
+        deg, pos = edge_positions(self.graph(), np.array([], dtype=np.int64))
+        assert deg.size == pos.size == 0
+
 
 class TestScatterMin:
     def test_simple_improvement(self):
@@ -83,6 +91,26 @@ class TestScatterMin:
         assert improved.size == 0
         assert target.tolist() == [1.0, 2.0]
 
+    def test_no_candidate_improves(self):
+        # duplicates, ties and losers: nothing decreases, nothing is written
+        target = np.array([1.0, 2.0, np.inf])
+        improved, vals = scatter_min(
+            target, np.array([1, 0, 1, 0]), np.array([2.0, 7.0, 3.0, 1.0])
+        )
+        assert improved.size == 0 and vals.size == 0
+        assert improved.dtype == np.int64 and vals.dtype == np.float64
+        assert target.tolist() == [1.0, 2.0, np.inf]
+
+    def test_nan_candidates_never_win(self):
+        # a NaN loses to every value, and does not poison its group's minimum
+        target = np.array([5.0, 5.0, np.inf])
+        improved, vals = scatter_min(
+            target, np.array([0, 0, 1, 2]), np.array([np.nan, 3.0, np.nan, np.nan])
+        )
+        assert improved.tolist() == [0]
+        assert vals.tolist() == [3.0]
+        assert target.tolist() == [3.0, 5.0, np.inf]
+
     def test_empty_input(self):
         target = np.array([1.0])
         improved, vals = scatter_min(
@@ -96,14 +124,21 @@ class TestScatterMin:
         assert improved.size == 0
 
     def test_matches_minimum_at(self):
-        rng = np.random.default_rng(2)
-        target = rng.random(50) * 10
-        ref = target.copy()
-        idx = rng.integers(0, 50, size=500)
-        vals = rng.random(500) * 10
-        scatter_min(target, idx, vals)
-        np.minimum.at(ref, idx, vals)
-        assert np.allclose(target, ref)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            target = rng.random(50) * 10
+            target[rng.integers(0, 50, size=5)] = np.inf
+            before = target.copy()
+            ref = target.copy()
+            idx = rng.integers(0, 50, size=500)
+            vals = rng.random(500) * 10
+            vals[::7] = before[idx[::7]]  # ties never count as improvements
+            improved, new_vals = scatter_min(target, idx, vals)
+            np.minimum.at(ref, idx, vals)
+            assert np.array_equal(target, ref)
+            # the winners are exactly the positions that decreased, ascending
+            assert improved.tolist() == np.flatnonzero(ref < before).tolist()
+            assert np.array_equal(new_vals, ref[improved])
 
 
 class TestSuggestDelta:
