@@ -2,8 +2,9 @@
 
 These are the numpy equivalents of the GPU kernels' data-parallel steps:
 :func:`expand_frontier` gathers the out-edges of every frontier vertex
-(the coalesced edge-list walk) and :func:`scatter_min` performs the
-``atomicMin`` reduction into the distance array. ``scatter_min`` first
+(the coalesced edge-list walk; :func:`edge_positions` is the same walk
+as CSR positions plus per-vertex degrees) and :func:`scatter_min`
+performs the ``atomicMin`` reduction into the distance array. ``scatter_min`` first
 drops the candidates that cannot beat their target, then groups the rest
 with an unstable sort and reduces each group with ``np.minimum.reduceat``
 — the semantics of ``np.minimum.at``, an order of magnitude faster at the
