@@ -12,8 +12,7 @@ barriers — in a global topological order. Two consumers walk it:
   :class:`~repro.verifyplan.ir.PlanIR` per rank for the static verifier.
 
 Because both consume the same op stream, the IR is structurally
-identical to the executed schedule by construction — the point the
-emitter-drift lint rule (RPR010) then enforces against regressions.
+identical to the executed schedule by construction.
 
 The schedule itself is the ScaLAPACK-style 2-D block-cyclic blocked
 Floyd–Warshall round (:mod:`repro.cluster.topology`), per pivot ``k``:

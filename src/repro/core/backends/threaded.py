@@ -4,10 +4,11 @@ numpy's ufunc loops and the ctypes/numba JIT kernels all release the GIL,
 so slicing ``C`` (and the matching columns of ``B``) into disjoint column
 panels and updating each on its own thread scales the single-product
 min-plus across cores. The same pool backs
-:meth:`repro.core.engine.KernelEngine.map_updates`, which the blocked and
-out-of-core Floyd–Warshall drivers use to fan their embarrassingly parallel
-stage-3 block updates (each block shares only the read-only ``A(i,k)`` /
-``A(k,j)`` panels).
+:meth:`repro.core.engine.KernelEngine.map_updates`, which the in-core
+blocked Floyd–Warshall uses to fan its embarrassingly parallel stage-3
+block updates (each block shares only the read-only ``A(i,k)`` /
+``A(k,j)`` panels). The out-of-core drivers run one update at a time
+and get their parallelism from the panel split inside it.
 
 Panels are views, not copies — every inner backend accepts arbitrary row
 strides — and each worker writes a disjoint slice of ``C``, so no

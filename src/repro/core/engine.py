@@ -313,8 +313,11 @@ class KernelEngine:
         """Run independent ``(C, A, B)`` updates, in parallel when threaded.
 
         Callers guarantee the ``C`` arrays are disjoint and the ``A``/``B``
-        operands read-only — exactly the stage-3 situation in blocked FW.
-        With a non-threaded backend this is a plain serial loop.
+        operands read-only — exactly the stage-3 situation in the in-core
+        blocked FW (:func:`repro.core.blocked_fw.blocked_floyd_warshall`).
+        The out-of-core driver does not fan out: it runs one block update
+        at a time, so its schedule does not depend on the engine. With a
+        non-threaded backend this is a plain serial loop.
         """
         if self.fanout <= 1 or len(tasks) < 2:
             for c, a, b in tasks:

@@ -16,28 +16,31 @@ driver runs Algorithm 3 across several simulated GPUs:
 Synchronisation is modelled with cross-device barriers (every engine clock
 floors at the slowest device's time), so the simulated makespan honestly
 includes load imbalance. Distances are identical to the single-device
-driver (asserted in the tests).
+driver (asserted in the tests). The schedule is written once
+(:func:`_multi_schedule`), sharing the single-device driver's host side,
+kernel numerics and per-block ops: the driver runs it on the fleet and
+:func:`emit_multi_ir` compiles it for the static verifier.
 """
 
 from __future__ import annotations
 
 import contextlib
 
-import numpy as np
-
-from repro.core.blocked_fw import floyd_warshall_inplace
-from repro.core.minplus import DIST_DTYPE, minplus_update
-from repro.core.ooc_boundary import BoundaryPlan, _bind_boundary_plan, plan_boundary
+from repro.core.engine import default_engine
+from repro.core.ooc_boundary import (
+    BoundaryPlan,
+    _block_ops,
+    _BoundaryHost,
+    _dist2_ops,
+    plan_boundary,
+)
 from repro.core.result import APSPResult
-from repro.core.tiling import HostStore
 from repro.faults.checkpoint import open_checkpoint
 from repro.gpu.device import Device, DeviceSpec
-from repro.gpu.kernels import extract_cost, fw_tile_cost, minplus_cost
-from repro.gpu.stream import Event
+from repro.gpu.executor import DeviceEmitter
+from repro.verifyplan.ir import IREmitter, Rect
 
 __all__ = ["emit_multi_ir", "ooc_boundary_multi"]
-
-_ELEM = np.dtype(DIST_DTYPE).itemsize
 
 
 def _barrier(devices: list[Device]) -> float:
@@ -88,239 +91,136 @@ def ooc_boundary_multi(
         plan = plan_boundary(
             graph, smallest, num_components=num_components, seed=seed
         )
-    k = plan.num_components
-    nb_total = plan.num_boundary
-    pg = graph.permute(plan.perm)
-    host = HostStore.empty(n, mode=store_mode, directory=store_dir)
-    host.data[...] = np.inf
+    state = _BoundaryHost(graph, plan, store_mode=store_mode, store_dir=store_dir)
 
     for dev in devices:
         dev.reset_clock()
     ckpt = open_checkpoint(checkpoint, algorithm="boundary-multi", graph=graph)
-    _bind_boundary_plan(ckpt, plan)
     report = devices[0].fault_report  # resume/checkpoint ledger lives on dev 0
-
-    starts = plan.comp_start
-    bcounts = plan.comp_boundary
-    bnd_offsets = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(bcounts, out=bnd_offsets[1:])
-    num_dev = len(devices)
-
+    resume = state.restore(ckpt, report)
+    kernels = state.kernels(default_engine())
+    ems = [
+        DeviceEmitter(dev, host=state, kernels=kernels, barrier=lambda: _barrier(devices))
+        for dev in devices
+    ]
     # A mid-run fault (exhausted retry budget) must not leak device
     # memory on any device of the fleet.
     with contextlib.ExitStack() as cleanup:
         for dev in devices:
             cleanup.enter_context(dev.memory.cleanup_on_error())
-        # ---- step 2: per-component APSP, round-robin over devices ----------
-        dist2_blocks: list[np.ndarray | None] = [None] * k
-        dist2_done = 0
-        if ckpt is not None:
-            while dist2_done < k and ckpt.has(f"dist2-{dist2_done}"):
-                state2 = ckpt.load(f"dist2-{dist2_done}")
-                dist2_blocks[dist2_done] = np.asarray(state2["block"], dtype=DIST_DTYPE)
-                report.resumed += 1
-                dist2_done += 1
-        for i in range(dist2_done, k):
-            dev = devices[i % num_dev]
-            stream = dev.default_stream
-            lo, hi = int(starts[i]), int(starts[i + 1])
-            ni = hi - lo
-            sub = pg.subgraph(np.arange(lo, hi))
-            with dev.memory.alloc((ni, ni), DIST_DTYPE, name=f"comp{i}") as tile:
-                stream.copy_h2d(tile, sub.to_dense(dtype=DIST_DTYPE), pinned=True)
-                floyd_warshall_inplace(tile.data)
-                stream.launch("fw_comp", fw_tile_cost(dev.spec, ni), reads=(tile,), writes=(tile,))
-                block = np.empty((ni, ni), dtype=DIST_DTYPE)
-                stream.copy_d2h(block, tile, pinned=True)
-            dist2_blocks[i] = block
-            if ckpt is not None:
-                ckpt.save(f"dist2-{i}", block=block)
-                report.checkpoints_written += 1
-        _barrier(devices)
+        for stage in _multi_schedule(ems, plan, n, overlap, resume):
+            state.save(ckpt, stage, report)
 
-        # ---- step 3: boundary closure on device 0, broadcast ---------------
-        bound_state = ckpt.load("dist3") if ckpt is not None else None
-        root = devices[0]
-        if bound_state is not None:
-            # restored matrix is already closed: every device just uploads it
-            bound_host = np.asarray(bound_state["bound"], dtype=DIST_DTYPE)
-            report.resumed += 1
-            bound0 = root.memory.alloc((nb_total, nb_total), DIST_DTYPE, name="bound")
-            root.default_stream.copy_h2d(bound0, bound_host, pinned=True)
+    elapsed = _barrier(devices)
+    state.host.flush()
+    per_device = [dev.timeline.busy_time("compute") for dev in devices]
+    merged = devices[0].fault_report
+    for dev in devices[1:]:
+        merged = merged.merged(dev.fault_report)
+    return APSPResult(
+        algorithm=f"boundary-multi[{len(devices)}]",
+        store=state.host,
+        simulated_seconds=elapsed,
+        perm=plan.perm,
+        inv_perm=plan.inv_perm,
+        stats={
+            "num_devices": len(devices),
+            "num_components": plan.num_components,
+            "num_boundary": plan.num_boundary,
+            "overlap": overlap,
+            "per_device_compute": per_device,
+            "imbalance": max(per_device) / max(min(per_device), 1e-30),
+        },
+        faults=merged,
+    )
+
+
+def _multi_schedule(ems, plan: BoundaryPlan, n: int, overlap: bool,
+                    resume: tuple[int, bool, int] = (0, False, 0)):
+    """Algorithm 3 across ``len(ems)`` devices (see module docstring).
+
+    ``ems[d]`` is device ``d``'s emitter: the round-robin dist2 tiles,
+    the boundary closure on device 0 with its host-staged broadcast, each
+    device's step-4 strip pipeline (async on ``multi-copy`` behind
+    ``strip-ready``/``strip-down`` edges when ``overlap=True``), and a
+    barrier on every device at each fleet synchronisation point. Yields
+    the same checkpoint stages as the single-device schedule, one
+    ``("dist4", i + 1)`` per block-row; ``resume`` skips the restored
+    prefix the same way.
+    """
+    dist2_done, bound_done, rows_done = resume
+    k = plan.num_components
+    nb = plan.num_boundary
+    starts = plan.comp_start
+    num_dev = len(ems)
+    yield from _dist2_ops(ems, plan, dist2_done)
+    for em in ems:
+        em.barrier("after-dist2")
+
+    # step 3: boundary closure on device 0, broadcast to the rest
+    root = ems[0]
+    bounds = [root.alloc("bound", (nb, nb))]
+    root.h2d(bounds[0], key=("bound",))
+    if not bound_done:
+        root.kernel("fw_bound", reads=(bounds[0],), writes=(bounds[0],))
+        root.d2h(bounds[0], key=("bound",))
+        yield ("dist3",)
+    for em in ems:
+        em.barrier("after-bound-closure")
+    for em in ems[1:]:
+        bounds.append(em.alloc("bound", (nb, nb)))
+        em.h2d(bounds[-1], key=("bound",))
+    for em in ems:
+        em.barrier("after-broadcast")
+
+    # step 4: block rows round-robin, double-buffered strips with overlap
+    nmax = plan.max_component
+    bmax = max(1, int(plan.comp_boundary.max()))
+    nbuf = 2 if overlap else 1
+    copier = "multi-copy" if overlap else "default"
+    scratch = []
+    for em in ems:
+        tiles = (em.alloc("c2b", (nmax, bmax)), em.alloc("b2c", (bmax, nmax)),
+                 em.alloc("tmp1", (nmax, bmax)))
+        if overlap:
+            outs = [em.alloc(f"out{p}", (nmax, n)) for p in range(nbuf)]
         else:
-            bound_host = np.full((nb_total, nb_total), np.inf, dtype=DIST_DTYPE)
-            np.fill_diagonal(bound_host, 0.0)
-            for i in range(k):
-                bi = int(bcounts[i])
-                o = int(bnd_offsets[i])
-                bound_host[o : o + bi, o : o + bi] = dist2_blocks[i][:bi, :bi]
-            src, dst, w = pg.edge_array()
-            comp_of = np.searchsorted(starts, np.arange(n), side="right") - 1
-            cross = comp_of[src] != comp_of[dst]
-            local = np.arange(n) - starts[comp_of]
-            bidx = bnd_offsets[comp_of] + local
-            np.minimum.at(
-                bound_host, (bidx[src[cross]], bidx[dst[cross]]), w[cross].astype(DIST_DTYPE)
-            )
+            outs = [em.alloc("out", (nmax, n))]
+        scratch.append((tiles, outs))
+    drain_events: list[list] = [[None] * nbuf for _ in ems]
+    for i in range(rows_done, k):
+        d = i % num_dev
+        em = ems[d]
+        (c2b, b2c, tmp1), outs = scratch[d]
+        ni = int(starts[i + 1] - starts[i])
+        cr = Rect(0, ni, 0, int(plan.comp_boundary[i]))
+        em.h2d(c2b, cr, key=("dist2", i, "c2b"))
+        em.kernel("extract_c2b", reads=((c2b, cr),), writes=((c2b, cr),))
+        p = (i - rows_done) // num_dev % nbuf  # device d's strip buffer
+        if drain_events[d][p] is not None:
+            em.wait(drain_events[d][p])  # strip still draining
+        for j in range(k):
+            dest = (outs[p], Rect(0, ni, int(starts[j]), int(starts[j + 1])))
+            _block_ops(em, plan, i, j, c2b, b2c, tmp1, bounds[d], dest)
+        rect = Rect(0, ni, 0, n)
+        key = ("host-rows", int(starts[i]), int(starts[i + 1]))
+        if overlap:
+            em.wait(em.record("strip-ready"), stream=copier)
+            em.d2h(outs[p], rect, key=key, stream=copier, sync=False)
+            if i + nbuf * num_dev < k:
+                # only a later strip in buffer p waits on this drain; a
+                # trailing record would be a dead event
+                drain_events[d][p] = em.record("strip-down", stream=copier)
+        else:
+            em.d2h(outs[p], rect, key=key)
+        yield ("dist4", i + 1)
+    for em in ems:
+        em.barrier("after-output")
 
-            bound0 = root.memory.alloc((nb_total, nb_total), DIST_DTYPE, name="bound")
-            root.default_stream.copy_h2d(bound0, bound_host, pinned=True)
-            floyd_warshall_inplace(bound0.data)
-            root.default_stream.launch(
-                "fw_bound", fw_tile_cost(root.spec, nb_total), reads=(bound0,), writes=(bound0,)
-            )
-            root.default_stream.copy_d2h(bound_host, bound0, pinned=True)
-            if ckpt is not None:
-                ckpt.save("dist3", bound=bound_host)
-                report.checkpoints_written += 1
-        _barrier(devices)
-        bounds = [bound0]
-        for dev in devices[1:]:
-            b = dev.memory.alloc((nb_total, nb_total), DIST_DTYPE, name="bound")
-            dev.default_stream.copy_h2d(b, bound_host, pinned=True)
-            bounds.append(b)
-        _barrier(devices)
+    for em, ((c2b, b2c, tmp1), outs), bound in zip(ems, scratch, bounds):
+        for buf in (c2b, b2c, tmp1, *outs, bound):
+            em.free(buf)
 
-        # ---- step 4: block rows round-robin, batched transfers per device --
-        nmax = plan.max_component
-        bmax = int(bcounts.max()) if k else 1
-        nbuf = 2 if overlap else 1
-        copiers = [
-            dev.create_stream("multi-copy") if overlap else dev.default_stream
-            for dev in devices
-        ]
-        state = []
-        out_bufs = []
-        for dev in devices:
-            state.append(
-                dict(
-                    c2b=dev.memory.alloc((nmax, max(1, bmax)), DIST_DTYPE, name="c2b"),
-                    b2c=dev.memory.alloc((max(1, bmax), nmax), DIST_DTYPE, name="b2c"),
-                    tmp=dev.memory.alloc((nmax, max(1, bmax)), DIST_DTYPE, name="tmp1"),
-                )
-            )
-            if overlap:
-                out_bufs.append([
-                    dev.memory.alloc((nmax, n), DIST_DTYPE, name=f"out{p}")
-                    for p in range(nbuf)
-                ])
-            else:
-                out_bufs.append([dev.memory.alloc((nmax, n), DIST_DTYPE, name="out")])
-        drain_events: list[list[Event | None]] = [[None] * nbuf for _ in devices]
-        strip_count = [0] * num_dev
-        rows_done = 0
-        if ckpt is not None:
-            state4 = ckpt.load("dist4")
-            if state4 is not None:
-                host.data[...] = state4["dist"]
-                rows_done = int(state4["rows_done"])
-                report.resumed += 1
-        # strips device d handles over the round-robin (for trailing-record
-        # elision: the last nbuf drains per device have no future consumer);
-        # on resume, only the replayed suffix counts
-        strips_per_dev = [
-            sum(1 for i in range(rows_done, k) if i % num_dev == d)
-            for d in range(num_dev)
-        ]
-
-        for i in range(rows_done, k):
-            d = i % num_dev
-            dev = devices[d]
-            st = state[d]
-            stream = dev.default_stream
-            copier = copiers[d]
-            spec = dev.spec
-            lo_i, hi_i = int(starts[i]), int(starts[i + 1])
-            ni = hi_i - lo_i
-            bi = int(bcounts[i])
-            oi = int(bnd_offsets[i])
-            c2b_view = st["c2b"].data[:ni, :bi]
-            stream.copy_h2d(c2b_view, dist2_blocks[i][:, :bi], pinned=True)
-            stream.launch(
-                "extract_c2b", extract_cost(spec, ni, bi),
-                reads=(c2b_view,), writes=(c2b_view,),
-            )
-            s = strip_count[d]
-            p = s % nbuf
-            strip_count[d] += 1
-            strip = out_bufs[d][p].data[:ni, :]
-            if drain_events[d][p] is not None:
-                stream.wait(drain_events[d][p])  # strip still draining
-            for j in range(k):
-                lo_j, hi_j = int(starts[j]), int(starts[j + 1])
-                nj = hi_j - lo_j
-                bj = int(bcounts[j])
-                oj = int(bnd_offsets[j])
-                b2c_view = st["b2c"].data[:bj, :nj]
-                stream.copy_h2d(b2c_view, dist2_blocks[j][:bj, :], pinned=True)
-                stream.launch(
-                    "extract_b2c", extract_cost(spec, bj, nj),
-                    reads=(b2c_view,), writes=(b2c_view,),
-                )
-                dest = strip[:, lo_j:hi_j]
-                dest[...] = np.inf
-                stream.annotate("memset_out", writes=(dest,))
-                if bi and bj:
-                    bview = bounds[d].data[oi : oi + bi, oj : oj + bj]
-                    t1 = st["tmp"].data[:ni, :bj]
-                    t1[...] = np.inf
-                    stream.annotate("memset_tmp1", writes=(t1,))
-                    minplus_update(t1, c2b_view, bview)
-                    stream.launch(
-                        "mp_c2b_bound", minplus_cost(spec, ni, bi, bj),
-                        reads=(c2b_view, bview), writes=(t1,),
-                    )
-                    minplus_update(dest, t1, b2c_view)
-                    stream.launch(
-                        "mp_bound_b2c", minplus_cost(spec, ni, bj, nj),
-                        reads=(t1, b2c_view), writes=(dest,),
-                    )
-                if i == j:
-                    np.minimum(dest, dist2_blocks[i], out=dest)
-                    stream.annotate("min_diag", reads=(dest,), writes=(dest,))
-            if overlap:
-                copier.wait(stream.record(Event("strip-ready")))
-                copier.copy_d2h_async(host.data[lo_i:hi_i, :], strip, pinned=True)
-                if s + nbuf < strips_per_dev[d]:
-                    drain_events[d][p] = copier.record(Event("strip-down"))
-            else:
-                stream.copy_d2h(host.data[lo_i:hi_i, :], strip, pinned=True)
-            if ckpt is not None:
-                # host.data holds every drained strip (simulated copies move
-                # data at enqueue time), so the stage is consistent without a
-                # fleet sync — checkpointing keeps the timelines untouched.
-                ckpt.save("dist4", rows_done=i + 1, dist=np.asarray(host.data))
-                report.checkpoints_written += 1
-
-        elapsed = _barrier(devices)
-        host.flush()
-        for d, dev in enumerate(devices):
-            for arr in state[d].values():
-                arr.free()
-            for arr in out_bufs[d]:
-                arr.free()
-            bounds[d].free()
-
-        per_device = [dev.timeline.busy_time("compute") for dev in devices]
-        merged = devices[0].fault_report
-        for dev in devices[1:]:
-            merged = merged.merged(dev.fault_report)
-        return APSPResult(
-            algorithm=f"boundary-multi[{num_dev}]",
-            store=host,
-            simulated_seconds=elapsed,
-            perm=plan.perm,
-            inv_perm=plan.inv_perm,
-            stats={
-                "num_devices": num_dev,
-                "num_components": k,
-                "num_boundary": nb_total,
-                "overlap": overlap,
-                "per_device_compute": per_device,
-                "imbalance": max(per_device) / max(min(per_device), 1e-30),
-            },
-            faults=merged,
-        )
 
 def emit_multi_ir(
     graph,
@@ -331,141 +231,31 @@ def emit_multi_ir(
     plan: BoundaryPlan | None = None,
     seed: int = 0,
     overlap: bool = False,
+    resume: "tuple[int, bool, int] | None" = None,
 ):
     """Compile the multi-GPU boundary schedule to one symbolic
     :class:`~repro.verifyplan.ir.PlanIR` *per device*, without executing.
 
-    Mirrors :func:`ooc_boundary_multi` op for op on each device: the
-    round-robin dist2 tiles, the boundary closure on device 0 with its
-    host-staged broadcast, each device's step-4 strip pipeline (async on
-    ``multi-copy`` behind ``strip-ready``/``strip-down`` edges when
-    ``overlap=True``), and a :class:`~repro.verifyplan.ir.BarrierOp` in
-    every device's IR at each of the driver's fleet barriers, so the
+    Runs :func:`_multi_schedule` — the schedule :func:`ooc_boundary_multi`
+    executes — into one :class:`~repro.verifyplan.ir.IREmitter` per
+    device. Each fleet barrier is a
+    :class:`~repro.verifyplan.ir.BarrierOp` in every device's IR, so the
     multi-device timing replay synchronises at the same points.
-    """
-    from repro.verifyplan.ir import IREmitter, Rect
 
+    ``resume=(dist2_done, bound_done, rows_done)`` emits the suffix a
+    checkpoint-resumed run replays, as for
+    :func:`~repro.core.ooc_boundary.emit_boundary_ir`.
+    """
     if num_devices < 1:
         raise ValueError("need at least one device")
-    n = graph.num_vertices
     if plan is None:
         plan = plan_boundary(graph, spec, num_components=num_components, seed=seed)
-    k = plan.num_components
-    nb_total = plan.num_boundary
-    starts = plan.comp_start
-    bcounts = plan.comp_boundary
-    bnd_offsets = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(bcounts, out=bnd_offsets[1:])
-
     ems = [
         IREmitter(f"boundary-multi[{num_devices}]", f"{spec.name}#{d}", spec.memory_bytes)
         for d in range(num_devices)
     ]
-
-    # step 2: per-component APSP, round-robin over devices
-    for i in range(k):
-        em = ems[i % num_devices]
-        ni = int(starts[i + 1] - starts[i])
-        tile = em.alloc(f"comp{i}", (ni, ni))
-        em.h2d(tile, key=("sub", i))
-        em.kernel("fw_comp", reads=(tile,), writes=(tile,))
-        em.d2h(tile, key=("dist2", i))
-        em.free(tile)
-    for em in ems:
-        em.barrier("after-dist2")
-
-    # step 3: boundary closure on device 0, broadcast to the rest
-    bounds = []
-    root = ems[0]
-    bound0 = root.alloc("bound", (nb_total, nb_total))
-    root.h2d(bound0, key=("bound",))
-    root.kernel("fw_bound", reads=(bound0,), writes=(bound0,))
-    root.d2h(bound0, key=("bound",))
-    bounds.append(bound0)
-    for em in ems:
-        em.barrier("after-bound-closure")
-    for em in ems[1:]:
-        b = em.alloc("bound", (nb_total, nb_total))
-        em.h2d(b, key=("bound",))
-        bounds.append(b)
-    for em in ems:
-        em.barrier("after-broadcast")
-
-    # step 4: block rows round-robin, double-buffered strips with overlap
-    nmax = plan.max_component
-    bmax = int(bcounts.max()) if k else 1
-    nbuf = 2 if overlap else 1
-    copier = "multi-copy" if overlap else "default"
-    state = []
-    out_bufs = []
-    for em in ems:
-        state.append(
-            dict(
-                c2b=em.alloc("c2b", (nmax, max(1, bmax))),
-                b2c=em.alloc("b2c", (max(1, bmax), nmax)),
-                tmp=em.alloc("tmp1", (nmax, max(1, bmax))),
-            )
-        )
-        if overlap:
-            out_bufs.append([em.alloc(f"out{p}", (nmax, n)) for p in range(nbuf)])
-        else:
-            out_bufs.append([em.alloc("out", (nmax, n))])
-    drain_events: list[list] = [[None] * nbuf for _ in ems]
-    strip_count = [0] * num_devices
-    strips_per_dev = [len(range(d, k, num_devices)) for d in range(num_devices)]
-
-    for i in range(k):
-        d = i % num_devices
-        em = ems[d]
-        st = state[d]
-        lo_i, hi_i = int(starts[i]), int(starts[i + 1])
-        ni = hi_i - lo_i
-        bi = int(bcounts[i])
-        oi = int(bnd_offsets[i])
-        cr = Rect(0, ni, 0, bi)
-        em.h2d(st["c2b"], cr, key=("dist2", i, "c2b"))
-        em.kernel("extract_c2b", reads=((st["c2b"], cr),), writes=((st["c2b"], cr),))
-        s = strip_count[d]
-        p = s % nbuf
-        strip_count[d] += 1
-        out = out_bufs[d][p]
-        if overlap and drain_events[d][p] is not None:
-            em.wait(drain_events[d][p])  # strip still draining
-        for j in range(k):
-            lo_j, hi_j = int(starts[j]), int(starts[j + 1])
-            nj = hi_j - lo_j
-            bj = int(bcounts[j])
-            oj = int(bnd_offsets[j])
-            br = Rect(0, bj, 0, nj)
-            em.h2d(st["b2c"], br, key=("dist2", j, "b2c"))
-            em.kernel("extract_b2c", reads=((st["b2c"], br),), writes=((st["b2c"], br),))
-            dest = (out, Rect(0, ni, lo_j, hi_j))
-            em.kernel("memset_out", writes=(dest,), annotate=True)
-            if bi and bj:
-                bview = (bounds[d], Rect(oi, oi + bi, oj, oj + bj))
-                t1 = (st["tmp"], Rect(0, ni, 0, bj))
-                em.kernel("memset_tmp1", writes=(t1,), annotate=True)
-                em.kernel("mp_c2b_bound", reads=((st["c2b"], cr), bview), writes=(t1,))
-                em.kernel("mp_bound_b2c", reads=(t1, (st["b2c"], br)), writes=(dest,))
-            if i == j:
-                em.kernel("min_diag", reads=(dest,), writes=(dest,), annotate=True)
-        if overlap:
-            em.wait(em.record("strip-ready"), stream=copier)
-            em.d2h(
-                out, Rect(0, ni, 0, n), key=("host-rows", lo_i, hi_i),
-                stream=copier, sync=False,
-            )
-            if s + nbuf < strips_per_dev[d]:
-                drain_events[d][p] = em.record("strip-down", stream=copier)
-        else:
-            em.d2h(out, Rect(0, ni, 0, n), key=("host-rows", lo_i, hi_i))
-    for em in ems:
-        em.barrier("after-output")
-
-    for d, em in enumerate(ems):
-        for buf in state[d].values():
-            em.free(buf)
-        for buf in out_bufs[d]:
-            em.free(buf)
-        em.free(bounds[d])
+    for _ in _multi_schedule(
+        ems, plan, graph.num_vertices, overlap, resume or (0, False, 0)
+    ):
+        pass
     return [em.finish() for em in ems]

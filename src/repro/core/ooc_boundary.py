@@ -27,11 +27,16 @@ ablation:
   bandwidth-bound copy;
 * ``overlap`` — double buffering: two accumulation buffers on two streams,
   so the transfer of one buffer overlaps the products filling the other.
+
+The schedule is written once (:func:`_boundary_schedule`): the driver runs
+it on the device and :func:`emit_boundary_ir` compiles it for the static
+verifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,10 +46,10 @@ from repro.core.tiling import HostStore
 from repro.faults.checkpoint import CheckpointError, open_checkpoint
 from repro.gpu.device import Device, DeviceSpec
 from repro.gpu.errors import OutOfMemoryError
-from repro.gpu.kernels import extract_cost, fw_tile_cost, minplus_cost
-from repro.gpu.stream import Event
+from repro.gpu.executor import DeviceEmitter, Numerics
 from repro.partition.kway import partition_kway
 from repro.partition.separator import boundary_nodes
+from repro.verifyplan.ir import IREmitter, Rect
 
 __all__ = [
     "BoundaryInfeasibleError",
@@ -97,6 +102,15 @@ class BoundaryPlan:
     @property
     def max_component(self) -> int:
         return int(np.diff(self.comp_start).max())
+
+    @cached_property
+    def boundary_offsets(self) -> np.ndarray:
+        """Row of each component's first boundary vertex in the boundary
+        matrix (boundary vertices are the first ``b_i`` internal ids of
+        each component), plus the total at the end."""
+        offsets = np.zeros(self.num_components + 1, dtype=np.int64)
+        np.cumsum(self.comp_boundary, out=offsets[1:])
+        return offsets
 
 
 def _build_permutation(
@@ -261,34 +275,54 @@ def ooc_boundary(
     already holds.
     """
     n = graph.num_vertices
-    spec = device.spec
     if engine is None:
         from repro.core.engine import default_engine
 
         engine = default_engine()
     if plan is None:
         plan = plan_boundary(
-            graph, spec,
+            graph, device.spec,
             num_components=num_components,
             batch_transfers=batch_transfers, overlap=overlap, seed=seed,
         )
-    k = plan.num_components
-    nb_total = plan.num_boundary
-    pg = graph.permute(plan.perm)  # internal ordering (Fig 1a)
-    host = HostStore.empty(n, mode=store_mode, directory=store_dir)
-    host.data[...] = np.inf
+    state = _BoundaryHost(graph, plan, store_mode=store_mode, store_dir=store_dir)
 
     device.reset_clock()
     ckpt = open_checkpoint(checkpoint, algorithm="boundary", graph=graph)
-    _bind_boundary_plan(ckpt, plan)
-    compute = device.default_stream
-    copier = device.create_stream("bound-copy") if overlap else compute
-
+    resume = state.restore(ckpt, device.fault_report)
+    # the planner found no configuration with room for even one output
+    # strip (seen on the smaller-memory K80 at reduced scale): degrade to
+    # the per-block path
+    batched = batch_transfers and plan.n_row >= 1
+    ex = DeviceEmitter(device, host=state, kernels=state.kernels(engine))
     with device.memory.cleanup_on_error():
-        return _run_boundary(
-            graph, device, compute, copier, host, plan, pg,
-            batch_transfers, overlap, engine, ckpt=ckpt,
-        )
+        for stage in _boundary_schedule(ex, plan, n, batched, overlap, resume):
+            state.save(ckpt, stage, device.fault_report)
+
+    elapsed = device.synchronize()
+    state.host.flush()
+
+    from repro.core.ooc_fw import transfer_stats
+
+    return APSPResult(
+        algorithm="boundary",
+        store=state.host,
+        simulated_seconds=elapsed,
+        perm=plan.perm,
+        inv_perm=plan.inv_perm,
+        stats={
+            "num_components": plan.num_components,
+            "num_boundary": plan.num_boundary,
+            "max_component": plan.max_component,
+            "n_row": plan.n_row,
+            "num_buffers": plan.num_buffers if batched else 1,
+            "batch_transfers": batched,
+            "overlap": overlap,
+            "kernel_backend": engine.describe(),
+            **transfer_stats(device),
+        },
+        faults=device.fault_report,
+    )
 
 
 def _bind_boundary_plan(ckpt, plan: BoundaryPlan) -> None:
@@ -315,270 +349,305 @@ def _bind_boundary_plan(ckpt, plan: BoundaryPlan) -> None:
         )
 
 
-def _count_output_flushes(starts, k: int, cap: int, *, start: int = 0) -> int:
-    """Number of batched output flushes step 4 performs.
+class _BoundaryHost:
+    """Host side of the boundary schedule, shared with the multi-GPU driver.
 
-    Replays the fill loop of :func:`_run_boundary` without side effects so
-    the driver (and its IR mirror) can elide ``strip-down`` records whose
-    drain is never waited on again — a record with no consumer would trip
-    the happens-before dead-event check. ``start`` skips the block-rows a
-    checkpoint-resumed run does not replay.
+    Called with a copy key, it returns the host array the copy touches:
+
+    * ``("sub", i)`` — component ``i``'s dense weight block;
+    * ``("dist2", i)`` — its closed block, created when it is downloaded;
+      ``("dist2", i, "c2b")``/``("dist2", i, "b2c")`` are its boundary
+      columns/rows;
+    * ``("bound",)`` — the boundary matrix, built from the ``dist2``
+      blocks and the cut edges on first use;
+    * ``("host-rows", lo, hi)``/``("host-block", i, j)`` — the output.
+
+    It also carries the host numerics of the schedule's kernels and the
+    checkpoint stages the schedule yields.
     """
-    flushes = 0
-    buf_rows = 0
-    for i in range(start, k):
-        buf_rows += int(starts[i + 1] - starts[i])
-        next_ni = int(starts[min(i + 2, k)] - starts[min(i + 1, k)]) if i + 1 < k else 0
-        if i + 1 >= k or buf_rows + next_ni > cap:
-            if buf_rows:
-                flushes += 1
-            buf_rows = 0
-    return flushes
 
+    def __init__(self, graph, plan: BoundaryPlan, *, store_mode: str, store_dir) -> None:
+        self.plan = plan
+        self.pg = graph.permute(plan.perm)  # internal ordering (Fig 1a)
+        self.host = HostStore.empty(
+            graph.num_vertices, mode=store_mode, directory=store_dir
+        )
+        self.host.data[...] = np.inf
+        self.dist2: list[np.ndarray | None] = [None] * plan.num_components
+        self.bound: np.ndarray | None = None
+        #: the closed boundary matrix, as the ``fw_bound`` kernel left it
+        self.closed: np.ndarray | None = None
 
-def _run_boundary(
-    graph, device, compute, copier, host, plan, pg, batch_transfers, overlap, engine,
-    *, ckpt=None,
-):
-    """Steps 2-4 of Algorithm 3 (see module docstring).
+    def __call__(self, key: tuple) -> np.ndarray:
+        starts = self.plan.comp_start
+        kind = key[0]
+        if kind == "sub":
+            i = key[1]
+            sub = self.pg.subgraph(np.arange(starts[i], starts[i + 1]))
+            return sub.to_dense(dtype=DIST_DTYPE)
+        if kind == "dist2":
+            i = key[1]
+            block = self.dist2[i]
+            if block is None:  # the closed block's download lands here
+                ni = int(starts[i + 1] - starts[i])
+                block = self.dist2[i] = np.empty((ni, ni), dtype=DIST_DTYPE)
+            if len(key) == 2:
+                return block
+            bi = int(self.plan.comp_boundary[i])
+            return block[:, :bi] if key[2] == "c2b" else block[:bi, :]
+        if kind == "bound":
+            if self.bound is None:
+                self.bound = self._boundary_matrix()
+            return self.bound
+        if kind == "host-rows":
+            return self.host.data[key[1] : key[2], :]
+        i, j = key[1], key[2]  # ("host-block", i, j)
+        return self.host.data[starts[i] : starts[i + 1], starts[j] : starts[j + 1]]
 
-    With ``ckpt`` set, each completed unit of work is saved — component
-    blocks as ``dist2-{i}``, the closed boundary matrix as ``dist3``,
-    output progress as ``dist4`` at every flush boundary — and whatever
-    the store already holds is restored instead of recomputed. Stages are
-    written in schedule order, so the present stages always form a prefix
-    of the schedule and the resumed suffix replays identically.
-    """
-    n = graph.num_vertices
-    spec = device.spec
-    k = plan.num_components
-    nb_total = plan.num_boundary
-
-    starts = plan.comp_start
-    bcounts = plan.comp_boundary
-    # boundary vertices are the first b_i internal ids of each component
-    bnd_offsets = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(bcounts, out=bnd_offsets[1:])
-
-    # ---- step 2: per-component APSP (dist2) ---------------------------
-    dist2_blocks: list[np.ndarray] = []
-    dist2_done = 0
-    if ckpt is not None:
-        while dist2_done < k and ckpt.has(f"dist2-{dist2_done}"):
-            state = ckpt.load(f"dist2-{dist2_done}")
-            dist2_blocks.append(np.asarray(state["block"], dtype=DIST_DTYPE))
-            device.fault_report.resumed += 1
-            dist2_done += 1
-    for i in range(dist2_done, k):
-        lo, hi = int(starts[i]), int(starts[i + 1])
-        ni = hi - lo
-        sub = pg.subgraph(np.arange(lo, hi))
-        with device.memory.alloc((ni, ni), DIST_DTYPE, name=f"comp{i}") as tile:
-            compute.copy_h2d(tile, sub.to_dense(dtype=DIST_DTYPE), pinned=True)
-            engine.fw_inplace(tile.data)
-            compute.launch("fw_comp", fw_tile_cost(spec, ni), reads=(tile,), writes=(tile,))
-            block = np.empty((ni, ni), dtype=DIST_DTYPE)
-            compute.copy_d2h(block, tile, pinned=True)
-        dist2_blocks.append(block)
-        if ckpt is not None:
-            ckpt.save(f"dist2-{i}", block=block)
-            device.fault_report.checkpoints_written += 1
-
-    # ---- step 3: boundary graph closure (dist3) ------------------------
-    bound_state = ckpt.load("dist3") if ckpt is not None else None
-    if bound_state is not None:
-        # restored matrix is already closed: upload only, no fw_bound
-        bound_host = np.asarray(bound_state["bound"], dtype=DIST_DTYPE)
-        device.fault_report.resumed += 1
-        bound = device.memory.alloc((nb_total, nb_total), DIST_DTYPE, name="bound")
-        compute.copy_h2d(bound, bound_host, pinned=True)
-    else:
-        bound_host = np.full((nb_total, nb_total), np.inf, dtype=DIST_DTYPE)
-        np.fill_diagonal(bound_host, 0.0)
-        # virtual edges: same-component boundary-to-boundary dist2
-        for i in range(k):
-            bi = int(bcounts[i])
-            o = int(bnd_offsets[i])
-            bound_host[o : o + bi, o : o + bi] = dist2_blocks[i][:bi, :bi]
+    def _boundary_matrix(self) -> np.ndarray:
+        """Step 3's boundary graph: nodes are all boundary vertices,
+        entries the cut-edge weights plus the *virtual edges*
+        ``dist2(b, b')`` between same-component boundary pairs."""
+        plan, pg = self.plan, self.pg
+        n = pg.num_vertices
+        starts, offsets = plan.comp_start, plan.boundary_offsets
+        nb = plan.num_boundary
+        bound = np.full((nb, nb), np.inf, dtype=DIST_DTYPE)
+        np.fill_diagonal(bound, 0.0)
+        for i, block in enumerate(self.dist2):
+            bi, o = int(plan.comp_boundary[i]), int(offsets[i])
+            bound[o : o + bi, o : o + bi] = block[:bi, :bi]
         # cross edges: all cut edges connect boundary vertices of two components
         src, dst, w = pg.edge_array()
         comp_of = np.searchsorted(starts, np.arange(n), side="right") - 1
         cross = comp_of[src] != comp_of[dst]
-        csrc, cdst, cw = src[cross], dst[cross], w[cross]
         # internal id -> boundary index: offset within component + bnd offset
-        local = np.arange(n) - starts[comp_of]
-        bidx = bnd_offsets[comp_of] + local  # valid only for boundary vertices
-        np.minimum.at(bound_host, (bidx[csrc], bidx[cdst]), cw.astype(DIST_DTYPE))
-
-        bound = device.memory.alloc((nb_total, nb_total), DIST_DTYPE, name="bound")
-        compute.copy_h2d(bound, bound_host, pinned=True)
-        engine.fw_inplace(bound.data)
-        compute.launch("fw_bound", fw_tile_cost(spec, nb_total), reads=(bound,), writes=(bound,))
-        if ckpt is not None:
-            ckpt.save("dist3", bound=np.asarray(bound.data))
-            device.fault_report.checkpoints_written += 1
-
-    # ---- step 4: dist4 via two successive min-plus products ------------
-    nmax = plan.max_component
-    bmax = int(bcounts.max())
-    c2b = device.memory.alloc((nmax, max(1, bmax)), DIST_DTYPE, name="c2b")
-    b2c = device.memory.alloc((max(1, bmax), nmax), DIST_DTYPE, name="b2c")
-    tmp1 = device.memory.alloc((nmax, max(1, bmax)), DIST_DTYPE, name="tmp1")
-
-    if batch_transfers and plan.n_row < 1:
-        # the planner found no configuration with room for even one output
-        # strip (seen on the smaller-memory K80 at reduced scale): degrade
-        # to the per-block path
-        batch_transfers = False
-    if batch_transfers:
-        out_bufs = [
-            device.memory.alloc((plan.n_row * nmax, n), DIST_DTYPE, name=f"out{p}")
-            for p in range(plan.num_buffers)
-        ]
-    else:
-        out_bufs = [device.memory.alloc((nmax, nmax), DIST_DTYPE, name="out")]
-    drain_events: list[Event | None] = [None] * len(out_bufs)
-
-    rows_done = 0
-    if ckpt is not None:
-        state = ckpt.load("dist4")
-        if state is not None:
-            host.data[...] = state["dist"]
-            rows_done = int(state["rows_done"])
-            device.fault_report.resumed += 1
-
-    buf_rows = 0  # filled rows in the active accumulation buffer
-    buf_meta: list[tuple[int, int, int]] = []  # (host_lo, host_hi, buf_lo)
-    active = 0
-    flush_idx = 0
-    total_flushes = (
-        _count_output_flushes(starts, k, plan.n_row * nmax, start=rows_done)
-        if batch_transfers
-        else 0
-    )
-
-    def flush(active_idx: int) -> None:
-        nonlocal buf_rows, buf_meta, flush_idx
-        if buf_rows == 0:
-            return
-        buf = out_bufs[active_idx]
-        total = buf_meta[-1][1] - buf_meta[0][0]
-        view = buf.data[:buf_rows, :]
-        hdst = host.data[buf_meta[0][0] : buf_meta[-1][1], :]
-        if overlap:
-            copier.wait(compute.record(Event("strip-ready")))
-            copier.copy_d2h_async(hdst, view, pinned=True)
-            if flush_idx + len(out_bufs) <= total_flushes:
-                # Only record drains a later refill actually waits on.
-                drain_events[active_idx] = copier.record(Event("strip-down"))
-        else:
-            compute.copy_d2h(hdst, view, pinned=True)
-        assert total == buf_rows
-        flush_idx += 1
-        buf_rows = 0
-        buf_meta = []
-
-    for i in range(rows_done, k):
-        lo_i, hi_i = int(starts[i]), int(starts[i + 1])
-        ni = hi_i - lo_i
-        bi = int(bcounts[i])
-        oi = int(bnd_offsets[i])
-        # C2B[i]: extract + upload (paper lines 6-8)
-        c2b_view = c2b.data[:ni, :bi]
-        compute.copy_h2d(c2b_view, dist2_blocks[i][:, :bi], pinned=True)
-        compute.launch(
-            "extract_c2b", extract_cost(spec, ni, bi),
-            reads=(c2b_view,), writes=(c2b_view,),
+        # (valid only for boundary vertices)
+        bidx = offsets[comp_of] + np.arange(n) - starts[comp_of]
+        np.minimum.at(
+            bound, (bidx[src[cross]], bidx[dst[cross]]), w[cross].astype(DIST_DTYPE)
         )
+        return bound
 
-        if batch_transfers:
-            row_base = buf_rows
-            buf_meta.append((lo_i, hi_i, row_base))
-        for j in range(k):
-            lo_j, hi_j = int(starts[j]), int(starts[j + 1])
-            nj = hi_j - lo_j
-            bj = int(bcounts[j])
-            oj = int(bnd_offsets[j])
-            b2c_view = b2c.data[:bj, :nj]
-            compute.copy_h2d(b2c_view, dist2_blocks[j][:bj, :], pinned=True)
-            compute.launch(
-                "extract_b2c", extract_cost(spec, bj, nj),
-                reads=(b2c_view,), writes=(b2c_view,),
-            )
+    def kernels(self, engine) -> dict[str, Numerics]:
+        """Host numerics of the schedule's kernels, through ``engine``."""
 
-            if batch_transfers:
-                dest = out_bufs[active].data[row_base : row_base + ni, lo_j:hi_j]
-            else:
-                dest = out_bufs[0].data[:ni, :nj]
-            dest[...] = np.inf
-            compute.annotate("memset_out", writes=(dest,))
-            if bi and bj:
-                bview = bound.data[oi : oi + bi, oj : oj + bj]
-                t1 = tmp1.data[:ni, :bj]
-                t1[...] = np.inf
-                compute.annotate("memset_tmp1", writes=(t1,))
-                minplus_update(t1, c2b_view, bview, engine=engine)
-                compute.launch(
-                    "mp_c2b_bound", minplus_cost(spec, ni, bi, bj),
-                    reads=(c2b_view, bview), writes=(t1,),
-                )
-                minplus_update(dest, t1, b2c_view, engine=engine)
-                compute.launch(
-                    "mp_bound_b2c", minplus_cost(spec, ni, bj, nj),
-                    reads=(t1, b2c_view), writes=(dest,),
-                )
-            # else: isolated component — no boundary path in or out
-            if i == j:
-                np.minimum(dest, dist2_blocks[i], out=dest)
-                compute.annotate("min_diag", reads=(dest,), writes=(dest,))
+        def close(reads, writes, _):
+            engine.fw_inplace(writes[0])
 
-            if not batch_transfers:
-                # naive path: strided per-block copy into the host matrix
-                compute.copy_d2h_2d(host.data[lo_i:hi_i, lo_j:hi_j], dest, pinned=True)
-        at_flush_boundary = not batch_transfers
-        if batch_transfers:
-            buf_rows += ni
-            # Flush when the next block-row would not fit.
-            next_ni = int(starts[min(i + 2, k)] - starts[min(i + 1, k)]) if i + 1 < k else 0
-            if i + 1 >= k or buf_rows + next_ni > plan.n_row * nmax:
-                flush(active)
-                active = (active + 1) % len(out_bufs)
-                if drain_events[active] is not None:
-                    compute.wait(drain_events[active])  # buffer still draining
-                at_flush_boundary = True
-        if ckpt is not None and at_flush_boundary:
-            # host.data holds every flushed block-row (simulated copies move
+        def close_bound(reads, writes, _):
+            engine.fw_inplace(writes[0])
+            self.closed = writes[0]
+
+        def clear(reads, writes, _):
+            writes[0][...] = np.inf
+
+        def product(reads, writes, _):
+            minplus_update(writes[0], reads[0], reads[1], engine=engine)
+
+        def min_diag(reads, writes, block):
+            np.minimum(writes[0], block, out=writes[0])
+
+        return {
+            "fw_comp": close, "fw_bound": close_bound,
+            "memset_out": clear, "memset_tmp1": clear,
+            "mp_c2b_bound": product, "mp_bound_b2c": product,
+            "min_diag": min_diag,
+        }
+
+    def restore(self, ckpt, report) -> tuple[int, bool, int]:
+        """Bind ``ckpt`` to the plan and load whatever stages it holds;
+        returns the schedule's ``resume=(dist2_done, bound_done, rows_done)``.
+
+        Stages are written in schedule order, so the present stages always
+        form a prefix of the schedule and the resumed suffix replays
+        identically.
+        """
+        if ckpt is None:
+            return 0, False, 0
+        _bind_boundary_plan(ckpt, self.plan)
+        done = 0
+        while done < len(self.dist2) and ckpt.has(f"dist2-{done}"):
+            state = ckpt.load(f"dist2-{done}")
+            self.dist2[done] = np.asarray(state["block"], dtype=DIST_DTYPE)
+            report.resumed += 1
+            done += 1
+        state = ckpt.load("dist3")
+        if state is not None:
+            # restored matrix is already closed: upload only, no fw_bound
+            self.bound = np.asarray(state["bound"], dtype=DIST_DTYPE)
+            report.resumed += 1
+        rows_done = 0
+        state4 = ckpt.load("dist4")
+        if state4 is not None:
+            self.host.data[...] = state4["dist"]
+            rows_done = int(state4["rows_done"])
+            report.resumed += 1
+        return done, state is not None, rows_done
+
+    def save(self, ckpt, stage: tuple, report) -> None:
+        """Save one stage the schedule yielded (no-op without a store)."""
+        if ckpt is None:
+            return
+        if stage[0] == "dist2":
+            ckpt.save(f"dist2-{stage[1]}", block=self.dist2[stage[1]])
+        elif stage[0] == "dist3":
+            ckpt.save("dist3", bound=np.asarray(self.closed))
+        else:
+            # host.data holds every drained block-row (simulated copies move
             # data at enqueue time), so the stage is consistent without a
             # device sync — checkpointing keeps the timeline untouched.
-            ckpt.save("dist4", rows_done=i + 1, dist=np.asarray(host.data))
-            device.fault_report.checkpoints_written += 1
+            ckpt.save("dist4", rows_done=stage[1], dist=np.asarray(self.host.data))
+        report.checkpoints_written += 1
 
-    elapsed = device.synchronize()
-    host.flush()
-    for arr in [bound, c2b, b2c, tmp1, *out_bufs]:
-        arr.free()
 
-    from repro.core.ooc_fw import transfer_stats
+def _dist2_ops(ems, plan: BoundaryPlan, start: int):
+    """Step 2 (dist2): close each component block ``A(i,i)`` with FW on
+    device ``i mod len(ems)``, from component ``start`` on; yields
+    ``("dist2", i)`` after each."""
+    for i in range(start, plan.num_components):
+        em = ems[i % len(ems)]
+        ni = int(plan.comp_start[i + 1] - plan.comp_start[i])
+        tile = em.alloc(f"comp{i}", (ni, ni))
+        em.h2d(tile, key=("sub", i))
+        em.kernel("fw_comp", reads=(tile,), writes=(tile,))
+        em.d2h(tile, key=("dist2", i))
+        em.free(tile)
+        yield ("dist2", i)
 
-    return APSPResult(
-        algorithm="boundary",
-        store=host,
-        simulated_seconds=elapsed,
-        perm=plan.perm,
-        inv_perm=plan.inv_perm,
-        stats={
-            "num_components": k,
-            "num_boundary": nb_total,
-            "max_component": nmax,
-            "n_row": plan.n_row,
-            "num_buffers": plan.num_buffers if batch_transfers else 1,
-            "batch_transfers": batch_transfers,
-            "overlap": overlap,
-            "kernel_backend": engine.describe(),
-            **transfer_stats(device),
-        },
-        faults=device.fault_report,
-    )
+
+def _block_ops(em, plan: BoundaryPlan, i: int, j: int, c2b, b2c, tmp1, bound, dest) -> None:
+    """Step 4 for block ``A(i,j)`` into ``dest``, with ``C2B[i]`` resident:
+    upload ``B2C[j]``, then ``dest = C2B[i] ⊗ bound(i,j) ⊗ B2C[j]`` (Eq. 1),
+    taking the elementwise min with ``dist2`` on the diagonal."""
+    starts, bcounts, offsets = plan.comp_start, plan.comp_boundary, plan.boundary_offsets
+    ni = int(starts[i + 1] - starts[i])
+    nj = int(starts[j + 1] - starts[j])
+    bi, bj = int(bcounts[i]), int(bcounts[j])
+    br = Rect(0, bj, 0, nj)
+    em.h2d(b2c, br, key=("dist2", j, "b2c"))
+    em.kernel("extract_b2c", reads=((b2c, br),), writes=((b2c, br),))
+    em.kernel("memset_out", writes=(dest,), annotate=True)
+    if bi and bj:
+        oi, oj = int(offsets[i]), int(offsets[j])
+        bview = (bound, Rect(oi, oi + bi, oj, oj + bj))
+        t1 = (tmp1, Rect(0, ni, 0, bj))
+        em.kernel("memset_tmp1", writes=(t1,), annotate=True)
+        em.kernel("mp_c2b_bound", reads=((c2b, Rect(0, ni, 0, bi)), bview), writes=(t1,))
+        em.kernel("mp_bound_b2c", reads=(t1, (b2c, br)), writes=(dest,))
+    # else: isolated component — no boundary path in or out
+    if i == j:
+        em.kernel("min_diag", reads=(dest,), writes=(dest,), annotate=True,
+                  key=("dist2", i))
+
+
+def _flush_groups(starts, k: int, cap: int, *, start: int = 0) -> list[list[int]]:
+    """Block-rows ``start..k-1`` grouped into batched output flushes: a
+    group is flushed when the next block-row would not fit in ``cap``
+    buffer rows."""
+    groups: list[list[int]] = []
+    group: list[int] = []
+    rows = 0
+    for i in range(start, k):
+        group.append(i)
+        rows += int(starts[i + 1] - starts[i])
+        next_ni = int(starts[i + 2] - starts[i + 1]) if i + 1 < k else 0
+        if i + 1 >= k or rows + next_ni > cap:
+            groups.append(group)
+            group, rows = [], 0
+    return groups
+
+
+def _boundary_schedule(em, plan: BoundaryPlan, n: int, batched: bool, overlap: bool,
+                       resume: tuple[int, bool, int] = (0, False, 0)):
+    """Steps 2-4 of Algorithm 3 (see module docstring), op by op.
+
+    Per-component dist2 tiles, the resident boundary matrix, the C2B/B2C
+    extract uploads, and the ``N_row``-batched (or per-block strided)
+    output drains — with ``overlap=True`` the batched drains run async on
+    ``bound-copy`` behind ``strip-ready``/``strip-down`` event edges.
+    Host-side effects (``memset_out`` etc.) are ``annotate`` kernels:
+    they occupy no timeline slot. Yields the checkpoint stages:
+    ``("dist2", i)`` per component, ``("dist3",)`` once the boundary
+    matrix is closed, and ``("dist4", rows_done)`` at every flush
+    boundary.
+
+    ``resume=(dist2_done, bound_done, rows_done)`` runs the suffix a
+    checkpoint-resumed run replays: the first ``dist2_done`` component
+    closures are skipped, ``bound_done`` replaces the boundary closure
+    with a plain re-upload of the restored matrix, and step 4 starts at
+    block-row ``rows_done``.
+    """
+    dist2_done, bound_done, rows_done = resume
+    k = plan.num_components
+    starts = plan.comp_start
+    yield from _dist2_ops([em], plan, dist2_done)
+
+    # step 3: boundary graph closure (dist3); stays resident
+    bound = em.alloc("bound", (plan.num_boundary, plan.num_boundary))
+    em.h2d(bound, key=("bound",))
+    if not bound_done:
+        em.kernel("fw_bound", reads=(bound,), writes=(bound,))
+        yield ("dist3",)
+
+    # step 4: dist4 via two successive min-plus products per block
+    nmax = plan.max_component
+    bmax = max(1, int(plan.comp_boundary.max()))
+    c2b = em.alloc("c2b", (nmax, bmax))
+    b2c = em.alloc("b2c", (bmax, nmax))
+    tmp1 = em.alloc("tmp1", (nmax, bmax))
+    if batched:
+        out_bufs = [
+            em.alloc(f"out{p}", (plan.n_row * nmax, n)) for p in range(plan.num_buffers)
+        ]
+        groups = _flush_groups(starts, k, plan.n_row * nmax, start=rows_done)
+    else:
+        out_bufs = [em.alloc("out", (nmax, nmax))]
+        groups = [[i] for i in range(rows_done, k)]
+    copier = "bound-copy" if overlap else "default"
+    nbuf = len(out_bufs)
+    drain_events: list = [None] * nbuf
+    for g, group in enumerate(groups):
+        p = g % nbuf  # the active accumulation buffer
+        row_base = 0
+        for i in group:
+            ni = int(starts[i + 1] - starts[i])
+            cr = Rect(0, ni, 0, int(plan.comp_boundary[i]))
+            # C2B[i]: extract + upload (paper lines 6-8)
+            em.h2d(c2b, cr, key=("dist2", i, "c2b"))
+            em.kernel("extract_c2b", reads=((c2b, cr),), writes=((c2b, cr),))
+            for j in range(k):
+                lo_j, hi_j = int(starts[j]), int(starts[j + 1])
+                if batched:
+                    dest = (out_bufs[p], Rect(row_base, row_base + ni, lo_j, hi_j))
+                else:
+                    dest = (out_bufs[0], Rect(0, ni, 0, hi_j - lo_j))
+                _block_ops(em, plan, i, j, c2b, b2c, tmp1, bound, dest)
+                if not batched:
+                    # naive path: strided per-block copy into the host matrix
+                    em.d2h(out_bufs[0], dest[1], key=("host-block", i, j), strided=True)
+            row_base += ni
+            if not batched:
+                yield ("dist4", i + 1)
+        if not batched:
+            continue
+        # one bandwidth-bound drain of the group's block-rows
+        rect = Rect(0, row_base, 0, n)
+        key = ("host-rows", int(starts[group[0]]), int(starts[group[-1] + 1]))
+        if overlap:
+            em.wait(em.record("strip-ready"), stream=copier)
+            em.d2h(out_bufs[p], rect, key=key, stream=copier, sync=False)
+            if g + nbuf <= len(groups):
+                # Only record drains a later refill actually waits on.
+                drain_events[p] = em.record("strip-down", stream=copier)
+        else:
+            em.d2h(out_bufs[p], rect, key=key)
+        if drain_events[(p + 1) % nbuf] is not None:
+            em.wait(drain_events[(p + 1) % nbuf])  # next buffer still draining
+        yield ("dist4", group[-1] + 1)
+    for buf in [bound, c2b, b2c, tmp1, *out_bufs]:
+        em.free(buf)
+
 
 def emit_boundary_ir(
     graph,
@@ -594,155 +663,25 @@ def emit_boundary_ir(
     """Compile the boundary-algorithm schedule to a symbolic
     :class:`~repro.verifyplan.ir.PlanIR` without executing anything.
 
-    Mirrors :func:`_run_boundary` op for op: per-component dist2 tiles,
-    the resident boundary matrix, the C2B/B2C extract uploads, and the
-    ``N_row``-batched (or per-block strided) output drains with their
-    flush boundaries — with ``overlap=True`` the batched drains run
-    async on ``bound-copy`` behind the ``strip-ready``/``strip-down``
-    event edges the driver uses. Host-side annotations (``memset_out``
-    etc.) are marked ``annotate`` so the timing pass skips them, exactly
-    as they occupy no slot on the dynamic timeline.
+    Runs :func:`_boundary_schedule` — the schedule :func:`ooc_boundary`
+    executes — into an :class:`~repro.verifyplan.ir.IREmitter`.
 
     ``resume=(dist2_done, bound_done, rows_done)`` emits the schedule
-    suffix a checkpoint-resumed run replays: the first ``dist2_done``
-    component closures are skipped, ``bound_done`` replaces the boundary
-    closure with a plain re-upload of the restored matrix, and step 4
-    starts at block-row ``rows_done``. Audit resumed suffixes with
+    suffix a checkpoint-resumed run replays (see
+    :func:`_boundary_schedule`). Audit resumed suffixes with
     ``analyze_hb``/``audit_ir`` (they move fewer bytes than the full-run
     paper bounds assume).
     """
-    from repro.verifyplan.ir import IREmitter, Rect
-
-    dist2_done, bound_done, rows_done = resume if resume is not None else (0, False, 0)
-
-    n = graph.num_vertices
     if plan is None:
         plan = plan_boundary(
             graph, spec,
             num_components=num_components,
             batch_transfers=batch_transfers, overlap=overlap, seed=seed,
         )
-    k = plan.num_components
-    nb_total = plan.num_boundary
-    starts = plan.comp_start
-    bcounts = plan.comp_boundary
-    bnd_offsets = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(bcounts, out=bnd_offsets[1:])
-
     em = IREmitter("boundary", spec.name, spec.memory_bytes)
-    # step 2: per-component APSP (dist2)
-    for i in range(dist2_done, k):
-        ni = int(starts[i + 1] - starts[i])
-        tile = em.alloc(f"comp{i}", (ni, ni))
-        em.h2d(tile, key=("sub", i))
-        em.kernel("fw_comp", reads=(tile,), writes=(tile,))
-        em.d2h(tile, key=("dist2", i))
-        em.free(tile)
-
-    # step 3: boundary graph closure (dist3); stays resident
-    bound = em.alloc("bound", (nb_total, nb_total))
-    em.h2d(bound, key=("bound",))
-    if not bound_done:
-        em.kernel("fw_bound", reads=(bound,), writes=(bound,))
-
-    # step 4: two min-plus products per block
-    nmax = plan.max_component
-    bmax = int(bcounts.max())
-    c2b = em.alloc("c2b", (nmax, max(1, bmax)))
-    b2c = em.alloc("b2c", (max(1, bmax), nmax))
-    tmp1 = em.alloc("tmp1", (nmax, max(1, bmax)))
-    if batch_transfers and plan.n_row < 1:
-        batch_transfers = False
-    if batch_transfers:
-        out_bufs = [
-            em.alloc(f"out{p}", (plan.n_row * nmax, n))
-            for p in range(plan.num_buffers)
-        ]
-    else:
-        out_bufs = [em.alloc("out", (nmax, nmax))]
-
-    copier = "bound-copy" if overlap else "default"
-    drain_events: list = [None] * len(out_bufs)
-    buf_rows = 0
-    buf_meta: list[tuple[int, int, int]] = []
-    active = 0
-    flush_idx = 0
-    total_flushes = (
-        _count_output_flushes(starts, k, plan.n_row * nmax, start=rows_done)
-        if batch_transfers
-        else 0
-    )
-
-    def flush(active_idx: int) -> None:
-        nonlocal buf_rows, buf_meta, flush_idx
-        if buf_rows == 0:
-            return
-        if overlap:
-            em.wait(em.record("strip-ready"), stream=copier)
-            em.d2h(
-                out_bufs[active_idx], Rect(0, buf_rows, 0, n),
-                key=("host-rows", buf_meta[0][0], buf_meta[-1][1]),
-                stream=copier, sync=False,
-            )
-            if flush_idx + len(out_bufs) <= total_flushes:
-                drain_events[active_idx] = em.record("strip-down", stream=copier)
-        else:
-            em.d2h(
-                out_bufs[active_idx], Rect(0, buf_rows, 0, n),
-                key=("host-rows", buf_meta[0][0], buf_meta[-1][1]),
-            )
-        flush_idx += 1
-        buf_rows = 0
-        buf_meta = []
-
-    row_base = 0
-    for i in range(rows_done, k):
-        lo_i, hi_i = int(starts[i]), int(starts[i + 1])
-        ni = hi_i - lo_i
-        bi = int(bcounts[i])
-        oi = int(bnd_offsets[i])
-        cr = Rect(0, ni, 0, bi)
-        em.h2d(c2b, cr, key=("dist2", i, "c2b"))
-        em.kernel("extract_c2b", reads=((c2b, cr),), writes=((c2b, cr),))
-        if batch_transfers:
-            row_base = buf_rows
-            buf_meta.append((lo_i, hi_i, row_base))
-        for j in range(k):
-            lo_j, hi_j = int(starts[j]), int(starts[j + 1])
-            nj = hi_j - lo_j
-            bj = int(bcounts[j])
-            oj = int(bnd_offsets[j])
-            br = Rect(0, bj, 0, nj)
-            em.h2d(b2c, br, key=("dist2", j, "b2c"))
-            em.kernel("extract_b2c", reads=((b2c, br),), writes=((b2c, br),))
-            if batch_transfers:
-                dest = (out_bufs[active], Rect(row_base, row_base + ni, lo_j, hi_j))
-            else:
-                dest = (out_bufs[0], Rect(0, ni, 0, nj))
-            em.kernel("memset_out", writes=(dest,), annotate=True)
-            if bi and bj:
-                bview = (bound, Rect(oi, oi + bi, oj, oj + bj))
-                t1 = (tmp1, Rect(0, ni, 0, bj))
-                em.kernel("memset_tmp1", writes=(t1,), annotate=True)
-                em.kernel("mp_c2b_bound", reads=((c2b, cr), bview), writes=(t1,))
-                em.kernel("mp_bound_b2c", reads=(t1, (b2c, br)), writes=(dest,))
-            if i == j:
-                em.kernel("min_diag", reads=(dest,), writes=(dest,), annotate=True)
-            if not batch_transfers:
-                em.d2h(
-                    out_bufs[0], Rect(0, ni, 0, nj),
-                    key=("host-block", i, j), strided=True,
-                )
-        if batch_transfers:
-            buf_rows += ni
-            next_ni = (
-                int(starts[min(i + 2, k)] - starts[min(i + 1, k)]) if i + 1 < k else 0
-            )
-            if i + 1 >= k or buf_rows + next_ni > plan.n_row * nmax:
-                flush(active)
-                active = (active + 1) % len(out_bufs)
-                if overlap and drain_events[active] is not None:
-                    em.wait(drain_events[active])  # buffer still draining
-    for buf in [bound, c2b, b2c, tmp1, *out_bufs]:
-        em.free(buf)
+    batched = batch_transfers and plan.n_row >= 1
+    for _ in _boundary_schedule(
+        em, plan, graph.num_vertices, batched, overlap, resume or (0, False, 0)
+    ):
+        pass
     return em.finish()

@@ -18,11 +18,13 @@ double-buffered: uploads of block ``t+1`` and the download of block ``t−1``
 overlap the min-plus of block ``t`` on a second stream. The host side of
 every transfer is a pinned staging buffer, as in the paper.
 
-Host-side numeric work dispatches through the kernel engine
-(:mod:`repro.core.engine`). With a threaded engine and ``overlap=True``,
-stage 3 processes the double-buffered blocks in waves: both buffers'
-independent rank-updates (disjoint outputs, shared read-only
-``A(i,k)``/``A(k,j)`` panels) run concurrently on the worker pool.
+The schedule is written once (:func:`_fw_schedule`): the driver runs it
+on the device through :class:`~repro.gpu.executor.DeviceEmitter` and
+:func:`emit_fw_ir` compiles it for the static verifier. Host-side numeric
+work dispatches through the kernel engine (:mod:`repro.core.engine`), one
+block update at a time; a threaded engine parallelises inside each
+update, so the schedule and its simulated time do not depend on the
+engine.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from repro.core.result import APSPResult
 from repro.core.tiling import BlockLayout, HostStore
 from repro.faults.checkpoint import CheckpointError, open_checkpoint
 from repro.gpu.device import Device, DeviceSpec
-from repro.gpu.kernels import fw_tile_cost, minplus_cost
-from repro.gpu.stream import Event
+from repro.gpu.executor import DeviceEmitter, Numerics
+from repro.verifyplan.ir import IREmitter, Rect
 
 __all__ = ["emit_fw_ir", "ooc_floyd_warshall", "plan_fw_block_size", "transfer_stats"]
 
@@ -103,8 +105,6 @@ def ooc_floyd_warshall(
         block_size = plan_fw_block_size(n, spec, overlap=overlap)
     host = HostStore.from_graph(graph, mode=store_mode, directory=store_dir)
     layout = BlockLayout(n, block_size)
-    nd = layout.num_blocks
-    bmax = layout.size(0)
 
     device.reset_clock()
     ckpt = open_checkpoint(checkpoint, algorithm="floyd-warshall", graph=graph)
@@ -121,14 +121,22 @@ def ooc_floyd_warshall(
             host.data[...] = state["dist"]
             start_k = int(state["k_done"])
             device.fault_report.resumed += start_k
-    compute = device.default_stream
-    copier = device.create_stream("fw-copy") if overlap else compute
-
+    ex = DeviceEmitter(
+        device, host=lambda key: host.block(layout, key[1], key[2]),
+        kernels=_fw_kernels(engine),
+    )
     with device.memory.cleanup_on_error():
-        _run_fw_schedule(
-            device, compute, copier, host, layout, nd, bmax, spec, overlap, engine,
-            start_k=start_k, ckpt=ckpt, block_size=block_size,
-        )
+        for k in _fw_schedule(ex, layout, overlap, start_k=start_k):
+            if ckpt is not None:
+                # host.data already holds every block of iteration k (the
+                # simulated copies move data at enqueue time), so the stage
+                # is consistent without forcing a device sync —
+                # checkpointing a fault-free run leaves its timeline untouched.
+                ckpt.save(
+                    "progress", k_done=k + 1, block_size=block_size,
+                    dist=np.asarray(host.data),
+                )
+                device.fault_report.checkpoints_written += 1
 
     elapsed = device.synchronize()
     host.flush()
@@ -138,7 +146,7 @@ def ooc_floyd_warshall(
         simulated_seconds=elapsed,
         stats={
             "block_size": block_size,
-            "num_blocks": nd,
+            "num_blocks": layout.num_blocks,
             "overlap": overlap,
             "kernel_backend": engine.describe(),
             **transfer_stats(device),
@@ -147,197 +155,41 @@ def ooc_floyd_warshall(
     )
 
 
-def _run_fw_schedule(device, compute, copier, host, layout, nd, bmax, spec, overlap,
-                     engine, *, start_k=0, ckpt=None, block_size=0):
+def _fw_kernels(engine) -> dict[str, Numerics]:
+    """Host numerics of the FW schedule's kernels, through ``engine``."""
+
+    def close(reads, writes, _):  # A(k,k) closed in place
+        engine.fw_inplace(writes[0])
+
+    def row(reads, writes, _):  # A(k,j) ⊕= A(k,k) ⊗ A(k,j)
+        minplus_update(writes[0], reads[0], writes[0], engine=engine)
+
+    def col(reads, writes, _):  # A(i,k) ⊕= A(i,k) ⊗ A(k,k)
+        minplus_update(writes[0], writes[0], reads[0], engine=engine)
+
+    def rank(reads, writes, _):  # A(i,j) ⊕= A(i,k) ⊗ A(k,j)
+        minplus_update(writes[0], reads[0], reads[1], engine=engine)
+
+    return {"fw_diag": close, "mp_row": row, "mp_col": col, "mp_rank": rank}
+
+
+def _fw_schedule(em, layout: BlockLayout, overlap: bool, *, start_k: int = 0):
     """The three-stage tile schedule of Algorithm 1 (see module docstring).
+
+    Calls the emitter ``em`` op by op — allocations, transfers keyed by
+    host block ``("A", i, j)``, kernels with their def/use sets, the
+    stage-3 row reuse, and with ``overlap=True`` the double-buffered
+    stream/event structure: async stage-3 copies on ``fw-copy`` ordered by
+    ``col-up``/``up``/``comp``/``down`` record/wait edges. Yields each
+    finished outer iteration ``k``.
 
     ``start_k`` skips outer iterations a checkpoint already covers; each
     iteration's state is self-contained (events and buffer rotation reset
     per ``k``), so resuming at any ``k`` replays the identical schedule
-    suffix. ``ckpt`` saves a ``progress`` stage after every iteration.
+    suffix.
     """
-    pinned = True  # staging buffers are pinned, as in the paper
-    for k in range(start_k, nd):
-        bk = layout.size(k)
-        # ---- stage 1: diagonal block closure --------------------------
-        diag = device.memory.alloc((bk, bk), DIST_DTYPE, name=f"diag{k}")
-        compute.copy_h2d(diag, host.block(layout, k, k), pinned=pinned)
-        engine.fw_inplace(diag.data)
-        compute.launch("fw_diag", fw_tile_cost(spec, bk), reads=(diag,), writes=(diag,))
-        compute.copy_d2h(host.block(layout, k, k), diag, pinned=pinned)
-
-        # ---- stage 2: row and column panels ---------------------------
-        with device.memory.alloc((bk, bmax), DIST_DTYPE, name="row-panel") as panel:
-            for j in range(nd):
-                if j == k:
-                    continue
-                bj = layout.size(j)
-                view = panel.data[:bk, :bj]
-                compute.copy_h2d(view, host.block(layout, k, j), pinned=pinned)
-                minplus_update(view, diag.data, view, engine=engine)
-                compute.launch(
-                    "mp_row", minplus_cost(spec, bk, bk, bj),
-                    reads=(diag, view), writes=(view,),
-                )
-                compute.copy_d2h(host.block(layout, k, j), view, pinned=pinned)
-        with device.memory.alloc((bmax, bk), DIST_DTYPE, name="col-panel") as panel:
-            for i in range(nd):
-                if i == k:
-                    continue
-                bi = layout.size(i)
-                view = panel.data[:bi, :bk]
-                compute.copy_h2d(view, host.block(layout, i, k), pinned=pinned)
-                minplus_update(view, view, diag.data, engine=engine)
-                compute.launch(
-                    "mp_col", minplus_cost(spec, bi, bk, bk),
-                    reads=(diag, view), writes=(view,),
-                )
-                compute.copy_d2h(host.block(layout, i, k), view, pinned=pinned)
-        diag.free()
-
-        # ---- stage 3: rank-update of remaining blocks -----------------
-        nbuf = 2 if overlap else 1
-        col = device.memory.alloc((bmax, bk), DIST_DTYPE, name="col")
-        rows = [
-            device.memory.alloc((bk, bmax), DIST_DTYPE, name=f"row{p}") for p in range(nbuf)
-        ]
-        works = [
-            device.memory.alloc((bmax, bmax), DIST_DTYPE, name=f"work{p}") for p in range(nbuf)
-        ]
-        down_events: list[Event | None] = [None] * nbuf
-        # Row block A(k, j) is read-only during stage 3 and the buffer
-        # rotation revisits the same j with a fixed period, so when buffer p
-        # still holds block j its re-upload would be pure wasted bus bytes
-        # (the static plan verifier flags exactly this as redundant).
-        loaded: list[int | None] = [None] * nbuf
-        fan_out = engine.fanout > 1 and nbuf > 1
-        t = 0
-        js = [j for j in range(nd) if j != k]
-        # a "down" event is only worth recording if a later pair will
-        # rotate back into buffer p and wait on it — a trailing record
-        # would be a dead event (the HB checker proves none exist)
-        pairs_total = (nd - 1) * len(js)
-        for i in range(nd):
-            if i == k:
-                continue
-            bi = layout.size(i)
-            cview = col.data[:bi, :bk]
-            if overlap:
-                copier.copy_h2d_async(cview, host.block(layout, i, k), pinned=pinned)
-                compute.wait(copier.record(Event("col-up")))
-            else:
-                compute.copy_h2d(cview, host.block(layout, i, k), pinned=pinned)
-            if not fan_out:
-                for j in js:
-                    p = t % nbuf
-                    q = t
-                    t += 1
-                    bj = layout.size(j)
-                    if down_events[p] is not None:
-                        # buffer p is reused: its previous download must finish
-                        copier.wait(down_events[p])
-                    rview = rows[p].data[:bk, :bj]
-                    wview = works[p].data[:bi, :bj]
-                    hwork = host.block(layout, i, j)
-                    if overlap:
-                        if loaded[p] != j:
-                            copier.copy_h2d_async(rview, host.block(layout, k, j), pinned=pinned)
-                        copier.copy_h2d_async(wview, hwork, pinned=pinned)
-                        compute.wait(copier.record(Event("up")))
-                    else:
-                        if loaded[p] != j:
-                            compute.copy_h2d(rview, host.block(layout, k, j), pinned=pinned)
-                        compute.copy_h2d(wview, hwork, pinned=pinned)
-                    loaded[p] = j
-                    minplus_update(wview, cview, rview, engine=engine)
-                    compute.launch(
-                        "mp_rank", minplus_cost(spec, bi, bk, bj),
-                        reads=(cview, rview), writes=(wview,),
-                    )
-                    if overlap:
-                        copier.wait(compute.record(Event("comp")))
-                        copier.copy_d2h_async(hwork, wview, pinned=pinned)
-                        if q + nbuf < pairs_total:
-                            down_events[p] = copier.record(Event("down"))
-                    else:
-                        compute.copy_d2h(hwork, wview, pinned=pinned)
-                continue
-            # Threaded engine: process the double-buffered blocks in waves
-            # of nbuf. Each wave uploads into both buffer pairs, fans the
-            # independent rank-updates (disjoint outputs, shared read-only
-            # column panel) across the worker pool, then drains downloads.
-            for w0 in range(0, len(js), nbuf):
-                wave = []
-                for j in js[w0 : w0 + nbuf]:
-                    p = t % nbuf
-                    q = t
-                    t += 1
-                    bj = layout.size(j)
-                    if down_events[p] is not None:
-                        copier.wait(down_events[p])
-                    rview = rows[p].data[:bk, :bj]
-                    wview = works[p].data[:bi, :bj]
-                    hwork = host.block(layout, i, j)
-                    if loaded[p] != j:
-                        copier.copy_h2d_async(rview, host.block(layout, k, j), pinned=pinned)
-                    copier.copy_h2d_async(wview, hwork, pinned=pinned)
-                    compute.wait(copier.record(Event("up")))
-                    loaded[p] = j
-                    wave.append((p, q, bj, rview, wview, hwork))
-                engine.map_updates([(w, cview, r) for (_, _, _, r, w, _) in wave])
-                for p, q, bj, rview, wview, hwork in wave:
-                    compute.launch(
-                        "mp_rank", minplus_cost(spec, bi, bk, bj),
-                        reads=(cview, rview), writes=(wview,),
-                    )
-                    copier.wait(compute.record(Event("comp")))
-                    copier.copy_d2h_async(hwork, wview, pinned=pinned)
-                    if q + nbuf < pairs_total:
-                        down_events[p] = copier.record(Event("down"))
-        for arr in [col, *rows, *works]:
-            arr.free()
-        if ckpt is not None:
-            # host.data already holds every block of iteration k (the
-            # simulated copies move data at enqueue time), so the stage is
-            # consistent without forcing a device sync — checkpointing a
-            # fault-free run leaves its timeline untouched.
-            ckpt.save(
-                "progress", k_done=k + 1, block_size=block_size,
-                dist=np.asarray(host.data),
-            )
-            device.fault_report.checkpoints_written += 1
-
-
-def emit_fw_ir(n: int, spec: DeviceSpec, *, block_size: int | None = None,
-               overlap: bool = True, start_k: int = 0):
-    """Compile the blocked-FW schedule to a symbolic
-    :class:`~repro.verifyplan.ir.PlanIR` without executing anything.
-
-    Mirrors :func:`_run_fw_schedule` op for op (allocations, transfers
-    with their host-block keys, kernel def/use sets, the stage-3 row
-    reuse, and — with ``overlap=True`` — the full double-buffered
-    stream/event structure: async stage-3 copies on ``fw-copy`` ordered
-    by ``col-up``/``up``/``comp``/``down`` record/wait edges exactly as
-    the driver enqueues them). The verifyplan tests cross-validate it
-    against the dynamic trace byte for byte and second for second. The
-    threaded engine's wave grouping reorders ops within a wave but moves
-    identical bytes, so one emission serves both engines for the byte
-    analyses.
-
-    ``start_k > 0`` emits the schedule *suffix* a checkpoint-resumed run
-    replays — used to prove recovery paths are race- and hazard-free with
-    the same machinery as full runs (resumed suffixes move fewer bytes
-    than the paper bounds assume, so audit them with ``analyze_hb`` /
-    ``audit_ir`` rather than the full-run ``verify_plan``).
-    """
-    from repro.verifyplan.ir import IREmitter, Rect
-
-    if block_size is None:
-        block_size = plan_fw_block_size(n, spec, overlap=overlap)
-    layout = BlockLayout(n, block_size)
     nd = layout.num_blocks
     bmax = layout.size(0)
-    em = IREmitter("floyd-warshall", spec.name, spec.memory_bytes)
     for k in range(start_k, nd):
         bk = layout.size(k)
         # stage 1: diagonal block closure
@@ -372,9 +224,16 @@ def emit_fw_ir(n: int, spec: DeviceSpec, *, block_size: int | None = None,
         rows = [em.alloc(f"row{p}", (bk, bmax)) for p in range(nbuf)]
         works = [em.alloc(f"work{p}", (bmax, bmax)) for p in range(nbuf)]
         down_events: list = [None] * nbuf
+        # Row block A(k, j) is read-only during stage 3 and the buffer
+        # rotation revisits the same j with a fixed period, so when buffer p
+        # still holds block j its re-upload would be pure wasted bus bytes
+        # (the static plan verifier flags exactly this as redundant).
         loaded: list[int | None] = [None] * nbuf
         t = 0
         js = [j for j in range(nd) if j != k]
+        # a "down" event is only worth recording if a later pair will
+        # rotate back into buffer p and wait on it — a trailing record
+        # would be a dead event (the HB checker proves none exist)
         pairs_total = (nd - 1) * len(js)
         for i in range(nd):
             if i == k:
@@ -420,4 +279,26 @@ def emit_fw_ir(n: int, spec: DeviceSpec, *, block_size: int | None = None,
                     em.d2h(works[p], wr, key=("A", i, j))
         for buf in [col, *rows, *works]:
             em.free(buf)
+        yield k
+
+
+def emit_fw_ir(n: int, spec: DeviceSpec, *, block_size: int | None = None,
+               overlap: bool = True, start_k: int = 0):
+    """Compile the blocked-FW schedule to a symbolic
+    :class:`~repro.verifyplan.ir.PlanIR` without executing anything.
+
+    Runs :func:`_fw_schedule` — the schedule :func:`ooc_floyd_warshall`
+    executes — into an :class:`~repro.verifyplan.ir.IREmitter`.
+
+    ``start_k > 0`` emits the schedule *suffix* a checkpoint-resumed run
+    replays — used to prove recovery paths are race- and hazard-free with
+    the same machinery as full runs (resumed suffixes move fewer bytes
+    than the paper bounds assume, so audit them with ``analyze_hb`` /
+    ``audit_ir`` rather than the full-run ``verify_plan``).
+    """
+    if block_size is None:
+        block_size = plan_fw_block_size(n, spec, overlap=overlap)
+    em = IREmitter("floyd-warshall", spec.name, spec.memory_bytes)
+    for _ in _fw_schedule(em, BlockLayout(n, block_size), overlap, start_k=start_k):
+        pass
     return em.finish()

@@ -18,7 +18,9 @@ Near-Far execution collects).
 
 Batch results stream back to the host store; with ``overlap=True`` the
 download of batch ``i`` overlaps the MSSP kernel of batch ``i+1`` via
-double-buffered output rows on a second stream.
+double-buffered output rows on a second stream. The schedule is written
+once (:func:`_johnson_schedule`): the driver runs it on the device and
+:func:`emit_johnson_ir` compiles it for the static verifier.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from repro.core.tiling import HostStore
 from repro.faults.checkpoint import CheckpointError, open_checkpoint
 from repro.gpu.device import Device, DeviceSpec
 from repro.gpu.errors import OutOfMemoryError
+from repro.gpu.executor import DeviceEmitter
 from repro.gpu.kernels import MsspWorkload, mssp_batch_cost
-from repro.gpu.stream import Event, Stream
+from repro.gpu.stream import Stream
 from repro.sssp.near_far import DEFAULT_HEAVY_DEGREE, near_far_batch
+from repro.verifyplan.ir import IREmitter, Rect
 
 __all__ = [
     "collect_mssp_workloads",
@@ -82,6 +86,26 @@ def plan_batch_size(
     return int(min(n, free // per_instance))
 
 
+def _workload(stats, dynamic_parallelism: bool) -> MsspWorkload:
+    """The cost-model view of one batch's Near-Far statistics."""
+    return MsspWorkload(
+        relaxations=stats.relaxations,
+        heavy_relaxations=stats.heavy_relaxations if dynamic_parallelism else 0,
+        iterations=stats.iterations,
+        child_launches=stats.child_launches if dynamic_parallelism else 0,
+    )
+
+
+def _near_far_rows(graph, sources, out_rows, *, delta, dynamic_parallelism,
+                   heavy_degree) -> MsspWorkload:
+    """Real Near-Far numerics of one MSSP batch into ``out_rows``."""
+    dist, stats = near_far_batch(
+        graph, sources, delta=delta, heavy_degree=heavy_degree
+    )
+    out_rows[...] = dist.astype(DIST_DTYPE, copy=False)
+    return _workload(stats, dynamic_parallelism)
+
+
 def run_mssp_batch(
     graph,
     device: Device,
@@ -103,15 +127,9 @@ def run_mssp_batch(
     ``graph_buffers`` names the resident CSR device arrays the kernel
     reads, for the schedule sanitizer.
     """
-    dist, stats = near_far_batch(
-        graph, sources, delta=delta, heavy_degree=heavy_degree
-    )
-    out_rows[...] = dist.astype(DIST_DTYPE, copy=False)
-    workload = MsspWorkload(
-        relaxations=stats.relaxations,
-        heavy_relaxations=stats.heavy_relaxations if dynamic_parallelism else 0,
-        iterations=stats.iterations,
-        child_launches=stats.child_launches if dynamic_parallelism else 0,
+    workload = _near_far_rows(
+        graph, sources, out_rows, delta=delta,
+        dynamic_parallelism=dynamic_parallelism, heavy_degree=heavy_degree,
     )
     cost = mssp_batch_cost(
         device.spec, workload, bat, dynamic_parallelism=dynamic_parallelism
@@ -165,106 +183,46 @@ def ooc_johnson(
             host.data[...] = state["dist"]
             start_b = int(state["batches_done"])
             device.fault_report.resumed += start_b
-    compute = device.default_stream
-    copier = device.create_stream("johnson-copy") if overlap else compute
 
-    with device.memory.cleanup_on_error():
-        return _run_johnson(
-            graph, device, compute, copier, host, bat, delta,
-            dynamic_parallelism, heavy_degree, queue_factor, overlap,
-            start_b=start_b, ckpt=ckpt,
-        )
+    workloads: list[MsspWorkload] = []
 
-
-def _run_johnson(
-    graph, device, compute, copier, host, bat, delta,
-    dynamic_parallelism, heavy_degree, queue_factor, overlap,
-    *, start_b=0, ckpt=None,
-):
-    """The batched MSSP pipeline of Algorithm 2 (see module docstring).
-
-    ``start_b`` skips batches a checkpoint already covers; batches are
-    independent SSSP groups, so the resumed suffix replays the identical
-    schedule tail (elision indices stay absolute).
-    """
-    n = graph.num_vertices
-    spec = device.spec
-    nbuf = 2 if overlap else 1
-    # Resident device state: the CSR graph, the per-instance worklists, and
-    # the output-row buffers.
-    charge = spec.sparse_charge_factor
-    csr_indptr = device.memory.alloc(
-        n + 1, np.int32, name="indptr", charged_bytes=int(4 * (n + 1) * charge) + 1
-    )
-    csr_indices = device.memory.alloc(
-        max(1, graph.num_edges), np.int32, name="indices",
-        charged_bytes=int(4 * graph.num_edges * charge) + 1,
-    )
-    csr_weights = device.memory.alloc(
-        max(1, graph.num_edges), DIST_DTYPE, name="weights",
-        charged_bytes=int(4 * graph.num_edges * charge) + 1,
-    )
-    compute.copy_h2d(csr_indptr, graph.indptr.astype(np.int32), pinned=True)
-    if graph.num_edges:
-        compute.copy_h2d(csr_indices, graph.indices.astype(np.int32), pinned=True)
-        compute.copy_h2d(csr_weights, graph.weights.astype(DIST_DTYPE), pinned=True)
-    queues = device.memory.alloc(
-        max(1, int(bat * queue_factor * graph.num_edges * charge)),
-        DIST_DTYPE,
-        name="queues",
-    )
-    row_bufs = [
-        device.memory.alloc(
-            (bat, n), DIST_DTYPE, name=f"rows{p}",
-            charged_bytes=int(bat * n * _ELEM * charge) + 1,
-        )
-        for p in range(nbuf)
-    ]
-    down_events: list[Event | None] = [None] * nbuf
-
-    num_batches = (n + bat - 1) // bat
-    batch_workloads: list[MsspWorkload] = []
-    # empty graphs leave indices/weights unwritten — don't declare them read
-    csr_arrays = (
-        (csr_indptr, csr_indices, csr_weights) if graph.num_edges else (csr_indptr,)
-    )
-    for b in range(start_b, num_batches):
-        lo, hi = b * bat, min((b + 1) * bat, n)
-        sources = np.arange(lo, hi, dtype=np.int64)
-        p = b % nbuf
-        if down_events[p] is not None:
-            compute.wait(down_events[p])  # rows buffer still draining
-        rows_view = row_bufs[p].data[: sources.size, :]
-        workload = run_mssp_batch(
-            graph, device, compute, sources, rows_view,
-            bat=bat, delta=delta,
+    def mssp(reads, writes, sources):
+        workload = _near_far_rows(
+            graph, sources, writes[0], delta=delta,
             dynamic_parallelism=dynamic_parallelism, heavy_degree=heavy_degree,
-            graph_buffers=csr_arrays,
         )
-        batch_workloads.append(workload)
-        if overlap:
-            copier.wait(compute.record(Event("mssp-done")))
-            copier.copy_d2h_async(host.rows(lo, hi), rows_view, pinned=True)
-            if b + nbuf < num_batches:
-                # Trailing drains have no future consumer; recording an
-                # event nobody waits on would trip the dead-event check.
-                down_events[p] = copier.record(Event("rows-down"))
-        else:
-            compute.copy_d2h(host.rows(lo, hi), rows_view, pinned=True)
-        if ckpt is not None:
-            # rows [0, hi) are already in host.data (simulated copies move
-            # data at enqueue time), so the stage is consistent without a
-            # device sync — checkpointing keeps the timeline untouched.
-            ckpt.save(
-                "progress", batches_done=b + 1, batch_size=bat,
-                dist=np.asarray(host.data),
-            )
-            device.fault_report.checkpoints_written += 1
+        workloads.append(workload)
+        return mssp_batch_cost(
+            spec, workload, bat, dynamic_parallelism=dynamic_parallelism
+        )
+
+    def host_data(key):
+        if key[0] == "csr":
+            dtype = DIST_DTYPE if key[1] == "weights" else np.int32
+            return getattr(graph, key[1]).astype(dtype)
+        if key[0] == "sources":
+            return np.arange(key[1], key[2], dtype=np.int64)
+        return host.rows(key[1], key[2])
+
+    ex = DeviceEmitter(device, host=host_data, kernels={"mssp": mssp})
+    with device.memory.cleanup_on_error():
+        for b in _johnson_schedule(
+            ex, graph, spec, bat, queue_factor=queue_factor, overlap=overlap,
+            start_batch=start_b,
+        ):
+            if ckpt is not None:
+                # rows [0, hi) are already in host.data (simulated copies
+                # move data at enqueue time), so the stage is consistent
+                # without a device sync — checkpointing keeps the timeline
+                # untouched.
+                ckpt.save(
+                    "progress", batches_done=b + 1, batch_size=bat,
+                    dist=np.asarray(host.data),
+                )
+                device.fault_report.checkpoints_written += 1
 
     elapsed = device.synchronize()
     host.flush()
-    for arr in [csr_indptr, csr_indices, csr_weights, queues, *row_bufs]:
-        arr.free()
 
     from repro.core.ooc_fw import transfer_stats
 
@@ -274,15 +232,95 @@ def _run_johnson(
         simulated_seconds=elapsed,
         stats={
             "batch_size": bat,
-            "num_batches": num_batches,
+            "num_batches": (n + bat - 1) // bat,
             "dynamic_parallelism": dynamic_parallelism,
-            "relaxations": sum(w.relaxations for w in batch_workloads),
-            "heavy_relaxations": sum(w.heavy_relaxations for w in batch_workloads),
+            "relaxations": sum(w.relaxations for w in workloads),
+            "heavy_relaxations": sum(w.heavy_relaxations for w in workloads),
             "overlap": overlap,
             **transfer_stats(device),
         },
         faults=device.fault_report,
     )
+
+
+def _johnson_schedule(
+    em, graph, spec: DeviceSpec, bat: int, *, queue_factor: float, overlap: bool,
+    workloads: "list[MsspWorkload] | None" = None, dynamic_parallelism: bool = True,
+    start_batch: int = 0,
+):
+    """The batched MSSP pipeline of Algorithm 2 (see module docstring).
+
+    Calls the emitter ``em`` op by op: the CSR uploads (charged at the
+    scaled device's sparse factor), the worklist allocation, and one
+    ``mssp`` launch plus row download per batch — with ``overlap=True``
+    the download runs async on ``johnson-copy`` behind ``mssp-done``/
+    ``rows-down`` event edges. Each ``mssp`` kernel is keyed by its source
+    range; with ``workloads`` (from :func:`collect_mssp_workloads`) it
+    also carries the modelled cost the run would charge. Yields each
+    finished batch index.
+
+    ``start_batch`` skips batches a checkpoint already covers; batches
+    are independent SSSP groups, so the resumed suffix replays the
+    identical schedule tail (elision indices stay absolute).
+    """
+    n, m = graph.num_vertices, graph.num_edges
+    nbuf = 2 if overlap else 1
+    # Resident device state: the CSR graph, the per-instance worklists, and
+    # the output-row buffers.
+    charge = spec.sparse_charge_factor
+    indptr = em.alloc(
+        "indptr", (n + 1,), dtype=np.int32,
+        charged_bytes=int(4 * (n + 1) * charge) + 1,
+    )
+    indices = em.alloc(
+        "indices", (max(1, m),), dtype=np.int32,
+        charged_bytes=int(4 * m * charge) + 1,
+    )
+    weights = em.alloc(
+        "weights", (max(1, m),), charged_bytes=int(4 * m * charge) + 1
+    )
+    em.h2d(indptr, key=("csr", "indptr"))
+    if m:
+        em.h2d(indices, key=("csr", "indices"))
+        em.h2d(weights, key=("csr", "weights"))
+    queues = em.alloc("queues", (max(1, int(bat * queue_factor * m * charge)),))
+    row_bufs = [
+        em.alloc(f"rows{p}", (bat, n), charged_bytes=int(bat * n * _ELEM * charge) + 1)
+        for p in range(nbuf)
+    ]
+    # empty graphs leave indices/weights unwritten — don't declare them read
+    csr_arrays = (indptr, indices, weights) if m else (indptr,)
+    num_batches = (n + bat - 1) // bat
+    copier = "johnson-copy" if overlap else "default"
+    down_events: list = [None] * nbuf
+    for b in range(start_batch, num_batches):
+        lo, hi = b * bat, min((b + 1) * bat, n)
+        p = b % nbuf
+        rect = Rect(0, hi - lo, 0, n)
+        cost = None
+        if workloads is not None:
+            cost = mssp_batch_cost(
+                spec, workloads[b], bat, dynamic_parallelism=dynamic_parallelism
+            )
+        if down_events[p] is not None:
+            em.wait(down_events[p])  # rows buffer still draining
+        em.kernel(
+            "mssp", reads=csr_arrays, writes=((row_bufs[p], rect),), cost=cost,
+            key=("sources", lo, hi),
+        )
+        if overlap:
+            em.wait(em.record("mssp-done"), stream=copier)
+            em.d2h(row_bufs[p], rect, key=("rows", lo, hi), stream=copier, sync=False)
+            if b + nbuf < num_batches:
+                # Trailing drains have no future consumer; recording an
+                # event nobody waits on would trip the dead-event check.
+                down_events[p] = em.record("rows-down", stream=copier)
+        else:
+            em.d2h(row_bufs[p], rect, key=("rows", lo, hi))
+        yield b
+    for buf in [indptr, indices, weights, queues, *row_bufs]:
+        em.free(buf)
+
 
 def collect_mssp_workloads(
     graph,
@@ -320,12 +358,7 @@ def collect_mssp_workloads(
         _dist, stats = near_far_batch(
             graph, sources, delta=delta, heavy_degree=heavy_degree
         )
-        sampled[b] = MsspWorkload(
-            relaxations=stats.relaxations,
-            heavy_relaxations=stats.heavy_relaxations if dynamic_parallelism else 0,
-            iterations=stats.iterations,
-            child_launches=stats.child_launches if dynamic_parallelism else 0,
-        )
+        sampled[b] = _workload(stats, dynamic_parallelism)
     mean = MsspWorkload(
         relaxations=int(round(np.mean([w.relaxations for w in sampled.values()]))),
         heavy_relaxations=int(
@@ -353,70 +386,27 @@ def emit_johnson_ir(
     """Compile the batched-MSSP schedule to a symbolic
     :class:`~repro.verifyplan.ir.PlanIR` without executing anything.
 
-    Mirrors :func:`_run_johnson` exactly: the CSR uploads (charged at the
-    scaled device's sparse factor), the worklist allocation, and one MSSP
-    launch plus row download per batch — with ``overlap=True`` the
-    download runs async on ``johnson-copy`` behind the
-    ``mssp-done``/``rows-down`` event edges the driver uses. When
+    Runs :func:`_johnson_schedule` — the schedule :func:`ooc_johnson`
+    executes — into an :class:`~repro.verifyplan.ir.IREmitter`. When
     ``workloads`` (from :func:`collect_mssp_workloads`) is given, each
-    ``mssp`` kernel carries the exact modelled cost the dynamic run
-    would charge, enabling the symbolic timing pass.
+    ``mssp`` kernel carries the exact modelled cost the dynamic run would
+    charge, enabling the symbolic timing pass.
 
     ``start_batch > 0`` emits the suffix a checkpoint-resumed run
     replays, for auditing recovery paths with ``analyze_hb``/``audit_ir``.
     """
-    from repro.verifyplan.ir import IREmitter, Rect
-
-    n, m = graph.num_vertices, graph.num_edges
-    nbuf = 2 if overlap else 1
+    n = graph.num_vertices
     if batch_size is None:
         batch_size = plan_batch_size(
-            graph, spec, queue_factor=queue_factor, num_row_buffers=nbuf
+            graph, spec, queue_factor=queue_factor,
+            num_row_buffers=2 if overlap else 1,
         )
     bat = max(1, min(batch_size, n))
-    charge = spec.sparse_charge_factor
     em = IREmitter("johnson", spec.name, spec.memory_bytes)
-    indptr = em.alloc(
-        "indptr", (n + 1,), charged_bytes=int(4 * (n + 1) * charge) + 1
-    )
-    indices = em.alloc(
-        "indices", (max(1, m),), charged_bytes=int(4 * m * charge) + 1
-    )
-    weights = em.alloc(
-        "weights", (max(1, m),), charged_bytes=int(4 * m * charge) + 1
-    )
-    em.h2d(indptr, key=("csr", "indptr"))
-    if m:
-        em.h2d(indices, key=("csr", "indices"))
-        em.h2d(weights, key=("csr", "weights"))
-    queues = em.alloc("queues", (max(1, int(bat * queue_factor * m * charge)),))
-    row_bufs = [
-        em.alloc(f"rows{p}", (bat, n), charged_bytes=int(bat * n * _ELEM * charge) + 1)
-        for p in range(nbuf)
-    ]
-    csr_arrays = (indptr, indices, weights) if m else (indptr,)
-    num_batches = (n + bat - 1) // bat
-    copier = "johnson-copy" if overlap else "default"
-    down_events: list = [None] * nbuf
-    for b in range(start_batch, num_batches):
-        lo, hi = b * bat, min((b + 1) * bat, n)
-        p = b % nbuf
-        rect = Rect(0, hi - lo, 0, n)
-        cost = None
-        if workloads is not None:
-            cost = mssp_batch_cost(
-                spec, workloads[b], bat, dynamic_parallelism=dynamic_parallelism
-            )
-        if overlap and down_events[p] is not None:
-            em.wait(down_events[p])  # rows buffer still draining
-        em.kernel("mssp", reads=csr_arrays, writes=((row_bufs[p], rect),), cost=cost)
-        if overlap:
-            em.wait(em.record("mssp-done"), stream=copier)
-            em.d2h(row_bufs[p], rect, key=("rows", lo, hi), stream=copier, sync=False)
-            if b + nbuf < num_batches:
-                down_events[p] = em.record("rows-down", stream=copier)
-        else:
-            em.d2h(row_bufs[p], rect, key=("rows", lo, hi))
-    for buf in [indptr, indices, weights, queues, *row_bufs]:
-        em.free(buf)
+    for _ in _johnson_schedule(
+        em, graph, spec, bat, queue_factor=queue_factor, overlap=overlap,
+        workloads=workloads, dynamic_parallelism=dynamic_parallelism,
+        start_batch=start_batch,
+    ):
+        pass
     return em.finish()

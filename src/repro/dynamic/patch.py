@@ -34,11 +34,10 @@ module patches a solved ``dist`` in place:
 
 Each pass is driven by one canonical op generator (:func:`update_ops`)
 that both the numeric executor and the static :func:`emit_update_ir`
-mirror walk — the same discipline as :mod:`repro.cluster.simulate`, so
-the transfer trace and the symbolic schedule cannot drift (RPR010 canary
-registered in :mod:`repro.sanitize.drift`). The static proofs over the
-emitted ``PlanIR`` live in :mod:`repro.verifyplan.updatebounds` and
-:mod:`repro.dynamic.verify`.
+mirror walk — the same discipline as :mod:`repro.cluster.simulate` and
+the out-of-core drivers, so the transfer trace and the symbolic schedule
+cannot drift. The static proofs over the emitted ``PlanIR`` live in
+:mod:`repro.verifyplan.updatebounds` and :mod:`repro.dynamic.verify`.
 """
 
 from __future__ import annotations
@@ -241,11 +240,11 @@ def update_ops(plan: UpdatePlan) -> Iterator[OpDict]:
 def _decrease_ops(plan: UpdatePlan) -> Iterator[OpDict]:
     n, k, b = plan.n, plan.k, plan.block_size
     spans = plan.spans
-    yield {"kind": "alloc", "buf": "colpanel", "shape": (n, k), "itemsize": 4}
-    yield {"kind": "alloc", "buf": "rowpanel", "shape": (k, n), "itemsize": 4}
-    yield {"kind": "alloc", "buf": "kk", "shape": (k, k), "itemsize": 4}
-    yield {"kind": "alloc", "buf": "blk0", "shape": (b, b), "itemsize": 4}
-    yield {"kind": "alloc", "buf": "blk1", "shape": (b, b), "itemsize": 4}
+    yield {"kind": "alloc", "buf": "colpanel", "shape": (n, k)}
+    yield {"kind": "alloc", "buf": "rowpanel", "shape": (k, n)}
+    yield {"kind": "alloc", "buf": "kk", "shape": (k, k)}
+    yield {"kind": "alloc", "buf": "blk0", "shape": (b, b)}
+    yield {"kind": "alloc", "buf": "blk1", "shape": (b, b)}
     yield {"kind": "h2d", "buf": "colpanel", "rect": (0, n, 0, k), "key": ("panel", "col"), "stream": "copy"}
     yield {"kind": "h2d", "buf": "rowpanel", "rect": (0, k, 0, n), "key": ("panel", "row"), "stream": "copy"}
     yield {"kind": "h2d", "buf": "kk", "rect": (0, k, 0, k), "key": ("panel", "kk"), "stream": "copy"}
@@ -290,11 +289,11 @@ def _decrease_ops(plan: UpdatePlan) -> Iterator[OpDict]:
 
 def _increase_ops(plan: UpdatePlan) -> Iterator[OpDict]:
     n, m = plan.n, plan.graph_m
-    yield {"kind": "alloc", "buf": "indptr", "shape": (n + 1,), "itemsize": 8}
+    yield {"kind": "alloc", "buf": "indptr", "shape": (n + 1,)}
     yield {"kind": "h2d", "buf": "indptr", "rect": (0, n + 1, 0, 1), "key": ("csr", "indptr"), "stream": "copy"}
     if m:
-        yield {"kind": "alloc", "buf": "indices", "shape": (m,), "itemsize": 8}
-        yield {"kind": "alloc", "buf": "weights", "shape": (m,), "itemsize": 8}
+        yield {"kind": "alloc", "buf": "indices", "shape": (m,)}
+        yield {"kind": "alloc", "buf": "weights", "shape": (m,)}
         yield {"kind": "h2d", "buf": "indices", "rect": (0, m, 0, 1), "key": ("csr", "indices"), "stream": "copy"}
         yield {"kind": "h2d", "buf": "weights", "rect": (0, m, 0, 1), "key": ("csr", "weights"), "stream": "copy"}
     yield {"kind": "record", "event": "csr-up", "stream": "copy"}
@@ -303,7 +302,7 @@ def _increase_ops(plan: UpdatePlan) -> Iterator[OpDict]:
     for i in plan.affected_block_rows:
         rows = plan.affected_in_row(i)
         buf = f"rows{i}"
-        yield {"kind": "alloc", "buf": buf, "shape": (len(rows), n), "itemsize": 4}
+        yield {"kind": "alloc", "buf": buf, "shape": (len(rows), n)}
         yield {
             "kind": "kernel", "name": "sssp_rows", "block_row": i, "rows": rows,
             "stream": "compute", "reads": list(csr_reads), "writes": [(buf, None)],
@@ -338,7 +337,7 @@ def emit_ops_ir(ops: Iterable[OpDict], plan: UpdatePlan, spec: Any) -> PlanIR:
         kind = op["kind"]
         if kind == "alloc":
             bufs[op["buf"]] = emitter.alloc(
-                op["buf"], op["shape"], itemsize=op.get("itemsize", 4)
+                op["buf"], op["shape"], dtype=_buf_dtype(op["buf"])
             )
         elif kind == "free":
             emitter.free(bufs[op["buf"]])

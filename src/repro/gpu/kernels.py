@@ -3,9 +3,12 @@
 Each function returns the modelled duration (seconds) of one kernel, built
 roofline-style: ``max(flop time, memory time)`` plus the launch overhead.
 The numeric work itself is done by the algorithm layer (:mod:`repro.core`,
-:mod:`repro.sssp`) on the device arrays; the algorithm layer charges these
-costs to a stream via :meth:`repro.gpu.stream.Stream.launch`, so one code
-path yields both the distances and the simulated timing.
+:mod:`repro.sssp`) on the device arrays. :func:`kernel_seconds` prices the
+out-of-core drivers' kernels by name from their operand shapes; the
+device executor (:mod:`repro.gpu.executor`) charges that to a stream and
+the static timing pass (:mod:`repro.verifyplan.timing`) replays the same
+number, so one code path yields both the distances and the simulated
+timing.
 
 The Near-Far MSSP model additionally captures the two GPU-specific effects
 the paper engineers around (Section III-B):
@@ -23,7 +26,7 @@ the paper engineers around (Section III-B):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import DeviceSpec
@@ -32,6 +35,7 @@ __all__ = [
     "MsspWorkload",
     "extract_cost",
     "fw_tile_cost",
+    "kernel_seconds",
     "minplus_cost",
     "mssp_batch_cost",
 ]
@@ -74,6 +78,43 @@ def extract_cost(spec: "DeviceSpec", rows: int, cols: int) -> float:
     Algorithm 3): pure memory movement."""
     nbytes = DEVICE_ELEM_BYTES * rows * cols * 2.0
     return _roofline(spec, 0.0, nbytes, spec.minplus_rate)
+
+
+_FW_KERNELS = frozenset({"fw_diag", "fw_comp", "fw_bound"})
+_EXTRACT_KERNELS = frozenset({"extract_c2b", "extract_b2c"})
+
+
+def kernel_seconds(
+    name: str,
+    spec: "DeviceSpec",
+    out_shape: tuple[int, ...],
+    operand_shapes: "Iterable[tuple[int, ...]]",
+) -> float:
+    """Modelled duration of the driver kernel ``name`` from its shapes.
+
+    ``out_shape`` is the written tile; ``operand_shapes`` are the tiles it
+    reads, without the accumulator. FW closures price by the written tile,
+    extractions by the bytes they move, and min-plus products (``mp_*``)
+    take ``(bi, bj)`` from the output and the inner dimension from the
+    first operand that conforms with it. Data-dependent kernels (Johnson's
+    ``mssp``) have no shape rule: their caller supplies the cost.
+    """
+    rows, cols = out_shape
+    if name in _FW_KERNELS:
+        return fw_tile_cost(spec, rows)
+    if name in _EXTRACT_KERNELS:
+        return extract_cost(spec, rows, cols)
+    if name.startswith("mp_"):
+        for r, c in operand_shapes:
+            if r == rows:
+                return minplus_cost(spec, rows, c, cols)
+            if c == cols:
+                return minplus_cost(spec, rows, r, cols)
+        raise ValueError(
+            f"kernel {name!r}: no read operand conforms with the "
+            f"{rows}×{cols} write — cannot infer the inner dimension"
+        )
+    raise ValueError(f"kernel {name!r} has no cost model — attach cost= at emission")
 
 
 @dataclass(frozen=True)

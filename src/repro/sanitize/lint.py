@@ -46,13 +46,6 @@ RPR009  unchecked-ndarray-ffi a raw ``arr.ctypes.data`` pointer handed to a C
                              (``_checked_operand``/``ascontiguousarray``/
                              ``np.require``) — the C kernels assume unit inner
                              stride and a specific element width
-RPR010  emitter-drift        every OOC/multi/cluster driver module with an
-                             ``emit_*_ir`` mirror must stay in sync with its
-                             dynamic schedule: the linter replays a tiny canary
-                             config through both (:mod:`repro.sanitize.drift`)
-                             and flags the driver when the trace op counts
-                             diverge — a drifted mirror makes every static
-                             proof about that driver vacuous
 RPR011  stale-dist-mutation  solved state is immutable outside its owner: no
                              in-place subscript stores to a ``.dist`` matrix
                              outside ``repro/dynamic/`` (route mutations
@@ -81,7 +74,7 @@ from typing import Iterable, Iterator
 
 __all__ = ["Violation", "lint_file", "lint_paths", "format_violations", "RULES"]
 
-#: rule id -> (name, summary) — the lint CLI's ``--list-rules`` output
+#: rule id -> (name, summary); :class:`Violation` names come from here
 RULES: dict[str, tuple[str, str]] = {
     "RPR001": ("raw-minplus", "raw broadcast min-plus bypassing the KernelEngine in core/"),
     "RPR002": ("float64-into-engine", "float64 array constructor fed to an engine call site"),
@@ -92,7 +85,6 @@ RULES: dict[str, tuple[str, str]] = {
     "RPR007": ("dead-event", "record() whose event no reachable wait() consumes"),
     "RPR008": ("ffi-contract", "CDLL function used without declared argtypes/restype"),
     "RPR009": ("unchecked-ndarray-ffi", "ndarray pointer reaches C without dtype/contiguity guard"),
-    "RPR010": ("emitter-drift", "emit_*_ir mirror op counts diverge from the dynamic trace"),
     "RPR011": ("stale-dist-mutation", "in-place write to solved dist/CSR state outside its owner"),
 }
 
@@ -621,14 +613,6 @@ def lint_file(path: Path, root: Path | None = None) -> list[Violation]:
     if not exempt and _module_public_names(tree) and not _declares_all(tree):
         checker._flag("RPR005", tree.body[0] if tree.body else tree,
                       "module defines public names but no __all__")
-    # RPR010 is semantic, not syntactic: registered driver modules are
-    # replayed on a canary config and compared against their IR mirrors
-    from repro.sanitize.drift import drift_for_module
-
-    drift = drift_for_module(rel)
-    if drift is not None and not drift.ok:
-        checker._flag("RPR010", tree.body[0] if tree.body else tree,
-                      f"emit_*_ir mirror out of sync — {drift.describe()}")
     return violations
 
 

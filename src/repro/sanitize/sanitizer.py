@@ -122,10 +122,15 @@ class Access:
 
 @dataclass
 class _BufferInfo:
-    """Lifecycle record of one tracked buffer (device or host)."""
+    """Lifecycle record of one tracked buffer (device or host).
+
+    Buffers are keyed by ``id(root)``; holding ``root`` keeps that id from
+    being reused by a later array once a freed buffer is garbage-collected.
+    """
 
     name: str
     device: bool
+    root: np.ndarray
     prefilled: bool = False
     freed_seq: int | None = None
     accesses: list[Access] = field(default_factory=list)
@@ -154,6 +159,7 @@ class ScheduleSanitizer:
         self._buffers[id(root)] = _BufferInfo(
             name=array.name or f"device[{array.data.shape}]",
             device=True,
+            root=root,
             prefilled=prefilled,
         )
 
@@ -202,7 +208,7 @@ class ScheduleSanitizer:
         info = self._buffers.get(id(root))
         if info is None:
             # host memory is registered lazily on first sight
-            info = _BufferInfo(name=f"host[{root.shape}]", device=False)
+            info = _BufferInfo(name=f"host[{root.shape}]", device=False, root=root)
             self._buffers[id(root)] = info
         if info.freed_seq is not None and op.seq >= info.freed_seq:
             self._eager_hazards.append(

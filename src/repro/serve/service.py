@@ -6,7 +6,7 @@ modeled-clock engine:
 * **batching** — pending point/SSSP queries coalesce (keyed dedup, see
   :mod:`repro.serve.batcher`) into MSSP batches sized by the paper's
   ``bat = (L − S)/(c·m)`` formula and run on a persistent simulated
-  device exactly the way :func:`repro.core.ooc_johnson._run_johnson`
+  device exactly the way :func:`repro.core.ooc_johnson.ooc_johnson`
   runs its batches — resident CSR, worklist charge, real Near-Far
   numerics, modelled kernel cost;
 * **caching** — full closures live in the

@@ -2,11 +2,12 @@
 
 The dynamic schedule sanitizer (:mod:`repro.sanitize`) watches a *real*
 run; this package proves the same properties at *compile time*. Each OOC
-driver exposes an ``emit_*_ir`` mirror that compiles its execution plan
-into a symbolic :class:`~repro.verifyplan.ir.PlanIR` — allocations,
-H2D/D2H copies, kernel def/use sets, and (new) the driver's stream,
-event-record/wait, and barrier structure — without touching a device.
-Five analyses then run over the IR:
+driver writes its schedule once, as a generator; its ``emit_*_ir``
+function runs that generator into a symbolic
+:class:`~repro.verifyplan.ir.PlanIR` — allocations, H2D/D2H copies,
+kernel def/use sets, and the stream, event-record/wait, and barrier
+structure — without touching a device, while the driver runs the same
+generator on the device. Five analyses then run over the IR:
 
 - **residency** — peak charged bytes via a liveness walk, proven ≤ the
   :class:`~repro.gpu.device.DeviceSpec` capacity;

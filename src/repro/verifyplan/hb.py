@@ -2,8 +2,8 @@
 
 The dynamic sanitizer (:mod:`repro.sanitize.sanitizer`) certifies the one
 interleaving a run happened to take. This module proves the stronger
-property *statically*: for a :class:`~repro.verifyplan.ir.PlanIR` whose
-emitter mirrors the driver's stream/event structure, it computes the
+property *statically*: for a :class:`~repro.verifyplan.ir.PlanIR`, which
+carries the driver's own stream/event structure, it computes the
 **must-happen-before** relation — the partial order induced only by
 
 * program order within each stream,

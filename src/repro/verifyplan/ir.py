@@ -8,9 +8,13 @@ distance matrix exists; the IR carries only shapes, byte counts, and host
 block identities, which is all the analyses in
 :mod:`repro.verifyplan.analyze` need.
 
-Each driver module owns an ``emit_*_ir`` function that mirrors its real
-schedule (``repro.core.ooc_fw.emit_fw_ir`` and friends); the tests
-cross-validate the mirrors against the dynamic trace, byte for byte.
+Each out-of-core driver writes its schedule once, as a generator over
+an emitter. ``emit_*_ir`` (``repro.core.ooc_fw.emit_fw_ir`` and friends)
+runs it into an :class:`IREmitter`; the driver runs the same generator
+into :class:`repro.gpu.executor.DeviceEmitter`, which performs every op
+on the simulated device. The IR is therefore the schedule that runs, and
+the tests still cross-validate it against the dynamic trace, byte for
+byte.
 
 Conventions:
 
@@ -44,6 +48,8 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "Access",
@@ -176,7 +182,9 @@ class KernelOp:
     dynamic sanitizer). ``cost`` optionally pins the modelled duration in
     seconds for kernels whose cost is data-dependent (Johnson's
     ``mssp``); when ``None`` the timing pass derives the duration from
-    the declared operand rectangles.
+    the declared operand rectangles. ``key`` optionally names host data a
+    host-side kernel reads (e.g. ``min_diag`` reads the ``dist2`` block),
+    like a copy's ``key``; the analyses ignore it.
     """
 
     name: str
@@ -185,6 +193,7 @@ class KernelOp:
     stream: str = "default"
     annotate: bool = False
     cost: float | None = None
+    key: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -316,7 +325,7 @@ class PlanIR:
 
 
 class IREmitter:
-    """Builder the drivers' ``emit_*_ir`` mirrors write their schedule into.
+    """Builder a schedule generator writes its ops into (``emit_*_ir``).
 
     The operand arguments accept either a :class:`SymBuffer` (meaning its
     full rectangle) or a ``(SymBuffer, Rect)`` pair.
@@ -339,13 +348,14 @@ class IREmitter:
         name: str,
         shape: tuple[int, ...] | int,
         *,
-        itemsize: int = 4,
+        dtype=np.float32,
         charged_bytes: int | None = None,
         prefilled: bool = False,
     ) -> SymBuffer:
         if isinstance(shape, int):
             shape = (shape,)
         shape = tuple(int(s) for s in shape)
+        itemsize = np.dtype(dtype).itemsize
         nelem = 1
         for s in shape:
             nelem *= s
@@ -410,6 +420,7 @@ class IREmitter:
         stream: str = "default",
         annotate: bool = False,
         cost: float | None = None,
+        key: tuple | None = None,
     ) -> None:
         self._ops.append(
             KernelOp(
@@ -419,6 +430,7 @@ class IREmitter:
                 stream=stream,
                 annotate=annotate,
                 cost=cost,
+                key=key,
             )
         )
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.gpu.device import DeviceSpec
-from repro.gpu.kernels import extract_cost, fw_tile_cost, minplus_cost
+from repro.gpu.kernels import kernel_seconds
 from repro.gpu.transfer import copy_duration, copy_duration_2d
 from repro.verifyplan.ir import (
     AllocOp,
@@ -68,47 +68,26 @@ __all__ = [
 ]
 
 _ENGINES = ("compute", "h2d", "d2h")
-_FW_KERNELS = frozenset({"fw_diag", "fw_comp", "fw_bound"})
-_EXTRACT_KERNELS = frozenset({"extract_c2b", "extract_b2c"})
 
 
 def kernel_duration(op: KernelOp, spec: DeviceSpec) -> float:
     """Modelled duration of one IR kernel launch, from its operand rects.
 
-    Mirrors what each driver passes to ``stream.launch(cost=...)``: FW
-    tile closures price by the written tile, extractions by bytes moved,
-    and min-plus products reconstruct ``(bi, bk, bj)`` from the written
-    rectangle plus the first read that is not the accumulator itself.
-    Data-dependent kernels (Johnson's ``mssp``) must carry an explicit
-    ``cost``.
+    An explicit ``cost`` wins (Johnson's data-dependent ``mssp``);
+    otherwise :func:`repro.gpu.kernels.kernel_seconds` prices the written
+    rectangle against the reads that are not the accumulator itself — the
+    same rule the device executor charges at run time.
     """
     if op.cost is not None:
         return float(op.cost)
     if not op.writes:
         raise ValueError(f"kernel {op.name!r} declares no writes — cannot price it")
     out = op.writes[0]
-    if op.name in _FW_KERNELS:
-        return fw_tile_cost(spec, out.rect.rows)
-    if op.name in _EXTRACT_KERNELS:
-        return extract_cost(spec, out.rect.rows, out.rect.cols)
-    if op.name.startswith("mp_"):
-        bi, bj = out.rect.rows, out.rect.cols
-        operands = [
-            r for r in op.reads
-            if not (r.buffer == out.buffer and r.rect == out.rect)
-        ]
-        for read in operands:
-            if read.rect.rows == bi:
-                return minplus_cost(spec, bi, read.rect.cols, bj)
-            if read.rect.cols == bj:
-                return minplus_cost(spec, bi, read.rect.rows, bj)
-        raise ValueError(
-            f"kernel {op.name!r}: no read operand conforms with the "
-            f"{bi}×{bj} write — cannot infer the inner dimension"
-        )
-    raise ValueError(
-        f"kernel {op.name!r} has no cost model — attach cost= at emission"
-    )
+    operands = [
+        (r.rect.rows, r.rect.cols) for r in op.reads
+        if not (r.buffer == out.buffer and r.rect == out.rect)
+    ]
+    return kernel_seconds(op.name, spec, (out.rect.rows, out.rect.cols), operands)
 
 
 @dataclass(frozen=True)

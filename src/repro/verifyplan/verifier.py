@@ -1,12 +1,13 @@
 """``verify_plan`` — the static plan verifier's public entry point.
 
 For a graph/device pair, compile every algorithm's execution plan to a
-symbolic :class:`~repro.verifyplan.ir.PlanIR` (via the ``emit_*_ir``
-mirrors the drivers own), run the liveness / def-use / redundancy
-analyses, and check the moved bytes against the paper's closed-form
-bounds — all in milliseconds, before anything executes. Feasibility and
-the derived parameters agree with :func:`repro.core.planner.explain_plan`
-by construction (both call the same planning functions).
+symbolic :class:`~repro.verifyplan.ir.PlanIR` (via the drivers'
+``emit_*_ir`` functions, which run the schedule each driver executes),
+run the liveness / def-use / redundancy analyses, and check the moved
+bytes against the paper's closed-form bounds — all in milliseconds,
+before anything executes. Feasibility and the derived parameters agree
+with :func:`repro.core.planner.explain_plan` by construction (both call
+the same planning functions).
 
 The result is a :class:`PlanVerification`: one :class:`PlanAudit` per
 algorithm with the proven peak residency, transfer volumes, wasted bytes,

@@ -32,6 +32,18 @@ def oracle_sssp(graph: CSRGraph, sources) -> np.ndarray:
     return shortest_path(graph.to_scipy(), method="D", indices=sources)
 
 
+def timed_op_names(ir) -> list[str]:
+    """The device timeline names of an IR's timed ops, in order: kernel
+    names (annotations occupy no slot) and copy kinds."""
+    from repro.verifyplan.ir import CopyOp, KernelOp
+
+    return [
+        op.name if isinstance(op, KernelOp) else "d2h2d" if op.strided else op.kind
+        for op in ir.ops
+        if isinstance(op, CopyOp) or (isinstance(op, KernelOp) and not op.annotate)
+    ]
+
+
 @pytest.fixture
 def device() -> Device:
     """A tiny device that forces out-of-core behaviour at n≈100."""

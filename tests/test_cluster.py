@@ -375,56 +375,6 @@ class TestScalingBaseline:
             assert entry["ok"] and entry["exact"], name
 
 
-class TestEmitterDrift:
-    """RPR010: drivers must stay in sync with their emit_*_ir mirrors."""
-
-    def test_all_registered_canaries_in_sync(self):
-        from repro.sanitize.drift import check_drift
-
-        checks = check_drift()
-        assert len(checks) == 6
-        for check in checks:
-            assert check.ok and not check.skipped, check.describe()
-
-    def test_drifted_counts_fail(self):
-        from repro.sanitize.drift import DriftCheck
-
-        drifted = DriftCheck(
-            driver="fw", dynamic={"ops": 28}, static={"ops": 27}
-        )
-        assert not drifted.ok and "DRIFT" in drifted.describe()
-        assert DriftCheck(driver="b", skipped="plan infeasible").ok
-        assert not DriftCheck(driver="b", skipped="canary failed: boom").ok
-
-    def test_lint_flags_drifted_driver(self, monkeypatch):
-        from pathlib import Path
-
-        from repro.sanitize import drift, lint
-
-        monkeypatch.setitem(
-            drift._CACHE, "core/ooc_fw.py",
-            drift.DriftCheck(
-                driver="fw", dynamic={"ops": 28}, static={"ops": 30}
-            ),
-        )
-        root = Path(__file__).resolve().parents[1]
-        violations = lint.lint_file(
-            root / "src/repro/core/ooc_fw.py", root=root
-        )
-        assert any(v.rule == "RPR010" for v in violations)
-
-    def test_lint_clean_on_in_sync_driver(self):
-        from pathlib import Path
-
-        from repro.sanitize import lint
-
-        root = Path(__file__).resolve().parents[1]
-        violations = lint.lint_file(
-            root / "src/repro/cluster/simulate.py", root=root
-        )
-        assert not [v for v in violations if v.rule == "RPR010"]
-
-
 class TestClusterCLI:
     def test_verify_cluster_text(self, capsys):
         from repro.cli import main

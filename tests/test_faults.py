@@ -38,7 +38,7 @@ from repro.faults import (
 from repro.gpu.device import TEST_DEVICE, Device
 from repro.gpu.errors import TransientDeviceError
 from repro.graphs.generators import rmat
-from tests.conftest import oracle_apsp
+from tests.conftest import oracle_apsp, timed_op_names
 
 try:
     from hypothesis import given, settings
@@ -441,17 +441,51 @@ def test_resumed_johnson_schedule_passes_hb_and_audit():
 
 
 def test_resumed_boundary_schedule_passes_hb_and_audit():
+    # the single-device driver and the two-device fleet (both overlap
+    # modes) resume from the same dist2/dist3/dist4 stages
+    from repro.core.multi_gpu import emit_multi_ir
     from repro.core.ooc_boundary import emit_boundary_ir, plan_boundary
     from repro.verifyplan import analyze_hb, audit_ir
 
     plan = plan_boundary(GRAPH, TEST_DEVICE, seed=0)
     for resume in [(1, False, 0), (plan.num_components, True, 0),
                    (plan.num_components, True, 1)]:
-        ir = emit_boundary_ir(GRAPH, TEST_DEVICE, plan=plan, resume=resume)
-        hb = analyze_hb(ir)
-        assert hb.ok, hb.describe()
-        _peak, _tally, findings = audit_ir(ir)
-        assert findings == []
+        irs = [
+            emit_boundary_ir(GRAPH, TEST_DEVICE, plan=plan, resume=resume),
+            *emit_multi_ir(GRAPH, TEST_DEVICE, 2, plan=plan, resume=resume),
+            *emit_multi_ir(GRAPH, TEST_DEVICE, 2, plan=plan, resume=resume,
+                           overlap=True),
+        ]
+        for ir in irs:
+            hb = analyze_hb(ir)
+            assert hb.ok, f"{ir.device} {resume}: {hb.describe()}"
+            peak, _tally, findings = audit_ir(ir)
+            assert findings == []
+            assert peak <= TEST_DEVICE.memory_bytes
+
+
+@pytest.mark.parametrize("name", ["boundary", "multi"])
+@pytest.mark.parametrize("kept", [("dist2-0",), ("dist2-0", "dist2-1", "dist2-2", "dist3")])
+def test_resumed_run_executes_the_emitted_suffix(name, kept, tmp_path):
+    # a run resumed from a stage prefix replays exactly the suffix
+    # emit_*_ir(resume=...) compiles — the schedule the audit above proves
+    from repro.core.multi_gpu import emit_multi_ir
+    from repro.core.ooc_boundary import emit_boundary_ir, plan_boundary
+
+    plan = plan_boundary(GRAPH, TEST_DEVICE, seed=0)
+    run_driver(name, checkpoint=tmp_path)
+    for stage in tmp_path.glob("dist*.npz"):
+        if stage.stem not in kept:
+            stage.unlink()
+    result, devices = run_driver(name, checkpoint=tmp_path)
+    assert np.array_equal(result.to_array(), baseline(name))
+    resume = (sum(k.startswith("dist2") for k in kept), "dist3" in kept, 0)
+    if name == "multi":
+        irs = emit_multi_ir(GRAPH, TEST_DEVICE, 2, plan=plan, resume=resume)
+    else:
+        irs = [emit_boundary_ir(GRAPH, TEST_DEVICE, plan=plan, resume=resume)]
+    for device, ir in zip(devices, irs):
+        assert [op.name for op in device.timeline.ops] == timed_op_names(ir)
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,25 @@ def test_reset_clock_also_resets_the_sanitizer_schedule():
     assert device.hazard_report().clean
 
 
+def test_freed_buffer_id_is_not_reused_by_host_arrays():
+    """A freed, never-accessed device buffer can be garbage-collected, and
+    a later host array may reuse its address; the sanitizer keeps every
+    tracked root alive, so the host array is never blamed on the dead
+    buffer and every buffer is counted."""
+    import gc
+
+    device = Device(TEST_DEVICE, sanitize=True)
+    stream = device.default_stream
+    for i in range(50):
+        device.memory.alloc((64, 64), np.float32, name=f"scratch{i}").free()
+        gc.collect()
+        with device.memory.alloc((64, 64), np.float32, name=f"tile{i}") as tile:
+            stream.copy_h2d(tile, np.ones((64, 64), np.float32))
+    report = device.hazard_report()
+    assert report.clean, report.describe()
+    assert report.num_buffers == 150
+
+
 def test_hazard_report_requires_sanitize_flag():
     device = Device(TEST_DEVICE)
     assert device.sanitizer is None
