@@ -9,9 +9,8 @@ total time from 5 random batches.
 import numpy as np
 
 from repro.bench import ExperimentRecord, device_profile
-from repro.core.minplus import DIST_DTYPE
-from repro.core.ooc_johnson import plan_batch_size, run_mssp_batch
-from repro.gpu.device import Device
+from repro.core.ooc_johnson import collect_mssp_workloads, plan_batch_size
+from repro.gpu.kernels import mssp_batch_cost
 from repro.graphs.suite import DEFAULT_SCALE, get_suite_graph
 
 GRAPHS = ["usroads", "wi2010", "onera_dual", "luxembourg_osm"]
@@ -26,22 +25,14 @@ def run_experiment() -> ExperimentRecord:
     )
     for name in GRAPHS:
         graph = get_suite_graph(name, DEFAULT_SCALE)
-        device = Device(spec)
         n = graph.num_vertices
         bat = min(plan_batch_size(graph, spec), max(1, n // 8))
-        out = np.empty((bat, n), dtype=DIST_DTYPE)
-        times = []
-        stream = device.default_stream
-        for b in range(n // bat):
-            lo, hi = b * bat, min((b + 1) * bat, n)
-            sources = np.arange(lo, hi, dtype=np.int64)
-            before = stream.ready_at
-            run_mssp_batch(
-                graph, device, stream, sources, out[: sources.size],
-                bat=bat, delta=None, dynamic_parallelism=True, heavy_degree=32,
-            )
-            times.append(stream.ready_at - before)
-        times = np.array(times)
+        workloads = collect_mssp_workloads(graph, batch_size=bat, heavy_degree=32)
+        # full batches only: a ragged last batch would skew the spread
+        times = np.array([
+            mssp_batch_cost(spec, w, bat, dynamic_parallelism=True)
+            for w in workloads[: n // bat]
+        ])
         record.add(
             graph=name,
             batches=len(times),

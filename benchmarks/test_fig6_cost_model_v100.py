@@ -28,7 +28,7 @@ def run_cost_model_experiment(spec: DeviceSpec, experiment: str, device_name: st
         graph = entry.generate(DEFAULT_SCALE)
         est_b = estimate_boundary(graph, spec, calibration, seed=0)
         actual_b = ooc_boundary(graph, Device(spec), seed=0).simulated_seconds
-        est_j = estimate_johnson(graph, Device(spec), seed=0)
+        est_j = estimate_johnson(graph, spec, seed=0)
         actual_j = ooc_johnson(graph, Device(spec)).simulated_seconds
         record.add(
             graph=entry.name,

@@ -44,7 +44,7 @@ def run_experiment() -> ExperimentRecord:
         if entry.name in skip:
             continue
         graph = entry.generate(DEFAULT_SCALE)
-        report = selector.select(graph, device=Device(spec))
+        report = selector.select(graph)
         measured = {}
         for cand in report.candidates:
             if cand in report.infeasible:

@@ -47,7 +47,7 @@ def run_experiment() -> ExperimentRecord:
         graph = rmat(n, n * factor, seed=factor, name=f"rmat-d{factor}")
         if fw_est is None:
             fw_est = estimate_fw(graph, spec, calibration).total_seconds
-        est_j = estimate_johnson(graph, Device(spec), seed=0)
+        est_j = estimate_johnson(graph, spec, seed=0)
         actual_j = ooc_johnson(graph, Device(spec)).simulated_seconds
         predicted = "floyd-warshall" if fw_est < est_j.total_seconds else "johnson"
         actual = "floyd-warshall" if fw_actual < actual_j else "johnson"

@@ -39,7 +39,7 @@ print("calibrating cost models (one-time per device)...")
 selector = Selector(SPEC, Calibration(SPEC), density_scale=SCALE, seed=0)
 
 for label, graph in GRAPHS.items():
-    report = selector.select(graph, device=Device(SPEC))
+    report = selector.select(graph)
     print(f"\n=== {label}: {graph}")
     print(f"  density {report.density:.4%} -> band {report.band!r}, "
           f"candidates {report.candidates}")
@@ -72,7 +72,7 @@ for label, graph in GRAPHS.items():
 # graph is interpreted at full size (density_scale=1).
 dense = rmat(900, 180_000, seed=5, name="dense-synthetic")
 dense_selector = Selector(SPEC, selector.calibration, density_scale=1.0, seed=0)
-report = dense_selector.select(dense, device=Device(SPEC))
+report = dense_selector.select(dense)
 print(f"\n=== dense synthetic (full-size interpretation): {dense}")
 print(f"  density {report.density:.4%} -> band {report.band!r}, "
       f"candidates {report.candidates}")

@@ -215,7 +215,6 @@ def cmd_info(args) -> int:
 def cmd_select(args) -> int:
     import json as _json
 
-    from repro.gpu.device import Device
     from repro.select import Selector
 
     graph = _load_graph(args)
@@ -243,7 +242,7 @@ def cmd_select(args) -> int:
         analytic=args.analytic,
         timing_calibration=timing_calibration,
     )
-    report = selector.select(graph, device=Device(spec))
+    report = selector.select(graph)
     if args.json:
         print(_json.dumps(
             {"schema_version": SCHEMA_VERSION, **report.to_dict()}, indent=2

@@ -119,10 +119,15 @@ def solve_apsp(
     if algorithm == "auto":
         from repro.select.selector import Selector
 
-        report = Selector(device.spec, density_scale=density_scale, seed=seed).select(
-            graph, device=device
-        )
+        selector = Selector(device.spec, density_scale=density_scale, seed=seed)
+        report = selector.select(graph)
         algorithm = report.algorithm
+        if algorithm == "boundary" and not algorithm_options.keys() & {
+            "plan", "num_components", "batch_transfers", "overlap"
+        }:
+            # the selector planned with the driver's defaults and seed:
+            # run the plan it priced instead of partitioning again
+            algorithm_options["plan"] = report.estimates["boundary"].detail["plan"]
 
     common = dict(store_mode=store_mode, store_dir=store_dir)
     if checkpoint_dir is not None:

@@ -36,7 +36,11 @@ from repro.gpu.errors import OutOfMemoryError
 from repro.gpu.executor import DeviceEmitter
 from repro.gpu.kernels import MsspWorkload, mssp_batch_cost
 from repro.gpu.stream import Stream
-from repro.sssp.near_far import DEFAULT_HEAVY_DEGREE, near_far_batch
+from repro.sssp.near_far import (
+    DEFAULT_HEAVY_DEGREE,
+    EDGES_PER_CHILD_BLOCK,
+    near_far_batch,
+)
 from repro.verifyplan.ir import IREmitter, Rect
 
 __all__ = [
@@ -46,6 +50,7 @@ __all__ = [
     "ooc_johnson",
     "plan_batch_size",
     "run_mssp_batch",
+    "sample_batch_sources",
 ]
 
 _ELEM = np.dtype(DIST_DTYPE).itemsize
@@ -53,6 +58,10 @@ _ELEM = np.dtype(DIST_DTYPE).itemsize
 #: the paper's worklist constant ``c``: per-instance queue storage is
 #: ``c · m`` distance-sized elements (near + far queues with slack)
 DEFAULT_QUEUE_FACTOR = 4.0
+#: sources a sampled batch runs when it holds more (``K``): its additive
+#: workload terms are scaled up from these. Picked from the accuracy table
+#: in docs/PERFORMANCE.md ("Choosing K").
+SAMPLE_SOURCES = 160
 
 
 def graph_device_bytes(graph, spec: "DeviceSpec | None" = None) -> int:
@@ -322,6 +331,55 @@ def _johnson_schedule(
         em.free(buf)
 
 
+def sample_batch_sources(
+    n: int, batch_size: int, sample: int | None, seed: int = 0
+) -> dict[int, np.ndarray]:
+    """The sources :func:`collect_mssp_workloads` runs, keyed by batch.
+
+    ``sample=None`` runs every batch in full. ``sample=k`` runs ``k``
+    batches drawn with ``seed`` (every batch when there are no more than
+    ``k``), and a drawn batch holding more than :data:`SAMPLE_SOURCES`
+    sources runs only that many of them, drawn with the same generator.
+    """
+    bat = max(1, min(batch_size, n))
+    num_batches = (n + bat - 1) // bat
+    rng = np.random.default_rng(seed)
+    if sample is None or sample >= num_batches:
+        picked = list(range(num_batches))
+    else:
+        picked = sorted(
+            rng.choice(num_batches, size=max(1, sample), replace=False).tolist()
+        )
+    chosen: dict[int, np.ndarray] = {}
+    for b in picked:
+        lo, hi = b * bat, min((b + 1) * bat, n)
+        if sample is not None and hi - lo > SAMPLE_SOURCES:
+            offsets = rng.choice(hi - lo, size=SAMPLE_SOURCES, replace=False)
+            chosen[b] = lo + np.sort(offsets).astype(np.int64)
+        else:
+            chosen[b] = np.arange(lo, hi, dtype=np.int64)
+    return chosen
+
+
+def _scale_workload(workload: MsspWorkload, factor: float) -> MsspWorkload:
+    """A batch's workload from a sample of ``1/factor`` of its sources.
+
+    Relaxations add up across sources, so they scale. Iterations are
+    grid-wide and stay as sampled. Child launches are per iteration two
+    fixed launches plus one per :data:`EDGES_PER_CHILD_BLOCK` heavy edges,
+    so only the extra heavy edges add launches.
+    """
+    heavy = int(round(workload.heavy_relaxations * factor))
+    extra_heavy = heavy - workload.heavy_relaxations
+    return MsspWorkload(
+        relaxations=int(round(workload.relaxations * factor)),
+        heavy_relaxations=heavy,
+        iterations=workload.iterations,
+        child_launches=workload.child_launches
+        + int(round(extra_heavy / EDGES_PER_CHILD_BLOCK)),
+    )
+
+
 def collect_mssp_workloads(
     graph,
     *,
@@ -332,33 +390,33 @@ def collect_mssp_workloads(
     sample: int | None = None,
     seed: int = 0,
 ) -> list[MsspWorkload]:
-    """Per-batch MSSP workload statistics for symbolic timing.
+    """Per-batch MSSP workload statistics for symbolic timing and pricing.
 
-    Runs the same Near-Far execution :func:`run_mssp_batch` would (host
-    numerics only, no device) for every batch, so the costs attached to
-    the emitted ``mssp`` kernels equal the dynamic driver's exactly. With
-    ``sample=K`` only ``K`` deterministically chosen batches are
-    executed and the rest take the componentwise mean of the sampled
-    workloads — the cheap mode the analytic selector uses.
+    With ``sample=None`` runs the same Near-Far execution the driver
+    would (host numerics only, no device) for every batch, so the costs
+    attached to the emitted ``mssp`` kernels equal the dynamic driver's
+    exactly. ``sample=k`` runs only what :func:`sample_batch_sources`
+    picks: ``k`` batches, each cut to at most :data:`SAMPLE_SOURCES`
+    sources and scaled back up to its size (see :func:`_scale_workload`).
+    The batches not run take the componentwise mean of those that were.
+    This is the one Johnson sampler: the cost models and the Δ tuner
+    price from it.
     """
     n = graph.num_vertices
     bat = max(1, min(batch_size, n))
     num_batches = (n + bat - 1) // bat
-    if sample is None or sample >= num_batches:
-        picked = list(range(num_batches))
-    else:
-        rng = np.random.default_rng(seed)
-        picked = sorted(
-            rng.choice(num_batches, size=max(1, sample), replace=False).tolist()
-        )
     sampled: dict[int, MsspWorkload] = {}
-    for b in picked:
-        lo, hi = b * bat, min((b + 1) * bat, n)
-        sources = np.arange(lo, hi, dtype=np.int64)
+    for b, sources in sample_batch_sources(n, bat, sample, seed).items():
         _dist, stats = near_far_batch(
             graph, sources, delta=delta, heavy_degree=heavy_degree
         )
-        sampled[b] = _workload(stats, dynamic_parallelism)
+        workload = _workload(stats, dynamic_parallelism)
+        size = min((b + 1) * bat, n) - b * bat
+        if sources.size < size:
+            workload = _scale_workload(workload, size / sources.size)
+        sampled[b] = workload
+    if len(sampled) == num_batches:
+        return [sampled[b] for b in range(num_batches)]
     mean = MsspWorkload(
         relaxations=int(round(np.mean([w.relaxations for w in sampled.values()]))),
         heavy_relaxations=int(

@@ -12,8 +12,11 @@ The **computation** models:
   single calibration run at ``n₀`` extrapolates:
   ``T = T₀ · (n/n₀)³``.
 * Johnson — per-batch times are near-uniform (the paper measures batch
-  std-dev at 1.67–13.4% of the mean), so run ``k`` randomly chosen batches
-  for real and scale: ``T = (n_b / k) · T_sampled``.
+  std-dev at 1.67–13.4% of the mean), so price ``k`` randomly chosen
+  batches and scale: ``T = (n_b / k) · T_sampled``. The paper assumes
+  ``n_b ≫ k``; at reduced scale one batch often holds every source, so a
+  batch with more than ``K`` sources is itself priced from ``K`` of them
+  (:func:`repro.core.ooc_johnson.collect_mssp_workloads`).
 * boundary, small separator — operation count is ``O(n^{3/2})`` at
   ``k = √n`` [Djidjev], with graph-independent unit costs:
   ``T = T₀ · (n/n₀)^{3/2}``.
@@ -35,8 +38,13 @@ import numpy as np
 from repro.core.minplus import DIST_DTYPE
 from repro.core.ooc_boundary import BoundaryPlan, plan_boundary
 from repro.core.ooc_fw import plan_fw_block_size
-from repro.core.ooc_johnson import plan_batch_size, run_mssp_batch
-from repro.gpu.device import Device, DeviceSpec
+from repro.core.ooc_johnson import (
+    collect_mssp_workloads,
+    plan_batch_size,
+    sample_batch_sources,
+)
+from repro.gpu.device import DeviceSpec
+from repro.gpu.kernels import mssp_batch_cost
 from repro.gpu.transfer import copy_duration
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,38 +143,35 @@ def estimate_fw(graph, spec: DeviceSpec, calibration: "Calibration") -> CostEsti
 # ----------------------------------------------------------------------
 def estimate_johnson(
     graph,
-    device: Device,
+    spec: DeviceSpec,
     *,
     num_sample_batches: int = JOHNSON_SAMPLE_BATCHES,
     dynamic_parallelism: bool = True,
     seed: int = 0,
 ) -> CostEstimate:
-    """Run ``k`` random batches for real, scale by the batch count (§IV-B.2).
+    """Price ``k`` random batches, scale by the batch count (§IV-B.2).
 
-    The sampled kernels execute on ``device`` (that *is* the selection
-    overhead the paper pays); the device clock is reset afterwards.
+    The sampled batches' Near-Far workloads come from
+    :func:`~repro.core.ooc_johnson.collect_mssp_workloads` (host
+    numerics, no device), each batch cut to a source sample when it holds
+    more; :func:`~repro.gpu.kernels.mssp_batch_cost` prices them as the
+    kernel time a device run would charge.
     """
     n = graph.num_vertices
-    spec = device.spec
     bat = plan_batch_size(graph, spec)
     n_b = (n + bat - 1) // bat
     k = min(num_sample_batches, n_b)
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(n_b, size=k, replace=False)
-
-    device.reset_clock()
-    stream = device.default_stream
-    out = np.empty((bat, n), dtype=DIST_DTYPE)
-    for b in chosen:
-        lo, hi = int(b) * bat, min((int(b) + 1) * bat, n)
-        sources = np.arange(lo, hi, dtype=np.int64)
-        run_mssp_batch(
-            graph, device, stream, sources, out[: sources.size],
-            bat=bat, delta=None,
-            dynamic_parallelism=dynamic_parallelism, heavy_degree=64,
+    chosen = sample_batch_sources(n, bat, k, seed)
+    workloads = collect_mssp_workloads(
+        graph, batch_size=bat, dynamic_parallelism=dynamic_parallelism,
+        heavy_degree=64, sample=k, seed=seed,
+    )
+    sampled = sum(
+        mssp_batch_cost(
+            spec, workloads[b], bat, dynamic_parallelism=dynamic_parallelism
         )
-    sampled = device.timeline.busy_time("compute")
-    device.reset_clock()
+        for b in chosen
+    )
 
     compute = (n_b / k) * sampled
     transfer = (
@@ -176,7 +181,11 @@ def estimate_johnson(
     )
     return CostEstimate(
         "johnson", compute, transfer,
-        {"bat": bat, "n_b": n_b, "sampled_batches": k, "sampled_seconds": sampled},
+        {
+            "bat": bat, "n_b": n_b, "sampled_batches": k,
+            "sampled_sources": sum(s.size for s in chosen.values()),
+            "sampled_seconds": sampled,
+        },
     )
 
 
@@ -218,7 +227,11 @@ def estimate_boundary(
     seed: int = 0,
 ) -> CostEstimate:
     """Small-separator graphs extrapolate ``n^{3/2}``; large-separator
-    graphs price ``N_op`` with the binned ``c_unit`` (§IV-B.2)."""
+    graphs price ``N_op`` with the binned ``c_unit`` (§IV-B.2).
+
+    ``detail["plan"]`` is the :class:`BoundaryPlan` priced, which
+    :func:`repro.core.api.solve_apsp` hands on to the driver.
+    """
     n = graph.num_vertices
     if plan is None:
         plan = plan_boundary(graph, spec, seed=seed)
@@ -238,7 +251,7 @@ def estimate_boundary(
         compute = n_op * c_unit
         detail = {"model": "large-separator", "n_op": n_op, "c_unit": c_unit}
     transfer = boundary_transfer_seconds(n, plan, spec)
-    detail.update({"k": k, "num_boundary": nb})
+    detail.update({"k": k, "num_boundary": nb, "plan": plan})
     return CostEstimate("boundary", compute, transfer, detail)
 
 
@@ -291,9 +304,10 @@ def analytic_estimate_johnson(
     seed: int = 0,
 ) -> CostEstimate:
     """Johnson via the schedule IR: sample ``k`` batch workloads on the
-    CPU frontier simulator (no device time), price every ``mssp`` launch
-    with the modelled cost, and take the symbolic makespan."""
-    from repro.core.ooc_johnson import collect_mssp_workloads, emit_johnson_ir
+    CPU frontier simulator (no device time; the same source sample as
+    :func:`estimate_johnson`), price every ``mssp`` launch with the
+    modelled cost, and take the symbolic makespan."""
+    from repro.core.ooc_johnson import emit_johnson_ir
     from repro.verifyplan.timing import predict_timing
 
     n = graph.num_vertices

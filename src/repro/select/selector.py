@@ -13,12 +13,14 @@ then falls back to Johnson's algorithm, which is exactly the behaviour the
 paper describes for "other sparse graphs".
 
 Two ranking backends are available. The default (``method="measured"``)
-is the paper's: calibration runs plus sampled batches on a scratch
-device. ``analytic=True`` instead prices each candidate off its schedule
-IR — the symbolic critical-path makespan from
-:func:`repro.verifyplan.timing.predict_timing` — which needs no device
-time at all and can be re-rated from measured benchmarks via a
-:class:`~repro.verifyplan.timing.TimingCalibration`.
+is the paper's: reference runs calibrated once per process and device
+(:meth:`Calibration.run`), plus Johnson priced from sampled batch
+workloads. ``analytic=True`` instead prices each candidate off its
+schedule IR — the symbolic critical-path makespan from
+:func:`repro.verifyplan.timing.predict_timing` — which needs no
+calibration runs at all and can be re-rated from measured benchmarks via
+a :class:`~repro.verifyplan.timing.TimingCalibration`. Neither backend
+touches the device the chosen algorithm later runs on.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.ooc_boundary import BoundaryInfeasibleError
-from repro.gpu.device import Device, DeviceSpec
+from repro.gpu.device import DeviceSpec
 from repro.select.calibrate import Calibration
 from repro.select.cost_models import (
     CostEstimate,
@@ -100,9 +102,8 @@ class Selector:
         paper-equivalent units (see :mod:`repro.graphs.suite`).
 
         ``analytic=True`` ranks candidates by the symbolic critical-path
-        makespan of their schedule IRs instead of calibration/sampling
-        runs — no scratch-device time is spent (the up-front
-        :meth:`Calibration.run` is skipped entirely);
+        makespan of their schedule IRs instead of calibration runs (the
+        up-front :meth:`Calibration.run` is skipped entirely);
         ``timing_calibration`` optionally re-rates the device model from
         measured benchmark files.
         """
@@ -119,10 +120,8 @@ class Selector:
     def method(self) -> str:
         return "analytic" if self.analytic else "measured"
 
-    def select(self, graph, *, device: Device | None = None) -> SelectionReport:
-        """Run the methodology on ``graph``; sampling runs use ``device``
-        (a scratch device is created when omitted; never used in
-        analytic mode)."""
+    def select(self, graph) -> SelectionReport:
+        """Run the methodology on ``graph``."""
         density = graph.density * self.density_scale
         band = density_band(density)
         candidates = filter_candidates(graph, density_scale=self.density_scale)
@@ -136,9 +135,7 @@ class Selector:
         if self.analytic:
             estimates, infeasible = self._estimate_analytic(graph, candidates)
         else:
-            estimates, infeasible = self._estimate_measured(
-                graph, candidates, device
-            )
+            estimates, infeasible = self._estimate_measured(graph, candidates)
         best = min(estimates, key=lambda a: estimates[a].total_seconds)
         return SelectionReport(
             algorithm=best,
@@ -151,15 +148,14 @@ class Selector:
         )
 
     def _estimate_measured(
-        self, graph, candidates: tuple[str, ...], device: Device | None
+        self, graph, candidates: tuple[str, ...]
     ) -> tuple[dict[str, CostEstimate], list[str]]:
         assert self.calibration is not None
-        dev = device or Device(self.spec)
         estimates: dict[str, CostEstimate] = {}
         infeasible: list[str] = []
         for cand in candidates:
             if cand == "johnson":
-                estimates[cand] = estimate_johnson(graph, dev, seed=self.seed)
+                estimates[cand] = estimate_johnson(graph, self.spec, seed=self.seed)
             elif cand == "floyd-warshall":
                 estimates[cand] = estimate_fw(graph, self.spec, self.calibration)
             elif cand == "boundary":

@@ -5,8 +5,8 @@ The paper fixes two knobs by observation — Δ for Near-Far (implicit) and
 observations into *procedures*, using the same sampled-measurement idea as
 the paper's Johnson cost model:
 
-* :func:`tune_delta` — time a few sampled MSSP batches per candidate Δ and
-  keep the fastest;
+* :func:`tune_delta` — price a few sampled MSSP batches per candidate Δ
+  and keep the fastest;
 * :func:`tune_components` — run the boundary algorithm per candidate ``k``
   (these runs are cheap at component granularity) and keep the fastest.
 
@@ -19,10 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.minplus import DIST_DTYPE
 from repro.core.ooc_boundary import BoundaryInfeasibleError, ooc_boundary
-from repro.core.ooc_johnson import plan_batch_size, run_mssp_batch
+from repro.core.ooc_johnson import (
+    collect_mssp_workloads,
+    plan_batch_size,
+    sample_batch_sources,
+)
 from repro.gpu.device import Device, DeviceSpec
+from repro.gpu.kernels import mssp_batch_cost
 from repro.sssp.frontier import suggest_delta
 
 __all__ = ["SweepPoint", "TuningResult", "tune_components", "tune_delta"]
@@ -57,35 +61,29 @@ def tune_delta(
     num_sample_batches: int = 3,
     seed: int = 0,
 ) -> TuningResult:
-    """Pick Δ by timing sampled MSSP batches per candidate.
+    """Pick Δ by pricing sampled MSSP batches per candidate.
 
     Candidates are multiples of the :func:`suggest_delta` heuristic; the
-    winner minimises summed simulated kernel time over the same sampled
-    source batches (correctness is Δ-independent, so only time matters).
+    winner minimises the summed modelled kernel time of the same sampled
+    batches (:func:`~repro.core.ooc_johnson.collect_mssp_workloads`;
+    correctness is Δ-independent, so only time matters).
     """
     base = suggest_delta(graph)
-    n = graph.num_vertices
-    device = Device(spec)
     bat = plan_batch_size(graph, spec)
-    n_b = (n + bat - 1) // bat
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(n_b, size=min(num_sample_batches, n_b), replace=False)
-    out = np.empty((bat, n), dtype=DIST_DTYPE)
+    chosen = sample_batch_sources(graph.num_vertices, bat, num_sample_batches, seed)
 
     sweep = []
     for factor in factors:
         delta = base * factor
-        device.reset_clock()
-        stream = device.default_stream
-        for b in chosen:
-            lo, hi = int(b) * bat, min((int(b) + 1) * bat, n)
-            sources = np.arange(lo, hi, dtype=np.int64)
-            run_mssp_batch(
-                graph, device, stream, sources, out[: sources.size],
-                bat=bat, delta=delta, dynamic_parallelism=True, heavy_degree=32,
-            )
-        sweep.append(SweepPoint(value=delta, seconds=device.timeline.busy_time("compute")))
-        device.reset_clock()
+        workloads = collect_mssp_workloads(
+            graph, batch_size=bat, delta=delta, heavy_degree=32,
+            sample=num_sample_batches, seed=seed,
+        )
+        seconds = sum(
+            mssp_batch_cost(spec, workloads[b], bat, dynamic_parallelism=True)
+            for b in chosen
+        )
+        sweep.append(SweepPoint(value=delta, seconds=seconds))
     best = min(sweep, key=lambda p: p.seconds)
     return TuningResult("delta", best.value, tuple(sweep))
 

@@ -104,16 +104,9 @@ class TestCostModels:
 
     def test_johnson_estimate_tracks_actual(self):
         g = road_like(700, 2.6, seed=6)
-        dev = Device(SPEC)
-        est = estimate_johnson(g, dev, seed=0)
+        est = estimate_johnson(g, SPEC, seed=0)
         actual = ooc_johnson(g, Device(SPEC)).simulated_seconds
         assert est.total_seconds == pytest.approx(actual, rel=0.5)
-
-    def test_johnson_sampling_resets_clock(self):
-        g = road_like(400, 2.6, seed=7)
-        dev = Device(SPEC)
-        estimate_johnson(g, dev, seed=0)
-        assert dev.elapsed == 0.0
 
     def test_boundary_estimate_tracks_actual_small_separator(self, calibration):
         g = road_like(900, 2.6, seed=8)
@@ -181,7 +174,7 @@ class TestSelector:
         # sparse in paper-equivalent density but expander-like in structure:
         # every vertex becomes boundary, so the boundary algorithm cannot plan
         g = erdos_renyi(2000, 10000, seed=15, symmetric=True)
-        report = sel.select(g, device=Device(SPEC))
+        report = sel.select(g)
         if "boundary" in report.infeasible:
             assert report.algorithm == "johnson"
         else:  # planning found a k; the estimate must then exist
