@@ -1,11 +1,11 @@
 """Update-latency vs re-solve crossover baseline (``repro bench-dynamic``).
 
 Everything here is closed-form: the transfer volumes come from
-:mod:`repro.verifyplan.updatebounds` (proven equal to the IR and the
-dynamic trace by ``verify-update``) and the time model prices them
-against a :class:`~repro.gpu.device.DeviceSpec`'s bus and min-plus
-rates. No device is instantiated and nothing executes, so the baseline
-is exact, machine-independent, and committable —
+:mod:`repro.verifyplan.updatebounds` (proven by ``verify-update`` equal
+to the IR tally of the schedule each patch pass runs) and the time
+model prices them against a :class:`~repro.gpu.device.DeviceSpec`'s bus
+and min-plus rates. No device is instantiated and nothing executes, so
+the baseline is exact, machine-independent, and committable —
 ``bench-dynamic --check`` gates CI on the recorded crossover without
 rewriting anything.
 

@@ -974,8 +974,8 @@ def main(argv=None) -> int:
     p = sub.add_parser(
         "verify-update",
         help="statically prove the dynamic-graph update schedules sound: "
-             "closed-form O(n²) transfer bounds == static IR tally == "
-             "dynamic trace, touched-block coverage, HB cleanliness, and "
+             "closed-form O(n²) transfer bounds == static IR tally, "
+             "touched-block coverage, HB cleanliness, and "
              "the seeded-defect + differential + revalidation suites",
     )
     p.add_argument("--scale", type=float, default=1.0,

@@ -7,10 +7,10 @@ the **static verification layer** alongside the simulator:
 
 - :mod:`~repro.cluster.topology` — nodes, links, process grid, and the
   2-D block-cyclic ownership layout;
-- :mod:`~repro.cluster.simulate` — the dynamic cluster simulator
-  (:func:`cluster_fw`, real numerics + modeled clocks) and its exact IR
-  mirror (:func:`emit_cluster_ir`), both walking one canonical op
-  stream so they agree by construction;
+- :mod:`~repro.cluster.simulate` — the distributed schedule, written
+  once over one emitter per rank: :func:`cluster_fw` runs it (real
+  numerics + modeled clocks) and :func:`emit_cluster_ir` compiles it to
+  one IR per rank, so they agree by construction;
 - :mod:`~repro.cluster.verify` — :func:`verify_cluster`, proving the
   schedule race/deadlock-free across nodes, its per-link byte counts
   equal to the closed-form 2-D block-cyclic bounds, and its predicted
@@ -21,7 +21,6 @@ Entry point: ``python -m repro verify-cluster``.
 
 from repro.cluster.simulate import (
     ClusterResult,
-    Message,
     cluster_fw,
     default_block_size,
     emit_cluster_ir,
@@ -44,7 +43,6 @@ __all__ = [
     "ClusterResult",
     "ClusterSpec",
     "ClusterVerification",
-    "Message",
     "cluster_fw",
     "combine_cost",
     "default_block_size",

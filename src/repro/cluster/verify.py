@@ -18,11 +18,10 @@ executing anything:
   (:func:`repro.verifyplan.timing.predict_cluster_timing`) yielding the
   predicted makespan and network busy time.
 
-With ``graph`` provided (``dynamic=True`` path), the dynamic cluster
-simulator also runs and the verifier asserts the executed message trace
-matches the static schedule byte-for-byte per link and per collective,
-the simulated makespan equals the static prediction exactly, and the
-computed distances equal the reference Floyd–Warshall solve.
+With ``graph`` provided, the dynamic cluster simulator also runs the
+same schedule and the verifier asserts the simulated makespan equals the
+static prediction exactly and the computed distances equal the
+reference Floyd–Warshall solve.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ class ClusterVerification:
     def ok(self) -> bool:
         """Clean per-rank audits, ordered and matched in every
         interleaving, exact communication volumes, and (when run) a
-        dynamic trace agreeing with the static schedule."""
+        dynamic run agreeing with the static timing and the reference."""
         return (
             not self.findings
             and (self.hb is None or self.hb.ok)
@@ -164,8 +163,8 @@ def verify_cluster(
     ``n`` is the number of vertices; ``cluster`` fixes the node/device
     topology and interconnect model. Passing a ``graph`` (with
     ``graph.num_vertices == n``) additionally executes the dynamic
-    simulator and cross-validates its message trace, makespan, and
-    distances against the static proofs.
+    simulator and cross-validates its makespan and distances against the
+    static timing and a reference solve.
     """
     if graph is not None and graph.num_vertices != n:
         raise ValueError(
@@ -208,8 +207,7 @@ def verify_cluster(
                 )
             )
     ver.hb = analyze_cluster_hb(irs, node_names=cluster.node_names())
-    tally = analyze_comm(irs)
-    ver.comm = cluster_comm_checks(cluster, layout, tally)
+    ver.comm = cluster_comm_checks(cluster, layout, analyze_comm(irs))
     if timing:
         ver.timing = predict_cluster_timing(
             irs, cluster.device, link_of=cluster.link_of
@@ -223,10 +221,6 @@ def verify_cluster(
         result = cluster_fw(graph, cluster, block_size=block_size)
         reference = floyd_warshall(graph.to_dense(dtype=DIST_DTYPE))
         ver.cross_validation = {
-            "link_bytes_match": result.link_bytes == tally.link_bytes,
-            "kind_bytes_match": result.kind_bytes == tally.kind_bytes,
-            "num_messages_match": result.num_messages == tally.num_messages,
-            "kernels_match": result.num_kernels == ver.num_kernels,
             "makespan_exact": (
                 ver.timing is None or result.makespan == ver.timing.makespan
             ),

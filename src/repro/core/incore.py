@@ -22,7 +22,7 @@ from repro.core.minplus import DIST_DTYPE
 from repro.core.result import APSPResult
 from repro.core.tiling import HostStore
 from repro.gpu.device import Device, DeviceSpec
-from repro.gpu.kernels import fw_tile_cost
+from repro.gpu.executor import DeviceEmitter
 
 __all__ = ["fits_in_core", "incore_apsp"]
 
@@ -47,19 +47,23 @@ def incore_apsp(
     matrix does not fit — use the out-of-core drivers then). ``engine``
     overrides the process-wide kernel engine for the host-side FW."""
     n = graph.num_vertices
-    spec = device.spec
     if engine is None:
         from repro.core.engine import default_engine
 
         engine = default_engine()
     host = HostStore.from_graph(graph, mode=store_mode, directory=store_dir)
     device.reset_clock()
-    stream = device.default_stream
-    with device.memory.alloc((n, n), DIST_DTYPE, name="dist") as dist:
-        stream.copy_h2d(dist, host.data, pinned=True)
-        engine.fw_inplace(dist.data)
-        stream.launch("fw_incore", fw_tile_cost(spec, n), reads=(dist,), writes=(dist,))
-        stream.copy_d2h(host.data, dist, pinned=True)
+
+    def close(reads, writes, _):
+        engine.fw_inplace(writes[0])
+
+    ex = DeviceEmitter(device, host=lambda key: host.data, kernels={"fw_incore": close})
+    with device.memory.cleanup_on_error():
+        dist = ex.alloc("dist", (n, n))
+        ex.h2d(dist, key=("dist",))
+        ex.kernel("fw_incore", reads=(dist,), writes=(dist,))
+        ex.d2h(dist, key=("dist",))
+        ex.free(dist)
     elapsed = device.synchronize()
     host.flush()
 

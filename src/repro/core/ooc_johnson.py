@@ -20,7 +20,9 @@ Batch results stream back to the host store; with ``overlap=True`` the
 download of batch ``i`` overlaps the MSSP kernel of batch ``i+1`` via
 double-buffered output rows on a second stream. The schedule is written
 once (:func:`_johnson_schedule`): the driver runs it on the device and
-:func:`emit_johnson_ir` compiles it for the static verifier.
+:func:`emit_johnson_ir` compiles it for the static verifier. Its two
+building blocks, :func:`upload_csr` and :func:`mssp_batch`, also make up
+the query service's batches (:mod:`repro.serve.service`).
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from repro.core.tiling import HostStore
 from repro.faults.checkpoint import CheckpointError, open_checkpoint
 from repro.gpu.device import Device, DeviceSpec
 from repro.gpu.errors import OutOfMemoryError
-from repro.gpu.executor import DeviceEmitter
+from repro.gpu.executor import DeviceEmitter, Numerics
 from repro.gpu.kernels import MsspWorkload, mssp_batch_cost
-from repro.gpu.stream import Stream
 from repro.sssp.near_far import (
     DEFAULT_HEAVY_DEGREE,
     EDGES_PER_CHILD_BLOCK,
@@ -45,12 +46,15 @@ from repro.verifyplan.ir import IREmitter, Rect
 
 __all__ = [
     "collect_mssp_workloads",
+    "csr_host_array",
     "emit_johnson_ir",
     "graph_device_bytes",
+    "mssp_batch",
+    "mssp_numerics",
     "ooc_johnson",
     "plan_batch_size",
-    "run_mssp_batch",
     "sample_batch_sources",
+    "upload_csr",
 ]
 
 _ELEM = np.dtype(DIST_DTYPE).itemsize
@@ -105,46 +109,36 @@ def _workload(stats, dynamic_parallelism: bool) -> MsspWorkload:
     )
 
 
-def _near_far_rows(graph, sources, out_rows, *, delta, dynamic_parallelism,
-                   heavy_degree) -> MsspWorkload:
-    """Real Near-Far numerics of one MSSP batch into ``out_rows``."""
-    dist, stats = near_far_batch(
-        graph, sources, delta=delta, heavy_degree=heavy_degree
-    )
-    out_rows[...] = dist.astype(DIST_DTYPE, copy=False)
-    return _workload(stats, dynamic_parallelism)
-
-
-def run_mssp_batch(
+def mssp_numerics(
     graph,
-    device: Device,
-    stream: Stream,
-    sources: np.ndarray,
-    out_rows: np.ndarray,
+    spec: DeviceSpec,
     *,
     bat: int,
-    delta: float | None,
-    dynamic_parallelism: bool,
-    heavy_degree: int,
-    graph_buffers=(),
-) -> MsspWorkload:
-    """Execute one MSSP kernel: real Near-Far numerics into ``out_rows``
-    plus the modelled kernel time charged to ``stream``.
-
-    ``bat`` is the planned batch size (the kernel's grid size); the last
-    batch may carry fewer sources but still launches the same grid.
-    ``graph_buffers`` names the resident CSR device arrays the kernel
-    reads, for the schedule sanitizer.
+    delta: float | None = None,
+    dynamic_parallelism: bool = True,
+    heavy_degree: int = DEFAULT_HEAVY_DEGREE,
+    workloads: "list[MsspWorkload] | None" = None,
+) -> Numerics:
+    """Host numerics of one ``mssp`` kernel: real Near-Far rows of its
+    sources into the written buffer, priced by
+    :func:`~repro.gpu.kernels.mssp_batch_cost` for a grid of ``bat``
+    blocks (the last batch may carry fewer sources but launches the same
+    grid). Each batch's workload is appended to ``workloads`` when given.
     """
-    workload = _near_far_rows(
-        graph, sources, out_rows, delta=delta,
-        dynamic_parallelism=dynamic_parallelism, heavy_degree=heavy_degree,
-    )
-    cost = mssp_batch_cost(
-        device.spec, workload, bat, dynamic_parallelism=dynamic_parallelism
-    )
-    stream.launch("mssp", cost, reads=tuple(graph_buffers), writes=(out_rows,))
-    return workload
+
+    def mssp(reads, writes, sources) -> float:
+        dist, stats = near_far_batch(
+            graph, sources, delta=delta, heavy_degree=heavy_degree
+        )
+        writes[0][...] = dist.astype(DIST_DTYPE, copy=False)
+        workload = _workload(stats, dynamic_parallelism)
+        if workloads is not None:
+            workloads.append(workload)
+        return mssp_batch_cost(
+            spec, workload, bat, dynamic_parallelism=dynamic_parallelism
+        )
+
+    return mssp
 
 
 def ooc_johnson(
@@ -195,24 +189,17 @@ def ooc_johnson(
 
     workloads: list[MsspWorkload] = []
 
-    def mssp(reads, writes, sources):
-        workload = _near_far_rows(
-            graph, sources, writes[0], delta=delta,
-            dynamic_parallelism=dynamic_parallelism, heavy_degree=heavy_degree,
-        )
-        workloads.append(workload)
-        return mssp_batch_cost(
-            spec, workload, bat, dynamic_parallelism=dynamic_parallelism
-        )
-
     def host_data(key):
         if key[0] == "csr":
-            dtype = DIST_DTYPE if key[1] == "weights" else np.int32
-            return getattr(graph, key[1]).astype(dtype)
+            return csr_host_array(graph, key[1])
         if key[0] == "sources":
             return np.arange(key[1], key[2], dtype=np.int64)
         return host.rows(key[1], key[2])
 
+    mssp = mssp_numerics(
+        graph, spec, bat=bat, delta=delta, dynamic_parallelism=dynamic_parallelism,
+        heavy_degree=heavy_degree, workloads=workloads,
+    )
     ex = DeviceEmitter(device, host=host_data, kernels={"mssp": mssp})
     with device.memory.cleanup_on_error():
         for b in _johnson_schedule(
@@ -252,30 +239,21 @@ def ooc_johnson(
     )
 
 
-def _johnson_schedule(
-    em, graph, spec: DeviceSpec, bat: int, *, queue_factor: float, overlap: bool,
-    workloads: "list[MsspWorkload] | None" = None, dynamic_parallelism: bool = True,
-    start_batch: int = 0,
-):
-    """The batched MSSP pipeline of Algorithm 2 (see module docstring).
+def csr_host_array(graph, name: str) -> np.ndarray:
+    """Host side of the CSR upload key ``("csr", name)``: the graph array
+    in the device's element types (int32 indices, float32 weights)."""
+    dtype = DIST_DTYPE if name == "weights" else np.int32
+    return getattr(graph, name).astype(dtype)
 
-    Calls the emitter ``em`` op by op: the CSR uploads (charged at the
-    scaled device's sparse factor), the worklist allocation, and one
-    ``mssp`` launch plus row download per batch — with ``overlap=True``
-    the download runs async on ``johnson-copy`` behind ``mssp-done``/
-    ``rows-down`` event edges. Each ``mssp`` kernel is keyed by its source
-    range; with ``workloads`` (from :func:`collect_mssp_workloads`) it
-    also carries the modelled cost the run would charge. Yields each
-    finished batch index.
 
-    ``start_batch`` skips batches a checkpoint already covers; batches
-    are independent SSSP groups, so the resumed suffix replays the
-    identical schedule tail (elision indices stay absolute).
+def upload_csr(em, graph, spec: DeviceSpec) -> tuple:
+    """Allocate the device CSR graph and upload it, through ``em``.
+
+    The three buffers (int32 ``indptr``/``indices``, float32 ``weights``)
+    are charged at the scaled device's sparse factor; their copies are
+    keyed ``("csr", name)``. Returns ``(indptr, indices, weights)``.
     """
     n, m = graph.num_vertices, graph.num_edges
-    nbuf = 2 if overlap else 1
-    # Resident device state: the CSR graph, the per-instance worklists, and
-    # the output-row buffers.
     charge = spec.sparse_charge_factor
     indptr = em.alloc(
         "indptr", (n + 1,), dtype=np.int32,
@@ -292,20 +270,67 @@ def _johnson_schedule(
     if m:
         em.h2d(indices, key=("csr", "indices"))
         em.h2d(weights, key=("csr", "weights"))
+    return indptr, indices, weights
+
+
+def mssp_batch(em, graph, csr: tuple, rows, lo: int, hi: int, *,
+               cost: float | None = None, copier: str | None = None) -> None:
+    """One MSSP batch through ``em``: the ``mssp`` kernel over sources
+    ``[lo, hi)`` (key ``("sources", lo, hi)``) into the first ``hi - lo``
+    rows of ``rows``, then their download (key ``("rows", lo, hi)``).
+
+    The download is synchronous on the kernel's stream, or with a
+    ``copier`` stream asynchronous there behind an ``mssp-done`` event.
+    """
+    rect = Rect(0, hi - lo, 0, graph.num_vertices)
+    # empty graphs leave indices/weights unwritten — don't declare them read
+    reads = csr if graph.num_edges else csr[:1]
+    em.kernel(
+        "mssp", reads=reads, writes=((rows, rect),), cost=cost,
+        key=("sources", lo, hi),
+    )
+    if copier is None:
+        em.d2h(rows, rect, key=("rows", lo, hi))
+    else:
+        em.wait(em.record("mssp-done"), stream=copier)
+        em.d2h(rows, rect, key=("rows", lo, hi), stream=copier, sync=False)
+
+
+def _johnson_schedule(
+    em, graph, spec: DeviceSpec, bat: int, *, queue_factor: float, overlap: bool,
+    workloads: "list[MsspWorkload] | None" = None, dynamic_parallelism: bool = True,
+    start_batch: int = 0,
+):
+    """The batched MSSP pipeline of Algorithm 2 (see module docstring).
+
+    Calls the emitter ``em`` op by op: the CSR upload (:func:`upload_csr`),
+    the worklist allocation, and one :func:`mssp_batch` per batch — with
+    ``overlap=True`` the download runs async on ``johnson-copy`` behind
+    ``mssp-done``/``rows-down`` event edges. With ``workloads`` (from
+    :func:`collect_mssp_workloads`) each ``mssp`` kernel also carries the
+    modelled cost the run would charge. Yields each finished batch index.
+
+    ``start_batch`` skips batches a checkpoint already covers; batches
+    are independent SSSP groups, so the resumed suffix replays the
+    identical schedule tail (elision indices stay absolute).
+    """
+    n, m = graph.num_vertices, graph.num_edges
+    nbuf = 2 if overlap else 1
+    # Resident device state: the CSR graph, the per-instance worklists, and
+    # the output-row buffers.
+    charge = spec.sparse_charge_factor
+    csr = upload_csr(em, graph, spec)
     queues = em.alloc("queues", (max(1, int(bat * queue_factor * m * charge)),))
     row_bufs = [
         em.alloc(f"rows{p}", (bat, n), charged_bytes=int(bat * n * _ELEM * charge) + 1)
         for p in range(nbuf)
     ]
-    # empty graphs leave indices/weights unwritten — don't declare them read
-    csr_arrays = (indptr, indices, weights) if m else (indptr,)
     num_batches = (n + bat - 1) // bat
-    copier = "johnson-copy" if overlap else "default"
+    copier = "johnson-copy" if overlap else None
     down_events: list = [None] * nbuf
     for b in range(start_batch, num_batches):
         lo, hi = b * bat, min((b + 1) * bat, n)
         p = b % nbuf
-        rect = Rect(0, hi - lo, 0, n)
         cost = None
         if workloads is not None:
             cost = mssp_batch_cost(
@@ -313,21 +338,13 @@ def _johnson_schedule(
             )
         if down_events[p] is not None:
             em.wait(down_events[p])  # rows buffer still draining
-        em.kernel(
-            "mssp", reads=csr_arrays, writes=((row_bufs[p], rect),), cost=cost,
-            key=("sources", lo, hi),
-        )
-        if overlap:
-            em.wait(em.record("mssp-done"), stream=copier)
-            em.d2h(row_bufs[p], rect, key=("rows", lo, hi), stream=copier, sync=False)
-            if b + nbuf < num_batches:
-                # Trailing drains have no future consumer; recording an
-                # event nobody waits on would trip the dead-event check.
-                down_events[p] = em.record("rows-down", stream=copier)
-        else:
-            em.d2h(row_bufs[p], rect, key=("rows", lo, hi))
+        mssp_batch(em, graph, csr, row_bufs[p], lo, hi, cost=cost, copier=copier)
+        if copier is not None and b + nbuf < num_batches:
+            # Trailing drains have no future consumer; recording an
+            # event nobody waits on would trip the dead-event check.
+            down_events[p] = em.record("rows-down", stream=copier)
         yield b
-    for buf in [indptr, indices, weights, queues, *row_bufs]:
+    for buf in [*csr, queues, *row_bufs]:
         em.free(buf)
 
 

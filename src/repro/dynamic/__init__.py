@@ -3,8 +3,8 @@
 The patch engine (:mod:`repro.dynamic.patch`) applies batched edge
 mutations to a solved distance matrix — rank-1 min-plus sweeps for
 decreases, SSSP affected-region recomputation for increases — through
-one canonical op generator mirrored into a symbolic
-:class:`~repro.verifyplan.ir.PlanIR`. The static proof layer lives in
+one schedule per pass, run on a simulated device and compiled to a
+symbolic :class:`~repro.verifyplan.ir.PlanIR`. The static proof layer lives in
 :mod:`repro.verifyplan.updatebounds` and the ``repro verify-update``
 driver in :mod:`repro.dynamic.verify`; :mod:`repro.dynamic.cache`
 revalidates content-hash keyed closure caches instead of discarding
@@ -17,14 +17,10 @@ from repro.dynamic.patch import (
     DynamicAPSP,
     EdgeUpdate,
     PatchPass,
-    TransferRecord,
     UpdatePlan,
     UpdateResult,
     apply_edge_updates,
-    emit_ops_ir,
     emit_update_ir,
-    trace_tally,
-    update_ops,
 )
 from repro.dynamic.verify import (
     DEFAULT_UPDATE_CONFIGS,
@@ -42,16 +38,12 @@ __all__ = [
     "DynamicAPSP",
     "EdgeUpdate",
     "PatchPass",
-    "TransferRecord",
     "UpdateAudit",
     "UpdatePlan",
     "UpdateResult",
     "UpdateVerification",
     "apply_edge_updates",
-    "emit_ops_ir",
     "emit_update_ir",
     "seed_defect",
-    "trace_tally",
-    "update_ops",
     "verify_update",
 ]

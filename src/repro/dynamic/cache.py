@@ -1,11 +1,12 @@
 """Content-hash keyed distance-closure cache with incremental revalidation.
 
 A solved closure is expensive; a :class:`DistanceCache` keys each one by
-its graph's content hash (:func:`repro.faults.checkpoint.graph_fingerprint`)
-in a per-fingerprint :class:`~repro.faults.checkpoint.CheckpointStore`
-subdirectory. A graph mutation rotates the fingerprint, so stale entries
-can never be served for the wrong graph — the store's own ``bind``
-validation refuses a directory written for a different fingerprint.
+its graph's content hash (:func:`repro.faults.checkpoint.graph_fingerprint`,
+which the caller computes once and holds) in a per-fingerprint
+:class:`~repro.faults.checkpoint.CheckpointStore` subdirectory. A graph
+mutation rotates the fingerprint, so stale entries can never be served
+for the wrong graph — the store's own ``bind`` validation refuses a
+directory written for a different fingerprint.
 
 Instead of discarding the old entry on mutation, :meth:`revalidate`
 *patches* it through :class:`~repro.dynamic.patch.DynamicAPSP` and
@@ -22,7 +23,8 @@ import numpy as np
 
 from repro.core.engine import DIST_DTYPE, KernelEngine
 from repro.dynamic.patch import DynamicAPSP, EdgeUpdate, UpdateResult
-from repro.faults.checkpoint import CheckpointError, CheckpointStore, graph_fingerprint
+from repro.faults.checkpoint import CheckpointError, CheckpointStore
+from repro.gpu.device import DeviceSpec
 from repro.graphs.csr import CSRGraph
 
 __all__ = ["DistanceCache"]
@@ -44,19 +46,23 @@ class DistanceCache:
         store.bind(algorithm=_ALGORITHM, fingerprint=fingerprint)
         return store
 
-    def store(self, graph: CSRGraph, dist: np.ndarray) -> Path:
-        """File ``dist`` as the closure of ``graph`` (by content hash)."""
+    def store(self, fingerprint: str, dist: np.ndarray) -> Path:
+        """File ``dist`` as the closure of the graph with ``fingerprint``."""
         dist = np.ascontiguousarray(dist, dtype=DIST_DTYPE)
-        return self._store(graph_fingerprint(graph)).save("dist", dist=dist)
+        return self._store(fingerprint).save("dist", dist=dist)
 
-    def lookup(self, graph: CSRGraph) -> np.ndarray | None:
-        """The cached closure of exactly this graph, or ``None``.
+    def has(self, fingerprint: str) -> bool:
+        """Whether a closure is filed under ``fingerprint``, without
+        reading it. A foreign entry raises like :meth:`lookup`."""
+        return self._subdir(fingerprint).exists() and self._store(fingerprint).has("dist")
+
+    def lookup(self, fingerprint: str) -> np.ndarray | None:
+        """The closure filed under ``fingerprint``, or ``None``.
 
         Raises :class:`~repro.faults.checkpoint.CheckpointError` if the
         entry's metadata names a different graph or algorithm (a stale or
         foreign checkpoint is refused, never returned).
         """
-        fingerprint = graph_fingerprint(graph)
         if not self._subdir(fingerprint).exists():
             return None
         data = self._store(fingerprint).load("dist")
@@ -65,26 +71,31 @@ class DistanceCache:
     def revalidate(
         self,
         graph: CSRGraph,
+        fingerprint: str,
         updates: Sequence[EdgeUpdate],
         *,
+        spec: DeviceSpec,
         engine: KernelEngine | None = None,
         block_size: int | None = None,
     ) -> tuple[CSRGraph, np.ndarray, UpdateResult]:
-        """Patch the cached closure of ``graph`` under ``updates`` and
-        re-file it under the mutated graph's fingerprint.
+        """Patch the cached closure of ``graph`` (filed under its
+        ``fingerprint``) under ``updates``, its passes on a ``spec``
+        device, and re-file it under the mutated graph's fingerprint.
 
-        Returns ``(new_graph, new_dist, result)``. Raises
-        :class:`~repro.faults.checkpoint.CheckpointError` when no entry
-        for ``graph`` exists — revalidation never solves from scratch.
+        Loads the closure once. Returns ``(new_graph, new_dist, result)``.
+        Raises :class:`~repro.faults.checkpoint.CheckpointError` when no
+        entry exists — revalidation never solves from scratch — and
+        ``ValueError`` when ``fingerprint`` is not ``graph``'s.
         """
-        dist = self.lookup(graph)
+        dist = self.lookup(fingerprint)
         if dist is None:
             raise CheckpointError(
-                "no cached closure to revalidate for graph "
-                f"{graph_fingerprint(graph)[:12]}",
+                f"no cached closure to revalidate for graph {fingerprint[:12]}",
                 path=self.directory,
             )
-        apsp = DynamicAPSP(graph, dist, engine=engine, block_size=block_size)
+        apsp = DynamicAPSP(graph, dist, spec=spec, engine=engine, block_size=block_size)
         result = apsp.apply(updates)
-        self.store(apsp.graph, apsp.dist)
+        if result.old_fingerprint != fingerprint:
+            raise ValueError("fingerprint does not name the graph being revalidated")
+        self.store(result.new_fingerprint, apsp.dist)
         return apsp.graph, apsp.dist, result

@@ -4,15 +4,12 @@ For every sweep configuration this driver replays a scripted sequence of
 edge-update batches through :class:`~repro.dynamic.patch.DynamicAPSP`
 and, for **every** emitted patch pass:
 
-* audits the static :class:`~repro.verifyplan.ir.PlanIR` mirror
-  (residency/def-use/redundancy via
+* audits the :class:`~repro.verifyplan.ir.PlanIR` of the schedule the
+  pass ran (residency/def-use/redundancy via
   :func:`~repro.verifyplan.analyze.audit_ir`);
 * proves the closed-form transfer bounds of
-  :mod:`repro.verifyplan.updatebounds` equal — byte for byte — both the
-  IR tally and the dynamic transfer trace, with the O(n²) asymptotic
-  gates;
-* proves the per-host-key transfer maps of trace and IR identical (the
-  canonical-generator discipline, cross-checked);
+  :mod:`repro.verifyplan.updatebounds` equal — byte for byte — the IR
+  tally, with the O(n²) asymptotic gates;
 * runs the happens-before model checker over the two-stream sweep;
 * runs the patch-soundness checker against the measured changed-block
   set.
@@ -20,7 +17,7 @@ and, for **every** emitted patch pass:
 After each batch the patched matrix is compared bit-for-bit against a
 full re-solve of the mutated graph, and one cache-revalidation leg
 exercises :class:`~repro.dynamic.cache.DistanceCache` end to end.
-Finally the seeded-defect suite corrupts the op stream three ways —
+Finally the seeded-defect suite corrupts the emitted IR three ways —
 shrunken affected region, dropped writeback, stale pivot panel — and
 requires each defect caught *statically* with block attribution.
 """
@@ -28,7 +25,7 @@ requires each defect caught *statically* with block attribution.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -39,13 +36,9 @@ from repro.dynamic.cache import DistanceCache
 from repro.dynamic.patch import (
     DynamicAPSP,
     EdgeUpdate,
-    OpDict,
     PatchPass,
     UpdatePlan,
-    emit_ops_ir,
     emit_update_ir,
-    trace_tally,
-    update_ops,
 )
 from repro.faults.checkpoint import CheckpointError, CheckpointStore, graph_fingerprint
 from repro.gpu.device import TEST_DEVICE, DeviceSpec
@@ -53,10 +46,10 @@ from repro.graphs.csr import CSRGraph
 from repro.verifyplan.analyze import PlanFinding, audit_ir
 from repro.verifyplan.bounds import BoundCheck
 from repro.verifyplan.hb import HBReport, analyze_hb
+from repro.verifyplan.ir import AllocOp, CopyOp, FreeOp, KernelOp, PlanIR, RecordOp, WaitOp
 from repro.verifyplan.updatebounds import (
     SoundnessFinding,
     check_patch_soundness,
-    ir_transfer_maps,
     update_bound_checks,
 )
 
@@ -116,67 +109,65 @@ def _update_script(graph: CSRGraph, seed: int) -> list[list[EdgeUpdate]]:
 
 
 # ---------------------------------------------------------------------------
-# seeded defects: controlled corruptions of the canonical op stream
+# seeded defects: controlled corruptions of the emitted schedule
 # ---------------------------------------------------------------------------
 DEFECT_NAMES = ("shrunken-region", "dropped-writeback", "stale-pivot-panel")
 
 
 def seed_defect(
-    ops: Sequence[OpDict],
+    ir: PlanIR,
     defect: str,
     plan: UpdatePlan,
     block: tuple[int, int],
-) -> list[OpDict]:
-    """Corrupt an op stream the way a buggy incremental driver would.
+) -> PlanIR:
+    """Corrupt a pass's IR the way a buggy incremental driver would, by
+    dropping or moving its ops.
 
     ``block`` targets the corruption (for ``shrunken-region`` and
     ``dropped-writeback``: the block whose coverage/writeback is lost).
     """
-    out = list(ops)
+    ops = list(ir.ops)
     i, j = block
     if defect == "shrunken-region":
+        keys: set[tuple]
         if plan.kind == "decrease":
-            drop_events = {f"up:{i}:{j}", f"done:{i}:{j}"}
-
-            def dropped(op: OpDict) -> bool:
-                if op.get("key") == ("A", i, j):
-                    return True
-                if op.get("event") in drop_events:
-                    return True
-                return op.get("block") == (i, j)
-
+            keys = {("A", i, j), ("block", i, j)}
+            events = {f"up:{i}:{j}", f"done:{i}:{j}"}
+            buffers: set[int] = set()
         else:
-            buf = f"rows{i}"
+            keys = {("rows", i), ("sources", i)}
+            events = {f"rows-done:{i}"}
+            buffers = {b.id for b in ir.buffers.values() if b.name == f"rows{i}"}
+        event_ids = {op.event for op in ops if isinstance(op, RecordOp) and op.name in events}
 
-            def dropped(op: OpDict) -> bool:
-                if op.get("buf") == buf or op.get("key") == ("rows", i):
-                    return True
-                if op.get("event") == f"rows-done:{i}":
-                    return True
-                return op.get("block_row") == i
+        def dropped(op) -> bool:
+            if isinstance(op, (CopyOp, KernelOp)):
+                return op.key in keys
+            if isinstance(op, (AllocOp, FreeOp)):
+                return op.buffer in buffers
+            return isinstance(op, (RecordOp, WaitOp)) and op.event in event_ids
 
-        return [op for op in out if not dropped(op)]
+        return replace(ir, ops=tuple(op for op in ops if not dropped(op)))
     if defect == "dropped-writeback":
         key = ("A", i, j) if plan.kind == "decrease" else ("rows", i)
-        for pos, op in enumerate(out):
-            if op["kind"] == "d2h" and op.get("key") == key:
-                del out[pos]
-                return out
+        for pos, op in enumerate(ops):
+            if isinstance(op, CopyOp) and op.kind == "d2h" and op.key == key:
+                del ops[pos]
+                return replace(ir, ops=tuple(ops))
         raise ValueError(f"no writeback for {key} to drop")
     if defect == "stale-pivot-panel":
         if plan.kind != "decrease":
             raise ValueError("stale-pivot-panel only applies to decrease sweeps")
-        fold = next(
-            pos for pos, op in enumerate(out)
-            if op["kind"] == "kernel" and op["name"] == "fold_panel"
-        )
-        op = out.pop(fold)
-        last_patch = max(
-            pos for pos, o in enumerate(out)
-            if o["kind"] == "kernel" and o["name"] == "rank1_patch"
-        )
-        out.insert(last_patch + 1, op)
-        return out
+
+        def kernel_positions(name: str) -> list[int]:
+            return [
+                pos for pos, op in enumerate(ops)
+                if isinstance(op, KernelOp) and op.name == name
+            ]
+
+        fold = ops.pop(kernel_positions("fold_panel")[0])
+        ops.insert(kernel_positions("rank1_patch")[-1] + 1, fold)
+        return replace(ir, ops=tuple(ops))
     raise ValueError(f"unknown defect {defect!r}")
 
 
@@ -220,7 +211,6 @@ class UpdateAudit:
     bounds: list[BoundCheck] = field(default_factory=list)
     soundness: list[SoundnessFinding] = field(default_factory=list)
     hb: HBReport | None = None
-    trace_match: bool = False
 
     @property
     def verified(self) -> bool:
@@ -229,7 +219,6 @@ class UpdateAudit:
             and not self.soundness
             and all(c.ok for c in self.bounds)
             and (self.hb is None or self.hb.ok)
-            and self.trace_match
             and self.peak_bytes <= self.capacity
         )
 
@@ -253,7 +242,6 @@ class UpdateAudit:
             "bounds": {c.name: c.ok for c in self.bounds},
             "soundness": [s.describe() for s in self.soundness],
             "hb_ok": None if self.hb is None else self.hb.ok,
-            "trace_match": self.trace_match,
             "verified": self.verified,
         }
 
@@ -265,9 +253,7 @@ def audit_pass(
     plan = patch.plan
     ir = emit_update_ir(plan, spec)
     peak, tally, findings = audit_ir(ir)
-    dyn = trace_tally(patch.trace)
-    ir_h2d, ir_d2h = ir_transfer_maps(ir)
-    audit = UpdateAudit(
+    return UpdateAudit(
         config=config,
         batch=batch,
         kind=plan.kind,
@@ -283,20 +269,10 @@ def audit_pass(
         num_h2d=tally.num_h2d,
         num_d2h=tally.num_d2h,
         findings=list(findings),
+        bounds=update_bound_checks(plan, tally),
+        soundness=check_patch_soundness(plan, ir, patch.changed_blocks),
+        hb=analyze_hb(ir),
     )
-    ir_tally = {
-        "bytes_h2d": tally.bytes_h2d,
-        "bytes_d2h": tally.bytes_d2h,
-        "num_h2d": tally.num_h2d,
-        "num_d2h": tally.num_d2h,
-    }
-    audit.bounds = update_bound_checks(plan, ir_tally, dyn)
-    audit.soundness = check_patch_soundness(plan, ir, patch.changed_blocks)
-    audit.hb = analyze_hb(ir)
-    audit.trace_match = (
-        ir_h2d == dyn["h2d_by_key"] and ir_d2h == dyn["d2h_by_key"]
-    )
-    return audit
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +320,6 @@ class UpdateVerification:
                 lines.append(f"    soundness {sound.describe()}")
             if audit.hb is not None and not audit.hb.ok:
                 lines.append("    happens-before FAILED")
-            if not audit.trace_match:
-                lines.append("    trace/IR per-key transfer maps diverge")
         for defect in self.defects:
             lines.append(f"  {defect.describe()}")
         for name, match in sorted(self.differential.items()):
@@ -379,8 +353,8 @@ class UpdateVerification:
 def _defect_checks(
     config: str, patch: PatchPass, spec: DeviceSpec
 ) -> list[DefectCheck]:
-    """Seed the three defects into one pass's op stream and require each
-    caught statically with the right block attribution."""
+    """Seed the three defects into one pass's IR and require each caught
+    statically with the right block attribution."""
     plan = patch.plan
     checks: list[DefectCheck] = []
     target = max(patch.changed_blocks) if patch.changed_blocks else (0, 0)
@@ -388,18 +362,10 @@ def _defect_checks(
     if plan.kind == "decrease":
         defects.append("stale-pivot-panel")
     for name in defects:
-        ops = seed_defect(list(update_ops(plan)), name, plan, target)
-        ir = emit_ops_ir(ops, plan, spec)
+        ir = seed_defect(emit_update_ir(plan, spec), name, plan, target)
         findings = check_patch_soundness(plan, ir, patch.changed_blocks)
         _peak, tally, _plan_findings = audit_ir(ir)
-        ir_tally = {
-            "bytes_h2d": tally.bytes_h2d,
-            "bytes_d2h": tally.bytes_d2h,
-            "num_h2d": tally.num_h2d,
-            "num_d2h": tally.num_d2h,
-        }
-        bounds = update_bound_checks(plan, ir_tally, trace_tally(patch.trace))
-        bounds_caught = any(not c.ok for c in bounds)
+        bounds_caught = any(not c.ok for c in update_bound_checks(plan, tally))
         if name == "stale-pivot-panel":
             hits = [f for f in findings if f.kind == "stale-pivot-panel"]
             caught = bool(hits)
@@ -438,24 +404,25 @@ def _defect_checks(
 def _revalidation_checks(
     graph: CSRGraph,
     block_size: int,
+    spec: DeviceSpec,
     engine: KernelEngine,
 ) -> dict[str, bool]:
     """One end-to-end :class:`DistanceCache` leg: rotate, refuse, reuse."""
     checks: dict[str, bool] = {}
     src, dst, w = graph.edge_array()
     updates = [EdgeUpdate(int(src[0]), int(dst[0]), max(0.0, float(w[0]) // 2))]
+    fingerprint = graph_fingerprint(graph)
     with tempfile.TemporaryDirectory(prefix="repro-dyncache-") as tmp:
         cache = DistanceCache(tmp)
-        apsp = DynamicAPSP(graph, engine=engine, block_size=block_size)
-        baseline = apsp.dist.copy()
-        cache.store(graph, baseline)
-        new_graph, new_dist, _result = cache.revalidate(
-            graph, updates, engine=engine, block_size=block_size
+        apsp = DynamicAPSP(graph, spec=spec, engine=engine, block_size=block_size)
+        cache.store(fingerprint, apsp.dist.copy())
+        new_graph, new_dist, result = cache.revalidate(
+            graph, fingerprint, updates, spec=spec, engine=engine, block_size=block_size
         )
         # content-hash key rotated with the mutation
-        checks["fingerprint-rotates"] = graph_fingerprint(new_graph) != graph_fingerprint(graph)
+        checks["fingerprint-rotates"] = graph_fingerprint(new_graph) != fingerprint
         # revalidated entry is served for the new graph, bit-identically
-        reloaded = cache.lookup(new_graph)
+        reloaded = cache.lookup(result.new_fingerprint)
         checks["revalidated-entry-reused"] = (
             reloaded is not None and np.array_equal(reloaded, new_dist)
         )
@@ -464,8 +431,8 @@ def _revalidation_checks(
         checks["revalidated-bit-identical"] = np.array_equal(new_dist, resolved)
         # a store bound to another graph's fingerprint is refused
         try:
-            CheckpointStore(cache._subdir(graph_fingerprint(graph))).bind(
-                algorithm="dynamic-dist", fingerprint=graph_fingerprint(new_graph)
+            CheckpointStore(cache._subdir(fingerprint)).bind(
+                algorithm="dynamic-dist", fingerprint=result.new_fingerprint
             )
             checks["stale-checkpoint-refused"] = False
         except CheckpointError:
@@ -488,7 +455,7 @@ def verify_update(
         graph = _build_graph(cfg)
         n = graph.num_vertices
         block_size = -(-n // int(cfg["nd"]))
-        apsp = DynamicAPSP(graph, engine=engine, block_size=block_size)
+        apsp = DynamicAPSP(graph, spec=spec, engine=engine, block_size=block_size)
         differential = True
         for batch_no, batch in enumerate(_update_script(graph, cfg["seed"])):
             result = apsp.apply(batch)
@@ -507,6 +474,6 @@ def verify_update(
     first = configs[0]
     graph = _build_graph(first)
     ver.revalidation = _revalidation_checks(
-        graph, -(-graph.num_vertices // int(first["nd"])), engine
+        graph, -(-graph.num_vertices // int(first["nd"])), spec, engine
     )
     return ver

@@ -24,11 +24,6 @@ RPR004  mutable-default      no mutable default arguments (list/dict/set
                              displays or constructor calls)
 RPR005  missing-all          public modules that define public top-level names
                              must declare ``__all__``
-RPR006  untracked-launch     ``stream.launch(...)`` must declare its operand
-                             contract via ``reads=`` and ``writes=`` keywords —
-                             a launch without them is invisible to both the
-                             dynamic schedule sanitizer and the static plan
-                             verifier's def/use analysis
 RPR007  dead-event           a ``.record(...)`` whose event no reachable
                              ``.wait(...)`` in the module consumes orders
                              nothing: either leftover scaffolding or a dropped
@@ -81,7 +76,6 @@ RULES: dict[str, tuple[str, str]] = {
     "RPR003": ("wall-clock-bench", "time.time() used in bench/ (use time.perf_counter)"),
     "RPR004": ("mutable-default", "mutable default argument"),
     "RPR005": ("missing-all", "public module defines public names but no __all__"),
-    "RPR006": ("untracked-launch", "stream.launch() without reads=/writes= operand sets"),
     "RPR007": ("dead-event", "record() whose event no reachable wait() consumes"),
     "RPR008": ("ffi-contract", "CDLL function used without declared argtypes/restype"),
     "RPR009": ("unchecked-ndarray-ffi", "ndarray pointer reaches C without dtype/contiguity guard"),
@@ -208,18 +202,6 @@ class _Checker(ast.NodeVisitor):
                         f"float64 array constructed inline at {callee}() call "
                         "site; pass dtype=DIST_DTYPE (float32) so the operand "
                         "stays on the fast path",
-                    )
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "launch":
-            kw_names = {kw.arg for kw in node.keywords}
-            # a **kwargs splat (arg is None) may carry the operand sets
-            if None not in kw_names:
-                missing = [k for k in ("reads", "writes") if k not in kw_names]
-                if missing:
-                    self._flag(
-                        "RPR006", node,
-                        f"launch() without {'/'.join(f'{k}=' for k in missing)}"
-                        " operand set(s); declare what the kernel touches so "
-                        "the sanitizer and plan verifier can track it",
                     )
         func = node.func
         if (

@@ -23,14 +23,17 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.core.engine import DIST_DTYPE
 from repro.dynamic.cache import DistanceCache
 from repro.dynamic.patch import EdgeUpdate, UpdateResult
-from repro.faults.checkpoint import graph_fingerprint
 from repro.graphs.csr import CSRGraph
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.gpu.device import DeviceSpec
 
 __all__ = ["CacheStats", "ClosureCache"]
 
@@ -131,15 +134,14 @@ class ClosureCache:
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
-    def contains(self, graph: CSRGraph) -> bool:
-        """Whether either tier holds the closure of ``graph``, without
-        counting a hit or miss (admission pricing peeks, it does not read)."""
-        if graph_fingerprint(graph) in self._resident:
-            return True
-        return self.disk.lookup(graph) is not None
+    def contains(self, fingerprint: str) -> bool:
+        """Whether either tier holds the closure filed under
+        ``fingerprint``, without reading it or counting a hit or miss
+        (admission pricing peeks, it does not read)."""
+        return fingerprint in self._resident or self.disk.has(fingerprint)
 
-    def get(self, graph: CSRGraph) -> "np.ndarray | None":
-        """The cached closure of exactly this graph, or ``None``.
+    def get(self, fingerprint: str) -> "np.ndarray | None":
+        """The closure filed under ``fingerprint``, or ``None``.
 
         RAM tier first; a disk hit is promoted into RAM (possibly evicting
         the least-recently-used residency). A directory written for a
@@ -147,13 +149,12 @@ class ClosureCache:
         :class:`~repro.faults.checkpoint.CheckpointError` — a stale entry
         is refused, never served.
         """
-        fingerprint = graph_fingerprint(graph)
         entry = self._resident.get(fingerprint)
         if entry is not None:
             self._resident.move_to_end(fingerprint)
             self.stats.ram_hits += 1
             return entry.dist
-        dist = self.disk.lookup(graph)
+        dist = self.disk.lookup(fingerprint)
         if dist is None:
             self.stats.misses += 1
             return None
@@ -161,15 +162,12 @@ class ClosureCache:
         self._admit(fingerprint, dist)
         return dist
 
-    def put(self, graph: CSRGraph, dist: np.ndarray) -> str:
-        """File ``dist`` as the closure of ``graph``; returns the fingerprint."""
-        fingerprint = graph_fingerprint(graph)
-        self.disk.store(graph, dist)
-        stored = self.disk.lookup(graph)
-        assert stored is not None
-        self._admit(fingerprint, stored)
+    def put(self, fingerprint: str, dist: np.ndarray) -> None:
+        """File a copy of ``dist`` as the closure under ``fingerprint``."""
+        dist = np.array(dist, dtype=DIST_DTYPE)
+        self.disk.store(fingerprint, dist)
+        self._admit(fingerprint, dist)
         self.stats.stores += 1
-        return fingerprint
 
     # ------------------------------------------------------------------
     # Mutation: patch-forward revalidation
@@ -177,26 +175,31 @@ class ClosureCache:
     def revalidate(
         self,
         graph: CSRGraph,
+        fingerprint: str,
         updates: Sequence[EdgeUpdate],
+        *,
+        spec: "DeviceSpec",
     ) -> "tuple[CSRGraph, np.ndarray, UpdateResult] | None":
-        """Patch the cached closure of ``graph`` under ``updates`` and file
-        it under the mutated fingerprint.
+        """Patch the cached closure of ``graph`` (filed under its
+        ``fingerprint``) under ``updates`` on a ``spec`` device and file it
+        under the mutated fingerprint.
 
         Returns ``(new_graph, new_dist, result)`` on a hit; ``None`` when
         no closure of ``graph`` is cached (a revalidation *miss* — the
         service just proceeds uncached; nothing stale survives because the
         old entry stays keyed to the old fingerprint).
         """
-        old_fingerprint = graph_fingerprint(graph)
         # a foreign/stale bind must propagate as CheckpointError — only a
         # genuinely absent entry counts as a revalidation miss
-        if self.disk.lookup(graph) is None:
+        if not self.disk.has(fingerprint):
             self.stats.revalidate_misses += 1
-            self.drop(old_fingerprint)
+            self.drop(fingerprint)
             return None
-        new_graph, new_dist, result = self.disk.revalidate(graph, updates)
+        new_graph, new_dist, result = self.disk.revalidate(
+            graph, fingerprint, updates, spec=spec
+        )
         self.stats.revalidate_hits += 1
         self.stats.stores += 1
-        self.drop(old_fingerprint)
-        self._admit(graph_fingerprint(new_graph), new_dist)
+        self.drop(fingerprint)
+        self._admit(result.new_fingerprint, new_dist)
         return new_graph, new_dist, result

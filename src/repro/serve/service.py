@@ -6,9 +6,13 @@ modeled-clock engine:
 * **batching** — pending point/SSSP queries coalesce (keyed dedup, see
   :mod:`repro.serve.batcher`) into MSSP batches sized by the paper's
   ``bat = (L − S)/(c·m)`` formula and run on a persistent simulated
-  device exactly the way :func:`repro.core.ooc_johnson.ooc_johnson`
-  runs its batches — resident CSR, worklist charge, real Near-Far
-  numerics, modelled kernel cost;
+  device through :class:`~repro.gpu.executor.DeviceEmitter`, built from
+  the same emitter helpers as
+  :func:`repro.core.ooc_johnson.ooc_johnson`'s schedule — a resident CSR
+  (:func:`~repro.core.ooc_johnson.upload_csr`, once per graph version),
+  then per batch a worklist and row buffer around one
+  :func:`~repro.core.ooc_johnson.mssp_batch` (real Near-Far numerics,
+  modelled kernel cost, synchronous download);
 * **caching** — full closures live in the
   :class:`~repro.serve.cache.ClosureCache` (fingerprint-keyed
   ``DistanceCache`` disk tier + budgeted RAM LRU); hot SSSP rows live in
@@ -34,7 +38,6 @@ are free. Latency numbers are therefore machine-independent — the bench
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -45,19 +48,22 @@ from repro.core.api import solve_apsp
 from repro.core.minplus import DIST_DTYPE
 from repro.core.ooc_johnson import (
     DEFAULT_QUEUE_FACTOR,
+    csr_host_array,
     graph_device_bytes,
+    mssp_batch,
+    mssp_numerics,
     plan_batch_size,
-    run_mssp_batch,
+    upload_csr,
 )
-from repro.dynamic.patch import EdgeUpdate, apply_edge_updates
+from repro.dynamic.patch import EdgeUpdate, _canonical_changes, apply_edge_updates
 from repro.faults.checkpoint import graph_fingerprint
 from repro.gpu.device import V100, Device, DeviceSpec
+from repro.gpu.executor import DeviceEmitter
 from repro.graphs.csr import CSRGraph
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import SourceBatch, coalesce
 from repro.serve.cache import DEFAULT_MEMORY_BUDGET, ClosureCache
 from repro.serve.request import Query, Response, Ticket
-from repro.sssp.near_far import DEFAULT_HEAVY_DEGREE
 
 __all__ = ["APSPService", "DEFAULT_ROW_BUDGET"]
 
@@ -65,25 +71,24 @@ __all__ = ["APSPService", "DEFAULT_ROW_BUDGET"]
 DEFAULT_ROW_BUDGET = 256
 
 
-def _canonical_changes(
-    graph: CSRGraph, updates: Sequence[EdgeUpdate]
-) -> dict[tuple[int, int], float]:
-    """Validate and dedupe updates (last wins) — the same contract
-    :meth:`repro.dynamic.patch.DynamicAPSP.apply` enforces, applied here so
-    the cache-miss mutation path rejects the same inputs the patch path
-    would."""
-    n = graph.num_vertices
-    changes: dict[tuple[int, int], float] = {}
-    for upd in updates:
-        u, v, w = int(upd.u), int(upd.v), float(upd.weight)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise ValueError("self-loop updates carry no APSP information")
-        if math.isnan(w) or w < 0:
-            raise ValueError(f"edge weight must be >= 0 or inf, got {w}")
-        changes[(u, v)] = w
-    return changes
+def _batch_schedule(em, graph: CSRGraph, spec: DeviceSpec, csr: tuple, bat: int,
+                    num_sources: int, *, queue_factor: float) -> None:
+    """One service batch through ``em``, against the resident ``csr``:
+    the worklists and a ``bat``-row output buffer around one
+    :func:`~repro.core.ooc_johnson.mssp_batch` over the batch's
+    ``num_sources`` sources (keys ``("sources", 0, num_sources)`` and
+    ``("rows", 0, num_sources)``). Allocations and copies are fault
+    sites, so this order is part of the fault-plan contract."""
+    n, m = graph.num_vertices, graph.num_edges
+    charge = spec.sparse_charge_factor
+    queues = em.alloc("queues", (max(1, int(bat * queue_factor * m * charge)),))
+    rows = em.alloc(
+        "rows", (bat, n),
+        charged_bytes=int(bat * n * np.dtype(DIST_DTYPE).itemsize * charge) + 1,
+    )
+    mssp_batch(em, graph, csr, rows, 0, num_sources)
+    em.free(queues)
+    em.free(rows)
 
 
 class APSPService:
@@ -164,7 +169,7 @@ class APSPService:
         return ticket
 
     def _is_cached(self, query: Query) -> bool:
-        if self.cache is not None and self.cache.contains(self.graph):
+        if self.cache is not None and self.cache.contains(self.fingerprint):
             return True
         return query.needs_row and (self.fingerprint, query.source) in self._rows
 
@@ -193,15 +198,17 @@ class APSPService:
         changes = _canonical_changes(self.graph, updates)
         old_fingerprint = self.fingerprint
         result = None
+        revalidated = None
         if self.cache is not None:
-            revalidated = self.cache.revalidate(self.graph, updates)
-            if revalidated is not None:
-                self.graph, _dist, result = revalidated
-            else:
-                self.graph = apply_edge_updates(self.graph, changes)
+            revalidated = self.cache.revalidate(
+                self.graph, old_fingerprint, updates, spec=self.spec
+            )
+        if revalidated is not None:
+            self.graph, _dist, result = revalidated
+            self.fingerprint = result.new_fingerprint
         else:
             self.graph = apply_edge_updates(self.graph, changes)
-        self.fingerprint = graph_fingerprint(self.graph)
+            self.fingerprint = graph_fingerprint(self.graph)
         # stale-state hygiene: rows keyed to the old fingerprint can never
         # match again, drop them now; analytic prices and the CSR residency
         # belong to the old graph
@@ -228,7 +235,7 @@ class APSPService:
         if not self._pending:
             return []
         responses: list[Response] = []
-        closure = self.cache.get(self.graph) if self.cache is not None else None
+        closure = self.cache.get(self.fingerprint) if self.cache is not None else None
         run: list[Ticket] = []
         for ticket in self.pending:
             if ticket.query.kind == "full" and closure is None:
@@ -313,7 +320,7 @@ class APSPService:
         self.now += result.simulated_seconds
         closure = np.ascontiguousarray(result.to_array(), dtype=DIST_DTYPE)
         if self.cache is not None:
-            self.cache.put(self.graph, closure)
+            self.cache.put(self.fingerprint, closure)
         served_from = "solve-resumed" if result.faults.resumed > 0 else "solve"
         response = self._answer(ticket, closure, served_from, started=started)
         return closure, response
@@ -329,33 +336,6 @@ class APSPService:
         if self.batch_size is not None:
             bat = max(1, min(bat, int(self.batch_size)))
         return bat
-
-    def _ensure_csr(self) -> tuple:
-        if self._csr is not None:
-            return self._csr
-        graph = self.graph
-        n, m = graph.num_vertices, graph.num_edges
-        charge = self.spec.sparse_charge_factor
-        mem = self.device.memory
-        compute = self.device.default_stream
-        indptr = mem.alloc(
-            n + 1, np.int32, name="serve-indptr",
-            charged_bytes=int(4 * (n + 1) * charge) + 1,
-        )
-        indices = mem.alloc(
-            max(1, m), np.int32, name="serve-indices",
-            charged_bytes=int(4 * m * charge) + 1,
-        )
-        weights = mem.alloc(
-            max(1, m), DIST_DTYPE, name="serve-weights",
-            charged_bytes=int(4 * m * charge) + 1,
-        )
-        compute.copy_h2d(indptr, graph.indptr.astype(np.int32), pinned=True)
-        if m:
-            compute.copy_h2d(indices, graph.indices.astype(np.int32), pinned=True)
-            compute.copy_h2d(weights, graph.weights.astype(DIST_DTYPE), pinned=True)
-        self._csr = (indptr, indices, weights)
-        return self._csr
 
     def _free_csr(self) -> None:
         if self._csr is not None:
@@ -374,35 +354,28 @@ class APSPService:
 
     def _run_batch(self, batch: SourceBatch, bat: int) -> list[Response]:
         graph = self.graph
-        n, m = graph.num_vertices, graph.num_edges
-        charge = self.spec.sparse_charge_factor
         device = self.device
-        compute = device.default_stream
         started = self.now
         t0 = device.elapsed
-        csr = self._ensure_csr()
-        # empty graphs leave indices/weights unwritten — don't declare them read
-        csr_arrays = csr if m else (csr[0],)
-        host_rows = np.empty((batch.num_sources, n), dtype=DIST_DTYPE)
+        host_rows = np.empty((batch.num_sources, graph.num_vertices), dtype=DIST_DTYPE)
+
+        def host(key: tuple) -> np.ndarray:
+            if key[0] == "csr":
+                return csr_host_array(graph, key[1])
+            return (batch.sources if key[0] == "sources" else host_rows)[key[1] : key[2]]
+
+        em = DeviceEmitter(
+            device, host=host, kernels={"mssp": mssp_numerics(graph, self.spec, bat=bat)}
+        )
+        if self._csr is None:
+            # a failed upload frees its buffers; the next batch retries it
+            with device.memory.cleanup_on_error():
+                self._csr = upload_csr(em, graph, self.spec)
         with device.memory.cleanup_on_error():
-            queues = device.memory.alloc(
-                max(1, int(bat * self.queue_factor * m * charge)),
-                DIST_DTYPE,
-                name="serve-queues",
+            _batch_schedule(
+                em, graph, self.spec, self._csr, bat, batch.num_sources,
+                queue_factor=self.queue_factor,
             )
-            row_buf = device.memory.alloc(
-                (bat, n), DIST_DTYPE, name="serve-rows",
-                charged_bytes=int(bat * n * np.dtype(DIST_DTYPE).itemsize * charge) + 1,
-            )
-            rows_view = row_buf.data[: batch.num_sources, :]
-            run_mssp_batch(
-                graph, device, compute, batch.sources, rows_view,
-                bat=bat, delta=None, dynamic_parallelism=True,
-                heavy_degree=DEFAULT_HEAVY_DEGREE, graph_buffers=csr_arrays,
-            )
-            compute.copy_d2h(host_rows, rows_view, pinned=True)
-            queues.free()
-            row_buf.free()
         self.now += device.synchronize() - t0
         for idx, source in enumerate(batch.sources.tolist()):
             self._store_row(int(source), host_rows[idx])

@@ -43,7 +43,7 @@ model.
 Incremental schedules get the same treatment:
 :mod:`~repro.verifyplan.updatebounds` proves the dynamic-graph patch
 sweeps of :mod:`repro.dynamic` move ``O(n²)`` bytes (closed form ==
-static IR tally == dynamic trace), that the statically-derived
+IR tally of the schedule the pass runs), that the statically-derived
 touched-block set covers every block the patch actually changes, and
 that the pivot panels are folded before any block kernel reads them.
 
@@ -114,7 +114,6 @@ from repro.verifyplan.updatebounds import (
     decrease_d2h_bytes,
     decrease_h2d_bytes,
     increase_d2h_bytes,
-    ir_transfer_maps,
     static_touched_blocks,
     update_bound_checks,
 )
@@ -173,7 +172,6 @@ __all__ = [
     "expected_link_bytes",
     "fw_exact_h2d_bytes",
     "increase_d2h_bytes",
-    "ir_transfer_maps",
     "kernel_duration",
     "merge_hb_reports",
     "predict_cluster_timing",

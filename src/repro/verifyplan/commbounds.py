@@ -27,8 +27,8 @@ traffic; :func:`cluster_comm_checks` compares it — per collective kind,
 per directed link (derived combinatorially from the ownership layout,
 independent of both the IR and any trace), and in total — as **exact**
 :class:`~repro.verifyplan.bounds.BoundCheck` equalities. The dynamic
-simulator's message trace is held to the same byte counts by the tests,
-closing the triangle: closed form == static schedule == executed trace.
+simulator runs the same schedule the IR compiles, so closed form ==
+static schedule == executed messages.
 """
 
 from __future__ import annotations

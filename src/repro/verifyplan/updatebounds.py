@@ -12,8 +12,8 @@ This module holds that proof layer for the plans of
   increase pass uploads the updated CSR graph once (``8(n+1) + 16m``
   bytes) and writes back exactly the affected-region rectangles
   enumerated from the SSSP frontier (``|X| · n`` elements). Each bound
-  is checked byte-for-byte against **both** the static IR tally and the
-  dynamic transfer trace;
+  is checked byte-for-byte against the IR tally of the schedule the pass
+  runs;
 
 * **asymptotic gate** — total traffic must stay within ``4n²`` elements
   (constant independent of the block count ``n_d``; the engine caps
@@ -34,8 +34,9 @@ This module holds that proof layer for the plans of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
+from repro.verifyplan.analyze import TransferTally
 from repro.verifyplan.bounds import BoundCheck, fw_exact_h2d_bytes
 from repro.verifyplan.ir import CopyOp, KernelOp, PlanIR
 
@@ -48,7 +49,6 @@ __all__ = [
     "decrease_h2d_bytes",
     "decrease_d2h_bytes",
     "increase_d2h_bytes",
-    "ir_transfer_maps",
     "static_touched_blocks",
     "update_bound_checks",
 ]
@@ -79,17 +79,6 @@ def increase_d2h_bytes(n: int, num_affected: int) -> int:
 # ---------------------------------------------------------------------------
 # IR-side tallies
 # ---------------------------------------------------------------------------
-def ir_transfer_maps(ir: PlanIR) -> tuple[dict[tuple, int], dict[tuple, int]]:
-    """Per-host-key byte totals of the IR's copies, split by direction."""
-    h2d: dict[tuple, int] = {}
-    d2h: dict[tuple, int] = {}
-    for op in ir.ops:
-        if isinstance(op, CopyOp):
-            table = h2d if op.kind == "h2d" else d2h
-            table[op.key] = table.get(op.key, 0) + op.access.nbytes
-    return h2d, d2h
-
-
 def static_touched_blocks(ir: PlanIR, num_blocks: int) -> frozenset[tuple[int, int]]:
     """Touched-block set derived from the IR alone: every block with a
     writeback (``("A", i, j)`` d2h) plus every block of a written-back
@@ -105,49 +94,38 @@ def static_touched_blocks(ir: PlanIR, num_blocks: int) -> frozenset[tuple[int, i
 
 
 # ---------------------------------------------------------------------------
-# bound checks: closed form == IR tally == dynamic trace
+# bound checks: closed form == IR tally
 # ---------------------------------------------------------------------------
 def _direction_checks(
     prefix: str,
-    source: str,
     expected_h2d: int,
     expected_d2h: int,
-    tally: Mapping[str, Any],
+    tally: TransferTally,
     detail_h2d: str,
     detail_d2h: str,
 ) -> list[BoundCheck]:
     return [
         BoundCheck(
-            name=f"{prefix}-h2d-{source}",
+            name=f"{prefix}-h2d-ir",
             expected=expected_h2d,
-            actual=int(tally["bytes_h2d"]),
+            actual=tally.bytes_h2d,
             mode="exact",
             detail=detail_h2d,
         ),
         BoundCheck(
-            name=f"{prefix}-d2h-{source}",
+            name=f"{prefix}-d2h-ir",
             expected=expected_d2h,
-            actual=int(tally["bytes_d2h"]),
+            actual=tally.bytes_d2h,
             mode="exact",
             detail=detail_d2h,
         ),
     ]
 
 
-def update_bound_checks(
-    plan: "UpdatePlan",
-    ir_tally: Mapping[str, Any],
-    dyn_tally: Mapping[str, Any],
-) -> list[BoundCheck]:
-    """Exact closed-form bounds for one patch pass, proven against both
-    the static IR tally and the dynamic trace, plus the O(n²) gates.
-
-    Both tallies are mappings with ``bytes_h2d``/``bytes_d2h``/
-    ``num_h2d``/``num_d2h`` (the IR side from
-    :func:`repro.verifyplan.analyze.audit_ir`'s
-    :class:`~repro.verifyplan.analyze.TransferTally`, the dynamic side
-    from :func:`repro.dynamic.patch.trace_tally`).
-    """
+def update_bound_checks(plan: "UpdatePlan", tally: TransferTally) -> list[BoundCheck]:
+    """Exact closed-form bounds for one patch pass, proven against the
+    IR's transfer tally (from :func:`repro.verifyplan.analyze.audit_ir`),
+    plus the O(n²) gates."""
     n = plan.n
     nd = plan.num_blocks
     checks: list[BoundCheck] = []
@@ -158,16 +136,13 @@ def update_bound_checks(
         h2d_detail = "2nk panel + k² transition + n² block uploads, exact"
         d2h_detail = "n² touched-block writeback, every block exactly once"
         checks += _direction_checks(
-            "decrease", "ir", exp_h2d, exp_d2h, ir_tally, h2d_detail, d2h_detail
-        )
-        checks += _direction_checks(
-            "decrease", "trace", exp_h2d, exp_d2h, dyn_tally, h2d_detail, d2h_detail
+            "decrease", exp_h2d, exp_d2h, tally, h2d_detail, d2h_detail
         )
         checks.append(
             BoundCheck(
                 name="decrease-num-writebacks",
                 expected=nd * nd,
-                actual=int(ir_tally["num_d2h"]),
+                actual=tally.num_d2h,
                 mode="exact",
                 detail="one writeback per block of the n_d × n_d partition",
             )
@@ -183,10 +158,7 @@ def update_bound_checks(
             f"affected-region rectangles {[f'{r}x{n}' for _i, r in rects]}"
         )
         checks += _direction_checks(
-            "increase", "ir", exp_h2d, exp_d2h, ir_tally, h2d_detail, d2h_detail
-        )
-        checks += _direction_checks(
-            "increase", "trace", exp_h2d, exp_d2h, dyn_tally, h2d_detail, d2h_detail
+            "increase", exp_h2d, exp_d2h, tally, h2d_detail, d2h_detail
         )
         checks.append(
             BoundCheck(
@@ -201,12 +173,12 @@ def update_bound_checks(
             BoundCheck(
                 name="increase-num-writebacks",
                 expected=len(plan.affected_block_rows),
-                actual=int(ir_tally["num_d2h"]),
+                actual=tally.num_d2h,
                 mode="exact",
                 detail="one strided writeback per affected block-row",
             )
         )
-    total = int(ir_tally["bytes_h2d"]) + int(ir_tally["bytes_d2h"])
+    total = tally.bytes_h2d + tally.bytes_d2h
     # asymptotic gate 1: O(n²) with a constant independent of n_d. The
     # graph upload itself is O(n + m) ⊆ O(n²); the patch traffic proper
     # must fit in 4n² elements (decrease: 2n² + 2nk + k² ≤ 3.25n² for the
@@ -310,37 +282,14 @@ def check_patch_soundness(
             if first_patch is None:
                 continue
             if not positions or min(positions) > first_patch:
-                block = _block_of_kernel(ir, first_patch, plan)
+                key = ir.ops[first_patch].key  # ("block", i, j)
                 findings.append(
                     SoundnessFinding(
                         kind="stale-pivot-panel",
-                        block=block,
+                        block=key[1:] if key else None,
                         detail=f"{fold} missing or ordered after the first "
                         "panel-reading block kernel — it would consume an "
                         "unfolded (stale) pivot panel",
                     )
                 )
     return findings
-
-
-def _block_of_kernel(
-    ir: PlanIR, pos: int, plan: "UpdatePlan"
-) -> tuple[int, int] | None:
-    """Attribute a ``rank1_patch`` kernel position to its (i, j) block via
-    the panel rectangles it reads (the block identity is not stored in
-    the IR — it is recovered from the operand geometry)."""
-    op = ir.ops[pos]
-    if not isinstance(op, KernelOp):
-        return None
-    spans = plan.spans
-    starts = {r0: i for i, (r0, r1) in enumerate(spans)}
-    row = col = None
-    for acc in op.reads:
-        buf = ir.buffers[acc.buffer]
-        if buf.name == "colpanel":
-            row = starts.get(acc.rect.r0)
-        elif buf.name == "rowpanel":
-            col = starts.get(acc.rect.c0)
-    if row is None or col is None:
-        return None
-    return (row, col)

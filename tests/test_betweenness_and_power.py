@@ -1,15 +1,12 @@
-"""Tests for Brandes betweenness and min-plus repeated-squaring APSP."""
+"""Tests for Brandes betweenness centrality."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.analysis.betweenness import betweenness_centrality
-from repro.core.minplus_power import minplus_power_apsp, squarings_needed
-from repro.gpu.device import TEST_DEVICE, Device
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import erdos_renyi, planar_like, rmat
-from tests.conftest import oracle_apsp
 from tests.test_analysis import to_networkx
 
 
@@ -71,40 +68,3 @@ class TestBetweenness:
             betweenness_centrality(g, num_pivots=1000),
             betweenness_centrality(g),
         )
-
-
-class TestMinplusPower:
-    def test_squarings_needed(self):
-        assert squarings_needed(2) == 1
-        assert squarings_needed(5) == 2
-        assert squarings_needed(1025) == 10
-
-    @pytest.mark.parametrize("maker", [
-        lambda: planar_like(80, seed=7),
-        lambda: rmat(90, 700, seed=8),
-    ])
-    def test_matches_oracle_host_only(self, maker):
-        g = maker()
-        res = minplus_power_apsp(g)
-        assert np.allclose(res.to_array(), oracle_apsp(g))
-
-    def test_matches_oracle_on_device(self, small_rmat):
-        res = minplus_power_apsp(small_rmat, Device(TEST_DEVICE))
-        assert np.allclose(res.to_array(), oracle_apsp(small_rmat))
-        assert 1 <= res.stats["squarings"] <= res.stats["max_squarings"]
-
-    def test_early_convergence(self):
-        # unit weights: shortest paths = hop paths, so a dense graph with
-        # hop-diameter 2 settles after the second squaring detects no change
-        g = erdos_renyi(50, 2200, seed=9, weight_range=(1.0, 1.0))
-        res = minplus_power_apsp(g, Device(TEST_DEVICE))
-        assert res.stats["squarings"] <= 2
-
-    def test_costlier_than_fw_in_model(self, small_rmat):
-        """The log-n work factor shows up in simulated time (Table I's
-        regular-but-more-work tradeoff)."""
-        from repro.core import incore_apsp
-
-        power = minplus_power_apsp(small_rmat, Device(TEST_DEVICE))
-        fw = incore_apsp(small_rmat, Device(TEST_DEVICE))
-        assert power.simulated_seconds > fw.simulated_seconds

@@ -177,34 +177,6 @@ def test_rpr005_dunder_init_not_exempt(tmp_path):
     assert _rules(lint_file(path, root=tmp_path)) == {"RPR005"}
 
 
-def test_rpr006_untracked_launch(tmp_path):
-    path = _write(
-        tmp_path, "repro/core/driver.py",
-        '"""Doc."""\n'
-        "__all__ = ['go']\n"
-        "def go(stream, cost, a, b):\n"
-        "    stream.launch('fw', cost)\n"
-        "    stream.launch('mp', cost, reads=(a,))\n",
-    )
-    violations = lint_file(path, root=tmp_path)
-    assert [v.rule for v in violations] == ["RPR006", "RPR006"]
-    assert "reads=/writes=" in violations[0].message
-    assert "without writes=" in violations[1].message
-
-
-def test_rpr006_tracked_launch_passes(tmp_path):
-    path = _write(
-        tmp_path, "repro/core/driver.py",
-        '"""Doc."""\n'
-        "__all__ = ['go']\n"
-        "def go(stream, cost, a, b, kw):\n"
-        "    stream.launch('fw', cost, reads=(a,), writes=(b,))\n"
-        "    stream.launch('mp', cost, **kw)\n"  # splat may carry the sets
-        "    launch('not-a-stream-method', cost)\n",  # bare call: not ours
-    )
-    assert lint_file(path, root=tmp_path) == []
-
-
 def test_rpr007_discarded_record(tmp_path):
     path = _write(
         tmp_path, "repro/core/driver.py",

@@ -20,14 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core.ooc_johnson import graph_device_bytes, upload_csr
 from repro.dynamic.patch import EdgeUpdate
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graphs.generators import erdos_renyi, rmat
 from repro.gpu.device import TEST_DEVICE, V100
 from repro.gpu.errors import TransientDeviceError
 from repro.select.cost_models import analytic_estimate_johnson
 from repro.select.selector import Selector
 from repro.serve import AdmissionError, APSPService, Query
+from repro.serve.service import _batch_schedule
+from repro.verifyplan import IREmitter, analyze_hb, audit_ir
 from tests.conftest import oracle_apsp
 
 N = 16
@@ -139,6 +142,47 @@ class TestDifferentialHarness:
         # the plan's early ordinals are guaranteed to be exercised
         assert service.device.fault_report.injected > 0
         assert not service.pending
+
+
+class TestBatchSchedule:
+    def test_failed_csr_upload_frees_its_buffers(self):
+        """An upload that exhausts its retries frees the CSR buffers it
+        allocated; the drain that finally uploads leaves exactly one
+        resident CSR on the persistent device."""
+        graph = rmat(200, 1600)
+        service = APSPService(
+            graph, spec=V100, faults=FaultPlan([FaultSpec("h2d", 1, count=8)])
+        )
+        failures = 0
+        for _ in range(3):
+            service.submit(Query.sssp(0))
+            try:
+                service.drain()
+            except TransientDeviceError:
+                failures += 1
+        assert failures == 2 and not service.pending
+        assert service.device.memory.num_live == 3  # indptr, indices, weights
+        assert service.device.memory.used == graph_device_bytes(graph, V100) + 3
+
+    def test_drain_schedule_compiles_clean(self):
+        """One drain's schedule (CSR upload, then a full and a partial
+        batch) compiled to IR has no residency, def-use, redundancy or
+        happens-before finding."""
+        graph = rmat(200, 1600)
+        service = APSPService(graph, spec=V100, batch_size=16)
+        bat = service.plan_batch()
+        em = IREmitter("serve", V100.name, V100.memory_bytes)
+        csr = upload_csr(em, graph, V100)
+        for num_sources in (bat, 5):
+            _batch_schedule(
+                em, graph, V100, csr, bat, num_sources, queue_factor=service.queue_factor
+            )
+        ir = em.finish()
+        _peak, tally, findings = audit_ir(ir)
+        assert findings == []
+        assert tally.num_h2d == 3 and tally.num_d2h == 2
+        hb = analyze_hb(ir)
+        assert hb.ok and not hb.findings
 
 
 class TestKillAndResume:
@@ -255,7 +299,7 @@ class TestAdmissionControl:
         with pytest.raises(AdmissionError):
             service.submit(Query.full())
         # ...but once the closure is cached, everything prices at zero
-        service.cache.put(graph, oracle_apsp(graph).astype(np.float32))
+        service.cache.put(service.fingerprint, oracle_apsp(graph).astype(np.float32))
         for query in (Query.full(), Query.sssp(3), Query.point(1, 2)):
             service.submit(query)
         responses = service.drain()
