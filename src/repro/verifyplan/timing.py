@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.gpu.device import DeviceSpec
-from repro.gpu.kernels import kernel_seconds
+from repro.gpu.kernels import launch_seconds
 from repro.gpu.transfer import copy_duration, copy_duration_2d
 from repro.verifyplan.ir import (
     AllocOp,
@@ -74,20 +74,16 @@ def kernel_duration(op: KernelOp, spec: DeviceSpec) -> float:
     """Modelled duration of one IR kernel launch, from its operand rects.
 
     An explicit ``cost`` wins (Johnson's data-dependent ``mssp``);
-    otherwise :func:`repro.gpu.kernels.kernel_seconds` prices the written
-    rectangle against the reads that are not the accumulator itself — the
-    same rule the device executor charges at run time.
+    otherwise :func:`repro.gpu.kernels.launch_seconds` prices it — the
+    rule the device and cluster executors charge at run time.
     """
     if op.cost is not None:
         return float(op.cost)
     if not op.writes:
         raise ValueError(f"kernel {op.name!r} declares no writes — cannot price it")
-    out = op.writes[0]
-    operands = [
-        (r.rect.rows, r.rect.cols) for r in op.reads
-        if not (r.buffer == out.buffer and r.rect == out.rect)
-    ]
-    return kernel_seconds(op.name, spec, (out.rect.rows, out.rect.cols), operands)
+    reads = [(a.buffer, a.rect) for a in op.reads]
+    writes = [(a.buffer, a.rect) for a in op.writes]
+    return launch_seconds(op.name, spec, reads, writes, lambda a: (a[1].rows, a[1].cols))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,20 @@
 """Unit tests for the kernel cost models and device specs."""
 
+import numpy as np
 import pytest
 
-from repro.gpu.device import K80, TEST_DEVICE, V100, DeviceSpec
+from repro.gpu.device import K80, TEST_DEVICE, V100, Device, DeviceSpec
+from repro.gpu.executor import operand_view
 from repro.gpu.kernels import (
     MsspWorkload,
     extract_cost,
     fw_tile_cost,
+    launch_seconds,
     minplus_cost,
     mssp_batch_cost,
 )
 from repro.gpu.transfer import copy_duration, copy_duration_2d
+from repro.verifyplan.ir import Rect
 
 
 class TestCostModels:
@@ -36,6 +40,53 @@ class TestCostModels:
 
     def test_k80_slower_than_v100(self):
         assert fw_tile_cost(K80, 512) > fw_tile_cost(V100, 512)
+
+
+class TestLaunchSeconds:
+    """One accumulator-skip rule for every operand form: device arrays,
+    host arrays and IR buffer ids, bare or with a rect."""
+
+    FULL = Rect(0, 4, 0, 6)
+    #: the 4×6 accumulator folds in a 4×2 ⊗ 2×6 product: inner dimension 2
+    EXPECTED = minplus_cost(V100, 4, 2, 6)
+
+    @staticmethod
+    def _view_shape(op):
+        return operand_view(op).shape
+
+    def _price(self, acc_read, acc_write, a, b):
+        return launch_seconds("mp_x", V100, (acc_read, a, b), (acc_write,), self._view_shape)
+
+    def test_host_arrays_bare_or_full_rect(self):
+        acc, a, b = np.zeros((4, 6)), np.zeros((4, 2)), np.zeros((2, 6))
+        for read in (acc, (acc, self.FULL)):
+            for write in (acc, (acc, self.FULL)):
+                assert self._price(read, write, a, b) == self.EXPECTED
+
+    def test_device_arrays(self):
+        mem = Device(TEST_DEVICE).memory
+        acc, a, b = mem.alloc((4, 6)), mem.alloc((4, 2)), mem.alloc((2, 6))
+        assert self._price((acc, self.FULL), (acc, self.FULL), a, b) == self.EXPECTED
+        assert self._price(acc, (acc, self.FULL), a, b) == self.EXPECTED
+
+    def test_ir_buffer_ids_compare_by_value(self):
+        def shape(op):
+            return (op[1].rows, op[1].cols)
+
+        # two distinct int objects naming the same IR buffer
+        read_id, write_id = int("1000"), int("1000")
+        reads = ((read_id, self.FULL), (1001, Rect(0, 4, 0, 2)), (1002, Rect(0, 2, 0, 6)))
+        seconds = launch_seconds("mp_x", V100, reads, ((write_id, self.FULL),), shape)
+        assert seconds == self.EXPECTED
+
+    def test_other_buffer_or_region_is_an_operand(self):
+        acc, twin = np.zeros((4, 6)), np.zeros((4, 6))
+        a, b = np.zeros((4, 2)), np.zeros((2, 6))
+        # a same-shaped read of another buffer conforms first: inner dim 6
+        assert self._price(twin, acc, a, b) == minplus_cost(V100, 4, 6, 6)
+        big = np.zeros((8, 6))
+        top, bottom = (big, Rect(0, 4, 0, 6)), (big, Rect(4, 8, 0, 6))
+        assert self._price(bottom, top, a, b) == minplus_cost(V100, 4, 6, 6)
 
 
 class TestMsspCost:
