@@ -180,9 +180,10 @@ def cmd_solve(args) -> int:
         if not report.ok:
             return 1
     if args.trace:
-        from repro.gpu.trace import export_chrome_trace, utilization_report
+        from repro.gpu.timeline import timing_report
+        from repro.gpu.trace import export_chrome_trace
 
-        emit(utilization_report(device))
+        emit(timing_report(result.algorithm, device.spec.name, [device.clock]).describe())
         path = export_chrome_trace(device, args.trace)
         emit(f"trace written to {path}")
     if args.query:

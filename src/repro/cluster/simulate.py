@@ -7,8 +7,8 @@ it:
 
 * :func:`cluster_fw` runs it into a :class:`_RankEmitter` per rank: real
   block numerics through the kernel engine, a FIFO mailbox for the
-  messages, and a per-rank clock under the α–β link model, yielding the
-  distance matrix and the simulated makespan;
+  messages, and one :class:`~repro.gpu.timeline.Clock` per rank under the
+  α–β link model, yielding the distance matrix and the simulated makespan;
 * :func:`emit_cluster_ir` runs it into one
   :class:`~repro.verifyplan.ir.IREmitter` per rank, whose
   :class:`~repro.verifyplan.ir.PlanIR` the static verifier proves.
@@ -31,20 +31,20 @@ Floyd–Warshall round (:mod:`repro.cluster.topology`), per pivot ``k``:
 A fleet barrier ends each round; a terminal **all-gather** replicates
 the full matrix on every lead.
 
-Timing discipline (mirrored exactly by
-:func:`repro.verifyplan.timing.predict_cluster_timing`): kernels pay the
-device's launch overhead on the rank's host clock and occupy its single
-stream for :func:`repro.gpu.kernels.launch_seconds` of their operands
-(or their emitted ``cost``); a send occupies the directed link FIFO for
-``α + bytes/β`` and its end time is the message's arrival; a recv floors
-the receiving stream at the matched arrival; a barrier floors every
-clock fleet-wide.
+Timing: each rank's clock is the device clock, with one engine per
+outgoing link. A kernel is a ``launch`` on the rank's single stream for
+:func:`repro.gpu.kernels.launch_seconds` of its operands (or its emitted
+``cost``); a send occupies the directed link engine ``net:a->b`` for
+``α + bytes/β`` and its end is the message's arrival; a recv floors the
+receiving stream at the matched arrival; a barrier floors every rank's
+clock at the fleet time. :func:`repro.verifyplan.timing.predict_cluster_timing`
+makes the same clock calls from the IR.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -58,6 +58,7 @@ from repro.cluster.topology import (
 from repro.core.minplus import DIST_DTYPE, minplus_update
 from repro.gpu.executor import operand_view
 from repro.gpu.kernels import extract_cost, launch_seconds
+from repro.gpu.timeline import Clock, fleet_floor, timing_report
 from repro.graphs.csr import CSRGraph
 from repro.verifyplan.ir import IREmitter, PlanIR, Rect
 
@@ -378,64 +379,18 @@ def _cluster_schedule(ems, n: int, cluster: ClusterSpec, layout: BlockCyclicLayo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _RankClock:
-    """Per-rank clock state — the dynamic twin of the static replay."""
-
-    host: float = 0.0
-    stream: float = 0.0
-    compute: float = 0.0
-    net: dict[int, float] = field(default_factory=dict)
-    busy_compute: float = 0.0
-    busy_net: float = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        peak = max(self.host, self.compute)
-        if self.net:
-            peak = max(peak, max(self.net.values()))
-        return peak
-
-    def kernel(self, overhead: float, duration: float) -> None:
-        self.host += overhead
-        start = max(self.stream, self.host, self.compute)
-        end = start + duration
-        self.stream = end
-        self.compute = end
-        self.busy_compute += duration
-
-    def send(self, dst: int, duration: float) -> float:
-        start = max(self.stream, self.host, self.net.get(dst, 0.0))
-        end = start + duration
-        self.stream = end
-        self.net[dst] = end
-        self.busy_net += duration
-        return end
-
-    def recv(self, arrival: float) -> None:
-        if arrival > self.stream:
-            self.stream = arrival
-
-    def floor(self, t: float) -> None:
-        self.host = max(self.host, t)
-        self.stream = max(self.stream, t)
-        self.compute = max(self.compute, t)
-        for dst in self.net:
-            self.net[dst] = max(self.net[dst], t)
-
-
 class _RankEmitter:
     """Runs one rank's share of the schedule on the host.
 
     Buffers are float32 numpy arrays (owned blocks start from ``initial``,
     keyed by buffer name; other ``prefilled`` buffers from ``inf``).
-    Kernels run their block numerics through ``engine`` and occupy the
-    rank's :class:`_RankClock`; sends snapshot their rectangle into the
-    fleet's FIFO ``mailbox`` under the link model, recvs pop it; barriers
-    floor every clock of the fleet.
+    Kernels run their block numerics through ``engine`` and launch on the
+    rank's clock; sends snapshot their rectangle into the fleet's FIFO
+    ``mailbox`` with their link op, recvs pop it; barriers floor every
+    clock of the fleet.
     """
 
-    def __init__(self, rank: int, cluster: ClusterSpec, engine, clocks: list[_RankClock],
+    def __init__(self, rank: int, cluster: ClusterSpec, engine, clocks: list[Clock],
                  mailbox: dict, initial: dict[str, np.ndarray]) -> None:
         self.rank = rank
         self.cluster = cluster
@@ -470,28 +425,30 @@ class _RankEmitter:
             cost = launch_seconds(
                 name, self.cluster.device, reads, writes, lambda op: operand_view(op).shape
             )
-        self.clock.kernel(self.cluster.device.kernel_launch_overhead, cost)
+        self.clock.launch(
+            "default", name, cost, overhead=self.cluster.device.kernel_launch_overhead
+        )
 
     def send(self, buf: np.ndarray, rect: Rect | None = None, *, dst: int, tag: str,
              key: tuple, collective: str = "") -> None:
         data = operand_view(buf if rect is None else (buf, rect))
         link = self.cluster.link_of(self.rank, dst)
-        arrival = self.clock.send(dst, link.duration(data.nbytes))
-        self.mailbox[(self.rank, dst, tag)].append((arrival, data.copy()))
+        sent = self.clock.send(
+            self.rank, dst, "default", f"send:{tag}", link.duration(data.nbytes)
+        )
+        self.mailbox[(self.rank, dst, tag)].append((sent, data.copy()))
 
     def recv(self, buf: np.ndarray, rect: Rect | None = None, *, src: int, tag: str,
              key: tuple, collective: str = "") -> None:
-        arrival, payload = self.mailbox[(src, self.rank, tag)].popleft()
-        self.clock.recv(arrival)
+        sent, payload = self.mailbox[(src, self.rank, tag)].popleft()
+        self.clock.recv("default", sent)
         operand_view(buf if rect is None else (buf, rect))[...] = payload
 
     def collective(self, kind: str, *, tag: str, root: int, ranks) -> None:
         pass  # the lowered sends and recvs carry the data and the time
 
     def barrier(self, label: str) -> None:
-        t = max(c.elapsed for c in self.clocks)
-        for c in self.clocks:
-            c.floor(t)
+        fleet_floor(self.clocks)
 
 
 def cluster_fw(
@@ -504,8 +461,8 @@ def cluster_fw(
 
     Runs :func:`_cluster_schedule` into one :class:`_RankEmitter` per
     rank: block numerics through the kernel engine (bit-identical to the
-    single-device drivers) and the per-rank α–β clocks described in the
-    module docstring. Returns the full distance matrix (as gathered on
+    single-device drivers) and the per-rank clocks described in the module
+    docstring. Returns the full distance matrix (as gathered on
     lead 0) and the timing.
     """
     from repro.core.engine import default_engine
@@ -517,8 +474,8 @@ def cluster_fw(
     engine = default_engine()
     dense = graph.to_dense(dtype=DIST_DTYPE)
     blocks = layout.blocks
-    clocks = [_RankClock() for _ in range(cluster.num_ranks)]
-    #: (src, dst, tag) -> FIFO of (arrival time, payload snapshot)
+    clocks = [Clock(record_trace=False) for _ in range(cluster.num_ranks)]
+    #: (src, dst, tag) -> FIFO of (send op, payload snapshot)
     mailbox: dict = defaultdict(deque)
     ems = []
     for rank in range(cluster.num_ranks):
@@ -531,11 +488,12 @@ def cluster_fw(
         }
         ems.append(_RankEmitter(rank, cluster, engine, clocks, mailbox, initial))
     bufs = _cluster_schedule(ems, n, cluster, layout)
+    timing = timing_report("cluster-fw", cluster.name, clocks)
     return ClusterResult(
         dist=bufs[(cluster.lead_rank(0), ("full",))],
-        makespan=max(c.elapsed for c in clocks),
-        compute_seconds=sum(c.busy_compute for c in clocks),
-        net_seconds=sum(c.busy_net for c in clocks),
+        makespan=timing.makespan,
+        compute_seconds=timing.compute_seconds,
+        net_seconds=timing.net_seconds,
         num_rounds=layout.num_blocks,
         block_size=block_size,
     )

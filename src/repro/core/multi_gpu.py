@@ -38,20 +38,15 @@ from repro.core.result import APSPResult
 from repro.faults.checkpoint import open_checkpoint
 from repro.gpu.device import Device, DeviceSpec
 from repro.gpu.executor import DeviceEmitter
+from repro.gpu.timeline import fleet_floor
 from repro.verifyplan.ir import IREmitter, Rect
 
 __all__ = ["emit_multi_ir", "ooc_boundary_multi"]
 
 
 def _barrier(devices: list[Device]) -> float:
-    """Advance every device (host, streams, engines) to the global max."""
-    t = max(dev.elapsed for dev in devices)
-    for dev in devices:
-        dev.host_ready = max(dev.host_ready, t)
-        dev.timeline.advance_to(t)
-        for stream in dev._streams:
-            stream.ready_at = max(stream.ready_at, t)
-    return t
+    """Floor every device's clock (host, streams, engines) at the fleet max."""
+    return fleet_floor(dev.clock for dev in devices)
 
 
 def ooc_boundary_multi(
@@ -113,7 +108,8 @@ def ooc_boundary_multi(
 
     elapsed = _barrier(devices)
     state.host.flush()
-    per_device = [dev.timeline.busy_time("compute") for dev in devices]
+    # the trace's end − start sum, which these stats have always reported
+    per_device = [dev.clock.busy_time("compute") for dev in devices]
     merged = devices[0].fault_report
     for dev in devices[1:]:
         merged = merged.merged(dev.fault_report)

@@ -61,15 +61,17 @@ def plan_fw_block_size(n: int, spec: DeviceSpec, *, overlap: bool = True) -> int
 
 def transfer_stats(device: Device) -> dict:
     """Summarise bus traffic from the device trace (shared by all drivers)."""
-    tl = device.timeline
-    h2d = tl.engine_ops("h2d")
-    d2h = tl.engine_ops("d2h")
+    clock = device.clock
+    h2d = clock.engine_ops("h2d")
+    d2h = clock.engine_ops("d2h")
+    # busy seconds as the trace's end − start sums, which these stats
+    # have always reported
     return {
         "bytes_h2d": sum(op.nbytes for op in h2d),
         "bytes_d2h": sum(op.nbytes for op in d2h),
         "num_transfers": len(h2d) + len(d2h),
-        "transfer_seconds": tl.busy_time("h2d") + tl.busy_time("d2h"),
-        "compute_seconds": tl.busy_time("compute"),
+        "transfer_seconds": clock.busy_time("h2d") + clock.busy_time("d2h"),
+        "compute_seconds": clock.busy_time("compute"),
     }
 
 

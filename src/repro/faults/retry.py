@@ -3,7 +3,7 @@
 :class:`RetryPolicy` bounds how often the substrate re-attempts an
 operation that raised a :class:`~repro.gpu.errors.TransientDeviceError`
 and how long the host backs off between attempts. The backoff is charged
-to the simulated :class:`~repro.gpu.timeline.Timeline` on a dedicated
+to the simulated :class:`~repro.gpu.timeline.Clock` on a dedicated
 ``"host"`` engine, so a recovered run's ``simulated_seconds`` honestly
 includes the time lost to faults. The policy is deterministic (no
 jitter): identical fault plans give identical timelines.

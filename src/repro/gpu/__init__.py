@@ -11,8 +11,8 @@ exactly the mechanisms the paper's out-of-core design interacts with:
   (:mod:`~repro.gpu.transfer`) — one H2D engine and one D2H engine, so
   transfers in one direction serialise but overlap with compute, as on real
   hardware; pinned host memory gets full throughput;
-* **CUDA-like streams and events** (:mod:`~repro.gpu.stream`) scheduled on a
-  per-engine :class:`~repro.gpu.timeline.Timeline`, so double-buffered
+* **CUDA-like streams and events** (:mod:`~repro.gpu.stream`) scheduled on
+  the device's :class:`~repro.gpu.timeline.Clock`, so double-buffered
   overlap genuinely shortens the simulated makespan;
 * **kernel cost models** (:mod:`~repro.gpu.kernels`) — roofline-style costs
   with launch overheads, an occupancy model for batched MSSP (active thread
@@ -29,9 +29,11 @@ from repro.gpu.device import K80, V100, Device, DeviceSpec, TEST_DEVICE
 from repro.gpu.errors import DeviceError, OutOfMemoryError
 from repro.gpu.memory import DeviceArray, DeviceMemory, HostBuffer
 from repro.gpu.stream import Event, Stream
-from repro.gpu.timeline import Timeline, TimelineOp
+from repro.gpu.timeline import Clock, ClockOp, TimingReport, timing_report
 
 __all__ = [
+    "Clock",
+    "ClockOp",
     "Device",
     "DeviceArray",
     "DeviceError",
@@ -43,7 +45,7 @@ __all__ = [
     "OutOfMemoryError",
     "Stream",
     "TEST_DEVICE",
-    "Timeline",
-    "TimelineOp",
+    "TimingReport",
     "V100",
+    "timing_report",
 ]

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, TypeVar
 from repro.gpu.errors import TransientDeviceError
 from repro.gpu.memory import DeviceMemory
 from repro.gpu.stream import Stream
-from repro.gpu.timeline import Timeline
+from repro.gpu.timeline import Clock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
@@ -192,9 +192,10 @@ TEST_DEVICE = DeviceSpec(
 
 
 class Device:
-    """A simulated GPU: spec + memory pool + timeline + streams.
+    """A simulated GPU: spec + memory pool + clock + streams.
 
-    The ``host_ready`` clock models the CPU thread driving the device:
+    Its :class:`~repro.gpu.timeline.Clock` times every stream operation.
+    The host ready time models the CPU thread driving the device:
     synchronous operations block it, asynchronous ones only charge the launch
     overhead, which is how overlap pays off.
 
@@ -210,7 +211,7 @@ class Device:
     plan before executing; injected
     :class:`~repro.gpu.errors.TransientDeviceError` failures are retried
     under ``retry`` (a :class:`~repro.faults.RetryPolicy`) with capped
-    exponential backoff charged to the timeline's ``"host"`` engine.
+    exponential backoff charged to the clock's ``"host"`` engine.
     :attr:`fault_report` tallies injections, retries and backoff.
     """
 
@@ -237,25 +238,31 @@ class Device:
         self.memory = DeviceMemory(spec.memory_bytes)
         self.memory.observer = self.sanitizer
         self.memory.guard = self.run_guarded
-        self.timeline = Timeline(record_trace=record_trace)
-        self.host_ready = 0.0
-        self._stream_counter = 0
-        self._streams: list[Stream] = []
+        self.clock = Clock(record_trace=record_trace)
+        self._streams: dict[str, Stream] = {}
         self.default_stream = self.create_stream("default")
 
     def create_stream(self, name: str = "") -> Stream:
-        self._stream_counter += 1
-        stream = Stream(self, name or f"stream{self._stream_counter}")
-        self._streams.append(stream)
+        """The stream called ``name`` (a fresh ``streamN`` when unnamed),
+        created on first use: a stream is a named lane of the clock."""
+        name = name or f"stream{len(self._streams) + 1}"
+        stream = self._streams.get(name)
+        if stream is None:
+            stream = self._streams[name] = Stream(self, name)
         return stream
+
+    @property
+    def host_ready(self) -> float:
+        """When the simulated host thread is next free."""
+        return self.clock.host_ready
 
     def synchronize(self) -> float:
         """Block the host until all device work completes; returns the
         simulated wall-clock time at that point."""
-        self.host_ready = max(self.host_ready, self.timeline.makespan)
+        t = self.clock.synchronize()
         if self.sanitizer is not None:
             self.sanitizer.on_device_sync()
-        return self.host_ready
+        return t
 
     def hazard_report(self) -> "HazardReport":
         """Scan the sanitized schedule; requires ``sanitize=True``.
@@ -272,19 +279,16 @@ class Device:
     @property
     def elapsed(self) -> float:
         """Current simulated time (host view, without forcing a sync)."""
-        return max(self.host_ready, self.timeline.makespan)
+        return self.clock.elapsed
 
     def reset_clock(self) -> None:
-        """Zero all clocks/traces (including every stream's) but keep memory
+        """Zero the clock and its trace (every stream's too) but keep memory
         contents. Used between calibration runs and measured runs. Also
         starts a fresh :attr:`fault_report` and rewinds the fault plan's
         attempt counters, so plan ordinals are relative to the current run."""
         from repro.faults.retry import FaultReport
 
-        self.timeline.reset()
-        self.host_ready = 0.0
-        for stream in self._streams:
-            stream.ready_at = 0.0
+        self.clock.reset()
         if self.sanitizer is not None:
             self.sanitizer.reset_schedule()
         self.fault_report = FaultReport()
@@ -306,7 +310,7 @@ class Device:
         Each attempt first consults the plan (which may raise a
         :class:`~repro.gpu.errors.TransientDeviceError` subclass). On a
         fault, ``on_fault`` charges the aborted attempt's cost to the
-        timeline, then backoff per :attr:`retry` occupies the ``"host"``
+        clock, then backoff per :attr:`retry` occupies the ``"host"``
         engine before the next attempt; once ``retry.max_attempts`` is
         spent the error propagates. With no fault plan this is exactly
         ``body()`` — zero overhead on the fault-free path.
@@ -332,14 +336,7 @@ class Device:
 
     def _charge_backoff(self, delay: float, *, site: str, name: str) -> None:
         """Occupy the host for ``delay`` seconds of retry backoff."""
-        op = self.timeline.schedule(
-            "host",
-            self.host_ready,
-            delay,
-            stream="host",
-            name=f"backoff:{site}:{name}",
-        )
-        self.host_ready = op.end
+        self.clock.stall_host(delay, name=f"backoff:{site}:{name}")
         self.fault_report.backoff_seconds += delay
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

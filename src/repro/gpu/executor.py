@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.gpu.kernels import launch_seconds
 from repro.gpu.memory import DeviceArray
-from repro.gpu.stream import Event, Stream
+from repro.gpu.stream import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import Device
@@ -76,14 +76,6 @@ class DeviceEmitter:
         self._host = host
         self._kernels = kernels
         self._barrier = barrier
-        self._streams: dict[str, Stream] = {"default": device.default_stream}
-
-    def _stream(self, name: str) -> Stream:
-        stream = self._streams.get(name)
-        if stream is None:
-            stream = self._streams[name] = self.device.create_stream(name)
-        return stream
-
     def alloc(
         self,
         name: str,
@@ -102,7 +94,7 @@ class DeviceEmitter:
     def h2d(self, buf: DeviceArray, rect=None, *, key: tuple,
             stream: str = "default", sync: bool = True) -> None:
         dst = operand_view(buf if rect is None else (buf, rect))
-        s = self._stream(stream)
+        s = self.device.create_stream(stream)
         if sync:
             s.copy_h2d(dst, self._host(key), pinned=True)
         else:
@@ -111,7 +103,7 @@ class DeviceEmitter:
     def d2h(self, buf: DeviceArray, rect=None, *, key: tuple, stream: str = "default",
             sync: bool = True, strided: bool = False) -> None:
         src = operand_view(buf if rect is None else (buf, rect))
-        s = self._stream(stream)
+        s = self.device.create_stream(stream)
         if strided:
             s.copy_d2h_2d(self._host(key), src, pinned=True, sync=sync)
         elif sync:
@@ -136,7 +128,7 @@ class DeviceEmitter:
         seconds: float | None = None
         if numerics is not None:
             seconds = numerics(rviews, wviews, None if key is None else self._host(key))
-        s = self._stream(stream)
+        s = self.device.create_stream(stream)
         if annotate:
             s.annotate(name, reads=rviews, writes=wviews)
             return
@@ -149,10 +141,10 @@ class DeviceEmitter:
         s.launch(name, cost, reads=rviews, writes=wviews)
 
     def record(self, name: str, *, stream: str = "default") -> Event:
-        return self._stream(stream).record(Event(name))
+        return self.device.create_stream(stream).record(Event(name))
 
     def wait(self, event: Event, *, stream: str = "default") -> None:
-        self._stream(stream).wait(event)
+        self.device.create_stream(stream).wait(event)
 
     def barrier(self, label: str) -> None:
         if self._barrier is None:

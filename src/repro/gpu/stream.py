@@ -1,11 +1,13 @@
 """CUDA-like streams and events for the simulated device.
 
-A :class:`Stream` is an ordered queue of operations. Operations on the same
+A :class:`Stream` is an ordered queue of operations: a named lane of the
+device's :class:`~repro.gpu.timeline.Clock`. Each operation performs its
+numpy work, then makes the clock call that times it. Operations on the same
 stream serialise; operations on different streams may overlap subject to
-engine availability (one compute engine, one copy engine per direction — see
-:mod:`repro.gpu.timeline`). :class:`Event` gives cross-stream ordering, which
-the double-buffered boundary algorithm uses to hand buffers between its
-compute and copy streams.
+engine availability (one compute engine, one copy engine per direction).
+:class:`Event` gives cross-stream ordering, which the double-buffered
+boundary algorithm uses to hand buffers between its compute and copy
+streams.
 
 Copies come in synchronous (`copy_*`, blocks the simulated host thread, like
 ``cudaMemcpy``) and asynchronous (`copy_*_async`, like ``cudaMemcpyAsync``)
@@ -19,7 +21,7 @@ buffers, kernels their declared ``reads=``/``writes=`` sets, and
 record/wait/synchronize contribute the happens-before edges. The
 ``annotate`` pseudo-op exists for host-side numeric work that models a
 kernel side effect (e.g. the ``memset`` that clears an accumulation tile)
-without occupying the timeline.
+without occupying the clock.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.gpu.transfer import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import Device
+    from repro.gpu.timeline import ClockOp
     from repro.sanitize.sanitizer import Clock
 
 __all__ = ["Event", "Stream"]
@@ -48,15 +51,17 @@ Operand = Union[DeviceArray, HostBuffer, np.ndarray]
 class Event:
     """Marks a point in a stream's execution (``cudaEvent`` analogue).
 
+    ``time`` is the recorded point and ``op`` the clock op that set it.
     ``_clock`` is the schedule sanitizer's snapshot of the recording
     stream's vector clock; it stays ``None`` on unsanitized devices.
     """
 
-    __slots__ = ("name", "time", "_clock")
+    __slots__ = ("name", "time", "op", "_clock")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.time = 0.0
+        self.op: "ClockOp | None" = None
         self._clock: "Clock | None" = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -80,7 +85,11 @@ class Stream:
     def __init__(self, device: "Device", name: str) -> None:
         self.device = device
         self.name = name
-        self.ready_at = 0.0
+
+    @property
+    def ready_at(self) -> float:
+        """When the stream's queued work completes."""
+        return self.device.clock.stream_ready(self.name)
 
     # ------------------------------------------------------------------
     # Kernels
@@ -90,8 +99,6 @@ class Stream:
         name: str,
         duration: float,
         *,
-        flops: int = 0,
-        nbytes: int = 0,
         reads: Iterable[Operand] = (),
         writes: Iterable[Operand] = (),
     ) -> None:
@@ -102,25 +109,21 @@ class Stream:
         ``writes`` declare the buffers (device arrays or views into them)
         the kernel touches — ignored unless the device is sanitized.
         """
-        spec = self.device.spec
+        device = self.device
 
         def body() -> None:
-            self.device.host_ready += spec.kernel_launch_overhead
-            start_ready = max(self.ready_at, self.device.host_ready)
-            op = self.device.timeline.schedule(
-                "compute", start_ready, duration,
-                stream=self.name, name=name, flops=flops, nbytes=nbytes,
+            device.clock.launch(
+                self.name, name, duration, overhead=device.spec.kernel_launch_overhead
             )
-            self.ready_at = op.end
 
-        self.device.run_guarded("kernel", name, body, on_fault=self._abort_launch)
-        if self.device.sanitizer is not None:
-            self.device.sanitizer.on_kernel(self, name, reads, writes)
+        device.run_guarded("kernel", name, body, on_fault=self._abort_launch)
+        if device.sanitizer is not None:
+            device.sanitizer.on_kernel(self, name, reads, writes)
 
     def _abort_launch(self, exc) -> None:
         """Charge one failed launch attempt: the overhead is spent, the
         kernel never reaches the compute engine."""
-        self.device.host_ready += self.device.spec.kernel_launch_overhead
+        self.device.clock.advance_host(self.device.spec.kernel_launch_overhead)
 
     def annotate(
         self,
@@ -129,7 +132,7 @@ class Stream:
         reads: Iterable[Operand] = (),
         writes: Iterable[Operand] = (),
     ) -> None:
-        """Record a timeline-free access for the schedule sanitizer.
+        """Record a clock-free access for the schedule sanitizer.
 
         Host-side numeric work that *models* a kernel side effect — e.g.
         the ``memset`` clearing an accumulation tile before a min-plus
@@ -144,18 +147,28 @@ class Stream:
     # ------------------------------------------------------------------
     # Copies
     # ------------------------------------------------------------------
-    def _copy(self, engine: str, name: str, nbytes: int, pinned: bool, *, sync: bool) -> None:
+    def _transfer(self, engine: str, name: str, dst: DeviceArray | np.ndarray,
+                  src: DeviceArray | np.ndarray, nbytes: int, pinned: bool, *, sync: bool,
+                  duration: float | None = None) -> None:
+        """One guarded copy ``dst[...] = src`` of ``nbytes`` host bytes on
+        ``engine``, timed by the clock's copy rule (contiguous cost unless
+        ``duration`` is given) and reported to the sanitizer."""
         spec = self.device.spec
-        duration = copy_duration(spec, nbytes, pinned=pinned)
-        start_ready = max(self.ready_at, self.device.host_ready)
-        op = self.device.timeline.schedule(
-            engine, start_ready, duration, stream=self.name, name=name, nbytes=nbytes,
+        if duration is None:
+            duration = copy_duration(spec, nbytes, pinned=pinned)
+
+        def body() -> None:
+            _as_device_array(dst)[...] = _as_device_array(src)
+            self.device.clock.copy(
+                engine, self.name, name, duration, nbytes=nbytes, sync=sync,
+                overhead=spec.kernel_launch_overhead,
+            )
+
+        self.device.run_guarded(
+            engine, name, body, on_fault=self._abort_copy(engine, name, nbytes, pinned)
         )
-        self.ready_at = op.end
-        if sync:
-            self.device.host_ready = max(self.device.host_ready, op.end)
-        else:
-            self.device.host_ready += spec.kernel_launch_overhead
+        if self.device.sanitizer is not None:
+            self.device.sanitizer.on_copy(self, name, dst, src, sync=sync)
 
     def _abort_copy(self, engine: str, name: str, nbytes: int, pinned: bool):
         """``on_fault`` handler for a guarded copy: the aborted attempt
@@ -169,19 +182,9 @@ class Stream:
             duration = aborted_copy_duration(
                 self.device.spec, nbytes, fraction, pinned=pinned
             )
-            start_ready = max(self.ready_at, self.device.host_ready)
-            op = self.device.timeline.schedule(
-                engine, start_ready, duration,
-                stream=self.name, name=f"{name}!abort", nbytes=0,
-            )
-            self.ready_at = op.end
-            self.device.host_ready = max(self.device.host_ready, op.end)
+            self.device.clock.copy(engine, self.name, f"{name}!abort", duration)
 
         return on_fault
-
-    def _sanitize_copy(self, name: str, dst: Operand, src: Operand, *, sync: bool) -> None:
-        if self.device.sanitizer is not None:
-            self.device.sanitizer.on_copy(self, name, dst, src, sync=sync)
 
     def copy_h2d(
         self,
@@ -198,15 +201,7 @@ class Stream:
         to pageable, :class:`HostBuffer` carries its own flag).
         """
         data, pin = _as_host_array(src, pinned)
-
-        def body() -> None:
-            _as_device_array(dst)[...] = data
-            self._copy("h2d", name, data.nbytes, pin, sync=True)
-
-        self.device.run_guarded(
-            "h2d", name, body, on_fault=self._abort_copy("h2d", name, data.nbytes, pin)
-        )
-        self._sanitize_copy(name, dst, data, sync=True)
+        self._transfer("h2d", name, dst, data, data.nbytes, pin, sync=True)
 
     def copy_h2d_async(
         self,
@@ -218,15 +213,7 @@ class Stream:
     ) -> None:
         """Asynchronous host→device copy; pinned sources get full speed."""
         data, pin = _as_host_array(src, pinned)
-
-        def body() -> None:
-            _as_device_array(dst)[...] = data
-            self._copy("h2d", name, data.nbytes, pin, sync=False)
-
-        self.device.run_guarded(
-            "h2d", name, body, on_fault=self._abort_copy("h2d", name, data.nbytes, pin)
-        )
-        self._sanitize_copy(name, dst, data, sync=False)
+        self._transfer("h2d", name, dst, data, data.nbytes, pin, sync=False)
 
     def copy_d2h(
         self,
@@ -238,15 +225,7 @@ class Stream:
     ) -> None:
         """Synchronous device→host copy."""
         data, pin = _as_host_array(dst, pinned)
-
-        def body() -> None:
-            data[...] = _as_device_array(src)
-            self._copy("d2h", name, data.nbytes, pin, sync=True)
-
-        self.device.run_guarded(
-            "d2h", name, body, on_fault=self._abort_copy("d2h", name, data.nbytes, pin)
-        )
-        self._sanitize_copy(name, data, src, sync=True)
+        self._transfer("d2h", name, data, src, data.nbytes, pin, sync=True)
 
     def copy_d2h_async(
         self,
@@ -258,15 +237,7 @@ class Stream:
     ) -> None:
         """Asynchronous device→host copy."""
         data, pin = _as_host_array(dst, pinned)
-
-        def body() -> None:
-            data[...] = _as_device_array(src)
-            self._copy("d2h", name, data.nbytes, pin, sync=False)
-
-        self.device.run_guarded(
-            "d2h", name, body, on_fault=self._abort_copy("d2h", name, data.nbytes, pin)
-        )
-        self._sanitize_copy(name, data, src, sync=False)
+        self._transfer("d2h", name, data, src, data.nbytes, pin, sync=False)
 
     def copy_d2h_2d(
         self,
@@ -288,51 +259,34 @@ class Stream:
         data, pin = _as_host_array(dst, pinned)
         if data.ndim != 2:
             raise ValueError("copy_d2h_2d needs a 2-D destination")
-
-        def body() -> None:
-            data[...] = _as_device_array(src)
-            duration = copy_duration_2d(
-                self.device.spec, data.shape[0], data.shape[1] * data.itemsize,
-                pinned=pin,
-            )
-            start_ready = max(self.ready_at, self.device.host_ready)
-            op = self.device.timeline.schedule(
-                "d2h", start_ready, duration,
-                stream=self.name, name=name, nbytes=data.nbytes,
-            )
-            self.ready_at = op.end
-            if sync:
-                self.device.host_ready = max(self.device.host_ready, op.end)
-            else:
-                self.device.host_ready += self.device.spec.kernel_launch_overhead
-
-        self.device.run_guarded(
-            "d2h", name, body, on_fault=self._abort_copy("d2h", name, data.nbytes, pin)
+        duration = copy_duration_2d(
+            self.device.spec, data.shape[0], data.shape[1] * data.itemsize, pinned=pin
         )
-        self._sanitize_copy(name, data, src, sync=sync)
+        self._transfer("d2h", name, data, src, data.nbytes, pin, sync=sync,
+                       duration=duration)
 
     # ------------------------------------------------------------------
     # Ordering
     # ------------------------------------------------------------------
     def record(self, event: Event) -> Event:
         """Record ``event`` at the stream's current completion point."""
-        event.time = self.ready_at
+        event.time, event.op = self.device.clock.record(self.name)
         if self.device.sanitizer is not None:
             self.device.sanitizer.on_record(self, event)
         return event
 
     def wait(self, event: Event) -> None:
         """Make subsequent work on this stream wait for ``event``."""
-        self.ready_at = max(self.ready_at, event.time)
+        self.device.clock.wait(self.name, (event.time, event.op))
         if self.device.sanitizer is not None:
             self.device.sanitizer.on_wait(self, event)
 
     def synchronize(self) -> float:
         """Block the host until this stream's queued work completes."""
-        self.device.host_ready = max(self.device.host_ready, self.ready_at)
+        t = self.device.clock.sync_stream(self.name)
         if self.device.sanitizer is not None:
             self.device.sanitizer.on_stream_sync(self)
-        return self.device.host_ready
+        return t
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Stream({self.name!r}, ready_at={self.ready_at:.6f})"

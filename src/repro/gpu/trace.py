@@ -1,99 +1,35 @@
-"""Timeline trace export and utilization reporting.
+"""Chrome trace export of the device's recorded schedule.
 
-Debug/analysis utilities over the device's recorded schedule:
-
-* :func:`utilization_report` — per-engine busy fractions, overlap factor,
-  and top kernels by time, the numbers you'd read off ``nvprof``;
-* :func:`export_chrome_trace` — the Chrome tracing JSON format
-  (``chrome://tracing`` / Perfetto), one row per engine, so a simulated
-  schedule can be inspected visually like a real profiler capture.
+:func:`export_chrome_trace` writes the Chrome tracing JSON format
+(``chrome://tracing`` / Perfetto), one row per engine, so a simulated
+schedule can be inspected visually like a real profiler capture. For the
+numbers (makespan, per-engine busy, overlap efficiency, critical path),
+build a :class:`~repro.gpu.timeline.TimingReport` from ``device.clock``
+with :func:`~repro.gpu.timeline.timing_report`.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.gpu.device import Device
 
-__all__ = ["EngineUtilization", "UtilizationReport", "export_chrome_trace", "utilization_report"]
-
-
-@dataclass(frozen=True)
-class EngineUtilization:
-    engine: str
-    busy_seconds: float
-    busy_fraction: float
-    num_ops: int
-
-
-@dataclass(frozen=True)
-class UtilizationReport:
-    makespan: float
-    engines: list[EngineUtilization]
-    #: Σ busy / makespan; >1 means engines genuinely overlapped
-    overlap_factor: float
-    #: (name, total seconds) sorted descending
-    top_ops: list[tuple[str, float]]
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        lines = [f"makespan: {self.makespan:.6f}s (overlap {self.overlap_factor:.2f}x)"]
-        for e in self.engines:
-            lines.append(
-                f"  {e.engine:<8} busy {e.busy_fraction:6.1%} "
-                f"({e.busy_seconds:.6f}s, {e.num_ops} ops)"
-            )
-        for name, t in self.top_ops[:5]:
-            lines.append(f"  top: {name:<16} {t:.6f}s")
-        return "\n".join(lines)
-
-
-def utilization_report(device: Device, *, top: int = 10) -> UtilizationReport:
-    """Summarise the recorded schedule (requires ``record_trace=True``)."""
-    tl = device.timeline
-    makespan = tl.makespan or 1e-30
-    engines = []
-    total_busy = 0.0
-    per_name: dict[str, float] = defaultdict(float)
-    for engine in tl.engine_names:
-        ops = tl.engine_ops(engine)
-        if not ops and engine == "host":
-            # the host engine only carries retry backoff; keep fault-free
-            # reports to the three device engines
-            continue
-        busy = sum(op.duration for op in ops)
-        total_busy += busy
-        engines.append(
-            EngineUtilization(
-                engine=engine,
-                busy_seconds=busy,
-                busy_fraction=busy / makespan,
-                num_ops=len(ops),
-            )
-        )
-    for op in tl.ops:
-        per_name[op.name or op.engine] += op.duration
-    top_ops = sorted(per_name.items(), key=lambda kv: -kv[1])[:top]
-    return UtilizationReport(
-        makespan=tl.makespan,
-        engines=engines,
-        overlap_factor=total_busy / makespan,
-        top_ops=top_ops,
-    )
+__all__ = ["export_chrome_trace"]
 
 
 def export_chrome_trace(device: Device, path: str | Path) -> Path:
     """Write the schedule as Chrome tracing JSON; returns the path."""
+    clock = device.clock
     events = []
-    pids = {name: i for i, name in enumerate(device.timeline.engine_names)}
+    # ``busy`` holds every engine of the clock, in creation order
+    pids = {name: i for i, name in enumerate(clock.busy)}
     for name, pid in pids.items():
         events.append(
             {"name": "process_name", "ph": "M", "pid": pid,
              "args": {"name": f"engine:{name}"}}
         )
-    for op in device.timeline.ops:
+    for op in clock.ops:
         events.append(
             {
                 "name": op.name or op.engine,
@@ -103,7 +39,7 @@ def export_chrome_trace(device: Device, path: str | Path) -> Path:
                 "tid": 0,
                 "ts": op.start * 1e6,  # microseconds
                 "dur": op.duration * 1e6,
-                "args": {"stream": op.stream, "nbytes": op.nbytes, "flops": op.flops},
+                "args": {"stream": op.stream, "nbytes": op.nbytes},
             }
         )
     path = Path(path)

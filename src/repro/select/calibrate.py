@@ -91,7 +91,8 @@ class Calibration:
         g = erdos_renyi(n0, 8 * n0, seed=self.seed, name="fw-calib")
         dev = self._device()
         ooc_floyd_warshall(g, dev)
-        self.fw_reference = (dev.timeline.busy_time("compute"), float(n0))
+        # the trace's end − start sum: the constants were fitted on it
+        self.fw_reference = (dev.clock.busy_time("compute"), float(n0))
 
     def _run_boundary_reference(self) -> None:
         from repro.core.ooc_boundary import ooc_boundary
@@ -101,7 +102,7 @@ class Calibration:
         g = planar_like(n0, seed=self.seed, name="boundary-calib")
         dev = self._device()
         ooc_boundary(g, dev, seed=self.seed)
-        self.boundary_reference = (dev.timeline.busy_time("compute"), float(n0))
+        self.boundary_reference = (dev.clock.busy_time("compute"), float(n0))
 
     def _fit_c_unit_bins(self) -> None:
         """Train c_unit per NB-range on geometric graphs of rising degree.
@@ -127,7 +128,7 @@ class Calibration:
                 ooc_boundary(g, dev, plan=plan, seed=self.seed)
             except BoundaryInfeasibleError:
                 continue
-            compute = dev.timeline.busy_time("compute")
+            compute = dev.clock.busy_time("compute")
             nb = plan.num_boundary
             k = plan.num_components
             n_op = boundary_n_op(g.num_vertices, k, nb / k)

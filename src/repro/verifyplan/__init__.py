@@ -19,8 +19,8 @@ generator on the device. Five analyses then run over the IR:
   model checker proving every byte-overlapping conflicting access pair
   ordered in *every* legal interleaving, every wait satisfiable
   (deadlock-freedom), and no recorded event dead;
-- **timing** (:mod:`~repro.verifyplan.timing`) — a symbolic replay of
-  the device clock discipline yielding the critical path, predicted
+- **timing** (:mod:`~repro.verifyplan.timing`) — a replay of the IR on
+  the device's own clock yielding the critical path, predicted
   makespan, and copy/compute overlap efficiency per algorithm.
 
 Finally the tallied transfer volumes are checked against the paper's
@@ -100,7 +100,6 @@ from repro.verifyplan.ir import (
     WaitOp,
 )
 from repro.verifyplan.timing import (
-    CriticalSegment,
     TimingCalibration,
     TimingReport,
     kernel_duration,
@@ -133,7 +132,6 @@ __all__ = [
     "CommReport",
     "CommTally",
     "CopyOp",
-    "CriticalSegment",
     "DEFAULT_TOLERANCE",
     "FreeOp",
     "HBFinding",

@@ -33,7 +33,7 @@ def oracle_sssp(graph: CSRGraph, sources) -> np.ndarray:
 
 
 def timed_op_names(ir) -> list[str]:
-    """The device timeline names of an IR's timed ops, in order: kernel
+    """The device clock op names of an IR's timed ops, in order: kernel
     names (annotations occupy no slot) and copy kinds."""
     from repro.verifyplan.ir import CopyOp, KernelOp
 

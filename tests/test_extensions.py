@@ -14,7 +14,8 @@ from repro.core.multi_gpu import ooc_boundary_multi
 from repro.core.paths import path_length, reconstruct_path
 from repro.core.verify import verify_result
 from repro.gpu.device import TEST_DEVICE, Device, V100
-from repro.gpu.trace import export_chrome_trace, utilization_report
+from repro.gpu.timeline import timing_report
+from repro.gpu.trace import export_chrome_trace
 from repro.graphs.generators import road_like
 from repro.sssp.reweight import (
     NegativeCycleError,
@@ -196,13 +197,13 @@ class TestTrace:
     def test_utilization_report(self, small_rmat):
         dev = Device(TEST_DEVICE)
         ooc_johnson(small_rmat, dev)
-        rep = utilization_report(dev)
+        rep = timing_report("johnson", TEST_DEVICE.name, [dev.clock])
         assert rep.makespan > 0
-        names = {e.engine for e in rep.engines}
-        assert names == {"compute", "h2d", "d2h"}
-        assert 0 < rep.overlap_factor
-        assert rep.top_ops and rep.top_ops[0][1] > 0
-        assert "makespan" in str(rep)
+        assert set(dev.clock.busy) == {"compute", "h2d", "d2h"}
+        assert 0 < rep.serial_seconds / rep.makespan
+        top = rep.to_dict()["critical_path_top"]
+        assert top and top[0]["seconds"] > 0
+        assert "makespan" in rep.describe()
 
     def test_chrome_trace_export(self, small_rmat, tmp_path):
         dev = Device(TEST_DEVICE)
@@ -210,7 +211,7 @@ class TestTrace:
         path = export_chrome_trace(dev, tmp_path / "trace.json")
         data = json.loads(path.read_text())
         events = [e for e in data["traceEvents"] if e.get("ph") == "X"]
-        assert len(events) == len(dev.timeline.ops)
+        assert len(events) == len(dev.clock.ops)
         assert all(e["dur"] >= 0 for e in events)
 
 

@@ -152,7 +152,7 @@ def test_fault_free_run_reports_clean_ledger():
     # the backoff engine carries no ops on a fault-free run, so timing is
     # unchanged relative to an uninstrumented device
     host_ops = [
-        op for op in devices[0].timeline.ops if op.engine == "host"
+        op for op in devices[0].clock.ops if op.engine == "host"
     ]
     assert host_ops == []
 
@@ -257,7 +257,7 @@ def test_resume_of_completed_run_recomputes_nothing(tmp_path):
     again, devices = run_driver("fw", checkpoint=ckpt)
     assert np.array_equal(again.to_array(), baseline("fw"))
     # no kernels run on resume of a finished run
-    assert all(op.engine != "compute" for op in devices[0].timeline.ops)
+    assert all(op.engine != "compute" for op in devices[0].clock.ops)
 
 
 def test_checkpointing_does_not_perturb_timing(tmp_path):
@@ -485,7 +485,7 @@ def test_resumed_run_executes_the_emitted_suffix(name, kept, tmp_path):
     else:
         irs = [emit_boundary_ir(GRAPH, TEST_DEVICE, plan=plan, resume=resume)]
     for device, ir in zip(devices, irs):
-        assert [op.name for op in device.timeline.ops] == timed_op_names(ir)
+        assert [op.name for op in device.clock.ops] == timed_op_names(ir)
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +495,11 @@ def test_backoff_and_abort_ops_reach_the_timeline():
     plan = FaultPlan([FaultSpec("h2d", 0)])
     device = Device(TEST_DEVICE, faults=plan)
     ooc_floyd_warshall(GRAPH, device, **DRIVER_KWARGS["fw"])
-    names = [op.name for op in device.timeline.ops]
+    names = [op.name for op in device.clock.ops]
     assert any(name.endswith("!abort") for name in names)
     assert any(name.startswith("backoff:h2d:") for name in names)
     # backoff occupies the host engine, aborts the copy engine
-    engines = {op.engine for op in device.timeline.ops if
+    engines = {op.engine for op in device.clock.ops if
                op.name.startswith("backoff:")}
     assert engines == {"host"}
 

@@ -6,7 +6,8 @@ import json
 
 from repro.core.ooc_fw import ooc_floyd_warshall
 from repro.gpu.device import TEST_DEVICE, Device
-from repro.gpu.trace import export_chrome_trace, utilization_report
+from repro.gpu.timeline import timing_report
+from repro.gpu.trace import export_chrome_trace
 
 
 def _traced_device(graph):
@@ -51,9 +52,9 @@ def test_trace_slices_match_timeline_ops(small_rmat, tmp_path):
     device = _traced_device(small_rmat)
     doc = json.loads(export_chrome_trace(device, tmp_path / "t.json").read_text())
     slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-    assert len(slices) == len(device.timeline.ops)
+    assert len(slices) == len(device.clock.ops)
     # timestamps are seconds->microseconds; spot check the first op
-    first = device.timeline.ops[0]
+    first = device.clock.ops[0]
     assert any(
         abs(e["ts"] - first.start * 1e6) < 1e-9 and abs(e["dur"] - first.duration * 1e6) < 1e-9
         for e in slices
@@ -62,9 +63,13 @@ def test_trace_slices_match_timeline_ops(small_rmat, tmp_path):
 
 def test_utilization_report_consistent_with_trace(small_rmat):
     device = _traced_device(small_rmat)
-    report = utilization_report(device)
-    assert report.makespan > 0
-    assert report.overlap_factor > 0
-    engines = {e.engine for e in report.engines}
-    assert {"compute", "h2d", "d2h"} <= engines
-    assert sum(e.num_ops for e in report.engines) == len(device.timeline.ops)
+    report = timing_report("floyd-warshall", TEST_DEVICE.name, [device.clock])
+    assert report.makespan == device.elapsed > 0
+    assert report.serial_seconds > 0
+    assert report.compute_seconds > 0
+    assert report.h2d_seconds > 0 and report.d2h_seconds > 0
+    assert report.num_timed_ops == len(device.clock.ops)
+    # the run's critical path chains back in time and covers the makespan
+    ends = [op.end for op in report.critical_path]
+    assert ends == sorted(ends) and ends[-1] == report.makespan
+    assert report.to_dict()["critical_path_seconds"] >= 0.99 * report.makespan

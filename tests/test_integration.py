@@ -7,7 +7,7 @@ from repro.core import solve_apsp
 from repro.core.paths import path_length, reconstruct_path
 from repro.core.verify import verify_result
 from repro.gpu.device import Device, V100
-from repro.gpu.trace import utilization_report
+from repro.gpu.timeline import timing_report
 from repro.graphs.io import read_matrix_market, write_matrix_market
 from repro.graphs.suite import get_suite_graph
 from tests.conftest import oracle_apsp
@@ -54,10 +54,9 @@ class TestFullFlows:
     def test_trace_after_solve(self, small_rmat):
         device = Device(SPEC)
         solve_apsp(small_rmat, algorithm="floyd-warshall", device=device)
-        rep = utilization_report(device)
-        busy = {e.engine: e.busy_fraction for e in rep.engines}
-        assert busy["compute"] > 0
-        assert busy["h2d"] > 0 and busy["d2h"] > 0
+        rep = timing_report("floyd-warshall", SPEC.name, [device.clock])
+        assert rep.compute_seconds > 0
+        assert rep.h2d_seconds > 0 and rep.d2h_seconds > 0
 
     def test_disk_flow_row_queries(self, small_road, tmp_path):
         result = solve_apsp(

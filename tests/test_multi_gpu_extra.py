@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.multi_gpu import ooc_boundary_multi
 from repro.gpu.device import K80, Device, V100
-from repro.gpu.timeline import Timeline
+from repro.gpu.timeline import Clock
 from repro.graphs.generators import road_like
 from tests.conftest import oracle_apsp
 
@@ -36,19 +36,19 @@ class TestHeterogeneousDevices:
 
 class TestBarrierSemantics:
     def test_advance_to_floors_engines(self):
-        tl = Timeline()
-        tl.schedule("compute", 0.0, 1.0)
-        tl.advance_to(5.0)
-        op = tl.schedule("compute", 0.0, 1.0)
+        clock = Clock()
+        clock.schedule("compute", "a", 1.0)
+        clock.floor(5.0)
+        op = clock.schedule("compute", "b", 1.0)
         assert op.start >= 5.0
-        op2 = tl.schedule("h2d", 0.0, 1.0)
+        op2 = clock.schedule("h2d", "c", 1.0)
         assert op2.start >= 5.0
 
     def test_advance_to_never_rewinds(self):
-        tl = Timeline()
-        tl.schedule("compute", 0.0, 10.0)
-        tl.advance_to(3.0)
-        assert tl.engine_ready("compute") == 10.0
+        clock = Clock()
+        clock.schedule("compute", "a", 10.0)
+        clock.floor(3.0)
+        assert clock.engine_ready("compute") == 10.0
 
     def test_devices_aligned_after_barrier(self):
         from repro.core.multi_gpu import _barrier
@@ -58,4 +58,4 @@ class TestBarrierSemantics:
         t = _barrier([a, b])
         assert t >= 2.0
         assert b.host_ready == t
-        assert b.timeline.engine_ready("compute") >= t
+        assert b.clock.engine_ready("compute") >= t

@@ -33,7 +33,7 @@ class TestOocFloydWarshall:
     def test_correct_on_all_families(self, any_graph, device):
         res = ooc_floyd_warshall(any_graph, device)
         assert np.allclose(res.to_array(), oracle_apsp(any_graph))
-        device.timeline.validate()
+        device.clock.validate()
 
     def test_goes_out_of_core(self, device):
         g = erdos_renyi(300, 2500, seed=42)  # 300² floats exceed the planner's tile budget
@@ -90,7 +90,7 @@ class TestOocJohnson:
     def test_correct_on_all_families(self, any_graph, device):
         res = ooc_johnson(any_graph, device)
         assert np.allclose(res.to_array(), oracle_apsp(any_graph))
-        device.timeline.validate()
+        device.clock.validate()
 
     def test_batched(self, small_rmat, device):
         res = ooc_johnson(small_rmat, device)
@@ -152,7 +152,7 @@ class TestOocBoundary:
         dev = Device(scaled_v100)
         res = ooc_boundary(small_planar, dev)
         assert np.allclose(res.to_array(), oracle_apsp(small_planar))
-        dev.timeline.validate()
+        dev.clock.validate()
 
     def test_correct_on_disconnected(self, scaled_v100):
         a = planar_like(60, seed=30)

@@ -16,7 +16,7 @@ from repro.core.minplus import minplus, minplus_update
 from repro.gpu.device import TEST_DEVICE, Device
 from repro.gpu.errors import OutOfMemoryError
 from repro.gpu.memory import DeviceMemory
-from repro.gpu.timeline import Timeline
+from repro.gpu.timeline import Clock
 from repro.graphs.csr import CSRGraph
 from repro.partition.kway import partition_kway
 from repro.partition.separator import boundary_nodes
@@ -220,12 +220,13 @@ class TestTimelineProperties:
         )
     )
     def test_schedule_is_valid_and_monotone(self, ops):
-        tl = Timeline()
+        clock = Clock()
         makespans = []
-        for engine, ready, dur in ops:
-            tl.schedule(engine, ready, dur)
-            makespans.append(tl.makespan)
-        tl.validate()
+        for i, (engine, ready, dur) in enumerate(ops):
+            clock.wait(f"s{i}", (ready, None))
+            clock.schedule(engine, f"s{i}", dur)
+            makespans.append(clock.elapsed)
+        clock.validate()
         assert makespans == sorted(makespans)
 
     @SETTINGS

@@ -51,8 +51,8 @@ def dynamic_stats(device):
     return (
         ts["bytes_h2d"],
         ts["bytes_d2h"],
-        len(device.timeline.engine_ops("h2d")),
-        len(device.timeline.engine_ops("d2h")),
+        len(device.clock.engine_ops("h2d")),
+        len(device.clock.engine_ops("d2h")),
         device.memory.peak,
     )
 
@@ -168,7 +168,7 @@ class TestStaticDynamicAgreement:
         g = road_like(220, 2.6, seed=1)
         device = Device(TEST_DEVICE)
         run(g, device)
-        assert [op.name for op in device.timeline.ops] == timed_op_names(emit(g))
+        assert [op.name for op in device.clock.ops] == timed_op_names(emit(g))
 
     def test_sanitizer_agrees_plans_are_clean(self):
         # the dynamic half of the contract: what the verifier proves clean,
