@@ -18,9 +18,9 @@ a wall-clock benchmark would notice.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
+
+from repro.bench.baseline import baseline_path, diff_configs, read_json, record
 
 __all__ = [
     "SCALING_CONFIGS",
@@ -63,10 +63,7 @@ SCALING_CONFIGS = (
 def bench_cluster_path() -> Path:
     """Canonical location of ``BENCH_cluster.json`` (repo root, or
     ``REPRO_BENCH_CLUSTER`` when set)."""
-    override = os.environ.get("REPRO_BENCH_CLUSTER")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parents[3] / "BENCH_cluster.json"
+    return baseline_path("BENCH_cluster.json", "REPRO_BENCH_CLUSTER")
 
 
 def _run_config(cfg: dict) -> dict:
@@ -109,35 +106,16 @@ def collect_baseline(configs=SCALING_CONFIGS) -> dict:
 
 def save_baseline(payload: dict | None = None, path: Path | str | None = None) -> Path:
     """Write the baseline to ``BENCH_cluster.json``."""
-    payload = payload or collect_baseline()
-    path = Path(path) if path else bench_cluster_path()
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+    return record(
+        payload or collect_baseline(), path or bench_cluster_path(), sort_keys=False
+    )
 
 
 def load_baseline(path: Path | str | None = None) -> dict:
     """Read the checked-in baseline."""
-    path = Path(path) if path else bench_cluster_path()
-    return json.loads(path.read_text())
+    return read_json(path or bench_cluster_path())
 
 
 def compare_baseline(baseline: dict | None = None) -> list[str]:
     """Recompute the sweep and diff it against ``baseline`` exactly."""
-    baseline = baseline or load_baseline()
-    current = collect_baseline()
-    drifts: list[str] = []
-    for name, entry in baseline.get("configs", {}).items():
-        cur = current["configs"].get(name)
-        if cur is None:
-            drifts.append(f"{name}: configuration missing from current sweep")
-            continue
-        for field in BASELINE_FIELDS:
-            if entry.get(field) != cur.get(field):
-                drifts.append(
-                    f"{name}: {field} drifted "
-                    f"{entry.get(field)!r} -> {cur.get(field)!r}"
-                )
-    for name in current["configs"]:
-        if name not in baseline.get("configs", {}):
-            drifts.append(f"{name}: new configuration not in baseline (re-record)")
-    return drifts
+    return diff_configs(baseline or load_baseline(), collect_baseline(), BASELINE_FIELDS)

@@ -18,11 +18,10 @@ whose summed cost reaches one full blocked-FW re-solve.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Any
 
+from repro.bench.baseline import baseline_path, diff_configs, read_json, record
 from repro.verifyplan.bounds import fw_exact_h2d_bytes
 from repro.verifyplan.updatebounds import (
     decrease_d2h_bytes,
@@ -66,10 +65,7 @@ BASELINE_FIELDS = (
 def bench_dynamic_path() -> Path:
     """Canonical location of ``BENCH_dynamic.json`` (repo root, or
     ``REPRO_BENCH_DYNAMIC`` when set)."""
-    override = os.environ.get("REPRO_BENCH_DYNAMIC")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parents[3] / "BENCH_dynamic.json"
+    return baseline_path("BENCH_dynamic.json", "REPRO_BENCH_DYNAMIC")
 
 
 def _device_spec(name: str) -> Any:
@@ -151,24 +147,17 @@ def save_dynamic(payload: dict | None = None, path: Path | str | None = None) ->
     and mirror the crossover table into ``benchmarks/results/`` — the
     mirror is only refreshed for the canonical (non-redirected) path,
     and only when its gated content actually changed."""
-    payload = payload or collect_dynamic()
-    path = Path(path) if path else bench_dynamic_path()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    canonical = Path(__file__).resolve().parents[3] / "BENCH_dynamic.json"
-    if path.resolve() == canonical:
-        _mirror_record(payload)
-    return path
+    return record(
+        payload or collect_dynamic(), path or bench_dynamic_path(), mirror=_mirror_record
+    )
 
 
-def _mirror_record(payload: dict) -> None:
-    from repro.bench.kernels import _write_if_changed
-    from repro.bench.runner import results_dir
-
+def _mirror_record(payload: dict) -> dict:
     rows = []
     for name, entry in sorted(payload["configs"].items()):
         for k, row in sorted(entry["batches"].items(), key=lambda kv: int(kv[0])):
             rows.append({"graph": name, "batch_k": int(k), **row})
-    record = {
+    return {
         "experiment": "dynamic",
         "title": payload["title"],
         "generated_by": payload["generated_by"],
@@ -179,38 +168,20 @@ def _mirror_record(payload: dict) -> None:
         "rows": rows,
         "notes": ["modeled (closed-form) — canonical copy: BENCH_dynamic.json"],
     }
-    _write_if_changed(results_dir() / "dynamic.json", record)
 
 
 def load_dynamic(path: Path | str | None = None) -> dict:
     """Read the checked-in baseline."""
-    path = Path(path) if path else bench_dynamic_path()
-    return json.loads(path.read_text())
+    return read_json(path or bench_dynamic_path())
 
 
 def compare_dynamic(baseline: dict | None = None) -> list[str]:
     """Recompute the model and diff it against ``baseline``; empty list
     means every modeled figure matches the recorded crossover exactly."""
-    baseline = baseline or load_dynamic()
-    current = collect_dynamic()
-    drifts: list[str] = []
-    for name, entry in baseline.get("configs", {}).items():
-        cur = current["configs"].get(name)
-        if cur is None:
-            drifts.append(f"{name}: configuration missing from current model")
-            continue
-        for k, recorded in entry["batches"].items():
-            actual = cur["batches"].get(k)
-            if actual is None:
-                drifts.append(f"{name}/k={k}: batch size missing from current model")
-                continue
-            for fld in BASELINE_FIELDS:
-                if recorded.get(fld) != actual.get(fld):
-                    drifts.append(
-                        f"{name}/k={k}: {fld} drifted "
-                        f"{recorded.get(fld)!r} -> {actual.get(fld)!r}"
-                    )
-    for name in current["configs"]:
-        if name not in baseline.get("configs", {}):
-            drifts.append(f"{name}: new configuration not in baseline (re-record)")
-    return drifts
+    return diff_configs(
+        baseline or load_dynamic(),
+        collect_dynamic(),
+        BASELINE_FIELDS,
+        rows="batches",
+        label="k=",
+    )

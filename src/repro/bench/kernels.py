@@ -3,8 +3,9 @@
 Two layers share this module:
 
 * :func:`sweep_backends` — the historical sweep: time every registered
-  backend (per tile size, where the backend has one) on ``n³`` float32
-  min-plus products, verify each result bit-identical to the reference
+  backend (per tile size for ``jit``) on ``n³`` float32 min-plus
+  products, repeated so each row carries its best time plus the median
+  and quartiles, verify each result bit-identical to the reference
   backend, persist to ``BENCH_kernels.json`` at the repository root.
 * :func:`tune_kernels` — the autotuner (``python -m repro tune-kernels``):
   search tile/thread/flavor configurations of the *fast* backends on the
@@ -27,7 +28,6 @@ Entry points: ``python -m repro bench-kernels``,
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 from pathlib import Path
@@ -35,8 +35,8 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.bench.runner import results_dir
-from repro.core.backends import available_backends, create_backend
+from repro.bench.baseline import baseline_path, read_json, record, write_if_changed
+from repro.core.backends import backend_names, create_backend
 from repro.core.minplus import DIST_DTYPE, minplus_ops
 
 __all__ = [
@@ -60,11 +60,8 @@ __all__ = [
 #: headline Gop/s target
 DEFAULT_SIZES = (256, 1024)
 
-#: tile sizes tried for the backends that expose one (``tiled``, ``jit``)
+#: tile sizes tried for the one backend that takes a tile (``jit``)
 DEFAULT_TILES = (64, 128, 256)
-
-#: backends whose constructor takes the sweep's tile parameter
-_TILED_BACKENDS = {"tiled", "jit"}
 
 #: problem size (cube) of the default autotune search — big enough that
 #: tile/thread choices separate, small enough to finish in seconds
@@ -74,10 +71,15 @@ DEFAULT_TUNE_SIZE = 1024
 def bench_kernels_path() -> Path:
     """Canonical location of ``BENCH_kernels.json`` (repo root, or
     ``REPRO_BENCH_KERNELS`` when set)."""
-    override = os.environ.get("REPRO_BENCH_KERNELS")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parents[3] / "BENCH_kernels.json"
+    return baseline_path("BENCH_kernels.json", "REPRO_BENCH_KERNELS")
+
+
+def _read_or_empty(path: Path) -> dict:
+    """The file's payload, or ``{}`` when it is missing or unreadable."""
+    try:
+        return read_json(path)
+    except (OSError, ValueError):
+        return {}
 
 
 def machine_info() -> dict:
@@ -102,34 +104,26 @@ def machine_info() -> dict:
     }
 
 
-def _make_backend(name: str, tile: int | None):
-    if tile is None or name not in _TILED_BACKENDS:
-        return create_backend(name)
-    if name == "tiled":
-        # wide tiles: short rows for L2 residency, long rows for SIMD runs
-        return create_backend(name, tile_i=tile, tile_j=4 * tile)
-    return create_backend(name, tile=tile)
-
-
 def sweep_backends(
     sizes: tuple[int, ...] = DEFAULT_SIZES,
     tiles: tuple[int, ...] = DEFAULT_TILES,
     backends: tuple[str, ...] | None = None,
     *,
-    repeats: int = 1,
+    repeats: int = 5,
     seed: int = 0,
     verify: bool = True,
 ) -> list[dict]:
     """Time every backend × tile × size; returns one row dict per config.
 
     Rows carry ``backend, flavor, n, tile, seconds, gops, speedup,
-    identical`` — ``speedup`` is against the reference backend at the same
-    ``n``, ``identical`` the bit-identity check against the reference
-    result. The reference row is always measured first so speedups exist.
+    identical`` — ``seconds`` is the best of ``repeats`` runs (``gops``
+    and ``speedup`` derive from it), ``median_seconds``/``q1_seconds``/
+    ``q3_seconds`` give the spread, ``speedup`` is against the reference
+    backend at the same ``n``, ``identical`` the bit-identity check
+    against the reference result. The reference row is always measured
+    first so speedups exist.
     """
-    names = list(backends or available_backends())
-    if "reference" in names:  # the yardstick always runs first
-        names.remove("reference")
+    names = [name for name in backends or backend_names() if name != "reference"]
     rng = np.random.default_rng(seed)
     rows: list[dict] = []
     for n in sizes:
@@ -137,55 +131,44 @@ def sweep_backends(
         b = (rng.random((n, n), dtype=DIST_DTYPE) * 100).astype(DIST_DTYPE)
         ops = minplus_ops(n, n, n)
 
-        def timed(backend):
-            best = float("inf")
-            result = None
+        def timed(backend, tile):
+            times = []
             for _ in range(max(1, repeats)):
                 c = np.full((n, n), np.inf, dtype=DIST_DTYPE)
                 t0 = perf_counter()
                 backend.update(c, a, b)
-                best = min(best, perf_counter() - t0)
-                result = c
-            return best, result
-
-        ref_backend = create_backend("reference")
-        ref_seconds, ref_c = timed(ref_backend)
-        ref_gops = ops / ref_seconds / 1e9
-        rows.append(
-            {
-                "backend": "reference",
-                "flavor": ref_backend.flavor,
+                times.append(perf_counter() - t0)
+            q1, median, q3 = np.percentile(times, (25, 50, 75))
+            best = min(times)
+            row = {
+                "backend": backend.name,
+                "flavor": backend.flavor,
                 "n": n,
-                "tile": None,
-                "seconds": ref_seconds,
-                "gops": ref_gops,
-                "speedup": 1.0,
-                "identical": True,
+                "tile": tile,
+                "seconds": best,
+                "median_seconds": float(median),
+                "q1_seconds": float(q1),
+                "q3_seconds": float(q3),
+                "gops": ops / best / 1e9,
             }
-        )
+            return row, c
+
+        ref_row, ref_c = timed(create_backend("reference"), None)
+        ref_seconds = ref_row["seconds"]
+        rows.append({**ref_row, "speedup": 1.0, "identical": True})
         for name in names:
-            tile_options = tiles if name in _TILED_BACKENDS else (None,)
-            for tile in tile_options:
-                backend = _make_backend(name, tile)
+            for tile in tiles if name == "jit" else (None,):
+                backend = create_backend(name, **({} if tile is None else {"tile": tile}))
                 # warm-up triggers one-time JIT/thread-pool costs
                 backend.update(
                     np.full((32, 32), np.inf, dtype=DIST_DTYPE),
                     a[:32, :32].copy(),
                     b[:32, :32].copy(),
                 )
-                seconds, c = timed(backend)
-                rows.append(
-                    {
-                        "backend": name,
-                        "flavor": backend.flavor,
-                        "n": n,
-                        "tile": tile,
-                        "seconds": seconds,
-                        "gops": ops / seconds / 1e9,
-                        "speedup": ref_seconds / seconds,
-                        "identical": bool(np.array_equal(c, ref_c)) if verify else None,
-                    }
-                )
+                row, c = timed(backend, tile)
+                row["speedup"] = ref_seconds / row["seconds"]
+                row["identical"] = bool(np.array_equal(c, ref_c)) if verify else None
+                rows.append(row)
     return rows
 
 
@@ -231,12 +214,7 @@ def save_sweep(rows: list[dict], path: Path | str | None = None) -> Path:
     bit-identity verdict actually changed.
     """
     path = Path(path) if path else bench_kernels_path()
-    tuned = {}
-    if path.exists():
-        try:
-            tuned = json.loads(path.read_text()).get("tuned", {}) or {}
-        except (OSError, ValueError):
-            tuned = {}
+    tuned = _read_or_empty(path).get("tuned", {}) or {}
     non_ref = [r for r in rows if r["backend"] != "reference"]
     best = max(non_ref, key=lambda r: r["gops"]) if non_ref else None
     payload = {
@@ -249,13 +227,7 @@ def save_sweep(rows: list[dict], path: Path | str | None = None) -> Path:
         "best_speedup": best["speedup"] if best else None,
         "tuned": tuned,
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    # mirror only the canonical file — a test- or env-redirected sweep
-    # must not touch the committed report record
-    canonical = Path(__file__).resolve().parents[3] / "BENCH_kernels.json"
-    if path.resolve() == canonical:
-        _write_if_changed(results_dir() / "kernels.json", _mirror_payload(payload))
-    return path
+    return record(payload, path, mirror=_mirror_payload)
 
 
 def _mirror_payload(payload: dict) -> dict:
@@ -277,15 +249,6 @@ def _mirror_payload(payload: dict) -> dict:
             "live in the canonical copy: BENCH_kernels.json"
         ],
     }
-
-
-def _write_if_changed(path: Path, payload: dict) -> None:
-    """Write ``payload`` only when its serialized form differs — keeps
-    mtimes (and VCS status) quiet across no-op benchmark re-runs."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path.exists() and path.read_text() == text:
-        return
-    path.write_text(text)
 
 
 # ----------------------------------------------------------------------
@@ -322,14 +285,12 @@ def fingerprint_class(fingerprint: str) -> str:
 def _tune_candidates(tiles: tuple[int, ...], cpus: int) -> list[tuple[str, dict]]:
     """Configurations worth trying on this machine.
 
-    ``tiled`` is deliberately absent — the committed sweeps show it at
-    0.65–0.95× reference for every tile at 1024³ (the demoted default);
     ``reference`` anchors the search so a compiler-less machine still
     gets a correct winner.
     """
     from repro.core.backends.jit import JITBackend, load_cc_kernels
 
-    candidates: list[tuple[str, dict]] = [("reference", {}), ("chunked", {})]
+    candidates: list[tuple[str, dict]] = [("reference", {})]
     probe = JITBackend()
     if probe.flavor == "numba":
         candidates += [("jit", {"flavor": "numba", "tile": t}) for t in tiles]
@@ -458,20 +419,14 @@ def record_tuned(result: dict, path: Path | str | None = None) -> Path:
     fingerprint so one file can carry winners for several machines.
     """
     path = Path(path) if path else bench_kernels_path()
-    payload: dict = {}
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            payload = {}
+    payload = _read_or_empty(path)
     payload.setdefault("experiment", "kernels")
     tuned = payload.setdefault("tuned", {})
     tuned[result["fingerprint"]] = {
         **result["winner"],
         "machine": result["machine"],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_if_changed(path, payload)
 
 
 def load_tuned_winner(path: Path | str | None = None) -> dict | None:
@@ -481,14 +436,8 @@ def load_tuned_winner(path: Path | str | None = None) -> dict | None:
     fingerprint) sends ``KernelEngine("auto")`` to live micro-calibration.
     """
     path = Path(path) if path else bench_kernels_path()
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    tuned = payload.get("tuned") or {}
-    entry = tuned.get(machine_fingerprint())
+    tuned = _read_or_empty(path).get("tuned")
+    entry = tuned.get(machine_fingerprint()) if tuned else None
     if not isinstance(entry, dict) or "backend" not in entry:
         return None
     return entry
@@ -524,7 +473,7 @@ def check_regression(
     if not path.exists():
         return True, f"no baseline file at {path}; recording only"
     try:
-        tuned = json.loads(path.read_text()).get("tuned", {}) or {}
+        tuned = read_json(path).get("tuned", {}) or {}
     except (OSError, ValueError):
         return True, f"unreadable baseline at {path}; recording only"
     peers = {

@@ -18,13 +18,12 @@ the V100's saturation point).
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from repro.bench.baseline import baseline_path, diff_configs, read_json, record
 from repro.graphs.generators import rmat, road_like
 from repro.serve.loadgen import generate_queries
 from repro.serve.service import APSPService
@@ -72,10 +71,7 @@ BASELINE_FIELDS = (
 def bench_serve_path() -> Path:
     """Canonical location of ``BENCH_serve.json`` (repo root, or
     ``REPRO_BENCH_SERVE`` when set)."""
-    override = os.environ.get("REPRO_BENCH_SERVE")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parents[3] / "BENCH_serve.json"
+    return baseline_path("BENCH_serve.json", "REPRO_BENCH_SERVE")
 
 
 def _build_graph(cfg: dict) -> Any:
@@ -154,24 +150,17 @@ def save_serve(payload: dict | None = None, path: Path | str | None = None) -> P
     mirror the table into ``benchmarks/results/`` — the mirror is only
     refreshed for the canonical (non-redirected) path, and only when its
     gated content actually changed."""
-    payload = payload or collect_serve()
-    path = Path(path) if path else bench_serve_path()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    canonical = Path(__file__).resolve().parents[3] / "BENCH_serve.json"
-    if path.resolve() == canonical:
-        _mirror_record(payload)
-    return path
+    return record(
+        payload or collect_serve(), path or bench_serve_path(), mirror=_mirror_record
+    )
 
 
-def _mirror_record(payload: dict) -> None:
-    from repro.bench.kernels import _write_if_changed
-    from repro.bench.runner import results_dir
-
+def _mirror_record(payload: dict) -> dict:
     rows = []
     for name, entry in sorted(payload["configs"].items()):
         for load, row in sorted(entry["loads"].items(), key=lambda kv: int(kv[0])):
             rows.append({"graph": name, "offered_load": int(load), **row})
-    record = {
+    return {
         "experiment": "serve",
         "title": payload["title"],
         "generated_by": payload["generated_by"],
@@ -183,44 +172,26 @@ def _mirror_record(payload: dict) -> None:
         "rows": rows,
         "notes": ["modeled clock — canonical copy: BENCH_serve.json"],
     }
-    _write_if_changed(results_dir() / "serve.json", record)
 
 
 def load_serve(path: Path | str | None = None) -> dict:
     """Read the checked-in baseline."""
-    path = Path(path) if path else bench_serve_path()
-    return json.loads(path.read_text())
+    return read_json(path or bench_serve_path())
 
 
 def compare_serve(baseline: dict | None = None) -> list[str]:
     """Re-drive the service and diff against ``baseline``; empty list
     means every modeled figure matches exactly AND the ≥ 3× batching
     floor holds at every gated load."""
-    baseline = baseline or load_serve()
     current = collect_serve()
-    drifts: list[str] = []
-    for name, entry in baseline.get("configs", {}).items():
-        cur = current["configs"].get(name)
-        if cur is None:
-            drifts.append(f"{name}: configuration missing from current bench")
-            continue
-        for load, recorded in entry["loads"].items():
-            actual = cur["loads"].get(load)
-            if actual is None:
-                drifts.append(f"{name}/load={load}: load missing from current bench")
-                continue
-            for fld in BASELINE_FIELDS:
-                if recorded.get(fld) != actual.get(fld):
-                    drifts.append(
-                        f"{name}/load={load}: {fld} drifted "
-                        f"{recorded.get(fld)!r} -> {actual.get(fld)!r}"
-                    )
-            if int(load) >= SPEEDUP_GATE_LOAD and actual["speedup"] < SPEEDUP_FLOOR:
+    drifts = diff_configs(
+        baseline or load_serve(), current, BASELINE_FIELDS, rows="loads", label="load="
+    )
+    for name, entry in current["configs"].items():
+        for load, row in entry["loads"].items():
+            if int(load) >= SPEEDUP_GATE_LOAD and row["speedup"] < SPEEDUP_FLOOR:
                 drifts.append(
-                    f"{name}/load={load}: batched speedup {actual['speedup']} "
+                    f"{name}/load={load}: batched speedup {row['speedup']} "
                     f"below the {SPEEDUP_FLOOR}x floor"
                 )
-    for name in current["configs"]:
-        if name not in baseline.get("configs", {}):
-            drifts.append(f"{name}: new configuration not in baseline (re-record)")
     return drifts

@@ -17,9 +17,9 @@ machine-independent.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
+
+from repro.bench.baseline import baseline_path, diff_configs, read_json, record
 
 __all__ = [
     "STANDARD_CONFIGS",
@@ -58,10 +58,7 @@ STANDARD_CONFIGS = (
 def bench_transfers_path() -> Path:
     """Canonical location of ``BENCH_transfers.json`` (repo root, or
     ``REPRO_BENCH_TRANSFERS`` when set)."""
-    override = os.environ.get("REPRO_BENCH_TRANSFERS")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parents[3] / "BENCH_transfers.json"
+    return baseline_path("BENCH_transfers.json", "REPRO_BENCH_TRANSFERS")
 
 
 def _build_graph(cfg: dict):
@@ -117,16 +114,14 @@ def collect_baseline(configs=STANDARD_CONFIGS) -> dict:
 
 def save_baseline(payload: dict | None = None, path: Path | str | None = None) -> Path:
     """Write the baseline to ``BENCH_transfers.json``."""
-    payload = payload or collect_baseline()
-    path = Path(path) if path else bench_transfers_path()
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+    return record(
+        payload or collect_baseline(), path or bench_transfers_path(), sort_keys=False
+    )
 
 
 def load_baseline(path: Path | str | None = None) -> dict:
     """Read the checked-in baseline."""
-    path = Path(path) if path else bench_transfers_path()
-    return json.loads(path.read_text())
+    return read_json(path or bench_transfers_path())
 
 
 def compare_baseline(baseline: dict | None = None) -> list[str]:
@@ -136,26 +131,9 @@ def compare_baseline(baseline: dict | None = None) -> list[str]:
     byte count, copy count, and peak matches the recorded baseline
     exactly.
     """
-    baseline = baseline or load_baseline()
-    current = collect_baseline()
-    drifts: list[str] = []
-    for name, entry in baseline.get("configs", {}).items():
-        cur = current["configs"].get(name)
-        if cur is None:
-            drifts.append(f"{name}: configuration missing from current sweep")
-            continue
-        for algo, recorded in entry["algorithms"].items():
-            actual = cur["algorithms"].get(algo)
-            if actual is None:
-                drifts.append(f"{name}/{algo}: algorithm missing from current audit")
-                continue
-            for field in ("verified", *BASELINE_FIELDS):
-                if recorded.get(field) != actual.get(field):
-                    drifts.append(
-                        f"{name}/{algo}: {field} drifted "
-                        f"{recorded.get(field)!r} -> {actual.get(field)!r}"
-                    )
-    for name in current["configs"]:
-        if name not in baseline.get("configs", {}):
-            drifts.append(f"{name}: new configuration not in baseline (re-record)")
-    return drifts
+    return diff_configs(
+        baseline or load_baseline(),
+        collect_baseline(),
+        ("verified", *BASELINE_FIELDS),
+        rows="algorithms",
+    )

@@ -323,6 +323,8 @@ def cmd_bench_kernels(args) -> int:
             "n": r["n"],
             "tile": r["tile"] if r["tile"] is not None else "-",
             "seconds": r["seconds"],
+            "median": r["median_seconds"],
+            "IQR": r["q3_seconds"] - r["q1_seconds"],
             "Gop/s": r["gops"],
             "speedup": r["speedup"],
             "identical": "yes" if r["identical"] else "NO",
@@ -533,38 +535,38 @@ def cmd_verify_cluster(args) -> int:
     return 0 if ver.ok else 1
 
 
-def cmd_bench_cluster(args) -> int:
-    from repro.bench.cluster import compare_baseline, save_baseline
-
+def _bench_baseline(args, compare, save, filename: str, clean: str) -> int:
+    """``--check``: print each drift from ``filename`` (exit 1) or
+    ``clean``; otherwise re-record the baseline."""
     if args.check:
-        drifts = compare_baseline()
+        drifts = compare()
         if drifts:
             for line in drifts:
                 print(line)
-            print(f"{len(drifts)} drift(s) from BENCH_cluster.json", file=sys.stderr)
+            print(f"{len(drifts)} drift(s) from {filename}", file=sys.stderr)
             return 1
-        print("cluster scaling baseline: no drift")
+        print(clean)
         return 0
-    path = save_baseline()
-    print(f"wrote {path}")
+    print(f"wrote {save()}")
     return 0
+
+
+def cmd_bench_cluster(args) -> int:
+    from repro.bench.cluster import compare_baseline, save_baseline
+
+    return _bench_baseline(
+        args, compare_baseline, save_baseline,
+        "BENCH_cluster.json", "cluster scaling baseline: no drift",
+    )
 
 
 def cmd_bench_transfers(args) -> int:
     from repro.bench.transfers import compare_baseline, save_baseline
 
-    if args.check:
-        drifts = compare_baseline()
-        if drifts:
-            for line in drifts:
-                print(line)
-            print(f"{len(drifts)} drift(s) from BENCH_transfers.json", file=sys.stderr)
-            return 1
-        print("transfer baseline: no drift")
-        return 0
-    path = save_baseline()
-    print(f"wrote {path}")
-    return 0
+    return _bench_baseline(
+        args, compare_baseline, save_baseline,
+        "BENCH_transfers.json", "transfer baseline: no drift",
+    )
 
 
 def cmd_verify_update(args) -> int:
@@ -586,18 +588,10 @@ def cmd_verify_update(args) -> int:
 def cmd_bench_dynamic(args) -> int:
     from repro.bench.dynamic import compare_dynamic, save_dynamic
 
-    if args.check:
-        drifts = compare_dynamic()
-        if drifts:
-            for line in drifts:
-                print(line)
-            print(f"{len(drifts)} drift(s) from BENCH_dynamic.json", file=sys.stderr)
-            return 1
-        print("dynamic crossover baseline: no drift")
-        return 0
-    path = save_dynamic()
-    print(f"wrote {path}")
-    return 0
+    return _bench_baseline(
+        args, compare_dynamic, save_dynamic,
+        "BENCH_dynamic.json", "dynamic crossover baseline: no drift",
+    )
 
 
 def cmd_serve(args) -> int:
@@ -688,18 +682,10 @@ def cmd_serve(args) -> int:
 def cmd_bench_serve(args) -> int:
     from repro.bench.serve import compare_serve, save_serve
 
-    if args.check:
-        drifts = compare_serve()
-        if drifts:
-            for line in drifts:
-                print(line)
-            print(f"{len(drifts)} drift(s) from BENCH_serve.json", file=sys.stderr)
-            return 1
-        print("serving baseline: no drift (>=3x batching floor holds)")
-        return 0
-    path = save_serve()
-    print(f"wrote {path}")
-    return 0
+    return _bench_baseline(
+        args, compare_serve, save_serve,
+        "BENCH_serve.json", "serving baseline: no drift (>=3x batching floor holds)",
+    )
 
 
 def cmd_lint(args) -> int:
@@ -797,6 +783,8 @@ def cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     """Parse arguments and dispatch to the chosen subcommand."""
+    from repro.core.backends import backend_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Out-of-core GPU APSP (IPDPS 2022 reproduction)",
@@ -821,7 +809,7 @@ def main(argv=None) -> int:
     p.add_argument("--query", metavar="U,V", default="",
                    help="print one distance after solving")
     p.add_argument("--kernel-backend", default="",
-                   choices=["", "auto", "reference", "tiled", "chunked", "jit", "threaded"],
+                   choices=["", "auto", *backend_names()],
                    help="host min-plus kernel backend (default: process-wide engine)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--checkpoint-dir", metavar="DIR", default="",
@@ -869,10 +857,12 @@ def main(argv=None) -> int:
                        help="wall-clock Gop/s sweep of the min-plus kernel backends")
     p.add_argument("--sizes", default="256,1024", help="comma-separated problem sizes")
     p.add_argument("--tiles", default="64,128,256",
-                   help="comma-separated tile sizes for tiled/jit backends")
+                   help="comma-separated tile sizes for the jit backend")
     p.add_argument("--backends", default="",
                    help="comma-separated backend names (default: all registered)")
-    p.add_argument("--repeats", type=int, default=1, help="timing repeats (best-of)")
+    p.add_argument("--repeats", type=int, default=5,
+                   help="timing repeats per config: rows record the best, "
+                        "median and quartiles")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-save", action="store_true",
                    help="print only; skip writing BENCH_kernels.json")

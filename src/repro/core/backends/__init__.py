@@ -8,9 +8,7 @@ forced via ``REPRO_KERNEL_BACKEND`` / an explicit API argument).
 
 ============  ==========================================================
 ``reference``  the seed rank-1 numpy loop — the semantics oracle
-``tiled``      cache-blocked ``(bi, bk, bj)`` sub-tiles sized to L2
-``chunked``    3-D broadcast over bounded ``k``-slabs
-``jit``        numba → compiled C → tiled, degrading gracefully
+``jit``        numba → compiled C → ``reference``, degrading gracefully
 ``threaded``   thread-pool column panels over the best serial backend
 ============  ==========================================================
 """
@@ -18,48 +16,27 @@ forced via ``REPRO_KERNEL_BACKEND`` / an explicit API argument).
 from __future__ import annotations
 
 from repro.core.backends.base import KernelBackend
-from repro.core.backends.chunked import ChunkedBackend
 from repro.core.backends.jit import JITBackend
 from repro.core.backends.reference import ReferenceBackend
 from repro.core.backends.threaded import ThreadedBackend
-from repro.core.backends.tiled import TiledBackend
 
 __all__ = [
-    "ChunkedBackend",
     "JITBackend",
     "KernelBackend",
     "ReferenceBackend",
     "ThreadedBackend",
-    "TiledBackend",
-    "available_backends",
     "backend_names",
     "create_backend",
-    "register_backend",
 ]
 
-_REGISTRY: dict[str, type[KernelBackend]] = {}
-
-
-def register_backend(cls: type[KernelBackend]) -> type[KernelBackend]:
-    """Add a backend class to the registry (keyed by ``cls.name``)."""
-    if not cls.name or cls.name == "?":
-        raise ValueError(f"{cls.__name__} needs a registry name")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-for _cls in (ReferenceBackend, TiledBackend, ChunkedBackend, JITBackend, ThreadedBackend):
-    register_backend(_cls)
+_REGISTRY: dict[str, type[KernelBackend]] = {
+    cls.name: cls for cls in (ReferenceBackend, JITBackend, ThreadedBackend)
+}
 
 
 def backend_names() -> tuple[str, ...]:
     """All registered backend names, reference first."""
     return tuple(_REGISTRY)
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of backends usable in this environment."""
-    return tuple(name for name, cls in _REGISTRY.items() if cls.available())
 
 
 def create_backend(name: str, **options) -> KernelBackend:

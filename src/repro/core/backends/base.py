@@ -5,7 +5,7 @@ driver in this repository bottoms out in:
 
 * :meth:`KernelBackend.update` — the in-place min-plus accumulate
   ``C = min(C, A ⊗ B)`` (stages 2–3 of blocked FW, the boundary
-  algorithm's ``dist4`` chain, min-plus powering);
+  algorithm's ``dist4`` chain, dynamic decrease patches);
 * :meth:`KernelBackend.fw_inplace` — the Floyd–Warshall closure of one
   square tile (stage 1 / diagonal blocks / in-core solves).
 
@@ -32,7 +32,6 @@ __all__ = [
     "INT32_INF",
     "KernelBackend",
     "finite_column_indices",
-    "float16_update",
     "int32_rank1_update",
     "numpy_fw_inplace",
     "rank1_update",
@@ -85,35 +84,13 @@ def int32_rank1_update(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     """Reference int32 min-plus: :data:`INT32_INF` sentinel, saturating add.
 
     The numpy oracle the compiled int32 kernels must match **exactly** —
-    the semiring is integral, so unlike float16 there is no tolerance:
-    sums go through int64 and clamp to the sentinel instead of wrapping.
+    the semiring is integral, so there is no tolerance: sums go through
+    int64 and clamp to the sentinel instead of wrapping.
     """
     for k in range(a.shape[1]):
         wide = a[:, k : k + 1].astype(np.int64) + b[k : k + 1, :].astype(np.int64)
         cand = np.minimum(wide, np.int64(INT32_INF)).astype(np.int32)
         np.minimum(c, cand, out=c)
-    return c
-
-
-def float16_update(
-    c: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    update=rank1_update,
-) -> np.ndarray:
-    """float16 min-plus computed through float32, rounded once at the end.
-
-    Candidates are formed in float32 (``update`` may be any accelerated
-    float32 backend method — all are bit-identical) and the accumulator
-    rounds back to float16 on the way out. Relative error vs an exact
-    semiring is bounded by one float16 rounding step (2^-11 ≈ 4.9e-4) of
-    the final value; see ``docs/PERFORMANCE.md``.
-    """
-    c32 = np.ascontiguousarray(c, dtype=np.float32)
-    a32 = np.ascontiguousarray(a, dtype=np.float32)
-    b32 = np.ascontiguousarray(b, dtype=np.float32)
-    update(c32, a32, b32)
-    c[...] = c32.astype(np.float16)
     return c
 
 
@@ -138,11 +115,6 @@ class KernelBackend(abc.ABC):
     #: one-line description shown by ``python -m repro bench-kernels``
     summary: str = ""
 
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this backend can run in the current environment."""
-        return True
-
     @property
     def flavor(self) -> str:
         """The concrete implementation in use (differs from :attr:`name`
@@ -165,12 +137,6 @@ class KernelBackend(abc.ABC):
         bit-for-bit (the semiring is integral — no tolerance).
         """
         return int32_rank1_update(c, a, b)
-
-    def update_f16(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """float16 semiring update, computed through this backend's
-        float32 kernel and rounded once (documented tolerance: one
-        float16 rounding step of the float32 result)."""
-        return float16_update(c, a, b, update=self.update)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flavor = f" ({self.flavor})" if self.flavor != self.name else ""

@@ -13,8 +13,9 @@ Flavor resolution order (overridable with ``REPRO_JIT_FLAVOR``):
    point, fanning one min-plus product across ``threads`` cores. Only
    selectable when the translation unit was built with OpenMP
    (``-fopenmp``); otherwise it degrades to ``cc``;
-4. ``fallback`` — delegate to :class:`~repro.core.backends.tiled.TiledBackend`
-   (pure numpy), so requesting ``jit`` is always safe.
+4. ``fallback`` — delegate to
+   :class:`~repro.core.backends.reference.ReferenceBackend` (pure numpy),
+   so requesting ``jit`` is always safe.
 
 Compile flags are **probed**, not assumed: ``-march=native``, ``-fopenmp``
 and ``-fopenmp-simd`` are each test-compiled first and dropped individually
@@ -72,11 +73,9 @@ integer-weight distance matrices (the library's domain) and off by default.
 Setting ``REPRO_JIT=off`` forces the fallback (used by the CI leg that
 exercises the degradation path).
 
-A reduced-precision semiring rides the same interface:
+An integer semiring rides the same interface:
 :meth:`JITBackend.update_i32` runs an exact saturating int32 min-plus in C
-(sentinel ``INT32_INF``), and :meth:`KernelBackend.update_f16` (base-class
-implementation) computes through float32 and rounds once — see
-``docs/PERFORMANCE.md`` for the documented tolerance.
+(sentinel ``INT32_INF``).
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.backends.base import KernelBackend, int32_rank1_update
-from repro.core.backends.tiled import TiledBackend
+from repro.core.backends.reference import ReferenceBackend
 
 __all__ = [
     "CCBuildInfo",
@@ -959,10 +958,10 @@ def _load_numba_kernels():
 
 
 class JITBackend(KernelBackend):
-    """numba/compiled-C kernels, degrading gracefully to the tiled backend."""
+    """numba/compiled-C kernels, degrading gracefully to the reference backend."""
 
     name = "jit"
-    summary = "JIT kernel: numba if present, else vectorized C (serial or OpenMP), else tiled numpy"
+    summary = "JIT kernel: numba if present, else vectorized C (serial or OpenMP), else reference numpy"
 
     def __init__(
         self,
@@ -975,7 +974,7 @@ class JITBackend(KernelBackend):
         self.fw_block = fw_block
         self._numba = None
         self._cc = None
-        self._fallback = TiledBackend()
+        self._fallback = ReferenceBackend()
         requested = flavor or os.environ.get("REPRO_JIT_FLAVOR") or "auto"
         if os.environ.get("REPRO_JIT", "").lower() in ("off", "0", "no"):
             requested = "fallback"

@@ -12,9 +12,15 @@ and get their parallelism from the panel split inside it.
 
 Panels are views, not copies — every inner backend accepts arbitrary row
 strides — and each worker writes a disjoint slice of ``C``, so no
-synchronisation beyond the final join is needed. Results are bit-identical
-to the serial inner backend because the panel decomposition does not change
-any per-element candidate set.
+synchronisation beyond the final join is needed. That holds only while
+``C`` is disjoint from ``A``: in blocked FW's stage-2 column update
+``update(T, T, diag)`` every panel reads all of ``A`` while the other
+panels write into it. Aliased operands therefore go to the inner backend
+unsplit, decided by the same conservative predicate
+(:meth:`JITBackend._aliased`) that keeps them off the OpenMP panels
+inside ``jit``. With that routing the results are bit-identical to the
+serial inner backend: a disjoint panel split does not change any
+per-element candidate set.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import numpy as np
 
 from repro.core.backends.base import KernelBackend
 from repro.core.backends.jit import JITBackend
-from repro.core.backends.tiled import TiledBackend
 
 __all__ = ["ThreadedBackend", "default_workers", "shared_executor"]
 
@@ -73,10 +78,7 @@ class ThreadedBackend(KernelBackend):
     def __init__(
         self, inner: KernelBackend | None = None, workers: int | None = None
     ) -> None:
-        if inner is None:
-            jit = JITBackend()
-            inner = jit if jit.compiled else TiledBackend()
-        self.inner = inner
+        self.inner = inner if inner is not None else JITBackend()
         self.workers = workers if workers is not None else default_workers()
 
     @property
@@ -85,10 +87,14 @@ class ThreadedBackend(KernelBackend):
         return f"threaded({self.inner.flavor})x{self.workers}"
 
     def update(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """In-place ``C = min(C, A ⊗ B)``, column panels across workers."""
+        """In-place ``C = min(C, A ⊗ B)``, column panels across workers.
+
+        Aliased operands run unsplit: with ``C`` = ``A`` each panel would
+        read all of ``A`` while the other panels write into it.
+        """
         bj = c.shape[1]
         panels = min(self.workers, max(1, bj // self.MIN_PANEL))
-        if panels < 2:
+        if panels < 2 or JITBackend._aliased(c, a, b):
             return self.inner.update(c, a, b)
         bounds = np.linspace(0, bj, panels + 1, dtype=int)
         ex = shared_executor(self.workers)

@@ -1,7 +1,7 @@
 """The kernel engine: backend selection, coercion, and calibration.
 
 Every numeric hot path in the repository — blocked FW stages 1–3, the
-boundary algorithm's ``dist4`` chain, in-core FW, min-plus powering —
+boundary algorithm's ``dist4`` chain, in-core FW, dynamic patches —
 funnels through a :class:`KernelEngine`, which owns one
 :class:`~repro.core.backends.base.KernelBackend` and guards its operand
 contract:
@@ -17,14 +17,12 @@ Selection order:
 
 1. an explicit ``engine=`` argument on any driver / ``KernelEngine(name)``;
 2. the ``REPRO_KERNEL_BACKEND`` environment variable
-   (``reference | tiled | chunked | jit | threaded | auto``);
+   (``reference | jit | threaded | auto``);
 3. ``auto`` — first, the **autotuned winner** persisted for this machine's
    fingerprint in ``BENCH_kernels.json`` (``python -m repro tune-kernels``;
    no re-sweeping at startup) when its flavor still materialises;
 4. otherwise micro-calibrate at first use: time every registered backend
-   on one small product and keep the fastest — except ``tiled``, which is
-   demoted (0.65–0.95× reference at 1024³ in every committed sweep) and
-   can never win while a measured-faster backend exists.
+   on one small product and keep the fastest.
 
 Run ``python -m repro bench-kernels`` for the full wall-clock sweep and
 ``python -m repro tune-kernels`` for the machine-keyed config search (see
@@ -42,7 +40,6 @@ import numpy as np
 from repro.core.backends import (
     KernelBackend,
     ThreadedBackend,
-    available_backends,
     backend_names,
     create_backend,
 )
@@ -52,7 +49,6 @@ from repro.core.minplus import DIST_DTYPE
 
 __all__ = [
     "CalibrationResult",
-    "DEMOTED_BACKENDS",
     "KernelEngine",
     "calibrate",
     "default_engine",
@@ -64,13 +60,8 @@ __all__ = [
 ENV_BACKEND = "REPRO_KERNEL_BACKEND"
 
 #: problem shape used for first-use micro-calibration (kept small: the
-#: whole sweep costs tens of milliseconds, amortised over a full run)
+#: whole sweep costs about 10 ms, amortised over a full run)
 CALIBRATION_SHAPE = (192, 192, 192)
-
-
-#: backends excluded from auto selection while a measured-faster one
-#: exists (committed sweeps: 0.65–0.95× reference for every tile at 1024³)
-DEMOTED_BACKENDS = ("tiled",)
 
 
 @dataclass
@@ -79,19 +70,11 @@ class CalibrationResult:
 
     shape: tuple[int, int, int]
     rows: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def best(self) -> str:
-        """Name of the fastest backend in the sweep, after demotions.
-
-        Demoted backends (:data:`DEMOTED_BACKENDS`) are only eligible
-        when nothing else was measured — ``tiled`` never beats a
-        measured-faster backend regardless of micro-benchmark noise.
-        """
-        pool = [r for r in self.rows if r["backend"] not in DEMOTED_BACKENDS]
-        pool = pool or self.rows
-        return min(pool, key=lambda r: r["seconds"])["backend"]
+        """Name of the fastest backend in the sweep."""
+        return min(self.rows, key=lambda r: r["seconds"])["backend"]
 
     def add(self, backend: str, flavor: str, seconds: float) -> None:
         """Record one backend's timing."""
@@ -107,11 +90,9 @@ class CalibrationResult:
 
 
 def calibrate(
-    shape: tuple[int, int, int] = CALIBRATION_SHAPE,
-    backends: tuple[str, ...] | None = None,
-    seed: int = 0,
+    shape: tuple[int, int, int] = CALIBRATION_SHAPE, seed: int = 0
 ) -> CalibrationResult:
-    """Time every (requested) backend on one random product.
+    """Time every registered backend on one random product.
 
     Each backend gets a tiny warm-up first so one-time costs (numba/C
     compilation, thread-pool spin-up) don't pollute the measurement.
@@ -122,20 +103,13 @@ def calibrate(
     b = (rng.random((bk, bj), dtype=DIST_DTYPE) * 100).astype(DIST_DTYPE)
     wa, wb = a[:32, :32].copy(), b[:32, :32].copy()
     result = CalibrationResult(shape)
-    for name in backends or available_backends():
+    for name in backend_names():
         backend = create_backend(name)
         backend.update(np.full((32, 32), np.inf, dtype=DIST_DTYPE), wa, wb)
         c = np.full((bi, bj), np.inf, dtype=DIST_DTYPE)
         t0 = perf_counter()
         backend.update(c, a, b)
         result.add(name, backend.flavor, perf_counter() - t0)
-    demoted = [r["backend"] for r in result.rows if r["backend"] in DEMOTED_BACKENDS]
-    if demoted and len(result.rows) > len(demoted):
-        result.notes.append(
-            f"demoted from selection: {', '.join(demoted)} — "
-            "0.65–0.95× reference at 1024³ in every committed sweep; "
-            "the fastest non-demoted backend is chosen"
-        )
     return result
 
 
@@ -285,18 +259,6 @@ class KernelEngine:
             return c
         self.backend.update_i32(c, a, b)
         return c
-
-    def update_f16(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """float16 semiring update through the backend's float32 kernel,
-        rounded once on the way out (tolerance: one float16 rounding step
-        of the float32 result — see ``docs/PERFORMANCE.md``)."""
-        if c.shape != (a.shape[0], b.shape[1]) or a.shape[1] != b.shape[0]:
-            raise ValueError(
-                f"incompatible shapes C{c.shape} = A{a.shape} ⊗ B{b.shape}"
-            )
-        if c.size == 0 or a.shape[1] == 0:
-            return c
-        return self.backend.update_f16(c, a, b)
 
     def minplus(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Fresh min-plus product ``A ⊗ B`` (no accumulation)."""

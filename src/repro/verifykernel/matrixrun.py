@@ -4,7 +4,7 @@ This is the *payload* of the sanitizer harness: a standalone process that
 ``dlopen``s a (normally instrumented) kernel shared object and drives
 every C entry point through the shapes that historically hide bugs —
 remainder tiles, strided row views, aliased operands, saturating int32,
-the float16 round-through path, and the OpenMP panel fan-out — checking
+and the OpenMP panel fan-out — checking
 each result against the numpy reference semantics from
 :mod:`repro.core.backends.base`.
 
@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.core.backends.base import (
     INT32_INF,
-    float16_update,
     int32_rank1_update,
     numpy_fw_inplace,
     rank1_update,
@@ -210,20 +209,6 @@ def run_matrix_cases(
     ci2 = ci.copy()
     kern.mp_update_i32(*_mp_args(kern, ci2, ai, bi_, np.int32))
     record(f"i32/saturating/n={n}", ci2, want_i)
-
-    # -- float16 round-through path --------------------------------------
-    n = sizes[0]
-    ch16 = _dist_matrix(rng, n).astype(np.float16)
-    ah16 = _dist_matrix(rng, n).astype(np.float16)
-    bh16 = _dist_matrix(rng, n).astype(np.float16)
-    want_h = float16_update(ch16.copy(), ah16, bh16)
-
-    def _cc_update(c32, a32, b32):
-        kern.mp_update(*_mp_args(kern, c32, a32, b32, np.float32))
-        return c32
-
-    got_h = float16_update(ch16.copy(), ah16, bh16, update=_cc_update)
-    record(f"f16/round-through/n={n}", got_h, want_h)
 
     # -- Floyd–Warshall: in-place + blocked ------------------------------
     n = sizes[-1]

@@ -3,9 +3,9 @@
 Every backend registered in :mod:`repro.core.backends` must produce results
 **bit-identical** to the naive rank-1 reference loop — min is
 order-independent and float32 ``a + b`` rounds identically regardless of
-tiling, chunking, JIT compilation, or threading, so equality here is exact
-``array_equal``, not ``allclose``. The suite covers random, inf-heavy,
-empty, degenerate, and non-square tiles (parametrized and property-based),
+JIT compilation or threading, so equality here is exact ``array_equal``,
+not ``allclose``. The suite covers random, inf-heavy, empty, degenerate,
+and non-square tiles (parametrized and property-based),
 Floyd–Warshall closure, the engine's dtype/layout coercion rules, the
 environment/API selection knobs, and the graceful numba→C→numpy fallback.
 """
@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.backends import available_backends, backend_names, create_backend
+from repro.core.backends import backend_names, create_backend
 from repro.core.backends.base import finite_column_indices, numpy_fw_inplace, rank1_update
 from repro.core.backends.jit import JITBackend
+from repro.core.backends.reference import ReferenceBackend
 from repro.core.backends.threaded import ThreadedBackend
 from repro.core.blocked_fw import blocked_floyd_warshall, floyd_warshall_inplace
 from repro.core.engine import (
@@ -30,7 +31,7 @@ from repro.core.engine import (
 )
 from repro.core.minplus import DIST_DTYPE, minplus, minplus_update
 
-BACKENDS = available_backends()
+BACKENDS = backend_names()
 
 
 @pytest.fixture(autouse=True)
@@ -171,7 +172,7 @@ def test_engine_coerces_fortran_operands():
 def test_engine_float64_accumulator_keeps_dtype():
     c, a, b = random_tiles((10, 8, 6), seed=13)
     c64 = c.astype(np.float64)
-    got = KernelEngine("tiled").update(c64, a, b)
+    got = KernelEngine("jit").update(c64, a, b)
     assert got is c64 and got.dtype == np.float64
     assert np.array_equal(got, naive_update(c, a, b).astype(np.float64))
 
@@ -204,7 +205,7 @@ def test_minplus_module_dispatch():
     c, a, b = random_tiles((12, 9, 14), inf_frac=0.2, seed=23)
     expected = naive_update(np.full_like(c, np.inf), a, b)
     assert np.array_equal(minplus(a, b), expected)
-    assert np.array_equal(minplus(a, b, engine=KernelEngine("chunked")), expected)
+    assert np.array_equal(minplus(a, b, engine=KernelEngine("reference")), expected)
     got = np.full_like(c, np.inf)
     minplus_update(got, a, b, engine=KernelEngine("threaded"))
     assert np.array_equal(got, expected)
@@ -214,17 +215,17 @@ def test_minplus_module_dispatch():
 # Selection knobs
 # ----------------------------------------------------------------------
 def test_env_variable_selects_backend(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "tiled")
+    monkeypatch.setenv(ENV_BACKEND, "jit")
     reset_default_engine()
-    assert default_engine().name == "tiled"
+    assert default_engine().name == "jit"
     monkeypatch.setenv(ENV_BACKEND, "reference")
     assert default_engine().name == "reference"  # re-resolves on env change
 
 
 def test_set_default_backend_pins(monkeypatch):
-    set_default_backend("chunked")
+    set_default_backend("threaded")
     monkeypatch.setenv(ENV_BACKEND, "reference")
-    assert default_engine().name == "chunked"  # pinned beats the env
+    assert default_engine().name == "threaded"  # pinned beats the env
 
 
 def test_jit_off_falls_back(monkeypatch):
@@ -325,7 +326,7 @@ def test_cc_blocked_fw_matches_plain(fw_block):
 
 
 # ----------------------------------------------------------------------
-# Reduced-precision semiring (int32 exact, float16 toleranced)
+# Integer semiring (int32, exact)
 # ----------------------------------------------------------------------
 def test_int32_semiring_matches_oracle():
     """int32 min-plus is exact: INT32_INF sentinel, saturating add.
@@ -354,29 +355,6 @@ def test_int32_semiring_matches_oracle():
     assert expected.max() <= INT32_INF and expected.min() >= 0
 
 
-def test_float16_semiring_documented_tolerance():
-    """float16 update == float32 result rounded once to float16 (the
-    documented tolerance — one float16 rounding step, rel err ≤ 2^-11)."""
-    rng = np.random.default_rng(43)
-    n = 21
-    a16 = (rng.random((n, n)) * 100).astype(np.float16)
-    b16 = (rng.random((n, n)) * 100).astype(np.float16)
-    c16 = (rng.random((n, n)) * 100).astype(np.float16)
-    a16[rng.random((n, n)) < 0.2] = np.inf
-    expected32 = naive_update(
-        c16.astype(np.float32), a16.astype(np.float32), b16.astype(np.float32)
-    )
-    for backend in (JITBackend(), create_backend("reference")):
-        got = backend.update_f16(c16.copy(), a16, b16)
-        assert got.dtype == np.float16
-        assert np.array_equal(got, expected32.astype(np.float16)), backend
-        finite = np.isfinite(expected32)
-        rel = np.abs(got[finite].astype(np.float32) - expected32[finite])
-        assert (rel <= np.abs(expected32[finite]) * 2.0**-10).all()
-    got = KernelEngine("jit").update_f16(c16.copy(), a16, b16)
-    assert np.array_equal(got, expected32.astype(np.float16))
-
-
 def test_threaded_matches_serial_inner():
     backend = ThreadedBackend(workers=3)
     c, a, b = random_tiles((40, 30, 500), inf_frac=0.2, seed=31)
@@ -384,6 +362,59 @@ def test_threaded_matches_serial_inner():
     backend.update(got, a, b)
     assert np.array_equal(got, naive_update(c, a, b))
     assert backend.flavor.startswith("threaded(") and backend.workers == 3
+
+
+class _RecordingBackend(ReferenceBackend):
+    """Reference backend that logs the ``C`` shape of every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def update(self, c, a, b):
+        self.calls.append(c.shape)
+        return super().update(c, a, b)
+
+
+def _stage2_operands(seed=37):
+    """Real-weight 64×256 row tile plus a closed 256×256 diagonal block."""
+    rng = np.random.default_rng(seed)
+    diag = (rng.random((256, 256)) * 10).astype(DIST_DTYPE)
+    np.fill_diagonal(diag, 0.0)
+    numpy_fw_inplace(diag)
+    tile = (rng.random((64, 256)) * 10).astype(DIST_DTYPE)
+    return tile, diag
+
+
+def test_threaded_runs_aliased_operands_unsplit():
+    """FW stage 2 passes ``update(T, T, diag)``: splitting C into panels
+    would let each worker read the panels the others are writing."""
+    tile, diag = _stage2_operands()
+    inner = _RecordingBackend()
+    backend = ThreadedBackend(inner=inner, workers=2)
+    backend.update(tile, tile, diag)
+    assert inner.calls == [(64, 256)]
+    inner.calls.clear()
+    backend.update(np.full_like(tile, np.inf), tile, diag)  # disjoint: split
+    assert inner.calls == [(64, 128), (64, 128)]
+
+
+@pytest.mark.parametrize("pattern", ["c==a", "c==b"])
+def test_threaded_aliased_matches_serial_inner(pattern):
+    """On real weights the aliased result depends on the in-place update
+    order, so only an unsplit call reproduces the serial inner kernel."""
+    tile, diag = _stage2_operands()
+    if pattern == "c==b":
+        tile = np.ascontiguousarray(np.vstack([tile] * 4).T)  # 256×256
+    backend = ThreadedBackend(workers=2)
+    for _ in range(5):
+        want, got = tile.copy(), tile.copy()
+        if pattern == "c==a":
+            backend.inner.update(want, want, diag)
+            backend.update(got, got, diag)
+        else:
+            backend.inner.update(want, diag, want)
+            backend.update(got, diag, got)
+        assert np.array_equal(got, want)
 
 
 def test_calibration_smoke(monkeypatch, tmp_path):
@@ -398,31 +429,25 @@ def test_calibration_smoke(monkeypatch, tmp_path):
     assert eng.calibration is not None and eng.name == eng.calibration.best
 
 
-def test_calibration_demotes_tiled(monkeypatch, tmp_path):
-    """Satellite: tiled can never win auto-calibration over a measured
-    alternative, and the result says why."""
-    from repro.core.engine import CalibrationResult
-
-    result = CalibrationResult(shape=(4, 4, 4))
-    result.add("tiled", "tiled", 0.001)       # fastest on paper...
-    result.add("reference", "reference", 0.002)
-    assert result.best == "reference"          # ...but demoted
-    only_tiled = CalibrationResult(shape=(4, 4, 4))
-    only_tiled.add("tiled", "tiled", 0.001)
-    assert only_tiled.best == "tiled"          # sole survivor still allowed
-    monkeypatch.setenv("REPRO_BENCH_KERNELS", str(tmp_path / "missing.json"))
-    live = calibrate(shape=(32, 32, 32))
-    assert any("demoted" in note for note in live.notes)
-    assert live.best != "tiled"
-
-
 def test_registry_contents():
-    assert backend_names() == ("reference", "tiled", "chunked", "jit", "threaded")
+    assert backend_names() == ("reference", "jit", "threaded")
     # every registered backend is constructible in this environment
     # (jit degrades to its fallback flavor rather than dropping out)
-    assert set(BACKENDS) == set(backend_names())
     for name in BACKENDS:
         assert create_backend(name).name == name
+
+
+def test_removed_backend_names_the_choices(monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.setenv(ENV_BACKEND, "tiled")
+    with pytest.raises(ValueError, match="choose from .*'reference', 'jit', 'threaded'"):
+        default_engine()
+    with pytest.raises(SystemExit):
+        main(["solve", "er:n=20,m=40", "--kernel-backend", "tiled"])
+    assert "choose from '', 'auto', 'reference', 'jit', 'threaded'" in (
+        capsys.readouterr().err
+    )
 
 
 def test_solve_apsp_kernel_backend_arg():

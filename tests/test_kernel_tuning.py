@@ -61,9 +61,6 @@ def test_tune_winner_is_verified_and_fingerprinted(tune_result):
     assert winner["gops"] == max(
         r["gops"] for r in tune_result["rows"] if r["identical"]
     )
-    assert all("tiled" != r["backend"] for r in tune_result["rows"]), (
-        "the demoted backend is not even searched"
-    )
 
 
 def test_record_and_reload_roundtrip(tune_result, _isolated_bench):
