@@ -5,7 +5,7 @@ Pins the distributed blocked-FW model's **strong-scaling** (fixed
 constant matrix share per node) curves into ``BENCH_cluster.json`` at
 the repo root. For every configuration the sweep records the statically
 predicted makespan (α–β link replay,
-:func:`repro.verifyplan.timing.predict_cluster_timing`), the network
+:func:`repro.verifyplan.timing.predict_timing`), the network
 busy time, and the exact communication volume — and *also* executes the
 dynamic cluster simulator, asserting its simulated makespan equals the
 static prediction bit-for-bit (``exact`` per entry).

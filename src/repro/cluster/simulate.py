@@ -37,8 +37,8 @@ outgoing link. A kernel is a ``launch`` on the rank's single stream for
 ``cost``); a send occupies the directed link engine ``net:a->b`` for
 ``α + bytes/β`` and its end is the message's arrival; a recv floors the
 receiving stream at the matched arrival; a barrier floors every rank's
-clock at the fleet time. :func:`repro.verifyplan.timing.predict_cluster_timing`
-makes the same clock calls from the IR.
+clock at the fleet time. :func:`repro.verifyplan.timing.predict_timing`
+makes the same clock calls from the IRs.
 """
 
 from __future__ import annotations

@@ -7,16 +7,20 @@ executing anything:
 - **per-rank residency / def-use / redundancy** — the single-device
   analyses (:func:`repro.verifyplan.analyze.audit_ir`) applied to every
   rank's IR;
-- **cross-node happens-before** — the fleet vector-clock model checker
-  (:func:`repro.verifyplan.hb.analyze_cluster_hb`) proving every
-  inter-node conflicting access ordered in every interleaving, every
-  receive matched (no orphaned sends, no deadlocked collective);
+- **cross-node happens-before** — the vector-clock model checker
+  (:func:`repro.verifyplan.hb.analyze_hb`) over every rank's IR, proving
+  every inter-node conflicting access ordered in every interleaving,
+  every receive matched (no orphaned sends, no deadlocked collective);
 - **communication volume** — exact per-link and per-collective byte
   counts against the closed-form 2-D block-cyclic bounds
   (:mod:`repro.verifyplan.commbounds`);
 - **timing** — the α–β link-model replay
-  (:func:`repro.verifyplan.timing.predict_cluster_timing`) yielding the
+  (:func:`repro.verifyplan.timing.predict_timing`) yielding the
   predicted makespan and network busy time.
+
+The happens-before and timing passes are the two calls every
+``verify_plan`` audit ends with
+(:func:`repro.verifyplan.verifier.check_schedule`).
 
 With ``graph`` provided, the dynamic cluster simulator also runs the
 same schedule and the verifier asserts the simulated makespan equals the
@@ -36,8 +40,9 @@ from repro.verifyplan.commbounds import (
     analyze_comm,
     cluster_comm_checks,
 )
-from repro.verifyplan.hb import HBReport, analyze_cluster_hb
-from repro.verifyplan.timing import TimingReport, predict_cluster_timing
+from repro.verifyplan.hb import HBReport
+from repro.verifyplan.timing import TimingReport
+from repro.verifyplan.verifier import check_schedule
 
 __all__ = ["ClusterVerification", "verify_cluster"]
 
@@ -206,12 +211,11 @@ def verify_cluster(
                     wasted_bytes=f.wasted_bytes,
                 )
             )
-    ver.hb = analyze_cluster_hb(irs, node_names=cluster.node_names())
+    ver.hb, ver.timing = check_schedule(
+        irs, cluster.device, timing=timing, link_of=cluster.link_of,
+        node_names=cluster.node_names(),
+    )
     ver.comm = cluster_comm_checks(cluster, layout, analyze_comm(irs))
-    if timing:
-        ver.timing = predict_cluster_timing(
-            irs, cluster.device, link_of=cluster.link_of
-        )
 
     if graph is not None:
         from repro.core.blocked_fw import floyd_warshall

@@ -234,9 +234,10 @@ def emit_multi_ir(
 
     Runs :func:`_multi_schedule` — the schedule :func:`ooc_boundary_multi`
     executes — into one :class:`~repro.verifyplan.ir.IREmitter` per
-    device. Each fleet barrier is a
+    device; device ``d``'s IR has ``rank=d``. Each fleet barrier is a
     :class:`~repro.verifyplan.ir.BarrierOp` in every device's IR, so the
-    multi-device timing replay synchronises at the same points.
+    happens-before check and the timing replay of the fleet synchronise at
+    the same points.
 
     ``resume=(dist2_done, bound_done, rows_done)`` emits the suffix a
     checkpoint-resumed run replays, as for
@@ -247,7 +248,10 @@ def emit_multi_ir(
     if plan is None:
         plan = plan_boundary(graph, spec, num_components=num_components, seed=seed)
     ems = [
-        IREmitter(f"boundary-multi[{num_devices}]", f"{spec.name}#{d}", spec.memory_bytes)
+        IREmitter(
+            f"boundary-multi[{num_devices}]", f"{spec.name}#{d}",
+            spec.memory_bytes, rank=d,
+        )
         for d in range(num_devices)
     ]
     for _ in _multi_schedule(

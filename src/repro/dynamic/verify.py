@@ -271,7 +271,7 @@ def audit_pass(
         findings=list(findings),
         bounds=update_bound_checks(plan, tally),
         soundness=check_patch_soundness(plan, ir, patch.changed_blocks),
-        hb=analyze_hb(ir),
+        hb=analyze_hb([ir]),
     )
 
 

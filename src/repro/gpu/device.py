@@ -244,7 +244,8 @@ class Device:
 
     def create_stream(self, name: str = "") -> Stream:
         """The stream called ``name`` (a fresh ``streamN`` when unnamed),
-        created on first use: a stream is a named lane of the clock."""
+        created on first use: a stream is a named lane of the clock, and
+        the sanitizer keys its vector clocks by the same name."""
         name = name or f"stream{len(self._streams) + 1}"
         stream = self._streams.get(name)
         if stream is None:

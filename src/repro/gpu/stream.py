@@ -39,8 +39,8 @@ from repro.gpu.transfer import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import Device
+    from repro.gpu.ordering import VectorTime
     from repro.gpu.timeline import ClockOp
-    from repro.sanitize.sanitizer import Clock
 
 __all__ = ["Event", "Stream"]
 
@@ -62,7 +62,7 @@ class Event:
         self.name = name
         self.time = 0.0
         self.op: "ClockOp | None" = None
-        self._clock: "Clock | None" = None
+        self._clock: "VectorTime | None" = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Event({self.name!r}, t={self.time:.6f})"

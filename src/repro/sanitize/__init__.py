@@ -17,7 +17,9 @@ Two halves (see ``docs/STATIC_ANALYSIS.md``):
 
 The *static* counterpart of the sanitizer — proving the same schedule
 properties from a symbolic plan before anything runs — lives in
-:mod:`repro.verifyplan` (``python -m repro verify-plan``).
+:mod:`repro.verifyplan` (``python -m repro verify-plan``). Both order ops
+with one vector clock, :mod:`repro.gpu.ordering`; each keeps its own
+input (the executed numpy views here, the plan's rectangles there).
 """
 
 from repro.sanitize.hazards import Hazard, HazardReport

@@ -6,24 +6,16 @@ information needed to do the same accounting statically. The
 :class:`ScheduleSanitizer` observes every operation the runtime performs —
 kernel launches (with their declared read/write sets), H2D/D2H copies,
 event records and waits, host synchronisation, allocation and free — and
-maintains a **vector clock** per stream:
+orders them with the happens-before rule of :mod:`repro.gpu.ordering`, the
+vector clock the static checker (:func:`repro.verifyplan.hb.analyze_hb`)
+uses too. ``DeviceArray.free`` is treated like legacy ``cudaFree``: it
+synchronises the whole device before the memory is reused, and any access
+enqueued after it is a use-after-free, even across ``Device.reset_clock``.
 
-* consecutive operations on one stream are ordered (program order);
-* ``Stream.record(event)`` snapshots the recording stream's clock onto the
-  event; ``Stream.wait(event)`` joins that snapshot into the waiting
-  stream's clock (the cross-stream edge double buffering relies on);
-* a *synchronous* copy or an explicit ``synchronize()`` joins the finished
-  work into the **host clock**, which every subsequently *enqueued*
-  operation inherits (``cudaMemcpy`` semantics);
-* ``DeviceArray.free`` is treated like legacy ``cudaFree``: it
-  synchronises the whole device before the memory is reused, and any
-  access enqueued after it is a use-after-free.
-
-Operation ``a`` happens-before ``b`` iff ``b``'s clock contains ``a``'s
-index on ``a``'s stream. Two operations on different streams that touch
-overlapping bytes of one buffer, at least one writing, with *no*
-happens-before path either way, constitute a race — exactly the hazard a
-missing ``Event`` edge opens up in the double-buffered drivers.
+Two operations on different streams that touch overlapping bytes of one
+buffer, at least one writing, with *no* happens-before path either way,
+constitute a race — exactly the hazard a missing ``Event`` edge opens up
+in the double-buffered drivers.
 
 Byte overlap between numpy views is decided with ``np.shares_memory``
 (falling back to the conservative bounds check if the exact problem is too
@@ -40,31 +32,27 @@ from typing import TYPE_CHECKING, Iterable, Union
 
 import numpy as np
 
+from repro.gpu.ordering import (
+    Access,
+    OrderedOp,
+    VectorClock,
+    VectorTime,
+    happens_before,
+    scan_races,
+)
 from repro.sanitize.hazards import Hazard, HazardReport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.memory import DeviceArray, HostBuffer
     from repro.gpu.stream import Event, Stream
 
-__all__ = ["ScheduleSanitizer", "Access", "TrackedOp"]
+__all__ = ["ScheduleSanitizer"]
 
 #: anything the runtime may hand the sanitizer as a buffer operand
 Operand = Union["DeviceArray", "HostBuffer", np.ndarray]
 
 #: cap on exact ``np.shares_memory`` work before falling back to bounds
 _SHARE_WORK = 1_000_000
-
-#: cap on reported race hazards per buffer (the first few name the bug;
-#: the rest are echoes of the same missing edge)
-_MAX_PER_BUFFER = 8
-
-Clock = dict[int, int]
-
-
-def _join(into: Clock, other: Clock) -> None:
-    for key, idx in other.items():
-        if into.get(key, -1) < idx:
-            into[key] = idx
 
 
 def _as_ndarray(operand: Operand) -> np.ndarray:
@@ -96,31 +84,6 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @dataclass
-class TrackedOp:
-    """One observed operation with its happens-before clock."""
-
-    seq: int  # global enqueue order
-    stream_key: int
-    stream: str  # display name
-    name: str
-    index: int  # position on its stream
-    clock: Clock
-
-    def label(self) -> str:
-        """Short ``#seq:name@stream`` identifier for hazard messages."""
-        return f"#{self.seq}:{self.name}@{self.stream}"
-
-
-@dataclass
-class Access:
-    """One read or write of a buffer region by a :class:`TrackedOp`."""
-
-    op: TrackedOp
-    kind: str  # "read" | "write"
-    view: np.ndarray
-
-
-@dataclass
 class _BufferInfo:
     """Lifecycle record of one tracked buffer (device or host).
 
@@ -132,6 +95,7 @@ class _BufferInfo:
     device: bool
     root: np.ndarray
     prefilled: bool = False
+    #: number of the next op when the buffer was freed (None while live)
     freed_seq: int | None = None
     accesses: list[Access] = field(default_factory=list)
 
@@ -143,11 +107,7 @@ class ScheduleSanitizer:
     def __init__(self, device_name: str = "") -> None:
         self.device_name = device_name
         self._buffers: dict[int, _BufferInfo] = {}
-        self._stream_clock: dict[int, Clock] = {}
-        self._stream_index: dict[int, int] = {}
-        self._stream_name: dict[int, str] = {}
-        self._host_clock: Clock = {}
-        self._seq = 0
+        self._clock = VectorClock()
         self._eager_hazards: list[Hazard] = []
 
     # ------------------------------------------------------------------
@@ -165,42 +125,15 @@ class ScheduleSanitizer:
 
     def on_free(self, array: "DeviceArray") -> None:
         """Model legacy ``cudaFree``: device-wide sync, then the bytes die."""
-        for clock in self._stream_clock.values():
-            _join(self._host_clock, clock)
+        self._clock.sync_device()
         info = self._buffers.get(id(_root(array.data)))
         if info is not None:
-            info.freed_seq = self._seq
+            info.freed_seq = self._clock.seq
 
     # ------------------------------------------------------------------
     # Stream operations (called by Stream)
     # ------------------------------------------------------------------
-    def _stream_key(self, stream: "Stream") -> int:
-        key = id(stream)
-        if key not in self._stream_clock:
-            self._stream_clock[key] = {}
-            self._stream_index[key] = 0
-            self._stream_name[key] = stream.name
-        return key
-
-    def _new_op(self, stream: "Stream", name: str) -> TrackedOp:
-        key = self._stream_key(stream)
-        clock = self._stream_clock[key]
-        _join(clock, self._host_clock)  # enqueued after host-known work
-        index = self._stream_index[key]
-        self._stream_index[key] = index + 1
-        clock[key] = index
-        op = TrackedOp(
-            seq=self._seq,
-            stream_key=key,
-            stream=self._stream_name[key],
-            name=name,
-            index=index,
-            clock=dict(clock),
-        )
-        self._seq += 1
-        return op
-
-    def _record_access(self, op: TrackedOp, kind: str, operand: Operand) -> None:
+    def _record_access(self, op: OrderedOp, kind: str, operand: Operand) -> None:
         view = _as_ndarray(operand)
         if view.size == 0:
             return  # touches no bytes (empty boundary sets, zero-size tiles)
@@ -210,19 +143,19 @@ class ScheduleSanitizer:
             # host memory is registered lazily on first sight
             info = _BufferInfo(name=f"host[{root.shape}]", device=False, root=root)
             self._buffers[id(root)] = info
-        if info.freed_seq is not None and op.seq >= info.freed_seq:
+        if info.freed_seq is not None:
             self._eager_hazards.append(
                 Hazard(
                     kind="use-after-free",
                     buffer=info.name,
                     streams=(op.stream, op.stream),
                     first_op=f"free@#{info.freed_seq}",
-                    second_op=op.label(),
+                    second_op=op.label,
                     detail="operation enqueued after the allocation was freed",
                 )
             )
             return
-        info.accesses.append(Access(op=op, kind=kind, view=view))
+        info.accesses.append(Access(op, kind, view))
 
     def on_kernel(
         self,
@@ -232,7 +165,7 @@ class ScheduleSanitizer:
         writes: Iterable[Operand] = (),
     ) -> None:
         """Record a kernel launch with its declared access sets."""
-        op = self._new_op(stream, name)
+        op = self._clock.op(stream.name, name)
         for operand in reads:
             self._record_access(op, "read", operand)
         for operand in writes:
@@ -248,45 +181,38 @@ class ScheduleSanitizer:
         sync: bool,
     ) -> None:
         """Record one copy: ``src`` is read, ``dst`` is written."""
-        op = self._new_op(stream, name)
+        op = self._clock.op(stream.name, name)
         self._record_access(op, "read", src)
         self._record_access(op, "write", dst)
         if sync:
-            _join(self._host_clock, op.clock)
+            self._clock.sync_stream(stream.name)
 
     def on_record(self, stream: "Stream", event: "Event") -> None:
         """Snapshot the recording stream's clock onto the event."""
-        key = self._stream_key(stream)
-        event._clock = dict(self._stream_clock[key])
+        event._clock = self._clock.record(stream.name)
 
     def on_wait(self, stream: "Stream", event: "Event") -> None:
         """Join the event's snapshot into the waiting stream's clock."""
-        key = self._stream_key(stream)
-        snapshot: Clock | None = getattr(event, "_clock", None)
+        snapshot: VectorTime | None = event._clock
         if snapshot:
-            _join(self._stream_clock[key], snapshot)
+            self._clock.wait(stream.name, snapshot)
 
     def on_stream_sync(self, stream: "Stream") -> None:
         """The host blocked on one stream: its work is host-known now."""
-        key = self._stream_key(stream)
-        _join(self._host_clock, self._stream_clock[key])
+        self._clock.sync_stream(stream.name)
 
     def on_device_sync(self) -> None:
         """The host blocked on the whole device."""
-        for clock in self._stream_clock.values():
-            _join(self._host_clock, clock)
+        self._clock.sync_device()
 
     def reset_schedule(self) -> None:
-        """Forget the recorded schedule but keep live allocations.
+        """Forget the recorded schedule but keep live allocations; a freed
+        buffer stays freed.
 
         Mirrors :meth:`repro.gpu.device.Device.reset_clock`, which the
         drivers call between calibration and measured runs.
         """
-        self._stream_clock.clear()
-        self._stream_index.clear()
-        self._stream_name.clear()
-        self._host_clock = {}
-        self._seq = 0
+        self._clock.reset()
         self._eager_hazards = []
         for info in self._buffers.values():
             info.accesses = []
@@ -294,48 +220,6 @@ class ScheduleSanitizer:
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-    @staticmethod
-    def _happens_before(a: TrackedOp, b: TrackedOp) -> bool:
-        return b.clock.get(a.stream_key, -1) >= a.index
-
-    def _scan_races(self, info: _BufferInfo, hazards: list[Hazard]) -> None:
-        found = 0
-        seen: set[tuple[str, str, str, str, str]] = set()
-        accesses = info.accesses
-        for i, first in enumerate(accesses):
-            for second in accesses[i + 1 :]:
-                if first.op.stream_key == second.op.stream_key:
-                    continue
-                if first.kind == "read" and second.kind == "read":
-                    continue
-                if self._happens_before(first.op, second.op):
-                    continue
-                if self._happens_before(second.op, first.op):
-                    continue
-                if not _overlaps(first.view, second.view):
-                    continue
-                kind = f"{first.kind}-{second.kind}-race"
-                dedup = (
-                    kind, first.op.stream, second.op.stream,
-                    first.op.name, second.op.name,
-                )
-                if dedup in seen:
-                    continue
-                seen.add(dedup)
-                hazards.append(
-                    Hazard(
-                        kind=kind,
-                        buffer=info.name,
-                        streams=(first.op.stream, second.op.stream),
-                        first_op=first.op.label(),
-                        second_op=second.op.label(),
-                        detail="no happens-before edge orders these accesses",
-                    )
-                )
-                found += 1
-                if found >= _MAX_PER_BUFFER:
-                    return
-
     def _scan_uninitialized(self, info: _BufferInfo, hazards: list[Hazard]) -> None:
         if not info.device or info.prefilled:
             return
@@ -344,7 +228,7 @@ class ScheduleSanitizer:
             if access.kind != "read":
                 continue
             covered = any(
-                self._happens_before(w.op, access.op) and _overlaps(w.view, access.view)
+                happens_before(w.op, access.op) and _overlaps(w.region, access.region)
                 for w in writes
                 if w.op is not access.op
             )
@@ -355,7 +239,7 @@ class ScheduleSanitizer:
                         buffer=info.name,
                         streams=(access.op.stream, access.op.stream),
                         first_op="<no prior write>",
-                        second_op=access.op.label(),
+                        second_op=access.op.label,
                         detail="no transfer or kernel write is ordered before this read",
                     )
                 )
@@ -365,13 +249,22 @@ class ScheduleSanitizer:
         """Scan the recorded schedule and return the findings."""
         hazards: list[Hazard] = list(self._eager_hazards)
         for info in self._buffers.values():
-            if len(info.accesses) >= 2:
-                self._scan_races(info, hazards)
+            for first, second in scan_races(info.accesses, _overlaps):
+                hazards.append(
+                    Hazard(
+                        kind=f"{first.kind}-{second.kind}-race",
+                        buffer=info.name,
+                        streams=(first.op.stream, second.op.stream),
+                        first_op=first.op.label,
+                        second_op=second.op.label,
+                        detail="no happens-before edge orders these accesses",
+                    )
+                )
             self._scan_uninitialized(info, hazards)
         hazards.sort(key=lambda h: h.second_op)
         return HazardReport(
             device=self.device_name,
-            num_ops=self._seq,
+            num_ops=self._clock.seq,
             num_buffers=len(self._buffers),
             hazards=hazards,
         )

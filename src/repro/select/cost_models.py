@@ -291,7 +291,7 @@ def analytic_estimate_fw(
     b = plan_fw_block_size(n, spec, overlap=True)
     ir = emit_fw_ir(n, spec, block_size=b, overlap=True)
     return _estimate_from_timing(
-        "floyd-warshall", predict_timing(ir, spec, calibration=calibration)
+        "floyd-warshall", predict_timing([ir], spec, calibration=calibration)
     )
 
 
@@ -317,7 +317,7 @@ def analytic_estimate_johnson(
     )
     ir = emit_johnson_ir(graph, spec, batch_size=bat, workloads=workloads)
     return _estimate_from_timing(
-        "johnson", predict_timing(ir, spec, calibration=calibration)
+        "johnson", predict_timing([ir], spec, calibration=calibration)
     )
 
 
@@ -339,5 +339,5 @@ def analytic_estimate_boundary(
         plan = plan_boundary(graph, spec, seed=seed)
     ir = emit_boundary_ir(graph, spec, plan=plan, seed=seed)
     return _estimate_from_timing(
-        "boundary", predict_timing(ir, spec, calibration=calibration)
+        "boundary", predict_timing([ir], spec, calibration=calibration)
     )

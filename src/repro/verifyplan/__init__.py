@@ -16,9 +16,10 @@ generator on the device. Five analyses then run over the IR:
 - **redundancy** — uploads of already-resident unmodified blocks and
   repeated downloads of untouched regions, reported as wasted bytes;
 - **happens-before** (:mod:`~repro.verifyplan.hb`) — a vector-clock
-  model checker proving every byte-overlapping conflicting access pair
-  ordered in *every* legal interleaving, every wait satisfiable
-  (deadlock-freedom), and no recorded event dead;
+  model checker, on the runtime sanitizer's own clock
+  (:mod:`repro.gpu.ordering`), proving every byte-overlapping
+  conflicting access pair ordered in *every* legal interleaving, every
+  wait satisfiable (deadlock-freedom), and no recorded event dead;
 - **timing** (:mod:`~repro.verifyplan.timing`) — a replay of the IR on
   the device's own clock yielding the critical path, predicted
   makespan, and copy/compute overlap efficiency per algorithm.
@@ -34,11 +35,12 @@ simulated clocks of real runs.
 The same machinery scales past one host: the distributed schedules of
 :mod:`repro.cluster` lower their collectives to point-to-point
 :class:`~repro.verifyplan.ir.SendOp`/:class:`~repro.verifyplan.ir.RecvOp`
-pairs, :func:`analyze_cluster_hb` proves them ordered and matched across
-nodes in every interleaving, :mod:`~repro.verifyplan.commbounds` proves
-the per-link byte counts equal the closed-form 2-D block-cyclic volumes,
-and :func:`predict_cluster_timing` replays the fleet under an α–β link
-model.
+pairs, :func:`analyze_hb` proves them ordered and matched across nodes
+in every interleaving, :mod:`~repro.verifyplan.commbounds` proves the
+per-link byte counts equal the closed-form 2-D block-cyclic volumes, and
+:func:`predict_timing` replays the fleet under an α–β link model. Both
+take the schedule's list of IRs — one per device or rank — and walk it
+through one interleaving rule, :func:`~repro.verifyplan.ir.walk_fleet`.
 
 Incremental schedules get the same treatment:
 :mod:`~repro.verifyplan.updatebounds` proves the dynamic-graph patch
@@ -73,13 +75,7 @@ from repro.verifyplan.commbounds import (
     expected_comm_volumes,
     expected_link_bytes,
 )
-from repro.verifyplan.hb import (
-    HBFinding,
-    HBReport,
-    analyze_cluster_hb,
-    analyze_hb,
-    merge_hb_reports,
-)
+from repro.verifyplan.hb import HBFinding, HBReport, analyze_hb
 from repro.verifyplan.ir import (
     AllocOp,
     BarrierOp,
@@ -103,8 +99,6 @@ from repro.verifyplan.timing import (
     TimingCalibration,
     TimingReport,
     kernel_duration,
-    predict_cluster_timing,
-    predict_multi_timing,
     predict_timing,
 )
 from repro.verifyplan.updatebounds import (
@@ -155,7 +149,6 @@ __all__ = [
     "TimingReport",
     "TransferTally",
     "WaitOp",
-    "analyze_cluster_hb",
     "analyze_comm",
     "analyze_def_use",
     "analyze_hb",
@@ -171,9 +164,6 @@ __all__ = [
     "fw_exact_h2d_bytes",
     "increase_d2h_bytes",
     "kernel_duration",
-    "merge_hb_reports",
-    "predict_cluster_timing",
-    "predict_multi_timing",
     "predict_timing",
     "static_touched_blocks",
     "update_bound_checks",

@@ -40,14 +40,21 @@ Conventions:
   point-to-point pairs implement each collective. A send *reads* its
   source rectangle and a recv *writes* its destination rectangle, so the
   existing def-use and happens-before analyses see the communication
-  exactly as they see copies; the cross-rank matching lives in
-  :func:`repro.verifyplan.hb.analyze_cluster_hb` and the volume proofs
-  in :mod:`repro.verifyplan.commbounds`.
+  exactly as they see copies; the volume proofs live in
+  :mod:`repro.verifyplan.commbounds`.
+
+A schedule is a list of IRs: one for a single device, one per device for
+multi-GPU, one per rank for the cluster. :func:`walk_fleet` is the one
+rule for interleaving them (FIFO message matching, barrier release, stall
+detection); the happens-before checker and the timing replay both walk
+their IRs through it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -70,6 +77,8 @@ __all__ = [
     "SymBuffer",
     "SymEvent",
     "WaitOp",
+    "fleet_name",
+    "walk_fleet",
 ]
 
 
@@ -224,7 +233,8 @@ class WaitOp:
 
 @dataclass(frozen=True)
 class BarrierOp:
-    """A device-wide (or fleet-wide, for multi-GPU) synchronisation point."""
+    """A fleet barrier: every IR of the schedule joins here (a device-wide
+    synchronisation when the schedule has one IR)."""
 
     label: str
 
@@ -317,7 +327,8 @@ class PlanIR:
     capacity: int
     buffers: dict[int, SymBuffer] = field(default_factory=dict)
     ops: tuple = ()
-    #: rank id within a cluster schedule (0 for single-device plans)
+    #: index within a fleet schedule: the device for multi-GPU, the rank
+    #: for a cluster (0 for single-device plans)
     rank: int = 0
 
     @property
@@ -492,7 +503,8 @@ class IREmitter:
         self._ops.append(WaitOp(event=event.id, stream=stream))
 
     def barrier(self, label: str) -> None:
-        """Mirror a device-wide synchronisation (multi-GPU ``_barrier``)."""
+        """Mirror a fleet barrier (multi-GPU ``_barrier``, a cluster round's
+        end)."""
         self._ops.append(BarrierOp(label))
 
     def finish(self) -> PlanIR:
@@ -504,3 +516,80 @@ class IREmitter:
             ops=tuple(self._ops),
             rank=self.rank,
         )
+
+
+def fleet_name(irs: Sequence[PlanIR]) -> str:
+    """The device a report over ``irs`` names: the IR's own for one IR,
+    ``<spec>×N`` for a fleet of N."""
+    if len(irs) == 1:
+        return irs[0].device
+    return f"{irs[0].device.split('#')[0]}×{len(irs)}"
+
+
+def walk_fleet(
+    irs: Sequence[PlanIR],
+    visit: Callable[[int, int, Any, Any], Any],
+    *,
+    barrier: Callable[[list[int]], object],
+    stall: Callable[[list[int], list[int]], object],
+) -> dict[tuple[int, int, str], deque]:
+    """Interleave the IRs of one schedule in an order the fleet can run.
+
+    Each IR runs until it blocks: on a :class:`RecvOp` whose channel holds
+    no send yet, or on a :class:`BarrierOp`. ``visit(i, j, op, sent)`` is
+    called once for every other op ``j`` of ``irs[i]``, in that order.
+    Messages match FIFO per ``(src, dst, tag)`` channel: a send's return
+    value from ``visit`` is queued, and the recv that matches it gets it
+    as ``sent``. Once every unfinished IR is at a barrier,
+    ``barrier(waiting)`` is called with their indices and they pass it.
+    When no IR can move, ``stall(blocked, pos)`` gets the indices of the
+    IRs stopped at a recv and every IR's position; it raises to abort, or
+    returns to force each blocked recv through with ``sent=None``.
+
+    Returns the queued sends no recv matched, per channel.
+    """
+    if not irs:
+        raise ValueError("a schedule needs at least one IR")
+    pos = [0] * len(irs)
+    channels: dict[tuple[int, int, str], deque] = {}
+
+    def run(i: int) -> bool:
+        """Advance ``irs[i]`` until it blocks; True if it moved."""
+        ir, moved = irs[i], False
+        while pos[i] < len(ir.ops):
+            op = ir.ops[pos[i]]
+            if isinstance(op, BarrierOp):
+                break
+            if isinstance(op, RecvOp):
+                queue = channels.get((op.src, ir.rank, op.tag))
+                if not queue:
+                    break
+                visit(i, pos[i], op, queue.popleft())
+            elif isinstance(op, SendOp):
+                sent = visit(i, pos[i], op, None)
+                channels.setdefault((ir.rank, op.dst, op.tag), deque()).append(sent)
+            else:
+                visit(i, pos[i], op, None)
+            pos[i] += 1
+            moved = True
+        return moved
+
+    while True:
+        progressed = False
+        for i in range(len(irs)):
+            if run(i):
+                progressed = True
+        heads = [ir.ops[p] if p < len(ir.ops) else None for ir, p in zip(irs, pos)]
+        if all(op is None for op in heads):
+            return channels
+        if all(op is None or isinstance(op, BarrierOp) for op in heads):
+            waiting = [i for i, op in enumerate(heads) if op is not None]
+            barrier(waiting)
+            for i in waiting:
+                pos[i] += 1
+        elif not progressed:
+            blocked = [i for i, op in enumerate(heads) if isinstance(op, RecvOp)]
+            stall(blocked, pos)
+            for i in blocked:
+                visit(i, pos[i], heads[i], None)
+                pos[i] += 1

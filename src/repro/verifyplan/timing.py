@@ -1,13 +1,17 @@
 """Symbolic critical-path timing over the schedule IR.
 
 Where :mod:`repro.verifyplan.hb` proves a schedule *correct*, this module
-predicts how *fast* it is — without instantiating a device. It replays a
-:class:`~repro.verifyplan.ir.PlanIR` on the simulated runtime's own
-:class:`~repro.gpu.timeline.Clock`, turning each IR op into the clock call
-the device makes for it: a kernel is a ``launch``, a copy a sync or async
-``copy``, an event ``record``/``wait`` a stream mark. Durations come from
-the :class:`~repro.gpu.device.DeviceSpec` roofline cost models
-(:mod:`repro.gpu.kernels`) and the transfer model
+predicts how *fast* it is — without instantiating a device. It replays the
+IRs of one schedule (one :class:`~repro.verifyplan.ir.PlanIR` per device
+or rank) on the simulated runtime's own
+:class:`~repro.gpu.timeline.Clock`, one per IR, turning each IR op into
+the clock call the device makes for it: a kernel is a ``launch``, a copy a
+sync or async ``copy``, an event ``record``/``wait`` a stream mark, a
+message a ``send``/``recv`` on a link engine, and a fleet barrier a
+:func:`~repro.gpu.timeline.fleet_floor`. The IRs interleave through
+:func:`~repro.verifyplan.ir.walk_fleet`, the happens-before checker's
+rule. Durations come from the :class:`~repro.gpu.device.DeviceSpec`
+roofline cost models (:mod:`repro.gpu.kernels`) and the transfer model
 (:mod:`repro.gpu.transfer`), so on a faithful emitter the predicted
 makespan *is* the run's simulated makespan, bit for bit: the tests pin
 both to the same values on the standard configurations.
@@ -35,16 +39,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
 
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernels import launch_seconds
 from repro.gpu.timeline import Clock, TimingReport, fleet_floor, timing_report
 from repro.gpu.transfer import copy_duration, copy_duration_2d
 from repro.verifyplan.ir import (
-    BarrierOp,
     CopyOp,
     KernelOp,
     LinkSpec,
@@ -53,14 +56,14 @@ from repro.verifyplan.ir import (
     RecvOp,
     SendOp,
     WaitOp,
+    fleet_name,
+    walk_fleet,
 )
 
 __all__ = [
     "TimingCalibration",
     "TimingReport",
     "kernel_duration",
-    "predict_cluster_timing",
-    "predict_multi_timing",
     "predict_timing",
 ]
 
@@ -82,7 +85,7 @@ def kernel_duration(op: KernelOp, spec: DeviceSpec) -> float:
 
 
 def _replay(clock: Clock, events: dict, ir: PlanIR, op, spec: DeviceSpec) -> None:
-    """Make the clock call the device makes for one op of ``ir``.
+    """Make the clock call the device makes for one device op of ``ir``.
 
     ``events`` maps the IR's event ids to their recorded marks; it lives
     as long as the clock. Alloc/free touch no clock, and an ``annotate``
@@ -107,143 +110,68 @@ def _replay(clock: Clock, events: dict, ir: PlanIR, op, spec: DeviceSpec) -> Non
         # an unrecorded event would wait on time 0.0 — a no-op, like
         # waiting a default-constructed Event in the runtime
         clock.wait(op.stream, events[op.event])
-    elif isinstance(op, BarrierOp):
-        fleet_floor([clock])
 
 
 def predict_timing(
-    ir: PlanIR,
+    irs: Sequence[PlanIR],
     spec: DeviceSpec,
     *,
+    link_of: Callable[[int, int], LinkSpec] | None = None,
     calibration: "TimingCalibration | None" = None,
 ) -> TimingReport:
-    """Statically predict the simulated makespan of one driver's IR."""
-    if calibration is not None:
-        spec = calibration.apply(spec)
-    clock = Clock()
-    events: dict = {}
-    for op in ir.ops:
-        _replay(clock, events, ir, op, spec)
-    return timing_report(ir.algorithm, ir.device, [clock])
+    """Statically predict the simulated makespan of one schedule.
 
+    ``irs`` holds one IR per device (or cluster rank); each replays on its
+    own :class:`~repro.gpu.timeline.Clock`, making the calls the device,
+    the multi-GPU driver and the cluster simulator
+    (:mod:`repro.cluster.simulate`) make:
 
-def predict_multi_timing(
-    irs: list[PlanIR],
-    spec: DeviceSpec,
-    *,
-    calibration: "TimingCalibration | None" = None,
-) -> TimingReport:
-    """Replay per-device IRs with fleet barriers (``multi_gpu._barrier``).
-
-    Each device replays on its own clock up to its next
-    :class:`BarrierOp`; once every device is there, all clocks are floored
-    at the fleet-wide elapsed time, exactly as the driver's ``_barrier``
-    does.
-    """
-    if not irs:
-        raise ValueError("predict_multi_timing needs at least one device IR")
-    if calibration is not None:
-        spec = calibration.apply(spec)
-    return _replay_fleet(irs, spec, link_of=None)
-
-
-def predict_cluster_timing(
-    irs: list[PlanIR],
-    spec: DeviceSpec,
-    *,
-    link_of,
-    calibration: "TimingCalibration | None" = None,
-) -> TimingReport:
-    """Replay per-rank cluster IRs under the α–β interconnect model.
-
-    ``link_of(src, dst)`` maps a directed rank pair to the
-    :class:`~repro.verifyplan.ir.LinkSpec` carrying their traffic. Each
-    rank replays on its own :class:`~repro.gpu.timeline.Clock`, making the
-    calls the cluster simulator (:mod:`repro.cluster.simulate`) makes, with
-    eager-buffered sends:
-
-    * a **send** occupies the directed link as an engine of the sending
-      rank for ``α + nbytes/β``; its end is the message's *arrival time*;
+    * a :class:`~repro.verifyplan.ir.BarrierOp` floors every clock at the
+      fleet-wide elapsed time, as the multi-GPU driver's ``_barrier``
+      does;
+    * a **send** occupies the directed link ``link_of(src, dst)`` (a
+      :class:`~repro.verifyplan.ir.LinkSpec`) as an engine of the sending
+      rank for ``α + nbytes/β``; its end is the message's *arrival time*.
+      Sends are eager-buffered: the sender continues;
     * a **recv** floors the receiving stream at the FIFO-matched arrival
-      and costs nothing itself;
-    * a :class:`~repro.verifyplan.ir.BarrierOp` is a fleet barrier
-      flooring every rank's clock at the fleet-wide elapsed time.
+      and costs nothing itself.
 
     Every transfer's end time is a fixed function of its predecessors
     (sender clocks + per-link FIFO order), so the replay is
     processing-order independent and matches the simulator's makespan
-    **exactly**.
+    **exactly**. A schedule in which no IR can move raises
+    :class:`ValueError`; :func:`~repro.verifyplan.hb.analyze_hb` names
+    the blocked recvs.
     """
-    if not irs:
-        raise ValueError("predict_cluster_timing needs at least one rank IR")
     if calibration is not None:
         spec = calibration.apply(spec)
-    return _replay_fleet(irs, spec, link_of=link_of)
-
-
-def _replay_fleet(irs: list[PlanIR], spec: DeviceSpec, *, link_of) -> TimingReport:
-    """Schedule per-device (or per-rank) IRs onto one clock each.
-
-    This only schedules the IR — FIFO message matching, barrier
-    rendezvous and deadlock detection; the clocks do the timing.
-    """
     clocks = [Clock() for _ in irs]
     events: list[dict] = [{} for _ in irs]
-    pos = [0] * len(irs)
-    #: (src, dst, tag) -> FIFO of send ops, whose ends are the arrivals
-    arrivals: dict[tuple[int, int, str], deque] = {}
 
-    def run_rank(i: int) -> bool:
-        """Advance rank ``i`` until blocked; True if any op was processed."""
-        clock, ir = clocks[i], irs[i]
-        moved = False
-        while pos[i] < len(ir.ops):
-            op = ir.ops[pos[i]]
-            if isinstance(op, BarrierOp):
-                break
-            if isinstance(op, SendOp):
-                link: LinkSpec = link_of(ir.rank, op.dst)
-                sent = clock.send(
-                    ir.rank, op.dst, op.stream, f"send:{op.tag}",
-                    link.duration(op.access.nbytes),
-                )
-                arrivals.setdefault((ir.rank, op.dst, op.tag), deque()).append(sent)
-            elif isinstance(op, RecvOp):
-                queue = arrivals.get((op.src, ir.rank, op.tag))
-                if not queue:
-                    break  # sender has not issued the message yet
-                clock.recv(op.stream, queue.popleft())
-            else:
-                _replay(clock, events[i], ir, op, spec)
-            pos[i] += 1
-            moved = True
-        return moved
-
-    while True:
-        progressed = False
-        for i in range(len(irs)):
-            if run_rank(i):
-                progressed = True
-        if all(pos[i] >= len(ir.ops) for i, ir in enumerate(irs)):
-            break
-        at_barrier = [
-            i for i, ir in enumerate(irs)
-            if pos[i] < len(ir.ops) and isinstance(ir.ops[pos[i]], BarrierOp)
-        ]
-        if at_barrier and all(
-            pos[i] >= len(ir.ops) or isinstance(ir.ops[pos[i]], BarrierOp)
-            for i, ir in enumerate(irs)
-        ):
-            fleet_floor(clocks)
-            for i in at_barrier:
-                pos[i] += 1
-            continue
-        if not progressed:
-            raise ValueError(
-                "cluster timing: schedule deadlocks — run analyze_cluster_hb"
+    def visit(i: int, j: int, op, sent):
+        ir, clock = irs[i], clocks[i]
+        if isinstance(op, SendOp):
+            if link_of is None:
+                raise ValueError("timing: a schedule with messages needs link_of")
+            link = link_of(ir.rank, op.dst)
+            return clock.send(
+                ir.rank, op.dst, op.stream, f"send:{op.tag}",
+                link.duration(op.access.nbytes),
             )
-    device = f"{irs[0].device.split('#')[0]}×{len(irs)}"
-    return timing_report(irs[0].algorithm, device, clocks)
+        if isinstance(op, RecvOp):
+            clock.recv(op.stream, sent)
+        else:
+            _replay(clock, events[i], ir, op, spec)
+        return None
+
+    def stall(blocked: list[int], pos: list[int]) -> None:
+        raise ValueError(
+            "timing: schedule deadlocks, no IR can move — run analyze_hb "
+            "to name the blocked recvs"
+        )
+
+    walk_fleet(irs, visit, barrier=lambda waiting: fleet_floor(clocks), stall=stall)
+    return timing_report(irs[0].algorithm, fleet_name(irs), clocks)
 
 
 @dataclass(frozen=True)
@@ -270,13 +198,15 @@ class TimingCalibration:
     def from_bench(cls, kernels_path: Path | str | None = None) -> "TimingCalibration":
         root = Path(__file__).resolve().parents[3]
         kernels_path = Path(kernels_path) if kernels_path else root / "BENCH_kernels.json"
-        # the autotuned winner for this machine's fingerprint wins: it is
-        # the rate of the kernel config the engine will actually select
-        try:
-            from repro.bench.kernels import tuned_minplus_gops
+        from repro.bench.kernels import tuned_minplus_gops
 
+        # the autotuned winner for this machine's fingerprint wins: it is
+        # the rate of the kernel config the engine will actually select.
+        # A missing or corrupt file reads as untuned; a non-numeric
+        # ``gops`` in the entry falls back to the sweep too
+        try:
             tuned = tuned_minplus_gops(kernels_path)
-        except Exception:
+        except (TypeError, ValueError):
             tuned = None
         if tuned:
             return cls(minplus_rate=tuned * 1e9)

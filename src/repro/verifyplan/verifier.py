@@ -29,15 +29,17 @@ from repro.verifyplan.bounds import (
     johnson_bound_checks,
     multi_bound_checks,
 )
-from repro.verifyplan.hb import HBReport, analyze_hb, merge_hb_reports
-from repro.verifyplan.timing import (
-    TimingCalibration,
-    TimingReport,
-    predict_multi_timing,
-    predict_timing,
-)
+from repro.verifyplan.hb import HBReport, analyze_hb
+from repro.verifyplan.ir import PlanIR
+from repro.verifyplan.timing import TimingCalibration, TimingReport, predict_timing
 
-__all__ = ["ALGORITHM_NAMES", "PlanAudit", "PlanVerification", "verify_plan"]
+__all__ = [
+    "ALGORITHM_NAMES",
+    "PlanAudit",
+    "PlanVerification",
+    "check_schedule",
+    "verify_plan",
+]
 
 #: canonical algorithm keys, in report order
 ALGORITHM_NAMES = ("floyd-warshall", "johnson", "boundary", "multi-gpu")
@@ -188,10 +190,27 @@ def _merge_audit(
     audit.findings.extend(findings)
 
 
+def check_schedule(
+    irs: list[PlanIR],
+    spec,
+    *,
+    timing: bool,
+    calibration: TimingCalibration | None = None,
+    link_of=None,
+    node_names: dict[int, str] | None = None,
+) -> tuple[HBReport, TimingReport | None]:
+    """The two whole-schedule checks every audit ends with: the
+    happens-before closure of ``irs`` and, with ``timing``, their replay
+    (``link_of`` and ``node_names`` as for cluster schedules)."""
+    hb = analyze_hb(irs, node_names=node_names)
+    if not timing:
+        return hb, None
+    return hb, predict_timing(irs, spec, link_of=link_of, calibration=calibration)
+
+
 def _audit_fw(
-    graph, spec, overlap: bool, tolerance: float,
-    timing: bool, calibration: TimingCalibration | None,
-) -> PlanAudit:
+    graph, spec, overlap: bool, tolerance: float
+) -> tuple[PlanAudit, list[PlanIR]]:
     from repro.core.ooc_fw import emit_fw_ir, plan_fw_block_size
     from repro.core.tiling import BlockLayout
     from repro.gpu.errors import OutOfMemoryError
@@ -201,7 +220,7 @@ def _audit_fw(
     try:
         b = plan_fw_block_size(n, spec, overlap=overlap)
     except (ValueError, OutOfMemoryError) as exc:  # pragma: no cover - tiny devices
-        return PlanAudit("floyd-warshall", False, reason=str(exc))
+        return PlanAudit("floyd-warshall", False, reason=str(exc)), []
     layout = BlockLayout(n, b)
     nd = layout.num_blocks
     audit.parameters = {"block_size": b, "num_blocks": nd}
@@ -212,15 +231,12 @@ def _audit_fw(
         n, nd, audit.bytes_h2d, audit.bytes_d2h, tolerance=tolerance,
         block_sizes=[layout.size(i) for i in range(nd)], overlap=overlap,
     )
-    audit.hb = analyze_hb(ir)
-    if timing:
-        audit.timing = predict_timing(ir, spec, calibration=calibration)
-    return audit
+    return audit, [ir]
 
 
 def _audit_johnson(
-    graph, spec, overlap: bool, timing: bool, calibration: TimingCalibration | None
-) -> PlanAudit:
+    graph, spec, overlap: bool, timing: bool
+) -> tuple[PlanAudit, list[PlanIR]]:
     from repro.core.ooc_johnson import (
         collect_mssp_workloads,
         emit_johnson_ir,
@@ -234,7 +250,7 @@ def _audit_johnson(
     try:
         bat = plan_batch_size(graph, spec, num_row_buffers=nbuf)
     except OutOfMemoryError as exc:
-        return PlanAudit("johnson", False, reason=str(exc))
+        return PlanAudit("johnson", False, reason=str(exc)), []
     bat = max(1, min(bat, n))
     audit.parameters = {"batch_size": bat, "num_batches": -(-n // bat)}
     # the symbolic timing pass needs the per-batch MSSP workloads (the
@@ -251,16 +267,12 @@ def _audit_johnson(
     audit.bounds = johnson_bound_checks(
         n, m, bat, audit.bytes_h2d, audit.bytes_d2h, audit.num_d2h
     )
-    audit.hb = analyze_hb(ir)
-    if timing:
-        audit.timing = predict_timing(ir, spec, calibration=calibration)
-    return audit
+    return audit, [ir]
 
 
 def _audit_boundary(
-    graph, spec, overlap: bool, batch_transfers: bool, seed: int,
-    timing: bool, calibration: TimingCalibration | None,
-) -> PlanAudit:
+    graph, spec, overlap: bool, batch_transfers: bool, seed: int
+) -> tuple[PlanAudit, list[PlanIR]]:
     from repro.core.ooc_boundary import (
         BoundaryInfeasibleError,
         emit_boundary_ir,
@@ -274,7 +286,7 @@ def _audit_boundary(
             graph, spec, batch_transfers=batch_transfers, overlap=overlap, seed=seed
         )
     except BoundaryInfeasibleError as exc:
-        return PlanAudit("boundary", False, reason=exc.detail)
+        return PlanAudit("boundary", False, reason=exc.detail), []
     batched = batch_transfers and plan.n_row >= 1
     audit.parameters = {
         "num_components": plan.num_components,
@@ -294,16 +306,12 @@ def _audit_boundary(
     audit.bounds = boundary_bound_checks(
         plan, n, audit.bytes_h2d, audit.bytes_d2h, flushes, batched=batched
     )
-    audit.hb = analyze_hb(ir)
-    if timing:
-        audit.timing = predict_timing(ir, spec, calibration=calibration)
-    return audit
+    return audit, [ir]
 
 
 def _audit_multi(
-    graph, spec, num_devices: int, seed: int,
-    timing: bool, calibration: TimingCalibration | None,
-) -> PlanAudit:
+    graph, spec, num_devices: int, seed: int
+) -> tuple[PlanAudit, list[PlanIR]]:
     from repro.core.multi_gpu import emit_multi_ir
     from repro.core.ooc_boundary import BoundaryInfeasibleError, plan_boundary
 
@@ -312,7 +320,7 @@ def _audit_multi(
     try:
         plan = plan_boundary(graph, spec, seed=seed)
     except BoundaryInfeasibleError as exc:
-        return PlanAudit("multi-gpu", False, reason=exc.detail)
+        return PlanAudit("multi-gpu", False, reason=exc.detail), []
     audit.parameters = {
         "num_devices": num_devices,
         "num_components": plan.num_components,
@@ -326,10 +334,7 @@ def _audit_multi(
     audit.bounds = multi_bound_checks(
         plan, n, num_devices, audit.bytes_h2d, audit.bytes_d2h
     )
-    audit.hb = merge_hb_reports([analyze_hb(ir) for ir in irs])
-    if timing:
-        audit.timing = predict_multi_timing(irs, spec, calibration=calibration)
-    return audit
+    return audit, irs
 
 
 def verify_plan(
@@ -370,18 +375,20 @@ def verify_plan(
     for raw in names:
         name = _ALIASES.get(raw, raw)
         if name == "floyd-warshall":
-            audit = _audit_fw(graph, spec, overlap, tolerance, timing, calibration)
+            audit, irs = _audit_fw(graph, spec, overlap, tolerance)
         elif name == "johnson":
-            audit = _audit_johnson(graph, spec, overlap, timing, calibration)
+            audit, irs = _audit_johnson(graph, spec, overlap, timing)
         elif name == "boundary":
-            audit = _audit_boundary(
-                graph, spec, overlap, batch_transfers, seed, timing, calibration
-            )
+            audit, irs = _audit_boundary(graph, spec, overlap, batch_transfers, seed)
         elif name == "multi-gpu":
-            audit = _audit_multi(graph, spec, num_devices, seed, timing, calibration)
+            audit, irs = _audit_multi(graph, spec, num_devices, seed)
         else:
             raise ValueError(
                 f"unknown algorithm {raw!r}; choose from {ALGORITHM_NAMES}"
+            )
+        if irs:
+            audit.hb, audit.timing = check_schedule(
+                irs, spec, timing=timing, calibration=calibration
             )
         verification.audits[name] = audit
     return verification

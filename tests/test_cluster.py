@@ -36,12 +36,12 @@ from repro.verifyplan import (
     BarrierOp,
     RecvOp,
     SendOp,
-    analyze_cluster_hb,
     analyze_comm,
+    analyze_hb,
     audit_ir,
     cluster_comm_checks,
     expected_comm_volumes,
-    predict_cluster_timing,
+    predict_timing,
 )
 
 #: (nodes, devices per node) topologies of the standard sweep
@@ -133,7 +133,7 @@ class TestCrossValidation:
     def test_predicted_makespan_equals_simulated(self, graph, nodes, devices):
         cluster, layout, irs = _setup(nodes, devices)
         result = cluster_fw(graph, cluster, block_size=layout.block_size)
-        timing = predict_cluster_timing(
+        timing = predict_timing(
             irs, cluster.device, link_of=cluster.link_of
         )
         assert timing.makespan == result.makespan  # exact, not approx
@@ -142,7 +142,7 @@ class TestCrossValidation:
         cluster, layout, irs = _setup(2, 2, block_size=17)  # 120 % 17 != 0
         result = cluster_fw(graph, cluster, block_size=17)
         assert cluster_comm_checks(cluster, layout, analyze_comm(irs)).ok
-        timing = predict_cluster_timing(
+        timing = predict_timing(
             irs, cluster.device, link_of=cluster.link_of
         )
         assert timing.makespan == result.makespan
@@ -150,7 +150,7 @@ class TestCrossValidation:
     @pytest.mark.parametrize("nodes,devices", TOPOLOGIES)
     def test_clean_schedules_verify_with_zero_findings(self, nodes, devices):
         cluster, _, irs = _setup(nodes, devices)
-        hb = analyze_cluster_hb(irs, node_names=cluster.node_names())
+        hb = analyze_hb(irs, node_names=cluster.node_names())
         assert hb.ok and not hb.findings
         for ir in irs:
             _, _, findings = audit_ir(ir)
@@ -187,7 +187,7 @@ class TestSeededDefects:
             irs, lambda ir, op: isinstance(op, SendOp)
             and op.collective == "broadcast-row"
         )
-        hb = analyze_cluster_hb(mutated, node_names=cluster.node_names())
+        hb = analyze_hb(mutated, node_names=cluster.node_names())
         orphans = [f for f in hb.findings if f.kind == "orphaned-recv"]
         assert orphans, hb.findings
         # attribution: the blocked receiver names the link and block
@@ -235,7 +235,7 @@ class TestSeededDefects:
         mutated[rank] = dataclasses.replace(
             irs[rank], ops=irs[rank].ops[:j] + (op,) + irs[rank].ops[j:]
         )
-        hb = analyze_cluster_hb(mutated, node_names=cluster.node_names())
+        hb = analyze_hb(mutated, node_names=cluster.node_names())
         orphans = [f for f in hb.findings if f.kind == "orphaned-send"]
         assert orphans
         assert "duplicated contribution" in orphans[0].detail
@@ -260,7 +260,7 @@ class TestSeededDefects:
             + (dataclasses.replace(op, dst=wrong),)
             + irs[rank].ops[j + 1:],
         )
-        hb = analyze_cluster_hb(mutated, node_names=cluster.node_names())
+        hb = analyze_hb(mutated, node_names=cluster.node_names())
         kinds = {f.kind for f in hb.findings}
         assert "orphaned-recv" in kinds  # the intended receiver starves
         assert "orphaned-send" in kinds  # the stray message is unconsumed
@@ -292,13 +292,13 @@ class TestSeededDefects:
             )
 
         mutated = [recv_before_send(ir) for ir in irs]
-        hb = analyze_cluster_hb(mutated, node_names=cluster.node_names())
+        hb = analyze_hb(mutated, node_names=cluster.node_names())
         cycles = [f for f in hb.findings if f.kind == "circular-wait"]
         assert len(cycles) >= 2  # both leads blocked on each other
         assert "deadlocked collective" in cycles[0].detail
         # the timing replay refuses to schedule a deadlocked fleet
         with pytest.raises(ValueError, match="deadlock"):
-            predict_cluster_timing(
+            predict_timing(
                 mutated, cluster.device, link_of=cluster.link_of
             )
 
@@ -315,7 +315,7 @@ class TestSeededDefects:
             + (dataclasses.replace(op, key=("bogus", 9, 9)),)
             + irs[rank].ops[j + 1:],
         )
-        hb = analyze_cluster_hb(mutated, node_names=cluster.node_names())
+        hb = analyze_hb(mutated, node_names=cluster.node_names())
         assert any(f.kind == "key-mismatch" for f in hb.findings)
 
 

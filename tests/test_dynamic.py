@@ -321,7 +321,7 @@ def test_touched_blocks_cover_changed_blocks(kind):
 @pytest.mark.parametrize("kind", ["decrease", "increase"])
 def test_update_schedule_happens_before_clean(kind):
     patch = _one_pass(kind)
-    report = analyze_hb(emit_update_ir(patch.plan, TEST_DEVICE))
+    report = analyze_hb([emit_update_ir(patch.plan, TEST_DEVICE)])
     assert report.ok, [f.describe() for f in report.findings]
 
 

@@ -421,7 +421,7 @@ def test_resumed_fw_schedule_passes_hb_and_audit():
     from repro.verifyplan import analyze_hb, audit_ir
 
     ir = emit_fw_ir(GRAPH.num_vertices, TEST_DEVICE, block_size=48, start_k=1)
-    hb = analyze_hb(ir)
+    hb = analyze_hb([ir])
     assert hb.ok, hb.describe()
     peak, _tally, findings = audit_ir(ir)
     assert findings == []
@@ -433,7 +433,7 @@ def test_resumed_johnson_schedule_passes_hb_and_audit():
     from repro.verifyplan import analyze_hb, audit_ir
 
     ir = emit_johnson_ir(GRAPH, TEST_DEVICE, batch_size=40, start_batch=1)
-    hb = analyze_hb(ir)
+    hb = analyze_hb([ir])
     assert hb.ok, hb.describe()
     peak, _tally, findings = audit_ir(ir)
     assert findings == []
@@ -457,7 +457,7 @@ def test_resumed_boundary_schedule_passes_hb_and_audit():
                            overlap=True),
         ]
         for ir in irs:
-            hb = analyze_hb(ir)
+            hb = analyze_hb([ir])
             assert hb.ok, f"{ir.device} {resume}: {hb.describe()}"
             peak, _tally, findings = audit_ir(ir)
             assert findings == []

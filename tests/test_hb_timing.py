@@ -18,6 +18,7 @@ Three contracts:
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -38,13 +39,11 @@ from repro.graphs.generators import erdos_renyi, rmat, road_like
 from repro.select.cost_models import analytic_estimate_fw
 from repro.select.selector import Selector
 from repro.verifyplan import verify_plan
-from repro.verifyplan.hb import analyze_hb, merge_hb_reports
+from repro.verifyplan.hb import analyze_hb
 from repro.verifyplan.ir import KernelOp, RecordOp, Rect, WaitOp
 from repro.verifyplan.timing import (
     TimingCalibration,
     kernel_duration,
-    predict_cluster_timing,
-    predict_multi_timing,
     predict_timing,
 )
 
@@ -118,7 +117,7 @@ class TestHappensBefore:
     def test_overlap_schedules_actually_use_events(self):
         irs = _overlap_irs(road_like(220, 2.6, seed=1), TEST_DEVICE)
         for name, ir in irs.items():
-            report = analyze_hb(ir)
+            report = analyze_hb([ir])
             assert report.num_streams == 2, name
             assert report.num_events > 0, name
             assert report.num_events == report.num_waits, name
@@ -134,7 +133,7 @@ class TestHappensBefore:
             races_seen = 0
             for i in wait_indices:
                 dropped: WaitOp = ir.ops[i]
-                report = analyze_hb(_drop_op(ir, i))
+                report = analyze_hb([_drop_op(ir, i)])
                 assert not report.ok, f"{name}: wait #{i} removal undetected"
                 if rec_streams[dropped.event] != dropped.stream:
                     # a cross-stream edge: either it was load-bearing (an
@@ -164,7 +163,7 @@ class TestHappensBefore:
             ]
             assert record_indices, name
             for i in record_indices:
-                report = analyze_hb(_drop_op(ir, i))
+                report = analyze_hb([_drop_op(ir, i)])
                 kinds = {f.kind for f in report.findings}
                 assert "unsatisfiable-wait" in kinds, (
                     f"{name}: record #{i} removal left every wait satisfied"
@@ -188,16 +187,16 @@ class TestHappensBefore:
         ops.insert(kernel_idx + 1, rec)
         ops.insert(kernel_idx + 2, wait)
         grafted = dataclasses.replace(ir, ops=tuple(ops))
-        assert analyze_hb(grafted).ok
+        assert analyze_hb([grafted]).ok
         # wait alone gone -> the record is a flagged orphan
         no_wait = tuple(op for op in grafted.ops if op is not wait)
-        report = analyze_hb(dataclasses.replace(ir, ops=no_wait))
+        report = analyze_hb([dataclasses.replace(ir, ops=no_wait)])
         assert any(f.kind == "dead-event" for f in report.findings)
         # both ends gone -> pure program order, still provably clean
         neither = tuple(
             op for op in grafted.ops if op is not wait and op is not rec
         )
-        assert analyze_hb(dataclasses.replace(ir, ops=neither)).ok
+        assert analyze_hb([dataclasses.replace(ir, ops=neither)]).ok
 
 
 class TestMultiGpuEmission:
@@ -206,7 +205,7 @@ class TestMultiGpuEmission:
         g = road_like(220, 2.6, seed=1)
         irs = emit_multi_ir(g, TEST_DEVICE, 2, seed=0, overlap=overlap)
         assert len(irs) == 2
-        merged = merge_hb_reports([analyze_hb(ir) for ir in irs])
+        merged = analyze_hb(irs)
         assert merged.ok
         if overlap:
             assert merged.num_events > 0
@@ -248,7 +247,7 @@ class TestMultiGpuEmission:
                 continue
             injected = True
             for i in wait_indices:
-                report = analyze_hb(_drop_op(ir, i))
+                report = analyze_hb([_drop_op(ir, i)])
                 conflicts = [
                     f for f in report.findings if f.kind == "unordered-conflict"
                 ]
@@ -281,7 +280,7 @@ class TestTimingAgreement:
         b = plan_fw_block_size(g.num_vertices, spec, overlap=True)
         ir = emit_fw_ir(g.num_vertices, spec, block_size=b, overlap=True)
         self._assert_pinned(
-            pinned[0], res.simulated_seconds, predict_timing(ir, spec), [dev.clock]
+            pinned[0], res.simulated_seconds, predict_timing([ir], spec), [dev.clock]
         )
 
     @pytest.mark.parametrize("graph_factory,spec,pinned", PINNED_CONFIGS)
@@ -294,7 +293,7 @@ class TestTimingAgreement:
         workloads = collect_mssp_workloads(g, batch_size=bat)
         ir = emit_johnson_ir(g, spec, batch_size=bat, workloads=workloads)
         self._assert_pinned(
-            pinned[1], res.simulated_seconds, predict_timing(ir, spec), [dev.clock]
+            pinned[1], res.simulated_seconds, predict_timing([ir], spec), [dev.clock]
         )
 
     @pytest.mark.parametrize("graph_factory,spec,pinned", PINNED_CONFIGS)
@@ -302,7 +301,7 @@ class TestTimingAgreement:
         g = graph_factory()
         dev = Device(spec)
         res = ooc_boundary(g, dev, seed=0, engine=KernelEngine(backend="reference"))
-        pred = predict_timing(emit_boundary_ir(g, spec, seed=0), spec)
+        pred = predict_timing([emit_boundary_ir(g, spec, seed=0)], spec)
         self._assert_pinned(pinned[2], res.simulated_seconds, pred, [dev.clock])
 
     @pytest.mark.parametrize("graph_factory,spec,pinned", PINNED_CONFIGS)
@@ -314,13 +313,13 @@ class TestTimingAgreement:
         irs = emit_multi_ir(g, spec, 2, seed=0, overlap=overlap)
         self._assert_pinned(
             pinned[3 if overlap else 4], res.simulated_seconds,
-            predict_multi_timing(irs, spec), [dev.clock for dev in devices],
+            predict_timing(irs, spec), [dev.clock for dev in devices],
         )
 
     def test_report_invariants(self):
         g = road_like(220, 2.6, seed=1)
         ir = emit_boundary_ir(g, TEST_DEVICE, seed=0, overlap=True)
-        rep = predict_timing(ir, TEST_DEVICE)
+        rep = predict_timing([ir], TEST_DEVICE)
         assert 0.0 <= rep.overlap_efficiency <= 1.0
         assert rep.makespan > 0
         assert rep.serial_seconds >= max(
@@ -339,7 +338,7 @@ class TestTimingAgreement:
     def test_cluster_critical_path_covers_makespan(self, n, nodes, devices):
         """Recvs link their sends, so the path crosses ranks."""
         cluster = ClusterSpec.make(nodes, devices, device=TEST_DEVICE)
-        rep = predict_cluster_timing(
+        rep = predict_timing(
             emit_cluster_ir(n, cluster), cluster.device, link_of=cluster.link_of
         )
         assert any(op.engine.startswith("net:") for op in rep.critical_path)
@@ -355,7 +354,7 @@ class TestTimingAgreement:
         with pytest.raises(ValueError, match="mssp"):
             kernel_duration(mssp, TEST_DEVICE)
         with pytest.raises(ValueError, match="mssp"):
-            predict_timing(ir, TEST_DEVICE)
+            predict_timing([ir], TEST_DEVICE)
 
     def test_verify_plan_timing_integration(self):
         ver = verify_plan(road_like(220, 2.6, seed=1), TEST_DEVICE, timing=True)
@@ -375,13 +374,36 @@ class TestCalibration:
         assert spec.minplus_rate == cal.minplus_rate
         assert TEST_DEVICE.minplus_rate != spec.minplus_rate
 
+    def test_from_bench_propagates_unexpected_errors(self, monkeypatch):
+        """Only a non-numeric tuned rate falls back to the sweep; any
+        other failure of the lookup surfaces."""
+
+        def broken(path=None):
+            raise RuntimeError("lookup failed")
+
+        monkeypatch.setattr("repro.bench.kernels.tuned_minplus_gops", broken)
+        with pytest.raises(RuntimeError, match="lookup failed"):
+            TimingCalibration.from_bench()
+
+    def test_non_numeric_tuned_rate_falls_back_to_sweep(self, monkeypatch, tmp_path):
+        path = tmp_path / "BENCH_kernels.json"
+        path.write_text(json.dumps({"rows": [
+            {"gops": 4.0, "identical": True},
+            {"gops": 9.0, "identical": False},
+        ]}))
+        monkeypatch.setattr(
+            "repro.bench.kernels.load_tuned_winner",
+            lambda path=None: {"backend": "jit", "gops": "n/a"},
+        )
+        assert TimingCalibration.from_bench(path).minplus_rate == 4.0e9
+
     def test_calibration_rescales_compute(self):
         g = road_like(220, 2.6, seed=1)
         b = plan_fw_block_size(g.num_vertices, TEST_DEVICE, overlap=True)
         ir = emit_fw_ir(g.num_vertices, TEST_DEVICE, block_size=b, overlap=True)
-        base = predict_timing(ir, TEST_DEVICE)
+        base = predict_timing([ir], TEST_DEVICE)
         slow = predict_timing(
-            ir, TEST_DEVICE,
+            [ir], TEST_DEVICE,
             calibration=TimingCalibration(minplus_rate=TEST_DEVICE.minplus_rate / 10),
         )
         assert slow.compute_seconds > base.compute_seconds
@@ -412,7 +434,7 @@ class TestAnalyticSelector:
         b = plan_fw_block_size(g.num_vertices, TEST_DEVICE, overlap=True)
         ir = emit_fw_ir(g.num_vertices, TEST_DEVICE, block_size=b, overlap=True)
         assert est.total_seconds == pytest.approx(
-            predict_timing(ir, TEST_DEVICE).makespan
+            predict_timing([ir], TEST_DEVICE).makespan
         )
 
     def test_analytic_ranking_matches_dynamic_order(self):

@@ -56,6 +56,11 @@ def test_sanitize_driver_runner_all_clean(small_rmat, name):
     assert report.num_ops > 0
 
 
+def test_multi_gpu_overlapped_drain_is_clean(any_graph):
+    report, _ = sanitize_driver("multi-gpu", any_graph, TEST_DEVICE, overlap=True)
+    assert report.clean, report.describe()
+
+
 def test_multi_gpu_merged_report_counts(small_rmat):
     report, _ = sanitize_driver("multi-gpu", small_rmat, TEST_DEVICE, num_devices=3)
     assert report.clean
@@ -92,6 +97,18 @@ def test_boundary_missing_strip_ready_is_flagged(small_rmat, monkeypatch):
     assert set(hazard.streams) == {"default", "bound-copy"}
     assert hazard.buffer.startswith("out")
     assert "d2h" in hazard.second_op
+
+
+def test_multi_gpu_missing_strip_ready_is_flagged(small_rmat, monkeypatch):
+    """Dropping the compute→copier handoff in the multi-GPU overlapped
+    drain races each device's async strip download against the min-plus
+    writes into the same output strip."""
+    _drop_waits_on(monkeypatch, "strip-ready")
+    report, _ = sanitize_driver("multi-gpu", small_rmat, TEST_DEVICE, overlap=True)
+    assert report.kinds() == ["write-read-race"], report.describe()
+    for hazard in report.hazards:
+        assert set(hazard.streams) == {"default", "multi-copy"}
+        assert hazard.buffer.startswith("out")
 
 
 def test_johnson_missing_mssp_done_is_flagged(small_rmat, monkeypatch):
@@ -175,6 +192,19 @@ def test_use_after_free_is_flagged():
     report = device.hazard_report()
     assert "use-after-free" in report.kinds()
     assert report.hazards[0].buffer == "tile"
+
+
+def test_free_before_reset_clock_stays_freed():
+    """Restarting the op numbering must not revive a freed buffer."""
+    device = Device(TEST_DEVICE, sanitize=True)
+    stream = device.default_stream
+    buf = device.memory.alloc((4, 4), np.float32, name="tile", fill=0.0)
+    stream.launch("fill", 1e-6, writes=(buf,))
+    data = buf.data
+    buf.free()
+    device.reset_clock()
+    stream.annotate("stale", reads=(data,))
+    assert device.hazard_report().kinds() == ["use-after-free"]
 
 
 def test_uninitialized_device_read_is_flagged():

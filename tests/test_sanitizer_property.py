@@ -1,9 +1,11 @@
-"""Property-based tests for the schedule sanitizer (hypothesis).
+"""Property-based tests for the schedule sanitizer and the static checker.
 
-Random schedules are executed twice: once through the real runtime with the
-sanitizer attached, and once through a brute-force vector-clock oracle
-implemented independently here. The two must agree on whether the schedule
-races:
+Random schedules are checked three times: through the real runtime with
+the sanitizer attached, through the static happens-before checker on the
+same schedule emitted as IR, and through a brute-force vector-clock
+oracle implemented independently here (it shares no code with the two
+checkers, which share one vector clock). All three must agree on whether
+the schedule races:
 
 * schedules built *legal by construction* (every conflicting cross-stream
   pair gets an event edge) are always hazard-free;
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.gpu.device import TEST_DEVICE, Device
 from repro.gpu.stream import Event
+from repro.verifyplan import IREmitter, analyze_hb
 
 NUM_STREAMS = 3
 NUM_BUFFERS = 3
@@ -54,6 +57,27 @@ def _run_sanitized(ops, waits):
         stream.annotate(f"op{i}", **access)
         events.append(stream.record(Event(f"e{i}")))
     return device.hazard_report()
+
+
+def _static_clean(ops, waits):
+    """Emit the same schedule as IR (same streams, prefilled buffers,
+    annotate kernels, records and waits) and check it statically."""
+    em = IREmitter("property", TEST_DEVICE.name, TEST_DEVICE.memory_bytes)
+    streams = ["default"] + [f"s{i}" for i in range(1, NUM_STREAMS)]
+    buffers = [
+        em.alloc(f"buf{b}", (4, 4), prefilled=True) for b in range(NUM_BUFFERS)
+    ]
+    events = []
+    for i, (s, b, kind) in enumerate(ops):
+        for w in waits.get(i, ()):
+            em.wait(events[w], stream=streams[s])
+        access = {("reads" if kind == "read" else "writes"): (buffers[b],)}
+        em.kernel(f"op{i}", stream=streams[s], annotate=True, **access)
+        events.append(em.record(f"e{i}", stream=streams[s]))
+    report = analyze_hb([em.finish()])
+    # every op records an event and most are never waited on, so
+    # dead-event findings are expected noise here
+    return not any(f.kind == "unordered-conflict" for f in report.findings)
 
 
 def _oracle_clean(ops, waits):
@@ -109,6 +133,7 @@ def test_legal_schedules_are_hazard_free(ops):
     assert _oracle_clean(ops, waits)
     report = _run_sanitized(ops, waits)
     assert report.clean, report.describe()
+    assert _static_clean(ops, waits)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,7 +146,9 @@ def test_deleting_one_sync_edge_matches_oracle(ops, rng):
     i, w = rng.choice(edges)
     mutated = {k: [x for x in ws if not (k == i and x == w)] for k, ws in waits.items()}
     report = _run_sanitized(ops, mutated)
-    assert report.clean == _oracle_clean(ops, mutated), report.describe()
+    expected = _oracle_clean(ops, mutated)
+    assert report.clean == expected, report.describe()
+    assert _static_clean(ops, mutated) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,14 +158,18 @@ def test_unique_dependency_deletion_is_always_flagged(s1, delta):
     s2 = (s1 + delta) % NUM_STREAMS
     ops = [(s1, 0, "write"), (s2, 0, "read")]
     assert _run_sanitized(ops, {1: [0]}).clean
+    assert _static_clean(ops, {1: [0]})
     report = _run_sanitized(ops, {})
     assert not report.clean
     assert any(h.kind == "write-read-race" for h in report.hazards)
+    assert not _static_clean(ops, {})
 
 
 @settings(max_examples=40, deadline=None)
 @given(_ops)
 def test_fully_racy_schedule_matches_oracle(ops):
-    """No sync edges at all: sanitizer and oracle agree exactly."""
+    """No sync edges at all: both checkers and the oracle agree exactly."""
     report = _run_sanitized(ops, {})
-    assert report.clean == _oracle_clean(ops, {}), report.describe()
+    expected = _oracle_clean(ops, {})
+    assert report.clean == expected, report.describe()
+    assert _static_clean(ops, {}) == expected

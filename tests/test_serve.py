@@ -181,7 +181,7 @@ class TestBatchSchedule:
         _peak, tally, findings = audit_ir(ir)
         assert findings == []
         assert tally.num_h2d == 3 and tally.num_d2h == 2
-        hb = analyze_hb(ir)
+        hb = analyze_hb([ir])
         assert hb.ok and not hb.findings
 
 

@@ -407,3 +407,4 @@ class TestEmitterWellFormedness:
         irs = emit_multi_ir(g, TEST_DEVICE, 3)
         assert len(irs) == 3
         assert [ir.device for ir in irs] == [f"test-gpu#{d}" for d in range(3)]
+        assert [ir.rank for ir in irs] == [0, 1, 2]
