@@ -432,12 +432,14 @@ def record_tuned(result: dict, path: Path | str | None = None) -> Path:
 def load_tuned_winner(path: Path | str | None = None) -> dict | None:
     """Tuned winner for *this* machine's fingerprint, or ``None``.
 
-    ``None`` (missing file, corrupt JSON, or no entry for the current
-    fingerprint) sends ``KernelEngine("auto")`` to live micro-calibration.
+    ``None`` (missing file, corrupt JSON, JSON of the wrong shape, or no
+    entry for the current fingerprint) sends ``KernelEngine("auto")`` to
+    live micro-calibration.
     """
     path = Path(path) if path else bench_kernels_path()
-    tuned = _read_or_empty(path).get("tuned")
-    entry = tuned.get(machine_fingerprint()) if tuned else None
+    payload = _read_or_empty(path)
+    tuned = payload.get("tuned") if isinstance(payload, dict) else None
+    entry = tuned.get(machine_fingerprint()) if isinstance(tuned, dict) else None
     if not isinstance(entry, dict) or "backend" not in entry:
         return None
     return entry

@@ -419,7 +419,9 @@ class _RankEmitter:
             np.minimum(out, views[1], out=out)
         elif name == "pack":
             out[...] = views[0]
-        else:  # mp_*: out ⊕= a ⊗ b
+        elif name in ("mp_row", "mp_col"):  # out = a ⊗ b, one operand is out
+            out[...] = self.engine.minplus(views[1], views[2])
+        else:  # mp_rank, mp_part: out ⊕= a ⊗ b
             minplus_update(out, views[1], views[2], engine=self.engine)
         if cost is None:
             cost = launch_seconds(

@@ -124,9 +124,8 @@ class ClusterVerification:
             failed = [k for k, v in self.cross_validation.items() if not v]
             lines.append(
                 "  dynamic cross-validation: "
-                + ("trace == schedule == closed form, makespan exact, "
-                   "distances exact" if not failed
-                   else "MISMATCH in " + ", ".join(failed))
+                + (", ".join(k.replace("_", " ") for k in self.cross_validation)
+                   if not failed else "MISMATCH in " + ", ".join(failed))
             )
         return "\n".join(lines)
 

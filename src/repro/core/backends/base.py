@@ -7,12 +7,14 @@ driver in this repository bottoms out in:
   ``C = min(C, A ⊗ B)`` (stages 2–3 of blocked FW, the boundary
   algorithm's ``dist4`` chain, dynamic decrease patches);
 * :meth:`KernelBackend.fw_inplace` — the Floyd–Warshall closure of one
-  square tile (stage 1 / diagonal blocks / in-core solves).
+  square tile (stage 1 / diagonal blocks; the engine blocks anything
+  larger than one closure block).
 
 Operand contract (enforced by :class:`~repro.core.engine.KernelEngine`,
 which coerces on the way in): 2-D :data:`~repro.core.minplus.DIST_DTYPE`
-arrays whose **last axis has unit stride**. Row strides may be arbitrary so
-tile *views* of a larger matrix pass through without copies. Inputs are
+arrays whose **last axis has unit stride**, with ``C`` sharing no memory
+with ``A`` or ``B``. Row strides may be arbitrary so disjoint tile *views*
+of one larger matrix pass through without copies. Inputs are
 assumed free of ``-inf``/``NaN`` (the library's distance domain is
 ``[0, +inf]``), which is what makes the all-``inf`` column fast path and
 the compiled kernels' early-exit bit-identical to the plain formulation.

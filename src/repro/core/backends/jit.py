@@ -30,9 +30,8 @@ The C source is not an opaque string: it is assembled from
 each declaring its array extents (rows/cols/row-stride per pointer
 parameter) and its aliasing contract. :mod:`repro.verifykernel` parses
 the per-kernel sources and statically proves every subscript within the
-declared extents, the OpenMP panels disjoint, and the Python dispatch
-below consistent with each kernel's derived alias tolerance — run
-``python -m repro verify-kernels``.
+declared extents, each kernel's alias class, and the OpenMP panels
+disjoint — run ``python -m repro verify-kernels``.
 
 **Sanitizer-instrumented builds** ride the same pipeline: pass
 ``sanitize="asan" | "ubsan" | "tsan"`` to :func:`load_cc_kernels` /
@@ -45,33 +44,18 @@ process: the verification harness (:mod:`repro.verifykernel.sanitizers`)
 runs them in a subprocess with the runtime preloaded
 (:func:`sanitizer_runtime`).
 
-The C side implements two semantically distinct min-plus entry points:
-
-* a **register-blocked fast path** (2 output rows × 4 inner ``k`` per
-  step, ``#pragma omp simd`` inner loops) used when ``C`` is disjoint
-  from ``A``/``B`` — min is order-independent and every candidate
-  ``a + b`` is the identical float32 sum, so reassociating the min
-  accumulation is bit-exact;
-* a **sequential-k path** (SIMD but no unrolling) used when ``C`` aliases
-  an operand — blocked FW's stage-2 updates pass ``update(T, diag, T)``
-  and ``update(T, T, diag)``, whose results depend on the in-place update
-  order; this path preserves the exact per-row ``k``-sequential semantics
-  of the original kernel (and of the engine-tested drivers).
-
-Aliased operands never fan out across OpenMP panels: in the ``C==A``
-stage-2 pattern every panel thread reads the *whole* of ``A`` while the
-other threads write their ``C`` panels — a cross-panel read/write race.
-Both the C entry point and the Python dispatch route ``seq`` operands to
-the serial sequential-k kernel (the verification layer checks both).
-
-On the library's distance domain (``[0, +inf]``, zero diagonals) both are
-bit-identical to the numpy rank-1 formulation. ``fw_inplace`` additionally
-offers Lund & Smith's multi-stage decomposition (``fw_block``): stage-1
-closure of a cache-sized diagonal block, panel updates, then rank-2k
-updates of the remainder — mapping the L1/L2/register tiers; it is exact on
-integer-weight distance matrices (the library's domain) and off by default.
-Setting ``REPRO_JIT=off`` forces the fallback (used by the CI leg that
-exercises the degradation path).
+The C side has one float32 min-plus kernel, a **register-blocked**
+``mp_update_f32`` (2 output rows × 4 inner ``k`` per step, ``#pragma omp
+simd`` inner loops). It requires ``C`` disjoint from ``A`` and ``B``,
+which :meth:`repro.core.engine.KernelEngine.update` guarantees by
+rejecting overlapping operands. Min is order-independent and every
+candidate ``a + b`` is the identical float32 sum, so reassociating the
+min accumulation is bit-exact; ``cc-omp`` fans the same kernel across
+column panels. ``fw_inplace_f32`` closes one tile in place; larger
+closures are blocked by the engine. On the library's distance domain
+(``[0, +inf]``, zero diagonals) both are bit-identical to the numpy
+rank-1 formulation. Setting ``REPRO_JIT=off`` forces the fallback (used
+by the CI leg that exercises the degradation path).
 
 An integer semiring rides the same interface:
 :meth:`JITBackend.update_i32` runs an exact saturating int32 min-plus in C
@@ -163,8 +147,8 @@ class KernelTemplate:
 
     * ``"disjoint"`` — written arrays must not overlap read arrays
       (register-blocked pivot groups read ahead of their writes);
-    * ``"k-sequential"`` — tolerates the row-aliased ``C==A`` / ``C==B``
-      stage-2 patterns (strict per-row pivot order, one pivot at a time);
+    * ``"k-sequential"`` — strict per-row pivot order, one pivot at a
+      time (would tolerate the row-aliased ``C==A`` / ``C==B`` patterns);
     * ``"inplace-fw"`` — the in-place FW recurrence (correct on the
       zero-diagonal distance domain);
     * ``"router"`` — dispatches to other kernels; inherits their classes.
@@ -179,47 +163,14 @@ class KernelTemplate:
     scalars: tuple[str, ...] = field(default=())
 
 
-_MP_SEQ_SOURCE = r"""
-/* Sequential-k path: per output row, pivots applied strictly in order
- * (the original kernel's semantics — required when C aliases A or B,
- * e.g. blocked FW stage-2 panel updates). Inner loop is elementwise in
- * j, so `omp simd` is safe even under full C==A / C==B aliasing. */
-void mp_update_f32_seq(float *c, const float *a, const float *b,
-                       i64 bi, i64 bk, i64 bj,
-                       i64 cs, i64 as, i64 bs, i64 tile)
-{
-    if (tile <= 0) tile = 256;
-    for (i64 k0 = 0; k0 < bk; k0 += tile) {
-        i64 k1 = k0 + tile < bk ? k0 + tile : bk;
-        for (i64 j0 = 0; j0 < bj; j0 += tile) {
-            i64 len = (j0 + tile < bj ? j0 + tile : bj) - j0;
-            for (i64 i = 0; i < bi; i++) {
-                float *crow = c + i * cs + j0;
-                const float *arow = a + i * as;
-                for (i64 k = k0; k < k1; k++) {
-                    float aik = arow[k];
-                    if (isinf(aik)) continue;
-                    const float *brow = b + k * bs + j0;
-                    #pragma omp simd
-                    for (i64 j = 0; j < len; j++) {
-                        float cand = aik + brow[j];
-                        crow[j] = cand < crow[j] ? cand : crow[j];
-                    }
-                }
-            }
-        }
-    }
-}
-"""
-
 _MP_FAST_SOURCE = r"""
 /* Register-blocked fast path: 2 output rows x 4 pivots per step. Each
  * B row load is reused by both output rows and each C row is loaded and
  * stored once per 4 pivots. Candidates are the same float32 sums as the
  * reference; min is order-independent, so the reassociation is
- * bit-exact. REQUIRES C disjoint from A and B (callers route aliased
- * operands to mp_update_f32_seq). All-inf pivot groups short-circuit;
- * a lone inf pivot contributes only +inf candidates, which never win. */
+ * bit-exact. REQUIRES C disjoint from A and B (the engine rejects
+ * overlapping operands). All-inf pivot groups short-circuit; a lone
+ * inf pivot contributes only +inf candidates, which never win. */
 void mp_update_f32(float *c, const float *a, const float *b,
                    i64 bi, i64 bk, i64 bj,
                    i64 cs, i64 as, i64 bs, i64 tile)
@@ -301,22 +252,14 @@ void mp_update_f32(float *c, const float *a, const float *b,
 _MP_OMP_SOURCE = r"""
 /* OpenMP column-panel fan-out of the register-blocked fast kernel.
  * Every output element depends only on its own column of C/B plus
- * read-only A, so partitioning columns across threads is bit-exact —
- * for DISJOINT operands. Aliased (seq) operands never fan out: under
- * the C==A stage-2 pattern each panel thread reads the whole of A
- * while other threads write their C panels — a cross-panel race — so
- * seq != 0 takes the serial sequential-k kernel (the Python dispatch
- * routes the same way; repro.verifykernel checks both layers). Falls
- * back to the serial fast kernel when built without OpenMP. */
+ * read-only A, so partitioning columns across threads is bit-exact for
+ * the disjoint operands the kernel requires. Falls back to the serial
+ * fast kernel when built without OpenMP. */
 void mp_update_f32_omp(float *c, const float *a, const float *b,
                        i64 bi, i64 bk, i64 bj,
                        i64 cs, i64 as, i64 bs, i64 tile,
-                       i64 threads, i64 seq)
+                       i64 threads)
 {
-    if (seq) {
-        mp_update_f32_seq(c, a, b, bi, bk, bj, cs, as, bs, tile);
-        return;
-    }
 #if defined(_OPENMP)
     i64 max_panels = bj / 64;
     if (threads > max_panels) threads = max_panels;
@@ -377,56 +320,6 @@ void fw_inplace_f32(float *d, i64 n, i64 s)
 }
 """
 
-_FW_BLOCKED_SOURCE = r"""
-/* Multi-stage blocked FW (Lund & Smith): close a blk x blk diagonal
- * block with the register-blocked stage-1 kernel, update the four
- * row/column panels against the closed diagonal (aliased in-place
- * updates -> sequential-k kernel), then rank-blk-update the four
- * remaining quadrants with the fast kernel (fully disjoint). Stage
- * order mirrors repro.core.blocked_fw.blocked_floyd_warshall, to which
- * it is bit-identical on integer-weight distance matrices. */
-void fw_blocked_f32(float *d, i64 n, i64 s, i64 blk, i64 tile)
-{
-    if (blk <= 0 || blk >= n) {
-        fw_inplace_f32(d, n, s);
-        return;
-    }
-    for (i64 k0 = 0; k0 < n; k0 += blk) {
-        i64 k1 = k0 + blk < n ? k0 + blk : n;
-        i64 nb = k1 - k0;
-        float *diag = d + k0 * s + k0;
-        fw_inplace_f32(diag, nb, s);
-        /* stage 2: row panels (C == B) */
-        if (k0 > 0)
-            mp_update_f32_seq(d + k0 * s, diag, d + k0 * s,
-                              nb, nb, k0, s, s, s, tile);
-        if (k1 < n)
-            mp_update_f32_seq(d + k0 * s + k1, diag, d + k0 * s + k1,
-                              nb, nb, n - k1, s, s, s, tile);
-        /* stage 2: column panels (C == A) */
-        if (k0 > 0)
-            mp_update_f32_seq(d + k0, d + k0, diag,
-                              k0, nb, nb, s, s, s, tile);
-        if (k1 < n)
-            mp_update_f32_seq(d + k1 * s + k0, d + k1 * s + k0, diag,
-                              n - k1, nb, nb, s, s, s, tile);
-        /* stage 3: remaining quadrants (disjoint) */
-        if (k0 > 0)
-            mp_update_f32(d, d + k0, d + k0 * s,
-                          k0, nb, k0, s, s, s, tile);
-        if (k0 > 0 && k1 < n)
-            mp_update_f32(d + k1, d + k0, d + k0 * s + k1,
-                          k0, nb, n - k1, s, s, s, tile);
-        if (k1 < n && k0 > 0)
-            mp_update_f32(d + k1 * s, d + k1 * s + k0, d + k0 * s,
-                          n - k1, nb, k0, s, s, s, tile);
-        if (k1 < n)
-            mp_update_f32(d + k1 * s + k1, d + k1 * s + k0, d + k0 * s + k1,
-                          n - k1, nb, n - k1, s, s, s, tile);
-    }
-}
-"""
-
 _MP_I32_SOURCE = r"""
 /* int32 semiring: exact min-plus with INT32_MAX as +inf, saturating
  * addition via a 64-bit intermediate. One candidate at a time — the
@@ -462,7 +355,7 @@ void mp_update_i32(int32_t *c, const int32_t *a, const int32_t *b,
 }
 """
 
-#: the min-plus operand contract shared by all three mp_update kernels
+#: the min-plus operand contract shared by every mp_update kernel
 _MP_ARRAYS: dict[str, dict[str, str]] = {
     "c": {"rows": "bi", "cols": "bj", "stride": "cs", "mode": "rw"},
     "a": {"rows": "bi", "cols": "bk", "stride": "as", "mode": "r"},
@@ -472,12 +365,6 @@ _MP_ARRAYS: dict[str, dict[str, str]] = {
 #: every C entry point, in translation-unit order, with its contract —
 #: repro.verifykernel parses these sources and proves them safe
 KERNEL_TEMPLATES: tuple[KernelTemplate, ...] = (
-    KernelTemplate(
-        name="mp_update_f32_seq",
-        source=_MP_SEQ_SOURCE,
-        arrays=_MP_ARRAYS,
-        alias_class="k-sequential",
-    ),
     KernelTemplate(
         name="mp_update_f32",
         source=_MP_FAST_SOURCE,
@@ -489,23 +376,15 @@ KERNEL_TEMPLATES: tuple[KernelTemplate, ...] = (
         source=_MP_OMP_SOURCE,
         arrays=_MP_ARRAYS,
         alias_class="router",
-        calls=("mp_update_f32_seq", "mp_update_f32"),
+        calls=("mp_update_f32",),
         parallel=True,
-        scalars=("threads", "seq"),
+        scalars=("threads",),
     ),
     KernelTemplate(
         name="fw_inplace_f32",
         source=_FW_INPLACE_SOURCE,
         arrays={"d": {"rows": "n", "cols": "n", "stride": "s", "mode": "rw"}},
         alias_class="inplace-fw",
-    ),
-    KernelTemplate(
-        name="fw_blocked_f32",
-        source=_FW_BLOCKED_SOURCE,
-        arrays={"d": {"rows": "n", "cols": "n", "stride": "s", "mode": "rw"}},
-        alias_class="inplace-fw",
-        calls=("fw_inplace_f32", "mp_update_f32_seq", "mp_update_f32"),
-        scalars=("blk", "tile"),
     ),
     KernelTemplate(
         name="mp_update_i32",
@@ -740,11 +619,8 @@ class _CCKernels:
         self.mp_update = lib.mp_update_f32
         self.mp_update.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_longlong] * 7
         self.mp_update.restype = None
-        self.mp_update_seq = lib.mp_update_f32_seq
-        self.mp_update_seq.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_longlong] * 7
-        self.mp_update_seq.restype = None
         self.mp_update_omp = lib.mp_update_f32_omp
-        self.mp_update_omp.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_longlong] * 9
+        self.mp_update_omp.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_longlong] * 8
         self.mp_update_omp.restype = None
         self.mp_update_i32 = lib.mp_update_i32
         self.mp_update_i32.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_longlong] * 7
@@ -752,9 +628,6 @@ class _CCKernels:
         self.fw_inplace = lib.fw_inplace_f32
         self.fw_inplace.argtypes = [ctypes.c_void_p] + [ctypes.c_longlong] * 2
         self.fw_inplace.restype = None
-        self.fw_blocked = lib.fw_blocked_f32
-        self.fw_blocked.argtypes = [ctypes.c_void_p] + [ctypes.c_longlong] * 4
-        self.fw_blocked.restype = None
         self._openmp_probe = lib.repro_openmp
         self._openmp_probe.argtypes = []
         self._openmp_probe.restype = ctypes.c_int
@@ -968,10 +841,8 @@ class JITBackend(KernelBackend):
         flavor: str | None = None,
         tile: int = 256,
         threads: int | None = None,
-        fw_block: int | None = None,
     ) -> None:
         self.tile = tile
-        self.fw_block = fw_block
         self._numba = None
         self._cc = None
         self._fallback = ReferenceBackend()
@@ -1022,18 +893,6 @@ class JITBackend(KernelBackend):
             raise ValueError("jit backend needs unit stride along the last axis")
         return arr.strides[0] // arr.itemsize
 
-    @staticmethod
-    def _aliased(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
-        """May writing ``c`` be observed through ``a`` or ``b``?
-
-        Conservative bounds check (``np.may_share_memory``): blocked FW's
-        stage-2 updates pass ``update(T, diag, T)`` / ``update(T, T,
-        diag)``, whose results depend on the in-place pivot order — those
-        take the sequential-k kernel; disjoint operands take the
-        register-blocked fast path.
-        """
-        return bool(np.may_share_memory(c, a) or np.may_share_memory(c, b))
-
     def update(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """In-place ``C = min(C, A ⊗ B)`` via the active JIT flavor."""
         if self._flavor == "numba":
@@ -1041,7 +900,6 @@ class JITBackend(KernelBackend):
         if self._cc is not None:
             bi, bj = c.shape
             bk = a.shape[1]
-            seq = self._aliased(c, a, b)
             args = (
                 c.ctypes.data, a.ctypes.data, b.ctypes.data,
                 bi, bk, bj,
@@ -1050,38 +908,20 @@ class JITBackend(KernelBackend):
                 self._checked_operand(b, np.float32),
                 self.tile,
             )
-            # aliased operands are order-dependent: they stay on the
-            # serial sequential-k kernel and never fan out across OpenMP
-            # panels (the C entry point routes identically; verified by
-            # `repro verify-kernels`)
-            if seq:
-                self._cc.mp_update_seq(*args)
-            elif self._flavor == "cc-omp":
-                self._cc.mp_update_omp(*args, self.threads, 0)
+            if self._flavor == "cc-omp":
+                self._cc.mp_update_omp(*args, self.threads)
             else:
                 self._cc.mp_update(*args)
             return c
         return self._fallback.update(c, a, b)
 
     def fw_inplace(self, dist: np.ndarray) -> np.ndarray:
-        """Floyd–Warshall closure via the active JIT flavor.
-
-        With ``fw_block`` set (autotuned machines), matrices larger than
-        the block run the multi-stage blocked kernel — exact on the
-        library's integer-weight distance domain; otherwise the
-        register-blocked plain kernel, bit-identical on any input.
-        """
+        """Floyd–Warshall closure of one tile via the active JIT flavor."""
         if self._flavor == "numba":
             return self._numba[1](dist)
         if self._cc is not None:
-            n = dist.shape[0]
             stride = self._checked_operand(dist, np.float32)
-            if self.fw_block and n > self.fw_block:
-                self._cc.fw_blocked(
-                    dist.ctypes.data, n, stride, self.fw_block, self.tile
-                )
-            else:
-                self._cc.fw_inplace(dist.ctypes.data, n, stride)
+            self._cc.fw_inplace(dist.ctypes.data, dist.shape[0], stride)
             return dist
         return self._fallback.fw_inplace(dist)
 

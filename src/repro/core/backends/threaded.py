@@ -3,24 +3,17 @@
 numpy's ufunc loops and the ctypes/numba JIT kernels all release the GIL,
 so slicing ``C`` (and the matching columns of ``B``) into disjoint column
 panels and updating each on its own thread scales the single-product
-min-plus across cores. The same pool backs
-:meth:`repro.core.engine.KernelEngine.map_updates`, which the in-core
-blocked Floyd–Warshall uses to fan its embarrassingly parallel stage-3
-block updates (each block shares only the read-only ``A(i,k)`` /
-``A(k,j)`` panels). The out-of-core drivers run one update at a time
-and get their parallelism from the panel split inside it.
+min-plus across cores. Every caller — the out-of-core drivers and the
+blocked FW closure alike — runs one update at a time and gets its
+parallelism from this split.
 
 Panels are views, not copies — every inner backend accepts arbitrary row
 strides — and each worker writes a disjoint slice of ``C``, so no
-synchronisation beyond the final join is needed. That holds only while
-``C`` is disjoint from ``A``: in blocked FW's stage-2 column update
-``update(T, T, diag)`` every panel reads all of ``A`` while the other
-panels write into it. Aliased operands therefore go to the inner backend
-unsplit, decided by the same conservative predicate
-(:meth:`JITBackend._aliased`) that keeps them off the OpenMP panels
-inside ``jit``. With that routing the results are bit-identical to the
-serial inner backend: a disjoint panel split does not change any
-per-element candidate set.
+synchronisation beyond the final join is needed. That holds because
+``C`` never shares memory with ``A`` or ``B``: the engine rejects
+overlapping operands. A disjoint panel split does not change any
+per-element candidate set, so the results are bit-identical to the
+serial inner backend.
 """
 
 from __future__ import annotations
@@ -87,14 +80,10 @@ class ThreadedBackend(KernelBackend):
         return f"threaded({self.inner.flavor})x{self.workers}"
 
     def update(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """In-place ``C = min(C, A ⊗ B)``, column panels across workers.
-
-        Aliased operands run unsplit: with ``C`` = ``A`` each panel would
-        read all of ``A`` while the other panels write into it.
-        """
+        """In-place ``C = min(C, A ⊗ B)``, column panels across workers."""
         bj = c.shape[1]
         panels = min(self.workers, max(1, bj // self.MIN_PANEL))
-        if panels < 2 or JITBackend._aliased(c, a, b):
+        if panels < 2:
             return self.inner.update(c, a, b)
         bounds = np.linspace(0, bj, panels + 1, dtype=int)
         ex = shared_executor(self.workers)

@@ -1,28 +1,31 @@
-"""Floyd–Warshall: plain and blocked (tiled) in-core variants.
+"""Floyd–Warshall: the plain entry points and the blocked (tiled) closure.
 
 The blocked scheme (Section II-A of the paper, after Venkataraman et al. and
-Katz & Kider) partitions ``dist`` into ``num_b × num_b`` tiles and runs, per
-outer iteration ``k``:
+Katz & Kider) runs, per pivot block ``[k0, k1)``:
 
-1. close the diagonal tile ``A(k,k)`` with plain FW;
-2. update row tiles ``A(k,j)`` and column tiles ``A(i,k)`` with one min-plus
-   against the *closed* diagonal tile (single product suffices because the
-   closed tile already contains multi-hop paths through block-``k``
-   vertices);
-3. rank-update all remaining tiles ``A(i,j) ⊦ A(i,k) ⊗ A(k,j)``.
+1. close the diagonal block ``D = A(k,k)`` in place;
+2. replace the row panels ``A(k,j)`` by ``D ⊗ A(k,j)`` and the column
+   panels ``A(i,k)`` by ``A(i,k) ⊗ D``. One product suffices because the
+   closed ``D`` already holds the multi-hop paths through the pivot
+   block, and because ``D`` has a zero diagonal the fresh product is
+   never above the panel it replaces (``D ⊗ T ≤ T``);
+3. rank-update the four quadrants around the pivot cross,
+   ``A(i,j) ⊦ A(i,k) ⊗ A(k,j)``.
 
-These run on host arrays; the out-of-core driver (:mod:`repro.core.ooc_fw`)
-applies the same three stages across device-resident tiles. All numeric
-work dispatches through the kernel engine (:mod:`repro.core.engine`); with
-a threaded engine, the independent stage-3 tile updates fan out across the
-worker pool (they share only the read-only ``A(i,k)``/``A(k,j)`` panels).
+This is the Kleene form of blocked FW: every product has disjoint
+operands, so one kernel serves all of them. It needs a zero diagonal,
+which every distance matrix in the library has, and on integer weights
+whose finite path sums stay below 2²⁴ it is bit-identical to the plain
+pivot loop. The out-of-core driver (:mod:`repro.core.ooc_fw`) applies
+the same three stages to device-resident tiles. All numeric work goes
+through the kernel engine (:mod:`repro.core.engine`), whose
+``fw_inplace`` runs this closure for every matrix larger than one
+closure block.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.core.minplus import minplus_update
 
 __all__ = ["floyd_warshall", "floyd_warshall_inplace", "blocked_floyd_warshall", "fw_ops"]
 
@@ -36,23 +39,23 @@ def _engine(engine):
 
 
 def floyd_warshall_inplace(dist: np.ndarray, *, engine=None) -> np.ndarray:
-    """Plain FW on a square matrix, vectorised per intermediate vertex."""
+    """FW closure of a square matrix with a zero diagonal, in place."""
     return _engine(engine).fw_inplace(dist)
 
 
 def floyd_warshall(weights: np.ndarray, *, engine=None) -> np.ndarray:
-    """Plain FW on a copy; input is a dense weight matrix (inf = no edge)."""
+    """FW on a copy; input is a dense weight matrix (inf = no edge)."""
     dist = np.array(weights, copy=True)
     np.fill_diagonal(dist, np.minimum(np.diag(dist), 0.0))
     return floyd_warshall_inplace(dist, engine=engine)
 
 
 def blocked_floyd_warshall(dist: np.ndarray, block_size: int, *, engine=None) -> np.ndarray:
-    """Blocked FW in place on a host matrix; returns ``dist``.
+    """Blocked FW in place on a host matrix with a zero diagonal; returns
+    ``dist``.
 
-    Equivalent to :func:`floyd_warshall_inplace` for every block size
-    (property-tested); the tiling exists for cache behaviour and because it
-    is the unit the out-of-core driver streams.
+    Bit-identical to the plain pivot loop on the library's integer-weight
+    domain for every block size (property-tested).
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
@@ -60,30 +63,18 @@ def blocked_floyd_warshall(dist: np.ndarray, block_size: int, *, engine=None) ->
     if block_size < 1:
         raise ValueError("block_size must be positive")
     eng = _engine(engine)
-    b = block_size
-    nb = (n + b - 1) // b
-
-    def tile(i: int, j: int) -> np.ndarray:
-        return dist[i * b : min((i + 1) * b, n), j * b : min((j + 1) * b, n)]
-
-    for k in range(nb):
-        diag = tile(k, k)
+    for k0 in range(0, n, block_size):
+        k1 = min(k0 + block_size, n)
+        pivot = slice(k0, k1)
+        sides = (slice(0, k0), slice(k1, n))
+        diag = dist[pivot, pivot]
         eng.fw_inplace(diag)
-        for j in range(nb):
-            if j != k:
-                minplus_update(tile(k, j), diag, tile(k, j), engine=eng)
-        for i in range(nb):
-            if i != k:
-                minplus_update(tile(i, k), tile(i, k), diag, engine=eng)
-        eng.map_updates(
-            [
-                (tile(i, j), tile(i, k), tile(k, j))
-                for i in range(nb)
-                if i != k
-                for j in range(nb)
-                if j != k
-            ]
-        )
+        for side in sides:
+            dist[pivot, side] = eng.minplus(diag, dist[pivot, side])
+            dist[side, pivot] = eng.minplus(dist[side, pivot], diag)
+        for rows in sides:
+            for cols in sides:
+                eng.update(dist[rows, cols], dist[rows, pivot], dist[pivot, cols])
     return dist
 
 

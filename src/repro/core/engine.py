@@ -11,7 +11,15 @@ contract:
   broadcast path or change the result dtype);
 * non-``DIST_DTYPE`` accumulators keep the generic numpy reference path,
   preserving exact legacy semantics for float64 callers;
-* the output array is updated strictly in place, whatever its layout.
+* the output array is updated strictly in place, whatever its layout;
+* the output never shares memory with an input: :meth:`KernelEngine.update`
+  rejects overlapping operands, so no backend needs an aliased path.
+
+:meth:`KernelEngine.fw_inplace` closes matrices up to
+:data:`FW_CLOSURE_BLOCK` with the backend's tile kernel and larger ones
+with the blocked closure
+(:func:`~repro.core.blocked_fw.blocked_floyd_warshall`), which runs on
+the same disjoint ``update``.
 
 Selection order:
 
@@ -37,14 +45,9 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core.backends import (
-    KernelBackend,
-    ThreadedBackend,
-    backend_names,
-    create_backend,
-)
+from repro.core.backends import KernelBackend, backend_names, create_backend
 from repro.core.backends.base import numpy_fw_inplace, rank1_update
-from repro.core.backends.threaded import shared_executor
+from repro.core.blocked_fw import blocked_floyd_warshall
 from repro.core.minplus import DIST_DTYPE
 
 __all__ = [
@@ -62,6 +65,10 @@ ENV_BACKEND = "REPRO_KERNEL_BACKEND"
 #: problem shape used for first-use micro-calibration (kept small: the
 #: whole sweep costs about 10 ms, amortised over a full run)
 CALIBRATION_SHAPE = (192, 192, 192)
+
+#: largest matrix :meth:`KernelEngine.fw_inplace` closes with the tile
+#: kernel; larger ones run the blocked closure with this block edge
+FW_CLOSURE_BLOCK = 256
 
 
 @dataclass
@@ -146,23 +153,26 @@ class KernelEngine:
         stale winner (compiler gone, numba removed) is discarded rather
         than silently running the fallback flavor, sending ``auto`` back
         to live micro-calibration. Caller-supplied ``options`` override
-        the persisted ones.
+        the persisted ones. A winner the registry no longer accepts (an
+        option the backend dropped: ``TypeError``; an unknown backend
+        name: ``ValueError``) is stale in the same way; any other error
+        propagates.
         """
-        try:
-            from repro.bench.kernels import load_tuned_winner
+        from repro.bench.kernels import load_tuned_winner
 
-            winner = load_tuned_winner()
-            if winner is None:
-                return None
+        winner = load_tuned_winner()
+        if winner is None:
+            return None
+        try:
             merged = {**(winner.get("options") or {}), **options}
             backend = create_backend(winner["backend"], **merged)
-            expect = winner.get("flavor")
-            if expect and getattr(backend, "flavor", backend.name) != expect:
-                return None
-            self.tuned = winner
-            return backend
-        except Exception:
+        except (TypeError, ValueError):
             return None
+        expect = winner.get("flavor")
+        if expect and getattr(backend, "flavor", backend.name) != expect:
+            return None
+        self.tuned = winner
+        return backend
 
     # ------------------------------------------------------------------
     # Introspection
@@ -176,11 +186,6 @@ class KernelEngine:
     def flavor(self) -> str:
         """Concrete implementation in use (e.g. ``cc`` inside ``jit``)."""
         return self.backend.flavor
-
-    @property
-    def fanout(self) -> int:
-        """Worker count available for independent block fan-out."""
-        return self.backend.workers if isinstance(self.backend, ThreadedBackend) else 1
 
     def describe(self) -> str:
         """Human-readable ``name (flavor)`` string for CLI output."""
@@ -205,11 +210,21 @@ class KernelEngine:
     # Kernels
     # ------------------------------------------------------------------
     def update(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """In-place ``C = min(C, A ⊗ B)``; returns ``C``."""
+        """In-place ``C = min(C, A ⊗ B)``; returns ``C``.
+
+        ``C`` must not share memory with ``A`` or ``B`` (``ValueError``).
+        The bounds pre-check is cheap but true for any two tile views of
+        one matrix; the exact test then decides.
+        """
         if c.shape != (a.shape[0], b.shape[1]) or a.shape[1] != b.shape[0]:
             raise ValueError(
                 f"incompatible shapes C{c.shape} = A{a.shape} ⊗ B{b.shape}"
             )
+        for operand in (a, b):
+            if np.may_share_memory(c, operand) and np.shares_memory(c, operand):
+                raise ValueError(
+                    "C shares memory with A or B; min-plus operands must be disjoint"
+                )
         if c.size == 0 or a.shape[1] == 0:
             return c
         if c.dtype != DIST_DTYPE:
@@ -228,10 +243,16 @@ class KernelEngine:
         return c
 
     def fw_inplace(self, dist: np.ndarray) -> np.ndarray:
-        """Floyd–Warshall closure of a square matrix, in place."""
+        """Floyd–Warshall closure of a square matrix, in place.
+
+        Matrices larger than :data:`FW_CLOSURE_BLOCK` run the blocked
+        closure on this engine; smaller ones the backend's tile kernel.
+        """
         n = dist.shape[0]
         if dist.shape != (n, n):
             raise ValueError("dist must be square")
+        if n > FW_CLOSURE_BLOCK:
+            return blocked_floyd_warshall(dist, FW_CLOSURE_BLOCK, engine=self)
         if n == 0:
             return dist
         if dist.dtype != DIST_DTYPE or dist.strides[-1] != dist.itemsize:
@@ -268,29 +289,6 @@ class KernelEngine:
             (a.shape[0], b.shape[1]), np.inf, dtype=np.result_type(a, b)
         )
         return self.update(out, a, b)
-
-    def map_updates(
-        self, tasks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ) -> None:
-        """Run independent ``(C, A, B)`` updates, in parallel when threaded.
-
-        Callers guarantee the ``C`` arrays are disjoint and the ``A``/``B``
-        operands read-only — exactly the stage-3 situation in the in-core
-        blocked FW (:func:`repro.core.blocked_fw.blocked_floyd_warshall`).
-        The out-of-core driver does not fan out: it runs one block update
-        at a time, so its schedule does not depend on the engine. With a
-        non-threaded backend this is a plain serial loop.
-        """
-        if self.fanout <= 1 or len(tasks) < 2:
-            for c, a, b in tasks:
-                self.update(c, a, b)
-            return
-        inner = self.backend.inner  # block-level parallelism: no panel split
-        serial = KernelEngine(inner)
-        ex = shared_executor(self.fanout)
-        futures = [ex.submit(serial.update, c, a, b) for c, a, b in tasks]
-        for fut in futures:
-            fut.result()
 
 
 # ----------------------------------------------------------------------

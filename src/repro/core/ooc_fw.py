@@ -6,8 +6,8 @@ working set fits in device memory. Per outer iteration ``k``:
 * **stage 1** — upload the diagonal block, close it with FW on the device,
   download;
 * **stage 2** — stream row blocks ``A(k,j)`` and column blocks ``A(i,k)``
-  through the device, updating each with one min-plus against the closed
-  diagonal block;
+  through the device, replacing each with its min-plus product against
+  the closed diagonal block;
 * **stage 3** — for every remaining block ``A(i,j)``, upload
   ``A(i,k)``/``A(k,j)``/``A(i,j)``, rank-update, download.
 
@@ -163,11 +163,13 @@ def _fw_kernels(engine) -> dict[str, Numerics]:
     def close(reads, writes, _):  # A(k,k) closed in place
         engine.fw_inplace(writes[0])
 
-    def row(reads, writes, _):  # A(k,j) ⊕= A(k,k) ⊗ A(k,j)
-        minplus_update(writes[0], reads[0], writes[0], engine=engine)
+    # stage 2 writes the fresh product: A(k,k) is closed with a zero
+    # diagonal, so A(k,k) ⊗ T ≤ T (see repro.core.blocked_fw)
+    def row(reads, writes, _):  # A(k,j) = A(k,k) ⊗ A(k,j)
+        writes[0][...] = engine.minplus(reads[0], writes[0])
 
-    def col(reads, writes, _):  # A(i,k) ⊕= A(i,k) ⊗ A(k,k)
-        minplus_update(writes[0], writes[0], reads[0], engine=engine)
+    def col(reads, writes, _):  # A(i,k) = A(i,k) ⊗ A(k,k)
+        writes[0][...] = engine.minplus(writes[0], reads[0])
 
     def rank(reads, writes, _):  # A(i,j) ⊕= A(i,k) ⊗ A(k,j)
         minplus_update(writes[0], reads[0], reads[1], engine=engine)

@@ -7,9 +7,9 @@ Three analyses on top of the bounds interpreter:
    The discriminator is the *pivot group width*: how many distinct
    ``k`` offsets of ``A`` a kernel reads per innermost update of ``C``.
    Width 1 means pivots are consumed strictly one at a time, preserving
-   the per-row sequential-``k`` semantics that makes the row-aliased
-   stage-2 patterns (``C==A``, ``C==B`` on the zero-diagonal distance
-   domain) exact. Width > 1 (the register-blocked kernel pre-loads a
+   the per-row sequential-``k`` semantics under which row-aliased
+   operands (``C==A``, ``C==B`` on the zero-diagonal distance domain)
+   would stay exact. Width > 1 (the register-blocked kernel pre-loads a
    4-pivot group before writing) is only sound for disjoint operands —
    a pivot loaded before an aliased write would go stale. The derived
    class is cross-checked against the template's declared
@@ -22,24 +22,19 @@ Three analyses on top of the bounds interpreter:
    share exactly their boundary, which the prover's same-denominator
    floor-division rule discharges; a widened panel breaks it.
 
-3. **Router/self-alias soundness** — every call site whose instantiated
+3. **Call-site alias soundness** — every call site whose instantiated
    regions may overlap (written region vs a read region of the same
    array) must target a callee whose derived class tolerates that
-   pattern (``k-sequential`` / ``inplace-fw``, never ``disjoint``), and
-   in the ``cc-omp`` router no path on which ``seq`` may be nonzero may
-   reach a parallel frame or a ``disjoint``-class callee. Together with
-   :func:`check_python_dispatch` — which statically checks that
-   ``JITBackend.update`` derives ``seq`` from ``_aliased`` and routes
-   truthy ``seq`` to the sequential twin — this closes the alias
-   contract across the Python/C boundary.
+   pattern (``k-sequential`` / ``inplace-fw``, never ``disjoint``).
+
+Across the Python/C boundary the contract is simpler: the engine
+rejects overlapping operands before any kernel runs
+(:meth:`repro.core.engine.KernelEngine.update`), so every min-plus entry
+point only ever sees disjoint ``C``, ``A`` and ``B``.
 """
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass
-
-from repro.verifykernel import cparse
 from repro.verifykernel.bounds import (
     CallSite,
     Finding,
@@ -58,7 +53,6 @@ from repro.verifykernel.bounds import (
 __all__ = [
     "check_call_aliasing",
     "check_parallel_disjointness",
-    "check_python_dispatch",
     "derive_alias_class",
 ]
 
@@ -75,8 +69,7 @@ def derive_alias_class(analysis: KernelAnalysis, template) -> tuple[str, list[Fi
     arrays: dict[str, dict[str, str]] = template.arrays
     if not analysis.accesses and analysis.calls:
         # pure dispatcher: tolerance comes from per-call checks
-        derived = "router" if template.name.endswith("_omp") else "inplace-fw"
-        return derived, findings
+        return "router", findings
     rw = [name for name, spec in arrays.items() if spec["mode"] != "r"]
     if len(arrays) == 1 and rw:
         derived = _classify_inplace(analysis, rw[0], arrays[rw[0]]["stride"])
@@ -230,14 +223,8 @@ def _disjoint_under_shift(r1: Region, r2: Region, atom: LoopSym) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# 3. call-site alias soundness + router seq discipline
+# 3. call-site alias soundness
 # ---------------------------------------------------------------------------
-def _facts_pin_zero(facts: tuple[Poly, ...], name: str) -> bool:
-    """Do the path facts force parameter ``name`` to zero?"""
-    upper = _atom_poly(Sym(name)) * -1  # "-name >= 0" means name <= 0
-    return any(f == upper for f in facts)
-
-
 def check_call_aliasing(
     analysis: KernelAnalysis,
     template,
@@ -245,12 +232,8 @@ def check_call_aliasing(
     parsed_by_name: dict,
     derived_classes: dict[str, str],
 ) -> list[Finding]:
-    """Overlapping call regions must target alias-tolerant callees, and
-    the ``seq`` flag must never fan out across a parallel frame."""
+    """Overlapping call regions must target alias-tolerant callees."""
     findings: list[Finding] = []
-    has_seq = any(
-        p.name == "seq" and not p.pointer for p in analysis.fn.params
-    )
     for call in analysis.calls:
         callee_class = derived_classes.get(call.name, "disjoint")
         regions = _regions_of_call(
@@ -278,29 +261,6 @@ def check_call_aliasing(
                     f"{call.name!r}, which requires disjoint operands",
                 )
             )
-        if has_seq:
-            in_parallel = any(f.parallel for f in call.frames)
-            seq_zero = _facts_pin_zero(call.facts, "seq")
-            if in_parallel and not seq_zero:
-                findings.append(
-                    Finding(
-                        "alias",
-                        analysis.name,
-                        call.line,
-                        "aliased (seq) operands may fan out across the "
-                        "parallel region — cross-panel read/write race",
-                    )
-                )
-            elif callee_class == "disjoint" and not seq_zero:
-                findings.append(
-                    Finding(
-                        "alias",
-                        analysis.name,
-                        call.line,
-                        f"path may reach disjoint-only kernel {call.name!r} "
-                        f"with seq != 0 (unsound alias routing)",
-                    )
-                )
     return findings
 
 
@@ -312,147 +272,3 @@ def _rect_disjoint(a: Region, b: Region, facts: tuple[Poly, ...]) -> bool:
         or prove_ge0(b.col_lo - a.col_hi - 1, facts)
         or prove_ge0(a.col_lo - b.col_hi - 1, facts)
     )
-
-
-# ---------------------------------------------------------------------------
-# 4. Python dispatch cross-check
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class _DispatchCall:
-    entry: str  # mp_update_seq | mp_update | mp_update_omp
-    seq_state: str  # "true" | "false" | "unknown"
-    line: int
-    omp_seq_arg: int | None  # literal last arg of mp_update_omp, if constant
-
-
-def check_python_dispatch(source: str, filename: str = "jit.py") -> list[Finding]:
-    """Statically check ``JITBackend.update``'s alias routing.
-
-    Requirements: ``seq`` is derived from a ``self._aliased(c, a, b)``
-    call (not a constant), truthy ``seq`` reaches only the sequential-k
-    entry point, and the fast/OpenMP entry points are reachable only
-    with ``seq`` statically falsy (the OpenMP call must also pass a
-    literal ``0`` for its C-side ``seq`` flag).
-    """
-    findings: list[Finding] = []
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [Finding("dispatch", filename, exc.lineno or 0, f"unparsable: {exc}")]
-    update_fn = None
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "JITBackend":
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "update":
-                    update_fn = item
-    if update_fn is None:
-        return [Finding("dispatch", filename, 0, "JITBackend.update not found")]
-
-    seq_from_aliased = False
-    seq_constant: object = None
-    for node in ast.walk(update_fn):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "seq" for t in node.targets
-        ):
-            value = node.value
-            if (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Attribute)
-                and value.func.attr == "_aliased"
-            ):
-                seq_from_aliased = True
-            elif isinstance(value, ast.Constant):
-                seq_constant = value.value
-    if not seq_from_aliased:
-        findings.append(
-            Finding(
-                "dispatch",
-                filename,
-                update_fn.lineno,
-                "seq is not derived from _aliased(c, a, b)"
-                + (f" (constant {seq_constant!r})" if seq_constant is not None else ""),
-            )
-        )
-
-    calls: list[_DispatchCall] = []
-
-    def walk(stmts: list[ast.stmt], seq_state: str) -> None:
-        for stmt in stmts:
-            for node in ast.walk(stmt) if not isinstance(stmt, ast.If) else []:
-                _collect_call(node, seq_state, calls)
-            if isinstance(stmt, ast.If):
-                test = stmt.test
-                if isinstance(test, ast.Name) and test.id == "seq":
-                    walk(stmt.body, "true")
-                    walk(stmt.orelse, "false")
-                elif (
-                    isinstance(test, ast.UnaryOp)
-                    and isinstance(test.op, ast.Not)
-                    and isinstance(test.operand, ast.Name)
-                    and test.operand.id == "seq"
-                ):
-                    walk(stmt.body, "false")
-                    walk(stmt.orelse, "true")
-                else:
-                    for node in ast.walk(test):
-                        _collect_call(node, seq_state, calls)
-                    walk(stmt.body, seq_state)
-                    walk(stmt.orelse, seq_state)
-
-    def _collect_call(node: ast.AST, seq_state: str, out: list[_DispatchCall]) -> None:
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            return
-        if node.func.attr not in ("mp_update_seq", "mp_update", "mp_update_omp"):
-            return
-        omp_seq = None
-        if node.func.attr == "mp_update_omp" and node.args:
-            last = node.args[-1]
-            if isinstance(last, ast.Constant) and isinstance(last.value, int):
-                omp_seq = last.value
-        out.append(_DispatchCall(node.func.attr, seq_state, node.lineno, omp_seq))
-
-    walk(update_fn.body, "unknown")
-
-    seq_calls = [c for c in calls if c.entry == "mp_update_seq"]
-    fast_calls = [c for c in calls if c.entry in ("mp_update", "mp_update_omp")]
-    if not any(c.seq_state == "true" for c in seq_calls):
-        findings.append(
-            Finding(
-                "dispatch",
-                filename,
-                update_fn.lineno,
-                "no path routes truthy seq to the sequential-k kernel",
-            )
-        )
-    for c in fast_calls:
-        if c.seq_state != "false":
-            findings.append(
-                Finding(
-                    "dispatch",
-                    filename,
-                    c.line,
-                    f"{c.entry} reachable without a statically-false seq guard",
-                )
-            )
-        if c.entry == "mp_update_omp" and c.omp_seq_arg not in (0,):
-            findings.append(
-                Finding(
-                    "dispatch",
-                    filename,
-                    c.line,
-                    "mp_update_omp must pass a literal 0 seq flag on the "
-                    "disjoint path",
-                )
-            )
-    for c in seq_calls:
-        if c.seq_state == "false":
-            findings.append(
-                Finding(
-                    "dispatch",
-                    filename,
-                    c.line,
-                    "sequential-k kernel called where seq is statically false "
-                    "(swapped branches?)",
-                )
-            )
-    return findings

@@ -18,8 +18,8 @@ denominator; ``Min``/``Max`` are nondecreasing in their arguments), then
 :func:`prove_ge0` discharges the comparison with case splits over
 ``Min``/``Max`` (an atom pointwise *equals* one of its arguments),
 floor-division relaxations (``b·Div(a,b)`` lies in ``[a−b+1, a]``), and
-branch facts gathered from guards (``if (blk <= 0 || blk >= n) return;``
-refines ``1 ≤ blk ≤ n−1`` on the fall-through path).
+branch facts gathered from guards (``if (hi > lo)`` refines
+``hi − lo ≥ 1`` inside the branch).
 
 Every access must decompose as ``base + row·stride + col`` against the
 array's declared stride symbol with ``0 ≤ row < rows`` and
@@ -32,7 +32,7 @@ Call sites are checked interprocedurally by summary: the callee's
 declared access region is instantiated with the actual arguments
 (pointer bases decomposed against the caller's stride) and proven to lie
 inside the caller's own declared extents — this is what validates the
-blocked-FW stage calls with their ``d + k0*s + k0`` diagonal offsets.
+OpenMP router's per-panel calls with their ``c + lo`` column offsets.
 """
 
 from __future__ import annotations
@@ -1207,9 +1207,9 @@ def _instantiate(p: Poly, env: dict[str, Poly]) -> Poly | None:
     """Simultaneously substitute callee parameter symbols with actuals.
 
     One-pass (not sequential) substitution: callee and caller parameter
-    names overlap (``fw_blocked_f32`` passes ``nb = min(k0+blk, n) - k0``
-    for the callee's ``n``), so a sequential rewrite could re-capture a
-    just-introduced caller symbol. Contract extents contain plain
+    names overlap (the OpenMP router passes ``hi - lo`` for the callee's
+    ``bj``), so a sequential rewrite could re-capture a just-introduced
+    caller symbol. Contract extents contain plain
     symbols only; a symbol with no actual value means the extent cannot
     be instantiated.
     """

@@ -5,8 +5,8 @@ autotuner consume. It composes:
 
 - the **static pass** (:func:`static_findings`): affine bounds proofs,
   interprocedural call-region checks, alias-class derivation, OpenMP
-  panel disjointness, router seq-discipline, and the Python dispatch
-  cross-check — all purely symbolic, no compiler needed;
+  panel disjointness, and call-site alias soundness — all purely
+  symbolic, no compiler needed;
 - optional **sanitizer legs** (ASan/UBSan matrix replays, the TSan
   driver for ``cc-omp``), skipped with an honest record when the
   toolchain lacks a mode;
@@ -19,15 +19,12 @@ autotuner consume. It composes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.core.backends import jit
 from repro.core.backends.jit import KERNEL_TEMPLATES
 from repro.verifykernel import cparse
 from repro.verifykernel.alias import (
     check_call_aliasing,
     check_parallel_disjointness,
-    check_python_dispatch,
     derive_alias_class,
 )
 from repro.verifykernel.bounds import Finding, analyze_kernel, check_kernel_bounds
@@ -45,15 +42,10 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def static_findings(
-    overrides: dict[str, str] | None = None,
-    python_source: str | None = None,
-) -> list[Finding]:
+def static_findings(overrides: dict[str, str] | None = None) -> list[Finding]:
     """Run the full static pass; returns every finding (empty = proven).
 
-    ``overrides`` substitutes kernel template sources (seeded defects);
-    ``python_source`` substitutes the dispatch-layer source checked by
-    the Python cross-check (defaults to the shipped ``jit.py``).
+    ``overrides`` substitutes kernel template sources (seeded defects).
     """
     overrides = overrides or {}
     findings: list[Finding] = []
@@ -65,7 +57,6 @@ def static_findings(
             parsed[t.name] = cparse.parse_kernel(source)
         except cparse.CParseError as exc:
             findings.append(Finding("parse", t.name, 0, str(exc)))
-    known = frozenset(parsed)
     analyses = {}
     derived: dict[str, str] = {}
     for t in KERNEL_TEMPLATES:
@@ -92,9 +83,6 @@ def static_findings(
                 analyses[t.name], t, templates_by_name, parsed, derived
             )
         )
-    if python_source is None:
-        python_source = Path(jit.__file__).read_text()
-    findings.extend(check_python_dispatch(python_source))
     return findings
 
 
@@ -120,26 +108,13 @@ class DefectResult:
 
 
 def _run_defect(defect: SeededDefect, *, fast: bool) -> DefectResult:
-    templates_by_name = {t.name: t for t in KERNEL_TEMPLATES}
-    if defect.kind == "c":
-        overrides = defect.overrides(templates_by_name)
-        found = static_findings(overrides)
-    else:
-        patched = defect.apply(Path(jit.__file__).read_text())
-        found = static_findings(python_source=patched)
-    relevant = [f for f in found if f.check == defect.static_check]
+    overrides = defect.overrides({t.name: t for t in KERNEL_TEMPLATES})
+    relevant = [f for f in static_findings(overrides) if f.check == defect.static_check]
     static_caught = bool(relevant)
-
-    dynamic: SanitizerRunResult | None
-    if defect.dynamic == "divergence":
-        dynamic = run_matrix("asan", force_fast_alias=True, fast=fast)
-    elif defect.kind == "c":
-        dynamic = run_matrix(
-            defect.dynamic, overrides=defect.overrides(templates_by_name), fast=fast
-        )
-    else:  # pragma: no cover - no such defect today
-        dynamic = None
-    if dynamic is not None and not dynamic.available:
+    dynamic: SanitizerRunResult | None = run_matrix(
+        defect.dynamic, overrides=overrides, fast=fast
+    )
+    if not dynamic.available:
         dynamic = None  # toolchain can't run the leg: skip, don't fail
     ok = static_caught and (dynamic is None or dynamic.caught)
     return DefectResult(defect, static_caught, relevant, dynamic, ok)

@@ -13,10 +13,10 @@ Three modes, three transports:
 - **tsan** — TSan cannot be preloaded into an uninstrumented CPython
   (it must own every thread from the start), so the ``cc-omp`` flavor is
   exercised by a *standalone C driver*: kernel TU + ``main`` compiled as
-  one ``-fsanitize=thread -fopenmp`` executable that replays disjoint
-  and router-aliased OpenMP updates against the sequential kernel
-  in-process (``TSAN_OPTIONS=exitcode=66``; driver exits 3 on oracle
-  divergence). ``race_top`` suppressions drop libgomp fork/join noise:
+  one ``-fsanitize=thread -fopenmp`` executable that replays an OpenMP
+  update against the serial ``mp_update_f32`` in-process
+  (``TSAN_OPTIONS=exitcode=66``; driver exits 3 on oracle divergence).
+  ``race_top`` suppressions drop libgomp fork/join noise:
   the uninstrumented join barrier carries no happens-before edge, so
   post-join main-thread reads (oracle memcmp, free) falsely "race"
   with the region's writes. Real panel races are worker-vs-worker and
@@ -105,19 +105,12 @@ int main(void)
     if (!c0 || !a0 || !b0 || !got || !want) return 2;
     fill(c0, n); fill(a0, n); fill(b0, n);
 
-    /* disjoint fan-out vs sequential reference (bit-exact candidates) */
+    /* panel fan-out vs the serial kernel (bit-exact candidates) */
     memcpy(got, c0, bytes);
-    mp_update_f32_omp(got, a0, b0, n, n, n, n, n, n, tile, threads, 0);
+    mp_update_f32_omp(got, a0, b0, n, n, n, n, n, n, tile, threads);
     memcpy(want, c0, bytes);
-    mp_update_f32_seq(want, a0, b0, n, n, n, n, n, n, tile);
-    if (differ(got, want, n)) { fprintf(stderr, "driver: disjoint diverged\n"); return 3; }
-
-    /* aliased operands through the router: must not fan out */
-    memcpy(got, c0, bytes);
-    mp_update_f32_omp(got, got, got, n, n, n, n, n, n, tile, threads, 1);
-    memcpy(want, c0, bytes);
-    mp_update_f32_seq(want, want, want, n, n, n, n, n, n, tile);
-    if (differ(got, want, n)) { fprintf(stderr, "driver: aliased diverged\n"); return 3; }
+    mp_update_f32(want, a0, b0, n, n, n, n, n, n, tile);
+    if (differ(got, want, n)) { fprintf(stderr, "driver: fan-out diverged\n"); return 3; }
 
     free(c0); free(a0); free(b0); free(got); free(want);
     return 0;
@@ -179,9 +172,7 @@ def _tail(text: bytes, limit: int = 2000) -> str:
     return text.decode(errors="replace")[-limit:]
 
 
-def _run_python_matrix(
-    mode: str, so_path: Path, *, force_fast_alias: bool, fast: bool
-) -> tuple[int, str]:
+def _run_python_matrix(mode: str, so_path: Path, *, fast: bool) -> tuple[int, str]:
     env = dict(os.environ)
     src_root = str(Path(repro.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
@@ -193,8 +184,6 @@ def _run_python_matrix(
     elif mode == "ubsan":
         env["UBSAN_OPTIONS"] = "print_stacktrace=1"
     cmd = [sys.executable, "-m", "repro.verifykernel.matrixrun", "--so", str(so_path)]
-    if force_fast_alias:
-        cmd.append("--force-fast-alias")
     if fast:
         cmd.append("--fast")
     proc = subprocess.run(cmd, env=env, capture_output=True, timeout=600)
@@ -231,7 +220,6 @@ def run_matrix(
     mode: str,
     *,
     overrides: dict[str, str] | None = None,
-    force_fast_alias: bool = False,
     fast: bool = True,
     compiler: str | None = None,
 ) -> SanitizerRunResult:
@@ -262,9 +250,7 @@ def run_matrix(
     so_path, _build = compile_cc_so(
         cc, flags, openmp, sanitize=san, degraded=degraded, source=source
     )
-    code, detail = _run_python_matrix(
-        mode, so_path, force_fast_alias=force_fast_alias, fast=fast
-    )
+    code, detail = _run_python_matrix(mode, so_path, fast=fast)
     result.ran = True
     result.returncode = code
     result.detail = detail

@@ -334,6 +334,14 @@ class TestVerifyCluster:
         assert payload["comm"]["ok"] is True
         assert payload["cross_validation"]["makespan_exact"] is True
 
+    def test_describe_names_exactly_the_checks_run(self, graph):
+        ver = verify_cluster(N, ClusterSpec.make(2, 2), graph=graph)
+        line = next(
+            ln for ln in ver.describe().splitlines() if "cross-validation" in ln
+        )
+        named = line.split(": ", 1)[1].split(", ")
+        assert named == [k.replace("_", " ") for k in ver.cross_validation]
+
     def test_static_only_skips_cross_validation(self):
         ver = verify_cluster(N, ClusterSpec.make(2, 1))
         assert ver.ok and ver.cross_validation is None

@@ -124,18 +124,46 @@ def test_backends_agree_property(bi, bk, bj, inf_frac, seed):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fw_inplace_bit_identical(backend, rng=np.random.default_rng(7)):
-    d = rng.integers(1, 50, (97, 97)).astype(DIST_DTYPE)
-    d[rng.random((97, 97)) < 0.5] = np.inf
-    np.fill_diagonal(d, 0.0)
-    expected = numpy_fw_inplace(d.copy())
-    got = KernelEngine(backend).fw_inplace(d.copy())
-    assert np.array_equal(got, expected)
+    """The tile kernel (n=97) and the blocked closure above one closure
+    block (n=600) both equal the plain pivot loop on integer weights."""
+    for n in (97, 600):
+        d = rng.integers(1, 50, (n, n)).astype(DIST_DTYPE)
+        d[rng.random((n, n)) < 0.5] = np.inf
+        np.fill_diagonal(d, 0.0)
+        expected = numpy_fw_inplace(d.copy())
+        got = KernelEngine(backend).fw_inplace(d.copy())
+        assert np.array_equal(got, expected), n
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_update_operand_overlap_guard(backend):
+    """``update`` rejects a ``C`` that shares memory with ``A`` or ``B``,
+    in any dtype, and accepts disjoint tile views of one matrix even
+    though their memory bounds overlap."""
+    eng = KernelEngine(backend)
+    for dtype in (np.float32, np.float64):
+        d = np.arange(64 * 64, dtype=dtype).reshape(64, 64)
+        t, diag = d[:32, 32:], d[32:, 32:].copy()
+        for c, a, b in (
+            (t, t, diag),  # c == a
+            (t, diag, t),  # c == b
+            (d[:32, :32], d[16:48, :32], diag),  # partially overlapping views
+        ):
+            with pytest.raises(ValueError, match="shares memory"):
+                eng.update(c, a, b)
+    c0, a0, b0 = random_tiles((32, 32, 32), inf_frac=0.3, seed=43)
+    d = np.empty((64, 64), dtype=DIST_DTYPE)
+    c, a, b = d[1::2, 32:], d[1::2, :32], d[::2, 32:]  # interleaved rows
+    c[...], a[...], b[...] = c0, a0, b0
+    assert np.may_share_memory(c, a) and np.may_share_memory(c, b)
+    eng.update(c, a, b)
+    assert np.array_equal(c, rank1_update(c0.copy(), a0, b0))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("block_size", [1, 13, 64, 200])
 def test_blocked_fw_engine_equivalence(backend, block_size):
-    """Blocked FW (aliased stage-2 tiles) agrees exactly on integer weights."""
+    """Blocked FW (fresh stage-2 panels) agrees exactly on integer weights."""
     rng = np.random.default_rng(11)
     d = rng.integers(1, 100, (75, 75)).astype(DIST_DTYPE)
     d[rng.random((75, 75)) < 0.6] = np.inf
@@ -311,20 +339,6 @@ def test_cc_omp_degrades_without_threads(monkeypatch):
     assert backend.flavor == "cc" and backend.threads == 1
 
 
-@cc_only
-@pytest.mark.parametrize("fw_block", [32, 48])
-def test_cc_blocked_fw_matches_plain(fw_block):
-    """Multi-stage blocked FW (opt-in fw_block) is exact on the library's
-    integer-weight distance domain, for any block size."""
-    rng = np.random.default_rng(23)
-    d = rng.integers(1, 80, (143, 143)).astype(DIST_DTYPE)
-    d[rng.random((143, 143)) < 0.5] = np.inf
-    np.fill_diagonal(d, 0.0)
-    expected = numpy_fw_inplace(d.copy())
-    got = JITBackend(fw_block=fw_block).fw_inplace(d.copy())
-    assert np.array_equal(got, expected)
-
-
 # ----------------------------------------------------------------------
 # Integer semiring (int32, exact)
 # ----------------------------------------------------------------------
@@ -386,35 +400,48 @@ def _stage2_operands(seed=37):
 
 
 def test_threaded_runs_aliased_operands_unsplit():
-    """FW stage 2 passes ``update(T, T, diag)``: splitting C into panels
-    would let each worker read the panels the others are writing."""
+    """FW stage 2 on one panel, ``T ⊗ diag`` over ``T``: split into column
+    panels, an aliased ``update(T, T, diag)`` would let each worker read
+    the panels the others are writing. The engine rejects it before any
+    panel reaches the inner backend; the fresh product that replaces it
+    has a disjoint output and is split like any other update."""
     tile, diag = _stage2_operands()
+    before = tile.copy()
     inner = _RecordingBackend()
-    backend = ThreadedBackend(inner=inner, workers=2)
-    backend.update(tile, tile, diag)
-    assert inner.calls == [(64, 256)]
-    inner.calls.clear()
-    backend.update(np.full_like(tile, np.inf), tile, diag)  # disjoint: split
+    eng = KernelEngine(ThreadedBackend(inner=inner, workers=2))
+    with pytest.raises(ValueError, match="shares memory"):
+        eng.update(tile, tile, diag)
+    assert inner.calls == [] and np.array_equal(tile, before)
+    eng.minplus(tile, diag)
     assert inner.calls == [(64, 128), (64, 128)]
 
 
 @pytest.mark.parametrize("pattern", ["c==a", "c==b"])
 def test_threaded_aliased_matches_serial_inner(pattern):
-    """On real weights the aliased result depends on the in-place update
-    order, so only an unsplit call reproduces the serial inner kernel."""
+    """Both stage-2 panel patterns — the column panel ``T ⊗ diag``
+    (formerly ``C = A``) and the row panel ``diag ⊗ T`` (formerly
+    ``C = B``) — are rejected in place by the threaded engine and its
+    serial inner alike, and their fresh products agree bit for bit on
+    real weights and never exceed the panel they replace."""
     tile, diag = _stage2_operands()
     if pattern == "c==b":
         tile = np.ascontiguousarray(np.vstack([tile] * 4).T)  # 256×256
     backend = ThreadedBackend(workers=2)
+    threaded, serial = KernelEngine(backend), KernelEngine(backend.inner)
+    for eng in (threaded, serial):
+        with pytest.raises(ValueError, match="shares memory"):
+            if pattern == "c==a":
+                eng.update(tile, tile, diag)
+            else:
+                eng.update(tile, diag, tile)
     for _ in range(5):
-        want, got = tile.copy(), tile.copy()
         if pattern == "c==a":
-            backend.inner.update(want, want, diag)
-            backend.update(got, got, diag)
+            want, got = serial.minplus(tile, diag), threaded.minplus(tile, diag)
         else:
-            backend.inner.update(want, diag, want)
-            backend.update(got, diag, got)
+            want, got = serial.minplus(diag, tile), threaded.minplus(diag, tile)
         assert np.array_equal(got, want)
+        assert (got <= tile).all()
+        tile = got
 
 
 def test_calibration_smoke(monkeypatch, tmp_path):

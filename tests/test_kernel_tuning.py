@@ -132,10 +132,37 @@ def test_stale_flavor_falls_back_to_calibration(tune_result, _isolated_bench):
 
 
 def test_corrupt_bench_file_falls_back(tune_result, _isolated_bench):
-    _isolated_bench.write_text("{not json")
-    assert load_tuned_winner(_isolated_bench) is None
+    wrong_shapes = ([1, 2], {"tuned": [1]}, {"tuned": {machine_fingerprint(): "jit"}})
+    for text in ("{not json", *map(json.dumps, wrong_shapes)):
+        _isolated_bench.write_text(text)
+        assert load_tuned_winner(_isolated_bench) is None
+        eng = KernelEngine("auto")
+        assert eng.tuned is None and eng.calibration is not None
+
+
+def test_winner_with_removed_option_falls_back(tune_result, _isolated_bench):
+    """A winner persisted with an option the backend no longer takes
+    (``fw_block`` went with the blocked C kernel) is stale."""
+    stale = dict(
+        tune_result,
+        winner={"backend": "jit", "options": {"fw_block": 64},
+                "flavor": "cc", "gops": 99.0, "n": TUNE_N},
+    )
+    record_tuned(stale, _isolated_bench)
     eng = KernelEngine("auto")
     assert eng.tuned is None and eng.calibration is not None
+
+
+def test_tuned_winner_errors_are_not_swallowed(monkeypatch):
+    """Only a stale winner falls back; any other failure propagates."""
+    import repro.bench.kernels as bench_kernels
+
+    def broken(path=None):
+        raise RuntimeError("winner store unreadable")
+
+    monkeypatch.setattr(bench_kernels, "load_tuned_winner", broken)
+    with pytest.raises(RuntimeError, match="winner store unreadable"):
+        KernelEngine("auto")
 
 
 def test_fingerprint_class_ignores_cpu_count():

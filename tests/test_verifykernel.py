@@ -3,10 +3,9 @@
 The layer's promise is two-sided and these tests hold both sides at
 once: the static analyzer and the sanitizer harness must each stay
 *silent* on the shipped kernels and each *fire* on every seeded defect
-(off-by-one subscript, dropped remainder guard, widened OpenMP panel,
-serial fan-out, unsound alias routing). Dynamic legs self-skip on
-toolchains without a compiler or sanitizer runtime; the static side
-runs everywhere.
+(off-by-one subscript, dropped remainder guard, widened OpenMP panel).
+Dynamic legs self-skip on toolchains without a compiler or sanitizer
+runtime; the static side runs everywhere.
 """
 
 import json
@@ -14,7 +13,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.backends import jit
 from repro.core.backends.jit import (
     _DEGRADED_CFLAGS,
     KERNEL_TEMPLATES,
@@ -30,7 +28,7 @@ from repro.verifykernel import (
     verify_kernels,
 )
 from repro.verifykernel import cparse
-from repro.verifykernel.alias import check_python_dispatch, derive_alias_class
+from repro.verifykernel.alias import derive_alias_class
 from repro.verifykernel.bounds import analyze_kernel
 from repro.verifykernel.defects import defect_by_name
 
@@ -39,17 +37,8 @@ TPL = {t.name: t for t in KERNEL_TEMPLATES}
 needs_cc = pytest.mark.skipif(cc_compiler() is None, reason="needs a C compiler")
 
 
-def _defect_findings(defect):
-    """Static findings with one defect seeded into its home source."""
-    if defect.kind == "python":
-        src = jit.__file__
-        with open(src) as fh:
-            return static_findings(python_source=defect.apply(fh.read()))
-    return static_findings(overrides=defect.overrides(TPL))
-
-
 # ----------------------------------------------------------------------
-# Static pillar: parser, proofs, alias classes, dispatch cross-check
+# Static pillar: parser, proofs, alias classes
 # ----------------------------------------------------------------------
 def test_every_template_parses():
     for t in KERNEL_TEMPLATES:
@@ -73,7 +62,7 @@ def test_derived_alias_classes_match_declarations():
 
 @pytest.mark.parametrize("defect", DEFECTS, ids=lambda d: d.name)
 def test_each_seeded_defect_is_caught_statically(defect):
-    findings = _defect_findings(defect)
+    findings = static_findings(overrides=defect.overrides(TPL))
     checks = {f.check for f in findings}
     assert defect.static_check in checks, (
         f"{defect.name}: expected a {defect.static_check!r} finding, got {checks}"
@@ -84,20 +73,6 @@ def test_defect_apply_refuses_drifted_source():
     d = defect_by_name("off_by_one_subscript")
     with pytest.raises(ValueError, match="drifted"):
         d.apply("int unrelated(void) { return 0; }")
-
-
-def test_dispatch_check_accepts_shipped_jit():
-    with open(jit.__file__) as fh:
-        assert check_python_dispatch(fh.read()) == []
-
-
-def test_dispatch_check_rejects_constant_seq():
-    with open(jit.__file__) as fh:
-        src = fh.read()
-    bad = src.replace("seq = self._aliased(c, a, b)", "seq = False")
-    assert bad != src
-    findings = check_python_dispatch(bad)
-    assert any(f.check == "dispatch" for f in findings)
 
 
 # ----------------------------------------------------------------------
@@ -122,15 +97,6 @@ def test_matrix_clean_on_shipped_kernels(plain_kernels):
     cases = run_matrix_cases(plain_kernels, fast=True)
     bad = [c for c in cases if not c["ok"]]
     assert not bad, bad
-
-
-@needs_cc
-def test_matrix_flags_unsound_alias_routing(plain_kernels):
-    """Aliased operands forced through the fast kernel must diverge."""
-    from repro.verifykernel.matrixrun import run_matrix_cases
-
-    cases = run_matrix_cases(plain_kernels, fast=True, force_fast_alias=True)
-    assert any(not c["ok"] for c in cases)
 
 
 # ----------------------------------------------------------------------
