@@ -8,15 +8,14 @@ Two layers share this module:
   and quartiles, verify each result bit-identical to the reference
   backend, persist to ``BENCH_kernels.json`` at the repository root.
 * :func:`tune_kernels` — the autotuner (``python -m repro tune-kernels``):
-  search tile/thread/flavor configurations of the *fast* backends on the
-  local machine, and persist the winner into the same file under
-  ``"tuned"``, keyed by :func:`machine_fingerprint` (compiler version,
-  resolved compile flags, cpu count). ``KernelEngine("auto")`` consumes
-  the persisted winner at construction — no re-sweeping — so every solver
-  path (blocked FW, OOC drivers, Johnson batching) inherits the tuned
-  kernel; :class:`~repro.verifyplan.timing.TimingCalibration` and the
-  opt-in cpumodel calibration price analytic selection off the same
-  number.
+  search tile, flavor and worker-count configurations of the *fast*
+  backends on the local machine, and persist the winner into the same
+  file under ``"tuned"``, keyed by :func:`machine_fingerprint` (compiler
+  version, resolved compile flags, cpu count). ``KernelEngine("auto")``
+  consumes the persisted winner at construction — no re-sweeping — so
+  every solver path (blocked FW, OOC drivers, Johnson batching) inherits
+  the tuned kernel; :class:`~repro.verifyplan.timing.TimingCalibration`
+  prices analytic selection off the same number.
 
 Winners must be **bit-identical** to the reference backend to qualify —
 a fast-but-wrong config can never be persisted.
@@ -296,17 +295,16 @@ def _tune_candidates(tiles: tuple[int, ...], cpus: int) -> list[tuple[str, dict]
         candidates += [("jit", {"flavor": "numba", "tile": t}) for t in tiles]
     if load_cc_kernels() is not None:
         candidates += [("jit", {"flavor": "cc", "tile": t}) for t in tiles]
-        if load_cc_kernels().openmp and cpus > 1:
-            threads = sorted({2, max(2, cpus // 2), cpus})
-            candidates += [
-                ("jit", {"flavor": "cc-omp", "tile": t, "threads": w})
-                for t in tiles
-                for w in threads
-            ]
     if cpus > 1:
         workers = sorted({2, cpus})
         candidates += [("threaded", {"workers": w}) for w in workers]
     return candidates
+
+
+def _runs_cc(backend) -> bool:
+    """True when ``backend`` runs the C kernels, itself or as the inner
+    backend of a ``threaded`` fan-out."""
+    return getattr(backend, "inner", backend).flavor == "cc"
 
 
 def tune_kernels(
@@ -351,18 +349,13 @@ def tune_kernels(
     ref.update(ref_c, a, b)
     ref_seconds = perf_counter() - t0
 
-    candidates = _tune_candidates(tiles, cpus)
-    if not verification["ok"]:
-        # refuse every natively-compiled candidate: unproven C kernels
-        # are not priced, the tuner falls back to the managed backends
-        candidates = [
-            (name, options)
-            for name, options in candidates
-            if not (name == "jit" and options.get("flavor") in ("cc", "cc-omp"))
-        ]
     rows: list[dict] = []
-    for name, options in candidates:
+    for name, options in _tune_candidates(tiles, cpus):
         backend = create_backend(name, **options)
+        if not verification["ok"] and _runs_cc(backend):
+            # unproven C kernels are not priced, not even behind the
+            # threaded fan-out: the tuner falls back to the other kernels
+            continue
         backend.update(
             np.full((32, 32), np.inf, dtype=DIST_DTYPE),
             a[:32, :32].copy(),

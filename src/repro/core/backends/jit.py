@@ -9,13 +9,12 @@ Flavor resolution order (overridable with ``REPRO_JIT_FLAVOR``):
    machines without any compiler simply skip this flavor. The ``.so`` is
    keyed by a hash of the source, compiler, and resolved flag set, so
    later processes pay only a ``dlopen``;
-3. ``cc-omp`` — the same C kernels with their OpenMP column-panel entry
-   point, fanning one min-plus product across ``threads`` cores. Only
-   selectable when the translation unit was built with OpenMP
-   (``-fopenmp``); otherwise it degrades to ``cc``;
-4. ``fallback`` — delegate to
+3. ``fallback`` — delegate to
    :class:`~repro.core.backends.reference.ReferenceBackend` (pure numpy),
    so requesting ``jit`` is always safe.
+
+Any other flavor name is a ``ValueError``. Spreading one product across
+cores is the ``threaded`` backend's job, not a flavor's.
 
 Compile flags are **probed**, not assumed: ``-march=native``, ``-fopenmp``
 and ``-fopenmp-simd`` are each test-compiled first and dropped individually
@@ -30,16 +29,16 @@ The C source is not an opaque string: it is assembled from
 each declaring its array extents (rows/cols/row-stride per pointer
 parameter) and its aliasing contract. :mod:`repro.verifykernel` parses
 the per-kernel sources and statically proves every subscript within the
-declared extents, each kernel's alias class, and the OpenMP panels
-disjoint — run ``python -m repro verify-kernels``.
+declared extents and each kernel's alias class — run
+``python -m repro verify-kernels``.
 
 **Sanitizer-instrumented builds** ride the same pipeline: pass
-``sanitize="asan" | "ubsan" | "tsan"`` to :func:`load_cc_kernels` /
+``sanitize="asan" | "ubsan"`` to :func:`load_cc_kernels` /
 :func:`compile_cc_so` (or set ``REPRO_JIT_SANITIZE``) and the probed flag
 set grows the matching ``-fsanitize=...`` group. A toolchain without the
 sanitizer degrades to a plain build — honestly reported in
 ``CCBuildInfo.sanitize``/``CCBuildInfo.degraded``, never silently. Note
-ASan/TSan instrumented objects cannot be ``dlopen``-ed into an ordinary
+ASan-instrumented objects cannot be ``dlopen``-ed into an ordinary
 process: the verification harness (:mod:`repro.verifykernel.sanitizers`)
 runs them in a subprocess with the runtime preloaded
 (:func:`sanitizer_runtime`).
@@ -50,9 +49,8 @@ simd`` inner loops). It requires ``C`` disjoint from ``A`` and ``B``,
 which :meth:`repro.core.engine.KernelEngine.update` guarantees by
 rejecting overlapping operands. Min is order-independent and every
 candidate ``a + b`` is the identical float32 sum, so reassociating the
-min accumulation is bit-exact; ``cc-omp`` fans the same kernel across
-column panels. ``fw_inplace_f32`` closes one tile in place; larger
-closures are blocked by the engine. On the library's distance domain
+min accumulation is bit-exact. ``fw_inplace_f32`` closes one tile in
+place; larger closures are blocked by the engine. On the library's distance domain
 (``[0, +inf]``, zero diagonals) both are bit-identical to the numpy
 rank-1 formulation. Setting ``REPRO_JIT=off`` forces the fallback (used
 by the CI leg that exercises the degradation path).
@@ -71,7 +69,7 @@ import os
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -94,38 +92,13 @@ __all__ = [
     "sanitizer_runtime",
 ]
 
-#: shared translation-unit prologue: headers, the ``i64`` alias, and the
-#: two build-introspection helpers (no array accesses — not analyzed)
+#: shared translation-unit prologue: headers and the ``i64`` alias
+#: (no array accesses — not analyzed)
 _C_PRELUDE = r"""
 #include <math.h>
 #include <stdint.h>
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 typedef long long i64;
-
-/* 1 when the translation unit was built with -fopenmp (threads exist),
- * 0 otherwise (including -fopenmp-simd-only builds, which vectorize the
- * simd pragmas but link no runtime). */
-int repro_openmp(void)
-{
-#if defined(_OPENMP)
-    return 1;
-#else
-    return 0;
-#endif
-}
-
-int repro_max_threads(void)
-{
-#if defined(_OPENMP)
-    return omp_get_max_threads();
-#else
-    return 1;
-#endif
-}
 """
 
 
@@ -150,17 +123,13 @@ class KernelTemplate:
     * ``"k-sequential"`` — strict per-row pivot order, one pivot at a
       time (would tolerate the row-aliased ``C==A`` / ``C==B`` patterns);
     * ``"inplace-fw"`` — the in-place FW recurrence (correct on the
-      zero-diagonal distance domain);
-    * ``"router"`` — dispatches to other kernels; inherits their classes.
+      zero-diagonal distance domain).
     """
 
     name: str
     source: str
     arrays: dict[str, dict[str, str]]
     alias_class: str
-    calls: tuple[str, ...] = ()
-    parallel: bool = False
-    scalars: tuple[str, ...] = field(default=())
 
 
 _MP_FAST_SOURCE = r"""
@@ -246,37 +215,6 @@ void mp_update_f32(float *c, const float *a, const float *b,
             }
         }
     }
-}
-"""
-
-_MP_OMP_SOURCE = r"""
-/* OpenMP column-panel fan-out of the register-blocked fast kernel.
- * Every output element depends only on its own column of C/B plus
- * read-only A, so partitioning columns across threads is bit-exact for
- * the disjoint operands the kernel requires. Falls back to the serial
- * fast kernel when built without OpenMP. */
-void mp_update_f32_omp(float *c, const float *a, const float *b,
-                       i64 bi, i64 bk, i64 bj,
-                       i64 cs, i64 as, i64 bs, i64 tile,
-                       i64 threads)
-{
-#if defined(_OPENMP)
-    i64 max_panels = bj / 64;
-    if (threads > max_panels) threads = max_panels;
-    if (threads >= 2) {
-        #pragma omp parallel for schedule(static) num_threads((int)threads)
-        for (i64 t = 0; t < threads; t++) {
-            i64 lo = bj * t / threads;
-            i64 hi = bj * (t + 1) / threads;
-            if (hi > lo) {
-                mp_update_f32(c + lo, a, b + lo, bi, bk, hi - lo,
-                              cs, as, bs, tile);
-            }
-        }
-        return;
-    }
-#endif
-    mp_update_f32(c, a, b, bi, bk, bj, cs, as, bs, tile);
 }
 """
 
@@ -372,15 +310,6 @@ KERNEL_TEMPLATES: tuple[KernelTemplate, ...] = (
         alias_class="disjoint",
     ),
     KernelTemplate(
-        name="mp_update_f32_omp",
-        source=_MP_OMP_SOURCE,
-        arrays=_MP_ARRAYS,
-        alias_class="router",
-        calls=("mp_update_f32",),
-        parallel=True,
-        scalars=("threads",),
-    ),
-    KernelTemplate(
         name="fw_inplace_f32",
         source=_FW_INPLACE_SOURCE,
         arrays={"d": {"rows": "n", "cols": "n", "stride": "s", "mode": "rw"}},
@@ -425,14 +354,12 @@ _DEGRADED_CFLAGS = ["-O3", "-shared", "-fPIC"]
 SANITIZER_FLAGS: dict[str, tuple[str, ...]] = {
     "asan": ("-fsanitize=address", "-fno-omit-frame-pointer", "-g"),
     "ubsan": ("-fsanitize=undefined", "-fno-sanitize-recover=all", "-g"),
-    "tsan": ("-fsanitize=thread", "-g"),
 }
 
 #: runtime shared object to LD_PRELOAD per sanitizer mode
 _SANITIZER_RUNTIMES = {
     "asan": "libasan.so",
     "ubsan": "libubsan.so",
-    "tsan": "libtsan.so",
 }
 
 
@@ -450,7 +377,6 @@ class CCBuildInfo:
     compiler: str
     version: str
     flags: tuple[str, ...]
-    openmp: bool
     sanitize: str | None = None
     degraded: tuple[str, ...] = ()
 
@@ -539,18 +465,17 @@ def _flag_works(compiler: str, flag: str, tmp: str) -> bool:
 
 def _resolve_flags(
     compiler: str, sanitize: str | None = None
-) -> tuple[list[str], bool, str | None, tuple[str, ...]]:
-    """Probe optional flags; returns ``(flags, openmp, sanitize, degraded)``.
+) -> tuple[list[str], str | None, tuple[str, ...]]:
+    """Probe optional flags; returns ``(flags, sanitize, degraded)``.
 
     ``-march=native`` is dropped when rejected (satellite fix: it used to
     be passed unconditionally, losing the whole cc flavor on compilers
-    without it). OpenMP degrades ``-fopenmp`` → ``-fopenmp-simd`` (SIMD
-    pragmas honoured, no thread runtime) → nothing. A requested
+    without it). OpenMP, which only the ``#pragma omp simd`` loops use,
+    degrades ``-fopenmp`` → ``-fopenmp-simd`` → nothing. A requested
     sanitizer whose probe flag the compiler rejects degrades to a plain
     build, recorded in ``degraded`` — never a hard failure.
     """
     flags = list(_BASE_CFLAGS)
-    openmp = False
     degraded: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
         if sanitize:
@@ -564,10 +489,9 @@ def _resolve_flags(
             flags.insert(flags.index("-O3"), "-march=native")
         if _flag_works(compiler, "-fopenmp", tmp):
             flags.append("-fopenmp")
-            openmp = True
         elif _flag_works(compiler, "-fopenmp-simd", tmp):
             flags.append("-fopenmp-simd")
-    return flags, openmp, sanitize, tuple(degraded)
+    return flags, sanitize, tuple(degraded)
 
 
 def _cc_version(compiler: str) -> str:
@@ -619,23 +543,12 @@ class _CCKernels:
         self.mp_update = lib.mp_update_f32
         self.mp_update.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_longlong] * 7
         self.mp_update.restype = None
-        self.mp_update_omp = lib.mp_update_f32_omp
-        self.mp_update_omp.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_longlong] * 8
-        self.mp_update_omp.restype = None
         self.mp_update_i32 = lib.mp_update_i32
         self.mp_update_i32.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_longlong] * 7
         self.mp_update_i32.restype = None
         self.fw_inplace = lib.fw_inplace_f32
         self.fw_inplace.argtypes = [ctypes.c_void_p] + [ctypes.c_longlong] * 2
         self.fw_inplace.restype = None
-        self._openmp_probe = lib.repro_openmp
-        self._openmp_probe.argtypes = []
-        self._openmp_probe.restype = ctypes.c_int
-        self.openmp = bool(self._openmp_probe())
-        self._max_threads_probe = lib.repro_max_threads
-        self._max_threads_probe.argtypes = []
-        self._max_threads_probe.restype = ctypes.c_int
-        self.max_threads = int(self._max_threads_probe())
 
 
 #: per-sanitize-mode cache: missing = untried, False = failed
@@ -645,7 +558,6 @@ _CC_KERNELS: dict[str | None, "_CCKernels | bool"] = {}
 def compile_cc_so(
     compiler: str,
     flags: list[str],
-    openmp: bool,
     *,
     sanitize: str | None = None,
     degraded: tuple[str, ...] = (),
@@ -686,7 +598,6 @@ def compile_cc_so(
         compiler=compiler,
         version=_cc_version(compiler),
         flags=tuple(flags),
-        openmp=openmp,
         sanitize=sanitize,
         degraded=degraded,
     )
@@ -696,13 +607,12 @@ def compile_cc_so(
 def _compile_and_load(
     compiler: str,
     flags: list[str],
-    openmp: bool,
     *,
     sanitize: str | None = None,
     degraded: tuple[str, ...] = (),
 ) -> _CCKernels:
     so_path, build = compile_cc_so(
-        compiler, flags, openmp, sanitize=sanitize, degraded=degraded
+        compiler, flags, sanitize=sanitize, degraded=degraded
     )
     return _CCKernels(ctypes.CDLL(str(so_path)), build)
 
@@ -710,21 +620,21 @@ def _compile_and_load(
 def load_cc_kernels(sanitize: str | None = None) -> _CCKernels | None:
     """Compile (once, cached on disk) and load the C kernels.
 
-    ``sanitize`` selects an instrumented build (``"asan"``, ``"ubsan"``,
-    ``"tsan"``; default consults ``REPRO_JIT_SANITIZE``). Returns
+    ``sanitize`` selects an instrumented build (``"asan"`` or
+    ``"ubsan"``; default consults ``REPRO_JIT_SANITIZE``). Returns
     ``None`` when no compiler is present or every compile attempt
     (probed flags, then the degraded ``-O3``-only set) fails — callers
     degrade to the numpy fallback. Never raises on toolchain gaps: a
     rejected sanitizer flag degrades to a plain build, reported in
-    ``CCBuildInfo.degraded``. ASan/TSan objects only load inside a
-    process with the matching runtime preloaded (:func:`sanitizer_runtime`).
+    ``CCBuildInfo.degraded``. ASan objects only load inside a process
+    with the ASan runtime preloaded (:func:`sanitizer_runtime`).
     """
     mode = _normalize_sanitize(sanitize)
-    if mode in ("asan", "tsan"):
-        # dlopen of an ASan/TSan object into a process without the
-        # runtime hard-aborts the interpreter ("runtime does not come
-        # first in initial library list") — refuse with a recoverable
-        # error instead; repro.verifykernel.matrixrun sets the preload.
+    if mode == "asan":
+        # dlopen of an ASan object into a process without the runtime
+        # hard-aborts the interpreter ("runtime does not come first in
+        # initial library list") — refuse with a recoverable error
+        # instead; repro.verifykernel.sanitizers sets the preload.
         preload = os.environ.get("LD_PRELOAD", "")
         if f"lib{mode}" not in preload:
             raise RuntimeError(
@@ -739,21 +649,20 @@ def load_cc_kernels(sanitize: str | None = None) -> _CCKernels | None:
     if compiler is None:
         return None
     try:
-        flags, openmp, got_mode, degraded = _resolve_flags(compiler, mode)
+        flags, got_mode, degraded = _resolve_flags(compiler, mode)
     except Exception:
-        flags, openmp, got_mode, degraded = list(_BASE_CFLAGS), False, None, ()
+        flags, got_mode, degraded = list(_BASE_CFLAGS), None, ()
         if mode:
             degraded = (f"sanitize:{mode}",)
-    for attempt_flags, attempt_omp, attempt_mode, attempt_degraded in (
-        (flags, openmp, got_mode, degraded),
-        (_DEGRADED_CFLAGS, False, None,
+    for attempt_flags, attempt_mode, attempt_degraded in (
+        (flags, got_mode, degraded),
+        (_DEGRADED_CFLAGS, None,
          degraded + ((f"sanitize:{mode}",) if mode and got_mode else ())),
     ):
         try:
             kernels = _compile_and_load(
                 compiler,
                 list(attempt_flags),
-                attempt_omp,
                 sanitize=attempt_mode,
                 degraded=tuple(dict.fromkeys(attempt_degraded)),
             )
@@ -768,17 +677,6 @@ def cc_build_info(sanitize: str | None = None) -> CCBuildInfo | None:
     """Build provenance of the loaded cc kernels (``None`` if unavailable)."""
     kernels = load_cc_kernels(sanitize)
     return kernels.build if kernels else None
-
-
-def _default_threads() -> int:
-    """Thread count for the cc-omp flavor (``REPRO_JIT_THREADS`` wins)."""
-    env = os.environ.get("REPRO_JIT_THREADS")
-    if env:
-        return max(1, int(env))
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _load_numba_kernels():
@@ -830,52 +728,48 @@ def _load_numba_kernels():
         return None
 
 
+#: flavors ``JITBackend`` accepts (``flavor=`` or ``REPRO_JIT_FLAVOR``)
+_FLAVORS = ("auto", "numba", "cc", "fallback")
+
+
 class JITBackend(KernelBackend):
     """numba/compiled-C kernels, degrading gracefully to the reference backend."""
 
     name = "jit"
-    summary = "JIT kernel: numba if present, else vectorized C (serial or OpenMP), else reference numpy"
+    summary = "JIT kernel: numba if present, else vectorized C, else reference numpy"
 
-    def __init__(
-        self,
-        flavor: str | None = None,
-        tile: int = 256,
-        threads: int | None = None,
-    ) -> None:
+    def __init__(self, flavor: str | None = None, tile: int = 256) -> None:
         self.tile = tile
         self._numba = None
         self._cc = None
         self._fallback = ReferenceBackend()
         requested = flavor or os.environ.get("REPRO_JIT_FLAVOR") or "auto"
+        if requested not in _FLAVORS:
+            raise ValueError(
+                f"unknown jit flavor {requested!r}; choose from {_FLAVORS}"
+            )
         if os.environ.get("REPRO_JIT", "").lower() in ("off", "0", "no"):
             requested = "fallback"
         if requested in ("auto", "numba"):
             self._numba = _load_numba_kernels()
-        if self._numba is None and requested in ("auto", "cc", "cc-omp"):
-            self._cc = load_cc_kernels()
-        if requested == "numba" and self._numba is None:
-            self._cc = load_cc_kernels()  # numba asked for but absent: degrade
-        want_omp = requested == "cc-omp"
-        self.threads = 1
-        if self._cc is not None and want_omp and self._cc.openmp:
-            self.threads = max(1, threads if threads is not None else _default_threads())
+        if self._numba is None and requested != "fallback":
+            self._cc = load_cc_kernels()  # also when numba was asked for but is absent
         if self._numba:
             self._flavor = "numba"
         elif self._cc:
-            self._flavor = "cc-omp" if (want_omp and self.threads > 1) else "cc"
+            self._flavor = "cc"
         else:
             self._flavor = "fallback"
 
     @property
     def flavor(self) -> str:
-        """Implementation that answered: ``numba``, ``cc``, ``cc-omp``,
-        or ``fallback``."""
+        """Implementation that answered: ``numba``, ``cc`` or ``fallback``."""
         return self._flavor
 
     @property
     def compiled(self) -> bool:
         """True when a compiled (non-numpy) flavor is active."""
-        return self._flavor in ("numba", "cc", "cc-omp")
+        return self._flavor in ("numba", "cc")
 
     @staticmethod
     def _checked_operand(arr: np.ndarray, dtype: type) -> int:
@@ -900,7 +794,7 @@ class JITBackend(KernelBackend):
         if self._cc is not None:
             bi, bj = c.shape
             bk = a.shape[1]
-            args = (
+            self._cc.mp_update(
                 c.ctypes.data, a.ctypes.data, b.ctypes.data,
                 bi, bk, bj,
                 self._checked_operand(c, np.float32),
@@ -908,10 +802,6 @@ class JITBackend(KernelBackend):
                 self._checked_operand(b, np.float32),
                 self.tile,
             )
-            if self._flavor == "cc-omp":
-                self._cc.mp_update_omp(*args, self.threads)
-            else:
-                self._cc.mp_update(*args)
             return c
         return self._fallback.update(c, a, b)
 
@@ -927,7 +817,7 @@ class JITBackend(KernelBackend):
 
     def update_i32(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact saturating int32 min-plus (C kernel when available)."""
-        if self._cc is not None and self._flavor in ("cc", "cc-omp"):
+        if self._cc is not None:
             bi, bj = c.shape
             bk = a.shape[1]
             self._cc.mp_update_i32(

@@ -12,19 +12,12 @@ Two machine presets mirror the paper's hardware:
   paper's own BGL-plus runs (Section V-A);
 * :data:`HASWELL_32` — the dual-socket 32-core/64-thread machine on which
   SuperFW's and Galois's numbers were reported (Section V-C).
-
-:func:`measured_cpu` (opt-in, never applied by default) swaps a preset's
-``fw_rate`` for this machine's autotuned kernel rate — see
-:mod:`repro.cpumodel.measured`.
 """
 
-from repro.cpumodel.measured import measured_cpu, measured_fw_rate
 from repro.cpumodel.model import HASWELL_32, XEON_E5_2680, CpuSpec
 
 __all__ = [
     "CpuSpec",
     "HASWELL_32",
     "XEON_E5_2680",
-    "measured_cpu",
-    "measured_fw_rate",
 ]

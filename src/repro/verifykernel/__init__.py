@@ -2,9 +2,8 @@
 
 Submodules: :mod:`cparse` (restricted-C parser for the kernel
 templates), :mod:`bounds` (symbolic affine bounds prover and abstract
-interpreter), :mod:`alias` (alias-class derivation, OpenMP panel
-disjointness, call-site alias soundness), :mod:`defects` (seeded-bug
-registry), :mod:`sanitizers` (ASan/UBSan/TSan harness),
+interpreter), :mod:`alias` (alias-class derivation), :mod:`defects`
+(seeded-bug registry), :mod:`sanitizers` (ASan/UBSan harness),
 :mod:`matrixrun` (the instrumented-process kernel test matrix), and
 :mod:`report` (the ``repro verify-kernels`` pipeline).
 """

@@ -2,22 +2,18 @@
 
 Interprets each parsed kernel (:mod:`repro.verifykernel.cparse`) over a
 symbolic domain and proves every array subscript in bounds — across the
-main register-blocked tiles, the remainder loops, and the OpenMP panel
-decomposition — for *all* nonnegative values of the size/stride
-parameters, not just the shapes a test happens to run.
+main register-blocked tiles and the remainder loops — for *all*
+nonnegative values of the size/stride parameters, not just the shapes a
+test happens to run.
 
 The value domain is a canonical polynomial over nonnegative atoms:
-parameters (``bi``, ``cs``, …), per-loop-instance variables, and three
-opaque-but-monotone operators that C index math introduces —
-``Min``/``Max`` (from ternaries and the clamp pattern
-``if (a > b) a = b;``) and ``Div`` (C integer division of nonnegatives,
-e.g. the OpenMP panel boundaries ``bj * t / threads``). Loop variables
-are eliminated innermost-first by monotone endpoint substitution
-(``Div`` is nondecreasing in its numerator and nonincreasing in its
-denominator; ``Min``/``Max`` are nondecreasing in their arguments), then
-:func:`prove_ge0` discharges the comparison with case splits over
-``Min``/``Max`` (an atom pointwise *equals* one of its arguments),
-floor-division relaxations (``b·Div(a,b)`` lies in ``[a−b+1, a]``), and
+parameters (``bi``, ``cs``, …), per-loop-instance variables, and the
+opaque-but-monotone ``Min``/``Max`` operators that the kernels' ternary
+tile bounds (``k0 + tile < bk ? k0 + tile : bk``) introduce. Loop
+variables are eliminated innermost-first by monotone endpoint
+substitution (``Min``/``Max`` are nondecreasing in their arguments),
+then :func:`prove_ge0` discharges the comparison with case splits over
+``Min``/``Max`` (an atom pointwise *equals* one of its arguments) and
 branch facts gathered from guards (``if (hi > lo)`` refines
 ``hi − lo ≥ 1`` inside the branch).
 
@@ -28,17 +24,16 @@ stronger than what ASan can observe: a subscript that walks out of its
 logical row but lands inside the allocation (the classic strided-view
 bug) fails the proof here while never touching a redzone.
 
-Call sites are checked interprocedurally by summary: the callee's
-declared access region is instantiated with the actual arguments
-(pointer bases decomposed against the caller's stride) and proven to lie
-inside the caller's own declared extents — this is what validates the
-OpenMP router's per-panel calls with their ``c + lo`` column offsets.
+Nothing here proves that the iterations of a parallel loop write
+disjoint regions, so a ``#pragma omp parallel`` loop is itself a
+finding: a kernel cannot pass the static pass with a thread split no
+proof covers.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.verifykernel import cparse
 from repro.verifykernel.cparse import (
@@ -63,12 +58,10 @@ from repro.verifykernel.cparse import (
 
 __all__ = [
     "Access",
-    "CallSite",
     "Finding",
     "KernelAnalysis",
     "LoopFrame",
     "Poly",
-    "Region",
     "analyze_kernel",
     "check_kernel_bounds",
     "eliminate",
@@ -119,18 +112,7 @@ class MaxAtom:
         return f"max({', '.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True)
-class DivAtom:
-    """C integer division ``num / den`` of nonnegatives, ``den >= 1``."""
-
-    num: "Poly"
-    den: "Poly"
-
-    def __repr__(self) -> str:
-        return f"({self.num!r})//({self.den!r})"
-
-
-Atom = Sym | LoopSym | MinAtom | MaxAtom | DivAtom
+Atom = Sym | LoopSym | MinAtom | MaxAtom
 
 #: a monomial: sorted ((atom, exponent), ...)
 Mono = tuple[tuple[Atom, int], ...]
@@ -193,8 +175,6 @@ class Poly:
                 return True
             if isinstance(a, (MinAtom, MaxAtom)):
                 return any(arg.contains(sym) for arg in a.args)
-            if isinstance(a, DivAtom):
-                return a.num.contains(sym) or a.den.contains(sym)
             return False
 
         return any(in_atom(a) for mono, _ in self.terms for a, _ in mono)
@@ -238,15 +218,6 @@ def make_max(a: Poly, b: Poly) -> Poly:
     return _atom_poly(MaxAtom(args))
 
 
-def make_div(num: Poly, den: Poly) -> Poly:
-    if den.const_value == 1:
-        return num
-    nc, dc = num.const_value, den.const_value
-    if nc is not None and dc is not None and dc > 0:
-        return P(nc // dc)
-    return _atom_poly(DivAtom(num, den))
-
-
 # ---------------------------------------------------------------------------
 # The prover
 # ---------------------------------------------------------------------------
@@ -265,11 +236,6 @@ def _substitute_atom(p: Poly, target: Atom, value: Poly) -> Poly:
             elif isinstance(a, MaxAtom):
                 base = _remake_max(
                     tuple(_substitute_atom(arg, target, value) for arg in a.args)
-                )
-            elif isinstance(a, DivAtom):
-                base = make_div(
-                    _substitute_atom(a.num, target, value),
-                    _substitute_atom(a.den, target, value),
                 )
             else:
                 base = _atom_poly(a)
@@ -301,7 +267,7 @@ def _linear_decompose(p: Poly, atom: Atom) -> tuple[Poly, Poly] | None:
         reduced = tuple(sorted(exps.items(), key=lambda kv: repr(kv[0])))
         if e == 0:
             if any(
-                isinstance(a, (MinAtom, MaxAtom, DivAtom))
+                isinstance(a, (MinAtom, MaxAtom))
                 and _atom_poly(a).contains(atom)
                 for a, _ in mono
             ):
@@ -351,54 +317,6 @@ def prove_ge0(p: Poly, facts: tuple[Poly, ...] = (), depth: int = 6) -> bool:
                 return True  # +Max >= +arg for every arg
             if all(branches):
                 return True  # pointwise split
-    # floor-division relaxation: b*Div(a,b) ∈ [a-b+1, a] (a>=0, b>=1)
-    for atom in sorted(p.atoms(), key=repr):
-        if isinstance(atom, DivAtom):
-            decomp = _linear_decompose(p, atom)
-            if decomp is None:
-                continue
-            q, rest = decomp
-            a, b = atom.num, atom.den
-            if not prove_ge0(a, facts, depth - 1):
-                continue
-            if not prove_ge0(b - 1, facts, depth - 1):
-                continue
-            if prove_ge0(q, facts, depth - 1):
-                # Div >= (a-b+1)/b and Div >= 0
-                if prove_ge0(rest, facts, depth - 1):
-                    return True
-                if prove_ge0(q * (a - b + 1) + rest * b, facts, depth - 1):
-                    return True
-            if prove_ge0(P(0) - q, facts, depth - 1):
-                # Div <= a/b and Div <= a
-                if prove_ge0(q * a + rest * b, facts, depth - 1):
-                    return True
-                if prove_ge0(q * a + rest, facts, depth - 1):
-                    return True
-    # same-denominator floor-division monotonicity:
-    # Div(a,b) - Div(c,b) >= 0 when a >= c — cancels the matched pair
-    # (this is what proves adjacent OpenMP panels share their boundary)
-    bare = {
-        mono[0][0]: coeff
-        for mono, coeff in p.terms
-        if len(mono) == 1 and mono[0][1] == 1 and isinstance(mono[0][0], DivAtom)
-    }
-    for pos, pc in bare.items():
-        if pc <= 0:
-            continue
-        for neg, nc in bare.items():
-            if nc >= 0 or pos.den != neg.den:
-                continue
-            if not prove_ge0(pos.num - neg.num, facts, depth - 1):
-                continue
-            k = min(pc, -nc)
-            reduced = (
-                p
-                - _atom_poly(pos) * k
-                + _atom_poly(neg) * k
-            )
-            if prove_ge0(reduced, facts, depth - 1):
-                return True
     # spend a branch fact: p >= fact + (p - fact), fact >= 0
     for fact in facts:
         if prove_ge0(p - fact, facts, depth - 1):
@@ -427,12 +345,6 @@ def _bound_atom(a: Atom, sym: LoopSym, lo: Poly, hi: Poly, upper: bool) -> Poly 
             if isinstance(a, MinAtom)
             else _remake_max(tuple(new_args))
         )
-    if isinstance(a, DivAtom):
-        num = bound_subst(a.num, sym, lo, hi, upper)  # nondecreasing in num
-        den = bound_subst(a.den, sym, lo, hi, not upper)  # nonincreasing in den
-        if num is None or den is None:
-            return None
-        return make_div(num, den)
     return _atom_poly(a)
 
 
@@ -483,7 +395,6 @@ class LoopFrame:
     atom: LoopSym
     lo: Poly | None
     hi: Poly | None  # inclusive
-    parallel: bool = False
 
 
 def eliminate(
@@ -537,15 +448,6 @@ class Access:
 
 
 @dataclass(frozen=True)
-class CallSite:
-    name: str
-    args: tuple[Value, ...]
-    line: int
-    frames: tuple[LoopFrame, ...]
-    facts: tuple[Poly, ...]
-
-
-@dataclass(frozen=True)
 class Finding:
     check: str
     kernel: str
@@ -571,14 +473,12 @@ class KernelAnalysis:
     name: str
     fn: FuncDef
     accesses: list[Access] = field(default_factory=list)
-    calls: list[CallSite] = field(default_factory=list)
     findings: list[Finding] = field(default_factory=list)
 
 
 class _Interpreter:
-    def __init__(self, fn: FuncDef, known_kernels: frozenset[str]) -> None:
+    def __init__(self, fn: FuncDef) -> None:
         self.fn = fn
-        self.known_kernels = known_kernels
         self.result = KernelAnalysis(fn.name, fn)
         self.env: dict[str, Value] = {}
         self.int_typed: set[str] = set()
@@ -648,10 +548,6 @@ class _Interpreter:
         if isinstance(e, Call):
             for arg in e.args:
                 self.eval(arg)
-            if e.name in self.known_kernels:
-                self.flag(
-                    "contract", e.line, f"kernel call {e.name!r} used as an expression"
-                )
             return OPAQUE
         raise CParseError(f"unhandled expression node {e!r}")
 
@@ -673,9 +569,6 @@ class _Interpreter:
         elif e.op == "*":
             if isinstance(left, Poly) and isinstance(right, Poly):
                 return left * right
-        elif e.op == "/":
-            if isinstance(left, Poly) and isinstance(right, Poly):
-                return make_div(left, right)
         return OPAQUE
 
     def _eval_ternary(self, e: Ternary) -> Value:
@@ -779,8 +672,6 @@ class _Interpreter:
             pass
         elif isinstance(stmt, Block):
             self.exec_block(stmt)
-        elif isinstance(stmt, Call):
-            self.exec_call(stmt)
         else:
             raise CParseError(f"unhandled statement {stmt!r}")
 
@@ -830,41 +721,11 @@ class _Interpreter:
         else:
             self.env[name] = OPAQUE
 
-    def _match_clamp(self, stmt: If) -> bool:
-        """``if (v > e) v = e;`` → ``v = min(v, e)`` (and the < mirror)."""
-        if stmt.other is not None or not isinstance(stmt.cond, Bin):
-            return False
-        if stmt.cond.op not in ("<", "<=", ">", ">="):
-            return False
-        if len(stmt.then.stmts) != 1:
-            return False
-        inner = stmt.then.stmts[0]
-        if not (
-            isinstance(inner, Assign)
-            and inner.op == "="
-            and isinstance(inner.target, Var)
-            and isinstance(stmt.cond.left, Var)
-            and inner.target.name == stmt.cond.left.name
-        ):
-            return False
-        cur = self.env.get(inner.target.name)
-        new = self.eval(inner.value) if inner.value is not None else None
-        rhs = self.eval(stmt.cond.right)
-        if not (isinstance(cur, Poly) and isinstance(new, Poly) and new == rhs):
-            return False
-        if stmt.cond.op in (">", ">="):
-            self.env[inner.target.name] = make_min(cur, new)
-        else:
-            self.env[inner.target.name] = make_max(cur, new)
-        return True
-
     @staticmethod
     def _ends_with_return(block: Block) -> bool:
         return bool(block.stmts) and isinstance(block.stmts[-1], Return)
 
     def exec_if(self, stmt: If) -> None:
-        if self._match_clamp(stmt):
-            return
         then_facts = self._usable_facts(self._cond_facts(stmt.cond, negate=False))
         saved_env = dict(self.env)
         saved_facts = list(self.facts)
@@ -905,10 +766,16 @@ class _Interpreter:
             self.flag(
                 "bounds", stmt.line, f"cannot bound loop variable {var!r} from its guard"
             )
-        parallel = bool(stmt.pragma and "parallel" in stmt.pragma)
+        if stmt.pragma and "parallel" in stmt.pragma:
+            self.flag(
+                "parallel",
+                stmt.line,
+                f"parallel loop over {var!r}: no proof that its iterations "
+                f"write disjoint regions",
+            )
         self.env[var] = _atom_poly(atom)
         self.int_typed.add(var)
-        self.frames.append(LoopFrame(atom, lo, hi, parallel))
+        self.frames.append(LoopFrame(atom, lo, hi))
         self.exec_block(stmt.body)
         self.frames.pop()
         self.env[var] = RangeVal(lo, None)
@@ -939,49 +806,21 @@ class _Interpreter:
             bound = bound - 1
         return bound
 
-    def exec_call(self, stmt: Call) -> None:
-        args = tuple(self.eval(a) for a in stmt.args)
-        if stmt.name in self.known_kernels:
-            self.result.calls.append(
-                CallSite(
-                    stmt.name,
-                    args,
-                    stmt.line,
-                    tuple(self.frames),
-                    tuple(self.facts),
-                )
-            )
-
-
-def analyze_kernel(
-    fn: FuncDef, known_kernels: frozenset[str] = frozenset()
-) -> KernelAnalysis:
-    """Interpret one kernel body; returns accesses, call sites, findings."""
-    return _Interpreter(fn, known_kernels).run()
+def analyze_kernel(fn: FuncDef) -> KernelAnalysis:
+    """Interpret one kernel body; returns its accesses and findings."""
+    return _Interpreter(fn).run()
 
 
 # ---------------------------------------------------------------------------
 # Bounds checking against declared contracts
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class Region:
-    """A rectangular access region in row/column space (inclusive bounds)."""
-
-    array: str
-    row_lo: Poly
-    row_hi: Poly
-    col_lo: Poly
-    col_hi: Poly
-    write: bool
-
-
 def decompose_offset(offset: Poly, stride: str) -> tuple[Poly, Poly] | None:
     """Split ``offset`` into ``(row, col)`` against a stride symbol."""
     return _linear_decompose(offset, Sym(stride))
 
 
 def _extent_poly(expr_text: str) -> Poly:
-    """Parse a contract extent expression (parameter names and + - * /)."""
+    """Parse a contract extent expression (parameter names and + - *)."""
     tokens = cparse._tokenize(expr_text)
     parser = cparse._Parser(tokens)
     parsed = parser.parse_expr()
@@ -999,8 +838,6 @@ def _extent_poly(expr_text: str) -> Poly:
                 return left - right
             if e.op == "*":
                 return left * right
-            if e.op == "/":
-                return make_div(left, right)
         raise CParseError(f"unsupported contract extent {expr_text!r}")
 
     return conv(parsed)
@@ -1088,232 +925,11 @@ def expr_text_of(p: Poly) -> str:
     return repr(p)
 
 
-def call_regions(
-    call: CallSite,
-    callee_params: tuple[cparse.Param, ...],
-    callee_arrays: dict[str, dict[str, str]],
-    caller_arrays: dict[str, dict[str, str]],
-    caller_name: str,
-) -> tuple[list[tuple[str, Region]], list[Finding]]:
-    """Instantiate the callee's declared regions with the actual arguments.
-
-    Returns ``(regions, findings)`` where each region is expressed in the
-    *caller's* row/column coordinates, ready to check against the
-    caller's extents (and against sibling regions for aliasing).
-    """
-    findings: list[Finding] = []
-    regions: list[tuple[str, Region]] = []
-    if len(call.args) != len(callee_params):
-        return [], [
-            Finding(
-                "contract",
-                caller_name,
-                call.line,
-                f"call to {call.name!r} passes {len(call.args)} args, "
-                f"expected {len(callee_params)}",
-            )
-        ]
-    by_name = dict(zip([p.name for p in callee_params], call.args))
-    for arr_name, spec in callee_arrays.items():
-        base = by_name.get(arr_name)
-        stride_actual = by_name.get(spec["stride"])
-        if not isinstance(base, PtrVal):
-            findings.append(
-                Finding(
-                    "contract",
-                    caller_name,
-                    call.line,
-                    f"callee array {arr_name!r} bound to a non-pointer argument",
-                )
-            )
-            continue
-        caller_spec = caller_arrays.get(base.root)
-        if caller_spec is None:
-            findings.append(
-                Finding(
-                    "contract",
-                    caller_name,
-                    call.line,
-                    f"pointer argument rooted at undeclared array {base.root!r}",
-                )
-            )
-            continue
-        if not (
-            isinstance(stride_actual, Poly)
-            and stride_actual == _atom_poly(Sym(caller_spec["stride"]))
-        ):
-            findings.append(
-                Finding(
-                    "contract",
-                    caller_name,
-                    call.line,
-                    f"stride of callee array {arr_name!r} is not the caller's "
-                    f"row stride — region unmappable",
-                )
-            )
-            continue
-        # instantiate callee extents with actual scalar arguments
-        subst_env: dict[str, Poly] = {}
-        usable = True
-        for p in callee_params:
-            if not p.pointer:
-                actual = by_name[p.name]
-                if isinstance(actual, Poly):
-                    subst_env[p.name] = actual
-                else:
-                    usable = False
-        rows = _instantiate(_extent_poly(spec["rows"]), subst_env) if usable else None
-        cols = _instantiate(_extent_poly(spec["cols"]), subst_env) if usable else None
-        if rows is None or cols is None:
-            findings.append(
-                Finding(
-                    "contract",
-                    caller_name,
-                    call.line,
-                    f"cannot instantiate callee extents for {arr_name!r}",
-                )
-            )
-            continue
-        decomp = decompose_offset(base.offset, caller_spec["stride"])
-        if decomp is None:
-            findings.append(
-                Finding(
-                    "bounds",
-                    caller_name,
-                    call.line,
-                    f"pointer offset into {base.root!r} does not decompose "
-                    f"against its stride",
-                )
-            )
-            continue
-        row0, col0 = decomp
-        regions.append(
-            (
-                arr_name,
-                Region(
-                    base.root,
-                    row0,
-                    row0 + rows - 1,
-                    col0,
-                    col0 + cols - 1,
-                    spec["mode"] != "r",
-                ),
-            )
-        )
-    return regions, findings
-
-
-def _instantiate(p: Poly, env: dict[str, Poly]) -> Poly | None:
-    """Simultaneously substitute callee parameter symbols with actuals.
-
-    One-pass (not sequential) substitution: callee and caller parameter
-    names overlap (the OpenMP router passes ``hi - lo`` for the callee's
-    ``bj``), so a sequential rewrite could re-capture a just-introduced
-    caller symbol. Contract extents contain plain
-    symbols only; a symbol with no actual value means the extent cannot
-    be instantiated.
-    """
-    out = P(0)
-    for mono, coeff in p.terms:
-        term = P(coeff)
-        for a, e in mono:
-            if isinstance(a, Sym):
-                if a.name not in env:
-                    return None
-                base = env[a.name]
-            else:
-                return None  # contract extents are plain parameter products
-            for _ in range(e):
-                term = term * base
-        out = out + term
-    return out
-
-
-def check_call_bounds(
-    analysis: KernelAnalysis,
-    caller_arrays: dict[str, dict[str, str]],
-    templates_by_name: dict[str, object],
-    parsed_by_name: dict[str, FuncDef],
-) -> list[Finding]:
-    """Prove every call site's instantiated regions inside caller extents."""
-    findings: list[Finding] = []
-    for call in analysis.calls:
-        callee_tpl = templates_by_name.get(call.name)
-        callee_fn = parsed_by_name.get(call.name)
-        if callee_tpl is None or callee_fn is None:
-            findings.append(
-                Finding(
-                    "contract",
-                    analysis.name,
-                    call.line,
-                    f"call to unknown kernel {call.name!r}",
-                )
-            )
-            continue
-        regions, errs = call_regions(
-            call,
-            callee_fn.params,
-            callee_tpl.arrays,  # type: ignore[attr-defined]
-            caller_arrays,
-            analysis.name,
-        )
-        findings.extend(errs)
-        for arr_name, region in regions:
-            caller_spec = caller_arrays[region.array]
-            rows = _extent_poly(caller_spec["rows"])
-            cols = _extent_poly(caller_spec["cols"])
-            for part, lo_expr, hi_expr, extent in (
-                ("row", region.row_lo, region.row_hi, rows),
-                ("column", region.col_lo, region.col_hi, cols),
-            ):
-                lo = eliminate(lo_expr, call.frames, upper=False)
-                hi = eliminate(hi_expr, call.frames, upper=True)
-                if lo is None or hi is None:
-                    findings.append(
-                        Finding(
-                            "bounds",
-                            analysis.name,
-                            call.line,
-                            f"call region {part} bound for {call.name!r} "
-                            f"arg {arr_name!r} is not computable",
-                        )
-                    )
-                    continue
-                if not prove_ge0(lo, call.facts):
-                    findings.append(
-                        Finding(
-                            "bounds",
-                            analysis.name,
-                            call.line,
-                            f"cannot prove {call.name!r} arg {arr_name!r} "
-                            f"{part} region >= 0 (lower bound {lo!r})",
-                        )
-                    )
-                if not prove_le(hi, extent - 1, call.facts):
-                    findings.append(
-                        Finding(
-                            "bounds",
-                            analysis.name,
-                            call.line,
-                            f"cannot prove {call.name!r} arg {arr_name!r} "
-                            f"{part} region within caller extent "
-                            f"(upper bound {hi!r} vs {extent!r})",
-                        )
-                    )
-    return findings
-
-
 def check_kernel_bounds(
-    template,
-    parsed: FuncDef,
-    templates_by_name: dict[str, object],
-    parsed_by_name: dict[str, FuncDef],
+    template, parsed: FuncDef
 ) -> tuple[KernelAnalysis, list[Finding]]:
-    """Full bounds pass for one kernel: element accesses + call regions."""
-    analysis = analyze_kernel(parsed, frozenset(templates_by_name))
+    """Full bounds pass for one kernel: every element access."""
+    analysis = analyze_kernel(parsed)
     findings = list(analysis.findings)
     findings += check_access_bounds(analysis, template.arrays)
-    findings += check_call_bounds(
-        analysis, template.arrays, templates_by_name, parsed_by_name
-    )
     return analysis, findings

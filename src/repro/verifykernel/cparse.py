@@ -1,14 +1,14 @@
 """Parser for the C subset the JIT kernel templates are written in.
 
 The kernels in :mod:`repro.core.backends.jit` deliberately use a small,
-regular C dialect — scalar/pointer declarations, ``for``/``if``/ternary
-control flow, array subscripts, ``#pragma`` hints and one level of
-``#if defined(_OPENMP)`` conditional compilation. This module tokenizes
-and parses exactly that subset into a small AST that
-:mod:`repro.verifykernel.bounds` interprets symbolically. Anything
-outside the subset is a hard :class:`CParseError` — a kernel the
-verifier cannot read is a kernel the verifier cannot prove, so parse
-failures surface as findings rather than silent skips.
+regular C dialect — scalar/pointer declarations, assignments,
+``for``/``if``/ternary control flow, array subscripts, calls inside
+expressions (``isinf``) and ``#pragma`` hints on loops; no other
+preprocessor line. This module tokenizes and parses exactly that subset
+into a small AST that :mod:`repro.verifykernel.bounds` interprets
+symbolically. Anything outside the subset is a hard :class:`CParseError`
+— a kernel the verifier cannot read is a kernel the verifier cannot
+prove, so parse failures surface as findings rather than silent skips.
 
 The grammar is C-faithful where it matters for index math: operator
 precedence (ternary < logical < comparison < additive < multiplicative <
@@ -175,7 +175,7 @@ class Block:
     stmts: tuple["Stmt", ...]
 
 
-Stmt = Decl | Assign | If | For | Return | Continue | Block | Call
+Stmt = Decl | Assign | If | For | Return | Continue | Block
 
 
 @dataclass(frozen=True)
@@ -195,51 +195,23 @@ class FuncDef:
 
 
 # ---------------------------------------------------------------------------
-# Preprocessing: strip comments, resolve #if defined(...) / #else / #endif
+# Preprocessing: strip comments, refuse every directive but #pragma
 # ---------------------------------------------------------------------------
-_IF_RE = re.compile(r"#\s*if\s+defined\s*\(\s*(\w+)\s*\)\s*$")
+def preprocess(source: str) -> str:
+    """Drop comments; raise on any preprocessor line other than ``#pragma``.
 
-
-def preprocess(source: str, defines: frozenset[str] = frozenset()) -> str:
-    """Resolve one-level ``#if defined(X)`` blocks and drop comments.
-
-    Line structure is preserved (dropped lines become empty) so AST line
+    Line structure is preserved (comments become blanks) so AST line
     numbers match the template source.
     """
     source = re.sub(
         r"/\*.*?\*/", lambda m: re.sub(r"[^\n]", " ", m.group(0)), source, flags=re.S
     )
     source = re.sub(r"//[^\n]*", "", source)
-    out: list[str] = []
-    # stack of (parent_active, this_branch_taken, seen_else)
-    stack: list[list[bool]] = []
     for line in source.splitlines():
         stripped = line.strip()
         if stripped.startswith("#") and not stripped.startswith("#pragma"):
-            m = _IF_RE.match(stripped)
-            active = all(s[1] for s in stack)
-            if m:
-                stack.append([active, m.group(1) in defines, False])
-            elif re.match(r"#\s*else\b", stripped):
-                if not stack or stack[-1][2]:
-                    raise CParseError(f"unmatched #else: {stripped!r}")
-                stack[-1][1] = not stack[-1][1]
-                stack[-1][2] = True
-            elif re.match(r"#\s*endif\b", stripped):
-                if not stack:
-                    raise CParseError(f"unmatched #endif: {stripped!r}")
-                stack.pop()
-            else:
-                raise CParseError(f"unsupported preprocessor line: {stripped!r}")
-            out.append("")
-            continue
-        if all(s[0] and s[1] for s in stack):
-            out.append(line)
-        else:
-            out.append("")
-    if stack:
-        raise CParseError("unterminated #if block")
-    return "\n".join(out)
+            raise CParseError(f"unsupported preprocessor line: {stripped!r}")
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +401,8 @@ class _Parser:
             break
         return Decl(ctype, const, tuple(items), tok.line)
 
-    def parse_simple(self) -> Assign | Call:
-        """Assignment, compound assignment, ``x++`` or a call statement."""
-        start = self.pos
+    def parse_simple(self) -> Assign:
+        """Assignment, compound assignment or ``x++``."""
         expr = self.parse_unary_postfix()
         tok = self.peek()
         if tok is not None and tok.text in ("=", "+=", "-=", "*=", "/="):
@@ -445,11 +416,8 @@ class _Parser:
                 raise CParseError(f"line {tok.line}: unsupported {tok.text} target")
             self.next()
             return Assign(expr, tok.text, None, tok.line)
-        if isinstance(expr, Call):
-            return expr
-        self.pos = start
         raise CParseError(
-            f"line {tok.line if tok else 0}: expression statement with no effect"
+            f"line {tok.line if tok else 0}: expression statement is not an assignment"
         )
 
     def parse_if(self) -> If:
@@ -469,20 +437,14 @@ class _Parser:
         self.expect("(")
         init: Decl | Assign | None = None
         if not self.at(";"):
-            init = self.parse_decl() if self._at_type() else self._assign_only()
+            init = self.parse_decl() if self._at_type() else self.parse_simple()
         self.expect(";")
         cond = None if self.at(";") else self.parse_expr()
         self.expect(";")
-        step = None if self.at(")") else self._assign_only()
+        step = None if self.at(")") else self.parse_simple()
         self.expect(")")
         body = self._stmt_as_block()
         return For(init, cond, step, body, None, tok.line)
-
-    def _assign_only(self) -> Assign:
-        stmt = self.parse_simple()
-        if not isinstance(stmt, Assign):
-            raise CParseError("expected an assignment")
-        return stmt
 
     def _stmt_as_block(self) -> Block:
         stmt = self.parse_stmt()
@@ -592,9 +554,9 @@ class _Parser:
         raise CParseError(f"line {tok.line}: unexpected token {tok.text!r}")
 
 
-def parse_kernel(source: str, defines: frozenset[str] = frozenset({"_OPENMP"})) -> FuncDef:
+def parse_kernel(source: str) -> FuncDef:
     """Parse one kernel template (a single function definition)."""
-    tokens = _tokenize(preprocess(source, defines))
+    tokens = _tokenize(preprocess(source))
     parser = _Parser(tokens)
     fn = parser.parse_function()
     if parser.peek() is not None:

@@ -3,11 +3,11 @@
 Each defect is a minimal, realistic bug injected into one kernel
 template via exact-match source substitution. The verification pipeline
 applies each defect and asserts that it is caught **both** by the static
-analyzer (bounds/panels pass) and by the matching sanitizer (ASan or
-TSan) — the same static-vs-dynamic cross-validation the happens-before
-checker uses. A defect whose substitution no longer matches the shipped
-kernel source fails loudly (`apply` raises), so the suite cannot rot
-into silently testing nothing.
+analyzer (bounds pass) and by the matching sanitizer (ASan) — the same
+static-vs-dynamic cross-validation the happens-before checker uses. A
+defect whose substitution no longer matches the shipped kernel source
+fails loudly (`apply` raises), so the suite cannot rot into silently
+testing nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class SeededDefect:
     kernel: str  # template name
     old: str
     new: str
-    dynamic: str  # asan | tsan — the dynamic catcher
+    dynamic: str  # sanitizer mode of the dynamic catcher (asan)
     static_check: str  # finding .check expected from the static pass
     description: str
 
@@ -65,16 +65,6 @@ DEFECTS: tuple[SeededDefect, ...] = (
         static_check="bounds",
         description="register-blocked pivot loop loses its 4-wide guard, so "
         "a partial final group reads up to 3 pivots past the tile edge",
-    ),
-    SeededDefect(
-        name="widened_panel",
-        kernel="mp_update_f32_omp",
-        old="i64 hi = bj * (t + 1) / threads;",
-        new="i64 hi = bj * (t + 1) / threads + 1;",
-        dynamic="tsan",
-        static_check="panels",
-        description="each OpenMP column panel is widened by one column, so "
-        "adjacent threads write the shared boundary column concurrently",
     ),
 )
 

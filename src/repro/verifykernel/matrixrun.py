@@ -3,8 +3,8 @@
 This is the *payload* of the sanitizer harness: a standalone process that
 ``dlopen``s a (normally instrumented) kernel shared object and drives
 every C entry point through the shapes that historically hide bugs —
-remainder tiles, strided row views, saturating int32, and the OpenMP
-panel fan-out — checking each result against the numpy reference
+remainder tiles, strided row views, saturating int32 and the in-place
+FW closure — checking each result against the numpy reference
 semantics from :mod:`repro.core.backends.base`.
 
 Run as::
@@ -40,7 +40,7 @@ _TILE = 48  # smaller than default so remainder paths hit at small n
 
 
 def _load(so_path: str) -> _CCKernels:
-    build = CCBuildInfo(compiler="external", version="", flags=(), openmp=False)
+    build = CCBuildInfo(compiler="external", version="", flags=())
     return _CCKernels(ctypes.CDLL(so_path), build)
 
 
@@ -125,19 +125,6 @@ def run_matrix_cases(kern: _CCKernels, *, fast: bool = False) -> list[dict]:
     kern.fw_inplace(d.ctypes.data, n, JITBackend._checked_operand(d, np.float32))
     record(f"fw/inplace/n={n}", d, want_d)
 
-    # -- OpenMP fan-out: disjoint panels -----------------------------------
-    if kern.openmp:
-        threads_list = [2] if fast else [2, 4]
-        # the fan-out caps panels at bj/64: the matrix must be wide
-        # enough that the requested thread counts actually materialise
-        n = 161 if fast else 257
-        c0, a0, b0 = _dist_matrix(rng, n), _dist_matrix(rng, n), _dist_matrix(rng, n)
-        want = rank1_update(c0.copy(), a0, b0)
-        for threads in threads_list:
-            c = c0.copy()
-            kern.mp_update_omp(*_mp_args(kern, c, a0, b0, np.float32), threads)
-            record(f"f32/omp/disjoint/threads={threads}", c, want)
-
     return cases
 
 
@@ -145,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.verifykernel.matrixrun")
     parser.add_argument("--so", required=True, help="compiled kernel shared object")
     parser.add_argument("--json-out", help="write the case report to this path")
-    parser.add_argument("--fast", action="store_true", help="fewer sizes/threads")
+    parser.add_argument("--fast", action="store_true", help="one matrix size instead of three")
     args = parser.parse_args(argv)
     try:
         kern = _load(args.so)
@@ -156,7 +143,6 @@ def main(argv: list[str] | None = None) -> int:
     failed = [c for c in cases if not c["ok"]]
     report = {
         "so": args.so,
-        "openmp": kern.openmp,
         "cases": cases,
         "failed": len(failed),
     }

@@ -3,13 +3,11 @@
 :func:`verify_kernels` is what the CLI (``repro verify-kernels``) and the
 autotuner consume. It composes:
 
-- the **static pass** (:func:`static_findings`): affine bounds proofs,
-  interprocedural call-region checks, alias-class derivation, OpenMP
-  panel disjointness, and call-site alias soundness — all purely
-  symbolic, no compiler needed;
-- optional **sanitizer legs** (ASan/UBSan matrix replays, the TSan
-  driver for ``cc-omp``), skipped with an honest record when the
-  toolchain lacks a mode;
+- the **static pass** (:func:`static_findings`): affine bounds proofs
+  and alias-class derivation per kernel — purely symbolic, no compiler
+  needed;
+- optional **sanitizer legs** (ASan/UBSan matrix replays), skipped with
+  an honest record when the toolchain lacks a mode;
 - the optional **seeded-defect cross-validation**: every defect in
   :data:`repro.verifykernel.defects.DEFECTS` must be flagged by the
   static pass *and* by its dynamic catcher — zero false negatives on
@@ -22,12 +20,8 @@ from dataclasses import dataclass, field
 
 from repro.core.backends.jit import KERNEL_TEMPLATES
 from repro.verifykernel import cparse
-from repro.verifykernel.alias import (
-    check_call_aliasing,
-    check_parallel_disjointness,
-    derive_alias_class,
-)
-from repro.verifykernel.bounds import Finding, analyze_kernel, check_kernel_bounds
+from repro.verifykernel.alias import derive_alias_class
+from repro.verifykernel.bounds import Finding, check_kernel_bounds
 from repro.verifykernel.defects import DEFECTS, SeededDefect
 from repro.verifykernel.sanitizers import SanitizerRunResult, run_matrix
 
@@ -49,40 +43,15 @@ def static_findings(overrides: dict[str, str] | None = None) -> list[Finding]:
     """
     overrides = overrides or {}
     findings: list[Finding] = []
-    templates_by_name = {t.name: t for t in KERNEL_TEMPLATES}
-    parsed: dict[str, cparse.FuncDef] = {}
     for t in KERNEL_TEMPLATES:
-        source = overrides.get(t.name, t.source)
         try:
-            parsed[t.name] = cparse.parse_kernel(source)
+            parsed = cparse.parse_kernel(overrides.get(t.name, t.source))
         except cparse.CParseError as exc:
             findings.append(Finding("parse", t.name, 0, str(exc)))
-    analyses = {}
-    derived: dict[str, str] = {}
-    for t in KERNEL_TEMPLATES:
-        if t.name not in parsed:
             continue
-        analysis, bounds_findings = check_kernel_bounds(
-            t, parsed[t.name], templates_by_name, parsed
-        )
-        analyses[t.name] = analysis
+        analysis, bounds_findings = check_kernel_bounds(t, parsed)
         findings.extend(bounds_findings)
-        cls, class_findings = derive_alias_class(analysis, t)
-        derived[t.name] = cls
-        findings.extend(class_findings)
-    for t in KERNEL_TEMPLATES:
-        if t.name not in analyses:
-            continue
-        findings.extend(
-            check_parallel_disjointness(
-                analyses[t.name], t, templates_by_name, parsed
-            )
-        )
-        findings.extend(
-            check_call_aliasing(
-                analyses[t.name], t, templates_by_name, parsed, derived
-            )
-        )
+        findings.extend(derive_alias_class(analysis, t)[1])
     return findings
 
 

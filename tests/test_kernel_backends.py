@@ -267,7 +267,7 @@ def test_jit_off_falls_back(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Compiled-C flavors: simd fast path, OpenMP fan-out, reduced precision
+# Compiled-C flavor: simd fast path, reduced precision
 # ----------------------------------------------------------------------
 HAVE_CC = JITBackend(flavor="cc").flavor == "cc"
 
@@ -277,14 +277,14 @@ cc_only = pytest.mark.skipif(
 
 
 @cc_only
-@pytest.mark.parametrize("flavor", ["cc", "cc-omp"])
+@pytest.mark.parametrize("flavor", ["cc"])
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("inf_frac", [0.0, 0.3])
 def test_cc_flavor_bit_identical(flavor, shape, inf_frac):
     c, a, b = random_tiles(shape, inf_frac, seed=hash((flavor, shape)) % 2**32)
     expected = naive_update(c, a, b)
     got = c.copy()
-    JITBackend(flavor=flavor, threads=3).update(got, a, b)
+    JITBackend(flavor=flavor).update(got, a, b)
     assert np.array_equal(got, expected)
 
 
@@ -300,9 +300,9 @@ def test_cc_flavor_bit_identical(flavor, shape, inf_frac):
     seed=st.integers(0, 2**16),
 )
 def test_cc_flavors_agree_on_strided_views(bi, bk, bj, pad, tile, inf_frac, seed):
-    """Property: the register-blocked and OpenMP kernels are bit-identical
-    to the naive loop on *views* with arbitrary row strides (tile views of
-    a larger matrix), across tile sizes that exercise the unroll tails."""
+    """Property: the register-blocked kernel is bit-identical to the
+    naive loop on *views* with arbitrary row strides (tile views of a
+    larger matrix), across tile sizes that exercise the unroll tails."""
     c, a, b = random_tiles((bi, bk, bj), inf_frac, seed)
 
     def padded(m):
@@ -312,12 +312,9 @@ def test_cc_flavors_agree_on_strided_views(bi, bk, bj, pad, tile, inf_frac, seed
         return store[:, :cols]  # unit last stride, row stride cols+pad
 
     expected = naive_update(c, a, b)
-    for flavor, threads in (("cc", None), ("cc-omp", 2)):
-        got = padded(c)
-        JITBackend(flavor=flavor, tile=tile, threads=threads).update(
-            got, padded(a), padded(b)
-        )
-        assert np.array_equal(got, expected), flavor
+    got = padded(c)
+    JITBackend(flavor="cc", tile=tile).update(got, padded(a), padded(b))
+    assert np.array_equal(got, expected)
 
 
 @cc_only
@@ -331,12 +328,14 @@ def test_cc_inf_column_fast_path():
     assert np.array_equal(got, naive_update(c, a, b))
 
 
-@cc_only
-def test_cc_omp_degrades_without_threads(monkeypatch):
-    """cc-omp on a 1-thread budget resolves to the serial cc flavor."""
-    monkeypatch.setenv("REPRO_JIT_THREADS", "1")
-    backend = JITBackend(flavor="cc-omp")
-    assert backend.flavor == "cc" and backend.threads == 1
+def test_unknown_jit_flavor_raises(monkeypatch):
+    """A misspelt or deleted flavor is an error naming the valid ones,
+    not a silent numpy fallback."""
+    with pytest.raises(ValueError, match="'auto', 'numba', 'cc', 'fallback'"):
+        JITBackend(flavor="cc-opm")
+    monkeypatch.setenv("REPRO_JIT_FLAVOR", "ccomp")
+    with pytest.raises(ValueError, match="unknown jit flavor 'ccomp'"):
+        JITBackend()
 
 
 # ----------------------------------------------------------------------

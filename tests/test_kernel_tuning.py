@@ -140,6 +140,21 @@ def test_corrupt_bench_file_falls_back(tune_result, _isolated_bench):
         assert eng.tuned is None and eng.calibration is not None
 
 
+def test_winner_with_removed_flavor_falls_back(tune_result, _isolated_bench):
+    """A winner persisted for the deleted OpenMP flavor, with its
+    ``threads`` option, is stale: the engine calibrates instead."""
+    stale = dict(
+        tune_result,
+        winner={"backend": "jit", "flavor": "cc-omp",
+                "options": {"flavor": "cc-omp", "tile": 256, "threads": 2},
+                "gops": 99.0, "n": TUNE_N},
+    )
+    record_tuned(stale, _isolated_bench)
+    assert load_tuned_winner(_isolated_bench)["flavor"] == "cc-omp"
+    eng = KernelEngine("auto")
+    assert eng.tuned is None and eng.calibration is not None
+
+
 def test_winner_with_removed_option_falls_back(tune_result, _isolated_bench):
     """A winner persisted with an option the backend no longer takes
     (``fw_block`` went with the blocked C kernel) is stale."""
@@ -222,10 +237,10 @@ def test_flag_probe_drops_rejected_flags(tmp_path):
     from repro.core.backends.jit import _resolve_flags
 
     picky = _fake_compiler(tmp_path, ("-march=native", "-fopenmp"))
-    flags, openmp, sanitize, degraded = _resolve_flags(picky)
+    flags, sanitize, degraded = _resolve_flags(picky)
     assert sanitize is None and degraded == ()
     assert "-march=native" not in flags
-    assert "-fopenmp" not in flags and not openmp
+    assert "-fopenmp" not in flags
     assert "-fopenmp-simd" in flags  # the degraded SIMD-only step
     assert "-O3" in flags
 
@@ -236,8 +251,7 @@ def test_degraded_flag_set_still_compiles(tmp_path, monkeypatch):
     from repro.core.backends.jit import _DEGRADED_CFLAGS, _compile_and_load
 
     monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path / "jit-cache"))
-    kernels = _compile_and_load("gcc", list(_DEGRADED_CFLAGS), False)
-    assert not kernels.openmp
+    kernels = _compile_and_load("gcc", list(_DEGRADED_CFLAGS))
     assert kernels.build.flags == tuple(_DEGRADED_CFLAGS)
     n = 8
     c = np.full((n, n), np.inf, dtype=np.float32)
@@ -258,7 +272,7 @@ def test_sanitizer_flag_rejected_degrades_to_plain(tmp_path):
     from repro.core.backends.jit import _resolve_flags
 
     picky = _fake_compiler(tmp_path, ("-fsanitize=address",))
-    flags, _openmp, sanitize, degraded = _resolve_flags(picky, sanitize="asan")
+    flags, sanitize, degraded = _resolve_flags(picky, sanitize="asan")
     assert sanitize is None  # the instrumented request was not honoured
     assert "sanitize:asan" in degraded
     assert "-fsanitize=address" not in flags
@@ -312,18 +326,14 @@ def test_compile_cache_is_lock_serialised(tmp_path):
     from repro.core.backends.jit import _DEGRADED_CFLAGS, compile_cc_so
 
     cache = tmp_path / "jit-cache"
-    so1, _ = compile_cc_so(
-        "gcc", list(_DEGRADED_CFLAGS), False, cache_dir=cache
-    )
-    so2, _ = compile_cc_so(
-        "gcc", list(_DEGRADED_CFLAGS), False, cache_dir=cache
-    )
+    so1, _ = compile_cc_so("gcc", list(_DEGRADED_CFLAGS), cache_dir=cache)
+    so2, _ = compile_cc_so("gcc", list(_DEGRADED_CFLAGS), cache_dir=cache)
     assert so1 == so2 and so1.exists()
     assert so1.with_suffix(so1.suffix + ".lock").exists()
 
 
 # ----------------------------------------------------------------------
-# Downstream consumers of the tuned rate (satellite 3)
+# Downstream consumer of the tuned rate
 # ----------------------------------------------------------------------
 def test_timing_calibration_prefers_tuned_winner(tune_result, _isolated_bench):
     from repro.verifyplan.timing import TimingCalibration
@@ -340,19 +350,3 @@ def test_timing_calibration_prefers_tuned_winner(tune_result, _isolated_bench):
     path.write_text(json.dumps(payload))
     cal = TimingCalibration.from_bench(path)
     assert cal.minplus_rate == pytest.approx(tune_result["winner"]["gops"] * 1e9)
-
-
-def test_measured_cpu_opt_in(tune_result, _isolated_bench):
-    from repro.cpumodel import XEON_E5_2680, measured_cpu, measured_fw_rate
-
-    assert measured_cpu(XEON_E5_2680, _isolated_bench) is XEON_E5_2680, (
-        "untuned machines keep the paper-band preset untouched"
-    )
-    record_tuned(tune_result, _isolated_bench)
-    rate = measured_fw_rate(XEON_E5_2680, _isolated_bench)
-    assert rate == pytest.approx(
-        tune_result["winner"]["gops"] * 1e9 / XEON_E5_2680.cores
-    )
-    spec = measured_cpu(XEON_E5_2680, _isolated_bench)
-    assert spec.fw_rate == rate and spec.name.endswith("+measured")
-    assert XEON_E5_2680.fw_rate != spec.fw_rate
