@@ -1,4 +1,4 @@
-"""JIT-compiled min-plus/FW kernels with graceful degradation.
+"""JIT-compiled min-plus/FW and batched Near-Far kernels with graceful degradation.
 
 Flavor resolution order (overridable with ``REPRO_JIT_FLAVOR``):
 
@@ -58,6 +58,15 @@ by the CI leg that exercises the degradation path).
 An integer semiring rides the same interface:
 :meth:`JITBackend.update_i32` runs an exact saturating int32 min-plus in C
 (sentinel ``INT32_INF``).
+
+The translation unit also holds one kernel that is not min-plus:
+``near_far_f64``, the whole loop of one batched Near-Far MSSP launch.
+It is no flavor of :class:`JITBackend`:
+:func:`repro.sssp.near_far.near_far_batch` calls it whenever
+:func:`load_cc_kernels` loads and :func:`jit_enabled` holds
+(``REPRO_JIT=off`` turns it off with the min-plus kernels), and its
+ctypes arguments are ``ndpointer`` types, which check dtype, rank and
+layout on every call.
 """
 
 from __future__ import annotations
@@ -87,6 +96,7 @@ __all__ = [
     "cc_build_info",
     "cc_compiler",
     "compile_cc_so",
+    "jit_enabled",
     "kernel_source",
     "load_cc_kernels",
     "sanitizer_runtime",
@@ -123,7 +133,16 @@ class KernelTemplate:
     * ``"k-sequential"`` — strict per-row pivot order, one pivot at a
       time (would tolerate the row-aliased ``C==A`` / ``C==B`` patterns);
     * ``"inplace-fw"`` — the in-place FW recurrence (correct on the
-      zero-diagonal distance domain).
+      zero-diagonal distance domain);
+    * ``"distinct"`` — no two arrays may overlap at all (subscripts that
+      depend on array data leave no region statically known).
+
+    A 1-D array declares ``{"len": ..., "mode": ...}`` instead of
+    rows/cols/stride. An integer array may also declare the range of its
+    values, ``"values": "[lo, hi)"`` or ``"[lo, hi]"``: a read of it is
+    then known to lie in the range, and every write into it must be
+    proven to. The caller discharges the range for the array's initial
+    contents.
     """
 
     name: str
@@ -293,6 +312,206 @@ void mp_update_i32(int32_t *c, const int32_t *a, const int32_t *b,
 }
 """
 
+_NEAR_FAR_SOURCE = r"""
+/* One batched Near-Far MSSP launch (the paper's Algorithm 2: one source
+ * per block, per-block queues, a grid-wide split): the whole loop of
+ * repro.sssp.near_far.near_far_batch, bit-identical to its numpy loop.
+ * Rows share only the split, so within a split level each row runs all
+ * of its relax rounds alone and stays in cache; round t of every row is
+ * batch iteration t, and heavy edges are summed per round index.
+ * A round relaxes the row's Near entries from their distances as of the
+ * round's start (cur_d, numpy's snapshot); seen[] keeps the round's
+ * improved list unique. A row's Far queue (far_v, with each distance in
+ * far_d) is rescanned while the row is still in cache at the end of a
+ * level that changed it: that drops the stale entries (numpy drops them
+ * at the next refill; nothing touches the row in between), refreshes
+ * far_d and finds the row's smallest Far distance (far_min), so the
+ * next refill reads far_v and far_d in order, and a row with nothing
+ * below the next split is not read at all. in_far[] marks every
+ * position that ever entered Far; it is consulted only for distances at
+ * or above the split, which a position that left Far never has again.
+ * The sources start in Far at distance 0, so the first refill sets the
+ * split to delta. Every append is guarded by its queue's capacity; a
+ * failed guard or a spent round or level budget leaves status
+ * stats[5] = 1 or 2, a split that cannot pass the smallest Far distance
+ * gives 3. stats[0..4]: relaxations, heavy relaxations, iterations,
+ * child launches, split advances. No a * b + c in the float path: it
+ * could be fused into an FMA, which rounds differently. */
+void near_far_f64(double *dist, const i64 *indptr, const i64 *indices,
+                  const double *weights, const i64 *sources,
+                  i64 n, i64 m, i64 bat, double delta, i64 heavy, i64 budget,
+                  i64 *far_v, double *far_d, i64 *far_n, double *far_min,
+                  int32_t *in_far,
+                  i64 *cur_v, double *cur_d, i64 *imp_v, int32_t *seen,
+                  i64 *round_hv, int32_t *round_ran, i64 *stats)
+{
+    i64 relax = 0, heavy_relax = 0, iters = 0, launches = 0, levels = 0;
+    stats[5] = 1;
+    if (n < 1) return;
+    for (i64 r = 0; r < bat; r++) {
+        i64 s = sources[r];
+        dist[r * n + s] = 0;
+        far_v[r * n] = s;
+        far_d[r * n] = 0;
+        far_n[r] = 1;
+        far_min[r] = 0;
+        in_far[r * n + s] = 1;
+    }
+    /* the smallest Far distance; each row folds in its own */
+    int32_t found = 1;
+    double min_far = 0;
+    for (i64 level = 0; level < budget; level++) {
+        if (found == 0) {
+            stats[0] = relax;
+            stats[1] = heavy_relax;
+            stats[2] = iters;
+            stats[3] = launches;
+            stats[4] = levels - 1; /* the first level's split is no advance */
+            stats[5] = 0;
+            return;
+        }
+        double next = (floor(min_far / delta) + 1) * delta;
+        if (!(next > min_far)) {
+            stats[5] = 3;
+            return;
+        }
+        levels++;
+        found = 0;
+        for (i64 r = 0; r < bat; r++) {
+            i64 fc = far_n[r];
+            if (fc == 0) continue;
+            if (far_min[r] >= next) {
+                if (found == 0 || far_min[r] < min_far) min_far = far_min[r];
+                found = 1;
+                continue;
+            }
+            double *row = dist + r * n;
+            i64 *frow = far_v + r * n;
+            double *fdist = far_d + r * n;
+            int32_t *fflag = in_far + r * n;
+            /* refill: the entries below the new split move to Near */
+            i64 keep = 0;
+            i64 cn = 0;
+            int32_t rfound = 0;
+            double rmin = 0;
+            for (i64 i = 0; i < fc; i++) {
+                i64 v = frow[i];
+                double d = fdist[i];
+                if (d < next) {
+                    if (cn < n) {
+                        cur_v[cn] = v;
+                        cur_d[cn] = d;
+                        cn++;
+                    } else return;
+                    continue;
+                }
+                if (keep < n) {
+                    frow[keep] = v;
+                    fdist[keep] = d;
+                    keep++;
+                } else return;
+                if (rfound == 0 || d < rmin) rmin = d;
+                rfound = 1;
+            }
+            if (cn > 0) {
+                for (i64 t = 0; t < n + 1; t++) {
+                    if (cn == 0) break;
+                    round_ran[t] = 1;
+                    i64 nc = cn < n ? cn : n;
+                    i64 ik = 0;
+                    i64 hv = 0;
+                    for (i64 i = 0; i < nc; i++) {
+                        i64 v = cur_v[i];
+                        double base = cur_d[i];
+                        i64 lo = indptr[v];
+                        i64 hi = indptr[v + 1];
+                        relax += hi - lo;
+                        if (hi - lo > heavy) hv += hi - lo;
+                        for (i64 e = lo; e < hi; e++) {
+                            i64 u = indices[e];
+                            double cand = base + weights[e];
+                            if (cand < row[u]) {
+                                row[u] = cand;
+                                if (seen[u] == 0) {
+                                    seen[u] = 1;
+                                    if (ik < n) {
+                                        imp_v[ik] = u;
+                                        ik++;
+                                    } else return;
+                                }
+                            }
+                        }
+                    }
+                    round_hv[t] += hv;
+                    /* an improved entry joins Near if its distance after
+                     * the whole round is below the split, else Far (once) */
+                    cn = 0;
+                    i64 ni = ik < n ? ik : n;
+                    for (i64 i = 0; i < ni; i++) {
+                        i64 u = imp_v[i];
+                        double d = row[u];
+                        seen[u] = 0;
+                        if (d < next) {
+                            if (cn < n) {
+                                cur_v[cn] = u;
+                                cur_d[cn] = d;
+                                cn++;
+                            } else return;
+                        } else if (fflag[u] == 0) {
+                            fflag[u] = 1;
+                            if (keep < n) {
+                                frow[keep] = u;
+                                keep++;
+                            } else return;
+                        }
+                    }
+                }
+                if (cn > 0) {
+                    stats[5] = 2;
+                    return;
+                }
+                /* the rounds moved Far distances: drop the entries now
+                 * below the split, record the rest */
+                i64 fk = keep < n ? keep : n;
+                keep = 0;
+                rfound = 0;
+                for (i64 i = 0; i < fk; i++) {
+                    i64 v = frow[i];
+                    double d = row[v];
+                    if (d < next) continue;
+                    if (keep < n) {
+                        frow[keep] = v;
+                        fdist[keep] = d;
+                        keep++;
+                    } else return;
+                    if (rfound == 0 || d < rmin) rmin = d;
+                    rfound = 1;
+                }
+            }
+            far_n[r] = keep < n ? keep : n;
+            far_min[r] = rmin;
+            if (rfound == 1 && (found == 0 || rmin < min_far)) {
+                min_far = rmin;
+                found = 1;
+            }
+        }
+        /* round t of every row was batch iteration t */
+        for (i64 t = 0; t < n + 1; t++) {
+            if (round_ran[t] == 0) break;
+            round_ran[t] = 0;
+            iters++;
+            i64 h = round_hv[t];
+            round_hv[t] = 0;
+            if (h > 0) {
+                heavy_relax += h;
+                launches += 2 + (h + 255) / 256;
+            }
+        }
+    }
+    stats[5] = 2;
+}
+"""
+
 #: the min-plus operand contract shared by every mp_update kernel
 _MP_ARRAYS: dict[str, dict[str, str]] = {
     "c": {"rows": "bi", "cols": "bj", "stride": "cs", "mode": "rw"},
@@ -320,6 +539,31 @@ KERNEL_TEMPLATES: tuple[KernelTemplate, ...] = (
         source=_MP_I32_SOURCE,
         arrays=_MP_ARRAYS,
         alias_class="k-sequential",
+    ),
+    KernelTemplate(
+        name="near_far_f64",
+        source=_NEAR_FAR_SOURCE,
+        arrays={
+            "dist": {"rows": "bat", "cols": "n", "stride": "n", "mode": "rw"},
+            "indptr": {"len": "n + 1", "mode": "r", "values": "[0, m]"},
+            "indices": {"len": "m", "mode": "r", "values": "[0, n)"},
+            "weights": {"len": "m", "mode": "r"},
+            "sources": {"len": "bat", "mode": "r", "values": "[0, n)"},
+            "far_v": {"rows": "bat", "cols": "n", "stride": "n", "mode": "rw",
+                      "values": "[0, n)"},
+            "far_d": {"rows": "bat", "cols": "n", "stride": "n", "mode": "rw"},
+            "far_n": {"len": "bat", "mode": "rw", "values": "[0, n]"},
+            "far_min": {"len": "bat", "mode": "rw"},
+            "in_far": {"rows": "bat", "cols": "n", "stride": "n", "mode": "rw"},
+            "cur_v": {"len": "n", "mode": "rw", "values": "[0, n)"},
+            "cur_d": {"len": "n", "mode": "rw"},
+            "imp_v": {"len": "n", "mode": "rw", "values": "[0, n)"},
+            "seen": {"len": "n", "mode": "rw"},
+            "round_hv": {"len": "n + 1", "mode": "rw"},
+            "round_ran": {"len": "n + 1", "mode": "rw"},
+            "stats": {"len": "6", "mode": "w"},
+        },
+        alias_class="distinct",
     ),
 )
 
@@ -549,6 +793,27 @@ class _CCKernels:
         self.fw_inplace = lib.fw_inplace_f32
         self.fw_inplace.argtypes = [ctypes.c_void_p] + [ctypes.c_longlong] * 2
         self.fw_inplace.restype = None
+        # ndpointer arguments check dtype, rank and layout on every call
+        i64, f64, i32 = np.int64, np.float64, np.int32
+        out = ("C_CONTIGUOUS", "WRITEABLE")
+        self.near_far = lib.near_far_f64
+        self.near_far.argtypes = [
+            _array_arg(f64, 2, out),
+            *(_array_arg(t) for t in (i64, i64, f64, i64)),
+            *[ctypes.c_longlong] * 3, ctypes.c_double, *[ctypes.c_longlong] * 2,
+            _array_arg(i64, 2, out),
+            _array_arg(f64, 2, out),
+            _array_arg(i64, 1, out),
+            _array_arg(f64, 1, out),
+            _array_arg(i32, 2, out),
+            *(_array_arg(t, 1, out) for t in (i64, f64, i64, i32, i64, i32, i64)),
+        ]
+        self.near_far.restype = None
+
+
+def _array_arg(dtype: type, ndim: int = 1, flags: tuple[str, ...] = ("C_CONTIGUOUS",)):
+    """ctypes argument type of a contiguous ndarray of ``dtype`` and rank ``ndim``."""
+    return np.ctypeslib.ndpointer(dtype=dtype, ndim=ndim, flags=flags)
 
 
 #: per-sanitize-mode cache: missing = untried, False = failed
@@ -673,6 +938,11 @@ def load_cc_kernels(sanitize: str | None = None) -> _CCKernels | None:
     return None
 
 
+def jit_enabled() -> bool:
+    """False when ``REPRO_JIT=off`` (or ``0``/``no``) turns compiled kernels off."""
+    return os.environ.get("REPRO_JIT", "").lower() not in ("off", "0", "no")
+
+
 def cc_build_info(sanitize: str | None = None) -> CCBuildInfo | None:
     """Build provenance of the loaded cc kernels (``None`` if unavailable)."""
     kernels = load_cc_kernels(sanitize)
@@ -748,7 +1018,7 @@ class JITBackend(KernelBackend):
             raise ValueError(
                 f"unknown jit flavor {requested!r}; choose from {_FLAVORS}"
             )
-        if os.environ.get("REPRO_JIT", "").lower() in ("off", "0", "no"):
+        if not jit_enabled():
             requested = "fallback"
         if requested in ("auto", "numba"):
             self._numba = _load_numba_kernels()

@@ -71,9 +71,12 @@ class CSRGraph:
         _check_not_nan(weights)
         if weights.size and weights.min() < 0:
             raise ValueError("edge weights must be non-negative")
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "weights", weights)
+        # read-only views: the checks above hold for the graph's lifetime
+        # (the compiled Near-Far kernel indexes memory by these values)
+        for name, arr in (("indptr", indptr), ("indices", indices), ("weights", weights)):
+            view = arr.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     # ------------------------------------------------------------------
     # Basic accessors

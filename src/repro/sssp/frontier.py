@@ -10,6 +10,10 @@ with an unstable sort and reduces each group with ``np.minimum.reduceat``
 — the semantics of ``np.minimum.at``, an order of magnitude faster at the
 batch sizes Johnson's algorithm produces. A minimum does not depend on
 the order of its operands, so sort stability would buy nothing.
+
+Batched Near-Far uses them only on its numpy path: the compiled kernel
+(``near_far_f64`` in :mod:`repro.core.backends.jit`) relaxes edge by
+edge, so ``scatter_min`` is no longer on the compiled Near-Far path.
 """
 
 from __future__ import annotations

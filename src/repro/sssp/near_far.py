@@ -18,7 +18,21 @@ Two entry points:
   :func:`repro.gpu.kernels.mssp_batch_cost` turns into simulated kernel
   time.
 
-The batch keeps both queues as worklists of flat positions
+The batch runs on one of two paths with the same distances and
+``NearFarStats``, bit for bit (``tests/test_near_far_pinned.py`` pins
+both):
+
+* **compiled** — the C kernel ``near_far_f64`` (in
+  :mod:`repro.core.backends.jit`, proven by ``repro verify-kernels``)
+  runs the whole loop whenever :func:`compiled_kernel` finds it. There
+  Near is no longer a sorted array of flat positions: each row keeps its
+  own Near and Far queues of vertices, as the paper's per-block queues
+  do, and runs all of its relax rounds of a split level before the next
+  row; round ``t`` of every row is batch iteration ``t``.
+* **numpy** — the loop below, the path without a compiler (or with
+  ``REPRO_JIT=off``) and the reference the tests compare against.
+
+The numpy loop keeps both queues as worklists of flat positions
 ``row · n + vertex`` into the distance matrix, so an iteration costs
 time in proportion to its frontier and relaxations, not to ``bat · n``:
 
@@ -32,10 +46,13 @@ time in proportion to its frontier and relaxations, not to ``bat · n``:
   A refill moves the positions below the new split to Near (sorted back
   into row-major order) and drops stale ones.
 
-Both are label-correcting and exact for non-negative weights (property
-tests compare against Dijkstra and scipy under Δ sweeps). With float64
-weights a row equals the per-source Dijkstra row bit for bit: both reach
-the minimum over paths of the left-to-right path sum.
+Both paths are label-correcting and exact for non-negative weights
+(property tests compare against Dijkstra and scipy under Δ sweeps). A
+Δ so small that a split level ``(⌊d / Δ⌋ + 1) · Δ`` rounds to no more
+than the smallest Far distance ``d`` could never advance; both paths
+raise ``ValueError`` there instead of looping. With float64 weights a
+row equals the per-source Dijkstra row bit for bit: both reach the
+minimum over paths of the left-to-right path sum.
 """
 
 from __future__ import annotations
@@ -47,7 +64,14 @@ import numpy as np
 from repro.graphs.csr import CSRGraph
 from repro.sssp.frontier import edge_positions, scatter_min, suggest_delta
 
-__all__ = ["NearFarStats", "near_far", "near_far_batch", "DEFAULT_HEAVY_DEGREE", "EDGES_PER_CHILD_BLOCK"]
+__all__ = [
+    "NearFarStats",
+    "compiled_kernel",
+    "near_far",
+    "near_far_batch",
+    "DEFAULT_HEAVY_DEGREE",
+    "EDGES_PER_CHILD_BLOCK",
+]
 
 #: out-degree above which the paper's dynamic-parallelism path would launch a
 #: child kernel for the vertex's edge list ("vertices with a large
@@ -94,8 +118,12 @@ def near_far_batch(
     The batch shares a split level: each relax iteration processes the union
     of all sources' Near queues, matching one grid-wide iteration of the
     MSSP kernel (per-block queues, grid-level synchronisation).
+
+    Runs the compiled C kernel when one loads (see :func:`compiled_kernel`),
+    else the numpy loop; both give the same distances and statistics, bit
+    for bit.
     """
-    sources = np.asarray(sources, dtype=np.int64)
+    sources = np.ascontiguousarray(sources, dtype=np.int64)
     n = graph.num_vertices
     if sources.size == 0:
         return np.empty((0, n)), NearFarStats(0, 0, 0, 0, 0)
@@ -103,9 +131,98 @@ def near_far_batch(
         raise ValueError("source out of range")
     if delta is None:
         delta = suggest_delta(graph)
-    if delta <= 0:
+    if not delta > 0:  # also rejects NaN
         raise ValueError("delta must be positive")
+    if heavy_degree < 0:
+        raise ValueError("heavy_degree must be non-negative")
+    kernel = compiled_kernel()
+    if kernel is None:
+        return _numpy_batch(graph, sources, float(delta), heavy_degree)
+    # no vertex has more than m out-edges, so a larger threshold counts alike
+    heavy = int(min(heavy_degree, graph.num_edges))
+    return _compiled_batch(kernel, graph, sources, float(delta), heavy)
 
+
+def compiled_kernel():
+    """The C batch kernel, or ``None`` under ``REPRO_JIT=off`` or without a compiler."""
+    # imported here: repro.core imports this module
+    from repro.core.backends.jit import jit_enabled, load_cc_kernels
+
+    if not jit_enabled():
+        return None
+    kernels = load_cc_kernels()
+    return kernels.near_far if kernels is not None else None
+
+
+def _stalled_split(delta: float) -> ValueError:
+    return ValueError(
+        f"delta={delta!r} is too small for these distances: a split level "
+        "(floor(d / delta) + 1) * delta rounds to no more than the smallest "
+        "Far distance d, so the split cannot advance"
+    )
+
+
+def _compiled_batch(
+    kernel, graph: CSRGraph, sources: np.ndarray, delta: float, heavy_degree: int
+) -> tuple[np.ndarray, NearFarStats]:
+    """One call of the C kernel ``near_far_f64`` over freshly allocated buffers.
+
+    The kernel's declared contract holds here:
+
+    * value ranges — ``0 <= indptr <= m`` and ``0 <= indices < n`` are
+      enforced by ``CSRGraph.__post_init__`` (and the arrays are frozen:
+      lint rule RPR011 forbids in-place stores into them);
+      ``0 <= sources < n`` and ``heavy_degree >= 0`` by
+      :func:`near_far_batch`. The queues the kernel writes (vertex ids in
+      ``[0, n)``, Far lengths in ``[0, n]``) start zero-filled, which is
+      inside those ranges as ``n >= 1``;
+    * capacity — each row's Far queue holds ``n`` entries and the per-row
+      round buffers ``n`` too; the kernel keeps every queue
+      duplicate-free, so a correct run never reaches a capacity guard;
+    * aliasing — every written array is allocated here, so no two arrays
+      overlap.
+
+    Large zero-filled arrays come from fresh zero pages, so only the part
+    of the Far queues a batch uses costs memory.
+    """
+    n = graph.num_vertices
+    bat = sources.size
+    dist = np.full((bat, n), np.inf)
+    far_v = np.zeros((bat, n), dtype=np.int64)
+    far_d = np.empty((bat, n))
+    far_n = np.zeros(bat, dtype=np.int64)
+    far_min = np.empty(bat)
+    in_far = np.zeros((bat, n), dtype=np.int32)
+    cur_v, imp_v = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    cur_d = np.empty(n)
+    seen = np.zeros(n, dtype=np.int32)
+    round_hv = np.zeros(n + 1, dtype=np.int64)
+    round_ran = np.zeros(n + 1, dtype=np.int32)
+    stats = np.zeros(6, dtype=np.int64)
+    # every split level but the last moves at least one entry out of Far
+    # for good, and each of the bat * n positions enters Far at most once;
+    # the kernel itself bounds a row's relax rounds per level by n + 1
+    budget = bat * n + 2
+    kernel(
+        dist, graph.indptr, graph.indices, graph.weights, sources,
+        n, graph.num_edges, bat, delta, heavy_degree, budget,
+        far_v, far_d, far_n, far_min, in_far,
+        cur_v, cur_d, imp_v, seen, round_hv, round_ran, stats,
+    )
+    status = int(stats[5])
+    if status == 3:
+        raise _stalled_split(delta)
+    if status:
+        reason = "a queue capacity guard failed" if status == 1 else "a step budget ran out"
+        raise RuntimeError(f"compiled Near-Far kernel stopped: {reason}")
+    return dist, NearFarStats(*(int(x) for x in stats[:5]))
+
+
+def _numpy_batch(
+    graph: CSRGraph, sources: np.ndarray, delta: float, heavy_degree: int
+) -> tuple[np.ndarray, NearFarStats]:
+    """The numpy loop: the path without a compiler, and the tests' reference."""
+    n = graph.num_vertices
     bat = sources.size
     dist = np.full((bat, n), np.inf)
     flat = dist.ravel()
@@ -117,7 +234,7 @@ def near_far_batch(
     in_far = np.zeros(bat * n, dtype=bool)
     far: list[np.ndarray] = []
 
-    split = float(delta)
+    split = delta
     relaxations = 0
     heavy_relax = 0
     iterations = 0
@@ -141,6 +258,8 @@ def near_far_batch(
                 break
             min_far = fdist.min()
             split = (np.floor(min_far / delta) + 1.0) * delta
+            if not split > min_far:
+                raise _stalled_split(delta)
             splits_advanced += 1
             move = fdist < split
             near = np.sort(fpos[move])

@@ -1,4 +1,4 @@
-"""Static + dynamic verification of the JIT-compiled C min-plus kernels.
+"""Static + dynamic verification of the JIT-compiled C kernels.
 
 Submodules: :mod:`cparse` (restricted-C parser for the kernel
 templates), :mod:`bounds` (symbolic affine bounds prover and abstract

@@ -13,10 +13,18 @@ before an aliased write would go stale. The derived class is
 cross-checked against the template's declared ``alias_class``; a
 mismatch is a finding on whichever side is wrong.
 
+A kernel whose subscripts depend on array data (a gather or scatter
+through a value read from another array, such as ``dist[r * n +
+indices[e]]``) leaves no region of any array statically known, so no
+overlap between two of its arrays is tolerable: its class is
+``"distinct"``, checked before the pivot-width classifier, which would
+otherwise misread such a kernel's reads as pivot groups.
+
 Across the Python/C boundary the contract is simpler: the engine
 rejects overlapping operands before any kernel runs
 (:meth:`repro.core.engine.KernelEngine.update`), so every min-plus entry
-point only ever sees disjoint ``C``, ``A`` and ``B``.
+point only ever sees disjoint ``C``, ``A`` and ``B``; the batched
+Near-Far glue allocates every array its kernel writes.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from repro.verifykernel.bounds import (
     KernelAnalysis,
     LoopSym,
     Poly,
+    ValSym,
     decompose_offset,
 )
 
@@ -37,7 +46,9 @@ def derive_alias_class(analysis: KernelAnalysis, template) -> tuple[str, list[Fi
     findings: list[Finding] = []
     arrays: dict[str, dict[str, str]] = template.arrays
     rw = [name for name, spec in arrays.items() if spec["mode"] != "r"]
-    if len(arrays) == 1 and rw:
+    if any(isinstance(a, ValSym) for acc in analysis.accesses for a in acc.offset.atoms()):
+        derived = "distinct"
+    elif len(arrays) == 1 and rw:
         derived = _classify_inplace(analysis, rw[0], arrays[rw[0]]["stride"])
     else:
         derived = _classify_minplus(analysis, arrays)
@@ -60,7 +71,7 @@ def _classify_minplus(
     """Width of the widest pivot group read from ``a`` per loop instance."""
     width = 1
     for name, spec in arrays.items():
-        if spec["mode"] != "r":
+        if spec["mode"] != "r" or "stride" not in spec:
             continue
         per_loop: dict[LoopSym, set[Poly]] = {}
         for acc in analysis.accesses:

@@ -19,10 +19,29 @@ branch facts gathered from guards (``if (hi > lo)`` refines
 
 Every access must decompose as ``base + row·stride + col`` against the
 array's declared stride symbol with ``0 ≤ row < rows`` and
-``0 ≤ col < cols`` — the *strong* per-row contract. This is strictly
-stronger than what ASan can observe: a subscript that walks out of its
-logical row but lands inside the allocation (the classic strided-view
-bug) fails the proof here while never touching a redzone.
+``0 ≤ col < cols`` — the *strong* per-row contract (a 1-D array
+declares ``len`` instead, and its subscript must lie in ``[0, len)``).
+This is strictly stronger than what ASan can observe: a subscript that
+walks out of its logical row but lands inside the allocation (the
+classic strided-view bug) fails the proof here while never touching a
+redzone.
+
+**Data-dependent subscripts.** An array may declare the range of its
+*values* (``"values": "[0, n)"``). Each read of such an array yields a
+fresh symbol that carries the range, and the range is eliminated like a
+loop variable's; each write into it must be proven inside the range, so
+a declared range is a proof obligation of the kernel, plus a
+precondition on the initial contents that the caller discharges.
+
+**Scalars the analysis cannot follow.** Values are tracked per program
+point, never widened silently: at the join after an ``if``, a scalar
+whose value differs between the two paths gets a fresh value, and
+before a loop body every scalar the body assigns gets one (the value it
+has at an arbitrary iteration), again after the loop. A fresh value is
+a nonnegative symbol only when nonnegativity is proven — on both paths
+into a join, or for a loop *counter* (nonnegative at entry and assigned
+only by ``++``, ``+=`` or ``=`` of an integer literal); anything else
+becomes opaque, since every atom is assumed ``≥ 0``.
 
 Nothing here proves that the iterations of a parallel loop write
 disjoint regions, so a ``#pragma omp parallel`` loop is itself a
@@ -40,6 +59,7 @@ from repro.verifykernel.cparse import (
     Assign,
     Bin,
     Block,
+    Break,
     Call,
     Cast,
     Continue,
@@ -97,6 +117,30 @@ class LoopSym:
 
 
 @dataclass(frozen=True)
+class FreshSym:
+    """A nonnegative value the analysis knows nothing else about."""
+
+    name: str
+    uid: int
+
+    def __repr__(self) -> str:
+        return f"{self.name}~{self.uid}"
+
+
+@dataclass(frozen=True)
+class ValSym:
+    """One read of an array whose values lie in the declared ``[lo, hi]``."""
+
+    array: str
+    uid: int
+    lo: "Poly"
+    hi: "Poly"  # inclusive
+
+    def __repr__(self) -> str:
+        return f"{self.array}@{self.uid}"
+
+
+@dataclass(frozen=True)
 class MinAtom:
     args: tuple["Poly", ...]
 
@@ -112,7 +156,7 @@ class MaxAtom:
         return f"max({', '.join(map(repr, self.args))})"
 
 
-Atom = Sym | LoopSym | MinAtom | MaxAtom
+Atom = Sym | LoopSym | FreshSym | ValSym | MinAtom | MaxAtom
 
 #: a monomial: sorted ((atom, exponent), ...)
 Mono = tuple[tuple[Atom, int], ...]
@@ -364,7 +408,7 @@ def bound_subst(
         nested = [
             a
             for a, _ in mono
-            if not isinstance(a, (Sym, LoopSym)) and _atom_poly(a).contains(sym)
+            if isinstance(a, (MinAtom, MaxAtom)) and _atom_poly(a).contains(sym)
         ]
         if direct > 1 or (direct and nested):
             return None
@@ -397,10 +441,26 @@ class LoopFrame:
     hi: Poly | None  # inclusive
 
 
+def _value_atoms(p: Poly) -> list[ValSym]:
+    """Every array-value symbol in ``p``, also inside ``Min``/``Max``."""
+    found: dict[ValSym, None] = {}
+    for a in p.atoms():
+        if isinstance(a, ValSym):
+            found[a] = None
+        elif isinstance(a, (MinAtom, MaxAtom)):
+            for arg in a.args:
+                found.update(dict.fromkeys(_value_atoms(arg)))
+    return list(found)
+
+
 def eliminate(
     p: Poly, frames: tuple[LoopFrame, ...], upper: bool
 ) -> Poly | None:
-    """Eliminate loop variables innermost-first toward a bound."""
+    """Eliminate loop variables innermost-first, then array values, toward a bound.
+
+    A loop bound may hold an array value (``e < indptr[v + 1]``), and a
+    value range holds only parameters, so this order leaves neither.
+    """
     out: Poly | None = p
     for frame in reversed(frames):
         if out is None:
@@ -408,6 +468,12 @@ def eliminate(
         if not out.contains(frame.atom):
             continue
         out = bound_subst(out, frame.atom, frame.lo, frame.hi, upper)
+    if out is None:
+        return None
+    for atom in _value_atoms(out):
+        out = bound_subst(out, atom, atom.lo, atom.hi, upper)
+        if out is None:
+            return None
     return out
 
 
@@ -445,6 +511,8 @@ class Access:
     line: int
     frames: tuple[LoopFrame, ...]
     facts: tuple[Poly, ...]
+    #: the value a write stores (``None`` for a read)
+    value: "Value | None" = None
 
 
 @dataclass(frozen=True)
@@ -476,14 +544,67 @@ class KernelAnalysis:
     findings: list[Finding] = field(default_factory=list)
 
 
+#: marks a name a block's declaration shadowed while it was unbound
+_UNBOUND = object()
+
+
+def _assigned_scalars(block: Block) -> dict[str, bool]:
+    """Each scalar assigned anywhere in ``block`` (loop steps included),
+    mapped to whether every assignment to it is a counter step — ``x++``,
+    ``x += <literal>`` or ``x = <literal>`` — which keeps ``x >= 0``."""
+    out: dict[str, bool] = {}
+
+    def walk(stmt: cparse.Stmt | None) -> None:
+        if isinstance(stmt, Assign) and isinstance(stmt.target, Var):
+            step = stmt.op == "++" or (stmt.op in ("+=", "=") and isinstance(stmt.value, Num))
+            out[stmt.target.name] = out.get(stmt.target.name, True) and step
+        elif isinstance(stmt, Block):
+            for inner in stmt.stmts:
+                walk(inner)
+        elif isinstance(stmt, If):
+            walk(stmt.then)
+            walk(stmt.other)
+        elif isinstance(stmt, For):
+            walk(stmt.init)
+            walk(stmt.step)
+            walk(stmt.body)
+
+    walk(block)
+    return out
+
+
+def _exits(block: Block) -> bool:
+    """Whether control never falls off the end of ``block``."""
+    return bool(block.stmts) and isinstance(block.stmts[-1], (Return, Continue, Break))
+
+
+def _value_range(text: str) -> tuple[Poly, Poly]:
+    """``"[lo, hi)"`` or ``"[lo, hi]"`` as inclusive ``(lo, hi)`` polynomials."""
+    text = text.strip()
+    if not (text[:1] == "[" and text[-1:] in ")]" and text.count(",") == 1):
+        raise CParseError(f"unsupported value range {text!r}")
+    lo_text, hi_text = text[1:-1].split(",")
+    hi = _extent_poly(hi_text)
+    return _extent_poly(lo_text), hi - 1 if text.endswith(")") else hi
+
+
 class _Interpreter:
-    def __init__(self, fn: FuncDef) -> None:
+    def __init__(self, fn: FuncDef, arrays: dict[str, dict[str, str]] | None = None) -> None:
         self.fn = fn
         self.result = KernelAnalysis(fn.name, fn)
         self.env: dict[str, Value] = {}
         self.int_typed: set[str] = set()
         self.frames: list[LoopFrame] = []
         self.facts: list[Poly] = []
+        #: per open block, the bindings its declarations shadowed
+        self.scopes: list[dict[str, object]] = []
+        #: declared value range of each array parameter that has one
+        self.ranges: dict[str, tuple[Poly, Poly]] = {}
+        #: set while a condition is re-evaluated only for its facts
+        self.quiet = False
+        for name, spec in (arrays or {}).items():
+            if "values" in spec:
+                self.ranges[name] = _value_range(spec["values"])
         for p in fn.params:
             if p.pointer:
                 self.env[p.name] = PtrVal(p.name, P(0))
@@ -492,12 +613,21 @@ class _Interpreter:
                 self.int_typed.add(p.name)
             else:
                 self.env[p.name] = OPAQUE
+        for name, (lo, _hi) in self.ranges.items():
+            if not prove_ge0(lo):
+                # every atom is assumed nonnegative, a read value included
+                self.flag("contract", fn.line, f"value range of {name!r} may be negative")
 
     # -- bookkeeping -------------------------------------------------------
     def flag(self, check: str, line: int, message: str) -> None:
-        self.result.findings.append(Finding(check, self.fn.name, line, message))
+        if not self.quiet:
+            self.result.findings.append(Finding(check, self.fn.name, line, message))
 
-    def record_access(self, base: Value, index: Value, write: bool, line: int) -> None:
+    def record_access(
+        self, base: Value, index: Value, write: bool, line: int, value: "Value | None" = None
+    ) -> None:
+        if self.quiet:
+            return
         if not isinstance(base, PtrVal):
             self.flag("bounds", line, "subscript on an unresolvable pointer")
             return
@@ -512,8 +642,20 @@ class _Interpreter:
                 line,
                 tuple(self.frames),
                 tuple(self.facts),
+                value,
             )
         )
+
+    def fresh(self, name: str, nonneg: bool) -> Value:
+        """A new value for ``name``: a nonnegative symbol, or opaque."""
+        return _atom_poly(FreshSym(name, next(_uid_counter))) if nonneg else OPAQUE
+
+    def nonneg(self, value: Value, facts: list[Poly]) -> bool:
+        if isinstance(value, Poly):
+            return prove_ge0(value, tuple(facts))
+        if isinstance(value, RangeVal):
+            return value.lo is not None and prove_ge0(value.lo, tuple(facts))
+        return False
 
     # -- expression evaluation --------------------------------------------
     def eval(self, e: cparse.Expr) -> Value:
@@ -544,6 +686,9 @@ class _Interpreter:
             base = self.eval(e.base)
             index = self.eval(e.index)
             self.record_access(base, index, write=False, line=e.line)
+            if isinstance(base, PtrVal) and base.root in self.ranges:
+                lo, hi = self.ranges[base.root]
+                return _atom_poly(ValSym(base.root, next(_uid_counter), lo, hi))
             return OPAQUE
         if isinstance(e, Call):
             for arg in e.args:
@@ -656,8 +801,18 @@ class _Interpreter:
         return self.result
 
     def exec_block(self, block: Block) -> None:
+        self.scopes.append({})
         for stmt in block.stmts:
             self.exec_stmt(stmt)
+        self._close_scope()
+
+    def _close_scope(self) -> None:
+        """Leave a block: its declarations go out of scope."""
+        for name, old in self.scopes.pop().items():
+            if old is _UNBOUND:
+                self.env.pop(name, None)
+            else:
+                self.env[name] = old  # type: ignore[assignment]
 
     def exec_stmt(self, stmt: cparse.Stmt) -> None:
         if isinstance(stmt, Decl):
@@ -668,7 +823,7 @@ class _Interpreter:
             self.exec_if(stmt)
         elif isinstance(stmt, For):
             self.exec_for(stmt)
-        elif isinstance(stmt, (Return, Continue)):
+        elif isinstance(stmt, (Return, Continue, Break)):
             pass
         elif isinstance(stmt, Block):
             self.exec_block(stmt)
@@ -681,6 +836,8 @@ class _Interpreter:
             value: Value = RangeVal(None, None)
             if item.init is not None:
                 value = self.eval(item.init)
+            if self.scopes and item.name not in self.scopes[-1]:
+                self.scopes[-1][item.name] = self.env.get(item.name, _UNBOUND)
             if item.pointer:
                 self.env[item.name] = value if isinstance(value, PtrVal) else OPAQUE
             elif numeric:
@@ -695,11 +852,13 @@ class _Interpreter:
         if isinstance(stmt.target, Index):
             base = self.eval(stmt.target.base)
             index = self.eval(stmt.target.index)
+            value: Value = OPAQUE
             if stmt.value is not None:
-                self.eval(stmt.value)
+                value = self.eval(stmt.value)
             if stmt.op != "=":
                 self.record_access(base, index, write=False, line=stmt.line)
-            self.record_access(base, index, write=True, line=stmt.line)
+                value = OPAQUE  # a compound update's result is not tracked
+            self.record_access(base, index, write=True, line=stmt.line, value=value)
             return
         assert isinstance(stmt.target, Var)
         name = stmt.target.name
@@ -721,36 +880,62 @@ class _Interpreter:
         else:
             self.env[name] = OPAQUE
 
-    @staticmethod
-    def _ends_with_return(block: Block) -> bool:
-        return bool(block.stmts) and isinstance(block.stmts[-1], Return)
-
     def exec_if(self, stmt: If) -> None:
+        self.eval(stmt.cond)  # the condition's own array reads, recorded once
+        self.quiet = True
         then_facts = self._usable_facts(self._cond_facts(stmt.cond, negate=False))
-        saved_env = dict(self.env)
-        saved_facts = list(self.facts)
-        self.facts.extend(then_facts)
+        else_facts = self._usable_facts(self._cond_facts(stmt.cond, negate=True))
+        self.quiet = False
+        entry_env = dict(self.env)
+        entry_facts = list(self.facts)
+        self.facts = entry_facts + then_facts
         self.exec_block(stmt.then)
-        self.env = dict(saved_env)
-        self.facts = list(saved_facts)
+        then_env, then_end = self.env, self.facts
+        self.env = dict(entry_env)
+        self.facts = entry_facts + else_facts
         if stmt.other is not None:
-            self.facts.extend(self._usable_facts(self._cond_facts(stmt.cond, True)))
             self.exec_block(stmt.other)
-            self.env = dict(saved_env)
-            self.facts = list(saved_facts)
-        if self._ends_with_return(stmt.then) and stmt.other is None:
-            # fall-through path: the guard must have been false
-            self.facts.extend(self._usable_facts(self._cond_facts(stmt.cond, True)))
+        else_env, else_end = self.env, self.facts
+        then_exits = _exits(stmt.then)
+        else_exits = stmt.other is not None and _exits(stmt.other)
+        self.facts = list(entry_facts)
+        if then_exits and else_exits:
+            self.env = entry_env  # nothing after the if is reached
+        elif then_exits:
+            self.env = else_env
+            self.facts.extend(else_facts)
+        elif else_exits:
+            self.env = then_env
+            self.facts.extend(then_facts)
+        else:
+            # join: a scalar the paths disagree on gets a fresh value
+            self.env = {}
+            for name, value in then_env.items():
+                other = else_env.get(name, OPAQUE)
+                if value == other:
+                    self.env[name] = value
+                else:
+                    nonneg = self.nonneg(value, then_end) and self.nonneg(other, else_end)
+                    self.env[name] = self.fresh(name, nonneg)
+
+    def _havoc(self, names: set[str], nonneg: set[str]) -> None:
+        """Give each bound name in ``names`` a fresh value, nonnegative if in ``nonneg``."""
+        for name in sorted(names):
+            if name in self.env:
+                self.env[name] = self.fresh(name, name in nonneg)
 
     def exec_for(self, stmt: For) -> None:
+        self.scopes.append({})  # the init's declaration is the loop's own
         if stmt.init is not None:
             self.exec_stmt(stmt.init)
         if stmt.step is None or not isinstance(stmt.step.target, Var):
             self.flag("parse", stmt.line, "for loop without a recognizable step")
+            self._close_scope()
             return
         var = stmt.step.target.name
         if stmt.step.op not in ("+=", "++"):
             self.flag("parse", stmt.line, f"unsupported loop step {stmt.step.op!r}")
+            self._close_scope()
             return
         entry = self.env.get(var, OPAQUE)
         lo: Poly | None
@@ -760,12 +945,28 @@ class _Interpreter:
             lo = entry.lo
         else:
             lo = None
+        steps = _assigned_scalars(stmt.body)
+        if var in steps:
+            self.flag("bounds", stmt.line, f"loop variable {var!r} is assigned in the loop body")
+        # every scalar the body assigns holds, at the guard, the value of
+        # an arbitrary iteration; a counter nonnegative at entry stays so
+        assigned = set(steps) - {var}
+        counters = {
+            name for name in assigned
+            if steps[name] and name in self.env and self.nonneg(self.env[name], self.facts)
+        }
+        entry_facts = list(self.facts)
+        self._havoc(assigned, counters)
         atom = LoopSym(var, next(_uid_counter))
         hi = self._loop_upper(stmt.cond, atom, var) if stmt.cond is not None else None
         if hi is None:
             self.flag(
                 "bounds", stmt.line, f"cannot bound loop variable {var!r} from its guard"
             )
+        if stmt.step.op == "+=":
+            step = self.eval(stmt.step.value) if stmt.step.value is not None else OPAQUE
+            if not self.nonneg(step, self.facts):
+                self.flag("bounds", stmt.line, f"cannot prove the step of {var!r} nonnegative")
         if stmt.pragma and "parallel" in stmt.pragma:
             self.flag(
                 "parallel",
@@ -778,7 +979,12 @@ class _Interpreter:
         self.frames.append(LoopFrame(atom, lo, hi))
         self.exec_block(stmt.body)
         self.frames.pop()
+        # after the loop: facts of the body no longer hold, and the
+        # assigned scalars hold whatever the last iteration left
+        self.facts = entry_facts
+        self._havoc(assigned, counters)
         self.env[var] = RangeVal(lo, None)
+        self._close_scope()
 
     def _loop_upper(self, cond: cparse.Expr, atom: LoopSym, var: str) -> Poly | None:
         """Inclusive upper bound of the loop variable from its guard."""
@@ -806,9 +1012,14 @@ class _Interpreter:
             bound = bound - 1
         return bound
 
-def analyze_kernel(fn: FuncDef) -> KernelAnalysis:
-    """Interpret one kernel body; returns its accesses and findings."""
-    return _Interpreter(fn).run()
+
+def analyze_kernel(fn: FuncDef, arrays: dict[str, dict[str, str]] | None = None) -> KernelAnalysis:
+    """Interpret one kernel body; returns its accesses and findings.
+
+    ``arrays`` is the kernel's declared contract; only its value ranges
+    matter here (reads of a ranged array yield range-carrying symbols).
+    """
+    return _Interpreter(fn, arrays).run()
 
 
 # ---------------------------------------------------------------------------
@@ -843,80 +1054,68 @@ def _extent_poly(expr_text: str) -> Poly:
     return conv(parsed)
 
 
+def _extent(spec: dict[str, str], offset: Poly) -> tuple[Poly, Poly, Poly, Poly] | None:
+    """``(row, col, rows, cols)`` of an access, or ``None`` if it does not decompose."""
+    if "stride" not in spec:  # a 1-D array of ``len`` elements
+        return P(0), offset, P(1), _extent_poly(spec["len"])
+    decomp = decompose_offset(offset, spec["stride"])
+    if decomp is None:
+        return None
+    return decomp[0], decomp[1], _extent_poly(spec["rows"]), _extent_poly(spec["cols"])
+
+
 def check_access_bounds(
     analysis: KernelAnalysis, arrays: dict[str, dict[str, str]]
 ) -> list[Finding]:
-    """Prove every recorded element access inside its declared extent."""
+    """Prove every recorded element access inside its declared extent,
+    and every value written into a ranged array inside its range."""
     findings: list[Finding] = []
+
+    def finding(check: str, acc: Access, message: str) -> None:
+        findings.append(Finding(check, analysis.name, acc.line, message))
+
+    def prove_within(
+        check: str, acc: Access, what: str, expr: Poly, lo: Poly, hi: Poly, hi_text: str
+    ) -> None:
+        top = eliminate(expr, acc.frames, upper=True)
+        bottom = eliminate(expr, acc.frames, upper=False)
+        if top is None or bottom is None:
+            finding(check, acc, f"{what} has no computable bound")
+            return
+        if not prove_le(lo, bottom, acc.facts):
+            finding(check, acc, f"cannot prove {what} >= {lo!r} (lower bound {bottom!r})")
+        if not prove_le(top, hi, acc.facts):
+            finding(check, acc, f"cannot prove {what} < {hi_text} (upper bound {top!r})")
+
     for acc in analysis.accesses:
         spec = arrays.get(acc.array)
         if spec is None:
-            findings.append(
-                Finding(
-                    "contract",
-                    analysis.name,
-                    acc.line,
-                    f"access to undeclared array {acc.array!r}",
-                )
-            )
+            finding("contract", acc, f"access to undeclared array {acc.array!r}")
             continue
         if acc.write and spec["mode"] == "r":
-            findings.append(
-                Finding(
-                    "contract",
-                    analysis.name,
-                    acc.line,
-                    f"write to read-only array {acc.array!r}",
-                )
-            )
-        decomp = decompose_offset(acc.offset, spec["stride"])
-        if decomp is None:
-            findings.append(
-                Finding(
-                    "bounds",
-                    analysis.name,
-                    acc.line,
-                    f"offset into {acc.array!r} does not decompose as "
-                    f"row*{spec['stride']} + col",
-                )
-            )
-            continue
-        row, col = decomp
-        rows = _extent_poly(spec["rows"])
-        cols = _extent_poly(spec["cols"])
+            finding("contract", acc, f"write to read-only array {acc.array!r}")
         kind = "write" if acc.write else "read"
-        for part, expr, extent in (("row", row, rows), ("column", col, cols)):
-            hi = eliminate(expr, acc.frames, upper=True)
-            lo = eliminate(expr, acc.frames, upper=False)
-            if hi is None or lo is None:
-                findings.append(
-                    Finding(
-                        "bounds",
-                        analysis.name,
-                        acc.line,
-                        f"{kind} {part} index of {acc.array!r} has no computable bound",
-                    )
+        extent = _extent(spec, acc.offset)
+        if extent is None:
+            finding(
+                "bounds", acc,
+                f"offset into {acc.array!r} does not decompose as row*{spec['stride']} + col",
+            )
+        else:
+            row, col, rows, cols = extent
+            for part, expr, size in (("row", row, rows), ("column", col, cols)):
+                prove_within(
+                    "bounds", acc, f"{kind} {part} index of {acc.array!r}", expr, P(0),
+                    size - 1, expr_text_of(size),
                 )
-                continue
-            if not prove_ge0(lo, acc.facts):
-                findings.append(
-                    Finding(
-                        "bounds",
-                        analysis.name,
-                        acc.line,
-                        f"cannot prove {kind} {part} index of {acc.array!r} "
-                        f">= 0 (lower bound {lo!r})",
-                    )
-                )
-            if not prove_le(hi, extent - 1, acc.facts):
-                findings.append(
-                    Finding(
-                        "bounds",
-                        analysis.name,
-                        acc.line,
-                        f"cannot prove {kind} {part} index of {acc.array!r} "
-                        f"< {expr_text_of(extent)} (upper bound {hi!r})",
-                    )
+        if acc.write and "values" in spec:
+            lo, hi = _value_range(spec["values"])
+            if not isinstance(acc.value, Poly):
+                finding("values", acc, f"value written into {acc.array!r} is not tracked")
+            else:
+                prove_within(
+                    "values", acc, f"value written into {acc.array!r}", acc.value, lo, hi,
+                    expr_text_of(hi + 1),
                 )
     return findings
 
@@ -929,7 +1128,7 @@ def check_kernel_bounds(
     template, parsed: FuncDef
 ) -> tuple[KernelAnalysis, list[Finding]]:
     """Full bounds pass for one kernel: every element access."""
-    analysis = analyze_kernel(parsed)
+    analysis = analyze_kernel(parsed, template.arrays)
     findings = list(analysis.findings)
     findings += check_access_bounds(analysis, template.arrays)
     return analysis, findings

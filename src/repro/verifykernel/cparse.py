@@ -2,13 +2,14 @@
 
 The kernels in :mod:`repro.core.backends.jit` deliberately use a small,
 regular C dialect — scalar/pointer declarations, assignments,
-``for``/``if``/ternary control flow, array subscripts, calls inside
-expressions (``isinf``) and ``#pragma`` hints on loops; no other
-preprocessor line. This module tokenizes and parses exactly that subset
-into a small AST that :mod:`repro.verifykernel.bounds` interprets
-symbolically. Anything outside the subset is a hard :class:`CParseError`
-— a kernel the verifier cannot read is a kernel the verifier cannot
-prove, so parse failures surface as findings rather than silent skips.
+``for``/``if``/ternary control flow with ``return``, ``continue`` and
+``break``, array subscripts, calls inside expressions (``isinf``,
+``floor``) and ``#pragma`` hints on loops; no other preprocessor line.
+This module tokenizes and parses exactly that subset into a small AST
+that :mod:`repro.verifykernel.bounds` interprets symbolically. Anything
+outside the subset is a hard :class:`CParseError` — a kernel the
+verifier cannot read is a kernel the verifier cannot prove, so parse
+failures surface as findings rather than silent skips.
 
 The grammar is C-faithful where it matters for index math: operator
 precedence (ternary < logical < comparison < additive < multiplicative <
@@ -25,6 +26,7 @@ __all__ = [
     "Assign",
     "Bin",
     "Block",
+    "Break",
     "Call",
     "CParseError",
     "Cast",
@@ -165,6 +167,11 @@ class Continue:
 
 
 @dataclass(frozen=True)
+class Break:
+    line: int = 0
+
+
+@dataclass(frozen=True)
 class Pragma:
     text: str
     line: int = 0
@@ -175,7 +182,7 @@ class Block:
     stmts: tuple["Stmt", ...]
 
 
-Stmt = Decl | Assign | If | For | Return | Continue | Block
+Stmt = Decl | Assign | If | For | Return | Continue | Break | Block
 
 
 @dataclass(frozen=True)
@@ -367,6 +374,10 @@ class _Parser:
             self.next()
             self.expect(";")
             return Continue(tok.line)
+        if tok.text == "break":
+            self.next()
+            self.expect(";")
+            return Break(tok.line)
         if self._at_type():
             decl = self.parse_decl()
             self.expect(";")

@@ -66,6 +66,16 @@ DEFECTS: tuple[SeededDefect, ...] = (
         description="register-blocked pivot loop loses its 4-wide guard, so "
         "a partial final group reads up to 3 pivots past the tile edge",
     ),
+    SeededDefect(
+        name="csr_slice_overrun",
+        kernel="near_far_f64",
+        old="i64 hi = indptr[v + 1];",
+        new="i64 hi = indptr[v + 2];",
+        dynamic="asan",
+        static_check="bounds",
+        description="Near-Far reads the end of the next vertex's CSR slice, so "
+        "relaxing the last vertex reads indptr[n + 1], one past the array",
+    ),
 )
 
 

@@ -5,7 +5,13 @@ This is the *payload* of the sanitizer harness: a standalone process that
 every C entry point through the shapes that historically hide bugs —
 remainder tiles, strided row views, saturating int32 and the in-place
 FW closure — checking each result against the numpy reference
-semantics from :mod:`repro.core.backends.base`.
+semantics from :mod:`repro.core.backends.base`. The batched Near-Far
+kernel runs on random CSR graphs (no edges, one vertex, sinks,
+self-loops, duplicate edges and sources, zero and ``inf`` weights, a
+sweep of Δ and heavy-vertex thresholds) against the numpy loop of
+:mod:`repro.sssp.near_far`, distances and statistics bit for bit; every
+graph's last vertex has out-edges and is a source, so reading past a
+CSR slice reaches past the end of ``indptr``.
 
 Run as::
 
@@ -33,6 +39,8 @@ from repro.core.backends.base import (
     rank1_update,
 )
 from repro.core.backends.jit import CCBuildInfo, JITBackend, _CCKernels
+from repro.graphs.csr import CSRGraph
+from repro.sssp.near_far import _compiled_batch, _numpy_batch
 
 __all__ = ["run_matrix_cases", "main"]
 
@@ -125,7 +133,56 @@ def run_matrix_cases(kern: _CCKernels, *, fast: bool = False) -> list[dict]:
     kern.fw_inplace(d.ctypes.data, n, JITBackend._checked_operand(d, np.float32))
     record(f"fw/inplace/n={n}", d, want_d)
 
+    for name, graph, sources, delta, heavy in _near_far_cases(rng, fast):
+        want_nf, want_stats = _numpy_batch(graph, sources, delta, heavy)
+        try:
+            got_nf, got_stats = _compiled_batch(kern.near_far, graph, sources, delta, heavy)
+        except (RuntimeError, ValueError) as exc:
+            cases.append({"name": name, "ok": False, "max_err": float("nan"),
+                          "mismatched": -1, "error": str(exc)})
+            continue
+        record(name, got_nf, want_nf)
+        if got_stats != want_stats:
+            cases[-1].update(ok=False, stats=[str(got_stats), str(want_stats)])
+
     return cases
+
+
+def _random_csr(
+    rng: np.random.Generator, n: int, max_deg: int, *, zero_frac: float, inf_frac: float
+) -> CSRGraph:
+    """A CSR graph with sinks, self-loops and duplicate edges; the last
+    vertex always has out-edges. Integer weights keep sums exact."""
+    deg = rng.integers(0, max_deg + 1, size=n)
+    deg[rng.random(n) < 0.2] = 0
+    deg[-1] = max(1, int(deg[-1]))
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    m = int(indptr[-1])
+    indices = rng.integers(0, n, size=m)
+    weights = rng.integers(1, 20, size=m).astype(np.float64)
+    weights[rng.random(m) < zero_frac] = 0.0
+    weights[rng.random(m) < inf_frac] = np.inf
+    # exact-size copies: the end of each array is an allocation's end
+    return CSRGraph(np.array(indptr), np.array(indices), np.array(weights))
+
+
+def _near_far_cases(rng: np.random.Generator, fast: bool):
+    """``(name, graph, sources, delta, heavy_degree)`` for the Near-Far kernel."""
+    one = CSRGraph(np.array([0, 0]), np.array([], dtype=np.int64), np.array([]))
+    empty = CSRGraph(np.zeros(6, dtype=np.int64), np.array([], dtype=np.int64), np.array([]))
+    yield "nearfar/n=1", one, np.array([0]), 1.0, 32
+    yield "nearfar/no-edges", empty, np.array([4, 0, 4]), 1.0, 0
+    sizes = [(23, 4), (41, 9)] if fast else [(23, 4), (41, 9), (64, 3), (97, 12)]
+    for n, max_deg in sizes:
+        graph = _random_csr(rng, n, max_deg, zero_frac=0.15, inf_frac=0.05)
+        top = int(np.diff(graph.indptr).max())
+        picked = rng.integers(0, n, size=n // 3)
+        # duplicate sources, and the last vertex relaxed at level 0
+        sources = np.concatenate([picked, picked[:2], [n - 1]])
+        for delta in (0.5, 3.0, 7.5, 1e9):
+            for heavy in (0, 2, top + 1):
+                yield (f"nearfar/n={n}/delta={delta:g}/heavy={heavy}",
+                       graph, sources, delta, heavy)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -98,3 +98,22 @@ def any_graph(request) -> CSRGraph:
         np.concatenate([w_a, w_b]),
         name="two-components",
     )
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def near_far_path(request, monkeypatch) -> str:
+    """Run the test on each batched Near-Far path, in this process.
+
+    ``numpy`` sets ``REPRO_JIT=off``; ``compiled`` clears it and skips only
+    when no C compiler loads.
+    """
+    from repro.sssp.near_far import compiled_kernel
+
+    if request.param == "numpy":
+        monkeypatch.setenv("REPRO_JIT", "off")
+        assert compiled_kernel() is None
+    else:
+        monkeypatch.delenv("REPRO_JIT", raising=False)
+        if compiled_kernel() is None:
+            pytest.skip("no C compiler loads")
+    return request.param

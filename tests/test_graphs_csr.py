@@ -79,6 +79,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CSRGraph(np.array([0, 2]), np.array([0, 1]), np.array([1.0]))
 
+    def test_arrays_stay_checked(self):
+        """The checked arrays are read-only: a head written past ``n``
+        after construction would send the compiled Near-Far kernel out of
+        bounds. The caller's own arrays stay writable."""
+        indices = np.array([1, 2, 0])
+        g = CSRGraph(np.array([0, 1, 2, 3]), indices, np.array([1.0, 2.0, 3.0]))
+        for arr in (g.indptr, g.indices, g.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 10**12
+        assert indices.flags.writeable
+
 
 class TestAccessors:
     def test_neighbors_sorted_within_row(self):

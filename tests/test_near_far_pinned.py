@@ -11,6 +11,8 @@ matrix, so distances are pinned bit for bit.
 ``rmat`` with ``delta=0.37`` advances the split ~300 times; the road
 stand-in exercises a high-diameter graph at the default Δ; ``heavy_degree=2``
 makes most vertices heavy, so the child-launch accounting is pinned too.
+Every case runs on both paths, the compiled C kernel (skipped only when no
+compiler loads) and the numpy loop (``REPRO_JIT=off``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import pytest
 
 from repro.graphs.generators import rmat
 from repro.graphs.suite import get_suite_graph
-from repro.sssp.near_far import near_far_batch
+from repro.sssp.near_far import compiled_kernel, near_far_batch
 
 GRAPHS = {
     "rmat300": (lambda: rmat(300, 2400), 0.37),
@@ -66,12 +68,29 @@ def _graph(name: str):
     return GRAPHS[name][0]()
 
 
-@pytest.mark.parametrize(
-    "graph_name, batch, heavy_degree, stats, digest",
-    PINNED,
-    ids=[f"{g}-{b}-hd{h}" for g, b, h, _, _ in PINNED],
-)
-def test_stats_and_distances_are_pinned(graph_name, batch, heavy_degree, stats, digest):
+def _case_id(graph_name: str, batch: str, heavy_degree: int, path: str) -> str:
+    """The compiled case keeps the id the single-path test had."""
+    suffix = "" if path == "compiled" else f"-{path}"
+    return f"{graph_name}-{batch}-hd{heavy_degree}{suffix}"
+
+
+CASES = [
+    pytest.param(*case, path, id=_case_id(*case[:3], path))
+    for case in PINNED
+    for path in ("compiled", "numpy")
+]
+
+
+@pytest.mark.parametrize("graph_name, batch, heavy_degree, stats, digest, path", CASES)
+def test_stats_and_distances_are_pinned(
+    graph_name, batch, heavy_degree, stats, digest, path, monkeypatch
+):
+    if path == "numpy":
+        monkeypatch.setenv("REPRO_JIT", "off")
+    else:
+        monkeypatch.delenv("REPRO_JIT", raising=False)
+        if compiled_kernel() is None:
+            pytest.skip("no C compiler loads")
     graph = _graph(graph_name)
     sources = BATCHES[batch](graph.num_vertices)
     dist, got = near_far_batch(

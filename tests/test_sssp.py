@@ -1,11 +1,20 @@
 """Unit tests for the four SSSP implementations (oracle: scipy Dijkstra)."""
 
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.core.backends.jit import cc_compiler, load_cc_kernels
 from repro.graphs.csr import CSRGraph
+from repro.graphs.generators import rmat
 from repro.sssp import (
     bellman_ford,
     delta_stepping,
@@ -13,7 +22,11 @@ from repro.sssp import (
     near_far,
     near_far_batch,
 )
+from repro.sssp.frontier import suggest_delta
 from tests.conftest import oracle_sssp
+
+#: the module, not the function ``repro.sssp`` re-exports under its name
+near_far_module = importlib.import_module("repro.sssp.near_far")
 
 
 ALGORITHMS = {
@@ -166,6 +179,65 @@ class TestNearFar:
             near_far(small_rmat, 0, delta=-1.0)
 
 
+def _two_edge_path() -> CSRGraph:
+    return CSRGraph.from_edges(3, [0, 1], [1, 2], [37.0, 5.0])
+
+
+class TestNearFarInputs:
+    """Inputs that used to hang or mislead fail loudly, on both paths."""
+
+    def test_nan_delta_rejected(self, near_far_path):
+        # NaN passed ``delta <= 0`` and gave 43 finite distances of 189
+        with pytest.raises(ValueError, match="delta"):
+            near_far(rmat(200, 1600), 0, delta=float("nan"))
+
+    def test_negative_heavy_degree_rejected(self, near_far_path, small_rmat):
+        with pytest.raises(ValueError, match="heavy_degree"):
+            near_far(small_rmat, 0, heavy_degree=-1)
+
+    def test_small_delta_that_still_advances(self, near_far_path):
+        dist, _ = near_far(_two_edge_path(), 0, delta=1e-12)
+        assert dist.tolist() == [0.0, 37.0, 42.0]
+
+    @pytest.mark.parametrize("jit", ["on", "off"])
+    def test_stalled_split_raises(self, jit):
+        """``(floor(37 / 1e-15) + 1) * 1e-15`` rounds to 37.0, so the split
+        never passes the Far distance 37. A subprocess, because a loop
+        without the check never returns."""
+        code = (
+            "from repro.graphs.csr import CSRGraph\n"
+            "from repro.sssp import near_far\n"
+            "near_far(CSRGraph.from_edges(3, [0, 1], [1, 2], [37.0, 5.0]), 0, delta=1e-15)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, REPRO_JIT=jit)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, timeout=60
+        )
+        assert proc.returncode != 0
+        assert b"ValueError: delta=1e-15" in proc.stderr, proc.stderr[-500:]
+
+
+def test_repro_jit_off_runs_the_numpy_loop(monkeypatch, small_rmat):
+    monkeypatch.setenv("REPRO_JIT", "off")
+    calls = []
+    numpy_batch = near_far_module._numpy_batch
+
+    def spy(*args):
+        calls.append(args)
+        return numpy_batch(*args)
+
+    def unreachable(*args):
+        raise AssertionError("the compiled kernel ran under REPRO_JIT=off")
+
+    monkeypatch.setattr(near_far_module, "_numpy_batch", spy)
+    monkeypatch.setattr(near_far_module, "_compiled_batch", unreachable)
+    dist, _ = near_far_batch(small_rmat, np.array([0, 5]))
+    assert len(calls) == 1
+    assert np.allclose(dist, oracle_sssp(small_rmat, [0, 5]))
+
+
 @st.composite
 def real_weight_graphs(draw, max_n=24, max_edges=90):
     """CSR graphs built as drawn, without ``from_edges``' dedupe: real
@@ -201,6 +273,34 @@ class TestBatchEqualsDijkstra:
         expected = np.stack([dijkstra(graph, s)[0] for s in range(n)])
         assert dist.dtype == expected.dtype == np.float64
         assert np.array_equal(dist, expected)
+
+
+@pytest.mark.skipif(cc_compiler() is None, reason="needs a C compiler")
+class TestCompiledMatchesNumpy:
+    """The C batch kernel returns the numpy loop's distance bytes and
+    ``NearFarStats``: same split levels, iterations and heavy accounting,
+    with duplicate sources, zero weights, self-loops and duplicate edges."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(real_weight_graphs(), st.data())
+    def test_same_bytes_and_stats(self, graph, data):
+        kernels = load_cc_kernels()
+        assert kernels is not None
+        n = graph.num_vertices
+        sources = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)),
+            dtype=np.int64,
+        )
+        delta = data.draw(st.one_of(st.none(), st.floats(1e-3, 1e3), st.just(np.inf)))
+        delta = suggest_delta(graph) if delta is None else delta
+        heavy = data.draw(st.integers(0, 6))
+        want_dist, want_stats = near_far_module._numpy_batch(graph, sources, delta, heavy)
+        got_dist, got_stats = near_far_module._compiled_batch(
+            kernels.near_far, graph, sources, delta, heavy
+        )
+        assert got_dist.tobytes() == want_dist.tobytes()
+        assert got_stats == want_stats
 
 
 class TestWorkEfficiency:
