@@ -73,22 +73,24 @@ def _run_config(cfg: dict) -> dict:
     graph = rmat(cfg["n"], 6 * cfg["n"], seed=cfg["seed"])
     cluster = ClusterSpec.make(cfg["nodes"], cfg["devices"])
     ver = verify_cluster(cfg["n"], cluster, graph=graph)
-    cross = ver.cross_validation or {}
-    timing = ver.timing
+    audit = ver.audits["cluster-fw"]
+    params = audit.parameters
+    timing = audit.timing
+    assert timing is not None
     return {
         "config": dict(cfg),
-        "cluster": ver.cluster,
-        "grid": list(ver.grid),
+        "cluster": cluster.name,
+        "grid": params["grid"],
         "ok": ver.ok,
-        "exact": bool(cross) and all(cross.values()),
-        "block_size": ver.block_size,
-        "num_messages": ver.comm.num_messages if ver.comm else 0,
-        "total_bytes": ver.comm.total_bytes if ver.comm else 0,
-        "peak_bytes": ver.peak_bytes,
-        "num_kernels": ver.num_kernels,
-        "makespan": timing.makespan if timing else 0.0,
-        "net_seconds": timing.net_seconds if timing else 0.0,
-        "compute_seconds": timing.compute_seconds if timing else 0.0,
+        "exact": bool(audit.checks) and all(c.passed for c in audit.checks),
+        "block_size": params["block_size"],
+        "num_messages": params["num_messages"],
+        "total_bytes": params["total_bytes"],
+        "peak_bytes": audit.peak_bytes,
+        "num_kernels": params["num_kernels"],
+        "makespan": timing.makespan,
+        "net_seconds": timing.net_seconds,
+        "compute_seconds": timing.compute_seconds,
     }
 
 

@@ -92,12 +92,12 @@ def collect_baseline(configs=STANDARD_CONFIGS) -> dict:
         ver = verify_plan(graph, _device_spec(cfg["device"]))
         entries[cfg["name"]] = {
             "config": dict(cfg),
-            "n": ver.n,
-            "m": ver.m,
+            "n": graph.num_vertices,
+            "m": graph.num_edges,
             "ok": ver.ok,
             "algorithms": {
                 name: {
-                    "verified": audit.verified,
+                    "verified": audit.ok,
                     **{f: getattr(audit, f) for f in BASELINE_FIELDS},
                 }
                 for name, audit in ver.audits.items()

@@ -11,8 +11,9 @@ Commands
 ``tune-kernels``  autotune the kernel for this machine, persist the winner
 ``bench-transfers`` record/check the static transfer-volume baseline
 ``sanitize``      run the schedule sanitizer over the out-of-core drivers
-``verify-plan``   statically verify the OOC execution plans (no execution)
-``check-schedule`` happens-before + symbolic critical-path check of the plans
+``verify-plan``   statically verify the OOC execution plans (no execution):
+                  derived parameters, residency and transfer bounds,
+                  happens-before and the predicted makespan
 ``verify-cluster`` cross-node HB + communication-volume proofs for the
                   distributed blocked-FW schedule
 ``bench-cluster`` record/check the cluster scaling baseline
@@ -26,13 +27,17 @@ Commands
 ``lint``          run the repository AST contract checker
 ``verify-kernels`` static bounds/alias proofs + sanitizer legs for the JIT C kernels
 
-Exit codes (``sanitize``, ``verify-plan``, ``check-schedule``,
-``verify-cluster``, ``verify-update``, ``bench-transfers --check``,
-``bench-cluster --check``, ``bench-dynamic --check``, ``serve``,
-``bench-serve --check``, ``tune-kernels --check``, ``lint``,
-``verify-kernels``):
-0 — clean/verified; 1 — hazards, findings, failed bounds, or baseline
-drift; 2 — usage error (argparse).
+Exit codes (``sanitize``, ``verify-plan``, ``verify-cluster``,
+``verify-update``, ``bench-transfers --check``, ``bench-cluster --check``,
+``bench-dynamic --check``, ``serve``, ``bench-serve --check``,
+``tune-kernels --check``, ``lint``, ``verify-kernels``):
+0 — clean/verified; 1 — hazards, findings, failed bounds or checks, or
+baseline drift; 2 — usage error (argparse, including a device, node or
+block count below 1).
+
+The three schedule verifiers (``verify-plan``, ``verify-cluster``,
+``verify-update``) print one report shape: a header line with the
+verdict, then one audit per schedule and the command's named checks.
 
 Every ``--json`` payload carries a top-level ``schema_version`` field
 (:data:`SCHEMA_VERSION`) so downstream consumers can detect format
@@ -50,7 +55,15 @@ __all__ = ["SCHEMA_VERSION", "main"]
 
 #: version of the machine-readable (--json) output payloads; bump on any
 #: backwards-incompatible change to their structure
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+
+def _count(text: str) -> int:
+    """argparse type of a device, node or block count: an integer ≥ 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_graph(args):
@@ -262,15 +275,6 @@ def cmd_select(args) -> int:
     return 0
 
 
-def cmd_plan(args) -> int:
-    from repro.core.planner import explain_plan
-
-    graph = _load_graph(args)
-    report = explain_plan(graph, _device_spec(args), seed=0)
-    print(report.describe())
-    return 0
-
-
 def cmd_suite(args) -> int:
     from repro.graphs.suite import list_suite
 
@@ -412,12 +416,10 @@ def cmd_sanitize(args) -> int:
     failures = 0
     reports = {}
     for name in names:
-        kwargs = {}
-        if name == "multi-gpu":
-            kwargs["num_devices"] = args.num_devices
-        elif not args.overlap:
-            kwargs["overlap"] = False
-        report, result = sanitize_driver(name, graph, spec, **kwargs)
+        kwargs = {"num_devices": args.num_devices} if name == "multi-gpu" else {}
+        report, result = sanitize_driver(
+            name, graph, spec, overlap=args.overlap, **kwargs
+        )
         reports[name] = report
         if not report.clean:
             failures += 1
@@ -440,99 +442,49 @@ def cmd_sanitize(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_verify_plan(args) -> int:
+def _print_verification(args, ver) -> int:
+    """Print a schedule verifier's report (``--json``: its payload); exit
+    1 unless it verified."""
     import json as _json
 
+    if args.json:
+        print(_json.dumps(
+            {"schema_version": SCHEMA_VERSION, **ver.to_dict()}, indent=2
+        ))
+    else:
+        print(ver.describe())
+    return 0 if ver.ok else 1
+
+
+def cmd_verify_plan(args) -> int:
     from repro.verifyplan import DEFAULT_TOLERANCE, verify_plan
 
     graph = _load_graph(args)
     spec = _device_spec(args)
     algorithms = None if args.algorithm == "all" else [args.algorithm]
     tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    ver = verify_plan(
+    return _print_verification(args, verify_plan(
         graph,
         spec,
         algorithms=algorithms,
         overlap=args.overlap,
         num_devices=args.num_devices,
         tolerance=tolerance,
-    )
-    if args.json:
-        print(_json.dumps(
-            {"schema_version": SCHEMA_VERSION, **ver.to_dict()}, indent=2
-        ))
-    else:
-        print(ver.describe())
-    return 0 if ver.ok else 1
-
-
-def cmd_check_schedule(args) -> int:
-    import json as _json
-
-    from repro.verifyplan import verify_plan
-
-    graph = _load_graph(args)
-    spec = _device_spec(args)
-    algorithms = None if args.algorithm == "all" else [args.algorithm]
-    ver = verify_plan(
-        graph,
-        spec,
-        algorithms=algorithms,
-        overlap=args.overlap,
-        num_devices=args.num_devices,
-        timing=True,
-    )
-    if args.json:
-        print(_json.dumps(
-            {"schema_version": SCHEMA_VERSION, **ver.to_dict()}, indent=2
-        ))
-        return 0 if ver.ok else 1
-    print(f"schedule checker [{spec.name}]: graph n={graph.num_vertices}, "
-          f"m={graph.num_edges}")
-    for name, audit in ver.audits.items():
-        if not audit.feasible:
-            print(f"  {name}: infeasible — {audit.reason}")
-            continue
-        hb = audit.hb
-        if hb is not None:
-            status = ("race/deadlock-free in every interleaving" if hb.ok
-                      else f"{len(hb.findings)} finding(s)")
-            print(f"  {name}: {hb.num_ops} clocked ops on {hb.num_streams} "
-                  f"stream(s), {hb.num_events} event(s), {hb.num_waits} "
-                  f"wait(s) — {status}")
-            for f in hb.findings:
-                print(f"    {f.describe()}")
-        if audit.timing is not None:
-            t = audit.timing
-            print(f"    predicted makespan {t.makespan:.3e} s (compute "
-                  f"{t.compute_seconds:.3e}, h2d {t.h2d_seconds:.3e}, d2h "
-                  f"{t.d2h_seconds:.3e}; overlap efficiency "
-                  f"{t.overlap_efficiency:.0%})")
-    print("schedule check: " + ("PASS" if ver.ok else "FAIL"))
-    return 0 if ver.ok else 1
+    ))
 
 
 def cmd_verify_cluster(args) -> int:
-    import json as _json
-
     from repro.cluster import ClusterSpec, verify_cluster
 
     graph = _load_graph(args)
     spec = _device_spec(args)
     cluster = ClusterSpec.make(args.nodes, args.num_devices, device=spec)
-    ver = verify_cluster(
+    return _print_verification(args, verify_cluster(
         graph.num_vertices,
         cluster,
         block_size=args.block_size,
         graph=None if args.static_only else graph,
-    )
-    if args.json:
-        print(_json.dumps(
-            {"schema_version": SCHEMA_VERSION, **ver.to_dict()}, indent=2
-        ))
-    else:
-        print(ver.describe())
-    return 0 if ver.ok else 1
+    ))
 
 
 def _bench_baseline(args, compare, save, filename: str, clean: str) -> int:
@@ -570,19 +522,9 @@ def cmd_bench_transfers(args) -> int:
 
 
 def cmd_verify_update(args) -> int:
-    import json as _json
-
     from repro.dynamic import verify_update
 
-    spec = _device_spec(args)
-    ver = verify_update(spec)
-    if args.json:
-        print(_json.dumps(
-            {"schema_version": SCHEMA_VERSION, **ver.to_dict()}, indent=2
-        ))
-    else:
-        print(ver.describe())
-    return 0 if ver.ok else 1
+    return _print_verification(args, verify_update(_device_spec(args)))
 
 
 def cmd_bench_dynamic(args) -> int:
@@ -843,10 +785,6 @@ def main(argv=None) -> int:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_select)
 
-    p = sub.add_parser("plan", help="explain each algorithm's execution plan")
-    add_graph_args(p)
-    p.set_defaults(fn=cmd_plan)
-
     p = sub.add_parser("suite", help="list the paper's evaluation graphs")
     p.set_defaults(fn=cmd_suite)
 
@@ -893,7 +831,7 @@ def main(argv=None) -> int:
     p.add_argument("--driver", default="all",
                    choices=["all", "fw", "boundary", "johnson", "multi-gpu"],
                    help="which out-of-core driver(s) to check (default: all)")
-    p.add_argument("--num-devices", type=int, default=2,
+    p.add_argument("--num-devices", type=_count, default=2,
                    help="device count for the multi-gpu driver")
     p.add_argument("--no-overlap", dest="overlap", action="store_false",
                    help="check the single-stream (overlap=False) schedules")
@@ -902,14 +840,16 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "verify-plan",
-        help="statically prove the OOC execution plans fit memory and "
-             "match the paper's transfer bounds (nothing executes)",
+        help="explain each OOC execution plan and statically prove it fits "
+             "memory, matches the paper's transfer bounds and is race- and "
+             "deadlock-free in every interleaving, with its predicted "
+             "critical-path makespan (nothing executes)",
     )
     add_graph_args(p)
     p.add_argument("--algorithm", default="all",
                    choices=["all", "fw", "floyd-warshall", "johnson", "boundary", "multi-gpu"],
                    help="which plan(s) to verify (default: all)")
-    p.add_argument("--num-devices", type=int, default=2,
+    p.add_argument("--num-devices", type=_count, default=2,
                    help="device count for the multi-gpu plan")
     p.add_argument("--no-overlap", dest="overlap", action="store_false",
                    help="verify the single-stream (overlap=False) schedules")
@@ -919,22 +859,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify_plan)
 
     p = sub.add_parser(
-        "check-schedule",
-        help="prove the OOC schedules race- and deadlock-free in every "
-             "interleaving and predict their critical-path makespans",
-    )
-    add_graph_args(p)
-    p.add_argument("--algorithm", default="all",
-                   choices=["all", "fw", "floyd-warshall", "johnson", "boundary", "multi-gpu"],
-                   help="which schedule(s) to check (default: all)")
-    p.add_argument("--num-devices", type=int, default=2,
-                   help="device count for the multi-gpu schedule")
-    p.add_argument("--no-overlap", dest="overlap", action="store_false",
-                   help="check the single-stream (overlap=False) schedules")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(fn=cmd_check_schedule)
-
-    p = sub.add_parser(
         "verify-cluster",
         help="statically prove the distributed blocked-FW schedule "
              "race/deadlock-free across nodes with exact per-link "
@@ -942,11 +866,11 @@ def main(argv=None) -> int:
              "dynamic cluster simulator",
     )
     add_graph_args(p)
-    p.add_argument("--nodes", type=int, default=2,
+    p.add_argument("--nodes", type=_count, default=2,
                    help="cluster node count N (default 2)")
-    p.add_argument("--num-devices", type=int, default=1,
+    p.add_argument("--num-devices", type=_count, default=1,
                    help="devices per node M (default 1)")
-    p.add_argument("--block-size", type=int, default=None,
+    p.add_argument("--block-size", type=_count, default=None,
                    help="distribution block size (default: planner's choice)")
     p.add_argument("--static-only", action="store_true",
                    help="skip the dynamic simulator cross-validation")

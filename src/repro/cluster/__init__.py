@@ -34,7 +34,7 @@ from repro.cluster.topology import (
     near_square_grid,
     slice_widths,
 )
-from repro.cluster.verify import ClusterVerification, verify_cluster
+from repro.cluster.verify import verify_cluster
 
 __all__ = [
     "DEFAULT_INTER_LINK",
@@ -42,7 +42,6 @@ __all__ = [
     "BlockCyclicLayout",
     "ClusterResult",
     "ClusterSpec",
-    "ClusterVerification",
     "cluster_fw",
     "combine_cost",
     "default_block_size",

@@ -22,26 +22,16 @@ from repro.dynamic.patch import (
     apply_edge_updates,
     emit_update_ir,
 )
-from repro.dynamic.verify import (
-    DEFAULT_UPDATE_CONFIGS,
-    DefectCheck,
-    UpdateAudit,
-    UpdateVerification,
-    seed_defect,
-    verify_update,
-)
+from repro.dynamic.verify import DEFAULT_UPDATE_CONFIGS, seed_defect, verify_update
 
 __all__ = [
     "DEFAULT_UPDATE_CONFIGS",
-    "DefectCheck",
     "DistanceCache",
     "DynamicAPSP",
     "EdgeUpdate",
     "PatchPass",
-    "UpdateAudit",
     "UpdatePlan",
     "UpdateResult",
-    "UpdateVerification",
     "apply_edge_updates",
     "emit_update_ir",
     "seed_defect",

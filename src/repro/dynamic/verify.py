@@ -2,30 +2,32 @@
 
 For every sweep configuration this driver replays a scripted sequence of
 edge-update batches through :class:`~repro.dynamic.patch.DynamicAPSP`
-and, for **every** emitted patch pass:
+and audits **every** emitted patch pass with the audit every schedule
+verifier shares (:func:`repro.verifyplan.verifier.audit_schedule`):
 
-* audits the :class:`~repro.verifyplan.ir.PlanIR` of the schedule the
-  pass ran (residency/def-use/redundancy via
-  :func:`~repro.verifyplan.analyze.audit_ir`);
-* proves the closed-form transfer bounds of
-  :mod:`repro.verifyplan.updatebounds` equal — byte for byte — the IR
-  tally, with the O(n²) asymptotic gates;
-* runs the happens-before model checker over the two-stream sweep;
-* runs the patch-soundness checker against the measured changed-block
-  set.
+* residency/def-use/redundancy of the :class:`~repro.verifyplan.ir.PlanIR`
+  of the schedule the pass ran;
+* the closed-form transfer bounds of :mod:`repro.verifyplan.updatebounds`
+  equal — byte for byte — the IR tally, with the O(n²) asymptotic gates;
+* the happens-before model checker over the two-stream sweep;
+* the patch-soundness checker against the measured changed-block set,
+  whose findings join the audit's.
 
-After each batch the patched matrix is compared bit-for-bit against a
-full re-solve of the mutated graph, and one cache-revalidation leg
-exercises :class:`~repro.dynamic.cache.DistanceCache` end to end.
-Finally the seeded-defect suite corrupts the emitted IR three ways —
-shrunken affected region, dropped writeback, stale pivot panel — and
-requires each defect caught *statically* with block attribution.
+The increase pass prices its Near-Far launches only when it runs, so
+these audits carry no timing replay. The named checks of the report
+follow: after each batch the patched matrix is compared bit-for-bit
+against a full re-solve of the mutated graph (one differential per
+configuration), the seeded-defect suite corrupts the emitted IR three ways — shrunken
+affected region, dropped writeback, stale pivot panel — and requires
+each defect caught *statically* with block attribution, and one
+cache-revalidation leg exercises
+:class:`~repro.dynamic.cache.DistanceCache` end to end.
 """
 
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -43,21 +45,13 @@ from repro.dynamic.patch import (
 from repro.faults.checkpoint import CheckpointError, CheckpointStore, graph_fingerprint
 from repro.gpu.device import TEST_DEVICE, DeviceSpec
 from repro.graphs.csr import CSRGraph
-from repro.verifyplan.analyze import PlanFinding, audit_ir
-from repro.verifyplan.bounds import BoundCheck
-from repro.verifyplan.hb import HBReport, analyze_hb
+from repro.verifyplan.analyze import audit_ir
 from repro.verifyplan.ir import AllocOp, CopyOp, FreeOp, KernelOp, PlanIR, RecordOp, WaitOp
-from repro.verifyplan.updatebounds import (
-    SoundnessFinding,
-    check_patch_soundness,
-    update_bound_checks,
-)
+from repro.verifyplan.updatebounds import check_patch_soundness, update_bound_checks
+from repro.verifyplan.verifier import Audit, Check, Verification, audit_schedule
 
 __all__ = [
     "DEFAULT_UPDATE_CONFIGS",
-    "DefectCheck",
-    "UpdateAudit",
-    "UpdateVerification",
     "seed_defect",
     "verify_update",
 ]
@@ -171,192 +165,39 @@ def seed_defect(
     raise ValueError(f"unknown defect {defect!r}")
 
 
-@dataclass(frozen=True)
-class DefectCheck:
-    """One seeded defect and whether the static layer caught it."""
-
-    name: str
-    config: str
-    caught: bool
-    block: tuple[int, int] | None
-    detail: str
-
-    def describe(self) -> str:
-        status = "caught" if self.caught else "MISSED"
-        return f"defect {self.name} [{self.config}]: {status} — {self.detail}"
-
-
 # ---------------------------------------------------------------------------
 # per-pass audit
 # ---------------------------------------------------------------------------
-@dataclass
-class UpdateAudit:
-    """Static + dynamic cross-audit of one executed patch pass."""
-
-    config: str
-    batch: int
-    kind: str
-    n: int
-    block_size: int
-    num_blocks: int
-    k: int
-    affected_rows: int
-    peak_bytes: int
-    capacity: int
-    bytes_h2d: int
-    bytes_d2h: int
-    num_h2d: int
-    num_d2h: int
-    findings: list[PlanFinding] = field(default_factory=list)
-    bounds: list[BoundCheck] = field(default_factory=list)
-    soundness: list[SoundnessFinding] = field(default_factory=list)
-    hb: HBReport | None = None
-
-    @property
-    def verified(self) -> bool:
-        return (
-            not self.findings
-            and not self.soundness
-            and all(c.ok for c in self.bounds)
-            and (self.hb is None or self.hb.ok)
-            and self.peak_bytes <= self.capacity
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "config": self.config,
-            "batch": self.batch,
-            "kind": self.kind,
-            "n": self.n,
-            "block_size": self.block_size,
-            "num_blocks": self.num_blocks,
-            "k": self.k,
-            "affected_rows": self.affected_rows,
-            "peak_bytes": self.peak_bytes,
-            "capacity": self.capacity,
-            "bytes_h2d": self.bytes_h2d,
-            "bytes_d2h": self.bytes_d2h,
-            "num_h2d": self.num_h2d,
-            "num_d2h": self.num_d2h,
-            "findings": [f.describe() for f in self.findings],
-            "bounds": {c.name: c.ok for c in self.bounds},
-            "soundness": [s.describe() for s in self.soundness],
-            "hb_ok": None if self.hb is None else self.hb.ok,
-            "verified": self.verified,
-        }
-
-
-def audit_pass(
-    config: str, batch: int, patch: PatchPass, spec: DeviceSpec
-) -> UpdateAudit:
+def audit_pass(name: str, patch: PatchPass, spec: DeviceSpec) -> Audit:
     """Run every static analysis over one executed pass."""
     plan = patch.plan
     ir = emit_update_ir(plan, spec)
-    peak, tally, findings = audit_ir(ir)
-    return UpdateAudit(
-        config=config,
-        batch=batch,
-        kind=plan.kind,
-        n=plan.n,
-        block_size=plan.block_size,
-        num_blocks=plan.num_blocks,
-        k=plan.k,
-        affected_rows=len(plan.affected_rows),
-        peak_bytes=peak,
-        capacity=spec.memory_bytes,
-        bytes_h2d=tally.bytes_h2d,
-        bytes_d2h=tally.bytes_d2h,
-        num_h2d=tally.num_h2d,
-        num_d2h=tally.num_d2h,
-        findings=list(findings),
-        bounds=update_bound_checks(plan, tally),
-        soundness=check_patch_soundness(plan, ir, patch.changed_blocks),
-        hb=analyze_hb([ir]),
+    audit = audit_schedule(
+        name, [ir], spec,
+        parameters={
+            "n": plan.n,
+            "block_size": plan.block_size,
+            "num_blocks": plan.num_blocks,
+            "k": plan.k,
+            "affected_rows": len(plan.affected_rows),
+        },
+        bounds=lambda tally: update_bound_checks(plan, tally),
+        timing=False,
     )
+    audit.findings += check_patch_soundness(plan, ir, patch.changed_blocks)
+    return audit
 
 
 # ---------------------------------------------------------------------------
 # the full verification
 # ---------------------------------------------------------------------------
-@dataclass
-class UpdateVerification:
-    """Everything ``repro verify-update`` proves, in one report."""
-
-    device: str
-    audits: list[UpdateAudit] = field(default_factory=list)
-    defects: list[DefectCheck] = field(default_factory=list)
-    differential: dict[str, bool] = field(default_factory=dict)
-    revalidation: dict[str, bool] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            bool(self.audits)
-            and all(a.verified for a in self.audits)
-            and bool(self.defects)
-            and all(d.caught for d in self.defects)
-            and bool(self.differential)
-            and all(self.differential.values())
-            and bool(self.revalidation)
-            and all(self.revalidation.values())
-        )
-
-    def describe(self) -> str:
-        lines = [f"verify-update on {self.device}:"]
-        for audit in self.audits:
-            status = "ok" if audit.verified else "FAILED"
-            lines.append(
-                f"  {audit.config} batch {audit.batch} [{audit.kind}] "
-                f"n={audit.n} b={audit.block_size} k={audit.k} "
-                f"rows={audit.affected_rows}: h2d={audit.bytes_h2d} "
-                f"d2h={audit.bytes_d2h} peak={audit.peak_bytes} [{status}]"
-            )
-            for check in audit.bounds:
-                if not check.ok:
-                    lines.append(f"    bound {check.describe()}")
-            for finding in audit.findings:
-                lines.append(f"    finding {finding.describe()}")
-            for sound in audit.soundness:
-                lines.append(f"    soundness {sound.describe()}")
-            if audit.hb is not None and not audit.hb.ok:
-                lines.append("    happens-before FAILED")
-        for defect in self.defects:
-            lines.append(f"  {defect.describe()}")
-        for name, match in sorted(self.differential.items()):
-            status = "bit-identical" if match else "DIVERGED"
-            lines.append(f"  differential {name}: incremental vs re-solve {status}")
-        for name, passed in sorted(self.revalidation.items()):
-            lines.append(f"  revalidation {name}: {'ok' if passed else 'FAILED'}")
-        lines.append(f"overall: {'ok' if self.ok else 'FAILED'}")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "device": self.device,
-            "ok": self.ok,
-            "audits": [a.to_dict() for a in self.audits],
-            "defects": [
-                {
-                    "name": d.name,
-                    "config": d.config,
-                    "caught": d.caught,
-                    "block": list(d.block) if d.block else None,
-                    "detail": d.detail,
-                }
-                for d in self.defects
-            ],
-            "differential": dict(self.differential),
-            "revalidation": dict(self.revalidation),
-        }
-
-
 def _defect_checks(
     config: str, patch: PatchPass, spec: DeviceSpec
-) -> list[DefectCheck]:
+) -> list[Check]:
     """Seed the three defects into one pass's IR and require each caught
     statically with the right block attribution."""
     plan = patch.plan
-    checks: list[DefectCheck] = []
+    checks: list[Check] = []
     target = max(patch.changed_blocks) if patch.changed_blocks else (0, 0)
     defects = ["shrunken-region", "dropped-writeback"]
     if plan.kind == "decrease":
@@ -364,40 +205,28 @@ def _defect_checks(
     for name in defects:
         ir = seed_defect(emit_update_ir(plan, spec), name, plan, target)
         findings = check_patch_soundness(plan, ir, patch.changed_blocks)
-        _peak, tally, _plan_findings = audit_ir(ir)
-        bounds_caught = any(not c.ok for c in update_bound_checks(plan, tally))
         if name == "stale-pivot-panel":
             hits = [f for f in findings if f.kind == "stale-pivot-panel"]
-            caught = bool(hits)
-            block = hits[0].block if hits else None
-        elif name == "dropped-writeback":
-            hits = [
-                f for f in findings
-                if f.kind in ("missing-writeback", "uncovered-block")
-                and f.block == target
-            ]
-            caught = bool(hits) and bounds_caught
-            block = hits[0].block if hits else None
         else:
-            hits = [
-                f for f in findings
-                if f.kind == "uncovered-block" and f.block == target
-            ]
-            caught = bool(hits)
-            block = hits[0].block if hits else None
+            kinds: tuple[str, ...] = ("uncovered-block",)
+            if name == "dropped-writeback":
+                kinds += ("missing-writeback",)
+            hits = [f for f in findings if f.kind in kinds and f.block == target]
+        caught = bool(hits)
         detail = (
             "; ".join(f.describe() for f in hits[:2])
             if hits
             else "no soundness finding attributed to the seeded block"
         )
         if name == "dropped-writeback":
+            _peak, tally, _plan_findings = audit_ir(ir)
+            bounds_caught = any(not c.ok for c in update_bound_checks(plan, tally))
+            caught = caught and bounds_caught
             detail += (
                 "; bound tally "
                 + ("also diverged" if bounds_caught else "DID NOT diverge")
             )
-        checks.append(
-            DefectCheck(name=name, config=config, caught=caught, block=block, detail=detail)
-        )
+        checks.append(Check(f"defect {name} caught [{config}, {plan.kind}]", caught, detail))
     return checks
 
 
@@ -445,11 +274,19 @@ def verify_update(
     configs: Sequence[dict[str, Any]] = DEFAULT_UPDATE_CONFIGS,
     *,
     engine: KernelEngine | None = None,
-) -> UpdateVerification:
-    """Verify every dynamic-update schedule on the sweep configurations."""
+) -> Verification:
+    """Verify every dynamic-update schedule on the sweep configurations.
+
+    One audit per executed pass, named ``"<config> batch <b> pass <p>
+    [<kind>]"``; the named checks are each configuration's differential,
+    the seeded defects and the revalidation leg.
+    """
     spec = spec if spec is not None else TEST_DEVICE
     engine = engine if engine is not None else default_engine()
-    ver = UpdateVerification(device=spec.name)
+    ver = Verification(
+        f"update verifier [{spec.name}]: {len(configs)} configuration(s)",
+        {"device": spec.name},
+    )
     defect_sources: dict[str, tuple[str, PatchPass]] = {}
     for cfg in configs:
         graph = _build_graph(cfg)
@@ -459,21 +296,30 @@ def verify_update(
         differential = True
         for batch_no, batch in enumerate(_update_script(graph, cfg["seed"])):
             result = apsp.apply(batch)
-            for patch in result.passes:
-                ver.audits.append(audit_pass(cfg["name"], batch_no, patch, spec))
+            for pass_no, patch in enumerate(result.passes):
+                name = f"{cfg['name']} batch {batch_no} pass {pass_no} [{patch.plan.kind}]"
+                ver.audits[name] = audit_pass(name, patch, spec)
                 # remember one changed pass per kind for the defect suite
                 if patch.changed_blocks and patch.plan.kind not in defect_sources:
                     defect_sources[patch.plan.kind] = (cfg["name"], patch)
             reference = floyd_warshall(apsp.graph.to_dense(DIST_DTYPE), engine=engine)
             differential = differential and bool(np.array_equal(apsp.dist, reference))
-        ver.differential[cfg["name"]] = differential
+        ver.checks.append(Check(
+            f"differential {cfg['name']}", differential,
+            "incremental patches vs full re-solve, bit for bit",
+        ))
     for kind in ("decrease", "increase"):
         entry = defect_sources.get(kind)
-        if entry is not None:
-            ver.defects.extend(_defect_checks(entry[0], entry[1], spec))
+        if entry is None:
+            ver.checks.append(Check(
+                f"defects [{kind}]", False, "no pass of this kind changed a block to seed"
+            ))
+        else:
+            ver.checks.extend(_defect_checks(entry[0], entry[1], spec))
     first = configs[0]
     graph = _build_graph(first)
-    ver.revalidation = _revalidation_checks(
+    revalidation = _revalidation_checks(
         graph, -(-graph.num_vertices // int(first["nd"])), spec, engine
     )
+    ver.checks += [Check(f"revalidation {k}", v) for k, v in revalidation.items()]
     return ver

@@ -40,6 +40,7 @@ __all__ = [
     "launch_seconds",
     "minplus_cost",
     "mssp_batch_cost",
+    "mssp_occupancy",
 ]
 
 #: bytes per distance value on the device — the paper uses 4-byte ``int``,
@@ -177,6 +178,12 @@ class MsspWorkload:
             raise ValueError("heavy_relaxations cannot exceed relaxations")
 
 
+def mssp_occupancy(spec: "DeviceSpec", bat: int) -> float:
+    """Fraction of ``relax_rate`` a ``bat``-instance MSSP launch reaches:
+    full once ``bat`` covers ``occupancy_saturation`` of the active blocks."""
+    return min(1.0, bat / max(1.0, spec.occupancy_saturation * spec.max_active_blocks))
+
+
 def mssp_batch_cost(
     spec: "DeviceSpec",
     workload: MsspWorkload,
@@ -193,9 +200,7 @@ def mssp_batch_cost(
     """
     if bat <= 0:
         raise ValueError("bat must be positive")
-    saturation_blocks = max(1.0, spec.occupancy_saturation * spec.max_active_blocks)
-    occupancy = min(1.0, bat / saturation_blocks)
-    base_rate = spec.relax_rate * occupancy
+    base_rate = spec.relax_rate * mssp_occupancy(spec, bat)
     if dynamic_parallelism and workload.heavy_relaxations:
         light = workload.relaxations - workload.heavy_relaxations
         time = light / base_rate

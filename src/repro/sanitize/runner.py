@@ -50,9 +50,11 @@ def sanitize_driver(
     if name == "multi-gpu":
         from repro.core.multi_gpu import ooc_boundary_multi
 
+        if num_devices < 1:
+            raise ValueError(f"need at least one device, got num_devices={num_devices}")
         devices = [
             Device(spec, sanitize=True, faults=faults if d == 0 else None, retry=retry)
-            for d in range(max(1, num_devices))
+            for d in range(num_devices)
         ]
         result = ooc_boundary_multi(graph, devices, **driver_kwargs)
         report = devices[0].hazard_report()

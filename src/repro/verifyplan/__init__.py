@@ -32,6 +32,13 @@ output batching). Independent analyses, one contract: the tests in
 agreement between these static predictions and the dynamic traces and
 simulated clocks of real runs.
 
+Every verifier reports through one record
+(:mod:`~repro.verifyplan.verifier`): :func:`audit_schedule` runs the
+analyses above over a schedule's IRs and checks the command's closed
+forms, giving an :class:`Audit`; a command's :class:`Verification`
+holds a header, its audits and its named pass/fail :class:`Check`
+results, with one ``ok``, ``describe()`` and ``to_dict()``.
+
 The same machinery scales past one host: the distributed schedules of
 :mod:`repro.cluster` lower their collectives to point-to-point
 :class:`~repro.verifyplan.ir.SendOp`/:class:`~repro.verifyplan.ir.RecvOp`
@@ -49,9 +56,10 @@ IR tally of the schedule the pass runs), that the statically-derived
 touched-block set covers every block the patch actually changes, and
 that the pivot panels are folded before any block kernel reads them.
 
-Entry points: :func:`verify_plan` / ``python -m repro verify-plan`` /
-``python -m repro check-schedule`` / ``python -m repro verify-cluster``
-/ ``python -m repro verify-update``.
+Entry points: :func:`verify_plan` / ``python -m repro verify-plan``
+(each plan's derived parameters, residency and transfer bounds,
+happens-before and predicted makespan) / ``python -m repro
+verify-cluster`` / ``python -m repro verify-update``.
 """
 
 from repro.verifyplan.analyze import (
@@ -68,7 +76,6 @@ from repro.verifyplan.bounds import (
     fw_exact_h2d_bytes,
 )
 from repro.verifyplan.commbounds import (
-    CommReport,
     CommTally,
     analyze_comm,
     cluster_comm_checks,
@@ -112,18 +119,21 @@ from repro.verifyplan.updatebounds import (
 )
 from repro.verifyplan.verifier import (
     ALGORITHM_NAMES,
-    PlanAudit,
-    PlanVerification,
+    Audit,
+    Check,
+    Verification,
+    audit_schedule,
     verify_plan,
 )
 
 __all__ = [
     "ALGORITHM_NAMES",
     "AllocOp",
+    "Audit",
     "BarrierOp",
     "BoundCheck",
+    "Check",
     "CollectiveOp",
-    "CommReport",
     "CommTally",
     "CopyOp",
     "DEFAULT_TOLERANCE",
@@ -134,10 +144,8 @@ __all__ = [
     "KernelOp",
     "LinkSpec",
     "NodeSpec",
-    "PlanAudit",
     "PlanFinding",
     "PlanIR",
-    "PlanVerification",
     "RecordOp",
     "Rect",
     "RecvOp",
@@ -148,6 +156,7 @@ __all__ = [
     "TimingCalibration",
     "TimingReport",
     "TransferTally",
+    "Verification",
     "WaitOp",
     "analyze_comm",
     "analyze_def_use",
@@ -155,6 +164,7 @@ __all__ = [
     "analyze_residency",
     "analyze_transfers",
     "audit_ir",
+    "audit_schedule",
     "check_patch_soundness",
     "cluster_comm_checks",
     "decrease_d2h_bytes",

@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only, avoids a cycle
     from repro.cluster.topology import BlockCyclicLayout, ClusterSpec
 
 __all__ = [
-    "CommReport",
     "CommTally",
     "analyze_comm",
     "cluster_comm_checks",
@@ -201,54 +200,11 @@ def expected_link_bytes(
     return link
 
 
-@dataclass
-class CommReport:
-    """Communication-volume proof for one distributed schedule."""
-
-    algorithm: str
-    cluster: str
-    n: int
-    block_size: int
-    num_messages: int
-    total_bytes: int
-    checks: list[BoundCheck] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(check.ok for check in self.checks)
-
-    def describe(self) -> str:
-        lines = [
-            f"{self.algorithm} on {self.cluster}: {self.num_messages} "
-            f"messages, {self.total_bytes} bytes "
-            f"({'all volume bounds hold' if self.ok else 'VOLUME DRIFT'})"
-        ]
-        for check in self.checks:
-            if not check.ok:
-                lines.append("  " + check.describe())
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "cluster": self.cluster,
-            "n": self.n,
-            "block_size": self.block_size,
-            "num_messages": self.num_messages,
-            "total_bytes": self.total_bytes,
-            "ok": self.ok,
-            "num_checks": len(self.checks),
-            "failed_checks": [c.describe() for c in self.checks if not c.ok],
-        }
-
-
 def cluster_comm_checks(
     cluster: "ClusterSpec",
     layout: "BlockCyclicLayout",
     tally: CommTally,
-    *,
-    algorithm: str = "cluster-fw",
-) -> CommReport:
+) -> list[BoundCheck]:
     """Exact-equality checks: per collective, per link, and in total."""
     expected_kinds = expected_comm_volumes(cluster, layout)
     expected_links = expected_link_bytes(cluster, layout)
@@ -288,12 +244,4 @@ def cluster_comm_checks(
             mode="exact",
             detail="every sent byte has a matching receive on this link",
         ))
-    return CommReport(
-        algorithm=algorithm,
-        cluster=cluster.name,
-        n=layout.n,
-        block_size=layout.block_size,
-        num_messages=tally.num_messages,
-        total_bytes=tally.total_bytes,
-        checks=checks,
-    )
+    return checks

@@ -145,7 +145,7 @@ class TestVerifyPlan:
                    "--device", "test", "--scale", "1"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "all feasible plans verified" in out
+        assert out.splitlines()[0].endswith("— VERIFIED")
         assert "floyd-warshall: VERIFIED" in out
         assert "multi-gpu: VERIFIED" in out
 
@@ -161,7 +161,7 @@ class TestVerifyPlan:
         assert data["schema_version"] == SCHEMA_VERSION
         assert data["ok"] is True
         audit = data["audits"]["floyd-warshall"]
-        assert audit["verified"] and audit["redundant_bytes"] == 0
+        assert audit["ok"] and audit["redundant_bytes"] == 0
         assert audit["bytes_h2d"] > 0 and audit["peak_bytes"] <= audit["capacity"]
 
     def test_single_algorithm_flag(self, capsys):
@@ -179,8 +179,24 @@ class TestVerifyPlan:
                    "--algorithm", "fw", "--tolerance", "1e-9"])
         assert rc == 1
         out = capsys.readouterr().out
-        assert "verification FAILED" in out
+        assert out.splitlines()[0].endswith("— FAILED")
         assert "fw-h2d-paper-form" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-plan", "--num-devices", "0"],
+        ["verify-cluster", "--nodes", "0"],
+        ["verify-cluster", "--num-devices", "0"],
+        ["verify-cluster", "--block-size", "0"],
+        ["sanitize", "--driver", "multi-gpu", "--num-devices", "0"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_bad_count_is_usage_error(self, argv, capsys):
+        # a count below 1 is a usage error (exit 2), not a traceback or a
+        # silently clamped run
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "rmat:n=110,m=800", "--device", "test",
+                  "--scale", "1", *argv[1:]])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 class TestSanitizeJson:
@@ -201,21 +217,24 @@ class TestSanitizeJson:
 
 
 class TestCheckSchedule:
+    """The schedule checks verify-plan runs on every feasible plan: the
+    happens-before closure and the critical-path timing replay."""
+
     def test_human_output_pass(self, capsys):
-        rc = main(["check-schedule", "road:n=220,deg=2.6,seed=1",
+        rc = main(["verify-plan", "road:n=220,deg=2.6,seed=1",
                    "--device", "test", "--scale", "1"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "schedule check: PASS" in out
+        assert out.splitlines()[0].endswith("— VERIFIED")
         assert "race/deadlock-free in every interleaving" in out
-        assert "predicted makespan" in out
+        assert out.count("predicted makespan") == 4
 
     def test_json_output(self, capsys):
         import json
 
         from repro.cli import SCHEMA_VERSION
 
-        rc = main(["check-schedule", "road:n=220,deg=2.6,seed=1",
+        rc = main(["verify-plan", "road:n=220,deg=2.6,seed=1",
                    "--device", "test", "--scale", "1", "--json"])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
@@ -228,7 +247,7 @@ class TestCheckSchedule:
             assert audit["timing"]["makespan_seconds"] > 0
 
     def test_no_overlap_mode(self, capsys):
-        rc = main(["check-schedule", "road:n=220,deg=2.6,seed=1",
+        rc = main(["verify-plan", "road:n=220,deg=2.6,seed=1",
                    "--device", "test", "--scale", "1",
                    "--algorithm", "fw", "--no-overlap"])
         assert rc == 0
@@ -251,16 +270,16 @@ class TestCheckSchedule:
             return dataclasses.replace(ir, ops=ops)
 
         monkeypatch.setattr(ooc_fw, "emit_fw_ir", broken)
-        rc = main(["check-schedule", "road:n=220,deg=2.6,seed=1",
+        rc = main(["verify-plan", "road:n=220,deg=2.6,seed=1",
                    "--device", "test", "--scale", "1", "--algorithm", "fw"])
         assert rc == 1
         out = capsys.readouterr().out
-        assert "schedule check: FAIL" in out
+        assert out.splitlines()[0].endswith("— FAILED")
         assert "unordered-conflict" in out
 
     def test_bad_usage_exits_two(self):
         with pytest.raises(SystemExit) as exc:
-            main(["check-schedule", "road:n=220,deg=2.6,seed=1",
+            main(["verify-plan", "road:n=220,deg=2.6,seed=1",
                   "--algorithm", "bogus"])
         assert exc.value.code == 2
 
@@ -277,10 +296,12 @@ class TestLintJson:
         bad = tmp_path / "repro" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text('"""Doc."""\ndef pub():\n    return 2\n')
+        from repro.cli import SCHEMA_VERSION
+
         rc = main(["lint", str(tmp_path), "--json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["ok"] is False
         assert payload["count"] == len(payload["violations"]) >= 1
         v = payload["violations"][0]

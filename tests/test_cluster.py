@@ -124,10 +124,12 @@ class TestCrossValidation:
     @pytest.mark.parametrize("nodes,devices", TOPOLOGIES)
     def test_closed_form_volumes_exact(self, nodes, devices):
         cluster, layout, irs = _setup(nodes, devices)
-        report = cluster_comm_checks(cluster, layout, analyze_comm(irs))
-        assert report.ok, report.describe()
+        tally = analyze_comm(irs)
+        failed = [c.describe() for c in cluster_comm_checks(cluster, layout, tally)
+                  if not c.ok]
+        assert not failed, failed
         expected = expected_comm_volumes(cluster, layout)
-        assert sum(expected.values()) == report.total_bytes
+        assert sum(expected.values()) == tally.total_bytes
 
     @pytest.mark.parametrize("nodes,devices", TOPOLOGIES)
     def test_predicted_makespan_equals_simulated(self, graph, nodes, devices):
@@ -141,7 +143,7 @@ class TestCrossValidation:
     def test_ragged_blocks_still_exact(self, graph):
         cluster, layout, irs = _setup(2, 2, block_size=17)  # 120 % 17 != 0
         result = cluster_fw(graph, cluster, block_size=17)
-        assert cluster_comm_checks(cluster, layout, analyze_comm(irs)).ok
+        assert all(c.ok for c in cluster_comm_checks(cluster, layout, analyze_comm(irs)))
         timing = predict_timing(
             irs, cluster.device, link_of=cluster.link_of
         )
@@ -200,7 +202,7 @@ class TestSeededDefects:
         assert "link" in direct[0].detail and "block" in direct[0].detail
         # the comm proof independently localises the short link
         report = cluster_comm_checks(cluster, layout, analyze_comm(mutated))
-        failed = [c for c in report.checks if not c.ok]
+        failed = [c for c in report if not c.ok]
         assert any(c.name == "comm-broadcast-row" for c in failed)
         src = cluster.rank_name(rank)
         assert any(c.name.startswith(f"comm-link-{src}->") for c in failed)
@@ -218,8 +220,7 @@ class TestSeededDefects:
         # the pair vanished symmetrically, so HB sees no orphan — the
         # closed-form volume proof still catches the missing panel
         report = cluster_comm_checks(cluster, layout, analyze_comm(mutated))
-        assert not report.ok
-        failed = {c.name for c in report.checks if not c.ok}
+        failed = {c.name for c in report if not c.ok}
         assert "comm-broadcast-col" in failed and "comm-total" in failed
         # and the receiver now reads a panel that was never delivered
         _, _, findings = audit_ir(mutated[rank])
@@ -240,7 +241,7 @@ class TestSeededDefects:
         assert orphans
         assert "duplicated contribution" in orphans[0].detail
         report = cluster_comm_checks(cluster, layout, analyze_comm(mutated))
-        failed = {c.name for c in report.checks if not c.ok}
+        failed = {c.name for c in report if not c.ok}
         assert "comm-reduce" in failed
 
     def test_mismatched_send_rank_is_orphaned_both_ways(self):
@@ -266,7 +267,7 @@ class TestSeededDefects:
         assert "orphaned-send" in kinds  # the stray message is unconsumed
         # the per-link volume proof names both drifted links
         report = cluster_comm_checks(cluster, layout, analyze_comm(mutated))
-        failed = {c.name for c in report.checks if not c.ok}
+        failed = {c.name for c in report if not c.ok}
         src = cluster.rank_name(rank)
         assert f"comm-link-{src}->{cluster.rank_name(op.dst)}" in failed
         assert f"comm-link-{src}->{cluster.rank_name(wrong)}" in failed
@@ -323,28 +324,33 @@ class TestVerifyCluster:
     def test_clean_schedule_verifies(self, graph):
         ver = verify_cluster(N, ClusterSpec.make(2, 2), graph=graph)
         assert ver.ok
-        assert ver.cross_validation and all(ver.cross_validation.values())
-        assert ver.peak_bytes <= ver.capacity
-        assert not ver.findings
+        audit = ver.audits["cluster-fw"]
+        assert audit.checks and all(c.passed for c in audit.checks)
+        assert audit.peak_bytes <= audit.capacity
+        assert not audit.findings
+        assert audit.bounds and all(b.ok for b in audit.bounds)
 
     def test_to_dict_round_trips_through_json(self, graph):
         ver = verify_cluster(N, ClusterSpec.make(3, 2), graph=graph)
         payload = json.loads(json.dumps(ver.to_dict()))
         assert payload["ok"] is True
-        assert payload["comm"]["ok"] is True
-        assert payload["cross_validation"]["makespan_exact"] is True
+        audit = payload["audits"]["cluster-fw"]
+        assert all(b["ok"] for b in audit["bounds"])
+        assert {c["name"]: c["passed"] for c in audit["checks"]} == {
+            "makespan-exact": True, "distances-exact": True,
+        }
 
     def test_describe_names_exactly_the_checks_run(self, graph):
         ver = verify_cluster(N, ClusterSpec.make(2, 2), graph=graph)
-        line = next(
-            ln for ln in ver.describe().splitlines() if "cross-validation" in ln
-        )
-        named = line.split(": ", 1)[1].split(", ")
-        assert named == [k.replace("_", " ") for k in ver.cross_validation]
+        named = [
+            ln.strip().split(":", 1)[0] for ln in ver.describe().splitlines()
+            if ln.strip().startswith(("makespan", "distances"))
+        ]
+        assert named == [c.name for c in ver.audits["cluster-fw"].checks]
 
     def test_static_only_skips_cross_validation(self):
         ver = verify_cluster(N, ClusterSpec.make(2, 1))
-        assert ver.ok and ver.cross_validation is None
+        assert ver.ok and ver.audits["cluster-fw"].checks == []
 
     def test_graph_size_mismatch_rejected(self, graph):
         with pytest.raises(ValueError, match="vertices"):
@@ -382,7 +388,7 @@ class TestClusterCLI:
         ])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "VERIFIED" in out and "dynamic cross-validation" in out
+        assert "VERIFIED" in out and "makespan-exact: ok" in out
 
     def test_verify_cluster_json_schema(self, capsys):
         from repro.cli import SCHEMA_VERSION, main
@@ -396,8 +402,9 @@ class TestClusterCLI:
         assert rc == 0
         assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["ok"] is True
-        assert payload["comm"]["ok"] is True
-        assert payload["cross_validation"] is None
+        audit = payload["audits"]["cluster-fw"]
+        assert all(b["ok"] for b in audit["bounds"])
+        assert audit["checks"] == []
 
     def test_bench_cluster_check_passes_on_committed_baseline(self, capsys):
         from repro.cli import main

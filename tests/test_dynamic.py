@@ -402,19 +402,20 @@ def test_verify_update_end_to_end():
     ver = verify_update()
     assert ver.ok, ver.describe()
     assert len(ver.audits) >= 6
-    assert {d.name for d in ver.defects} == {
+    defects = [c for c in ver.checks if c.name.startswith("defect ")]
+    assert {c.name.split()[1] for c in defects} == {
         "shrunken-region", "dropped-writeback", "stale-pivot-panel"
     }
-    assert all(d.caught for d in ver.defects)
+    assert all(c.passed for c in defects)
     # every catch that claims attribution names a block
     assert all(
-        d.block is not None for d in ver.defects if d.name != "stale-pivot-panel"
+        "at block (" in c.detail for c in defects if "stale-pivot-panel" not in c.name
     )
     payload = ver.to_dict()
     assert payload["ok"] is True
-    assert set(payload["revalidation"]) == {
-        "fingerprint-rotates", "revalidated-entry-reused",
-        "revalidated-bit-identical", "stale-checkpoint-refused",
+    assert {c["name"] for c in payload["checks"] if c["name"].startswith("revalidation")} == {
+        "revalidation fingerprint-rotates", "revalidation revalidated-entry-reused",
+        "revalidation revalidated-bit-identical", "revalidation stale-checkpoint-refused",
     }
 
 

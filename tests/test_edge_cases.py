@@ -132,10 +132,15 @@ class TestCliExtras:
     def test_plan_command(self, capsys):
         from repro.cli import main
 
-        assert main(["plan", "road:n=500,deg=2.6,seed=1", "--scale", "0.015625"]) == 0
+        rc = main(["verify-plan", "road:n=500,deg=2.6,seed=1", "--scale", "0.015625"])
         out = capsys.readouterr().out
         assert "out of core" in out or "fits in core" in out
-        assert "boundary:" in out
+        assert "boundary: VERIFIED" in out and "n_row=" in out
+        # known misfire, listed in CHANGES.md: the square-tile paper-form
+        # cross-check rejects this correct 457+7 FW tiling, whose exact
+        # volume checks pass
+        assert rc == 1
+        assert "fw-h2d-paper-form" in out and "fw-h2d-volume" not in out
 
     def test_report_command_stdout(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))

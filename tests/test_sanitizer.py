@@ -68,6 +68,29 @@ def test_multi_gpu_merged_report_counts(small_rmat):
     assert "+" in report.device
 
 
+def test_multi_gpu_zero_devices_rejected(small_rmat):
+    with pytest.raises(ValueError, match="at least one device"):
+        sanitize_driver("multi-gpu", small_rmat, TEST_DEVICE, num_devices=0)
+
+
+def test_cli_multi_gpu_follows_the_overlap_mode(capsys):
+    # `repro sanitize` runs the multi-GPU drain it is asked for: the
+    # overlapped fleet double-buffers one strip per device
+    import json
+
+    from repro.cli import main
+
+    buffers = {}
+    for flags in ((), ("--no-overlap",)):
+        argv = ["sanitize", "rmat:n=110,m=800", "--device", "test", "--scale", "1",
+                "--driver", "multi-gpu", "--json", *flags]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)["drivers"]["multi-gpu"]
+        assert report["clean"]
+        buffers[flags] = report["num_buffers"]
+    assert buffers[()] == buffers[("--no-overlap",)] + 2
+
+
 # ---------------------------------------------------------------------------
 # Seeded hazards: strip one event edge, the sanitizer must name the bug
 # ---------------------------------------------------------------------------

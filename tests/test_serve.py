@@ -341,7 +341,9 @@ class TestServeCli:
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 1
+        from repro.cli import SCHEMA_VERSION
+
+        assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["answered"] == 12
         assert payload["rejected"] == 0
         assert payload["p99_us"] >= payload["p50_us"] > 0

@@ -15,7 +15,6 @@ from repro.core.multi_gpu import emit_multi_ir, ooc_boundary_multi
 from repro.core.ooc_boundary import emit_boundary_ir, ooc_boundary
 from repro.core.ooc_fw import emit_fw_ir, ooc_floyd_warshall, transfer_stats
 from repro.core.ooc_johnson import emit_johnson_ir, ooc_johnson
-from repro.core.planner import explain_plan
 from repro.gpu.device import Device, TEST_DEVICE, V100
 from repro.graphs.generators import erdos_renyi, rmat, road_like
 from repro.verifyplan import (
@@ -72,7 +71,7 @@ class TestStaticDynamicAgreement:
     def test_fw_prediction_matches_trace(self, build, spec):
         g = build()
         audit = verify_plan(g, spec, algorithms=["fw"]).audits["floyd-warshall"]
-        assert audit.verified
+        assert audit.ok
         device = Device(spec)
         ooc_floyd_warshall(g, device)
         assert static_stats(audit) == dynamic_stats(device)
@@ -81,7 +80,7 @@ class TestStaticDynamicAgreement:
     def test_johnson_prediction_matches_trace(self, build, spec):
         g = build()
         audit = verify_plan(g, spec, algorithms=["johnson"]).audits["johnson"]
-        assert audit.verified
+        assert audit.ok
         device = Device(spec)
         ooc_johnson(g, device)
         assert static_stats(audit) == dynamic_stats(device)
@@ -90,7 +89,7 @@ class TestStaticDynamicAgreement:
     def test_boundary_prediction_matches_trace(self, build, spec):
         g = build()
         audit = verify_plan(g, spec, algorithms=["boundary"]).audits["boundary"]
-        assert audit.verified
+        assert audit.ok
         device = Device(spec)
         ooc_boundary(g, device, seed=0)
         assert static_stats(audit) == dynamic_stats(device)
@@ -99,9 +98,9 @@ class TestStaticDynamicAgreement:
     def test_multi_gpu_prediction_matches_trace(self, build, spec):
         g = build()
         audit = verify_plan(g, spec, algorithms=["multi-gpu"]).audits["multi-gpu"]
-        assert audit.verified
+        assert audit.ok
         devices = [Device(spec), Device(spec)]
-        ooc_boundary_multi(g, devices, seed=0)
+        ooc_boundary_multi(g, devices, seed=0, overlap=True)
         h2d = d2h = nh = nd = 0
         for dv in devices:
             bh, bd, ch, cd, _ = dynamic_stats(dv)
@@ -112,6 +111,25 @@ class TestStaticDynamicAgreement:
         peak = max(dv.memory.peak for dv in devices)
         assert static_stats(audit) == (h2d, d2h, nh, nd, peak)
 
+    def test_multi_gpu_follows_the_overlap_mode(self):
+        # the overlapped fleet drains strips on a second stream behind
+        # events, holding one more strip per device than the serial one
+        g = rmat(110, 800, seed=0)
+        audits = {
+            overlap: verify_plan(
+                g, TEST_DEVICE, algorithms=["multi-gpu"], overlap=overlap
+            ).audits["multi-gpu"]
+            for overlap in (True, False)
+        }
+        assert audits[True].ok and audits[False].ok
+        assert audits[True].peak_bytes > audits[False].peak_bytes
+        assert audits[True].hb.num_events > 0
+        assert audits[False].hb.num_events == 0
+        for overlap, audit in audits.items():
+            devices = [Device(TEST_DEVICE), Device(TEST_DEVICE)]
+            ooc_boundary_multi(g, devices, seed=0, overlap=overlap)
+            assert audit.peak_bytes == max(dv.memory.peak for dv in devices)
+
     def test_fw_buffer_reuse_path_matches_trace(self):
         # n_d = 3 with double-buffered stage 3: the driver skips re-uploads
         # of a row block the rotation still holds; the mirror must skip the
@@ -121,7 +139,7 @@ class TestStaticDynamicAgreement:
             audit = verify_plan(
                 g, TEST_DEVICE, algorithms=["fw"], overlap=overlap
             ).audits["floyd-warshall"]
-            assert audit.verified
+            assert audit.ok
             assert audit.redundant_bytes == 0
             device = Device(TEST_DEVICE)
             ooc_floyd_warshall(g, device, overlap=overlap)
@@ -189,18 +207,18 @@ class TestVerifyPlan:
         assert set(ver.audits) == {"floyd-warshall", "johnson", "boundary", "multi-gpu"}
         assert ver.ok
         for audit in ver.audits.values():
-            assert audit.verified
+            assert audit.ok
             assert audit.redundant_bytes == 0
             assert audit.peak_bytes <= audit.capacity
 
     def test_describe_and_to_dict(self):
         ver = verify_plan(rmat(110, 800, seed=2), TEST_DEVICE)
         text = ver.describe()
-        assert "all feasible plans verified" in text
+        assert text.splitlines()[0].endswith("— VERIFIED")
         assert "bounds ok" in text
         d = ver.to_dict()
         assert d["ok"] is True
-        assert d["audits"]["johnson"]["verified"] is True
+        assert d["audits"]["johnson"]["ok"] is True
         assert d["audits"]["floyd-warshall"]["bounds"][0]["ok"] is True
 
     def test_unknown_algorithm_rejected(self):
@@ -217,7 +235,8 @@ class TestVerifyPlan:
 
 
 class TestPlannerAgreement:
-    """verify_plan and explain_plan must agree on feasibility + parameters."""
+    """verify_plan proves the plans the drivers run: the same feasibility
+    and the same derived parameters."""
 
     @pytest.mark.parametrize(
         "build,spec",
@@ -234,19 +253,25 @@ class TestPlannerAgreement:
         ],
     )
     def test_feasibility_and_parameters_agree(self, build, spec):
+        from repro.gpu.errors import OutOfMemoryError
+
         g = build()
-        report = explain_plan(g, spec, seed=0)
-        ver = verify_plan(g, spec, seed=0)
-        for name, plan in report.plans.items():
+        ver = verify_plan(g, spec, seed=0, algorithms=["fw", "johnson", "boundary"])
+        drivers = {
+            "floyd-warshall": (ooc_floyd_warshall, ("block_size", "num_blocks")),
+            "johnson": (ooc_johnson, ("batch_size", "num_batches")),
+            "boundary": (lambda g, d: ooc_boundary(g, d, seed=0),
+                         ("num_components", "num_boundary")),
+        }
+        for name, (run, keys) in drivers.items():
             audit = ver.audits[name]
-            assert audit.feasible == plan.feasible, name
-            if not plan.feasible:
-                assert audit.reason == plan.reason
+            if not audit.feasible:
+                with pytest.raises(OutOfMemoryError):
+                    run(g, Device(spec))
                 continue
-            shared = set(audit.parameters) & set(plan.parameters)
-            assert shared, name
-            for key in shared:
-                assert audit.parameters[key] == plan.parameters[key], (name, key)
+            stats = run(g, Device(spec)).stats
+            for key in keys:
+                assert audit.parameters[key] == stats[key], (name, key)
 
     def test_single_block_graph_is_one_block(self):
         g = rmat(110, 800, seed=2)
@@ -262,17 +287,20 @@ class TestPlannerAgreement:
         audit = verify_plan(g, TEST_DEVICE, algorithms=["fw"]).audits["floyd-warshall"]
         n, b = 200, audit.parameters["block_size"]
         assert n % b != 0
-        assert audit.verified
+        assert audit.ok
 
     def test_only_one_algorithm_feasible(self):
+        # dense expander on the tiny device: only FW fits, and the Johnson
+        # and boundary drivers refuse to run
+        from repro.gpu.errors import OutOfMemoryError
+
         g = erdos_renyi(600, 50_000, seed=5)
-        report = explain_plan(g, TEST_DEVICE, seed=0)
         ver = verify_plan(g, TEST_DEVICE, seed=0)
-        feasible = [n for n, p in report.plans.items() if p.feasible]
-        assert feasible == ["floyd-warshall"]
-        assert [n for n, a in ver.audits.items()
-                if n in report.plans and a.feasible] == feasible
+        assert [n for n, a in ver.audits.items() if a.feasible] == ["floyd-warshall"]
         assert ver.ok  # the one feasible plan verifies
+        for run in (ooc_johnson, ooc_boundary):
+            with pytest.raises(OutOfMemoryError):
+                run(g, Device(TEST_DEVICE))
 
 
 class TestSeededDefects:
