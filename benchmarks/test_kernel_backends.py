@@ -6,9 +6,9 @@ enforces the two acceptance criteria:
 
 * every backend's result is **bit-identical** to the reference rank-1 loop;
 * the best non-reference backend reaches **≥ 3×** the reference Gop/s
-  whenever a compiled flavor (numba or the ctypes C kernel) is active —
-  without one, ``jit`` falls back to the reference loop itself, so the
-  bound is gated on ``JITBackend().compiled``.
+  whenever the ctypes C kernel is active — without it, ``jit`` falls
+  back to the reference loop itself, so the bound is gated on
+  ``JITBackend().compiled``.
 
 The sweep is persisted to ``BENCH_kernels.json`` at the repo root (plus a
 mirror record in ``benchmarks/results/`` for ``python -m repro report``),
@@ -47,7 +47,7 @@ def test_best_backend_speedup(sweep):
         assert best["speedup"] >= 3.0, (
             f"compiled flavor active but best backend only {best['speedup']:.2f}x"
         )
-    else:  # numba absent AND no C compiler: jit runs the reference loop,
+    else:  # no C compiler: jit runs the reference loop,
         # and the best backend must still not fall behind it
         assert best["speedup"] >= 0.9
 

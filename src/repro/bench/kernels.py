@@ -1,27 +1,16 @@
-"""Wall-clock microbenchmark + per-machine autotuner for the kernel engine.
+"""Wall-clock microbenchmark of the kernel engine's backends.
 
-Two layers share this module:
+:func:`sweep_backends` times every registered backend (per tile size
+for ``jit``) on ``n³`` float32 min-plus products, repeated so each row
+carries its best time plus the median and quartiles, verifies each
+result bit-identical to the reference backend, and :func:`save_sweep`
+persists the rows to ``BENCH_kernels.json`` at the repository root.
+:class:`~repro.verifyplan.timing.TimingCalibration` prices analytic
+selection off the best bit-identical row. The kernel the engine runs is
+chosen by live micro-calibration
+(:func:`repro.core.engine.calibrate`), never read from this file.
 
-* :func:`sweep_backends` — the historical sweep: time every registered
-  backend (per tile size for ``jit``) on ``n³`` float32 min-plus
-  products, repeated so each row carries its best time plus the median
-  and quartiles, verify each result bit-identical to the reference
-  backend, persist to ``BENCH_kernels.json`` at the repository root.
-* :func:`tune_kernels` — the autotuner (``python -m repro tune-kernels``):
-  search tile, flavor and worker-count configurations of the *fast*
-  backends on the local machine, and persist the winner into the same
-  file under ``"tuned"``, keyed by :func:`machine_fingerprint` (compiler
-  version, resolved compile flags, cpu count). ``KernelEngine("auto")``
-  consumes the persisted winner at construction — no re-sweeping — so
-  every solver path (blocked FW, OOC drivers, Johnson batching) inherits
-  the tuned kernel; :class:`~repro.verifyplan.timing.TimingCalibration`
-  prices analytic selection off the same number.
-
-Winners must be **bit-identical** to the reference backend to qualify —
-a fast-but-wrong config can never be persisted.
-
-Entry points: ``python -m repro bench-kernels``,
-``python -m repro tune-kernels``, and
+Entry points: ``python -m repro bench-kernels`` and
 ``benchmarks/test_kernel_backends.py``.
 """
 
@@ -34,25 +23,17 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.bench.baseline import baseline_path, read_json, record, write_if_changed
+from repro.bench.baseline import baseline_path, record
 from repro.core.backends import backend_names, create_backend
 from repro.core.minplus import DIST_DTYPE, minplus_ops
 
 __all__ = [
     "DEFAULT_SIZES",
     "DEFAULT_TILES",
-    "DEFAULT_TUNE_SIZE",
     "bench_kernels_path",
-    "check_regression",
-    "fingerprint_class",
-    "load_tuned_winner",
-    "machine_fingerprint",
     "machine_info",
-    "record_tuned",
     "save_sweep",
     "sweep_backends",
-    "tune_kernels",
-    "tuned_minplus_gops",
 ]
 
 #: problem sizes (cubes) of the default sweep; 1024 matches the repo's
@@ -62,10 +43,6 @@ DEFAULT_SIZES = (256, 1024)
 #: tile sizes tried for the one backend that takes a tile (``jit``)
 DEFAULT_TILES = (64, 128, 256)
 
-#: problem size (cube) of the default autotune search — big enough that
-#: tile/thread choices separate, small enough to finish in seconds
-DEFAULT_TUNE_SIZE = 1024
-
 
 def bench_kernels_path() -> Path:
     """Canonical location of ``BENCH_kernels.json`` (repo root, or
@@ -73,28 +50,13 @@ def bench_kernels_path() -> Path:
     return baseline_path("BENCH_kernels.json", "REPRO_BENCH_KERNELS")
 
 
-def _read_or_empty(path: Path) -> dict:
-    """The file's payload, or ``{}`` when it is missing or unreadable."""
-    try:
-        return read_json(path)
-    except (OSError, ValueError):
-        return {}
-
-
 def machine_info() -> dict:
     """Context needed to compare sweeps across machines/commits."""
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     from repro.core.backends.jit import cc_compiler
 
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": numba_version,
         "cc": cc_compiler(),
         "cpus": len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity")
@@ -182,38 +144,17 @@ def _gated_row(row: dict) -> dict:
     return {k: row[k] for k in GATED_ROW_FIELDS if k in row}
 
 
-def _gated_tuned(tuned: dict) -> dict:
-    """Tuned winners reduced to their regression class + configuration —
-    the fields ``tune-kernels --check`` gates on, sans measured Gop/s."""
-    out: dict = {}
-    for fp, entry in tuned.items():
-        if not isinstance(entry, dict):
-            continue
-        out[fp] = {
-            "class": fingerprint_class(fp),
-            "backend": entry.get("backend"),
-            "flavor": entry.get("flavor"),
-            "options": entry.get("options"),
-        }
-    return out
-
-
 def save_sweep(rows: list[dict], path: Path | str | None = None) -> Path:
     """Write the sweep to ``BENCH_kernels.json`` (and mirror a record into
     ``benchmarks/results/`` so ``python -m repro report`` includes it).
 
-    Preserves any ``"tuned"`` winners already recorded in the file — a
-    sweep refresh must never throw away autotune results.
-
     Both files are emitted with a stable key order, and the mirror
-    carries only the gated fields (:data:`GATED_ROW_FIELDS`, tuned
-    regression classes) — measured timings, machine info, and build
-    notes stay in the canonical root file, so benchmark re-runs leave
-    the committed mirror byte-identical unless a configuration or
-    bit-identity verdict actually changed.
+    carries only the gated fields (:data:`GATED_ROW_FIELDS`) — measured
+    timings, machine info, and build notes stay in the canonical root
+    file, so benchmark re-runs leave the committed mirror byte-identical
+    unless a configuration or bit-identity verdict actually changed.
     """
     path = Path(path) if path else bench_kernels_path()
-    tuned = _read_or_empty(path).get("tuned", {}) or {}
     non_ref = [r for r in rows if r["backend"] != "reference"]
     best = max(non_ref, key=lambda r: r["gops"]) if non_ref else None
     payload = {
@@ -224,7 +165,6 @@ def save_sweep(rows: list[dict], path: Path | str | None = None) -> Path:
         "rows": rows,
         "best": best,
         "best_speedup": best["speedup"] if best else None,
-        "tuned": tuned,
     }
     return record(payload, path, mirror=_mirror_payload)
 
@@ -242,247 +182,8 @@ def _mirror_payload(payload: dict) -> dict:
         ),
         "rows": [_gated_row(r) for r in payload["rows"]],
         "best": _gated_row(best) if best else None,
-        "tuned": _gated_tuned(payload.get("tuned", {}) or {}),
         "notes": [
             "gated fields only (config + bit-identity) — measured timings "
             "live in the canonical copy: BENCH_kernels.json"
         ],
     }
-
-
-# ----------------------------------------------------------------------
-# Autotuner: per-machine config search, fingerprint-keyed persistence
-# ----------------------------------------------------------------------
-def machine_fingerprint() -> str:
-    """Key identifying what the tuned winner was measured on.
-
-    ``compiler-version|flags|cpus=N`` from the cc build actually loaded
-    (:func:`repro.core.backends.jit.cc_build_info`), so a compiler
-    upgrade, a flag-probe change (e.g. ``-march=native`` now rejected),
-    or a different core count each invalidates the stored winner —
-    ``KernelEngine`` then falls back to live micro-calibration.
-    """
-    from repro.core.backends.jit import cc_build_info
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    info = cc_build_info()
-    if info is None:
-        return f"nocc|cpus={cpus}"
-    return f"{info.fingerprint_key}|cpus={cpus}"
-
-
-def fingerprint_class(fingerprint: str) -> str:
-    """Fingerprint with the cpu count stripped — the CI regression gate
-    compares within this class (same compiler + flags), so runners with
-    a different core count than the committed baseline still gate."""
-    return fingerprint.rsplit("|cpus=", 1)[0]
-
-
-def _tune_candidates(tiles: tuple[int, ...], cpus: int) -> list[tuple[str, dict]]:
-    """Configurations worth trying on this machine.
-
-    ``reference`` anchors the search so a compiler-less machine still
-    gets a correct winner.
-    """
-    from repro.core.backends.jit import JITBackend, load_cc_kernels
-
-    candidates: list[tuple[str, dict]] = [("reference", {})]
-    probe = JITBackend()
-    if probe.flavor == "numba":
-        candidates += [("jit", {"flavor": "numba", "tile": t}) for t in tiles]
-    if load_cc_kernels() is not None:
-        candidates += [("jit", {"flavor": "cc", "tile": t}) for t in tiles]
-    if cpus > 1:
-        workers = sorted({2, cpus})
-        candidates += [("threaded", {"workers": w}) for w in workers]
-    return candidates
-
-
-def _runs_cc(backend) -> bool:
-    """True when ``backend`` runs the C kernels, itself or as the inner
-    backend of a ``threaded`` fan-out."""
-    return getattr(backend, "inner", backend).flavor == "cc"
-
-
-def tune_kernels(
-    n: int = DEFAULT_TUNE_SIZE,
-    tiles: tuple[int, ...] = (128, 192, 256, 384),
-    *,
-    repeats: int = 2,
-    seed: int = 0,
-) -> dict:
-    """Search backend configurations; return rows plus the verified winner.
-
-    Every config is timed on the same ``n³`` product (best of ``repeats``)
-    and bit-checked against the reference backend — only bit-identical
-    configs can win. Before anything native runs, the C kernel templates
-    must pass the :mod:`repro.verifykernel` static proofs — a kernel the
-    analyzer cannot prove in-bounds and alias-safe is never priced, let
-    alone recorded as a winner (the result carries the verification
-    verdict under ``"verification"``). The returned dict carries
-    ``fingerprint``, ``rows``, and ``winner``
-    (``backend``/``options``/``flavor``/``gops``) ready for
-    :func:`record_tuned`.
-    """
-    from repro.verifykernel import static_findings
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    findings = static_findings()
-    verification = {
-        "ok": not findings,
-        "findings": [f.describe() for f in findings],
-    }
-    rng = np.random.default_rng(seed)
-    a = (rng.random((n, n), dtype=DIST_DTYPE) * 100).astype(DIST_DTYPE)
-    b = (rng.random((n, n), dtype=DIST_DTYPE) * 100).astype(DIST_DTYPE)
-    ops = minplus_ops(n, n, n)
-
-    ref = create_backend("reference")
-    ref_c = np.full((n, n), np.inf, dtype=DIST_DTYPE)
-    t0 = perf_counter()
-    ref.update(ref_c, a, b)
-    ref_seconds = perf_counter() - t0
-
-    rows: list[dict] = []
-    for name, options in _tune_candidates(tiles, cpus):
-        backend = create_backend(name, **options)
-        if not verification["ok"] and _runs_cc(backend):
-            # unproven C kernels are not priced, not even behind the
-            # threaded fan-out: the tuner falls back to the other kernels
-            continue
-        backend.update(
-            np.full((32, 32), np.inf, dtype=DIST_DTYPE),
-            a[:32, :32].copy(),
-            b[:32, :32].copy(),
-        )
-        best = ref_seconds if name == "reference" else float("inf")
-        result = ref_c if name == "reference" else None
-        for _ in range(max(1, repeats) - (1 if name == "reference" else 0)):
-            c = np.full((n, n), np.inf, dtype=DIST_DTYPE)
-            t0 = perf_counter()
-            backend.update(c, a, b)
-            best = min(best, perf_counter() - t0)
-            result = c
-        rows.append(
-            {
-                "backend": name,
-                "options": options,
-                "flavor": backend.flavor,
-                "n": n,
-                "seconds": best,
-                "gops": ops / best / 1e9,
-                "identical": bool(np.array_equal(result, ref_c)),
-            }
-        )
-    # normalise speedups to the reference row's best-of-repeats time (its
-    # own extra repeats may beat the initial yardstick run)
-    ref_best = next(r["seconds"] for r in rows if r["backend"] == "reference")
-    for r in rows:
-        r["speedup"] = ref_best / r["seconds"]
-    eligible = [r for r in rows if r["identical"]]
-    winner_row = max(eligible, key=lambda r: r["gops"])
-    return {
-        "fingerprint": machine_fingerprint(),
-        "machine": machine_info(),
-        "n": n,
-        "verification": verification,
-        "rows": rows,
-        "winner": {
-            "backend": winner_row["backend"],
-            "options": winner_row["options"],
-            "flavor": winner_row["flavor"],
-            "gops": winner_row["gops"],
-            "speedup": winner_row["speedup"],
-            "n": n,
-        },
-    }
-
-
-def record_tuned(result: dict, path: Path | str | None = None) -> Path:
-    """Merge one :func:`tune_kernels` result into ``BENCH_kernels.json``.
-
-    Only the ``"tuned"`` map is touched — sweeps for other machines and
-    the historical rows survive — and the entry is keyed by the result's
-    fingerprint so one file can carry winners for several machines.
-    """
-    path = Path(path) if path else bench_kernels_path()
-    payload = _read_or_empty(path)
-    payload.setdefault("experiment", "kernels")
-    tuned = payload.setdefault("tuned", {})
-    tuned[result["fingerprint"]] = {
-        **result["winner"],
-        "machine": result["machine"],
-    }
-    return write_if_changed(path, payload)
-
-
-def load_tuned_winner(path: Path | str | None = None) -> dict | None:
-    """Tuned winner for *this* machine's fingerprint, or ``None``.
-
-    ``None`` (missing file, corrupt JSON, JSON of the wrong shape, or no
-    entry for the current fingerprint) sends ``KernelEngine("auto")`` to
-    live micro-calibration.
-    """
-    path = Path(path) if path else bench_kernels_path()
-    payload = _read_or_empty(path)
-    tuned = payload.get("tuned") if isinstance(payload, dict) else None
-    entry = tuned.get(machine_fingerprint()) if isinstance(tuned, dict) else None
-    if not isinstance(entry, dict) or "backend" not in entry:
-        return None
-    return entry
-
-
-def tuned_minplus_gops(path: Path | str | None = None) -> float | None:
-    """Gop/s of this machine's tuned winner (``None`` when untuned)."""
-    entry = load_tuned_winner(path)
-    if entry is None:
-        return None
-    gops = float(entry.get("gops", 0.0))
-    return gops if gops > 0 else None
-
-
-def check_regression(
-    result: dict,
-    baseline_path: Path | str | None = None,
-    *,
-    tolerance: float = 0.20,
-) -> tuple[bool, str]:
-    """CI gate: has the tuned rate regressed vs the committed baseline?
-
-    Compares the fresh winner's Gop/s against every committed ``tuned``
-    entry in the same :func:`fingerprint_class` (compiler + flags,
-    ignoring cpu count). Returns ``(ok, message)`` — ``ok`` is False when
-    the fresh rate is more than ``tolerance`` below the baseline. No
-    committed entry for the class passes vacuously (first run on a new
-    machine class records, it cannot gate).
-    """
-    path = Path(baseline_path) if baseline_path else bench_kernels_path()
-    cls = fingerprint_class(result["fingerprint"])
-    fresh = result["winner"]["gops"]
-    if not path.exists():
-        return True, f"no baseline file at {path}; recording only"
-    try:
-        tuned = read_json(path).get("tuned", {}) or {}
-    except (OSError, ValueError):
-        return True, f"unreadable baseline at {path}; recording only"
-    peers = {
-        fp: entry
-        for fp, entry in tuned.items()
-        if fingerprint_class(fp) == cls and float(entry.get("gops", 0)) > 0
-    }
-    if not peers:
-        return True, f"no committed baseline for fingerprint class {cls!r}"
-    base_fp, base = max(peers.items(), key=lambda kv: float(kv[1]["gops"]))
-    floor = float(base["gops"]) * (1.0 - tolerance)
-    msg = (
-        f"fresh winner {fresh:.2f} Gop/s vs committed "
-        f"{float(base['gops']):.2f} Gop/s ({base_fp}); "
-        f"floor at -{tolerance:.0%} = {floor:.2f}"
-    )
-    return fresh >= floor, msg

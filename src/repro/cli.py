@@ -8,7 +8,6 @@ Commands
 ``suite``         list the paper's evaluation-graph registry
 ``devices``       list the device presets and their constants
 ``bench-kernels`` wall-clock sweep of the min-plus kernel backends
-``tune-kernels``  autotune the kernel for this machine, persist the winner
 ``bench-transfers`` record/check the static transfer-volume baseline
 ``sanitize``      run the schedule sanitizer over the out-of-core drivers
 ``verify-plan``   statically verify the OOC execution plans (no execution):
@@ -29,8 +28,8 @@ Commands
 
 Exit codes (``sanitize``, ``verify-plan``, ``verify-cluster``,
 ``verify-update``, ``bench-transfers --check``, ``bench-cluster --check``,
-``bench-dynamic --check``, ``serve``, ``bench-serve --check``,
-``tune-kernels --check``, ``lint``, ``verify-kernels``):
+``bench-dynamic --check``, ``serve``, ``bench-serve --check``, ``lint``,
+``verify-kernels``):
 0 — clean/verified; 1 — hazards, findings, failed bounds or checks, or
 baseline drift; 2 — usage error (argparse, including a device, node or
 block count below 1).
@@ -55,7 +54,7 @@ __all__ = ["SCHEMA_VERSION", "main"]
 
 #: version of the machine-readable (--json) output payloads; bump on any
 #: backwards-incompatible change to their structure
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _count(text: str) -> int:
@@ -241,7 +240,7 @@ def cmd_select(args) -> int:
 
         timing_calibration = TimingCalibration.from_bench()
         if timing_calibration.minplus_rate is None and not args.json:
-            print("no measured kernel rate found; run `repro tune-kernels` first")
+            print("no measured kernel rate found; run `repro bench-kernels` first")
         elif not args.json:
             print(
                 f"pricing min-plus off the measured kernel: "
@@ -357,54 +356,6 @@ def cmd_bench_kernels(args) -> int:
     return 0
 
 
-def cmd_tune_kernels(args) -> int:
-    from repro.bench.kernels import (
-        bench_kernels_path,
-        check_regression,
-        record_tuned,
-        tune_kernels,
-    )
-    from repro.bench.runner import format_table
-
-    try:
-        tiles = tuple(int(t) for t in args.tiles.split(","))
-    except ValueError:
-        raise SystemExit("--tiles takes comma-separated integers")
-    result = tune_kernels(args.size, tiles, repeats=args.repeats, seed=args.seed)
-    table_rows = [
-        {
-            "backend": r["backend"],
-            "config": ",".join(f"{k}={v}" for k, v in r["options"].items()) or "-",
-            "flavor": r["flavor"],
-            "seconds": r["seconds"],
-            "Gop/s": r["gops"],
-            "speedup": r["speedup"],
-            "identical": "yes" if r["identical"] else "NO",
-        }
-        for r in result["rows"]
-    ]
-    print(format_table(table_rows))
-    winner = result["winner"]
-    print(f"\nfingerprint: {result['fingerprint']}")
-    print(
-        f"winner: {winner['backend']} ({winner['flavor']}) "
-        f"{winner['gops']:.2f} Gop/s at n={winner['n']} "
-        f"({winner['speedup']:.2f}× reference)"
-    )
-    if args.check:
-        ok, msg = check_regression(result, tolerance=args.tolerance)
-        print(f"regression gate: {msg}")
-        if not ok:
-            print("ERROR: tuned kernel rate regressed past the gate", file=sys.stderr)
-            return 1
-    if not args.no_save:
-        path = record_tuned(result)
-        print(f"recorded tuned winner in {path}")
-    else:
-        print(f"(--no-save: not written to {bench_kernels_path()})")
-    return 0
-
-
 def cmd_sanitize(args) -> int:
     import json as _json
 
@@ -457,19 +408,17 @@ def _print_verification(args, ver) -> int:
 
 
 def cmd_verify_plan(args) -> int:
-    from repro.verifyplan import DEFAULT_TOLERANCE, verify_plan
+    from repro.verifyplan import verify_plan
 
     graph = _load_graph(args)
     spec = _device_spec(args)
     algorithms = None if args.algorithm == "all" else [args.algorithm]
-    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
     return _print_verification(args, verify_plan(
         graph,
         spec,
         algorithms=algorithms,
         overlap=args.overlap,
         num_devices=args.num_devices,
-        tolerance=tolerance,
     ))
 
 
@@ -780,8 +729,8 @@ def main(argv=None) -> int:
                    help="rank candidates by the symbolic schedule-DAG "
                         "critical path instead of calibration/sampling runs")
     p.add_argument("--calibrated", action="store_true",
-                   help="with --analytic: price min-plus off the autotuned "
-                        "kernel rate in BENCH_kernels.json (repro tune-kernels)")
+                   help="with --analytic: price min-plus off the measured "
+                        "kernel rate in BENCH_kernels.json (repro bench-kernels)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_select)
 
@@ -805,25 +754,6 @@ def main(argv=None) -> int:
     p.add_argument("--no-save", action="store_true",
                    help="print only; skip writing BENCH_kernels.json")
     p.set_defaults(fn=cmd_bench_kernels)
-
-    p = sub.add_parser(
-        "tune-kernels",
-        help="autotune the min-plus kernel for this machine and persist "
-             "the winner (fingerprint-keyed) in BENCH_kernels.json")
-    p.add_argument("--size", type=int, default=1024,
-                   help="problem size n for the n³ tuning product")
-    p.add_argument("--tiles", default="128,192,256,384",
-                   help="comma-separated tile sizes to search")
-    p.add_argument("--repeats", type=int, default=2, help="timing repeats (best-of)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--check", action="store_true",
-                   help="fail if the winner regresses >tolerance below the "
-                        "committed baseline for this machine's fingerprint class")
-    p.add_argument("--tolerance", type=float, default=0.20,
-                   help="allowed fractional Gop/s drop for --check (default 0.20)")
-    p.add_argument("--no-save", action="store_true",
-                   help="print only; do not record the winner")
-    p.set_defaults(fn=cmd_tune_kernels)
 
     p = sub.add_parser("sanitize",
                        help="race/hazard-check the simulated schedules of the drivers")
@@ -853,8 +783,6 @@ def main(argv=None) -> int:
                    help="device count for the multi-gpu plan")
     p.add_argument("--no-overlap", dest="overlap", action="store_false",
                    help="verify the single-stream (overlap=False) schedules")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="relative tolerance for the approximate FW bounds")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_verify_plan)
 

@@ -8,7 +8,7 @@ forced via ``REPRO_KERNEL_BACKEND`` / an explicit API argument).
 
 ============  ==========================================================
 ``reference``  the seed rank-1 numpy loop — the semantics oracle
-``jit``        numba → compiled C → ``reference``, degrading gracefully
+``jit``        compiled C, else ``reference``, degrading gracefully
 ``threaded``   thread-pool column panels over the best serial backend
 ============  ==========================================================
 """

@@ -31,16 +31,11 @@ import abc
 import numpy as np
 
 __all__ = [
-    "INT32_INF",
     "KernelBackend",
     "finite_column_indices",
-    "int32_rank1_update",
     "numpy_fw_inplace",
     "rank1_update",
 ]
-
-#: sentinel playing the role of ``+inf`` in the int32 semiring
-INT32_INF = np.int32(np.iinfo(np.int32).max)
 
 
 def finite_column_indices(a: np.ndarray) -> np.ndarray | None:
@@ -82,20 +77,6 @@ def rank1_update(
     return c
 
 
-def int32_rank1_update(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Reference int32 min-plus: :data:`INT32_INF` sentinel, saturating add.
-
-    The numpy oracle the compiled int32 kernels must match **exactly** —
-    the semiring is integral, so there is no tolerance: sums go through
-    int64 and clamp to the sentinel instead of wrapping.
-    """
-    for k in range(a.shape[1]):
-        wide = a[:, k : k + 1].astype(np.int64) + b[k : k + 1, :].astype(np.int64)
-        cand = np.minimum(wide, np.int64(INT32_INF)).astype(np.int32)
-        np.minimum(c, cand, out=c)
-    return c
-
-
 def numpy_fw_inplace(dist: np.ndarray) -> np.ndarray:
     """Plain vectorised Floyd–Warshall, one rank-1 min-update per pivot."""
     for k in range(dist.shape[0]):
@@ -130,15 +111,6 @@ class KernelBackend(abc.ABC):
     def fw_inplace(self, dist: np.ndarray) -> np.ndarray:
         """Floyd–Warshall closure of a square tile, in place."""
         return numpy_fw_inplace(dist)
-
-    def update_i32(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact int32 semiring update (:data:`INT32_INF` = ``+inf``).
-
-        Default is the numpy oracle; compiled backends override with a
-        saturating C kernel. Must match :func:`int32_rank1_update`
-        bit-for-bit (the semiring is integral — no tolerance).
-        """
-        return int32_rank1_update(c, a, b)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flavor = f" ({self.flavor})" if self.flavor != self.name else ""

@@ -1,28 +1,27 @@
 """JIT-compiled min-plus/FW and batched Near-Far kernels with graceful degradation.
 
-Flavor resolution order (overridable with ``REPRO_JIT_FLAVOR``):
+Two flavors:
 
-1. ``numba`` — ``@njit(nogil=True)`` kernels when numba is importable;
-2. ``cc`` — a small C translation unit compiled at first use with the
+1. ``cc`` — a small C translation unit compiled at first use with the
    system C compiler (``gcc``/``cc``/``clang``) into a per-user cache
    directory and loaded through :mod:`ctypes`. No build-time dependency:
    machines without any compiler simply skip this flavor. The ``.so`` is
-   keyed by a hash of the source, compiler, and resolved flag set, so
-   later processes pay only a ``dlopen``;
-3. ``fallback`` — delegate to
+   keyed by a hash of the source, compiler, and flag set, so later
+   processes pay only a ``dlopen``;
+2. ``fallback`` — delegate to
    :class:`~repro.core.backends.reference.ReferenceBackend` (pure numpy),
    so requesting ``jit`` is always safe.
 
-Any other flavor name is a ``ValueError``. Spreading one product across
+``jit`` is ``cc`` whenever the C kernels load and ``fallback``
+otherwise; ``REPRO_JIT=off`` forces the fallback (used by the CI leg
+that exercises the degradation path). Spreading one product across
 cores is the ``threaded`` backend's job, not a flavor's.
 
-Compile flags are **probed**, not assumed: ``-march=native``, ``-fopenmp``
-and ``-fopenmp-simd`` are each test-compiled first and dropped individually
-when the compiler rejects them; if the final compile still fails, one retry
-with the degraded ``-O3``-only set runs before giving up. A machine with a
-compiler therefore never silently loses the cc flavor to a flag quirk
-(:func:`cc_build_info` reports what was actually used — the autotuner's
-machine fingerprint is derived from it).
+A plain build uses one fixed flag set, :data:`_CFLAGS`, and compiles
+nothing when its ``.so`` is cached. A compiler that rejects any of
+those flags gets one retry with the ``-O3``-only set, so a machine with
+a compiler never loses the cc flavor to a flag quirk
+(:func:`cc_build_info` reports what was actually used).
 
 The C source is not an opaque string: it is assembled from
 :data:`KERNEL_TEMPLATES`, one :class:`KernelTemplate` per C entry point,
@@ -34,9 +33,10 @@ declared extents and each kernel's alias class — run
 
 **Sanitizer-instrumented builds** ride the same pipeline: pass
 ``sanitize="asan" | "ubsan"`` to :func:`load_cc_kernels` /
-:func:`compile_cc_so` (or set ``REPRO_JIT_SANITIZE``) and the probed flag
-set grows the matching ``-fsanitize=...`` group. A toolchain without the
-sanitizer degrades to a plain build — honestly reported in
+:func:`compile_cc_so` (or set ``REPRO_JIT_SANITIZE``) and the flag set
+grows the matching ``-fsanitize=...`` group, whose first flag is
+test-compiled first. A toolchain without the sanitizer degrades to a
+plain build — honestly reported in
 ``CCBuildInfo.sanitize``/``CCBuildInfo.degraded``, never silently. Note
 ASan-instrumented objects cannot be ``dlopen``-ed into an ordinary
 process: the verification harness (:mod:`repro.verifykernel.sanitizers`)
@@ -52,12 +52,7 @@ candidate ``a + b`` is the identical float32 sum, so reassociating the
 min accumulation is bit-exact. ``fw_inplace_f32`` closes one tile in
 place; larger closures are blocked by the engine. On the library's distance domain
 (``[0, +inf]``, zero diagonals) both are bit-identical to the numpy
-rank-1 formulation. Setting ``REPRO_JIT=off`` forces the fallback (used
-by the CI leg that exercises the degradation path).
-
-An integer semiring rides the same interface:
-:meth:`JITBackend.update_i32` runs an exact saturating int32 min-plus in C
-(sentinel ``INT32_INF``).
+rank-1 formulation.
 
 The translation unit also holds one kernel that is not min-plus:
 ``near_far_f64``, the whole loop of one batched Near-Far MSSP launch.
@@ -84,7 +79,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.backends.base import KernelBackend, int32_rank1_update
+from repro.core.backends.base import KernelBackend
 from repro.core.backends.reference import ReferenceBackend
 
 __all__ = [
@@ -271,41 +266,6 @@ void fw_inplace_f32(float *d, i64 n, i64 s)
             for (i64 j = 0; j < n; j++) {
                 float cand = dik + krow[j];
                 irow[j] = cand < irow[j] ? cand : irow[j];
-            }
-        }
-    }
-}
-"""
-
-_MP_I32_SOURCE = r"""
-/* int32 semiring: exact min-plus with INT32_MAX as +inf, saturating
- * addition via a 64-bit intermediate. One candidate at a time — the
- * reduced-precision path trades peak rate for half the memory traffic
- * of float64 and exactness over float32 beyond 2^24. */
-void mp_update_i32(int32_t *c, const int32_t *a, const int32_t *b,
-                   i64 bi, i64 bk, i64 bj,
-                   i64 cs, i64 as, i64 bs, i64 tile)
-{
-    const int32_t INF = INT32_MAX;
-    if (tile <= 0) tile = 256;
-    for (i64 k0 = 0; k0 < bk; k0 += tile) {
-        i64 k1 = k0 + tile < bk ? k0 + tile : bk;
-        for (i64 j0 = 0; j0 < bj; j0 += tile) {
-            i64 len = (j0 + tile < bj ? j0 + tile : bj) - j0;
-            for (i64 i = 0; i < bi; i++) {
-                int32_t *crow = c + i * cs + j0;
-                const int32_t *arow = a + i * as;
-                for (i64 k = k0; k < k1; k++) {
-                    int32_t aik = arow[k];
-                    if (aik == INF) continue;
-                    const int32_t *brow = b + k * bs + j0;
-                    #pragma omp simd
-                    for (i64 j = 0; j < len; j++) {
-                        i64 wide = (i64)aik + (i64)brow[j];
-                        int32_t cand = wide >= (i64)INF ? INF : (int32_t)wide;
-                        crow[j] = cand < crow[j] ? cand : crow[j];
-                    }
-                }
             }
         }
     }
@@ -512,20 +472,17 @@ void near_far_f64(double *dist, const i64 *indptr, const i64 *indices,
 }
 """
 
-#: the min-plus operand contract shared by every mp_update kernel
-_MP_ARRAYS: dict[str, dict[str, str]] = {
-    "c": {"rows": "bi", "cols": "bj", "stride": "cs", "mode": "rw"},
-    "a": {"rows": "bi", "cols": "bk", "stride": "as", "mode": "r"},
-    "b": {"rows": "bk", "cols": "bj", "stride": "bs", "mode": "r"},
-}
-
 #: every C entry point, in translation-unit order, with its contract —
 #: repro.verifykernel parses these sources and proves them safe
 KERNEL_TEMPLATES: tuple[KernelTemplate, ...] = (
     KernelTemplate(
         name="mp_update_f32",
         source=_MP_FAST_SOURCE,
-        arrays=_MP_ARRAYS,
+        arrays={
+            "c": {"rows": "bi", "cols": "bj", "stride": "cs", "mode": "rw"},
+            "a": {"rows": "bi", "cols": "bk", "stride": "as", "mode": "r"},
+            "b": {"rows": "bk", "cols": "bj", "stride": "bs", "mode": "r"},
+        },
         alias_class="disjoint",
     ),
     KernelTemplate(
@@ -533,12 +490,6 @@ KERNEL_TEMPLATES: tuple[KernelTemplate, ...] = (
         source=_FW_INPLACE_SOURCE,
         arrays={"d": {"rows": "n", "cols": "n", "stride": "s", "mode": "rw"}},
         alias_class="inplace-fw",
-    ),
-    KernelTemplate(
-        name="mp_update_i32",
-        source=_MP_I32_SOURCE,
-        arrays=_MP_ARRAYS,
-        alias_class="k-sequential",
     ),
     KernelTemplate(
         name="near_far_f64",
@@ -588,13 +539,14 @@ def kernel_source(
 #: assembled translation unit (kept for cache-key hashing)
 _C_SOURCE = kernel_source()
 
-#: flags always passed; probed extras are added per machine
-_BASE_CFLAGS = ["-O3", "-funroll-loops", "-shared", "-fPIC"]
+#: flags of every plain build; the kernels' only OpenMP is ``#pragma omp
+#: simd``, which ``-fopenmp-simd`` enables without the OpenMP runtime
+_CFLAGS = ["-march=native", "-O3", "-funroll-loops", "-fopenmp-simd", "-shared", "-fPIC"]
 
-#: last-resort flag set when the assembled set still fails to compile
+#: the one retry when a compiler rejects the full set
 _DEGRADED_CFLAGS = ["-O3", "-shared", "-fPIC"]
 
-#: probed flag groups per sanitizer mode; the first flag is the probe
+#: flag groups per sanitizer mode; the first flag is test-compiled
 SANITIZER_FLAGS: dict[str, tuple[str, ...]] = {
     "asan": ("-fsanitize=address", "-fno-omit-frame-pointer", "-g"),
     "ubsan": ("-fsanitize=undefined", "-fno-sanitize-recover=all", "-g"),
@@ -623,11 +575,6 @@ class CCBuildInfo:
     flags: tuple[str, ...]
     sanitize: str | None = None
     degraded: tuple[str, ...] = ()
-
-    @property
-    def fingerprint_key(self) -> str:
-        """Stable ``compiler-version|flags`` string for machine keying."""
-        return f"{Path(self.compiler).name}-{self.version}|{','.join(self.flags)}"
 
 
 def cc_compiler() -> str | None:
@@ -658,7 +605,7 @@ def sanitizer_runtime(mode: str, compiler: str | None = None) -> str | None:
         proc = subprocess.run(
             [compiler, f"-print-file-name={lib}"], capture_output=True, timeout=30
         )
-    except Exception:
+    except (OSError, subprocess.SubprocessError):
         return None
     path = proc.stdout.decode().strip()
     if proc.returncode != 0 or os.sep not in path or not Path(path).exists():
@@ -690,52 +637,38 @@ def _cache_dir() -> Path:
     return Path(home) / "repro-jit"
 
 
-def _flag_works(compiler: str, flag: str, tmp: str) -> bool:
-    """Test-compile a trivial TU with ``flag``; False on any rejection."""
-    src = Path(tmp) / "probe.c"
-    if not src.exists():
+def _sanitizer_works(compiler: str, mode: str) -> bool:
+    """Test-compile a trivial TU with the mode's ``-fsanitize`` flag."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "probe.c"
         src.write_text("int repro_probe(void) { return 0; }\n")
-    out = Path(tmp) / f"probe-{abs(hash(flag)) % 10**8}.so"
-    try:
-        proc = subprocess.run(
-            [compiler, flag, "-shared", "-fPIC", "-o", str(out), str(src)],
-            capture_output=True,
-            timeout=60,
-        )
-    except Exception:
-        return False
+        out = Path(tmp) / "probe.so"
+        flag = SANITIZER_FLAGS[mode][0]
+        try:
+            proc = subprocess.run(
+                [compiler, flag, "-shared", "-fPIC", "-o", str(out), str(src)],
+                capture_output=True,
+                timeout=60,
+            )
+        except (OSError, subprocess.SubprocessError):
+            return False
     return proc.returncode == 0
 
 
 def _resolve_flags(
     compiler: str, sanitize: str | None = None
 ) -> tuple[list[str], str | None, tuple[str, ...]]:
-    """Probe optional flags; returns ``(flags, sanitize, degraded)``.
+    """The build's ``(flags, sanitize, degraded)``.
 
-    ``-march=native`` is dropped when rejected (satellite fix: it used to
-    be passed unconditionally, losing the whole cc flavor on compilers
-    without it). OpenMP, which only the ``#pragma omp simd`` loops use,
-    degrades ``-fopenmp`` → ``-fopenmp-simd`` → nothing. A requested
+    A plain build is :data:`_CFLAGS`, with no test compile. A requested
     sanitizer whose probe flag the compiler rejects degrades to a plain
     build, recorded in ``degraded`` — never a hard failure.
     """
-    flags = list(_BASE_CFLAGS)
-    degraded: list[str] = []
-    with tempfile.TemporaryDirectory() as tmp:
-        if sanitize:
-            group = SANITIZER_FLAGS[sanitize]
-            if _flag_works(compiler, group[0], tmp):
-                flags = [*group, *flags]
-            else:
-                degraded.append(f"sanitize:{sanitize}")
-                sanitize = None
-        if _flag_works(compiler, "-march=native", tmp):
-            flags.insert(flags.index("-O3"), "-march=native")
-        if _flag_works(compiler, "-fopenmp", tmp):
-            flags.append("-fopenmp")
-        elif _flag_works(compiler, "-fopenmp-simd", tmp):
-            flags.append("-fopenmp-simd")
-    return flags, sanitize, tuple(degraded)
+    if sanitize is None:
+        return list(_CFLAGS), None, ()
+    if _sanitizer_works(compiler, sanitize):
+        return [*SANITIZER_FLAGS[sanitize], *_CFLAGS], sanitize, ()
+    return list(_CFLAGS), None, (f"sanitize:{sanitize}",)
 
 
 def _cc_version(compiler: str) -> str:
@@ -745,7 +678,7 @@ def _cc_version(compiler: str) -> str:
         )
         if proc.returncode == 0:
             return proc.stdout.decode().strip() or "unknown"
-    except Exception:
+    except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
 
@@ -787,9 +720,6 @@ class _CCKernels:
         self.mp_update = lib.mp_update_f32
         self.mp_update.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_longlong] * 7
         self.mp_update.restype = None
-        self.mp_update_i32 = lib.mp_update_i32
-        self.mp_update_i32.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_longlong] * 7
-        self.mp_update_i32.restype = None
         self.fw_inplace = lib.fw_inplace_f32
         self.fw_inplace.argtypes = [ctypes.c_void_p] + [ctypes.c_longlong] * 2
         self.fw_inplace.restype = None
@@ -887,12 +817,13 @@ def load_cc_kernels(sanitize: str | None = None) -> _CCKernels | None:
 
     ``sanitize`` selects an instrumented build (``"asan"`` or
     ``"ubsan"``; default consults ``REPRO_JIT_SANITIZE``). Returns
-    ``None`` when no compiler is present or every compile attempt
-    (probed flags, then the degraded ``-O3``-only set) fails — callers
-    degrade to the numpy fallback. Never raises on toolchain gaps: a
-    rejected sanitizer flag degrades to a plain build, reported in
-    ``CCBuildInfo.degraded``. ASan objects only load inside a process
-    with the ASan runtime preloaded (:func:`sanitizer_runtime`).
+    ``None`` when no compiler is present or both compile attempts
+    (:data:`_CFLAGS`, then the ``-O3``-only set) fail with an ``OSError``
+    or a ``SubprocessError`` — callers degrade to the numpy fallback; any
+    other error propagates. A rejected sanitizer flag degrades to a
+    plain build, reported in ``CCBuildInfo.degraded``. ASan objects only
+    load inside a process with the ASan runtime preloaded
+    (:func:`sanitizer_runtime`).
     """
     mode = _normalize_sanitize(sanitize)
     if mode == "asan":
@@ -909,33 +840,27 @@ def load_cc_kernels(sanitize: str | None = None) -> _CCKernels | None:
     cached = _CC_KERNELS.get(mode, None)
     if cached is not None:
         return cached if isinstance(cached, _CCKernels) else None
-    _CC_KERNELS[mode] = False
     compiler = cc_compiler()
-    if compiler is None:
-        return None
-    try:
+    kernels = None
+    if compiler is not None:
         flags, got_mode, degraded = _resolve_flags(compiler, mode)
-    except Exception:
-        flags, got_mode, degraded = list(_BASE_CFLAGS), None, ()
-        if mode:
-            degraded = (f"sanitize:{mode}",)
-    for attempt_flags, attempt_mode, attempt_degraded in (
-        (flags, got_mode, degraded),
-        (_DEGRADED_CFLAGS, None,
-         degraded + ((f"sanitize:{mode}",) if mode and got_mode else ())),
-    ):
-        try:
-            kernels = _compile_and_load(
-                compiler,
-                list(attempt_flags),
-                sanitize=attempt_mode,
-                degraded=tuple(dict.fromkeys(attempt_degraded)),
-            )
-            _CC_KERNELS[mode] = kernels
-            return kernels
-        except Exception:
-            _CC_KERNELS[mode] = False
-    return None
+        for attempt_flags, attempt_mode, attempt_degraded in (
+            (flags, got_mode, degraded),
+            (_DEGRADED_CFLAGS, None,
+             degraded + ((f"sanitize:{mode}",) if got_mode else ())),
+        ):
+            try:
+                kernels = _compile_and_load(
+                    compiler,
+                    list(attempt_flags),
+                    sanitize=attempt_mode,
+                    degraded=attempt_degraded,
+                )
+                break
+            except (OSError, subprocess.SubprocessError):
+                continue
+    _CC_KERNELS[mode] = kernels or False
+    return kernels
 
 
 def jit_enabled() -> bool:
@@ -949,97 +874,26 @@ def cc_build_info(sanitize: str | None = None) -> CCBuildInfo | None:
     return kernels.build if kernels else None
 
 
-def _load_numba_kernels():
-    """Compile the numba flavor; returns ``(update, fw)`` or ``None``."""
-    try:
-        import numba
-    except ImportError:
-        return None
-    try:
-        @numba.njit(cache=True, nogil=True)
-        def nb_update(c, a, b, tile):  # pragma: no cover - needs numba
-            bi, bj = c.shape
-            bk = a.shape[1]
-            for k0 in range(0, bk, tile):
-                k1 = min(k0 + tile, bk)
-                for j0 in range(0, bj, tile):
-                    j1 = min(j0 + tile, bj)
-                    for i in range(bi):
-                        for k in range(k0, k1):
-                            aik = a[i, k]
-                            if np.isinf(aik):
-                                continue
-                            for j in range(j0, j1):
-                                cand = aik + b[k, j]
-                                if cand < c[i, j]:
-                                    c[i, j] = cand
-            return c
-
-        @numba.njit(cache=True, nogil=True)
-        def nb_fw(d):  # pragma: no cover - needs numba
-            n = d.shape[0]
-            for k in range(n):
-                for i in range(n):
-                    dik = d[i, k]
-                    if np.isinf(dik):
-                        continue
-                    for j in range(n):
-                        cand = dik + d[k, j]
-                        if cand < d[i, j]:
-                            d[i, j] = cand
-            return d
-
-        # trigger compilation now so failures downgrade instead of raising
-        probe = np.zeros((2, 2), dtype=np.float32)
-        nb_update(probe.copy(), probe, probe, 128)
-        nb_fw(probe.copy())
-        return nb_update, nb_fw
-    except Exception:
-        return None
-
-
-#: flavors ``JITBackend`` accepts (``flavor=`` or ``REPRO_JIT_FLAVOR``)
-_FLAVORS = ("auto", "numba", "cc", "fallback")
-
-
 class JITBackend(KernelBackend):
-    """numba/compiled-C kernels, degrading gracefully to the reference backend."""
+    """Compiled-C kernels, degrading gracefully to the reference backend."""
 
     name = "jit"
-    summary = "JIT kernel: numba if present, else vectorized C, else reference numpy"
+    summary = "JIT kernel: vectorized C, else reference numpy"
 
-    def __init__(self, flavor: str | None = None, tile: int = 256) -> None:
+    def __init__(self, tile: int = 256) -> None:
         self.tile = tile
-        self._numba = None
-        self._cc = None
+        self._cc = load_cc_kernels() if jit_enabled() else None
         self._fallback = ReferenceBackend()
-        requested = flavor or os.environ.get("REPRO_JIT_FLAVOR") or "auto"
-        if requested not in _FLAVORS:
-            raise ValueError(
-                f"unknown jit flavor {requested!r}; choose from {_FLAVORS}"
-            )
-        if not jit_enabled():
-            requested = "fallback"
-        if requested in ("auto", "numba"):
-            self._numba = _load_numba_kernels()
-        if self._numba is None and requested != "fallback":
-            self._cc = load_cc_kernels()  # also when numba was asked for but is absent
-        if self._numba:
-            self._flavor = "numba"
-        elif self._cc:
-            self._flavor = "cc"
-        else:
-            self._flavor = "fallback"
 
     @property
     def flavor(self) -> str:
-        """Implementation that answered: ``numba``, ``cc`` or ``fallback``."""
-        return self._flavor
+        """Implementation that answered: ``cc`` or ``fallback``."""
+        return "cc" if self._cc is not None else "fallback"
 
     @property
     def compiled(self) -> bool:
-        """True when a compiled (non-numpy) flavor is active."""
-        return self._flavor in ("numba", "cc")
+        """True when the C kernels are active."""
+        return self._cc is not None
 
     @staticmethod
     def _checked_operand(arr: np.ndarray, dtype: type) -> int:
@@ -1059,8 +913,6 @@ class JITBackend(KernelBackend):
 
     def update(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """In-place ``C = min(C, A ⊗ B)`` via the active JIT flavor."""
-        if self._flavor == "numba":
-            return self._numba[0](c, a, b, self.tile)
         if self._cc is not None:
             bi, bj = c.shape
             bk = a.shape[1]
@@ -1077,26 +929,8 @@ class JITBackend(KernelBackend):
 
     def fw_inplace(self, dist: np.ndarray) -> np.ndarray:
         """Floyd–Warshall closure of one tile via the active JIT flavor."""
-        if self._flavor == "numba":
-            return self._numba[1](dist)
         if self._cc is not None:
             stride = self._checked_operand(dist, np.float32)
             self._cc.fw_inplace(dist.ctypes.data, dist.shape[0], stride)
             return dist
         return self._fallback.fw_inplace(dist)
-
-    def update_i32(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact saturating int32 min-plus (C kernel when available)."""
-        if self._cc is not None:
-            bi, bj = c.shape
-            bk = a.shape[1]
-            self._cc.mp_update_i32(
-                c.ctypes.data, a.ctypes.data, b.ctypes.data,
-                bi, bk, bj,
-                self._checked_operand(c, np.int32),
-                self._checked_operand(a, np.int32),
-                self._checked_operand(b, np.int32),
-                self.tile,
-            )
-            return c
-        return int32_rank1_update(c, a, b)

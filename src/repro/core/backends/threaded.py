@@ -1,6 +1,6 @@
 """Thread-pool backend: fan independent column panels across workers.
 
-numpy's ufunc loops and the ctypes/numba JIT kernels all release the GIL,
+numpy's ufunc loops and the ctypes JIT kernels all release the GIL,
 so slicing ``C`` (and the matching columns of ``B``) into disjoint column
 panels and updating each on its own thread scales the single-product
 min-plus across cores. Every caller — the out-of-core drivers and the

@@ -26,14 +26,11 @@ Selection order:
 1. an explicit ``engine=`` argument on any driver / ``KernelEngine(name)``;
 2. the ``REPRO_KERNEL_BACKEND`` environment variable
    (``reference | jit | threaded | auto``);
-3. ``auto`` — first, the **autotuned winner** persisted for this machine's
-   fingerprint in ``BENCH_kernels.json`` (``python -m repro tune-kernels``;
-   no re-sweeping at startup) when its flavor still materialises;
-4. otherwise micro-calibrate at first use: time every registered backend
-   on one small product and keep the fastest.
+3. ``auto`` — micro-calibrate at first use: time every registered
+   backend on one small product and keep the fastest. Nothing is read
+   from disk, so the choice is always measured on the running machine.
 
-Run ``python -m repro bench-kernels`` for the full wall-clock sweep and
-``python -m repro tune-kernels`` for the machine-keyed config search (see
+Run ``python -m repro bench-kernels`` for the full wall-clock sweep (see
 ``docs/PERFORMANCE.md``).
 """
 
@@ -101,7 +98,7 @@ def calibrate(
 ) -> CalibrationResult:
     """Time every registered backend on one random product.
 
-    Each backend gets a tiny warm-up first so one-time costs (numba/C
+    Each backend gets a tiny warm-up first so one-time costs (C
     compilation, thread-pool spin-up) don't pollute the measurement.
     """
     bi, bk, bj = shape
@@ -125,18 +122,16 @@ class KernelEngine:
 
     def __init__(self, backend: str | KernelBackend | None = None, **options) -> None:
         self.calibration: CalibrationResult | None = None
+        #: always ``None``: no persisted winner is read (kept for readers
+        #: of the attribute)
         self.tuned: dict | None = None
         if backend is None:
             backend = os.environ.get(ENV_BACKEND, "auto")
         if isinstance(backend, KernelBackend):
             self.backend = backend
         elif backend == "auto":
-            tuned = self._tuned_backend(options)
-            if tuned is not None:
-                self.backend = tuned
-            else:
-                self.calibration = calibrate()
-                self.backend = create_backend(self.calibration.best, **options)
+            self.calibration = calibrate()
+            self.backend = create_backend(self.calibration.best, **options)
         else:
             if backend not in backend_names():
                 raise ValueError(
@@ -144,35 +139,6 @@ class KernelEngine:
                     f"choose from {backend_names() + ('auto',)}"
                 )
             self.backend = create_backend(backend, **options)
-
-    def _tuned_backend(self, options: dict) -> KernelBackend | None:
-        """Materialise the autotuned winner persisted for this machine.
-
-        Lazy-imports the bench layer (it depends on this module), and
-        validates that the winner's recorded flavor still comes up — a
-        stale winner (compiler gone, numba removed) is discarded rather
-        than silently running the fallback flavor, sending ``auto`` back
-        to live micro-calibration. Caller-supplied ``options`` override
-        the persisted ones. A winner the registry no longer accepts (an
-        option the backend dropped: ``TypeError``; an unknown backend
-        name: ``ValueError``) is stale in the same way; any other error
-        propagates.
-        """
-        from repro.bench.kernels import load_tuned_winner
-
-        winner = load_tuned_winner()
-        if winner is None:
-            return None
-        try:
-            merged = {**(winner.get("options") or {}), **options}
-            backend = create_backend(winner["backend"], **merged)
-        except (TypeError, ValueError):
-            return None
-        expect = winner.get("flavor")
-        if expect and getattr(backend, "flavor", backend.name) != expect:
-            return None
-        self.tuned = winner
-        return backend
 
     # ------------------------------------------------------------------
     # Introspection
@@ -258,28 +224,6 @@ class KernelEngine:
         if dist.dtype != DIST_DTYPE or dist.strides[-1] != dist.itemsize:
             return numpy_fw_inplace(dist)
         return self.backend.fw_inplace(dist)
-
-    def update_i32(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact int32 semiring update (``INT32_INF`` sentinel, saturating).
-
-        Opt-in reduced-precision entry point: callers hold int32 distance
-        matrices explicitly; the float32 paths are untouched.
-        """
-        if c.shape != (a.shape[0], b.shape[1]) or a.shape[1] != b.shape[0]:
-            raise ValueError(
-                f"incompatible shapes C{c.shape} = A{a.shape} ⊗ B{b.shape}"
-            )
-        if c.size == 0 or a.shape[1] == 0:
-            return c
-        a = self._coerce(a, np.int32)
-        b = self._coerce(b, np.int32)
-        if c.dtype != np.int32 or c.strides[-1] != c.itemsize:
-            packed = np.ascontiguousarray(c, dtype=np.int32)
-            self.backend.update_i32(packed, a, b)
-            c[...] = packed
-            return c
-        self.backend.update_i32(c, a, b)
-        return c
 
     def minplus(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Fresh min-plus product ``A ⊗ B`` (no accumulation)."""

@@ -48,13 +48,13 @@ class SeededDefect:
 DEFECTS: tuple[SeededDefect, ...] = (
     SeededDefect(
         name="off_by_one_subscript",
-        kernel="mp_update_i32",
-        old="for (i64 j = 0; j < len; j++)",
-        new="for (i64 j = 0; j <= len; j++)",
+        kernel="fw_inplace_f32",
+        old="for (i64 j = 0; j < n; j++) {\n                float cand",
+        new="for (i64 j = 0; j <= n; j++) {\n                float cand",
         dynamic="asan",
         static_check="bounds",
-        description="inner column loop runs one element past the tile "
-        "(classic <= for <), reading/writing one int32 past each row slice",
+        description="remainder-row column loop runs one element past the tile "
+        "(classic <= for <), reading/writing one float past the last row",
     ),
     SeededDefect(
         name="dropped_remainder_guard",

@@ -1,7 +1,7 @@
 """Top-level verification pipeline: static proofs + sanitizer legs + defects.
 
-:func:`verify_kernels` is what the CLI (``repro verify-kernels``) and the
-autotuner consume. It composes:
+:func:`verify_kernels` is what the CLI (``repro verify-kernels``)
+consumes. It composes:
 
 - the **static pass** (:func:`static_findings`): affine bounds proofs
   and alias-class derivation per kernel — purely symbolic, no compiler

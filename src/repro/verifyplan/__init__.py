@@ -25,9 +25,9 @@ generator on the device. Five analyses then run over the IR:
   makespan, and copy/compute overlap efficiency per algorithm.
 
 Finally the tallied transfer volumes are checked against the paper's
-closed-form bounds (FW ≈ ``n_d·n²`` elements per direction group,
-Johnson's exact CSR + row-batch totals, the boundary method's ``N_row``
-output batching). Independent analyses, one contract: the tests in
+closed-form bounds (FW's exact per-block upload and ``n_d·n²`` download
+volumes, Johnson's exact CSR + row-batch totals, the boundary method's
+``N_row`` output batching). Independent analyses, one contract: the tests in
 ``tests/test_verifyplan.py`` and ``tests/test_hb_timing.py`` assert
 agreement between these static predictions and the dynamic traces and
 simulated clocks of real runs.
@@ -70,11 +70,7 @@ from repro.verifyplan.analyze import (
     analyze_transfers,
     audit_ir,
 )
-from repro.verifyplan.bounds import (
-    DEFAULT_TOLERANCE,
-    BoundCheck,
-    fw_exact_h2d_bytes,
-)
+from repro.verifyplan.bounds import BoundCheck, fw_exact_h2d_bytes
 from repro.verifyplan.commbounds import (
     CommTally,
     analyze_comm,
@@ -136,7 +132,6 @@ __all__ = [
     "CollectiveOp",
     "CommTally",
     "CopyOp",
-    "DEFAULT_TOLERANCE",
     "FreeOp",
     "HBFinding",
     "HBReport",

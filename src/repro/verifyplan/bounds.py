@@ -8,10 +8,9 @@ schedule actually moves:
 * **blocked FW** — every block crosses the bus each outer iteration, so
   downloads are *exactly* ``n_d · n²`` elements (the per-``k`` download
   set tiles the full matrix: ``(b_k + Σ_{i≠k} b_i)(b_k + Σ_{j≠k} b_j) =
-  n²`` even with a ragged last block), and the total volume is
-  ``≈ (3·n_d − 1) · n²`` elements. The total is approximate: ragged
-  blocks and the row-panel reuse in stage 3 shave a few per cent, hence
-  the tolerance;
+  n²`` even with a ragged last block); uploads are the paper's
+  ``≈ (2·n_d − 1) · n²`` elements, computed exactly per block
+  (:func:`fw_exact_h2d_bytes`);
 * **Johnson** — the CSR graph uploads once (``4(n+1) + 8m`` bytes) and
   every output row downloads exactly once (``n²`` elements) in
   ``⌈n / bat⌉`` batches;
@@ -20,8 +19,8 @@ schedule actually moves:
   elements, and with ``N_row`` batching the step-4 output drains in at
   most ``⌈k / N_row⌉`` flushes instead of ``k²`` per-block copies.
 
-Each check is a :class:`BoundCheck`; ``mode`` selects exact equality, an
-upper bound, or a relative tolerance.
+Each check is a :class:`BoundCheck`; ``mode`` selects exact equality or
+an upper bound.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DEFAULT_TOLERANCE",
     "BoundCheck",
     "boundary_bound_checks",
     "fw_bound_checks",
@@ -39,10 +37,6 @@ __all__ = [
     "johnson_bound_checks",
     "multi_bound_checks",
 ]
-
-#: default relative tolerance for the approximate FW volume checks —
-#: generous enough for a pathologically ragged last block (b_{n_d-1} ≪ b)
-DEFAULT_TOLERANCE = 0.25
 
 _ELEM = 4  # DIST_DTYPE is float32
 
@@ -54,28 +48,22 @@ class BoundCheck:
     name: str
     expected: float
     actual: float
-    #: "exact" (==), "at-most" (<=), or "approx" (within ``tolerance``)
+    #: "exact" (==) or "at-most" (<=)
     mode: str = "exact"
-    tolerance: float = 0.0
     detail: str = ""
 
     @property
     def ok(self) -> bool:
         if self.mode == "exact":
             return self.actual == self.expected
-        if self.mode == "at-most":
-            return self.actual <= self.expected
-        if self.expected == 0:
-            return self.actual == 0
-        return abs(self.actual - self.expected) <= self.tolerance * self.expected
+        return self.actual <= self.expected
 
     def describe(self) -> str:
-        rel = {"exact": "==", "at-most": "<=", "approx": "≈"}[self.mode]
+        rel = {"exact": "==", "at-most": "<="}[self.mode]
         status = "ok" if self.ok else "FAILED"
-        tol = f" ±{self.tolerance:.0%}" if self.mode == "approx" else ""
         return (
             f"{self.name}: actual {self.actual:g} {rel} expected "
-            f"{self.expected:g}{tol} [{status}]"
+            f"{self.expected:g} [{status}]"
             + (f" — {self.detail}" if self.detail else "")
         )
 
@@ -98,9 +86,8 @@ def fw_exact_h2d_bytes(block_sizes, *, overlap: bool = True) -> int:
       (``Σ_{t < min(nbuf, L²)} b_k·b_{js[t mod L]}``); otherwise every one
       of the ``L²`` steps re-uploads (``L·b_k·rest_k``).
 
-    The earlier closed form assumed square remainder tiles and was only
-    approximate for ``n % b ≠ 0``; this one is exact for any block-size
-    list and matches the emitter/driver byte for byte.
+    Exact for any block-size list; matches the emitter/driver byte for
+    byte.
     """
     sizes = [int(b) for b in block_sizes]
     n = sum(sizes)
@@ -124,86 +111,46 @@ def fw_exact_h2d_bytes(block_sizes, *, overlap: bool = True) -> int:
 
 
 def fw_bound_checks(
-    n: int,
-    num_blocks: int,
+    block_sizes,
     bytes_h2d: int,
     bytes_d2h: int,
     *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    block_sizes=None,
     overlap: bool = True,
 ) -> list[BoundCheck]:
     """Blocked FW: Table I's ``O(n_d · n²)`` movement, split by direction.
 
-    With ``block_sizes`` (the layout's per-block edge lengths) the upload
-    and total checks use :func:`fw_exact_h2d_bytes` and become **exact**
-    even for ragged tilings; without it they fall back to the paper's
-    square-tile ``(2·n_d − 1)·n²`` approximation with ``tolerance``.
+    ``block_sizes`` are the layout's per-block edge lengths; every check
+    is exact, ragged tilings included.
     """
-    nd = num_blocks
-    d2h_expected = nd * n * n * _ELEM
-    checks = [
+    n = sum(int(b) for b in block_sizes)
+    d2h_expected = len(block_sizes) * n * n * _ELEM
+    h2d_expected = fw_exact_h2d_bytes(block_sizes, overlap=overlap)
+    return [
         BoundCheck(
             name="fw-d2h-volume",
             expected=d2h_expected,
             actual=bytes_d2h,
             mode="exact",
             detail="each outer iteration downloads every block exactly once",
-        )
-    ]
-    if block_sizes is not None:
-        h2d_expected = fw_exact_h2d_bytes(block_sizes, overlap=overlap)
-        checks += [
-            BoundCheck(
-                name="fw-h2d-volume",
-                expected=h2d_expected,
-                actual=bytes_h2d,
-                mode="exact",
-                detail=(
-                    "exact ragged-tile upload volume (stage terms + the "
-                    "double-buffer row-reuse rule)"
-                ),
-            ),
-            BoundCheck(
-                name="fw-total-volume",
-                expected=h2d_expected + d2h_expected,
-                actual=bytes_h2d + bytes_d2h,
-                mode="exact",
-                detail="paper Table I: O(n_d · n²) total movement, exact form",
-            ),
-            # the paper's square-tile approximation stays on as a
-            # cross-check of the exact formula (and keeps ``tolerance``
-            # meaningful in exact mode): the ragged correction must be
-            # small relative to the O(n_d · n²) movement
-            BoundCheck(
-                name="fw-h2d-paper-form",
-                expected=max(1, 2 * nd - 1) * n * n * _ELEM,
-                actual=bytes_h2d,
-                mode="approx",
-                tolerance=tolerance,
-                detail="uploads ≈ (2·n_d − 1)·n² elements (square-tile form)",
-            ),
-        ]
-        return checks
-    checks += [
+        ),
         BoundCheck(
             name="fw-h2d-volume",
-            expected=max(1, 2 * nd - 1) * n * n * _ELEM,
+            expected=h2d_expected,
             actual=bytes_h2d,
-            mode="approx",
-            tolerance=tolerance,
-            detail="uploads ≈ (2·n_d − 1)·n² elements (stage-3 row reuse shaves a little)",
+            mode="exact",
+            detail=(
+                "exact ragged-tile upload volume (stage terms + the "
+                "double-buffer row-reuse rule)"
+            ),
         ),
         BoundCheck(
             name="fw-total-volume",
-            expected=max(2, 3 * nd - 1) * n * n * _ELEM,
+            expected=h2d_expected + d2h_expected,
             actual=bytes_h2d + bytes_d2h,
-            mode="approx",
-            tolerance=tolerance,
-            detail="paper Table I: O(n_d · n²) total movement",
+            mode="exact",
+            detail="paper Table I: O(n_d · n²) total movement, exact form",
         ),
     ]
-    return checks
 
 
 def johnson_bound_checks(

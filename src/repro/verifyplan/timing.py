@@ -178,13 +178,12 @@ def predict_timing(
 class TimingCalibration:
     """Optional rate overrides for the timing pass.
 
-    ``from_bench`` derives them from the measured sweeps checked into the
-    repo: the **autotuned winner** for this machine's fingerprint in
-    ``BENCH_kernels.json`` (``python -m repro tune-kernels``) replaces the
-    simulated ``minplus_rate`` (so the DAG predicts host wall-clock off
-    the kernel that will actually run); with no tuned entry, the best
-    bit-identical sweep row is the fallback. With no calibration the pass
-    targets the simulated device exactly.
+    ``from_bench`` derives them from the measured sweep checked into the
+    repo: the best bit-identical row of ``BENCH_kernels.json``
+    (``python -m repro bench-kernels``) replaces the simulated
+    ``minplus_rate``, so the DAG predicts host wall-clock off the measured
+    kernel. With no calibration the pass targets the simulated device
+    exactly.
     """
 
     minplus_rate: float | None = None
@@ -198,18 +197,6 @@ class TimingCalibration:
     def from_bench(cls, kernels_path: Path | str | None = None) -> "TimingCalibration":
         root = Path(__file__).resolve().parents[3]
         kernels_path = Path(kernels_path) if kernels_path else root / "BENCH_kernels.json"
-        from repro.bench.kernels import tuned_minplus_gops
-
-        # the autotuned winner for this machine's fingerprint wins: it is
-        # the rate of the kernel config the engine will actually select.
-        # A missing or corrupt file reads as untuned; a non-numeric
-        # ``gops`` in the entry falls back to the sweep too
-        try:
-            tuned = tuned_minplus_gops(kernels_path)
-        except (TypeError, ValueError):
-            tuned = None
-        if tuned:
-            return cls(minplus_rate=tuned * 1e9)
         best_gops = 0.0
         if kernels_path.exists():
             payload = json.loads(kernels_path.read_text())

@@ -31,7 +31,6 @@ from typing import Callable, Sequence
 
 from repro.verifyplan.analyze import TransferTally, audit_ir
 from repro.verifyplan.bounds import (
-    DEFAULT_TOLERANCE,
     BoundCheck,
     boundary_bound_checks,
     fw_bound_checks,
@@ -252,7 +251,7 @@ def audit_schedule(
     return audit
 
 
-def _audit_fw(graph, spec, overlap: bool, tolerance: float) -> Audit:
+def _audit_fw(graph, spec, overlap: bool) -> Audit:
     from repro.core.ooc_fw import emit_fw_ir, plan_fw_block_size
     from repro.core.tiling import BlockLayout
     from repro.gpu.errors import OutOfMemoryError
@@ -268,8 +267,8 @@ def _audit_fw(graph, spec, overlap: bool, tolerance: float) -> Audit:
         "floyd-warshall", [emit_fw_ir(n, spec, block_size=b, overlap=overlap)], spec,
         parameters={"block_size": b, "num_blocks": nd},
         bounds=lambda t: fw_bound_checks(
-            n, nd, t.bytes_h2d, t.bytes_d2h, tolerance=tolerance,
-            block_sizes=[layout.size(i) for i in range(nd)], overlap=overlap,
+            [layout.size(i) for i in range(nd)], t.bytes_h2d, t.bytes_d2h,
+            overlap=overlap,
         ),
     )
 
@@ -370,7 +369,6 @@ def verify_plan(
     seed: int = 0,
     overlap: bool = True,
     num_devices: int = 2,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> Verification:
     """Statically verify every algorithm's execution plan for ``graph`` on
     a device with ``spec``.
@@ -396,7 +394,7 @@ def verify_plan(
     for raw in list(algorithms) if algorithms else list(ALGORITHM_NAMES):
         name = _ALIASES.get(raw, raw)
         if name == "floyd-warshall":
-            audit = _audit_fw(graph, spec, overlap, tolerance)
+            audit = _audit_fw(graph, spec, overlap)
         elif name == "johnson":
             audit = _audit_johnson(graph, spec, overlap)
         elif name == "boundary":

@@ -171,16 +171,22 @@ class TestVerifyPlan:
         out = capsys.readouterr().out
         assert "floyd-warshall" in out and "johnson" not in out
 
-    def test_failing_bound_exits_one(self, capsys):
-        # an impossible tolerance turns the square-tile paper-form
-        # cross-check into a failure: documented exit code 1
+    def test_failing_bound_exits_one(self, capsys, monkeypatch):
+        # a closed form that miscounts by one element fails its exact
+        # check: documented exit code 1
+        import repro.verifyplan.bounds as bounds
+
+        exact = bounds.fw_exact_h2d_bytes
+        monkeypatch.setattr(
+            bounds, "fw_exact_h2d_bytes",
+            lambda sizes, **kw: exact(sizes, **kw) + 4,
+        )
         rc = main(["verify-plan", "road:n=220,deg=2.6,seed=1",
-                   "--device", "test", "--scale", "1",
-                   "--algorithm", "fw", "--tolerance", "1e-9"])
+                   "--device", "test", "--scale", "1", "--algorithm", "fw"])
         assert rc == 1
         out = capsys.readouterr().out
         assert out.splitlines()[0].endswith("— FAILED")
-        assert "fw-h2d-paper-form" in out
+        assert "fw-h2d-volume" in out and "[FAILED]" in out
 
     @pytest.mark.parametrize("argv", [
         ["verify-plan", "--num-devices", "0"],

@@ -136,11 +136,9 @@ class TestCliExtras:
         out = capsys.readouterr().out
         assert "out of core" in out or "fits in core" in out
         assert "boundary: VERIFIED" in out and "n_row=" in out
-        # known misfire, listed in CHANGES.md: the square-tile paper-form
-        # cross-check rejects this correct 457+7 FW tiling, whose exact
-        # volume checks pass
-        assert rc == 1
-        assert "fw-h2d-paper-form" in out and "fw-h2d-volume" not in out
+        # a ragged 457+7 FW tiling: its exact volume checks pass
+        assert rc == 0
+        assert "floyd-warshall: VERIFIED" in out
 
     def test_report_command_stdout(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))

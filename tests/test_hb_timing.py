@@ -374,27 +374,19 @@ class TestCalibration:
         assert spec.minplus_rate == cal.minplus_rate
         assert TEST_DEVICE.minplus_rate != spec.minplus_rate
 
-    def test_from_bench_propagates_unexpected_errors(self, monkeypatch):
-        """Only a non-numeric tuned rate falls back to the sweep; any
-        other failure of the lookup surfaces."""
+    def test_from_bench_propagates_unexpected_errors(self, tmp_path):
+        """A corrupt sweep file is an error, not an unmeasured machine."""
+        path = tmp_path / "BENCH_kernels.json"
+        path.write_text("{not json")
+        with pytest.raises(ValueError):
+            TimingCalibration.from_bench(path)
 
-        def broken(path=None):
-            raise RuntimeError("lookup failed")
-
-        monkeypatch.setattr("repro.bench.kernels.tuned_minplus_gops", broken)
-        with pytest.raises(RuntimeError, match="lookup failed"):
-            TimingCalibration.from_bench()
-
-    def test_non_numeric_tuned_rate_falls_back_to_sweep(self, monkeypatch, tmp_path):
+    def test_from_bench_takes_best_identical_row(self, tmp_path):
         path = tmp_path / "BENCH_kernels.json"
         path.write_text(json.dumps({"rows": [
             {"gops": 4.0, "identical": True},
             {"gops": 9.0, "identical": False},
         ]}))
-        monkeypatch.setattr(
-            "repro.bench.kernels.load_tuned_winner",
-            lambda path=None: {"backend": "jit", "gops": "n/a"},
-        )
         assert TimingCalibration.from_bench(path).minplus_rate == 4.0e9
 
     def test_calibration_rescales_compute(self):

@@ -206,21 +206,3 @@ def test_verify_kernels_static_report():
     assert payload["ok"] is True
     assert payload["findings"] == []
     json.dumps(payload)  # must be serialisable as-is
-
-
-def test_tuner_refuses_unverified_native_candidates(monkeypatch, tmp_path):
-    import repro.verifykernel as vk
-    from repro.bench.kernels import tune_kernels
-    from repro.verifykernel.bounds import Finding
-
-    monkeypatch.setenv("REPRO_BENCH_KERNELS", str(tmp_path / "bench.json"))
-    monkeypatch.setattr(
-        vk, "static_findings", lambda: [Finding("bounds", "mp_update_f32", 1, "seeded")]
-    )
-    result = tune_kernels(n=64, tiles=(32,), repeats=1)
-    assert result["verification"]["ok"] is False
-    assert result["verification"]["findings"]
-    # no row runs the C kernels, the threaded fan-out's inner one included
-    flavors = [row["flavor"] for row in result["rows"]]
-    assert "reference" in flavors
-    assert not [f for f in flavors if f == "cc" or "(cc)" in f], flavors

@@ -392,7 +392,7 @@ class TestSeededDefects:
         from repro.verifyplan.bounds import fw_bound_checks
 
         _, tally, _ = audit_ir(seeded)
-        checks = fw_bound_checks(n, 1, tally.bytes_h2d, tally.bytes_d2h)
+        checks = fw_bound_checks([n], tally.bytes_h2d, tally.bytes_d2h)
         d2h = next(c for c in checks if c.name == "fw-d2h-volume")
         assert not d2h.ok
         assert "FAILED" in d2h.describe()
