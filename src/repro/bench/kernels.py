@@ -1,14 +1,16 @@
 """Wall-clock microbenchmark of the kernel engine's backends.
 
-:func:`sweep_backends` times every registered backend (per tile size
-for ``jit``) on ``n³`` float32 min-plus products, repeated so each row
-carries its best time plus the median and quartiles, verifies each
-result bit-identical to the reference backend, and :func:`save_sweep`
+:func:`sweep_backends` times the ``reference`` backend bare and ``jit``
+(per tile size) through :class:`~repro.core.engine.KernelEngine`, as the
+drivers run it, on ``n³`` float32 min-plus products. A product at or
+above :data:`~repro.core.engine.SPLIT_WORK` is split across cores, and
+its row records the panel count. Each config is repeated so its row
+carries its best time plus the median and quartiles, every result is
+verified bit-identical to the reference, and :func:`save_sweep`
 persists the rows to ``BENCH_kernels.json`` at the repository root.
 :class:`~repro.verifyplan.timing.TimingCalibration` prices analytic
-selection off the best bit-identical row. The kernel the engine runs is
-chosen by live micro-calibration
-(:func:`repro.core.engine.calibrate`), never read from this file.
+selection off the best bit-identical row; the engine never reads this
+file.
 
 Entry points: ``python -m repro bench-kernels`` and
 ``benchmarks/test_kernel_backends.py``.
@@ -25,6 +27,7 @@ import numpy as np
 
 from repro.bench.baseline import baseline_path, record
 from repro.core.backends import backend_names, create_backend
+from repro.core.engine import KernelEngine, panel_count
 from repro.core.minplus import DIST_DTYPE, minplus_ops
 
 __all__ = [
@@ -36,9 +39,10 @@ __all__ = [
     "sweep_backends",
 ]
 
-#: problem sizes (cubes) of the default sweep; 1024 matches the repo's
+#: problem sizes (cubes) of the default sweep: one serial product, the
+#: block edge of perfbench's fw-rmat (457, split), and the repo's 1024
 #: headline Gop/s target
-DEFAULT_SIZES = (256, 1024)
+DEFAULT_SIZES = (256, 457, 1024)
 
 #: tile sizes tried for the one backend that takes a tile (``jit``)
 DEFAULT_TILES = (64, 128, 256)
@@ -76,15 +80,17 @@ def sweep_backends(
 ) -> list[dict]:
     """Time every backend × tile × size; returns one row dict per config.
 
-    Rows carry ``backend, flavor, n, tile, seconds, gops, speedup,
-    identical`` — ``seconds`` is the best of ``repeats`` runs (``gops``
-    and ``speedup`` derive from it), ``median_seconds``/``q1_seconds``/
-    ``q3_seconds`` give the spread, ``speedup`` is against the reference
-    backend at the same ``n``, ``identical`` the bit-identity check
-    against the reference result. The reference row is always measured
-    first so speedups exist.
+    Rows carry ``backend, flavor, n, tile, panels, seconds, gops,
+    speedup, identical`` — ``seconds`` is the best of ``repeats`` runs
+    (``gops`` and ``speedup`` derive from it), ``median_seconds``/
+    ``q1_seconds``/``q3_seconds`` give the spread, ``panels`` is how
+    many column panels the product ran in (``1`` for the bare reference
+    and below the engine's split cutoff), ``speedup`` is against the
+    reference backend at the same ``n``, ``identical`` the bit-identity
+    check against the reference result. The reference row is always
+    measured first so speedups exist.
     """
-    names = [name for name in backends or backend_names() if name != "reference"]
+    jit_tiles = tiles if "jit" in (backends or backend_names()) else ()
     rng = np.random.default_rng(seed)
     rows: list[dict] = []
     for n in sizes:
@@ -92,12 +98,12 @@ def sweep_backends(
         b = (rng.random((n, n), dtype=DIST_DTYPE) * 100).astype(DIST_DTYPE)
         ops = minplus_ops(n, n, n)
 
-        def timed(backend, tile):
+        def timed(update, backend, tile, panels):
             times = []
             for _ in range(max(1, repeats)):
                 c = np.full((n, n), np.inf, dtype=DIST_DTYPE)
                 t0 = perf_counter()
-                backend.update(c, a, b)
+                update(c, a, b)
                 times.append(perf_counter() - t0)
             q1, median, q3 = np.percentile(times, (25, 50, 75))
             best = min(times)
@@ -106,6 +112,7 @@ def sweep_backends(
                 "flavor": backend.flavor,
                 "n": n,
                 "tile": tile,
+                "panels": panels,
                 "seconds": best,
                 "median_seconds": float(median),
                 "q1_seconds": float(q1),
@@ -114,22 +121,18 @@ def sweep_backends(
             }
             return row, c
 
-        ref_row, ref_c = timed(create_backend("reference"), None)
+        reference = create_backend("reference")
+        ref_row, ref_c = timed(reference.update, reference, None, 1)
         ref_seconds = ref_row["seconds"]
         rows.append({**ref_row, "speedup": 1.0, "identical": True})
-        for name in names:
-            for tile in tiles if name == "jit" else (None,):
-                backend = create_backend(name, **({} if tile is None else {"tile": tile}))
-                # warm-up triggers one-time JIT/thread-pool costs
-                backend.update(
-                    np.full((32, 32), np.inf, dtype=DIST_DTYPE),
-                    a[:32, :32].copy(),
-                    b[:32, :32].copy(),
-                )
-                row, c = timed(backend, tile)
-                row["speedup"] = ref_seconds / row["seconds"]
-                row["identical"] = bool(np.array_equal(c, ref_c)) if verify else None
-                rows.append(row)
+        for tile in jit_tiles:
+            engine = KernelEngine("jit", tile=tile)
+            # warm-up triggers one-time JIT/thread-pool costs
+            engine.update(np.full((n, n), np.inf, dtype=DIST_DTYPE), a, b)
+            row, c = timed(engine.update, engine.backend, tile, panel_count(n, n, n))
+            row["speedup"] = ref_seconds / row["seconds"]
+            row["identical"] = bool(np.array_equal(c, ref_c)) if verify else None
+            rows.append(row)
     return rows
 
 

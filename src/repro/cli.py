@@ -325,6 +325,7 @@ def cmd_bench_kernels(args) -> int:
             "flavor": r["flavor"],
             "n": r["n"],
             "tile": r["tile"] if r["tile"] is not None else "-",
+            "panels": r["panels"],
             "seconds": r["seconds"],
             "median": r["median_seconds"],
             "IQR": r["q3_seconds"] - r["q1_seconds"],
@@ -700,7 +701,7 @@ def main(argv=None) -> int:
     p.add_argument("--query", metavar="U,V", default="",
                    help="print one distance after solving")
     p.add_argument("--kernel-backend", default="",
-                   choices=["", "auto", *backend_names()],
+                   choices=["", *backend_names()],
                    help="host min-plus kernel backend (default: process-wide engine)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--checkpoint-dir", metavar="DIR", default="",
@@ -742,7 +743,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench-kernels",
                        help="wall-clock Gop/s sweep of the min-plus kernel backends")
-    p.add_argument("--sizes", default="256,1024", help="comma-separated problem sizes")
+    p.add_argument("--sizes", default="256,457,1024", help="comma-separated problem sizes")
     p.add_argument("--tiles", default="64,128,256",
                    help="comma-separated tile sizes for the jit backend")
     p.add_argument("--backends", default="",

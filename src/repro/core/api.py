@@ -52,8 +52,7 @@ def solve_apsp(
     store_mode:
         ``"ram"`` or ``"disk"`` for the output matrix (Table IV regime).
     kernel_backend:
-        A kernel backend name (``"reference"``, ``"jit"``, ``"threaded"``,
-        ``"auto"``) or a prebuilt
+        A kernel backend name (``"reference"`` or ``"jit"``) or a prebuilt
         :class:`~repro.core.engine.KernelEngine` for the host-side min-plus
         and FW tile kernels; ``None`` uses the process-wide default.
     faults:

@@ -2,14 +2,14 @@
 
 Every backend implements :class:`~repro.core.backends.base.KernelBackend`
 and produces **bit-identical** distance tiles on the library's distance
-domain; they differ only in wall-clock speed. The
-:class:`~repro.core.engine.KernelEngine` picks one (auto-calibrated, or
-forced via ``REPRO_KERNEL_BACKEND`` / an explicit API argument).
+domain; they differ only in wall-clock speed. A
+:class:`~repro.core.engine.KernelEngine` runs one (``jit`` unless
+``REPRO_KERNEL_BACKEND`` or an explicit API argument names another) and
+splits large products across cores itself.
 
 ============  ==========================================================
 ``reference``  the seed rank-1 numpy loop — the semantics oracle
 ``jit``        compiled C, else ``reference``, degrading gracefully
-``threaded``   thread-pool column panels over the best serial backend
 ============  ==========================================================
 """
 
@@ -18,19 +18,17 @@ from __future__ import annotations
 from repro.core.backends.base import KernelBackend
 from repro.core.backends.jit import JITBackend
 from repro.core.backends.reference import ReferenceBackend
-from repro.core.backends.threaded import ThreadedBackend
 
 __all__ = [
     "JITBackend",
     "KernelBackend",
     "ReferenceBackend",
-    "ThreadedBackend",
     "backend_names",
     "create_backend",
 ]
 
 _REGISTRY: dict[str, type[KernelBackend]] = {
-    cls.name: cls for cls in (ReferenceBackend, JITBackend, ThreadedBackend)
+    cls.name: cls for cls in (ReferenceBackend, JITBackend)
 }
 
 

@@ -14,8 +14,9 @@ Two flavors:
 
 ``jit`` is ``cc`` whenever the C kernels load and ``fallback``
 otherwise; ``REPRO_JIT=off`` forces the fallback (used by the CI leg
-that exercises the degradation path). Spreading one product across
-cores is the ``threaded`` backend's job, not a flavor's.
+that exercises the degradation path). Every kernel runs on one thread;
+the engine spreads a large product across cores by calling the kernel
+on disjoint column panels (:mod:`repro.core.engine`).
 
 A plain build uses one fixed flag set, :data:`_CFLAGS`, and compiles
 nothing when its ``.so`` is cached. A compiler that rejects any of
@@ -571,7 +572,6 @@ class CCBuildInfo:
     """
 
     compiler: str
-    version: str
     flags: tuple[str, ...]
     sanitize: str | None = None
     degraded: tuple[str, ...] = ()
@@ -669,18 +669,6 @@ def _resolve_flags(
     if _sanitizer_works(compiler, sanitize):
         return [*SANITIZER_FLAGS[sanitize], *_CFLAGS], sanitize, ()
     return list(_CFLAGS), None, (f"sanitize:{sanitize}",)
-
-
-def _cc_version(compiler: str) -> str:
-    try:
-        proc = subprocess.run(
-            [compiler, "-dumpversion"], capture_output=True, timeout=30
-        )
-        if proc.returncode == 0:
-            return proc.stdout.decode().strip() or "unknown"
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return "unknown"
 
 
 @contextlib.contextmanager
@@ -791,7 +779,6 @@ def compile_cc_so(
                     os.replace(out, so_path)  # atomic publish into the cache
     build = CCBuildInfo(
         compiler=compiler,
-        version=_cc_version(compiler),
         flags=tuple(flags),
         sanitize=sanitize,
         degraded=degraded,

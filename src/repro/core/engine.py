@@ -1,4 +1,4 @@
-"""The kernel engine: backend selection, coercion, and calibration.
+"""The kernel engine: backend selection, coercion, and the split across cores.
 
 Every numeric hot path in the repository — blocked FW stages 1–3, the
 boundary algorithm's ``dist4`` chain, in-core FW, dynamic patches —
@@ -15,6 +15,16 @@ contract:
 * the output never shares memory with an input: :meth:`KernelEngine.update`
   rejects overlapping operands, so no backend needs an aliased path.
 
+One rule spreads a product across cores (:func:`panel_count`): a product
+of fewer than :data:`SPLIT_WORK` ``rows × depth × cols`` steps is one
+backend call, and a larger one is split into disjoint column panels of
+``C`` (with the matching columns of ``B``), one per worker of
+:func:`shared_executor`, whose workers are each bound to one CPU. The
+compiled kernels release the GIL, and a disjoint split leaves every
+element's candidate set unchanged, so the result is bit-identical
+either way. This is blocked FW's own parallel unit: phase-3 updates
+write disjoint outputs.
+
 :meth:`KernelEngine.fw_inplace` closes matrices up to
 :data:`FW_CLOSURE_BLOCK` with the backend's tile kernel and larger ones
 with the blocked closure
@@ -25,10 +35,9 @@ Selection order:
 
 1. an explicit ``engine=`` argument on any driver / ``KernelEngine(name)``;
 2. the ``REPRO_KERNEL_BACKEND`` environment variable
-   (``reference | jit | threaded | auto``);
-3. ``auto`` — micro-calibrate at first use: time every registered
-   backend on one small product and keep the fastest. Nothing is read
-   from disk, so the choice is always measured on the running machine.
+   (``reference | jit``);
+3. ``jit`` — the compiled C kernels, degrading to the ``reference``
+   numpy loop on a machine without a compiler.
 
 Run ``python -m repro bench-kernels`` for the full wall-clock sweep (see
 ``docs/PERFORMANCE.md``).
@@ -36,109 +45,116 @@ Run ``python -m repro bench-kernels`` for the full wall-clock sweep (see
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass, field
-from time import perf_counter
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from repro.core.backends import KernelBackend, backend_names, create_backend
+from repro.core.backends import KernelBackend, create_backend
 from repro.core.backends.base import numpy_fw_inplace, rank1_update
 from repro.core.blocked_fw import blocked_floyd_warshall
 from repro.core.minplus import DIST_DTYPE
 
 __all__ = [
-    "CalibrationResult",
     "KernelEngine",
-    "calibrate",
     "default_engine",
+    "default_workers",
+    "panel_count",
     "reset_default_engine",
     "set_default_backend",
+    "shared_executor",
 ]
 
-#: environment variable naming the backend (or ``auto``)
+#: environment variable naming the backend
 ENV_BACKEND = "REPRO_KERNEL_BACKEND"
 
-#: problem shape used for first-use micro-calibration (kept small: the
-#: whole sweep costs about 10 ms, amortised over a full run)
-CALIBRATION_SHAPE = (192, 192, 192)
+#: backend of an engine built with no name and no environment override
+DEFAULT_BACKEND = "jit"
+
+#: smallest product (``rows × depth × cols``) :meth:`KernelEngine.update`
+#: splits across workers. Measured on 2 cores (``docs/PERFORMANCE.md``):
+#: a two-panel split loses up to 16.8M (800×8×800, 256³), ties at 24.0M
+#: (306×256×306) and wins from 30.4M (258×457×258); so fw-rmat's
+#: 457-wide products split and every smaller product is one serial call
+SPLIT_WORK = 27_000_000
 
 #: largest matrix :meth:`KernelEngine.fw_inplace` closes with the tile
 #: kernel; larger ones run the blocked closure with this block edge
 FW_CLOSURE_BLOCK = 256
 
-
-@dataclass
-class CalibrationResult:
-    """Timings of one micro-calibration sweep."""
-
-    shape: tuple[int, int, int]
-    rows: list[dict] = field(default_factory=list)
-
-    @property
-    def best(self) -> str:
-        """Name of the fastest backend in the sweep."""
-        return min(self.rows, key=lambda r: r["seconds"])["backend"]
-
-    def add(self, backend: str, flavor: str, seconds: float) -> None:
-        """Record one backend's timing."""
-        bi, bk, bj = self.shape
-        self.rows.append(
-            {
-                "backend": backend,
-                "flavor": flavor,
-                "seconds": seconds,
-                "gops": 2 * bi * bk * bj / seconds / 1e9 if seconds > 0 else 0.0,
-            }
-        )
+_EXECUTOR: ThreadPoolExecutor | None = None
+_EXECUTOR_WORKERS = 0
+_LOCK = threading.Lock()
 
 
-def calibrate(
-    shape: tuple[int, int, int] = CALIBRATION_SHAPE, seed: int = 0
-) -> CalibrationResult:
-    """Time every registered backend on one random product.
+def default_workers() -> int:
+    """Worker count: the CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
-    Each backend gets a tiny warm-up first so one-time costs (C
-    compilation, thread-pool spin-up) don't pollute the measurement.
+
+def _bind_worker(cpus: list[int], started: itertools.count) -> None:
+    """Pool-thread initializer: bind the new thread to the next CPU of
+    ``cpus`` (none given: leave it unbound)."""
+    if not cpus:  # pragma: no cover - no affinity API on this OS
+        return
+    try:
+        os.sched_setaffinity(0, {cpus[next(started) % len(cpus)]})
+    except OSError:  # pragma: no cover - the mask shrank since the pool was built
+        pass
+
+
+def shared_executor(workers: int) -> ThreadPoolExecutor:
+    """Process-wide kernel thread pool, grown on demand, never shrunk.
+
+    Worker ``i`` is bound to the ``i``-th CPU of the process's affinity
+    mask (round robin past its end). Unbound, the OS may run both panels
+    of a split on one core for seconds while the other idles, which
+    turns the split into a slowdown on some runs and a speedup on others
+    (``docs/PERFORMANCE.md``).
     """
-    bi, bk, bj = shape
-    rng = np.random.default_rng(seed)
-    a = (rng.random((bi, bk), dtype=DIST_DTYPE) * 100).astype(DIST_DTYPE)
-    b = (rng.random((bk, bj), dtype=DIST_DTYPE) * 100).astype(DIST_DTYPE)
-    wa, wb = a[:32, :32].copy(), b[:32, :32].copy()
-    result = CalibrationResult(shape)
-    for name in backend_names():
-        backend = create_backend(name)
-        backend.update(np.full((32, 32), np.inf, dtype=DIST_DTYPE), wa, wb)
-        c = np.full((bi, bj), np.inf, dtype=DIST_DTYPE)
-        t0 = perf_counter()
-        backend.update(c, a, b)
-        result.add(name, backend.flavor, perf_counter() - t0)
-    return result
+    global _EXECUTOR, _EXECUTOR_WORKERS
+    with _LOCK:
+        if _EXECUTOR is None or workers > _EXECUTOR_WORKERS:
+            if _EXECUTOR is not None:
+                _EXECUTOR.shutdown(wait=False)
+            cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+            _EXECUTOR = ThreadPoolExecutor(
+                max_workers=workers,
+                thread_name_prefix="repro-kernel",
+                initializer=_bind_worker,
+                initargs=(cpus, itertools.count()),
+            )
+            _EXECUTOR_WORKERS = workers
+        return _EXECUTOR
+
+
+def panel_count(rows: int, depth: int, cols: int) -> int:
+    """Column panels :meth:`KernelEngine.update` splits a product into:
+    one below :data:`SPLIT_WORK`, else one per worker (at most one per
+    column of ``C``)."""
+    if rows * depth * cols < SPLIT_WORK:
+        return 1
+    return max(1, min(default_workers(), cols))
 
 
 class KernelEngine:
-    """One configured kernel backend plus the operand-contract guard rails."""
+    """One configured kernel backend plus the operand-contract guard rails
+    and the split of large products across cores."""
 
     def __init__(self, backend: str | KernelBackend | None = None, **options) -> None:
-        self.calibration: CalibrationResult | None = None
         #: always ``None``: no persisted winner is read (kept for readers
         #: of the attribute)
         self.tuned: dict | None = None
-        if backend is None:
-            backend = os.environ.get(ENV_BACKEND, "auto")
         if isinstance(backend, KernelBackend):
             self.backend = backend
-        elif backend == "auto":
-            self.calibration = calibrate()
-            self.backend = create_backend(self.calibration.best, **options)
         else:
-            if backend not in backend_names():
-                raise ValueError(
-                    f"unknown kernel backend {backend!r}; "
-                    f"choose from {backend_names() + ('auto',)}"
-                )
-            self.backend = create_backend(backend, **options)
+            name = backend or os.environ.get(ENV_BACKEND) or DEFAULT_BACKEND
+            self.backend = create_backend(name, **options)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -202,11 +218,30 @@ class KernelEngine:
         if c.strides[-1] != c.itemsize:
             # e.g. a transposed view: update a packed copy, write back in place
             packed = np.ascontiguousarray(c)
-            self.backend.update(packed, a, b)
+            self._product(packed, a, b)
             c[...] = packed
             return c
-        self.backend.update(c, a, b)
+        self._product(c, a, b)
         return c
+
+    def _product(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+        """One backend call, or :func:`panel_count` disjoint column panels
+        on the shared pool, each calling the backend directly. Every panel
+        is joined before any panel's exception propagates, so no worker is
+        still writing ``C`` when the caller sees the error."""
+        panels = panel_count(a.shape[0], a.shape[1], c.shape[1])
+        if panels < 2:
+            self.backend.update(c, a, b)
+            return
+        bounds = np.linspace(0, c.shape[1], panels + 1, dtype=int)
+        ex = shared_executor(panels)
+        futures = [
+            ex.submit(self.backend.update, c[:, lo:hi], a, b[:, lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        wait(futures)
+        for fut in futures:
+            fut.result()  # re-raise the first failed panel's exception
 
     def fw_inplace(self, dist: np.ndarray) -> np.ndarray:
         """Floyd–Warshall closure of a square matrix, in place.
@@ -250,7 +285,7 @@ def default_engine() -> KernelEngine:
     calls) unless :func:`set_default_backend` pinned an explicit choice.
     """
     global _DEFAULT, _DEFAULT_KEY
-    key = os.environ.get(ENV_BACKEND, "auto")
+    key = os.environ.get(ENV_BACKEND) or DEFAULT_BACKEND
     if _DEFAULT is None or (_DEFAULT_KEY != _PINNED and key != _DEFAULT_KEY):
         _DEFAULT = KernelEngine(key)
         _DEFAULT_KEY = key
@@ -266,7 +301,7 @@ def set_default_backend(backend: str | KernelBackend | KernelEngine) -> KernelEn
 
 
 def reset_default_engine() -> None:
-    """Drop the cached default engine (next use re-resolves/re-calibrates)."""
+    """Drop the cached default engine (next use re-resolves it)."""
     global _DEFAULT, _DEFAULT_KEY
     _DEFAULT = None
     _DEFAULT_KEY = None

@@ -7,11 +7,12 @@ lines 16–17): ``C[i,j] = min(C[i,j], min_k A[i,k] + B[k,j])``.
 The GPU implements this with shared-memory tiling [Katz & Kider]; on the
 host the computation is dispatched through the pluggable kernel engine
 (:mod:`repro.core.engine`), whose registered backends — the original rank-1
-numpy loop, JIT-compiled kernels, a thread pool — are bit-identical on
-distance tiles and differ only in wall-clock speed. ``C`` must not share
-memory with ``A`` or ``B``; the engine rejects overlapping operands.
-Select a backend with ``REPRO_KERNEL_BACKEND``, an explicit ``engine=``
-argument, or let first-use auto-calibration pick.
+numpy loop and the JIT-compiled kernels — are bit-identical on distance
+tiles and differ only in wall-clock speed; the engine splits a large
+product across cores. ``C`` must not share memory with ``A`` or ``B``;
+the engine rejects overlapping operands. The default backend is ``jit``;
+select another with ``REPRO_KERNEL_BACKEND`` or an explicit ``engine=``
+argument.
 
 Dense distance tiles use **float32** throughout the library
 (:data:`DIST_DTYPE`): the paper stores 4-byte ``int`` distances, and with

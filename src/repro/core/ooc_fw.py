@@ -22,9 +22,8 @@ The schedule is written once (:func:`_fw_schedule`): the driver runs it
 on the device through :class:`~repro.gpu.executor.DeviceEmitter` and
 :func:`emit_fw_ir` compiles it for the static verifier. Host-side numeric
 work dispatches through the kernel engine (:mod:`repro.core.engine`), one
-block update at a time; a threaded engine parallelises inside each
-update, so the schedule and its simulated time do not depend on the
-engine.
+block update at a time; the engine splits a large update across cores,
+so the schedule and its simulated time do not depend on the engine.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ _TILE = 48  # smaller than default so remainder paths hit at small n
 
 
 def _load(so_path: str) -> _CCKernels:
-    build = CCBuildInfo(compiler="external", version="", flags=())
+    build = CCBuildInfo(compiler="external", flags=())
     return _CCKernels(ctypes.CDLL(so_path), build)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
@@ -42,6 +44,18 @@ def timed_op_names(ir) -> list[str]:
         for op in ir.ops
         if isinstance(op, CopyOp) or (isinstance(op, KernelOp) and not op.annotate)
     ]
+
+
+@contextlib.contextmanager
+def forced_split(workers: int):
+    """Split every float32 min-plus product the kernel engine runs into
+    ``workers`` column panels: the work cutoff is forced to 0."""
+    import repro.core.engine as engine
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SPLIT_WORK", 0)
+        mp.setattr(engine, "default_workers", lambda: workers)
+        yield
 
 
 @pytest.fixture

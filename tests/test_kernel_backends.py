@@ -1,37 +1,64 @@
 """Cross-backend equivalence and contract tests for the kernel engine.
 
-Every backend registered in :mod:`repro.core.backends` must produce results
-**bit-identical** to the naive rank-1 reference loop — min is
+Every backend registered in :mod:`repro.core.backends`, and the engine's
+split of a product into column panels across threads, must produce
+results **bit-identical** to the naive rank-1 reference loop — min is
 order-independent and float32 ``a + b`` rounds identically regardless of
 JIT compilation or threading, so equality here is exact ``array_equal``,
 not ``allclose``. The suite covers random, inf-heavy, empty, degenerate,
 and non-square tiles (parametrized and property-based),
-Floyd–Warshall closure, the engine's dtype/layout coercion rules, the
-environment/API selection knobs, and the graceful C→numpy fallback.
+Floyd–Warshall closure, the engine's dtype/layout coercion rules, its
+serial-or-split rule, the environment/API selection knobs, and the
+graceful C→numpy fallback.
 """
+
+import contextlib
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.engine as engine_mod
 from repro.core.backends import backend_names, create_backend
 from repro.core.backends.base import finite_column_indices, numpy_fw_inplace, rank1_update
 from repro.core.backends.jit import JITBackend
 from repro.core.backends.reference import ReferenceBackend
-from repro.core.backends.threaded import ThreadedBackend
 from repro.core.blocked_fw import blocked_floyd_warshall, floyd_warshall_inplace
 from repro.core.engine import (
     ENV_BACKEND,
     KernelEngine,
-    calibrate,
     default_engine,
+    panel_count,
     reset_default_engine,
     set_default_backend,
 )
 from repro.core.minplus import DIST_DTYPE, minplus, minplus_update
+from tests.conftest import forced_split
 
 BACKENDS = backend_names()
+
+#: the engine case that splits every product: the ``jit`` engine with the
+#: cutoff forced to 0, three column panels on the shared thread pool
+SPLIT = "threaded"
+
+#: engine cases: each backend, and :data:`SPLIT`
+ENGINES = (*BACKENDS, SPLIT)
+
+
+@contextlib.contextmanager
+def engine_case(case):
+    """The :class:`KernelEngine` an :data:`ENGINES` case names, live for
+    the ``with`` block (the split case forces the split inside it)."""
+    if case != SPLIT:
+        yield KernelEngine(case)
+        return
+    with forced_split(workers=3):
+        yield KernelEngine("jit")
 
 
 @pytest.fixture(autouse=True)
@@ -70,29 +97,31 @@ def random_tiles(shape, inf_frac=0.0, seed=0, integer=True):
 SHAPES = [(17, 23, 11), (64, 64, 64), (1, 5, 1), (3, 1, 4), (128, 200, 96)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("inf_frac", [0.0, 0.3])
 def test_backend_bit_identical(backend, shape, inf_frac):
     c, a, b = random_tiles(shape, inf_frac, seed=hash((shape, inf_frac)) % 2**32)
     expected = naive_update(c, a, b)
     got = c.copy()
-    KernelEngine(backend).update(got, a, b)
+    with engine_case(backend) as eng:
+        eng.update(got, a, b)
     assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_backend_all_inf_operands(backend):
     """Entirely-+inf A (every column dead) must leave C untouched."""
     c, _, _ = random_tiles((9, 7, 9), seed=5)
     a = np.full((9, 7), np.inf, dtype=DIST_DTYPE)
     b = np.full((7, 9), np.inf, dtype=DIST_DTYPE)
     before = c.copy()
-    KernelEngine(backend).update(c, a, b)
+    with engine_case(backend) as eng:
+        eng.update(c, a, b)
     assert np.array_equal(c, before)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("shape", [(0, 5, 3), (4, 0, 3), (3, 5, 0), (0, 0, 0)])
 def test_backend_empty_tiles(backend, shape):
     bi, bk, bj = shape
@@ -100,7 +129,8 @@ def test_backend_empty_tiles(backend, shape):
     a = np.zeros((bi, bk), dtype=DIST_DTYPE)
     b = np.zeros((bk, bj), dtype=DIST_DTYPE)
     before = c.copy()
-    KernelEngine(backend).update(c, a, b)
+    with engine_case(backend) as eng:
+        eng.update(c, a, b)
     assert np.array_equal(c, before)  # k == 0 or no output elements
 
 
@@ -113,16 +143,18 @@ def test_backend_empty_tiles(backend, shape):
     seed=st.integers(0, 2**16),
 )
 def test_backends_agree_property(bi, bk, bj, inf_frac, seed):
-    """Property: all backends agree bit-for-bit on arbitrary tiles."""
+    """Property: all backends, and the jit engine with the cutoff forced
+    to 0 (every product split), agree bit-for-bit on arbitrary tiles."""
     c, a, b = random_tiles((bi, bk, bj), inf_frac, seed)
     expected = naive_update(c, a, b)
-    for name in BACKENDS:
+    for name in ENGINES:
         got = c.copy()
-        KernelEngine(name).update(got, a, b)
+        with engine_case(name) as eng:
+            eng.update(got, a, b)
         assert np.array_equal(got, expected), name
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_fw_inplace_bit_identical(backend, rng=np.random.default_rng(7)):
     """The tile kernel (n=97) and the blocked closure above one closure
     block (n=600) both equal the plain pivot loop on integer weights."""
@@ -131,16 +163,21 @@ def test_fw_inplace_bit_identical(backend, rng=np.random.default_rng(7)):
         d[rng.random((n, n)) < 0.5] = np.inf
         np.fill_diagonal(d, 0.0)
         expected = numpy_fw_inplace(d.copy())
-        got = KernelEngine(backend).fw_inplace(d.copy())
+        with engine_case(backend) as eng:
+            got = eng.fw_inplace(d.copy())
         assert np.array_equal(got, expected), n
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_update_operand_overlap_guard(backend):
     """``update`` rejects a ``C`` that shares memory with ``A`` or ``B``,
     in any dtype, and accepts disjoint tile views of one matrix even
     though their memory bounds overlap."""
-    eng = KernelEngine(backend)
+    with engine_case(backend) as eng:
+        _check_overlap_guard(eng)
+
+
+def _check_overlap_guard(eng):
     for dtype in (np.float32, np.float64):
         d = np.arange(64 * 64, dtype=dtype).reshape(64, 64)
         t, diag = d[:32, 32:], d[32:, 32:].copy()
@@ -160,7 +197,7 @@ def test_update_operand_overlap_guard(backend):
     assert np.array_equal(c, rank1_update(c0.copy(), a0, b0))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("block_size", [1, 13, 64, 200])
 def test_blocked_fw_engine_equivalence(backend, block_size):
     """Blocked FW (fresh stage-2 panels) agrees exactly on integer weights."""
@@ -169,8 +206,8 @@ def test_blocked_fw_engine_equivalence(backend, block_size):
     d[rng.random((75, 75)) < 0.6] = np.inf
     np.fill_diagonal(d, 0.0)
     expected = numpy_fw_inplace(d.copy())
-    eng = KernelEngine(backend)
-    got = blocked_floyd_warshall(d.copy(), block_size, engine=eng)
+    with engine_case(backend) as eng:
+        got = blocked_floyd_warshall(d.copy(), block_size, engine=eng)
     assert np.array_equal(got, expected)
 
 
@@ -235,7 +272,8 @@ def test_minplus_module_dispatch():
     assert np.array_equal(minplus(a, b), expected)
     assert np.array_equal(minplus(a, b, engine=KernelEngine("reference")), expected)
     got = np.full_like(c, np.inf)
-    minplus_update(got, a, b, engine=KernelEngine("threaded"))
+    with engine_case(SPLIT) as eng:
+        minplus_update(got, a, b, engine=eng)
     assert np.array_equal(got, expected)
 
 
@@ -243,17 +281,18 @@ def test_minplus_module_dispatch():
 # Selection knobs
 # ----------------------------------------------------------------------
 def test_env_variable_selects_backend(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "jit")
-    reset_default_engine()
-    assert default_engine().name == "jit"
+    monkeypatch.delenv(ENV_BACKEND, raising=False)
+    assert default_engine().name == "jit"  # the default
     monkeypatch.setenv(ENV_BACKEND, "reference")
     assert default_engine().name == "reference"  # re-resolves on env change
+    monkeypatch.setenv(ENV_BACKEND, "jit")
+    assert default_engine().name == "jit"
 
 
 def test_set_default_backend_pins(monkeypatch):
-    set_default_backend("threaded")
-    monkeypatch.setenv(ENV_BACKEND, "reference")
-    assert default_engine().name == "threaded"  # pinned beats the env
+    set_default_backend("reference")
+    monkeypatch.setenv(ENV_BACKEND, "jit")
+    assert default_engine().name == "reference"  # pinned beats the env
 
 
 def test_jit_off_falls_back(monkeypatch):
@@ -328,24 +367,126 @@ def test_cc_inf_column_fast_path():
     assert np.array_equal(got, naive_update(c, a, b))
 
 
-def test_threaded_matches_serial_inner():
-    backend = ThreadedBackend(workers=3)
-    c, a, b = random_tiles((40, 30, 500), inf_frac=0.2, seed=31)
-    got = c.copy()
-    backend.update(got, a, b)
-    assert np.array_equal(got, naive_update(c, a, b))
-    assert backend.flavor.startswith("threaded(") and backend.workers == 3
-
-
+# ----------------------------------------------------------------------
+# The serial-or-split rule
+# ----------------------------------------------------------------------
 class _RecordingBackend(ReferenceBackend):
-    """Reference backend that logs the ``C`` shape of every call."""
+    """Reference backend that logs the column range of ``C`` it gets."""
 
-    def __init__(self):
+    def __init__(self, whole=None):
         self.calls = []
+        self.whole = whole
 
     def update(self, c, a, b):
-        self.calls.append(c.shape)
+        lo = 0
+        if self.whole is not None:
+            lo = (c.ctypes.data - self.whole.ctypes.data) // c.itemsize
+        self.calls.append((c.shape[0], lo, lo + c.shape[1]))
         return super().update(c, a, b)
+
+
+def test_split_rule_one_call_below_cutoff_panels_at_or_above(monkeypatch):
+    """Below the work cutoff the backend sees one call on all of ``C``;
+    at or above it, ``default_workers()`` disjoint column panels that
+    together cover ``C``, with the result unchanged."""
+    monkeypatch.setattr(engine_mod, "default_workers", lambda: 3)
+    c0, a, b = random_tiles((40, 30, 500), inf_frac=0.2, seed=31, integer=False)
+    expected = naive_update(c0, a, b)
+    work = 40 * 30 * 500
+    for cutoff, calls in (
+        (work + 1, [(40, 0, 500)]),
+        (work, [(40, 0, 166), (40, 166, 333), (40, 333, 500)]),
+    ):
+        monkeypatch.setattr(engine_mod, "SPLIT_WORK", cutoff)
+        c = c0.copy()
+        backend = _RecordingBackend(whole=c)
+        KernelEngine(backend).update(c, a, b)
+        assert sorted(backend.calls) == calls
+        assert np.array_equal(c, expected)
+    monkeypatch.setattr(engine_mod, "SPLIT_WORK", 0)
+    assert panel_count(40, 30, 2) == 2  # never more panels than columns
+    monkeypatch.setattr(engine_mod, "default_workers", lambda: 1)
+    assert panel_count(40, 30, 500) == 1
+
+
+def test_split_joins_every_panel_before_raising():
+    """A panel that raises surfaces only after the other panel returned:
+    no worker is still writing ``C`` when the caller sees the error."""
+    returned = threading.Event()
+
+    class FailFirstPanel(ReferenceBackend):
+        def update(self, c, a, b):
+            if c.ctypes.data == whole.ctypes.data:
+                raise RuntimeError("panel 0 failed")
+            time.sleep(0.2)
+            super().update(c, a, b)
+            returned.set()
+            return c
+
+    whole, a, b = random_tiles((8, 4, 10), seed=3)
+    eng = KernelEngine(FailFirstPanel())
+    with forced_split(workers=2):
+        with pytest.raises(RuntimeError, match="panel 0 failed"):
+            eng.update(whole, a, b)
+    assert returned.is_set()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_pool_binds_worker_i_to_cpu_i(monkeypatch):
+    """Worker ``i`` of a fresh shared pool runs only on the ``i``-th CPU
+    of the process's affinity mask (round robin past its end), so two
+    panels of one product never share a core while another idles; the
+    calling thread's own mask is left alone."""
+    monkeypatch.setattr(engine_mod, "_EXECUTOR", None)
+    monkeypatch.setattr(engine_mod, "_EXECUTOR_WORKERS", 0)
+    cpus = sorted(os.sched_getaffinity(0))
+    workers = len(cpus) + 1
+    # every task holds its worker until all have started, so each of the
+    # ``workers`` threads reports its own mask exactly once
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def mask():
+        barrier.wait()
+        return sorted(os.sched_getaffinity(0))
+
+    pool = engine_mod.shared_executor(workers)
+    try:
+        masks = [f.result() for f in [pool.submit(mask) for _ in range(workers)]]
+    finally:
+        pool.shutdown(wait=True)
+    assert sorted(masks) == sorted([cpus[i % len(cpus)]] for i in range(workers))
+    assert sorted(os.sched_getaffinity(0)) == cpus
+
+
+def test_split_concurrent_callers_stress():
+    """Four caller threads share one engine and its pool, every product
+    split into three panels (more workers than cores) with a short switch
+    interval: a panel lost or written twice would change a result."""
+    eng = KernelEngine("jit")
+    cases = [random_tiles((33, 17, 45), 0.2, seed=s) for s in range(4)]
+    failures = []
+
+    def client(c, a, b):
+        expected = naive_update(c, a, b)
+        for _ in range(25):
+            got = c.copy()
+            eng.update(got, a, b)
+            if not np.array_equal(got, expected):
+                failures.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with forced_split(workers=3):
+            threads = [threading.Thread(target=client, args=case) for case in cases]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 def _stage2_operands(seed=37):
@@ -358,72 +499,91 @@ def _stage2_operands(seed=37):
     return tile, diag
 
 
-def test_threaded_runs_aliased_operands_unsplit():
+def test_split_rejects_aliased_operands_before_any_panel():
     """FW stage 2 on one panel, ``T ⊗ diag`` over ``T``: split into column
     panels, an aliased ``update(T, T, diag)`` would let each worker read
     the panels the others are writing. The engine rejects it before any
-    panel reaches the inner backend; the fresh product that replaces it
-    has a disjoint output and is split like any other update."""
+    panel reaches the backend; the fresh product that replaces it has a
+    disjoint output and is split like any other update."""
     tile, diag = _stage2_operands()
     before = tile.copy()
-    inner = _RecordingBackend()
-    eng = KernelEngine(ThreadedBackend(inner=inner, workers=2))
-    with pytest.raises(ValueError, match="shares memory"):
-        eng.update(tile, tile, diag)
-    assert inner.calls == [] and np.array_equal(tile, before)
-    eng.minplus(tile, diag)
-    assert inner.calls == [(64, 128), (64, 128)]
+    backend = _RecordingBackend()
+    eng = KernelEngine(backend)
+    with forced_split(workers=2):
+        with pytest.raises(ValueError, match="shares memory"):
+            eng.update(tile, tile, diag)
+        assert backend.calls == [] and np.array_equal(tile, before)
+        eng.minplus(tile, diag)
+    assert [rows for rows, *_ in backend.calls] == [64, 64]
+    assert sorted(hi - lo for _, lo, hi in backend.calls) == [128, 128]
 
 
 @pytest.mark.parametrize("pattern", ["c==a", "c==b"])
 def test_threaded_aliased_matches_serial_inner(pattern):
     """Both stage-2 panel patterns — the column panel ``T ⊗ diag``
     (formerly ``C = A``) and the row panel ``diag ⊗ T`` (formerly
-    ``C = B``) — are rejected in place by the threaded engine and its
-    serial inner alike, and their fresh products agree bit for bit on
-    real weights and never exceed the panel they replace."""
+    ``C = B``) — are rejected in place whether or not the engine splits
+    (the :data:`SPLIT` case), and their fresh products agree bit for bit
+    with the serial engine's on real weights and never exceed the panel
+    they replace."""
     tile, diag = _stage2_operands()
     if pattern == "c==b":
         tile = np.ascontiguousarray(np.vstack([tile] * 4).T)  # 256×256
-    backend = ThreadedBackend(workers=2)
-    threaded, serial = KernelEngine(backend), KernelEngine(backend.inner)
-    for eng in (threaded, serial):
-        with pytest.raises(ValueError, match="shares memory"):
-            if pattern == "c==a":
-                eng.update(tile, tile, diag)
-            else:
-                eng.update(tile, diag, tile)
-    for _ in range(5):
+    serial = KernelEngine("jit")
+
+    def product(eng, tile):
         if pattern == "c==a":
-            want, got = serial.minplus(tile, diag), threaded.minplus(tile, diag)
-        else:
-            want, got = serial.minplus(diag, tile), threaded.minplus(diag, tile)
+            with pytest.raises(ValueError, match="shares memory"):
+                eng.update(tile, tile, diag)
+            return eng.minplus(tile, diag)
+        with pytest.raises(ValueError, match="shares memory"):
+            eng.update(tile, diag, tile)
+        return eng.minplus(diag, tile)
+
+    for _ in range(5):
+        want = product(serial, tile)
+        with engine_case(SPLIT) as split:
+            got = product(split, tile)
         assert np.array_equal(got, want)
         assert (got <= tile).all()
         tile = got
 
 
-def test_calibration_smoke(monkeypatch):
-    result = calibrate(shape=(48, 48, 48))
-    assert {r["backend"] for r in result.rows} == set(BACKENDS)
-    assert result.best in BACKENDS
-    assert all(r["seconds"] >= 0 and r["gops"] >= 0 for r in result.rows)
+@pytest.mark.parametrize("algorithm", ["floyd-warshall", "boundary"])
+def test_forced_split_keeps_distances_and_simulated_seconds(algorithm):
+    """The split changes only how a product is computed: FW and boundary
+    distances and simulated seconds equal the default engine's."""
+    from repro.core import solve_apsp
+    from repro.graphs.generators import rmat
 
-    # "auto" measures on the running machine and reads nothing from disk
-    # (the C kernels are loaded above, so building the backends opens
-    # nothing either)
-    def no_open(*args, **kwargs):
-        raise AssertionError(f"auto engine opened a file: {args[:1]}")
+    g = rmat(600, 4800, seed=5)
+    base = solve_apsp(g, algorithm=algorithm, kernel_backend="jit")
+    with forced_split(workers=2):
+        split = solve_apsp(g, algorithm=algorithm, kernel_backend="jit")
+    assert split.simulated_seconds == base.simulated_seconds
+    assert np.array_equal(split.store.data, base.store.data)
 
-    monkeypatch.setattr("builtins.open", no_open)
-    monkeypatch.setattr("io.open", no_open)
-    eng = KernelEngine("auto")
-    assert eng.calibration is not None and eng.name == eng.calibration.best
-    assert eng.tuned is None
+
+def test_default_engine_opens_no_file_and_times_nothing(monkeypatch):
+    """With nothing set the engine is ``jit``, built without reading a
+    file and without running a single product: nothing is calibrated."""
+    monkeypatch.delenv(ENV_BACKEND, raising=False)
+    JITBackend()  # the C kernels load (and may compile) outside the check
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"building the default engine ran {args[:1]}")
+
+    monkeypatch.setattr("builtins.open", refuse)
+    monkeypatch.setattr("io.open", refuse)
+    for cls in (ReferenceBackend, JITBackend):
+        monkeypatch.setattr(cls, "update", refuse)
+        monkeypatch.setattr(cls, "fw_inplace", refuse)
+    eng = default_engine()
+    assert eng.name == "jit" and eng.tuned is None
 
 
 def test_registry_contents():
-    assert backend_names() == ("reference", "jit", "threaded")
+    assert backend_names() == ("reference", "jit")
     # every registered backend is constructible in this environment
     # (jit degrades to its fallback flavor rather than dropping out)
     for name in BACKENDS:
@@ -433,14 +593,13 @@ def test_registry_contents():
 def test_removed_backend_names_the_choices(monkeypatch, capsys):
     from repro.cli import main
 
-    monkeypatch.setenv(ENV_BACKEND, "tiled")
-    with pytest.raises(ValueError, match="choose from .*'reference', 'jit', 'threaded'"):
-        default_engine()
-    with pytest.raises(SystemExit):
-        main(["solve", "er:n=20,m=40", "--kernel-backend", "tiled"])
-    assert "choose from '', 'auto', 'reference', 'jit', 'threaded'" in (
-        capsys.readouterr().err
-    )
+    for name in ("tiled", "threaded", "auto"):
+        monkeypatch.setenv(ENV_BACKEND, name)
+        with pytest.raises(ValueError, match=r"choose from \('reference', 'jit'\)"):
+            default_engine()
+        with pytest.raises(SystemExit):
+            main(["solve", "er:n=20,m=40", "--kernel-backend", name])
+        assert "choose from '', 'reference', 'jit')" in capsys.readouterr().err
 
 
 def test_solve_apsp_kernel_backend_arg():

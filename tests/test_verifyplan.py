@@ -6,6 +6,7 @@ records — peak charged residency, H2D/D2H volumes, and copy counts.
 Two independent analyses, one contract.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.verifyplan import (
     audit_ir,
     verify_plan,
 )
-from tests.conftest import timed_op_names
+from tests.conftest import forced_split, timed_op_names
 
 V100_64 = V100.scaled(1 / 64)
 
@@ -147,18 +148,20 @@ class TestStaticDynamicAgreement:
 
     def test_fw_fanout_engine_moves_same_bytes(self):
         # The kernel engine only changes how each block update computes,
-        # never the schedule: a threaded engine moves the bytes the
-        # verifier proves, in the same simulated time, to the same
-        # distances as the reference and default engines.
+        # never the schedule: with every product split into four column
+        # panels it moves the bytes the verifier proves, in the same
+        # simulated time, to the same distances as the reference and
+        # default engines.
         from repro.core.engine import KernelEngine, default_engine
 
         g = road_like(400, 2.6, seed=7)
         audit = verify_plan(g, TEST_DEVICE, algorithms=["fw"]).audits["floyd-warshall"]
         runs = []
-        for engine in (KernelEngine(backend="reference"), default_engine(),
-                       KernelEngine(backend="threaded", workers=4)):
+        for engine, split in ((KernelEngine(backend="reference"), False),
+                              (default_engine(), False), (KernelEngine(backend="jit"), True)):
             device = Device(TEST_DEVICE)
-            runs.append(ooc_floyd_warshall(g, device, engine=engine))
+            with forced_split(workers=4) if split else contextlib.nullcontext():
+                runs.append(ooc_floyd_warshall(g, device, engine=engine))
             assert static_stats(audit) == dynamic_stats(device)
         reference = runs[0]
         for result in runs[1:]:
