@@ -9,7 +9,6 @@ Commands
 ``devices``       list the device presets and their constants
 ``bench-kernels`` wall-clock sweep of the min-plus kernel backends
 ``bench-transfers`` record/check the static transfer-volume baseline
-``sanitize``      run the schedule sanitizer over the out-of-core drivers
 ``verify-plan``   statically verify the OOC execution plans (no execution):
                   derived parameters, residency and transfer bounds,
                   happens-before and the predicted makespan
@@ -26,11 +25,11 @@ Commands
 ``lint``          run the repository AST contract checker
 ``verify-kernels`` static bounds/alias proofs + sanitizer legs for the JIT C kernels
 
-Exit codes (``sanitize``, ``verify-plan``, ``verify-cluster``,
-``verify-update``, ``bench-transfers --check``, ``bench-cluster --check``,
+Exit codes (``verify-plan``, ``verify-cluster``, ``verify-update``,
+``bench-transfers --check``, ``bench-cluster --check``,
 ``bench-dynamic --check``, ``serve``, ``bench-serve --check``, ``lint``,
 ``verify-kernels``):
-0 — clean/verified; 1 — hazards, findings, failed bounds or checks, or
+0 — clean/verified; 1 — findings, failed bounds or checks, or
 baseline drift; 2 — usage error (argparse, including a device, node or
 block count below 1).
 
@@ -355,43 +354,6 @@ def cmd_bench_kernels(args) -> int:
         print("ERROR: a backend diverged from the reference result", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_sanitize(args) -> int:
-    import json as _json
-
-    from repro.sanitize import DRIVER_NAMES, sanitize_driver
-
-    graph = _load_graph(args)
-    spec = _device_spec(args)
-    names = list(DRIVER_NAMES) if args.driver == "all" else [args.driver]
-    failures = 0
-    reports = {}
-    for name in names:
-        kwargs = {"num_devices": args.num_devices} if name == "multi-gpu" else {}
-        report, result = sanitize_driver(
-            name, graph, spec, overlap=args.overlap, **kwargs
-        )
-        reports[name] = report
-        if not report.clean:
-            failures += 1
-        if args.json:
-            continue
-        status = "clean" if report.clean else f"{len(report.hazards)} hazard(s)"
-        print(f"{name:<10} {report.num_ops:>5} ops, {report.num_buffers:>3} buffers: {status}")
-        if not report.clean:
-            for line in report.describe().splitlines()[1:]:
-                print(line)
-    if args.json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "graph": {"n": graph.num_vertices, "m": graph.num_edges},
-            "device": spec.name,
-            "clean": failures == 0,
-            "drivers": {name: r.to_dict() for name, r in reports.items()},
-        }
-        print(_json.dumps(payload, indent=2))
-    return 1 if failures else 0
 
 
 def _print_verification(args, ver) -> int:
@@ -755,19 +717,6 @@ def main(argv=None) -> int:
     p.add_argument("--no-save", action="store_true",
                    help="print only; skip writing BENCH_kernels.json")
     p.set_defaults(fn=cmd_bench_kernels)
-
-    p = sub.add_parser("sanitize",
-                       help="race/hazard-check the simulated schedules of the drivers")
-    add_graph_args(p)
-    p.add_argument("--driver", default="all",
-                   choices=["all", "fw", "boundary", "johnson", "multi-gpu"],
-                   help="which out-of-core driver(s) to check (default: all)")
-    p.add_argument("--num-devices", type=_count, default=2,
-                   help="device count for the multi-gpu driver")
-    p.add_argument("--no-overlap", dest="overlap", action="store_false",
-                   help="check the single-stream (overlap=False) schedules")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(fn=cmd_sanitize)
 
     p = sub.add_parser(
         "verify-plan",

@@ -294,8 +294,8 @@ def emit_fw_ir(n: int, spec: DeviceSpec, *, block_size: int | None = None,
     executes — into an :class:`~repro.verifyplan.ir.IREmitter`.
 
     ``start_k > 0`` emits the schedule *suffix* a checkpoint-resumed run
-    replays — used to prove recovery paths are race- and hazard-free with
-    the same machinery as full runs (resumed suffixes move fewer bytes
+    replays — used to prove recovery paths race-free with the same
+    machinery as full runs (resumed suffixes move fewer bytes
     than the paper bounds assume, so audit them with ``analyze_hb`` /
     ``audit_ir`` rather than the full-run ``verify_plan``).
     """

@@ -35,8 +35,6 @@ from repro.gpu.timeline import Clock
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
     from repro.faults.retry import RetryPolicy
-    from repro.sanitize.hazards import HazardReport
-    from repro.sanitize.sanitizer import ScheduleSanitizer
 
 _T = TypeVar("_T")
 
@@ -199,12 +197,9 @@ class Device:
     synchronous operations block it, asynchronous ones only charge the launch
     overhead, which is how overlap pays off.
 
-    With ``sanitize=True`` the device carries a
-    :class:`~repro.sanitize.sanitizer.ScheduleSanitizer` that observes
-    every stream operation, event edge, allocation and free, and detects
-    cross-stream races, use-after-free, and uninitialized device reads —
-    the simulated analogue of ``compute-sanitizer --tool racecheck``.
-    Collect findings with :meth:`hazard_report`.
+    The drivers run on it the schedules they emit as IR, so the static
+    audit of :mod:`repro.verifyplan` (residency, def-use, use-after-free
+    and happens-before in every interleaving) covers what a device runs.
 
     With ``faults=`` set to a :class:`~repro.faults.FaultPlan`, every
     guarded operation (copies, kernel launches, allocations) consults the
@@ -220,23 +215,16 @@ class Device:
         spec: DeviceSpec,
         *,
         record_trace: bool = True,
-        sanitize: bool = False,
         faults: "FaultPlan | None" = None,
         retry: "RetryPolicy | None" = None,
     ) -> None:
         from repro.faults.retry import FaultReport, RetryPolicy
 
         self.spec = spec
-        self.sanitizer: ScheduleSanitizer | None = None
-        if sanitize:
-            from repro.sanitize.sanitizer import ScheduleSanitizer
-
-            self.sanitizer = ScheduleSanitizer(spec.name)
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_report = FaultReport()
         self.memory = DeviceMemory(spec.memory_bytes)
-        self.memory.observer = self.sanitizer
         self.memory.guard = self.run_guarded
         self.clock = Clock(record_trace=record_trace)
         self._streams: dict[str, Stream] = {}
@@ -244,8 +232,7 @@ class Device:
 
     def create_stream(self, name: str = "") -> Stream:
         """The stream called ``name`` (a fresh ``streamN`` when unnamed),
-        created on first use: a stream is a named lane of the clock, and
-        the sanitizer keys its vector clocks by the same name."""
+        created on first use: a stream is a named lane of the clock."""
         name = name or f"stream{len(self._streams) + 1}"
         stream = self._streams.get(name)
         if stream is None:
@@ -260,22 +247,7 @@ class Device:
     def synchronize(self) -> float:
         """Block the host until all device work completes; returns the
         simulated wall-clock time at that point."""
-        t = self.clock.synchronize()
-        if self.sanitizer is not None:
-            self.sanitizer.on_device_sync()
-        return t
-
-    def hazard_report(self) -> "HazardReport":
-        """Scan the sanitized schedule; requires ``sanitize=True``.
-
-        Returns a :class:`~repro.sanitize.hazards.HazardReport`.
-        """
-        if self.sanitizer is None:
-            raise ValueError(
-                "device was created without sanitize=True; "
-                "use Device(spec, sanitize=True) to enable the sanitizer"
-            )
-        return self.sanitizer.report()
+        return self.clock.synchronize()
 
     @property
     def elapsed(self) -> float:
@@ -290,8 +262,6 @@ class Device:
         from repro.faults.retry import FaultReport
 
         self.clock.reset()
-        if self.sanitizer is not None:
-            self.sanitizer.reset_schedule()
         self.fault_report = FaultReport()
         if self.faults is not None:
             self.faults.reset()

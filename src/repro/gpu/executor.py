@@ -14,8 +14,8 @@ it into an ``IREmitter``; the driver runs the same schedule into a
 * a kernel runs the driver's numerics for its name, then launches for
   the emitted ``cost``, else the seconds the numerics return
   (data-dependent kernels), else :func:`repro.gpu.kernels.launch_seconds`
-  of its operands; an ``annotate`` kernel only reports its accesses to the
-  sanitizer;
+  of its operands; an ``annotate`` kernel runs its numerics and launches
+  nothing;
 * ``record``/``wait`` use real :class:`~repro.gpu.stream.Event` objects and
   ``barrier`` calls the driver's fleet barrier.
 
@@ -128,9 +128,7 @@ class DeviceEmitter:
         seconds: float | None = None
         if numerics is not None:
             seconds = numerics(rviews, wviews, None if key is None else self._host(key))
-        s = self.device.create_stream(stream)
         if annotate:
-            s.annotate(name, reads=rviews, writes=wviews)
             return
         if cost is None:
             cost = seconds
@@ -138,7 +136,7 @@ class DeviceEmitter:
             cost = launch_seconds(
                 name, self.device.spec, reads, writes, lambda op: operand_view(op).shape
             )
-        s.launch(name, cost, reads=rviews, writes=wviews)
+        self.device.create_stream(stream).launch(name, cost)
 
     def record(self, name: str, *, stream: str = "default") -> Event:
         return self.device.create_stream(stream).record(Event(name))

@@ -17,14 +17,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from repro.gpu.errors import OutOfMemoryError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sanitize.sanitizer import ScheduleSanitizer
 
 __all__ = ["DeviceArray", "DeviceMemory", "HostBuffer"]
 
@@ -101,17 +98,11 @@ class DeviceArray:
 
 @dataclass
 class DeviceMemory:
-    """Bump-counted device memory pool with a hard capacity.
-
-    ``observer`` is the owning device's schedule sanitizer (or ``None``);
-    it is told about every allocation and free so use-after-free and
-    uninitialized reads can be detected.
-    """
+    """Bump-counted device memory pool with a hard capacity."""
 
     capacity: int
     used: int = 0
     peak: int = 0
-    observer: "ScheduleSanitizer | None" = field(default=None, repr=False)
     #: owning device's fault guard (``Device.run_guarded``); when set,
     #: allocations route through it so an injected ``alloc`` fault can be
     #: retried like a transient ``cudaMalloc`` failure
@@ -146,23 +137,11 @@ class DeviceMemory:
             self.used += charge
             self.peak = max(self.peak, self.used)
             self._live[id(arr)] = arr
-            if self.observer is not None:
-                self.observer.on_alloc(arr, prefilled=fill is not None)
             return arr
 
         if self.guard is None:
             return body()
         return self.guard("alloc", name or "alloc", body)
-
-    def upload(self, host: np.ndarray, *, name: str = "") -> DeviceArray:
-        """Allocate and copy a host array's contents (no time accounting —
-        use :meth:`repro.gpu.stream.Stream.copy_h2d` for timed uploads)."""
-        arr = self.alloc(host.shape, host.dtype, name=name)
-        arr.data[...] = host
-        if self.observer is not None:
-            # the untimed upload initialises the bytes, like a fill
-            self.observer.on_alloc(arr, prefilled=True)
-        return arr
 
     def _release(self, arr: DeviceArray) -> None:
         if id(arr) not in self._live:
@@ -170,8 +149,6 @@ class DeviceMemory:
         del self._live[id(arr)]
         self.used -= arr.charged_bytes
         assert self.used >= 0
-        if self.observer is not None:
-            self.observer.on_free(arr)
 
     @property
     def free_bytes(self) -> int:
@@ -180,10 +157,6 @@ class DeviceMemory:
     @property
     def num_live(self) -> int:
         return len(self._live)
-
-    def scope(self) -> "_AllocScope":
-        """Context manager that frees everything allocated inside it."""
-        return _AllocScope(self)
 
     @contextmanager
     def cleanup_on_error(self):
@@ -200,31 +173,3 @@ class DeviceMemory:
             for arr_id in list(self._live.keys() - before):
                 self._live[arr_id].free()
             raise
-
-
-class _AllocScope:
-    """Frees all arrays allocated through it on exit."""
-
-    def __init__(self, pool: DeviceMemory) -> None:
-        self._pool = pool
-        self._arrays: list[DeviceArray] = []
-
-    def alloc(self, *args, **kwargs) -> DeviceArray:
-        arr = self._pool.alloc(*args, **kwargs)
-        self._arrays.append(arr)
-        return arr
-
-    def upload(self, *args, **kwargs) -> DeviceArray:
-        arr = self._pool.upload(*args, **kwargs)
-        self._arrays.append(arr)
-        return arr
-
-    def __enter__(self) -> "_AllocScope":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for arr in reversed(self._arrays):
-            arr.free()
-
-    def __iter__(self) -> Iterator[DeviceArray]:  # pragma: no cover
-        return iter(self._arrays)

@@ -1,10 +1,8 @@
-"""The happens-before rule: one vector clock for run-time and static checks.
+"""The happens-before rule: one vector clock for the static checker.
 
-The schedule sanitizer (:mod:`repro.sanitize.sanitizer`) watches the
-stream operations of a run; the static checker
-(:func:`repro.verifyplan.hb.analyze_hb`) walks the ops of a schedule IR.
-Both decide what a schedule orders with the :class:`VectorClock` below,
-so they cannot disagree on what "ordered" means:
+The happens-before checker (:func:`repro.verifyplan.hb.analyze_hb`)
+walks the ops of a schedule IR and decides what the schedule orders with
+the :class:`VectorClock` below:
 
 * consecutive operations on one stream are ordered (program order);
 * recording an event snapshots the recording stream's clock; waiting on
@@ -17,9 +15,9 @@ so they cannot disagree on what "ordered" means:
 
 Operation ``a`` happens-before ``b`` iff ``b``'s clock holds ``a``'s index
 on ``a``'s stream. :func:`scan_races` finds the pairs of accesses to one
-buffer that conflict and that no happens-before path orders. Only what an
-access touches differs between the two sides, so the scan takes the overlap
-test as a parameter: numpy views at run time, rectangles in the IR.
+buffer that conflict and that no happens-before path orders. What an
+access touches is opaque to the scan, so it takes the overlap test as a
+parameter: rectangles for device buffers, block keys for host memory.
 """
 
 from __future__ import annotations
@@ -79,22 +77,21 @@ class Access(NamedTuple):
 
     op: OrderedOp
     kind: str  # "read" | "write"
-    #: what the access touches: a numpy view at run time, a Rect in the IR
+    #: what the access touches: a device Rect, or a host block key
     region: Any
 
 
 def scan_races(
     accesses: Sequence[Access], overlaps: Callable[[Any, Any], bool]
 ) -> list[tuple[Access, Access]]:
-    """The racing pairs among the accesses to one buffer, in scan order.
+    """The racing pairs among the accesses to one buffer (or to host
+    memory), in scan order.
 
     A pair races when its ops run on different streams, at least one
     writes, neither happens-before the other, and ``overlaps`` says their
-    regions share bytes. Overlap is tested last: at run time it is the
-    exact ``np.shares_memory`` test, the one expensive check. A pair with
-    the same access kinds, streams and op names as an earlier one is an
-    echo and is skipped; the scan stops after
-    :data:`MAX_RACES_PER_BUFFER` pairs.
+    regions share bytes. A pair with the same access kinds, streams and
+    op names as an earlier one is an echo and is skipped; the scan stops
+    after :data:`MAX_RACES_PER_BUFFER` pairs.
     """
     found: list[tuple[Access, Access]] = []
     seen: set[tuple[str, ...]] = set()

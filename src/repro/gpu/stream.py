@@ -14,19 +14,15 @@ Copies come in synchronous (`copy_*`, blocks the simulated host thread, like
 flavours; kernels are always asynchronous, charging only their launch
 overhead to the host clock.
 
-When the owning device was created with ``sanitize=True``, every stream
-operation is also reported to the schedule sanitizer
-(:mod:`repro.sanitize.sanitizer`): copies carry their source/destination
-buffers, kernels their declared ``reads=``/``writes=`` sets, and
-record/wait/synchronize contribute the happens-before edges. The
-``annotate`` pseudo-op exists for host-side numeric work that models a
-kernel side effect (e.g. the ``memset`` that clears an accumulation tile)
-without occupying the clock.
+Which accesses these operations order is proven before anything runs:
+the drivers emit the same schedule as IR, and
+:func:`repro.verifyplan.hb.analyze_hb` checks its stream, event and host
+edges in every interleaving.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,30 +35,23 @@ from repro.gpu.transfer import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import Device
-    from repro.gpu.ordering import VectorTime
     from repro.gpu.timeline import ClockOp
 
 __all__ = ["Event", "Stream"]
-
-#: operand types the sanitizer hooks accept
-Operand = Union[DeviceArray, HostBuffer, np.ndarray]
 
 
 class Event:
     """Marks a point in a stream's execution (``cudaEvent`` analogue).
 
     ``time`` is the recorded point and ``op`` the clock op that set it.
-    ``_clock`` is the schedule sanitizer's snapshot of the recording
-    stream's vector clock; it stays ``None`` on unsanitized devices.
     """
 
-    __slots__ = ("name", "time", "op", "_clock")
+    __slots__ = ("name", "time", "op")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.time = 0.0
         self.op: "ClockOp | None" = None
-        self._clock: "VectorTime | None" = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Event({self.name!r}, t={self.time:.6f})"
@@ -94,20 +83,11 @@ class Stream:
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    def launch(
-        self,
-        name: str,
-        duration: float,
-        *,
-        reads: Iterable[Operand] = (),
-        writes: Iterable[Operand] = (),
-    ) -> None:
+    def launch(self, name: str, duration: float) -> None:
         """Enqueue a kernel with a pre-computed duration (asynchronous).
 
         The host pays only the launch overhead; the kernel runs on the
-        compute engine when the stream and engine are free. ``reads`` and
-        ``writes`` declare the buffers (device arrays or views into them)
-        the kernel touches — ignored unless the device is sanitized.
+        compute engine when the stream and engine are free.
         """
         device = self.device
 
@@ -117,32 +97,11 @@ class Stream:
             )
 
         device.run_guarded("kernel", name, body, on_fault=self._abort_launch)
-        if device.sanitizer is not None:
-            device.sanitizer.on_kernel(self, name, reads, writes)
 
     def _abort_launch(self, exc) -> None:
         """Charge one failed launch attempt: the overhead is spent, the
         kernel never reaches the compute engine."""
         self.device.clock.advance_host(self.device.spec.kernel_launch_overhead)
-
-    def annotate(
-        self,
-        name: str,
-        *,
-        reads: Iterable[Operand] = (),
-        writes: Iterable[Operand] = (),
-    ) -> None:
-        """Record a clock-free access for the schedule sanitizer.
-
-        Host-side numeric work that *models* a kernel side effect — e.g.
-        the ``memset`` clearing an accumulation tile before a min-plus
-        chain — performs real array writes without a matching ``launch``.
-        ``annotate`` gives the sanitizer that access at the stream's
-        current position so its happens-before accounting stays complete.
-        No-op on unsanitized devices.
-        """
-        if self.device.sanitizer is not None:
-            self.device.sanitizer.on_kernel(self, name, reads, writes)
 
     # ------------------------------------------------------------------
     # Copies
@@ -152,7 +111,7 @@ class Stream:
                   duration: float | None = None) -> None:
         """One guarded copy ``dst[...] = src`` of ``nbytes`` host bytes on
         ``engine``, timed by the clock's copy rule (contiguous cost unless
-        ``duration`` is given) and reported to the sanitizer."""
+        ``duration`` is given)."""
         spec = self.device.spec
         if duration is None:
             duration = copy_duration(spec, nbytes, pinned=pinned)
@@ -167,8 +126,6 @@ class Stream:
         self.device.run_guarded(
             engine, name, body, on_fault=self._abort_copy(engine, name, nbytes, pinned)
         )
-        if self.device.sanitizer is not None:
-            self.device.sanitizer.on_copy(self, name, dst, src, sync=sync)
 
     def _abort_copy(self, engine: str, name: str, nbytes: int, pinned: bool):
         """``on_fault`` handler for a guarded copy: the aborted attempt
@@ -271,22 +228,15 @@ class Stream:
     def record(self, event: Event) -> Event:
         """Record ``event`` at the stream's current completion point."""
         event.time, event.op = self.device.clock.record(self.name)
-        if self.device.sanitizer is not None:
-            self.device.sanitizer.on_record(self, event)
         return event
 
     def wait(self, event: Event) -> None:
         """Make subsequent work on this stream wait for ``event``."""
         self.device.clock.wait(self.name, (event.time, event.op))
-        if self.device.sanitizer is not None:
-            self.device.sanitizer.on_wait(self, event)
 
     def synchronize(self) -> float:
         """Block the host until this stream's queued work completes."""
-        t = self.device.clock.sync_stream(self.name)
-        if self.device.sanitizer is not None:
-            self.device.sanitizer.on_stream_sync(self)
-        return t
+        return self.device.clock.sync_stream(self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Stream({self.name!r}, ready_at={self.ready_at:.6f})"

@@ -1,7 +1,7 @@
 """Static plan verifier: prove OOC schedules correct before anything runs.
 
-The dynamic schedule sanitizer (:mod:`repro.sanitize`) watches a *real*
-run; this package proves the same properties at *compile time*. Each OOC
+This package proves the out-of-core schedules correct at *compile
+time*, for every interleaving. Each OOC
 driver writes its schedule once, as a generator; its ``emit_*_ir``
 function runs that generator into a symbolic
 :class:`~repro.verifyplan.ir.PlanIR` — allocations, H2D/D2H copies,
@@ -12,14 +12,15 @@ generator on the device. Five analyses then run over the IR:
 - **residency** — peak charged bytes via a liveness walk, proven ≤ the
   :class:`~repro.gpu.device.DeviceSpec` capacity;
 - **def-use** — every kernel operand is defined (written or uploaded)
-  on-device before it is read;
+  on-device before it is read, and no buffer is used or freed again
+  after its free;
 - **redundancy** — uploads of already-resident unmodified blocks and
   repeated downloads of untouched regions, reported as wasted bytes;
 - **happens-before** (:mod:`~repro.verifyplan.hb`) — a vector-clock
-  model checker, on the runtime sanitizer's own clock
-  (:mod:`repro.gpu.ordering`), proving every byte-overlapping
-  conflicting access pair ordered in *every* legal interleaving, every
-  wait satisfiable (deadlock-freedom), and no recorded event dead;
+  model checker (:mod:`repro.gpu.ordering`) proving every
+  byte-overlapping conflicting access pair, on device buffers and on
+  the host blocks copies name, ordered in *every* legal interleaving,
+  every wait satisfiable (deadlock-freedom), and no recorded event dead;
 - **timing** (:mod:`~repro.verifyplan.timing`) — a replay of the IR on
   the device's own clock yielding the critical path, predicted
   makespan, and copy/compute overlap efficiency per algorithm.

@@ -8,8 +8,8 @@ Three independent walks over the linear op sequence:
   runtime ``OutOfMemoryError``);
 * :func:`analyze_def_use` — every kernel operand and every download must
   be *defined before use*: some earlier upload, fill, or kernel write
-  overlaps the read rectangle (the compile-time analogue of the
-  sanitizer's ``uninitialized-read`` rule);
+  overlaps the read rectangle; and no buffer is read, written or freed
+  again after its free (``use-after-free``);
 * :func:`analyze_transfers` — tallies bus traffic and flags redundant
   transfers: an upload of a host block that is already resident and
   unmodified on the device, or a download whose source region has not
@@ -50,8 +50,9 @@ class PlanFinding:
     """One defect proven from the symbolic schedule.
 
     ``kind`` is one of ``capacity-exceeded``, ``undefined-read``,
-    ``redundant-upload``, ``redundant-download``. ``block`` carries the
-    host block key (coordinates) for transfer findings.
+    ``use-after-free``, ``redundant-upload``, ``redundant-download``.
+    ``block`` carries the host block key (coordinates) for transfer
+    findings.
     """
 
     kind: str
@@ -118,15 +119,33 @@ def analyze_residency(ir: PlanIR) -> tuple[int, list[PlanFinding]]:
 
 
 def analyze_def_use(ir: PlanIR) -> list[PlanFinding]:
-    """Prove every read rectangle overlaps an earlier write to its buffer."""
+    """Prove every read rectangle overlaps an earlier write to its buffer,
+    and no buffer is touched or freed again after its free."""
     findings: list[PlanFinding] = []
     written: dict[int, list[Rect]] = {}
     prefilled: set[int] = set()
+    freed: dict[int, int] = {}  # buffer id -> op index of its free
 
-    def record_write(buffer: int, rect: Rect) -> None:
-        written.setdefault(buffer, []).append(rect)
+    def use_after_free(buffer: int, what: str, idx: int) -> None:
+        findings.append(
+            PlanFinding(
+                kind="use-after-free",
+                buffer=ir.buffers[buffer].name,
+                detail=f"{what} after the buffer was freed at op #{freed[buffer]}",
+                op_index=idx,
+            )
+        )
+
+    def record_write(buffer: int, rect: Rect, what: str, idx: int) -> None:
+        if buffer in freed:
+            use_after_free(buffer, f"{what} writes {rect}", idx)
+        else:
+            written.setdefault(buffer, []).append(rect)
 
     def check_read(buffer: int, rect: Rect, what: str, idx: int) -> None:
+        if buffer in freed:
+            use_after_free(buffer, f"{what} reads {rect}", idx)
+            return
         if rect.empty or buffer in prefilled:
             return
         if any(w.overlaps(rect) for w in written.get(buffer, ())):
@@ -146,16 +165,22 @@ def analyze_def_use(ir: PlanIR) -> list[PlanFinding]:
             written[op.buffer] = []
             if ir.buffers[op.buffer].prefilled:
                 prefilled.add(op.buffer)
+        elif isinstance(op, FreeOp):
+            if op.buffer in freed:
+                use_after_free(op.buffer, "free", idx)
+            else:
+                freed[op.buffer] = idx
         elif isinstance(op, CopyOp):
             if op.kind == "h2d":
-                record_write(op.access.buffer, op.access.rect)
+                record_write(op.access.buffer, op.access.rect, "h2d copy", idx)
             else:
                 check_read(op.access.buffer, op.access.rect, "d2h copy", idx)
         elif isinstance(op, KernelOp):
+            what = f"kernel {op.name!r}"
             for acc in op.reads:
-                check_read(acc.buffer, acc.rect, f"kernel {op.name!r}", idx)
+                check_read(acc.buffer, acc.rect, what, idx)
             for acc in op.writes:
-                record_write(acc.buffer, acc.rect)
+                record_write(acc.buffer, acc.rect, what, idx)
         elif isinstance(op, SendOp):
             # a send ships device bytes to another rank: reading an
             # undefined source region ships garbage (dropped-broadcast
@@ -164,7 +189,8 @@ def analyze_def_use(ir: PlanIR) -> list[PlanFinding]:
             check_read(op.access.buffer, op.access.rect,
                        f"send(tag={op.tag!r} -> rank {op.dst})", idx)
         elif isinstance(op, RecvOp):
-            record_write(op.access.buffer, op.access.rect)
+            record_write(op.access.buffer, op.access.rect,
+                         f"recv(tag={op.tag!r} <- rank {op.src})", idx)
     return findings
 
 

@@ -1,11 +1,8 @@
 """Happens-before model checker over the symbolic schedule IR.
 
-The dynamic sanitizer (:mod:`repro.sanitize.sanitizer`) certifies the one
-interleaving a run happened to take. This module proves the stronger
-property *statically*: for the IRs of one schedule — one for a single
-device, one per device for multi-GPU, one per rank for the cluster — it
-computes the **must-happen-before** relation, the partial order induced
-only by
+For the IRs of one schedule — one for a single device, one per device
+for multi-GPU, one per rank for the cluster — this module computes the
+**must-happen-before** relation, the partial order induced only by
 
 * program order within each stream,
 * ``record``/``wait`` event edges (the recorded stream's clock snapshot
@@ -20,11 +17,18 @@ only by
 and checks that **every** pair of byte-overlapping conflicting accesses
 on different streams is ordered by it. Because the relation contains no
 data- or timing-dependent edges, ordering under it holds in *every*
-legal interleaving, not just the traced one: "no defect possible", not
+legal interleaving, not just one traced run: "no defect possible", not
 "no defect seen". The vector clock, the happens-before test and the race
-scan are the sanitizer's own (:mod:`repro.gpu.ordering`); the IRs walk
-through :func:`~repro.verifyplan.ir.walk_fleet`, the timing replay's
+scan live in :mod:`repro.gpu.ordering`; the IRs walk through
+:func:`~repro.verifyplan.ir.walk_fleet`, the timing replay's
 interleaving rule.
+
+Accesses are device rectangles and **host blocks**. A copy touches its
+device rectangle and the host block its ``key`` names: an ``h2d`` reads
+the block, a ``d2h`` writes it. All IRs of one schedule share one host,
+and two keys name overlapping host bytes when one is a prefix of the
+other (``("A", 1)`` holds ``("A", 1, 2)``), so an async download racing
+a later upload of the same block is an ``unordered-conflict`` too.
 
 Deadlock-freedom falls out structurally: the checker verifies that every
 ``wait`` names an event recorded **earlier in enqueue order** (a wait on
@@ -72,7 +76,14 @@ from repro.verifyplan.ir import (
     walk_fleet,
 )
 
-__all__ = ["HBFinding", "HBReport", "analyze_hb"]
+__all__ = ["HBFinding", "HBReport", "analyze_hb", "keys_overlap"]
+
+
+def keys_overlap(a: tuple, b: tuple) -> bool:
+    """Whether host block keys ``a`` and ``b`` name overlapping host
+    bytes: one key is a prefix of the other."""
+    n = min(len(a), len(b))
+    return a[:n] == b[:n]
 
 
 @dataclass(frozen=True)
@@ -154,11 +165,12 @@ def analyze_hb(
     ``irs`` holds one IR per device (or rank) of the schedule. Returns an
     :class:`HBReport` whose findings list every cross-stream conflicting
     access pair no synchronisation edge orders (with the block rectangles
-    of both sides), every wait on a never-recorded event, every dead
-    record site and, across IRs, every unmatched or deadlocked message.
-    With more than one IR, stream keys read ``r<rank>/<stream>`` and
-    buffers ``<node>:<buffer>``, where ``node_names`` maps a rank to its
-    display name (``rank<r>`` by default).
+    of both sides, or the host block keys of two copies), every wait on
+    a never-recorded event, every dead record site and, across IRs,
+    every unmatched or deadlocked message. With more than one IR, stream
+    keys read ``r<rank>/<stream>`` and buffers ``<node>:<buffer>``, where
+    ``node_names`` maps a rank to its display name (``rank<r>`` by
+    default).
     """
     names = dict(node_names or {})
 
@@ -174,6 +186,8 @@ def analyze_hb(
     record_sites: list[dict[int, tuple[str, str, str]]] = [{} for _ in irs]
     waited: list[set[int]] = [set() for _ in irs]
     accesses: dict[tuple[int, int], list[Access]] = {}
+    # the host side of every copy, shared by all IRs: region = block key
+    host: list[Access] = []
     findings: list[HBFinding] = []
     num_waits = 0
 
@@ -193,11 +207,14 @@ def analyze_hb(
             vc.sync_device()  # legacy cudaFree: device-wide sync
         elif isinstance(op, CopyOp):
             clocked = vc.op(stream, op.kind)
-            touch(i, clocked, op.access, "write" if op.kind == "h2d" else "read")
+            h2d = op.kind == "h2d"
+            touch(i, clocked, op.access, "write" if h2d else "read")
+            if not op.access.rect.empty:
+                host.append(Access(clocked, "read" if h2d else "write", op.key))
             if op.sync:
                 vc.sync_stream(stream)
         elif isinstance(op, KernelOp):
-            # annotate ops are full sanitizer ops too — they tick the clock
+            # annotate ops occupy no timeline slot but order like any op
             clocked = vc.op(stream, op.name)
             for acc in op.reads:
                 touch(i, clocked, acc, "read")
@@ -327,22 +344,26 @@ def analyze_hb(
 
     # --- race scan: every cross-stream conflicting overlapping pair must
     # be ordered by the closure -------------------------------------------
-    for (i, buf_id), accs in accesses.items():
-        buf = irs[i].buffers[buf_id]
-        where = f"{rname(irs[i].rank)}:{buf.name}" if fleet else buf.name
-        for first, second in scan_races(accs, Rect.overlaps):
+    def conflict(pairs: list[tuple[Access, Access]], name: str, where: str) -> None:
+        for first, second in pairs:
             findings.append(HBFinding(
                 kind="unordered-conflict",
                 buffer=where,
                 streams=(first.op.stream, second.op.stream),
-                first=f"{first.op.label} {first.kind}s {buf.name}{first.region}",
-                second=f"{second.op.label} {second.kind}s {buf.name}{second.region}",
+                first=f"{first.op.label} {first.kind}s {name}{first.region}",
+                second=f"{second.op.label} {second.kind}s {name}{second.region}",
                 detail=(
                     f"no happens-before path orders these accesses to "
                     f"{where}{first.region}∩{second.region} in some "
                     f"interleaving ({first.kind}-{second.kind} conflict)"
                 ),
             ))
+
+    for (i, buf_id), accs in accesses.items():
+        buf = irs[i].buffers[buf_id]
+        where = f"{rname(irs[i].rank)}:{buf.name}" if fleet else buf.name
+        conflict(scan_races(accs, Rect.overlaps), buf.name, where)
+    conflict(scan_races(host, keys_overlap), "host", "host")
 
     # --- dead events: records never consumed by any wait ------------------
     # Per-instance check (any unwaited record is an orphan edge), grouped

@@ -21,18 +21,19 @@ Conventions:
 * buffers are at most 2-D; 1-D buffers of length ``l`` occupy the
   rectangle ``(0, l, 0, 1)``;
 * rectangles are half-open ``[r0, r1) × [c0, c1)`` in *buffer* coordinates
-  (so disjoint views of one buffer never alias, mirroring the sanitizer's
-  ``np.shares_memory`` test);
+  (so disjoint views of one buffer never alias);
 * ``key`` on a copy identifies the host-side block the transfer touches —
   e.g. ``("A", i, k)`` for a distance-matrix block — and is what the
-  redundant-transfer analysis tracks residency by;
+  redundant-transfer analysis tracks residency by. Two keys name
+  overlapping host bytes when one is a prefix of the other, and the
+  happens-before checker orders host accesses by that rule;
 * every enqueued op names its ``stream``; cross-stream ordering is
   expressed with :class:`RecordOp`/:class:`WaitOp` event edges and
   :class:`BarrierOp` device-wide joins, mirroring the runtime's
   ``Stream.record``/``Stream.wait``/``_barrier`` exactly so the
   happens-before checker (:mod:`repro.verifyplan.hb`) and the symbolic
-  timing pass (:mod:`repro.verifyplan.timing`) see the same schedule the
-  dynamic sanitizer would;
+  timing pass (:mod:`repro.verifyplan.timing`) see the schedule the
+  device runs;
 * distributed schedules (:mod:`repro.cluster`) add one IR per rank
   (``PlanIR.rank``), message ops (:class:`SendOp`/:class:`RecvOp`) over
   modeled :class:`LinkSpec` interconnects between :class:`NodeSpec`
@@ -133,7 +134,7 @@ class SymBuffer:
     #: bytes accounted against device capacity (differs from real bytes for
     #: sparse structures on scaled devices, see ``DeviceSpec.sparse_charge_factor``)
     charged_bytes: int = 0
-    #: allocated with a fill value (counts as initialised, like the sanitizer)
+    #: allocated with a fill value (counts as initialised)
     prefilled: bool = False
 
     @property
@@ -185,16 +186,17 @@ class CopyOp:
 class KernelOp:
     """One kernel launch with declared def/use sets.
 
-    ``annotate`` mirrors ``stream.annotate``: a sanitizer-visible host
-    side effect that occupies no timeline slot (the timing pass skips
-    it; the happens-before pass treats it as a full op, exactly like the
-    dynamic sanitizer). ``cost`` optionally pins the modelled duration in
-    seconds for kernels whose cost is data-dependent (Johnson's
-    ``mssp``); when ``None`` the timing pass derives the duration from
-    the declared operand rectangles. ``key`` optionally names host data a
-    kernel's numerics take, like a copy's ``key`` (``min_diag`` reads the
-    ``dist2`` block, ``mssp`` its source range, a patch's ``rank1_patch``
-    its block); the analyses ignore it.
+    ``annotate`` marks host-side work that models a kernel side effect
+    (the ``memset`` clearing an accumulation tile): the device runs its
+    numerics and launches nothing, the timing pass skips it, and the
+    happens-before pass orders its accesses like any op's. ``cost``
+    optionally pins the modelled duration in seconds for kernels whose
+    cost is data-dependent (Johnson's ``mssp``); when ``None`` the timing
+    pass derives the duration from the declared operand rectangles.
+    ``key`` optionally names host data a kernel's numerics take, like a
+    copy's ``key`` (``min_diag`` reads the ``dist2`` block, ``mssp`` its
+    source range, a patch's ``rank1_patch`` its block); the analyses
+    ignore it.
     """
 
     name: str

@@ -89,7 +89,7 @@ def _replay(clock: Clock, events: dict, ir: PlanIR, op, spec: DeviceSpec) -> Non
 
     ``events`` maps the IR's event ids to their recorded marks; it lives
     as long as the clock. Alloc/free touch no clock, and an ``annotate``
-    kernel is sanitizer-only: no clock slot, no launch overhead.
+    kernel is host-side work: no clock slot, no launch overhead.
     """
     overhead = spec.kernel_launch_overhead
     if isinstance(op, KernelOp):

@@ -193,7 +193,6 @@ class TestVerifyPlan:
         ["verify-cluster", "--nodes", "0"],
         ["verify-cluster", "--num-devices", "0"],
         ["verify-cluster", "--block-size", "0"],
-        ["sanitize", "--driver", "multi-gpu", "--num-devices", "0"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_bad_count_is_usage_error(self, argv, capsys):
         # a count below 1 is a usage error (exit 2), not a traceback or a
@@ -203,23 +202,6 @@ class TestVerifyPlan:
                   "--scale", "1", *argv[1:]])
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
-
-
-class TestSanitizeJson:
-    def test_json_output_parses(self, capsys):
-        import json
-
-        from repro.cli import SCHEMA_VERSION
-
-        rc = main(["sanitize", "rmat:n=110,m=800,seed=2",
-                   "--device", "test", "--scale", "1", "--driver", "fw",
-                   "--json"])
-        assert rc == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["schema_version"] == SCHEMA_VERSION
-        assert data["clean"] is True
-        assert data["drivers"]["fw"]["hazards"] == []
-        assert data["drivers"]["fw"]["num_ops"] > 0
 
 
 class TestCheckSchedule:

@@ -69,14 +69,6 @@ class TestAlloc:
             assert pool.used == 10
         assert pool.used == 0
 
-    def test_upload_copies_contents(self):
-        pool = DeviceMemory(capacity=1000)
-        src = np.arange(12, dtype=np.float32).reshape(3, 4)
-        arr = pool.upload(src)
-        assert np.array_equal(arr.data, src)
-        src[0, 0] = 99  # device copy must not alias
-        assert arr.data[0, 0] == 0
-
     def test_num_live(self):
         pool = DeviceMemory(capacity=1000)
         a = pool.alloc(10, np.uint8)
@@ -85,24 +77,6 @@ class TestAlloc:
         a.free()
         assert pool.num_live == 1
         b.free()
-
-
-class TestScope:
-    def test_scope_frees_all(self):
-        pool = DeviceMemory(capacity=1000)
-        with pool.scope() as scope:
-            scope.alloc(100, np.uint8)
-            scope.alloc(200, np.uint8)
-            assert pool.used == 300
-        assert pool.used == 0
-
-    def test_scope_frees_on_exception(self):
-        pool = DeviceMemory(capacity=1000)
-        with pytest.raises(RuntimeError):
-            with pool.scope() as scope:
-                scope.alloc(100, np.uint8)
-                raise RuntimeError("boom")
-        assert pool.used == 0
 
 
 class TestHostBuffer:

@@ -1,11 +1,9 @@
-"""Property-based tests for the schedule sanitizer and the static checker.
+"""Property-based tests for the static happens-before checker.
 
-Random schedules are checked three times: through the real runtime with
-the sanitizer attached, through the static happens-before checker on the
-same schedule emitted as IR, and through a brute-force vector-clock
-oracle implemented independently here (it shares no code with the two
-checkers, which share one vector clock). All three must agree on whether
-the schedule races:
+Random schedules are checked twice: by the static happens-before checker
+on the schedule emitted as IR, and by a brute-force vector-clock oracle
+implemented independently here (it shares no code with the checker's
+vector clock). Both must agree on whether the schedule races:
 
 * schedules built *legal by construction* (every conflicting cross-stream
   pair gets an event edge) are always hazard-free;
@@ -15,12 +13,10 @@ the schedule races:
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.device import TEST_DEVICE, Device
-from repro.gpu.stream import Event
+from repro.gpu.device import TEST_DEVICE
 from repro.verifyplan import IREmitter, analyze_hb
 
 NUM_STREAMS = 3
@@ -38,30 +34,9 @@ _ops = st.lists(
 )
 
 
-def _run_sanitized(ops, waits):
-    """Drive the real runtime: annotate accesses, record/wait real events."""
-    device = Device(TEST_DEVICE, sanitize=True)
-    streams = [device.default_stream] + [
-        device.create_stream(f"s{i}") for i in range(1, NUM_STREAMS)
-    ]
-    buffers = [
-        device.memory.alloc((4, 4), np.float32, name=f"buf{b}", fill=0.0)
-        for b in range(NUM_BUFFERS)
-    ]
-    events: list[Event] = []
-    for i, (s, b, kind) in enumerate(ops):
-        stream = streams[s]
-        for w in waits.get(i, ()):
-            stream.wait(events[w])
-        access = {("reads" if kind == "read" else "writes"): (buffers[b],)}
-        stream.annotate(f"op{i}", **access)
-        events.append(stream.record(Event(f"e{i}")))
-    return device.hazard_report()
-
-
 def _static_clean(ops, waits):
-    """Emit the same schedule as IR (same streams, prefilled buffers,
-    annotate kernels, records and waits) and check it statically."""
+    """Emit the schedule as IR (prefilled buffers, one annotate kernel
+    per access, an event recorded after each) and check it statically."""
     em = IREmitter("property", TEST_DEVICE.name, TEST_DEVICE.memory_bytes)
     streams = ["default"] + [f"s{i}" for i in range(1, NUM_STREAMS)]
     buffers = [
@@ -131,8 +106,6 @@ def _legal_waits(ops):
 def test_legal_schedules_are_hazard_free(ops):
     waits = _legal_waits(ops)
     assert _oracle_clean(ops, waits)
-    report = _run_sanitized(ops, waits)
-    assert report.clean, report.describe()
     assert _static_clean(ops, waits)
 
 
@@ -145,10 +118,7 @@ def test_deleting_one_sync_edge_matches_oracle(ops, rng):
         return  # nothing to delete: schedule has no cross-stream dependency
     i, w = rng.choice(edges)
     mutated = {k: [x for x in ws if not (k == i and x == w)] for k, ws in waits.items()}
-    report = _run_sanitized(ops, mutated)
-    expected = _oracle_clean(ops, mutated)
-    assert report.clean == expected, report.describe()
-    assert _static_clean(ops, mutated) == expected
+    assert _static_clean(ops, mutated) == _oracle_clean(ops, mutated)
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,19 +127,12 @@ def test_unique_dependency_deletion_is_always_flagged(s1, delta):
     """A single producer→consumer pair with its only edge removed must race."""
     s2 = (s1 + delta) % NUM_STREAMS
     ops = [(s1, 0, "write"), (s2, 0, "read")]
-    assert _run_sanitized(ops, {1: [0]}).clean
     assert _static_clean(ops, {1: [0]})
-    report = _run_sanitized(ops, {})
-    assert not report.clean
-    assert any(h.kind == "write-read-race" for h in report.hazards)
     assert not _static_clean(ops, {})
 
 
 @settings(max_examples=40, deadline=None)
 @given(_ops)
 def test_fully_racy_schedule_matches_oracle(ops):
-    """No sync edges at all: both checkers and the oracle agree exactly."""
-    report = _run_sanitized(ops, {})
-    expected = _oracle_clean(ops, {})
-    assert report.clean == expected, report.describe()
-    assert _static_clean(ops, {}) == expected
+    """No sync edges at all: the checker and the oracle agree exactly."""
+    assert _static_clean(ops, {}) == _oracle_clean(ops, {})

@@ -191,18 +191,6 @@ class TestStaticDynamicAgreement:
         run(g, device)
         assert [op.name for op in device.clock.ops] == timed_op_names(emit(g))
 
-    def test_sanitizer_agrees_plans_are_clean(self):
-        # the dynamic half of the contract: what the verifier proves clean,
-        # the runtime sanitizer also finds hazard-free
-        from repro.sanitize import DRIVER_NAMES, sanitize_driver
-
-        g = road_like(220, 2.6, seed=1)
-        ver = verify_plan(g, TEST_DEVICE)
-        assert ver.ok
-        for name in DRIVER_NAMES:
-            report, _ = sanitize_driver(name, g, TEST_DEVICE)
-            assert report.clean, name
-
 
 class TestVerifyPlan:
     def test_all_algorithms_audited(self):
