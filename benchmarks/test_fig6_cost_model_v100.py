@@ -48,8 +48,8 @@ def run_cost_model_experiment(spec: DeviceSpec, experiment: str, device_name: st
 
 def check_record(record: ExperimentRecord) -> None:
     # prediction error small for both models
-    assert max(r["boundary_err"] for r in record.rows) < 0.5
-    assert max(r["johnson_err"] for r in record.rows) < 0.5
+    assert max(r["boundary_err"] for r in record.rows) < 0.3
+    assert max(r["johnson_err"] for r in record.rows) < 0.3
     # boundary wins everywhere, and the model knows it
     assert all(r["actual_best"] == "boundary" for r in record.rows)
     assert all(r["predicted_best"] == r["actual_best"] for r in record.rows)

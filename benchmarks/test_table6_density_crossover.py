@@ -79,6 +79,8 @@ def test_table6_density_crossover(benchmark):
     assert rows[-1]["actual"] == "floyd-warshall"
     # the selector is right everywhere (the paper's headline claim)
     assert all(r["correct"] for r in rows)
+    # the FW extrapolation plus its priced schedule traffic lands close
+    assert abs(rows[0]["fw_est"] - rows[0]["fw_actual"]) <= 0.05 * rows[0]["fw_actual"]
     benchmark.extra_info["crossover_edge_factor"] = next(
         r["edge_factor"] for r in rows if r["actual"] == "floyd-warshall"
     )

@@ -1,13 +1,16 @@
 """Update-latency vs re-solve crossover baseline (``repro bench-dynamic``).
 
-Everything here is closed-form: the transfer volumes come from
-:mod:`repro.verifyplan.updatebounds` (proven by ``verify-update`` equal
-to the IR tally of the schedule each patch pass runs) and the time
-model prices them against a :class:`~repro.gpu.device.DeviceSpec`'s bus
-and min-plus rates. No device is instantiated and nothing executes, so
-the baseline is exact, machine-independent, and committable —
-``bench-dynamic --check`` gates CI on the recorded crossover without
-rewriting anything.
+Everything here is closed-form. Each term's transfer time is the price
+(:meth:`~repro.verifyplan.bounds.Traffic.seconds`) of the verifier's
+traffic record for the schedule that runs: a patch pass's
+:func:`~repro.verifyplan.updatebounds.update_traffic` (proven by
+``verify-update`` equal to the IR tally of the pass) and the overlapped
+blocked-FW re-solve's :func:`~repro.verifyplan.bounds.fw_traffic`
+(proven by ``verify-plan``). Compute is priced against a
+:class:`~repro.gpu.device.DeviceSpec`'s min-plus and relax rates. No
+device is instantiated and nothing executes, so the baseline is exact,
+machine-independent, and committable — ``bench-dynamic --check`` gates
+CI on the recorded crossover without rewriting anything.
 
 Per configuration the record answers the selection question the paper
 asks of every method pair: *when does patching stop paying?* A batch of
@@ -22,12 +25,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.bench.baseline import baseline_path, diff_configs, read_json, record
-from repro.verifyplan.bounds import fw_exact_h2d_bytes
-from repro.verifyplan.updatebounds import (
-    decrease_d2h_bytes,
-    decrease_h2d_bytes,
-    increase_d2h_bytes,
-)
+from repro.dynamic.patch import UpdatePlan
+from repro.verifyplan.bounds import fw_traffic
+from repro.verifyplan.updatebounds import update_traffic
 
 __all__ = [
     "DYNAMIC_CONFIGS",
@@ -37,8 +37,6 @@ __all__ = [
     "load_dynamic",
     "save_dynamic",
 ]
-
-_ELEM = 4
 
 #: modeled configurations: (vertices, block rows, edges, device). Sizes
 #: bracket the paper's single-GPU out-of-core range on both Table II cards.
@@ -74,41 +72,26 @@ def _device_spec(name: str) -> Any:
     return {"v100": V100, "k80": K80}[name]
 
 
-def _block_sizes(n: int, nd: int) -> list[int]:
-    b = -(-n // nd)
-    return [min(b, n - i * b) for i in range(nd) if n - i * b > 0]
-
-
-def _seconds(spec: Any, nbytes: int, num_copies: int, flops: int) -> float:
-    return (
-        nbytes / spec.transfer_throughput
-        + num_copies * spec.transfer_latency
-        + flops / spec.minplus_rate
-    )
-
-
 def _decrease_seconds(spec: Any, n: int, nd: int, k: int) -> float:
-    nbytes = decrease_h2d_bytes(n, k) + decrease_d2h_bytes(n)
-    copies = 3 + 2 * nd * nd  # panels up + every block up and back
+    plan = UpdatePlan(kind="decrease", n=n, block_size=-(-n // nd), k=k)
     flops = 2 * k**3 + 2 * n * k * k + 2 * n * n * k
-    return _seconds(spec, nbytes, copies, flops)
+    return update_traffic(plan).seconds(spec) + flops / spec.minplus_rate
 
 
-def _increase_seconds(spec: Any, n: int, nd: int, m: int, affected: int) -> float:
-    csr_bytes = 8 * (n + 1) + 16 * m
-    nbytes = csr_bytes + increase_d2h_bytes(n, affected)
-    copies = 3 + nd
+def _increase_seconds(spec: Any, n: int, nd: int, m: int) -> float:
+    # every fourth source affected: a quarter of the rows, in every block row
+    plan = UpdatePlan(
+        kind="increase", n=n, block_size=-(-n // nd),
+        affected_rows=tuple(range(0, n, 4)), graph_m=m,
+    )
     # SSSP rows priced at the relax rate: |X| runs over m edges, log n heap
-    flops = affected * m * max(1, n.bit_length())
-    return nbytes / spec.transfer_throughput + copies * spec.transfer_latency + flops / spec.relax_rate
+    flops = len(plan.affected_rows) * m * max(1, n.bit_length())
+    return update_traffic(plan).seconds(spec) + flops / spec.relax_rate
 
 
 def _resolve_seconds(spec: Any, n: int, nd: int) -> float:
-    sizes = _block_sizes(n, nd)
-    nbytes = fw_exact_h2d_bytes(sizes) + nd * n * n * _ELEM
-    copies = nd * (2 + 3 * (nd - 1) + (nd - 1) ** 2)
-    flops = 2 * n**3
-    return _seconds(spec, nbytes, copies, flops)
+    traffic = fw_traffic(n, -(-n // nd))
+    return traffic.seconds(spec) + 2 * n**3 / spec.minplus_rate
 
 
 def collect_dynamic(configs=DYNAMIC_CONFIGS) -> dict:
@@ -128,9 +111,7 @@ def collect_dynamic(configs=DYNAMIC_CONFIGS) -> dict:
                 "resolve_us": round(resolve * 1e6, 3),
                 "speedup": round(resolve / dec, 3),
                 "crossover_updates": -(-round(resolve, 12) // round(single, 12)),
-                "increase_us": round(
-                    _increase_seconds(spec, n, nd, m, n // 4) * 1e6, 3
-                ),
+                "increase_us": round(_increase_seconds(spec, n, nd, m) * 1e6, 3),
             }
         entries[cfg["name"]] = {"config": dict(cfg), "batches": rows}
     return {

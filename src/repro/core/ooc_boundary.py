@@ -103,6 +103,12 @@ class BoundaryPlan:
     def max_component(self) -> int:
         return int(np.diff(self.comp_start).max())
 
+    def runs_batched(self, batch_transfers: bool = True) -> bool:
+        """Whether step 4 drains ``N_row``-batched strips. A plan with no
+        room for even one strip (``n_row == 0``, seen on the smaller-memory
+        K80 at reduced scale) degrades to per-block strided copies."""
+        return batch_transfers and self.n_row >= 1
+
     @cached_property
     def boundary_offsets(self) -> np.ndarray:
         """Row of each component's first boundary vertex in the boundary
@@ -290,10 +296,7 @@ def ooc_boundary(
     device.reset_clock()
     ckpt = open_checkpoint(checkpoint, algorithm="boundary", graph=graph)
     resume = state.restore(ckpt, device.fault_report)
-    # the planner found no configuration with room for even one output
-    # strip (seen on the smaller-memory K80 at reduced scale): degrade to
-    # the per-block path
-    batched = batch_transfers and plan.n_row >= 1
+    batched = plan.runs_batched(batch_transfers)
     ex = DeviceEmitter(device, host=state, kernels=state.kernels(engine))
     with device.memory.cleanup_on_error():
         for stage in _boundary_schedule(ex, plan, n, batched, overlap, resume):
@@ -679,7 +682,7 @@ def emit_boundary_ir(
             batch_transfers=batch_transfers, overlap=overlap, seed=seed,
         )
     em = IREmitter("boundary", spec.name, spec.memory_bytes)
-    batched = batch_transfers and plan.n_row >= 1
+    batched = plan.runs_batched(batch_transfers)
     for _ in _boundary_schedule(
         em, plan, graph.num_vertices, batched, overlap, resume or (0, False, 0)
     ):

@@ -80,10 +80,10 @@ class DeviceArray:
         return self._freed
 
     def free(self) -> None:
-        """Return this allocation's bytes to the device pool (idempotent)."""
-        if not self._freed:
-            self._pool._release(self)
-            self._freed = True
+        """Return this allocation's bytes to the device pool. A second
+        free raises :class:`ValueError` ("double free")."""
+        self._pool._release(self)
+        self._freed = True
 
     def __enter__(self) -> "DeviceArray":
         return self

@@ -129,10 +129,6 @@ class VectorClock:
     """
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget every stream, the host clock and the op numbering."""
         self.streams: dict[str, VectorTime] = {}
         self.host: VectorTime = {}
         #: number of clocked ops so far (the next op's ``seq``)

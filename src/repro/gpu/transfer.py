@@ -17,7 +17,12 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import DeviceSpec
 
-__all__ = ["aborted_copy_duration", "copy_duration", "copy_duration_2d"]
+__all__ = [
+    "aborted_copy_duration",
+    "copies_duration",
+    "copy_duration",
+    "copy_duration_2d",
+]
 
 
 def copy_duration(spec: "DeviceSpec", nbytes: int, *, pinned: bool = True) -> float:
@@ -69,4 +74,21 @@ def copy_duration_2d(
         throughput *= spec.pageable_factor
     return spec.transfer_latency + rows * (
         spec.row_transfer_overhead + row_bytes / throughput
+    )
+
+
+def copies_duration(
+    spec: "DeviceSpec", nbytes: int, num_copies: int, strided_rows: int = 0
+) -> float:
+    """Summed duration of ``num_copies`` pinned copies moving ``nbytes``.
+
+    ``strided_rows`` counts the row segments of the strided copies among
+    them. The result is the sum of :func:`copy_duration` over the
+    contiguous copies and :func:`copy_duration_2d` over the strided ones,
+    in closed form.
+    """
+    return (
+        num_copies * spec.transfer_latency
+        + strided_rows * spec.row_transfer_overhead
+        + nbytes / spec.transfer_throughput
     )

@@ -6,6 +6,17 @@ transfer terms follow §IV-B.1 (volumes over the measured PCIe throughput,
 plus per-call latencies our transfer model charges), computation terms
 follow §IV-B.2.
 
+The **transfer** term of every estimator is the price of the schedule
+that runs: the verifier's traffic record for the plan
+(:func:`~repro.verifyplan.bounds.fw_traffic`,
+:func:`~repro.verifyplan.bounds.johnson_traffic`,
+:func:`~repro.verifyplan.bounds.boundary_traffic`: bytes and copies per
+direction plus strided row segments, each field proven equal to the
+emitted IR's tally) priced by
+:meth:`~repro.verifyplan.bounds.Traffic.seconds`, which equals the sum of
+the transfer model's per-copy durations. The record is closed-form, so
+pricing it emits no IR.
+
 The **computation** models:
 
 * Floyd–Warshall — cost is ``O(n³)`` with graph-independent constants, so a
@@ -35,7 +46,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.minplus import DIST_DTYPE
 from repro.core.ooc_boundary import BoundaryPlan, plan_boundary
 from repro.core.ooc_fw import plan_fw_block_size
 from repro.core.ooc_johnson import (
@@ -45,7 +55,7 @@ from repro.core.ooc_johnson import (
 )
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernels import mssp_batch_cost
-from repro.gpu.transfer import copy_duration
+from repro.verifyplan.bounds import boundary_traffic, fw_traffic, johnson_traffic
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.select.calibrate import Calibration
@@ -61,8 +71,6 @@ __all__ = [
     "estimate_fw",
     "estimate_johnson",
 ]
-
-_ELEM = np.dtype(DIST_DTYPE).itemsize
 
 #: batches sampled by the Johnson estimator ("In our experiments we set k to
 #: be 5 as that achieved sufficient accuracy", §IV-B.2 footnote)
@@ -86,53 +94,13 @@ class CostEstimate:
 # ----------------------------------------------------------------------
 # Floyd–Warshall
 # ----------------------------------------------------------------------
-def fw_transfer_seconds(n: int, spec: DeviceSpec, *, overlap: bool = True) -> float:
-    """Transfer term of Algorithm 1, mirroring the driver's copy schedule.
-
-    Walks the exact block layout (ragged last blocks included): per outer
-    iteration the diagonal block moves up+down, ``2(n_d−1)`` panels move
-    up+down, and stage 3 uploads one column block per ``i`` plus a row and
-    a work block per ``(i, j)`` with the work block coming back — the
-    paper's ``n_d·W·(3b² + n²)/TH`` with both directions counted.
-    """
-    from repro.core.tiling import BlockLayout
-
-    b = plan_fw_block_size(n, spec, overlap=overlap)
-    layout = BlockLayout(n, b)
-    nd = layout.num_blocks
-    sizes = [layout.size(i) for i in range(nd)]
-    total_bytes = 0
-    total_copies = 0
-    for k in range(nd):
-        bk = sizes[k]
-        total_bytes += 2 * bk * bk  # stage 1 up + down
-        total_copies += 2
-        for j in range(nd):  # stage 2 row+col panels, up + down each
-            if j != k:
-                total_bytes += 4 * bk * sizes[j]
-                total_copies += 4
-        for i in range(nd):  # stage 3
-            if i == k:
-                continue
-            total_bytes += sizes[i] * bk  # column upload
-            total_copies += 1
-            for j in range(nd):
-                if j == k:
-                    continue
-                total_bytes += bk * sizes[j] + 2 * sizes[i] * sizes[j]
-                total_copies += 3
-    return (
-        total_bytes * _ELEM / spec.transfer_throughput
-        + total_copies * spec.transfer_latency
-    )
-
-
 def estimate_fw(graph, spec: DeviceSpec, calibration: "Calibration") -> CostEstimate:
-    """``T₀·(n/n₀)³`` compute + modelled transfers."""
+    """``T₀·(n/n₀)³`` compute + the priced traffic of the overlapped
+    schedule at the planned block size."""
     n = graph.num_vertices
     t0, n0 = calibration.fw_reference
     compute = t0 * (n / n0) ** 3
-    transfer = fw_transfer_seconds(n, spec)
+    transfer = fw_traffic(n, plan_fw_block_size(n, spec)).seconds(spec)
     return CostEstimate(
         "floyd-warshall", compute, transfer, {"n0": n0, "t0": t0}
     )
@@ -174,11 +142,7 @@ def estimate_johnson(
     )
 
     compute = (n_b / k) * sampled
-    transfer = (
-        _ELEM * n * n / spec.transfer_throughput  # the paper's W·n²/TH
-        + n_b * spec.transfer_latency
-        + copy_duration(spec, 8 * graph.num_edges)  # one-time CSR upload
-    )
+    transfer = johnson_traffic(n, graph.num_edges, bat).seconds(spec)
     return CostEstimate(
         "johnson", compute, transfer,
         {
@@ -198,24 +162,6 @@ def boundary_n_op(n: int, k: int, b_avg: float) -> float:
     ``N_op = n³/k² + (kB)³ + nkB² + n²B`` (steps 2, 3, 4).
     """
     return n**3 / k**2 + (k * b_avg) ** 3 + n * k * b_avg**2 + n**2 * b_avg
-
-
-def boundary_transfer_seconds(n: int, plan: BoundaryPlan, spec: DeviceSpec) -> float:
-    """Transfer term of Algorithm 3 with batching: per-component blocks
-    up+down (steps 2), the boundary matrix up, C2B/B2C uploads, and the
-    batched output strips (``k/N_row`` large copies moving ``n²`` bytes)."""
-    k = plan.num_components
-    nb = plan.num_boundary
-    sizes = np.diff(plan.comp_start)
-    step2_bytes = 2 * int((sizes.astype(np.int64) ** 2).sum()) * _ELEM
-    bound_bytes = nb * nb * _ELEM
-    c2b_bytes = int((sizes * plan.comp_boundary).sum()) * _ELEM
-    b2c_bytes = k * c2b_bytes  # B2C[j] re-uploaded for every i
-    out_bytes = n * n * _ELEM
-    n_flushes = max(1, int(np.ceil(k / max(1, plan.n_row))))
-    volume = step2_bytes + bound_bytes + c2b_bytes + b2c_bytes + out_bytes
-    calls = 2 * k + 1 + k + k * k + n_flushes
-    return volume / spec.transfer_throughput + calls * spec.transfer_latency
 
 
 def estimate_boundary(
@@ -250,7 +196,7 @@ def estimate_boundary(
         c_unit = calibration.c_unit_for(n, nb)
         compute = n_op * c_unit
         detail = {"model": "large-separator", "n_op": n_op, "c_unit": c_unit}
-    transfer = boundary_transfer_seconds(n, plan, spec)
+    transfer = boundary_traffic(plan).seconds(spec)
     detail.update({"k": k, "num_boundary": nb, "plan": plan})
     return CostEstimate("boundary", compute, transfer, detail)
 

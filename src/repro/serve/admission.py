@@ -23,10 +23,14 @@ Two mechanisms ride on those prices:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.gpu.device import DeviceSpec
 from repro.graphs.csr import CSRGraph
 from repro.serve.request import AdmissionError, Query
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.select.selector import SelectionReport
 
 __all__ = ["AdmissionController", "TenantState"]
 
@@ -66,7 +70,9 @@ class AdmissionController:
     #: global virtual clock: advanced to each ticket's vfinish as it completes
     vnow: float = 0.0
     tenants: dict[str, TenantState] = field(default_factory=dict)
-    _full_cost: dict[str, float] = field(default_factory=dict)
+    #: the analytic selection per fingerprint (prices full solves and
+    #: names the algorithm the service runs them with)
+    _selection: "dict[str, SelectionReport]" = field(default_factory=dict)
     #: analytic Johnson makespan per fingerprint (prices rows, and full
     #: solves when Johnson is the only candidate)
     _johnson_cost: dict[str, float] = field(default_factory=dict)
@@ -89,18 +95,23 @@ class AdmissionController:
             return self._full_seconds(graph, fingerprint)
         return self._row_seconds(graph, fingerprint)
 
-    def _full_seconds(self, graph: CSRGraph, fingerprint: str) -> float:
-        cost = self._full_cost.get(fingerprint)
-        if cost is None:
+    def selection(self, graph: CSRGraph, fingerprint: str) -> "SelectionReport":
+        """The analytic selector's report for ``graph``, run once per
+        fingerprint."""
+        report = self._selection.get(fingerprint)
+        if report is None:
             from repro.select.selector import Selector
 
             report = Selector(self.spec, analytic=True).select(graph)
-            if report.estimates:
-                cost = report.estimated_seconds()
-            else:  # the density band leaves Johnson alone: nothing was priced
-                cost = self._johnson_seconds(graph, fingerprint)
-            self._full_cost[fingerprint] = cost
-        return cost
+            self._selection[fingerprint] = report
+        return report
+
+    def _full_seconds(self, graph: CSRGraph, fingerprint: str) -> float:
+        report = self.selection(graph, fingerprint)
+        if report.estimates:
+            return report.estimated_seconds()
+        # the density band leaves Johnson alone: nothing was priced
+        return self._johnson_seconds(graph, fingerprint)
 
     def _row_seconds(self, graph: CSRGraph, fingerprint: str) -> float:
         return self._johnson_seconds(graph, fingerprint) / max(1, graph.num_vertices)
@@ -116,7 +127,7 @@ class AdmissionController:
 
     def forget(self, fingerprint: str) -> None:
         """Drop cached prices for a fingerprint (after a mutation)."""
-        self._full_cost.pop(fingerprint, None)
+        self._selection.pop(fingerprint, None)
         self._johnson_cost.pop(fingerprint, None)
 
     # ------------------------------------------------------------------

@@ -138,7 +138,6 @@ class APSPService:
         self._faults = faults
         self._retry = retry
         self._csr: "tuple | None" = None
-        self._auto_algorithm: "str | None" = None
         #: the service's modeled clock (simulated seconds)
         self.now = 0.0
         self._next_ticket = 0
@@ -215,7 +214,6 @@ class APSPService:
         for key in [k for k in self._rows if k[0] == old_fingerprint]:
             del self._rows[key]
         self.admission.forget(old_fingerprint)
-        self._auto_algorithm = None
         self._free_csr()
         return result
 
@@ -288,18 +286,13 @@ class APSPService:
 
     # -- full solves ----------------------------------------------------
     def _plan_algorithm(self) -> str:
-        """Concrete algorithm for full solves: ``auto`` resolves through
-        the *analytic* selector (free, deterministic) exactly once per
-        graph version, so spool checkpoints bind to a stable algorithm."""
+        """Concrete algorithm for full solves: ``auto`` reads the
+        admission controller's analytic selection (free, deterministic),
+        made once per graph version, so spool checkpoints bind to a
+        stable algorithm."""
         if self.algorithm != "auto":
             return self.algorithm
-        if self._auto_algorithm is None:
-            from repro.select.selector import Selector
-
-            self._auto_algorithm = (
-                Selector(self.spec, analytic=True).select(self.graph).algorithm
-            )
-        return self._auto_algorithm
+        return self.admission.selection(self.graph, self.fingerprint).algorithm
 
     def _serve_full_solve(self, ticket: Ticket) -> tuple[np.ndarray, Response]:
         algorithm = self._plan_algorithm()

@@ -25,10 +25,12 @@ generator on the device. Five analyses then run over the IR:
   the device's own clock yielding the critical path, predicted
   makespan, and copy/compute overlap efficiency per algorithm.
 
-Finally the tallied transfer volumes are checked against the paper's
-closed-form bounds (FW's exact per-block upload and ``n_d·n²`` download
-volumes, Johnson's exact CSR + row-batch totals, the boundary method's
-``N_row`` output batching). Independent analyses, one contract: the tests in
+Finally the tally is checked against the schedule's one traffic record
+(:mod:`~repro.verifyplan.bounds`): bytes and copies per direction and
+the row segments of strided copies, derived from the plan in closed
+form (FW's exact per-block uploads and ``n_d·n²`` downloads, Johnson's
+CSR + row-batch totals, the boundary method's ``N_row`` output drains).
+The cost models price the same record. Independent analyses, one contract: the tests in
 ``tests/test_verifyplan.py`` and ``tests/test_hb_timing.py`` assert
 agreement between these static predictions and the dynamic traces and
 simulated clocks of real runs.
@@ -52,7 +54,7 @@ through one interleaving rule, :func:`~repro.verifyplan.ir.walk_fleet`.
 
 Incremental schedules get the same treatment:
 :mod:`~repro.verifyplan.updatebounds` proves the dynamic-graph patch
-sweeps of :mod:`repro.dynamic` move ``O(n²)`` bytes (closed form ==
+sweeps of :mod:`repro.dynamic` move ``O(n²)`` bytes (traffic record ==
 IR tally of the schedule the pass runs), that the statically-derived
 touched-block set covers every block the patch actually changes, and
 that the pivot panels are folded before any block kernel reads them.
@@ -71,7 +73,14 @@ from repro.verifyplan.analyze import (
     analyze_transfers,
     audit_ir,
 )
-from repro.verifyplan.bounds import BoundCheck, fw_exact_h2d_bytes
+from repro.verifyplan.bounds import (
+    BoundCheck,
+    Traffic,
+    boundary_traffic,
+    fw_traffic,
+    johnson_traffic,
+    traffic_checks,
+)
 from repro.verifyplan.commbounds import (
     CommTally,
     analyze_comm,
@@ -108,11 +117,9 @@ from repro.verifyplan.timing import (
 from repro.verifyplan.updatebounds import (
     SoundnessFinding,
     check_patch_soundness,
-    decrease_d2h_bytes,
-    decrease_h2d_bytes,
-    increase_d2h_bytes,
     static_touched_blocks,
     update_bound_checks,
+    update_traffic,
 )
 from repro.verifyplan.verifier import (
     ALGORITHM_NAMES,
@@ -151,6 +158,7 @@ __all__ = [
     "SymEvent",
     "TimingCalibration",
     "TimingReport",
+    "Traffic",
     "TransferTally",
     "Verification",
     "WaitOp",
@@ -161,17 +169,18 @@ __all__ = [
     "analyze_transfers",
     "audit_ir",
     "audit_schedule",
+    "boundary_traffic",
     "check_patch_soundness",
     "cluster_comm_checks",
-    "decrease_d2h_bytes",
-    "decrease_h2d_bytes",
     "expected_comm_volumes",
     "expected_link_bytes",
-    "fw_exact_h2d_bytes",
-    "increase_d2h_bytes",
+    "fw_traffic",
+    "johnson_traffic",
     "kernel_duration",
     "predict_timing",
     "static_touched_blocks",
+    "traffic_checks",
     "update_bound_checks",
+    "update_traffic",
     "verify_plan",
 ]

@@ -22,7 +22,7 @@ them with the traffic tally for the verifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.verifyplan.ir import (
     AllocOp,
@@ -77,9 +77,9 @@ class TransferTally:
     bytes_d2h: int = 0
     num_h2d: int = 0
     num_d2h: int = 0
+    #: row segments of strided (``cudaMemcpy2D``-style) copies
+    strided_rows: int = 0
     redundant_bytes: int = 0
-    #: d2h op count per leading key element, e.g. {"host-rows": 3}
-    d2h_by_key: dict = field(default_factory=dict)
 
 
 def analyze_residency(ir: PlanIR) -> tuple[int, list[PlanFinding]]:
@@ -240,6 +240,8 @@ def analyze_transfers(ir: PlanIR) -> tuple[TransferTally, list[PlanFinding]]:
         elif isinstance(op, CopyOp):
             acc = op.access
             name = ir.buffers[acc.buffer].name
+            if op.strided:
+                tally.strided_rows += acc.rect.rows
             if op.kind == "h2d":
                 tally.bytes_h2d += acc.nbytes
                 tally.num_h2d += 1
@@ -266,8 +268,6 @@ def analyze_transfers(ir: PlanIR) -> tuple[TransferTally, list[PlanFinding]]:
             else:
                 tally.bytes_d2h += acc.nbytes
                 tally.num_d2h += 1
-                head = str(op.key[0]) if op.key else ""
-                tally.d2h_by_key[head] = tally.d2h_by_key.get(head, 0) + 1
                 ent = downloaded.get(op.key)
                 if ent is not None and acc.nbytes > 0:
                     tally.redundant_bytes += acc.nbytes

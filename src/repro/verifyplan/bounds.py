@@ -1,26 +1,34 @@
-"""Closed-form transfer bounds from the paper, checked against the IR.
+"""One exact traffic record per schedule, checked against the IR.
 
 The paper derives the data-movement cost of each algorithm analytically
-(Table I and Section III); the verifier recomputes each bound from the
-plan parameters and compares it with the byte totals the symbolic
-schedule actually moves:
+(Table I and Section III). This module is the one place that says what a
+single-device schedule moves: each builder recomputes, from the plan
+alone and with the drivers' own helpers, the schedule's
+:class:`Traffic` (bytes and copies per direction, plus the row segments
+of its strided copies). The verifier checks every field against the
+tally of the emitted IR (:func:`traffic_checks`), and the cost models
+price the same record (:meth:`Traffic.seconds`):
 
-* **blocked FW** — every block crosses the bus each outer iteration, so
-  downloads are *exactly* ``n_d · n²`` elements (the per-``k`` download
-  set tiles the full matrix: ``(b_k + Σ_{i≠k} b_i)(b_k + Σ_{j≠k} b_j) =
-  n²`` even with a ragged last block); uploads are the paper's
-  ``≈ (2·n_d − 1) · n²`` elements, computed exactly per block
-  (:func:`fw_exact_h2d_bytes`);
-* **Johnson** — the CSR graph uploads once (``4(n+1) + 8m`` bytes) and
-  every output row downloads exactly once (``n²`` elements) in
-  ``⌈n / bat⌉`` batches;
-* **boundary** — downloads are ``n² + Σ nᵢ²`` elements (dist2 blocks plus
-  the full dist4 output), uploads ``Σ nᵢ² + n_b² + Σᵢ nᵢbᵢ + k·Σⱼ bⱼnⱼ``
-  elements, and with ``N_row`` batching the step-4 output drains in at
-  most ``⌈k / N_row⌉`` flushes instead of ``k²`` per-block copies.
+* **blocked FW** (:func:`fw_traffic`) — every block crosses the bus each
+  outer iteration, so downloads are *exactly* ``n_d · n²`` elements in
+  ``n_d³`` copies (the per-``k`` download set tiles the full matrix:
+  ``(b_k + Σ_{i≠k} b_i)(b_k + Σ_{j≠k} b_j) = n²`` even with a ragged last
+  block); uploads are the paper's ``≈ (2·n_d − 1) · n²`` elements, exact
+  once the stage-3 row reuse of the double buffer is counted;
+* **Johnson** (:func:`johnson_traffic`) — the CSR graph uploads once
+  (``indptr``, ``indices``, ``weights``: ``4(n+1) + 8m`` bytes) and every
+  output row downloads exactly once (``n²`` elements) in ``⌈n / bat⌉``
+  batches;
+* **boundary** (:func:`boundary_traffic`) — downloads are ``n² + Σ nᵢ²``
+  elements (dist2 blocks plus the full dist4 output), uploads
+  ``Σ nᵢ² + n_b² + Σᵢ nᵢbᵢ + k·Σⱼ bⱼnⱼ`` elements; the output drains in
+  the driver's ``N_row``-batched flushes or, when the plan has no room
+  for one strip (``n_row == 0``), in ``k²`` strided per-block copies of
+  ``k·n`` row segments.
 
-Each check is a :class:`BoundCheck`; ``mode`` selects exact equality or
-an upper bound.
+The patch passes of :mod:`repro.dynamic` get their records in
+:mod:`repro.verifyplan.updatebounds`. Multi-GPU plans are checked on
+bytes only (:func:`multi_bound_checks`).
 """
 
 from __future__ import annotations
@@ -29,13 +37,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.gpu.transfer import copies_duration
+
 __all__ = [
     "BoundCheck",
-    "boundary_bound_checks",
-    "fw_bound_checks",
-    "fw_exact_h2d_bytes",
-    "johnson_bound_checks",
+    "Traffic",
+    "boundary_traffic",
+    "fw_traffic",
+    "johnson_traffic",
     "multi_bound_checks",
+    "traffic_checks",
 ]
 
 _ELEM = 4  # DIST_DTYPE is float32
@@ -68,185 +79,144 @@ class BoundCheck:
         )
 
 
-def fw_exact_h2d_bytes(block_sizes, *, overlap: bool = True) -> int:
-    """Exact upload volume of the blocked-FW schedule, ragged blocks and all.
+@dataclass(frozen=True)
+class Traffic:
+    """What one schedule moves over the bus."""
 
-    Derived term by term from the driver's three stages (``n = Σ bᵢ``,
-    ``rest_k = n − b_k``, ``L = n_d − 1``):
+    bytes_h2d: int = 0
+    bytes_d2h: int = 0
+    num_h2d: int = 0
+    num_d2h: int = 0
+    #: row segments of the strided (``cudaMemcpy2D``-style) copies
+    strided_rows: int = 0
 
-    * stage 1 uploads the diagonal block: ``b_k²``;
-    * stage 2 streams the row and column panels: ``2·b_k·rest_k``;
-    * stage 3 uploads the column panel once per block-row (``b_k·rest_k``)
-      and every work block (``rest_k²``);
+    @property
+    def total_bytes(self) -> int:
+        return self.bytes_h2d + self.bytes_d2h
+
+    def seconds(self, spec) -> float:
+        """Bus time of the schedule's copies on ``spec``: the sum of
+        :func:`~repro.gpu.transfer.copy_duration` over its contiguous
+        copies and :func:`~repro.gpu.transfer.copy_duration_2d` over its
+        strided ones."""
+        return copies_duration(
+            spec, self.total_bytes, self.num_h2d + self.num_d2h, self.strided_rows
+        )
+
+
+#: (check name suffix, record field) of every field the verifier checks
+_CHECKED_FIELDS = (
+    ("h2d-volume", "bytes_h2d"),
+    ("d2h-volume", "bytes_d2h"),
+    ("h2d-copies", "num_h2d"),
+    ("d2h-copies", "num_d2h"),
+    ("strided-rows", "strided_rows"),
+)
+
+
+def traffic_checks(
+    prefix: str, traffic: Traffic, tally, detail: str = ""
+) -> list[BoundCheck]:
+    """One exact check per field of ``traffic`` against the IR ``tally``
+    (a :class:`~repro.verifyplan.analyze.TransferTally`)."""
+    return [
+        BoundCheck(
+            name=f"{prefix}-{suffix}",
+            expected=getattr(traffic, field),
+            actual=getattr(tally, field),
+            detail=detail,
+        )
+        for suffix, field in _CHECKED_FIELDS
+    ]
+
+
+def fw_traffic(n: int, block_size: int, *, overlap: bool = True) -> Traffic:
+    """Blocked FW on ``BlockLayout(n, block_size)``, ragged blocks and all.
+
+    Per outer iteration ``k`` (``rest_k = n − b_k``, ``L = n_d − 1``):
+
+    * stage 1 moves the diagonal block up and back: ``b_k²``;
+    * stage 2 streams the ``2L`` row and column panels up and back:
+      ``2·b_k·rest_k``;
+    * stage 3 uploads the column panel once per block-row (``L`` copies,
+      ``b_k·rest_k``), uploads and downloads every work block (``L²``
+      copies each way, ``rest_k²``);
     * stage-3 **row uploads** depend on the double-buffer rotation: buffer
       ``p = t mod nbuf`` revisits column ``j = t mod L``, so the re-upload
       of ``A(k,j)`` is elided iff the buffer still holds ``j`` — which
       happens from step ``nbuf`` on exactly when ``nbuf ≡ 0 (mod L)``.
-      Then only the first-occupancy steps upload
-      (``Σ_{t < min(nbuf, L²)} b_k·b_{js[t mod L]}``); otherwise every one
-      of the ``L²`` steps re-uploads (``L·b_k·rest_k``).
+      Then only the first ``min(nbuf, L²)`` steps upload; otherwise every
+      one of the ``L²`` steps does.
 
-    Exact for any block-size list; matches the emitter/driver byte for
-    byte.
+    Each iteration thus downloads every block once: ``n²`` elements in
+    ``n_d²`` copies.
     """
-    sizes = [int(b) for b in block_sizes]
-    n = sum(sizes)
-    nd = len(sizes)
+    from repro.core.tiling import BlockLayout
+
+    layout = BlockLayout(n, block_size)
+    nd = layout.num_blocks
+    sizes = [layout.size(i) for i in range(nd)]
     nbuf = 2 if overlap else 1
-    total = 0
+    L = nd - 1
+    h2d = num_h2d = 0
     for k, bk in enumerate(sizes):
         rest = n - bk
-        total += bk * bk  # stage 1: diagonal block
-        total += 2 * bk * rest  # stage 2: row + column panels
-        total += bk * rest  # stage 3: column-panel uploads (one per i)
-        total += rest * rest  # stage 3: work-block uploads
-        L = nd - 1
-        if L > 0:
-            js = [sizes[j] for j in range(nd) if j != k]
-            if nbuf % L == 0:
-                total += sum(bk * js[t % L] for t in range(min(nbuf, L * L)))
-            else:
-                total += L * bk * rest
-    return total * _ELEM
+        js = sizes[:k] + sizes[k + 1 :]
+        row_steps = min(nbuf, L * L) if L and nbuf % L == 0 else L * L
+        h2d += bk * bk + 3 * bk * rest + rest * rest
+        h2d += bk * sum(js[t % L] for t in range(row_steps))
+        num_h2d += 1 + 3 * L + L * L + row_steps
+    return Traffic(
+        bytes_h2d=h2d * _ELEM,
+        bytes_d2h=nd * n * n * _ELEM,
+        num_h2d=num_h2d,
+        num_d2h=nd**3,
+    )
 
 
-def fw_bound_checks(
-    block_sizes,
-    bytes_h2d: int,
-    bytes_d2h: int,
-    *,
-    overlap: bool = True,
-) -> list[BoundCheck]:
-    """Blocked FW: Table I's ``O(n_d · n²)`` movement, split by direction.
-
-    ``block_sizes`` are the layout's per-block edge lengths; every check
-    is exact, ragged tilings included.
-    """
-    n = sum(int(b) for b in block_sizes)
-    d2h_expected = len(block_sizes) * n * n * _ELEM
-    h2d_expected = fw_exact_h2d_bytes(block_sizes, overlap=overlap)
-    return [
-        BoundCheck(
-            name="fw-d2h-volume",
-            expected=d2h_expected,
-            actual=bytes_d2h,
-            mode="exact",
-            detail="each outer iteration downloads every block exactly once",
-        ),
-        BoundCheck(
-            name="fw-h2d-volume",
-            expected=h2d_expected,
-            actual=bytes_h2d,
-            mode="exact",
-            detail=(
-                "exact ragged-tile upload volume (stage terms + the "
-                "double-buffer row-reuse rule)"
-            ),
-        ),
-        BoundCheck(
-            name="fw-total-volume",
-            expected=h2d_expected + d2h_expected,
-            actual=bytes_h2d + bytes_d2h,
-            mode="exact",
-            detail="paper Table I: O(n_d · n²) total movement, exact form",
-        ),
-    ]
+def johnson_traffic(n: int, m: int, bat: int) -> Traffic:
+    """Johnson with ``bat`` sources per batch: ``indptr`` uploads, then
+    ``indices`` and ``weights`` when the graph has edges, and each batch
+    downloads its rows once."""
+    return Traffic(
+        bytes_h2d=4 * (n + 1) + 8 * m,
+        bytes_d2h=n * n * _ELEM,
+        num_h2d=3 if m else 1,
+        num_d2h=-(-n // bat),
+    )
 
 
-def johnson_bound_checks(
-    n: int,
-    m: int,
-    bat: int,
-    bytes_h2d: int,
-    bytes_d2h: int,
-    num_d2h: int,
-) -> list[BoundCheck]:
-    """Johnson: one CSR upload, one exact output-matrix download."""
-    csr_bytes = 4 * (n + 1) + (8 * m if m else 0)
-    return [
-        BoundCheck(
-            name="johnson-h2d-volume",
-            expected=csr_bytes,
-            actual=bytes_h2d,
-            mode="exact",
-            detail="the CSR graph uploads exactly once",
-        ),
-        BoundCheck(
-            name="johnson-d2h-volume",
-            expected=n * n * _ELEM,
-            actual=bytes_d2h,
-            mode="exact",
-            detail="every output row downloads exactly once",
-        ),
-        BoundCheck(
-            name="johnson-num-batches",
-            expected=-(-n // bat),
-            actual=num_d2h,
-            mode="exact",
-            detail="bat = (L − S)/(c·m) sources per MSSP launch, one download each",
-        ),
-    ]
+def _component_terms(plan) -> tuple[int, int]:
+    """(Σ nᵢ², Σᵢ nᵢ·bᵢ) from the plan's partition arrays."""
+    sizes = np.diff(np.asarray(plan.comp_start))
+    return (
+        int((sizes * sizes).sum()),
+        int((sizes * np.asarray(plan.comp_boundary)).sum()),
+    )
 
 
-def _component_terms(comp_start, comp_boundary) -> tuple[int, int, int]:
-    """(Σ nᵢ², Σᵢ nᵢ·bᵢ, Σⱼ bⱼ·nⱼ) from the plan's partition arrays."""
-    sizes = np.diff(np.asarray(comp_start))
-    bnd = np.asarray(comp_boundary)
-    sq = int((sizes * sizes).sum())
-    nb_mix = int((sizes * bnd).sum())
-    return sq, nb_mix, nb_mix
+def boundary_traffic(plan, *, batch_transfers: bool = True) -> Traffic:
+    """The boundary method's schedule for ``plan``: per component its
+    dist2 block up and back and its C2B extract up, the boundary matrix
+    up, one B2C extract up per block, and the step-4 output drains."""
+    from repro.core.ooc_boundary import _flush_groups
 
-
-def boundary_bound_checks(
-    plan,
-    n: int,
-    bytes_h2d: int,
-    bytes_d2h: int,
-    num_output_flushes: int,
-    *,
-    batched: bool,
-) -> list[BoundCheck]:
-    """Boundary algorithm: exact volumes plus the N_row batching bound."""
     k = plan.num_components
     nb = plan.num_boundary
-    sq, c2b_elems, b2c_row = _component_terms(plan.comp_start, plan.comp_boundary)
-    checks = [
-        BoundCheck(
-            name="boundary-d2h-volume",
-            expected=(n * n + sq) * _ELEM,
-            actual=bytes_d2h,
-            mode="exact",
-            detail="dist2 blocks (Σ nᵢ²) plus the full dist4 output (n²)",
-        ),
-        BoundCheck(
-            name="boundary-h2d-volume",
-            expected=(sq + nb * nb + c2b_elems + k * b2c_row) * _ELEM,
-            actual=bytes_h2d,
-            mode="exact",
-            detail="components + boundary matrix + C2B/B2C extracts",
-        ),
-    ]
-    if batched and plan.n_row >= 1:
-        checks.append(
-            BoundCheck(
-                name="boundary-output-flushes",
-                expected=-(-k // plan.n_row),
-                actual=num_output_flushes,
-                mode="at-most",
-                detail=f"N_row={plan.n_row} block-rows per batched D2H flush",
-            )
-        )
+    n = int(plan.comp_start[-1])
+    sq, mix = _component_terms(plan)
+    if plan.runs_batched(batch_transfers):
+        cap = plan.n_row * plan.max_component
+        drains, rows = len(_flush_groups(plan.comp_start, k, cap)), 0
     else:
-        checks.append(
-            BoundCheck(
-                name="boundary-output-copies",
-                expected=k * k,
-                actual=num_output_flushes,
-                mode="exact",
-                detail="unbatched path: one strided copy per block",
-            )
-        )
-    return checks
+        drains, rows = k * k, k * n
+    return Traffic(
+        bytes_h2d=(sq + nb * nb + (k + 1) * mix) * _ELEM,
+        bytes_d2h=(n * n + sq) * _ELEM,
+        num_h2d=2 * k + 1 + k * k,
+        num_d2h=k + drains,
+        strided_rows=rows,
+    )
 
 
 def multi_bound_checks(
@@ -259,7 +229,7 @@ def multi_bound_checks(
     """Multi-GPU boundary: single-device volumes plus the broadcast cost."""
     k = plan.num_components
     nb = plan.num_boundary
-    sq, c2b_elems, b2c_row = _component_terms(plan.comp_start, plan.comp_boundary)
+    sq, mix = _component_terms(plan)
     return [
         BoundCheck(
             name="multi-d2h-volume",
@@ -270,7 +240,7 @@ def multi_bound_checks(
         ),
         BoundCheck(
             name="multi-h2d-volume",
-            expected=(sq + num_devices * nb * nb + c2b_elems + k * b2c_row) * _ELEM,
+            expected=(sq + num_devices * nb * nb + (k + 1) * mix) * _ELEM,
             actual=bytes_h2d,
             mode="exact",
             detail="broadcast uploads the closed boundary matrix to every device",

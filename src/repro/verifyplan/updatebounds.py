@@ -5,15 +5,16 @@ ROADMAP item 3 asks that incremental patches be scheduled through the IR
 This module holds that proof layer for the plans of
 :mod:`repro.dynamic.patch`:
 
-* **exact per-update bounds** — the batched-decrease sweep moves exactly
-  ``(2nk + k²)`` panel elements up (the ``2n`` row/col panels per edge
-  plus the ``k × k`` transition matrix), every ``dist`` block up once
-  (``n²`` elements) and back once (``n²`` touched-block writeback); the
-  increase pass uploads the updated CSR graph once (``8(n+1) + 16m``
-  bytes) and writes back exactly the affected-region rectangles
-  enumerated from the SSSP frontier (``|X| · n`` elements). Each bound
-  is checked byte-for-byte against the IR tally of the schedule the pass
-  runs;
+* **one exact traffic record per pass** (:func:`update_traffic`) — the
+  batched-decrease sweep uploads the ``n×k`` column panel, the ``k×n``
+  row panel and the ``k×k`` transition matrix, then every ``dist``
+  block up once and back once (``n²`` elements each way, in ``n_d²``
+  copies each way); the increase pass uploads the updated CSR graph
+  once (``8(n+1) + 16m`` bytes) and writes back exactly the
+  affected-region rectangles enumerated from the SSSP frontier, one per
+  affected block-row (``|X| · n`` elements). Every field is checked
+  against the IR tally of the schedule the pass runs, and
+  ``bench-dynamic`` prices the same record;
 
 * **asymptotic gate** — total traffic must stay within ``4n²`` elements
   (constant independent of the block count ``n_d``; the engine caps
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.verifyplan.analyze import TransferTally
-from repro.verifyplan.bounds import BoundCheck, fw_exact_h2d_bytes
+from repro.verifyplan.bounds import BoundCheck, Traffic, fw_traffic, traffic_checks
 from repro.verifyplan.ir import CopyOp, KernelOp, PlanIR
 
 if TYPE_CHECKING:  # imported lazily to keep verifyplan import-independent
@@ -46,34 +47,37 @@ if TYPE_CHECKING:  # imported lazily to keep verifyplan import-independent
 __all__ = [
     "SoundnessFinding",
     "check_patch_soundness",
-    "decrease_h2d_bytes",
-    "decrease_d2h_bytes",
-    "increase_d2h_bytes",
     "static_touched_blocks",
     "update_bound_checks",
+    "update_traffic",
 ]
 
 _ELEM = 4  # DIST_DTYPE is float32
 
 
 # ---------------------------------------------------------------------------
-# exact closed forms
+# the traffic record
 # ---------------------------------------------------------------------------
-def decrease_h2d_bytes(n: int, k: int) -> int:
-    """Upload volume of the batched decrease: the ``n×k`` column panel,
-    the ``k×n`` row panel, the ``k×k`` transition matrix, and every
-    ``dist`` block exactly once (``Σ bᵢ·bⱼ = n²``, ragged or not)."""
-    return (2 * n * k + k * k + n * n) * _ELEM
-
-
-def decrease_d2h_bytes(n: int) -> int:
-    """Writeback volume of the decrease sweep: every block exactly once."""
-    return n * n * _ELEM
-
-
-def increase_d2h_bytes(n: int, num_affected: int) -> int:
-    """Writeback volume of the increase pass: the affected-source rows."""
-    return n * num_affected * _ELEM
+def update_traffic(plan: "UpdatePlan") -> Traffic:
+    """What one patch pass moves (see the module docstring): a decrease
+    makes ``3 + n_d²`` uploads and ``n_d²`` writebacks; an increase makes
+    three CSR uploads (one when the graph has no edges) and one writeback
+    per affected block-row."""
+    n, nd = plan.n, plan.num_blocks
+    if plan.kind == "decrease":
+        k = plan.k
+        return Traffic(
+            bytes_h2d=(2 * n * k + k * k + n * n) * _ELEM,
+            bytes_d2h=n * n * _ELEM,
+            num_h2d=3 + nd * nd,
+            num_d2h=nd * nd,
+        )
+    return Traffic(
+        bytes_h2d=plan.csr_bytes,
+        bytes_d2h=len(plan.affected_rows) * n * _ELEM,
+        num_h2d=3 if plan.graph_m else 1,
+        num_d2h=len(plan.affected_block_rows),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -94,90 +98,20 @@ def static_touched_blocks(ir: PlanIR, num_blocks: int) -> frozenset[tuple[int, i
 
 
 # ---------------------------------------------------------------------------
-# bound checks: closed form == IR tally
+# bound checks: traffic record == IR tally, plus the O(n²) gates
 # ---------------------------------------------------------------------------
-def _direction_checks(
-    prefix: str,
-    expected_h2d: int,
-    expected_d2h: int,
-    tally: TransferTally,
-    detail_h2d: str,
-    detail_d2h: str,
-) -> list[BoundCheck]:
-    return [
-        BoundCheck(
-            name=f"{prefix}-h2d-ir",
-            expected=expected_h2d,
-            actual=tally.bytes_h2d,
-            mode="exact",
-            detail=detail_h2d,
-        ),
-        BoundCheck(
-            name=f"{prefix}-d2h-ir",
-            expected=expected_d2h,
-            actual=tally.bytes_d2h,
-            mode="exact",
-            detail=detail_d2h,
-        ),
-    ]
-
-
 def update_bound_checks(plan: "UpdatePlan", tally: TransferTally) -> list[BoundCheck]:
-    """Exact closed-form bounds for one patch pass, proven against the
-    IR's transfer tally (from :func:`repro.verifyplan.analyze.audit_ir`),
+    """The pass's traffic record checked field by field against the IR's
+    transfer tally (from :func:`repro.verifyplan.analyze.audit_ir`),
     plus the O(n²) gates."""
     n = plan.n
     nd = plan.num_blocks
-    checks: list[BoundCheck] = []
-    if plan.kind == "decrease":
-        k = plan.k
-        exp_h2d = decrease_h2d_bytes(n, k)
-        exp_d2h = decrease_d2h_bytes(n)
-        h2d_detail = "2nk panel + k² transition + n² block uploads, exact"
-        d2h_detail = "n² touched-block writeback, every block exactly once"
-        checks += _direction_checks(
-            "decrease", exp_h2d, exp_d2h, tally, h2d_detail, d2h_detail
-        )
-        checks.append(
-            BoundCheck(
-                name="decrease-num-writebacks",
-                expected=nd * nd,
-                actual=tally.num_d2h,
-                mode="exact",
-                detail="one writeback per block of the n_d × n_d partition",
-            )
-        )
-    else:
-        exp_h2d = plan.csr_bytes
-        # affected-region rectangle enumeration from the SSSP frontier:
-        # one |rows_i| × n rectangle per affected block-row
-        rects = [(i, len(plan.affected_in_row(i))) for i in plan.affected_block_rows]
-        exp_d2h = sum(r * n for _i, r in rects) * _ELEM
-        h2d_detail = "the updated CSR graph uploads exactly once"
-        d2h_detail = (
-            f"affected-region rectangles {[f'{r}x{n}' for _i, r in rects]}"
-        )
-        checks += _direction_checks(
-            "increase", exp_h2d, exp_d2h, tally, h2d_detail, d2h_detail
-        )
-        checks.append(
-            BoundCheck(
-                name="increase-rect-enumeration",
-                expected=increase_d2h_bytes(n, len(plan.affected_rows)),
-                actual=exp_d2h,
-                mode="exact",
-                detail="block-row rectangles partition the |X|·n affected region",
-            )
-        )
-        checks.append(
-            BoundCheck(
-                name="increase-num-writebacks",
-                expected=len(plan.affected_block_rows),
-                actual=tally.num_d2h,
-                mode="exact",
-                detail="one strided writeback per affected block-row",
-            )
-        )
+    detail = {
+        "decrease": "2nk + k² panels, then every block up and back once",
+        "increase": "the updated CSR graph once; one writeback of |X|·n "
+        "elements per affected block-row",
+    }[plan.kind]
+    checks = traffic_checks(plan.kind, update_traffic(plan), tally, detail)
     total = tally.bytes_h2d + tally.bytes_d2h
     # asymptotic gate 1: O(n²) with a constant independent of n_d. The
     # graph upload itself is O(n + m) ⊆ O(n²); the patch traffic proper
@@ -198,8 +132,7 @@ def update_bound_checks(plan: "UpdatePlan", tally: TransferTally) -> list[BoundC
     # full blocked-FW re-solve it replaces (its stage-3 pass alone moves
     # O(n_d · n²) = O(n³ / b) bytes).
     if nd >= 2:
-        sizes = [r1 - r0 for r0, r1 in plan.spans]
-        resolve = fw_exact_h2d_bytes(sizes) + nd * n * n * _ELEM
+        resolve = fw_traffic(n, plan.block_size).total_bytes
         checks.append(
             BoundCheck(
                 name="update-vs-resolve-gate",

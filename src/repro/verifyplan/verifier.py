@@ -32,10 +32,11 @@ from typing import Callable, Sequence
 from repro.verifyplan.analyze import TransferTally, audit_ir
 from repro.verifyplan.bounds import (
     BoundCheck,
-    boundary_bound_checks,
-    fw_bound_checks,
-    johnson_bound_checks,
+    boundary_traffic,
+    fw_traffic,
+    johnson_traffic,
     multi_bound_checks,
+    traffic_checks,
 )
 from repro.verifyplan.hb import HBReport, analyze_hb
 from repro.verifyplan.ir import LinkSpec, PlanIR
@@ -56,6 +57,9 @@ ALGORITHM_NAMES = ("floyd-warshall", "johnson", "boundary", "multi-gpu")
 _ALIASES = {"fw": "floyd-warshall", "floyd_warshall": "floyd-warshall"}
 
 _TALLY_FIELDS = ("bytes_h2d", "bytes_d2h", "num_h2d", "num_d2h", "redundant_bytes")
+#: the tally fields summed over a schedule's IRs; the traffic checks also
+#: read ``strided_rows``, which the audit does not report
+_SUMMED_FIELDS = (*_TALLY_FIELDS, "strided_rows")
 
 
 def _fmt_bytes(b: int | float) -> str:
@@ -233,10 +237,8 @@ def audit_schedule(
         peak, part, findings = audit_ir(ir)
         audit.peak_bytes = max(audit.peak_bytes, peak)
         audit.num_ops += ir.num_ops
-        for key in _TALLY_FIELDS:
+        for key in _SUMMED_FIELDS:
             setattr(tally, key, getattr(tally, key) + getattr(part, key))
-        for key, count in part.d2h_by_key.items():
-            tally.d2h_by_key[key] = tally.d2h_by_key.get(key, 0) + count
         if len(irs) > 1:
             rank = (node_names or {}).get(ir.rank, f"rank{ir.rank}")
             findings = [replace(f, buffer=f"{rank}:{f.buffer}") for f in findings]
@@ -261,14 +263,12 @@ def _audit_fw(graph, spec, overlap: bool) -> Audit:
         b = plan_fw_block_size(n, spec, overlap=overlap)
     except (ValueError, OutOfMemoryError) as exc:  # pragma: no cover - tiny devices
         return Audit("floyd-warshall", feasible=False, reason=str(exc))
-    layout = BlockLayout(n, b)
-    nd = layout.num_blocks
     return audit_schedule(
         "floyd-warshall", [emit_fw_ir(n, spec, block_size=b, overlap=overlap)], spec,
-        parameters={"block_size": b, "num_blocks": nd},
-        bounds=lambda t: fw_bound_checks(
-            [layout.size(i) for i in range(nd)], t.bytes_h2d, t.bytes_d2h,
-            overlap=overlap,
+        parameters={"block_size": b, "num_blocks": BlockLayout(n, b).num_blocks},
+        bounds=lambda t: traffic_checks(
+            "fw", fw_traffic(n, b, overlap=overlap), t,
+            "stage terms + the double-buffer row-reuse rule, ragged blocks exact",
         ),
     )
 
@@ -300,8 +300,9 @@ def _audit_johnson(graph, spec, overlap: bool) -> Audit:
             "num_batches": -(-n // bat),
             "occupancy": f"{mssp_occupancy(spec, bat):.0%}",
         },
-        bounds=lambda t: johnson_bound_checks(
-            n, m, bat, t.bytes_h2d, t.bytes_d2h, t.num_d2h
+        bounds=lambda t: traffic_checks(
+            "johnson", johnson_traffic(n, m, bat), t,
+            "the CSR graph uploads once; one row download per batch of bat sources",
         ),
     )
 
@@ -313,12 +314,10 @@ def _audit_boundary(graph, spec, overlap: bool, seed: int) -> Audit:
         plan_boundary,
     )
 
-    n = graph.num_vertices
     try:
         plan = plan_boundary(graph, spec, overlap=overlap, seed=seed)
     except BoundaryInfeasibleError as exc:
         return Audit("boundary", feasible=False, reason=exc.detail)
-    batched = plan.n_row >= 1
     return audit_schedule(
         "boundary", [emit_boundary_ir(graph, spec, plan=plan, overlap=overlap)], spec,
         parameters={
@@ -327,12 +326,12 @@ def _audit_boundary(graph, spec, overlap: bool, seed: int) -> Audit:
             "max_component": plan.max_component,
             "n_row": plan.n_row,
             "buffers": plan.num_buffers,
-            "batched": batched,
+            "batched": plan.runs_batched(),
         },
-        bounds=lambda t: boundary_bound_checks(
-            plan, n, t.bytes_h2d, t.bytes_d2h,
-            t.d2h_by_key.get("host-rows", 0) + t.d2h_by_key.get("host-block", 0),
-            batched=batched,
+        bounds=lambda t: traffic_checks(
+            "boundary", boundary_traffic(plan), t,
+            "components, boundary matrix, C2B/B2C extracts; N_row-batched "
+            "drains, or k² strided block copies when no strip fits",
         ),
     )
 

@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -172,15 +173,17 @@ class TestVerifyPlan:
         assert "floyd-warshall" in out and "johnson" not in out
 
     def test_failing_bound_exits_one(self, capsys, monkeypatch):
-        # a closed form that miscounts by one element fails its exact
+        # a traffic record that miscounts by one element fails its exact
         # check: documented exit code 1
-        import repro.verifyplan.bounds as bounds
+        import repro.verifyplan.verifier as verifier
 
-        exact = bounds.fw_exact_h2d_bytes
-        monkeypatch.setattr(
-            bounds, "fw_exact_h2d_bytes",
-            lambda sizes, **kw: exact(sizes, **kw) + 4,
-        )
+        exact = verifier.fw_traffic
+
+        def miscounted(*args, **kwargs):
+            traffic = exact(*args, **kwargs)
+            return dataclasses.replace(traffic, bytes_h2d=traffic.bytes_h2d + 4)
+
+        monkeypatch.setattr(verifier, "fw_traffic", miscounted)
         rc = main(["verify-plan", "road:n=220,deg=2.6,seed=1",
                    "--device", "test", "--scale", "1", "--algorithm", "fw"])
         assert rc == 1

@@ -39,11 +39,9 @@ from repro.verifyplan import (
     analyze_hb,
     audit_ir,
     check_patch_soundness,
-    decrease_d2h_bytes,
-    decrease_h2d_bytes,
-    increase_d2h_bytes,
     static_touched_blocks,
     update_bound_checks,
+    update_traffic,
 )
 
 
@@ -289,12 +287,17 @@ def test_closed_form_bounds_exact_and_o_n2_gated(kind):
     assert checks and all(c.ok for c in checks), [c.describe() for c in checks]
     names = {c.name for c in checks}
     assert "update-o-n2-gate" in names
+    traffic = update_traffic(plan)
+    assert (tally.bytes_h2d, tally.bytes_d2h, tally.num_h2d, tally.num_d2h) == (
+        traffic.bytes_h2d, traffic.bytes_d2h, traffic.num_h2d, traffic.num_d2h,
+    )
     if kind == "decrease":
-        assert tally.bytes_h2d == decrease_h2d_bytes(plan.n, plan.k)
-        assert tally.bytes_d2h == decrease_d2h_bytes(plan.n)
+        n, k = plan.n, plan.k
+        assert traffic.bytes_h2d == (2 * n * k + k * k + n * n) * 4
+        assert traffic.bytes_d2h == n * n * 4
     else:
-        assert tally.bytes_h2d == plan.csr_bytes
-        assert tally.bytes_d2h == increase_d2h_bytes(plan.n, len(plan.affected_rows))
+        assert traffic.bytes_h2d == plan.csr_bytes
+        assert traffic.bytes_d2h == plan.n * len(plan.affected_rows) * 4
     # the pass moved what its IR declares
     assert patch.bytes_moved == tally.bytes_h2d + tally.bytes_d2h
 
@@ -304,8 +307,8 @@ def test_o_n2_gate_scales_quadratically_not_cubically():
     Doubling n must ~4× the bound, never ~8×."""
     small = UpdatePlan(kind="decrease", n=64, block_size=16, k=2)
     large = UpdatePlan(kind="decrease", n=128, block_size=32, k=2)
-    s = decrease_h2d_bytes(small.n, small.k) + decrease_d2h_bytes(small.n)
-    l = decrease_h2d_bytes(large.n, large.k) + decrease_d2h_bytes(large.n)
+    s = update_traffic(small).total_bytes
+    l = update_traffic(large).total_bytes
     assert 3.5 < l / s < 4.5
 
 

@@ -51,12 +51,15 @@ class TestAlloc:
         assert pool.peak == 700
         assert pool.used == 0
 
-    def test_double_free_is_idempotent(self):
+    def test_double_free_raises(self):
+        # a schedule that frees a buffer twice fails at run time, and the
+        # second free returns no bytes to the pool
         pool = DeviceMemory(capacity=100)
         arr = pool.alloc(10, np.uint8)
         arr.free()
-        arr.free()
-        assert pool.used == 0
+        with pytest.raises(ValueError, match="double free"):
+            arr.free()
+        assert arr.freed and pool.used == 0
 
     def test_fill_value(self):
         pool = DeviceMemory(capacity=1000)

@@ -7,8 +7,15 @@ import pytest
 from repro.core import ooc_boundary, ooc_johnson
 from repro.gpu.device import Device, K80, V100
 from repro.graphs.generators import erdos_renyi, road_like
-from repro.select import Calibration, Selector, estimate_boundary, estimate_fw
-from repro.select.cost_models import boundary_transfer_seconds, fw_transfer_seconds
+from repro.core.ooc_fw import plan_fw_block_size
+from repro.select import (
+    Calibration,
+    Selector,
+    estimate_boundary,
+    estimate_fw,
+    estimate_johnson,
+)
+from repro.verifyplan import fw_traffic
 
 
 K80_SPEC = K80.scaled(1 / 64)
@@ -65,30 +72,55 @@ class TestReportSerialisation:
 
 
 class TestTransferTerms:
+    """Each estimator's transfer term is the bus time of the schedule the
+    driver runs: the copy durations the device clock sums."""
+
+    @staticmethod
+    def _bus_seconds(device):
+        return device.clock.busy["h2d"] + device.clock.busy["d2h"]
+
+    @pytest.fixture(scope="class")
+    def calibration(self):
+        spec = V100.scaled(1 / 64)
+        return Calibration(spec, fw_n0=128, boundary_n0=256).run(
+            with_large_separator_bins=False
+        )
+
     def test_fw_transfer_positive_and_grows(self):
         spec = V100.scaled(1 / 64)
-        small = fw_transfer_seconds(300, spec)
-        large = fw_transfer_seconds(1200, spec)
+        small, large = (
+            fw_traffic(n, plan_fw_block_size(n, spec)).seconds(spec) for n in (300, 1200)
+        )
         assert 0 < small < large
 
-    def test_fw_transfer_tracks_measured_order(self):
+    def test_fw_transfer_tracks_measured_order(self, calibration):
         from repro.core import ooc_floyd_warshall
 
         spec = V100.scaled(1 / 64)
         g = erdos_renyi(600, 3000, seed=54)
-        res = ooc_floyd_warshall(g, Device(spec))
-        predicted = fw_transfer_seconds(600, spec)
-        assert predicted == pytest.approx(res.stats["transfer_seconds"], rel=0.6)
+        device = Device(spec)
+        ooc_floyd_warshall(g, device)
+        predicted = estimate_fw(g, spec, calibration).transfer_seconds
+        assert predicted == pytest.approx(self._bus_seconds(device), rel=1e-12)
 
-    def test_boundary_transfer_tracks_measured_order(self):
+    def test_johnson_transfer_tracks_measured_order(self):
+        spec = V100.scaled(1 / 64)
+        g = road_like(800, 2.6, seed=55)
+        device = Device(spec)
+        ooc_johnson(g, device)
+        predicted = estimate_johnson(g, spec).transfer_seconds
+        assert predicted == pytest.approx(self._bus_seconds(device), rel=1e-12)
+
+    def test_boundary_transfer_tracks_measured_order(self, calibration):
         from repro.core.ooc_boundary import plan_boundary
 
         spec = V100.scaled(1 / 64)
         g = road_like(800, 2.6, seed=55)
         plan = plan_boundary(g, spec, seed=0)
-        res = ooc_boundary(g, Device(spec), plan=plan)
-        predicted = boundary_transfer_seconds(g.num_vertices, plan, spec)
-        assert predicted == pytest.approx(res.stats["transfer_seconds"], rel=0.6)
+        device = Device(spec)
+        ooc_boundary(g, device, plan=plan)
+        predicted = estimate_boundary(g, spec, calibration, plan=plan).transfer_seconds
+        assert predicted == pytest.approx(self._bus_seconds(device), rel=1e-12)
 
 
 class TestEstimateShapes:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core.ooc_johnson import graph_device_bytes, upload_csr
 from repro.dynamic.patch import EdgeUpdate
+from repro.faults.checkpoint import graph_fingerprint
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graphs.generators import erdos_renyi, rmat
 from repro.gpu.device import TEST_DEVICE, V100
@@ -316,6 +317,24 @@ class TestAdmissionControl:
         assert ticket.cost_estimate == johnson > 0
         row = service.submit(Query.sssp(0)).cost_estimate
         assert row == johnson / graph.num_vertices
+
+    def test_full_query_selects_once_per_fingerprint(self, monkeypatch):
+        # admission prices a cold full query with the analytic selection,
+        # and the solve runs the algorithm that same selection picked
+        selected: list[str] = []
+        select = Selector.select
+
+        def counting(self, graph):
+            selected.append(graph_fingerprint(graph))
+            return select(self, graph)
+
+        monkeypatch.setattr(Selector, "select", counting)
+        service = APSPService(_graph(), spec=TEST_DEVICE)
+        for _version in range(2):
+            service.submit(Query.full())
+            assert [r.served_from for r in service.drain()] == ["solve"]
+            service.mutate([EdgeUpdate(0, 1, 1.0)])
+        assert len(selected) == len(set(selected)) == 2
 
     def test_backlog_releases_on_completion(self):
         graph = _graph()

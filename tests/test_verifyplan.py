@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 
 from repro.core.multi_gpu import emit_multi_ir, ooc_boundary_multi
-from repro.core.ooc_boundary import emit_boundary_ir, ooc_boundary
+from repro.core.ooc_boundary import emit_boundary_ir, ooc_boundary, plan_boundary
 from repro.core.ooc_fw import emit_fw_ir, ooc_floyd_warshall, transfer_stats
 from repro.core.ooc_johnson import emit_johnson_ir, ooc_johnson
-from repro.gpu.device import Device, TEST_DEVICE, V100
+from repro.dynamic.patch import UpdatePlan, emit_update_ir
+from repro.gpu.device import Device, K80, TEST_DEVICE, V100
+from repro.gpu.transfer import copy_duration, copy_duration_2d
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import erdos_renyi, rmat, road_like
 from repro.verifyplan import (
     CopyOp,
@@ -26,6 +29,13 @@ from repro.verifyplan import (
     analyze_residency,
     analyze_transfers,
     audit_ir,
+    Traffic,
+    audit_schedule,
+    boundary_traffic,
+    fw_traffic,
+    johnson_traffic,
+    traffic_checks,
+    update_traffic,
     verify_plan,
 )
 from tests.conftest import forced_split, timed_op_names
@@ -380,13 +390,44 @@ class TestSeededDefects:
         seeded = dataclasses.replace(
             ir, ops=ir.ops[:drop_idx] + ir.ops[drop_idx + 1 :]
         )
-        from repro.verifyplan.bounds import fw_bound_checks
-
         _, tally, _ = audit_ir(seeded)
-        checks = fw_bound_checks([n], tally.bytes_h2d, tally.bytes_d2h)
+        checks = traffic_checks("fw", fw_traffic(n, n), tally)
         d2h = next(c for c in checks if c.name == "fw-d2h-volume")
         assert not d2h.ok
         assert "FAILED" in d2h.describe()
+
+    def test_split_upload_fails_only_the_copy_count(self):
+        # one stage-3 work-block upload of an n_d = 3 plan split into two
+        # halves: the same bytes in one more copy. Bytes-only bounds
+        # cannot tell; the record's h2d copy count can, and nothing else
+        # in the audit objects
+        n, b = 90, 30
+        ir = emit_fw_ir(n, TEST_DEVICE, block_size=b)
+        idx, up = next(
+            (i, op) for i, op in enumerate(ir.ops)
+            if isinstance(op, CopyOp) and op.kind == "h2d"
+            and ir.buffers[op.access.buffer].name.startswith("work")
+        )
+        r = up.access.rect
+        mid = (r.r0 + r.r1) // 2
+        halves = tuple(
+            dataclasses.replace(
+                up, key=(*up.key, part),
+                access=dataclasses.replace(
+                    up.access, rect=half, nbytes=half.area * ir.buffers[up.access.buffer].itemsize
+                ),
+            )
+            for part, half in (("top", Rect(r.r0, mid, r.c0, r.c1)),
+                               ("bottom", Rect(mid, r.r1, r.c0, r.c1)))
+        )
+        split = dataclasses.replace(ir, ops=ir.ops[:idx] + halves + ir.ops[idx + 1 :])
+        audit = audit_schedule(
+            "floyd-warshall", [split], TEST_DEVICE,
+            bounds=lambda t: traffic_checks("fw", fw_traffic(n, b), t),
+        )
+        assert audit.bytes_h2d == fw_traffic(n, b).bytes_h2d
+        assert audit.findings == [] and audit.hb.ok
+        assert [c.name for c in audit.bounds if not c.ok] == ["fw-h2d-copies"]
 
 
 class TestEmitterWellFormedness:
@@ -427,3 +468,102 @@ class TestEmitterWellFormedness:
         assert len(irs) == 3
         assert [ir.device for ir in irs] == [f"test-gpu#{d}" for d in range(3)]
         assert [ir.rank for ir in irs] == [0, 1, 2]
+
+
+def _fw_case(n, b, overlap):
+    return lambda: (
+        fw_traffic(n, b, overlap=overlap),
+        emit_fw_ir(n, TEST_DEVICE, block_size=b, overlap=overlap),
+    )
+
+
+def _johnson_case(build, bat):
+    def case():
+        graph = build()
+        return (
+            johnson_traffic(graph.num_vertices, graph.num_edges, bat),
+            emit_johnson_ir(graph, TEST_DEVICE, batch_size=bat),
+        )
+
+    return case
+
+
+def _boundary_case(batch_transfers, n_row=None):
+    def case():
+        graph = road_like(220, 2.6, seed=1)
+        plan = plan_boundary(graph, TEST_DEVICE, seed=0)
+        assert plan.n_row >= 1
+        if n_row is not None:
+            plan = dataclasses.replace(plan, n_row=n_row, num_buffers=1)
+        return (
+            boundary_traffic(plan, batch_transfers=batch_transfers),
+            emit_boundary_ir(graph, TEST_DEVICE, plan=plan, batch_transfers=batch_transfers),
+        )
+
+    return case
+
+
+def _update_case(plan):
+    return lambda: (update_traffic(plan), emit_update_ir(plan, TEST_DEVICE))
+
+
+#: every schedule with a traffic record: FW at n_d = 1..4 in both overlap
+#: modes (n = 100 leaves a ragged last block at n_d = 2, 3 and 4), Johnson
+#: with and without edges, boundary batched, unbatched and with a plan
+#: that has no room for one strip, and both patch passes
+TRAFFIC_CASES = [
+    *[
+        pytest.param(_fw_case(100, b, overlap), id=f"fw-nd{nd}-{mode}")
+        for nd, b in ((1, 100), (2, 60), (3, 40), (4, 30))
+        for overlap, mode in ((True, "overlap"), (False, "serial"))
+    ],
+    pytest.param(_johnson_case(lambda: rmat(110, 800, seed=2), 17), id="johnson"),
+    pytest.param(
+        _johnson_case(lambda: CSRGraph.from_edges(40, [], [], []), 9),
+        id="johnson-no-edges",
+    ),
+    pytest.param(_boundary_case(True), id="boundary-batched"),
+    pytest.param(_boundary_case(False), id="boundary-unbatched"),
+    pytest.param(_boundary_case(True, n_row=0), id="boundary-no-strip"),
+    pytest.param(
+        _update_case(UpdatePlan(kind="decrease", n=50, block_size=16, k=3)),
+        id="patch-decrease",
+    ),
+    pytest.param(
+        _update_case(UpdatePlan(
+            kind="increase", n=50, block_size=16, affected_rows=(1, 5, 40), graph_m=120
+        )),
+        id="patch-increase",
+    ),
+]
+
+
+class TestTrafficRecords:
+    """Each schedule's traffic record is its emitted IR's tally, and its
+    price is the transfer model summed over the IR's copies."""
+
+    @pytest.mark.parametrize("case", TRAFFIC_CASES)
+    def test_record_equals_ir_and_prices_its_copies(self, case):
+        traffic, ir = case()
+        tally, _ = analyze_transfers(ir)
+        assert traffic == Traffic(
+            tally.bytes_h2d, tally.bytes_d2h, tally.num_h2d, tally.num_d2h,
+            tally.strided_rows,
+        )
+        for spec in (TEST_DEVICE, K80):
+            summed = sum(
+                copy_duration_2d(
+                    spec, op.access.rect.rows,
+                    op.access.rect.cols * ir.buffers[op.access.buffer].itemsize,
+                )
+                if op.strided else copy_duration(spec, op.access.nbytes)
+                for op in ir.ops if isinstance(op, CopyOp)
+            )
+            assert traffic.seconds(spec) == pytest.approx(summed, rel=1e-12, abs=0)
+
+    def test_unbatched_cases_run_strided_copies(self):
+        # the two unbatched boundary schedules are the ones that pay per
+        # row segment: k² strided copies of k·n rows in all
+        for batch_transfers, n_row in ((False, None), (True, 0)):
+            traffic, _ir = _boundary_case(batch_transfers, n_row)()
+            assert traffic.strided_rows > 0
