@@ -14,9 +14,13 @@ Two flavors:
 
 ``jit`` is ``cc`` whenever the C kernels load and ``fallback``
 otherwise; ``REPRO_JIT=off`` forces the fallback (used by the CI leg
-that exercises the degradation path). Every kernel runs on one thread;
-the engine spreads a large product across cores by calling the kernel
-on disjoint column panels (:mod:`repro.core.engine`).
+that exercises the degradation path). No kernel starts a thread; the
+callers spread large work across cores by calling a kernel on disjoint
+parts from the engine's pool (:func:`repro.core.engine.shared_executor`):
+the engine calls the min-plus kernel on disjoint column panels of a
+large product, and :func:`repro.sssp.near_far.near_far_batch` calls the
+Near-Far kernel on contiguous row ranges of a large batch, the first on
+the calling thread and the rest on the pool.
 
 A plain build uses one fixed flag set, :data:`_CFLAGS`, and compiles
 nothing when its ``.so`` is cached. A compiler that rejects any of
@@ -56,13 +60,16 @@ place; larger closures are blocked by the engine. On the library's distance doma
 rank-1 formulation.
 
 The translation unit also holds one kernel that is not min-plus:
-``near_far_f64``, the whole loop of one batched Near-Far MSSP launch.
-It is no flavor of :class:`JITBackend`:
+``near_far_f64``, the whole loop of one batched Near-Far MSSP launch
+over a range of rows. It is no flavor of :class:`JITBackend`:
 :func:`repro.sssp.near_far.near_far_batch` calls it whenever
 :func:`load_cc_kernels` loads and :func:`jit_enabled` holds
 (``REPRO_JIT=off`` turns it off with the min-plus kernels), and its
 ctypes arguments are ``ndpointer`` types, which check dtype, rank and
-layout on every call.
+layout on every call. It returns no batch statistics of its own, only
+per-level records (split, round count, heavy edges per round) in arrays
+whose every write is guarded by their capacity ``cap``; the caller
+merges the records of one or more row ranges into ``NearFarStats``.
 """
 
 from __future__ import annotations
@@ -275,11 +282,12 @@ void fw_inplace_f32(float *d, i64 n, i64 s)
 
 _NEAR_FAR_SOURCE = r"""
 /* One batched Near-Far MSSP launch (the paper's Algorithm 2: one source
- * per block, per-block queues, a grid-wide split): the whole loop of
- * repro.sssp.near_far.near_far_batch, bit-identical to its numpy loop.
- * Rows share only the split, so within a split level each row runs all
- * of its relax rounds alone and stays in cache; round t of every row is
- * batch iteration t, and heavy edges are summed per round index.
+ * per block, per-block queues, a grid-wide split) over bat rows: the
+ * whole loop of repro.sssp.near_far.near_far_batch, bit-identical to its
+ * numpy loop once the Python side merges its records. Rows share only
+ * the split, so within a split level each row runs all of its relax
+ * rounds alone and stays in cache; round t of every row is batch
+ * iteration t, and heavy edges are summed per round index.
  * A round relaxes the row's Near entries from their distances as of the
  * round's start (cur_d, numpy's snapshot); seen[] keeps the round's
  * improved list unique. A row's Far queue (far_v, with each distance in
@@ -292,22 +300,33 @@ _NEAR_FAR_SOURCE = r"""
  * position that ever entered Far; it is consulted only for distances at
  * or above the split, which a position that left Far never has again.
  * The sources start in Far at distance 0, so the first refill sets the
- * split to delta. Every append is guarded by its queue's capacity; a
- * failed guard or a spent round or level budget leaves status
- * stats[5] = 1 or 2, a split that cannot pass the smallest Far distance
- * gives 3. stats[0..4]: relaxations, heavy relaxations, iterations,
- * child launches, split advances. No a * b + c in the float path: it
- * could be fused into an FMA, which rounds differently. */
+ * split to delta.
+ * Each level is recorded: its split (lv_split), its round count
+ * (lv_rounds) and each round's heavy edges (rd_heavy), every write
+ * guarded by cap; the counts keep running past cap, so the caller can
+ * rerun with room for all. A row waiting at Far distance d works at the
+ * first split above d, which is its own (floor(d / delta) + 1) * delta
+ * whatever the other rows' distances, unless floor(d / delta) * delta
+ * rounds above d: then stats[3] = 1, and merged row ranges may differ
+ * from one call over all rows. Every queue append is guarded by its
+ * capacity; a failed guard or a spent round or level budget leaves
+ * status stats[4] = 1 or 2, a split that cannot pass the smallest Far
+ * distance gives 3. stats[0..2]: relaxations, levels, rounds. No
+ * a * b + c in the float path: it could be fused into an FMA, which
+ * rounds differently. */
 void near_far_f64(double *dist, const i64 *indptr, const i64 *indices,
                   const double *weights, const i64 *sources,
                   i64 n, i64 m, i64 bat, double delta, i64 heavy, i64 budget,
                   i64 *far_v, double *far_d, i64 *far_n, double *far_min,
                   int32_t *in_far,
                   i64 *cur_v, double *cur_d, i64 *imp_v, int32_t *seen,
-                  i64 *round_hv, int32_t *round_ran, i64 *stats)
+                  i64 *round_hv, int32_t *round_ran,
+                  i64 cap, double *lv_split, i64 *lv_rounds, i64 *rd_heavy,
+                  i64 *stats)
 {
-    i64 relax = 0, heavy_relax = 0, iters = 0, launches = 0, levels = 0;
-    stats[5] = 1;
+    i64 relax = 0, nl = 0, nr = 0;
+    int32_t rounded = 0;
+    stats[4] = 1;
     if (n < 1) return;
     for (i64 r = 0; r < bat; r++) {
         i64 s = sources[r];
@@ -324,19 +343,17 @@ void near_far_f64(double *dist, const i64 *indptr, const i64 *indices,
     for (i64 level = 0; level < budget; level++) {
         if (found == 0) {
             stats[0] = relax;
-            stats[1] = heavy_relax;
-            stats[2] = iters;
-            stats[3] = launches;
-            stats[4] = levels - 1; /* the first level's split is no advance */
-            stats[5] = 0;
+            stats[1] = nl;
+            stats[2] = nr;
+            stats[3] = rounded;
+            stats[4] = 0;
             return;
         }
         double next = (floor(min_far / delta) + 1) * delta;
         if (!(next > min_far)) {
-            stats[5] = 3;
+            stats[4] = 3;
             return;
         }
-        levels++;
         found = 0;
         for (i64 r = 0; r < bat; r++) {
             i64 fc = far_n[r];
@@ -428,7 +445,7 @@ void near_far_f64(double *dist, const i64 *indptr, const i64 *indices,
                     }
                 }
                 if (cn > 0) {
-                    stats[5] = 2;
+                    stats[4] = 2;
                     return;
                 }
                 /* the rounds moved Far distances: drop the entries now
@@ -451,25 +468,29 @@ void near_far_f64(double *dist, const i64 *indptr, const i64 *indices,
             }
             far_n[r] = keep < n ? keep : n;
             far_min[r] = rmin;
-            if (rfound == 1 && (found == 0 || rmin < min_far)) {
-                min_far = rmin;
+            if (rfound == 1) {
+                if (floor(rmin / delta) * delta > rmin) rounded = 1;
+                if (found == 0 || rmin < min_far) min_far = rmin;
                 found = 1;
             }
         }
         /* round t of every row was batch iteration t */
+        i64 rounds = 0;
         for (i64 t = 0; t < n + 1; t++) {
             if (round_ran[t] == 0) break;
             round_ran[t] = 0;
-            iters++;
-            i64 h = round_hv[t];
+            if (nr < cap) rd_heavy[nr] = round_hv[t];
+            nr++;
             round_hv[t] = 0;
-            if (h > 0) {
-                heavy_relax += h;
-                launches += 2 + (h + 255) / 256;
-            }
+            rounds++;
         }
+        if (nl < cap) {
+            lv_split[nl] = next;
+            lv_rounds[nl] = rounds;
+        }
+        nl++;
     }
-    stats[5] = 2;
+    stats[4] = 2;
 }
 """
 
@@ -513,7 +534,10 @@ KERNEL_TEMPLATES: tuple[KernelTemplate, ...] = (
             "seen": {"len": "n", "mode": "rw"},
             "round_hv": {"len": "n + 1", "mode": "rw"},
             "round_ran": {"len": "n + 1", "mode": "rw"},
-            "stats": {"len": "6", "mode": "w"},
+            "lv_split": {"len": "cap", "mode": "w"},
+            "lv_rounds": {"len": "cap", "mode": "w"},
+            "rd_heavy": {"len": "cap", "mode": "w"},
+            "stats": {"len": "5", "mode": "w"},
         },
         alias_class="distinct",
     ),
@@ -724,7 +748,9 @@ class _CCKernels:
             _array_arg(i64, 1, out),
             _array_arg(f64, 1, out),
             _array_arg(i32, 2, out),
-            *(_array_arg(t, 1, out) for t in (i64, f64, i64, i32, i64, i32, i64)),
+            *(_array_arg(t, 1, out) for t in (i64, f64, i64, i32, i64, i32)),
+            ctypes.c_longlong,
+            *(_array_arg(t, 1, out) for t in (f64, i64, i64, i64)),
         ]
         self.near_far.restype = None
 

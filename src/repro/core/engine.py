@@ -25,6 +25,14 @@ element's candidate set unchanged, so the result is bit-identical
 either way. This is blocked FW's own parallel unit: phase-3 updates
 write disjoint outputs.
 
+The same pool runs batched Near-Far across cores (:func:`range_count`):
+a compiled batch of at least :data:`NEAR_FAR_SPLIT_WORK` ``rows × edges``
+is split into contiguous row ranges, one per CPU
+(:func:`repro.sssp.near_far.near_far_batch`), the paper's own parallel
+unit of one SSSP instance per thread block. Pool workers run all but
+the first range, and the caller runs the first, bound for that call to
+a CPU none of those workers is bound to (:func:`bound_apart`).
+
 :meth:`KernelEngine.fw_inplace` closes matrices up to
 :data:`FW_CLOSURE_BLOCK` with the backend's tile kernel and larger ones
 with the blocked closure
@@ -45,9 +53,11 @@ Run ``python -m repro bench-kernels`` for the full wall-clock sweep (see
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import threading
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -59,12 +69,15 @@ from repro.core.minplus import DIST_DTYPE
 
 __all__ = [
     "KernelEngine",
+    "bound_apart",
     "default_engine",
     "default_workers",
     "panel_count",
+    "range_count",
     "reset_default_engine",
     "set_default_backend",
     "shared_executor",
+    "worker_cpu",
 ]
 
 #: environment variable naming the backend
@@ -80,6 +93,14 @@ DEFAULT_BACKEND = "jit"
 #: 457-wide products split and every smaller product is one serial call
 SPLIT_WORK = 27_000_000
 
+#: smallest batched Near-Far launch (``rows × edges``)
+#: :func:`repro.sssp.near_far.near_far_batch` splits into row ranges, one
+#: per CPU. Measured on 2 cores in two sweeps (``docs/PERFORMANCE.md``):
+#: two ranges lose on every graph below 50k (up to 3× slower), tie or
+#: lose on the rmat graphs up to 95k, and win on all four graphs
+#: measured from 200k (0.52–0.76× the one-call time)
+NEAR_FAR_SPLIT_WORK = 200_000
+
 #: largest matrix :meth:`KernelEngine.fw_inplace` closes with the tile
 #: kernel; larger ones run the blocked closure with this block edge
 FW_CLOSURE_BLOCK = 256
@@ -87,6 +108,8 @@ FW_CLOSURE_BLOCK = 256
 _EXECUTOR: ThreadPoolExecutor | None = None
 _EXECUTOR_WORKERS = 0
 _LOCK = threading.Lock()
+#: per pool thread, the CPU :func:`_bind_worker` bound it to
+_WORKER = threading.local()
 
 
 def default_workers() -> int:
@@ -102,10 +125,43 @@ def _bind_worker(cpus: list[int], started: itertools.count) -> None:
     ``cpus`` (none given: leave it unbound)."""
     if not cpus:  # pragma: no cover - no affinity API on this OS
         return
+    cpu = cpus[next(started) % len(cpus)]
     try:
-        os.sched_setaffinity(0, {cpus[next(started) % len(cpus)]})
+        os.sched_setaffinity(0, {cpu})
     except OSError:  # pragma: no cover - the mask shrank since the pool was built
-        pass
+        return
+    _WORKER.cpu = cpu
+
+
+def worker_cpu() -> int | None:
+    """The CPU the calling pool worker is bound to; ``None`` on any other
+    thread, or where the worker could not be bound."""
+    return getattr(_WORKER, "cpu", None)
+
+
+@contextlib.contextmanager
+def bound_apart(taken: set[int | None]) -> Iterator[None]:
+    """Bind the calling thread, for the block, to the first CPU of its
+    affinity mask not in ``taken`` (the CPUs of pool workers computing
+    beside it); restore its mask after.
+
+    Unbound, a caller that computes beside a bound worker can share that
+    worker's CPU while another CPU idles, and the two parts then run one
+    after the other: the scheduler seldom moves a running thread
+    (``docs/PERFORMANCE.md``). Nothing is bound when ``taken`` holds no
+    CPU, or every CPU of the mask.
+    """
+    busy = {cpu for cpu in taken if cpu is not None}
+    own = os.sched_getaffinity(0) if busy else set()
+    free = sorted(own - busy)
+    if not free:
+        yield
+        return
+    os.sched_setaffinity(0, {free[0]})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, own)
 
 
 def shared_executor(workers: int) -> ThreadPoolExecutor:
@@ -140,6 +196,16 @@ def panel_count(rows: int, depth: int, cols: int) -> int:
     if rows * depth * cols < SPLIT_WORK:
         return 1
     return max(1, min(default_workers(), cols))
+
+
+def range_count(rows: int, edges: int) -> int:
+    """Row ranges :func:`~repro.sssp.near_far.near_far_batch` splits a
+    batch of ``rows`` sources over a graph of ``edges`` edges into: one
+    below :data:`NEAR_FAR_SPLIT_WORK`, else one per CPU of the affinity
+    mask (at most one per row)."""
+    if rows * edges < NEAR_FAR_SPLIT_WORK:
+        return 1
+    return max(1, min(default_workers(), rows))
 
 
 class KernelEngine:

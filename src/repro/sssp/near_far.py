@@ -32,6 +32,23 @@ both):
 * **numpy** — the loop below, the path without a compiler (or with
   ``REPRO_JIT=off``) and the reference the tests compare against.
 
+A compiled batch of at least ``NEAR_FAR_SPLIT_WORK`` ``rows × edges``
+(:mod:`repro.core.engine`) runs as contiguous row ranges, one per CPU:
+the caller runs the first, and one worker of the engine's
+``shared_executor`` each of the others, one kernel call per range and
+one fork/join per batch. Each call records its split levels (split
+value, round count, heavy edges per round), and one merge turns the
+records of one or more ranges into the batch's ``NearFarStats``: the
+levels are the union of the split values, a level's iterations are its
+longest range's rounds, and child launches count the heavy edges summed
+across ranges per (level, round). One call over all rows is the
+one-range case of the same merge. The merge is exact because a row
+waiting at Far distance ``d`` works next at the split
+``(⌊d / Δ⌋ + 1) · Δ`` whatever the other rows wait at, unless
+``⌊d / Δ⌋ · Δ`` rounds above ``d``. The kernel flags that case; a range
+that flags it, or stops on a stalled split, a guard or a budget, reruns
+the batch as one range, so the outcome is the unsplit one.
+
 The numpy loop keeps both queues as worklists of flat positions
 ``row · n + vertex`` into the distance matrix, so an iteration costs
 time in proportion to its frontier and relaxations, not to ``bat · n``:
@@ -57,7 +74,10 @@ minimum over paths of the left-to-right path sum.
 
 from __future__ import annotations
 
+import queue
+from concurrent.futures import wait
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +140,8 @@ def near_far_batch(
     MSSP kernel (per-block queues, grid-level synchronisation).
 
     Runs the compiled C kernel when one loads (see :func:`compiled_kernel`),
-    else the numpy loop; both give the same distances and statistics, bit
+    split into row ranges across cores when the batch is large enough,
+    else the numpy loop; all give the same distances and statistics, bit
     for bit.
     """
     sources = np.ascontiguousarray(sources, dtype=np.int64)
@@ -162,10 +183,129 @@ def _stalled_split(delta: float) -> ValueError:
     )
 
 
+#: records (split levels, and relax rounds) one range's kernel call has
+#: room for at first; a range that ran more reruns with room for all
+_RECORD_CAPACITY = 1024
+
+
+class _RangeRecord(NamedTuple):
+    """What one ``near_far_f64`` call over a range of rows reports."""
+
+    relaxations: int
+    splits: np.ndarray  # float64: the split of each level the range ran
+    rounds: np.ndarray  # int64: relax rounds of each of those levels
+    heavy: np.ndarray  # int64: heavy edges of each round, level after level
+    status: int  # 0 done, 1 a queue guard failed, 2 a budget ran out, 3 stalled
+    rounded: bool  # a Far distance d had floor(d / delta) * delta > d
+
+
 def _compiled_batch(
-    kernel, graph: CSRGraph, sources: np.ndarray, delta: float, heavy_degree: int
+    kernel,
+    graph: CSRGraph,
+    sources: np.ndarray,
+    delta: float,
+    heavy_degree: int,
+    *,
+    ranges: int | None = None,
+    capacity: int = _RECORD_CAPACITY,
 ) -> tuple[np.ndarray, NearFarStats]:
-    """One call of the C kernel ``near_far_f64`` over freshly allocated buffers.
+    """The C kernel ``near_far_f64`` over contiguous row ranges of the batch.
+
+    ``ranges`` defaults to :func:`repro.core.engine.range_count`: one call
+    for a batch below ``NEAR_FAR_SPLIT_WORK`` ``rows × edges``, else one
+    range per CPU, each on its own rows of the batch's distances and Far
+    queues — one fork/join per batch. Workers of
+    :func:`repro.core.engine.shared_executor` run every range but the
+    first; once they have all started, the caller runs the first, bound
+    for that call to a CPU none of them is bound to
+    (:func:`repro.core.engine.bound_apart`): it computes instead of
+    sleeping in the join, and never on a worker's CPU. The ranges' level
+    records merge into the
+    batch's :class:`NearFarStats` (:func:`_merge_records`); one call over
+    all rows is the one-range case. The merge is exact because a row's
+    work depends only on its own smallest Far distance, which the kernel
+    checks; a range that flags the rounding case or stops with a
+    non-zero status reruns the batch as one range, which gives the
+    unsplit outcome, result or error. ``capacity`` is the record room a
+    call starts with (the kernel-matrix harness passes 1).
+    """
+    # imported here: repro.core imports this module
+    from repro.core import engine
+
+    n = graph.num_vertices
+    bat = sources.size
+    # each row's distances and Far queue (far_v, far_d, far_n, far_min,
+    # in_far); a range reads and writes only its own rows
+    rows = (
+        np.full((bat, n), np.inf),
+        np.zeros((bat, n), dtype=np.int64),
+        np.empty((bat, n)),
+        np.zeros(bat, dtype=np.int64),
+        np.empty(bat),
+        np.zeros((bat, n), dtype=np.int32),
+    )
+    if ranges is None:
+        ranges = engine.range_count(bat, graph.num_edges)
+    ranges = max(1, min(ranges, bat))
+    if ranges > 1:
+        bounds = np.linspace(0, bat, ranges + 1, dtype=np.int64)
+
+        def run(i: int) -> _RangeRecord:
+            lo, hi = bounds[i], bounds[i + 1]
+            return _run_range(
+                kernel, graph, sources[lo:hi], delta, heavy_degree,
+                tuple(a[lo:hi] for a in rows), capacity,
+            )
+
+        started: queue.SimpleQueue[int | None] = queue.SimpleQueue()
+
+        def on_worker(i: int) -> _RangeRecord:
+            started.put(engine.worker_cpu())
+            return run(i)
+
+        pool = engine.shared_executor(ranges - 1)
+        futures = [pool.submit(on_worker, i) for i in range(1, ranges)]
+        try:
+            taken = {started.get() for _ in futures}
+            with engine.bound_apart(taken):
+                records = [run(0)]
+        finally:
+            wait(futures)  # no worker still writes rows when an error propagates
+        records += [fut.result() for fut in futures]  # re-raises a range's exception
+        if all(rec.status == 0 and not rec.rounded for rec in records):
+            return rows[0], _merge_records(records)
+        _restart(rows)
+    record = _run_range(kernel, graph, sources, delta, heavy_degree, rows, capacity)
+    if record.status == 3:
+        raise _stalled_split(delta)
+    if record.status:
+        reason = "a queue capacity guard failed" if record.status == 1 else "a step budget ran out"
+        raise RuntimeError(f"compiled Near-Far kernel stopped: {reason}")
+    return rows[0], _merge_records([record])
+
+
+def _restart(rows: tuple[np.ndarray, ...]) -> None:
+    """Return rows a kernel call ran on to the state a call starts from:
+    distances ``inf`` and no position marked as having entered Far. The
+    Far queues need no reset: the call sets every row's length, and the
+    entries it left are vertex ids, inside their declared range."""
+    dist, _far_v, _far_d, _far_n, _far_min, in_far = rows
+    dist.fill(np.inf)
+    in_far.fill(0)
+
+
+def _run_range(
+    kernel,
+    graph: CSRGraph,
+    sources: np.ndarray,
+    delta: float,
+    heavy_degree: int,
+    rows: tuple[np.ndarray, ...],
+    capacity: int,
+) -> _RangeRecord:
+    """One kernel call over ``rows``, the distance and Far-queue rows of
+    ``sources`` (as :func:`_compiled_batch` allocates them, or as a call
+    left them after :func:`_restart`), with private scratch and records.
 
     The kernel's declared contract holds here:
 
@@ -174,48 +314,88 @@ def _compiled_batch(
       lint rule RPR011 forbids in-place stores into them);
       ``0 <= sources < n`` and ``heavy_degree >= 0`` by
       :func:`near_far_batch`. The queues the kernel writes (vertex ids in
-      ``[0, n)``, Far lengths in ``[0, n]``) start zero-filled, which is
-      inside those ranges as ``n >= 1``;
+      ``[0, n)``, Far lengths in ``[0, n]``) start zero-filled, or hold
+      what an earlier call wrote, which is inside those ranges as
+      ``n >= 1``;
     * capacity — each row's Far queue holds ``n`` entries and the per-row
       round buffers ``n`` too; the kernel keeps every queue
-      duplicate-free, so a correct run never reaches a capacity guard;
-    * aliasing — every written array is allocated here, so no two arrays
-      overlap.
+      duplicate-free, so a correct run never reaches a capacity guard.
+      The records hold ``capacity`` levels and rounds; the kernel counts
+      past that without writing, and the call reruns with room for all;
+    * aliasing — ``rows`` are disjoint arrays (or the same rows of them)
+      and the scratch and records are allocated here, so no two arrays
+      overlap; two ranges of one batch pass disjoint rows.
 
     Large zero-filled arrays come from fresh zero pages, so only the part
     of the Far queues a batch uses costs memory.
     """
+    dist, far_v, far_d, far_n, far_min, in_far = rows
     n = graph.num_vertices
-    bat = sources.size
-    dist = np.full((bat, n), np.inf)
-    far_v = np.zeros((bat, n), dtype=np.int64)
-    far_d = np.empty((bat, n))
-    far_n = np.zeros(bat, dtype=np.int64)
-    far_min = np.empty(bat)
-    in_far = np.zeros((bat, n), dtype=np.int32)
-    cur_v, imp_v = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    cur_d = np.empty(n)
-    seen = np.zeros(n, dtype=np.int32)
-    round_hv = np.zeros(n + 1, dtype=np.int64)
-    round_ran = np.zeros(n + 1, dtype=np.int32)
-    stats = np.zeros(6, dtype=np.int64)
+    count = sources.size
     # every split level but the last moves at least one entry out of Far
-    # for good, and each of the bat * n positions enters Far at most once;
-    # the kernel itself bounds a row's relax rounds per level by n + 1
-    budget = bat * n + 2
-    kernel(
-        dist, graph.indptr, graph.indices, graph.weights, sources,
-        n, graph.num_edges, bat, delta, heavy_degree, budget,
-        far_v, far_d, far_n, far_min, in_far,
-        cur_v, cur_d, imp_v, seen, round_hv, round_ran, stats,
+    # for good, and each of the count * n positions enters Far at most
+    # once; the kernel itself bounds a row's relax rounds per level by n + 1
+    budget = count * n + 2
+    while True:
+        cur_v, imp_v = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        cur_d = np.empty(n)
+        seen = np.zeros(n, dtype=np.int32)
+        round_hv = np.zeros(n + 1, dtype=np.int64)
+        round_ran = np.zeros(n + 1, dtype=np.int32)
+        splits = np.empty(capacity)
+        rounds = np.empty(capacity, dtype=np.int64)
+        heavy = np.empty(capacity, dtype=np.int64)
+        stats = np.zeros(5, dtype=np.int64)
+        kernel(
+            dist, graph.indptr, graph.indices, graph.weights, sources,
+            n, graph.num_edges, count, delta, heavy_degree, budget,
+            far_v, far_d, far_n, far_min, in_far,
+            cur_v, cur_d, imp_v, seen, round_hv, round_ran,
+            capacity, splits, rounds, heavy, stats,
+        )
+        levels, total_rounds, status = int(stats[1]), int(stats[2]), int(stats[4])
+        if status or max(levels, total_rounds) <= capacity:
+            break
+        capacity = max(levels, total_rounds)
+        _restart(rows)
+    return _RangeRecord(
+        relaxations=int(stats[0]),
+        splits=splits[:levels],
+        rounds=rounds[:levels],
+        heavy=heavy[:total_rounds],
+        status=status,
+        rounded=bool(stats[3]),
     )
-    status = int(stats[5])
-    if status == 3:
-        raise _stalled_split(delta)
-    if status:
-        reason = "a queue capacity guard failed" if status == 1 else "a step budget ran out"
-        raise RuntimeError(f"compiled Near-Far kernel stopped: {reason}")
-    return dist, NearFarStats(*(int(x) for x in stats[:5]))
+
+
+def _merge_records(records: list[_RangeRecord]) -> NearFarStats:
+    """The batch's :class:`NearFarStats` from its ranges' level records.
+
+    The batch's split levels are the union of the ranges' split values;
+    a level runs as many batch iterations as its longest range, and its
+    round ``t`` launches child blocks for the heavy edges every range
+    relaxed in round ``t``, summed before the ``EDGES_PER_CHILD_BLOCK``
+    rounding.
+    """
+    splits = np.concatenate([rec.splits for rec in records])
+    rounds = np.concatenate([rec.rounds for rec in records])
+    heavy = np.concatenate([rec.heavy for rec in records])
+    levels, level_of = np.unique(splits, return_inverse=True)
+    longest = np.zeros(levels.size, dtype=np.int64)
+    np.maximum.at(longest, level_of, rounds)
+    # each recorded round's slot among the batch's (level, round) pairs
+    first = np.cumsum(longest) - longest
+    within = np.arange(heavy.size) - np.repeat(np.cumsum(rounds) - rounds, rounds)
+    per_round = np.zeros(int(longest.sum()), dtype=np.int64)
+    np.add.at(per_round, np.repeat(first[level_of], rounds) + within, heavy)
+    launched = per_round[per_round > 0]
+    return NearFarStats(
+        relaxations=sum(rec.relaxations for rec in records),
+        heavy_relaxations=int(heavy.sum()),
+        iterations=int(longest.sum()),
+        child_launches=int((2 + -(-launched // EDGES_PER_CHILD_BLOCK)).sum()),
+        splits_advanced=levels.size - 1,
+    )
 
 
 def _numpy_batch(

@@ -76,6 +76,17 @@ DEFECTS: tuple[SeededDefect, ...] = (
         description="Near-Far reads the end of the next vertex's CSR slice, so "
         "relaxing the last vertex reads indptr[n + 1], one past the array",
     ),
+    SeededDefect(
+        name="dropped_record_guard",
+        kernel="near_far_f64",
+        old="if (nr < cap) rd_heavy[nr] = round_hv[t];",
+        new="rd_heavy[nr] = round_hv[t];",
+        dynamic="asan",
+        static_check="bounds",
+        description="Near-Far records a round's heavy edges without its capacity "
+        "guard, so a range that runs more rounds than its records hold writes "
+        "past the end of rd_heavy",
+    ),
 )
 
 

@@ -8,9 +8,11 @@ semantics from :mod:`repro.core.backends.base`. The batched Near-Far
 kernel runs on random CSR graphs (no edges, one vertex, sinks,
 self-loops, duplicate edges and sources, zero and ``inf`` weights, a
 sweep of Δ and heavy-vertex thresholds) against the numpy loop of
-:mod:`repro.sssp.near_far`, distances and statistics bit for bit; every
-graph's last vertex has out-edges and is a source, so reading past a
-CSR slice reaches past the end of ``indptr``.
+:mod:`repro.sssp.near_far`, distances and statistics bit for bit, as
+one call and as 2 and 3 merged row ranges on the engine's pool, with
+records that hold one level so every longer run reaches the record
+guards; every graph's last vertex has out-edges and is a source, so
+reading past a CSR slice reaches past the end of ``indptr``.
 
 Run as::
 
@@ -39,6 +41,13 @@ from repro.sssp.near_far import _compiled_batch, _numpy_batch
 __all__ = ["run_matrix_cases", "main"]
 
 _TILE = 48  # smaller than default so remainder paths hit at small n
+
+#: each Near-Far case runs as one call and as 2 and 3 merged row ranges
+_NEAR_FAR_RANGES = (1, 2, 3)
+
+#: room for one level record per call: every case with more levels or
+#: rounds reaches the record guards, and then reruns with room for all
+_RECORD_CAPACITY = 1
 
 
 def _load(so_path: str) -> _CCKernels:
@@ -115,15 +124,20 @@ def run_matrix_cases(kern: _CCKernels, *, fast: bool = False) -> list[dict]:
 
     for name, graph, sources, delta, heavy in _near_far_cases(rng, fast):
         want_nf, want_stats = _numpy_batch(graph, sources, delta, heavy)
-        try:
-            got_nf, got_stats = _compiled_batch(kern.near_far, graph, sources, delta, heavy)
-        except (RuntimeError, ValueError) as exc:
-            cases.append({"name": name, "ok": False, "max_err": float("nan"),
-                          "mismatched": -1, "error": str(exc)})
-            continue
-        record(name, got_nf, want_nf)
-        if got_stats != want_stats:
-            cases[-1].update(ok=False, stats=[str(got_stats), str(want_stats)])
+        for ranges in _NEAR_FAR_RANGES:
+            label = name if ranges == 1 else f"{name}/ranges={ranges}"
+            try:
+                got_nf, got_stats = _compiled_batch(
+                    kern.near_far, graph, sources, delta, heavy,
+                    ranges=ranges, capacity=_RECORD_CAPACITY,
+                )
+            except (RuntimeError, ValueError) as exc:
+                cases.append({"name": label, "ok": False, "max_err": float("nan"),
+                              "mismatched": -1, "error": str(exc)})
+                continue
+            record(label, got_nf, want_nf)
+            if got_stats != want_stats:
+                cases[-1].update(ok=False, stats=[str(got_stats), str(want_stats)])
 
     return cases
 

@@ -29,7 +29,8 @@ Finally the tally is checked against the schedule's one traffic record
 (:mod:`~repro.verifyplan.bounds`): bytes and copies per direction and
 the row segments of strided copies, derived from the plan in closed
 form (FW's exact per-block uploads and ``n_d·n²`` downloads, Johnson's
-CSR + row-batch totals, the boundary method's ``N_row`` output drains).
+CSR + row-batch totals, the boundary method's ``N_row`` output drains,
+the multi-GPU fleet's broadcast of the boundary matrix).
 The cost models price the same record. Independent analyses, one contract: the tests in
 ``tests/test_verifyplan.py`` and ``tests/test_hb_timing.py`` assert
 agreement between these static predictions and the dynamic traces and
@@ -79,6 +80,7 @@ from repro.verifyplan.bounds import (
     boundary_traffic,
     fw_traffic,
     johnson_traffic,
+    multi_traffic,
     traffic_checks,
 )
 from repro.verifyplan.commbounds import (
@@ -177,6 +179,7 @@ __all__ = [
     "fw_traffic",
     "johnson_traffic",
     "kernel_duration",
+    "multi_traffic",
     "predict_timing",
     "static_touched_blocks",
     "traffic_checks",

@@ -26,9 +26,13 @@ price the same record (:meth:`Traffic.seconds`):
   for one strip (``n_row == 0``), in ``k²`` strided per-block copies of
   ``k·n`` row segments.
 
+* **multi-GPU boundary** (:func:`multi_traffic`) — the boundary
+  volumes with the closed boundary matrix broadcast from device 0 to
+  every other device, summed over the fleet; each block-row's output
+  strip drains in one copy.
+
 The patch passes of :mod:`repro.dynamic` get their records in
-:mod:`repro.verifyplan.updatebounds`. Multi-GPU plans are checked on
-bytes only (:func:`multi_bound_checks`).
+:mod:`repro.verifyplan.updatebounds`.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ __all__ = [
     "boundary_traffic",
     "fw_traffic",
     "johnson_traffic",
-    "multi_bound_checks",
+    "multi_traffic",
     "traffic_checks",
 ]
 
@@ -219,30 +223,19 @@ def boundary_traffic(plan, *, batch_transfers: bool = True) -> Traffic:
     )
 
 
-def multi_bound_checks(
-    plan,
-    n: int,
-    num_devices: int,
-    bytes_h2d: int,
-    bytes_d2h: int,
-) -> list[BoundCheck]:
-    """Multi-GPU boundary: single-device volumes plus the broadcast cost."""
+def multi_traffic(plan, num_devices: int) -> Traffic:
+    """The multi-GPU boundary schedule over ``num_devices`` devices, summed
+    over the fleet: per component its dist2 block up and back, the
+    boundary matrix up to device 0 and back closed, then up to every
+    other device; per block-row its C2B extract and ``k`` B2C extracts up
+    and its output strip back."""
     k = plan.num_components
     nb = plan.num_boundary
+    n = int(plan.comp_start[-1])
     sq, mix = _component_terms(plan)
-    return [
-        BoundCheck(
-            name="multi-d2h-volume",
-            expected=(n * n + sq + nb * nb) * _ELEM,
-            actual=bytes_d2h,
-            mode="exact",
-            detail="dist2 + dist4 output + the closed boundary matrix staging back",
-        ),
-        BoundCheck(
-            name="multi-h2d-volume",
-            expected=(sq + num_devices * nb * nb + (k + 1) * mix) * _ELEM,
-            actual=bytes_h2d,
-            mode="exact",
-            detail="broadcast uploads the closed boundary matrix to every device",
-        ),
-    ]
+    return Traffic(
+        bytes_h2d=(sq + num_devices * nb * nb + (k + 1) * mix) * _ELEM,
+        bytes_d2h=(n * n + sq + nb * nb) * _ELEM,
+        num_h2d=k + num_devices + k + k * k,
+        num_d2h=k + 1 + k,
+    )

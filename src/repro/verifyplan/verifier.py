@@ -35,7 +35,7 @@ from repro.verifyplan.bounds import (
     boundary_traffic,
     fw_traffic,
     johnson_traffic,
-    multi_bound_checks,
+    multi_traffic,
     traffic_checks,
 )
 from repro.verifyplan.hb import HBReport, analyze_hb
@@ -340,7 +340,6 @@ def _audit_multi(graph, spec, overlap: bool, num_devices: int, seed: int) -> Aud
     from repro.core.multi_gpu import emit_multi_ir
     from repro.core.ooc_boundary import BoundaryInfeasibleError, plan_boundary
 
-    n = graph.num_vertices
     try:
         plan = plan_boundary(graph, spec, seed=seed)
     except BoundaryInfeasibleError as exc:
@@ -354,8 +353,10 @@ def _audit_multi(graph, spec, overlap: bool, num_devices: int, seed: int) -> Aud
             "num_boundary": plan.num_boundary,
             "max_component": plan.max_component,
         },
-        bounds=lambda t: multi_bound_checks(
-            plan, n, num_devices, t.bytes_h2d, t.bytes_d2h
+        bounds=lambda t: traffic_checks(
+            "multi", multi_traffic(plan, num_devices), t,
+            "dist2 blocks, the boundary matrix broadcast to every device, "
+            "C2B/B2C extracts and one output strip per block-row",
         ),
     )
 

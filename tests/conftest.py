@@ -49,12 +49,18 @@ def timed_op_names(ir) -> list[str]:
 @contextlib.contextmanager
 def forced_split(workers: int):
     """Split every float32 min-plus product the kernel engine runs into
-    ``workers`` column panels: the work cutoff is forced to 0."""
+    ``workers`` column panels, and every compiled Near-Far batch into
+    ``workers`` row ranges (at most one per row): both work cutoffs are
+    forced to 0. The parts queue on at most three pool threads, so a
+    range per row starts no more."""
     import repro.core.engine as engine
 
+    pool = engine.shared_executor
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "SPLIT_WORK", 0)
+        mp.setattr(engine, "NEAR_FAR_SPLIT_WORK", 0)
         mp.setattr(engine, "default_workers", lambda: workers)
+        mp.setattr(engine, "shared_executor", lambda n: pool(min(n, 3)))
         yield
 
 

@@ -49,6 +49,15 @@ def test_experiments_covers_every_paper_artifact():
         assert artifact.lower() in experiments.lower(), artifact
 
 
+def test_committed_results_report_is_the_render_of_its_records():
+    """``benchmarks/results/RESULTS.md`` is what ``python -m repro report``
+    renders from the JSON records committed beside it."""
+    from repro.bench.report import collect_records, render_markdown
+
+    results = BENCH_DIR / "results"
+    assert (results / "RESULTS.md").read_text() == render_markdown(collect_records(results))
+
+
 def test_readme_links_resolve():
     readme = (ROOT / "README.md").read_text()
     for link in re.findall(r"\]\(([\w./]+\.md)\)", readme):

@@ -447,7 +447,9 @@ def test_pool_binds_worker_i_to_cpu_i(monkeypatch):
 
     def mask():
         barrier.wait()
-        return sorted(os.sched_getaffinity(0))
+        mask = sorted(os.sched_getaffinity(0))
+        assert [engine_mod.worker_cpu()] == mask
+        return mask
 
     pool = engine_mod.shared_executor(workers)
     try:
@@ -456,6 +458,25 @@ def test_pool_binds_worker_i_to_cpu_i(monkeypatch):
         pool.shutdown(wait=True)
     assert sorted(masks) == sorted([cpus[i % len(cpus)]] for i in range(workers))
     assert sorted(os.sched_getaffinity(0)) == cpus
+    assert engine_mod.worker_cpu() is None  # not a pool thread
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_bound_apart_binds_the_caller_for_the_block_only():
+    """The caller is bound to the first CPU of its mask outside ``taken``
+    while the block runs, and gets its own mask back after, also when the
+    block raises; with no CPU taken, or none left free, nothing is bound."""
+    own = sorted(os.sched_getaffinity(0))
+    for taken in (set(), {None}, set(own)):
+        with engine_mod.bound_apart(taken):
+            assert sorted(os.sched_getaffinity(0)) == own
+    if len(own) < 2:
+        pytest.skip("needs two CPUs")
+    with pytest.raises(RuntimeError, match="inside"):
+        with engine_mod.bound_apart({own[0], None}):
+            assert sorted(os.sched_getaffinity(0)) == [own[1]]
+            raise RuntimeError("inside")
+    assert sorted(os.sched_getaffinity(0)) == own
 
 
 def test_split_concurrent_callers_stress():

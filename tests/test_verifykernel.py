@@ -3,7 +3,8 @@
 The layer's promise is two-sided and these tests hold both sides at
 once: the static analyzer and the sanitizer harness must each stay
 *silent* on the shipped kernels and each *fire* on every seeded defect
-(off-by-one subscript, dropped remainder guard, CSR slice overrun).
+(off-by-one subscript, dropped remainder guard, CSR slice overrun,
+dropped record guard).
 Dynamic legs self-skip on toolchains without a compiler or sanitizer
 runtime; the static side runs everywhere.
 """
@@ -190,6 +191,15 @@ def test_asan_catches_csr_slice_overrun():
     """The Near-Far matrix relaxes every graph's last vertex, so reading
     ``indptr[v + 2]`` reads one past the end of ``indptr``."""
     d = defect_by_name("csr_slice_overrun")
+    r = run_matrix("asan", overrides=d.overrides(TPL), fast=True)
+    assert r.ran and r.faulted, (r.returncode, r.detail)
+
+
+@_needs_sanitizer("asan")
+def test_asan_catches_dropped_record_guard():
+    """The Near-Far matrix gives each call room for one level record, so a
+    run of more rounds writes past ``rd_heavy`` without the guard."""
+    d = defect_by_name("dropped_record_guard")
     r = run_matrix("asan", overrides=d.overrides(TPL), fast=True)
     assert r.ran and r.faulted, (r.returncode, r.detail)
 

@@ -34,6 +34,7 @@ from repro.verifyplan import (
     boundary_traffic,
     fw_traffic,
     johnson_traffic,
+    multi_traffic,
     traffic_checks,
     update_traffic,
     verify_plan,
@@ -560,6 +561,52 @@ class TestTrafficRecords:
                 for op in ir.ops if isinstance(op, CopyOp)
             )
             assert traffic.seconds(spec) == pytest.approx(summed, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("num_devices", [1, 2, 3])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_multi_record_equals_the_fleet_tally(self, num_devices, overlap):
+        g = road_like(220, 2.6, seed=1)
+        plan = plan_boundary(g, TEST_DEVICE)
+        irs = emit_multi_ir(g, TEST_DEVICE, num_devices, plan=plan, overlap=overlap)
+        audit = audit_schedule(
+            "multi-gpu", irs, TEST_DEVICE,
+            bounds=lambda t: traffic_checks("multi", multi_traffic(plan, num_devices), t),
+        )
+        assert audit.ok and len(audit.bounds) == 5
+
+    def test_split_multi_upload_fails_only_the_copy_count(self):
+        # one device-0 upload of the two-device fleet split into two
+        # halves: the same bytes in one more copy (26 -> 27 h2d copies),
+        # which only the record's h2d copy count catches
+        g = road_like(220, 2.6, seed=1)
+        plan = plan_boundary(g, TEST_DEVICE)
+        irs = emit_multi_ir(g, TEST_DEVICE, 2, plan=plan)
+        ir = irs[0]
+        idx, up = next(
+            (i, op) for i, op in enumerate(ir.ops)
+            if isinstance(op, CopyOp) and op.kind == "h2d"
+        )
+        r = up.access.rect
+        mid = (r.r0 + r.r1) // 2
+        itemsize = ir.buffers[up.access.buffer].itemsize
+        halves = tuple(
+            dataclasses.replace(
+                up, key=(*up.key, part),
+                access=dataclasses.replace(up.access, rect=half, nbytes=half.area * itemsize),
+            )
+            for part, half in (("top", Rect(r.r0, mid, r.c0, r.c1)),
+                               ("bottom", Rect(mid, r.r1, r.c0, r.c1)))
+        )
+        split = dataclasses.replace(ir, ops=ir.ops[:idx] + halves + ir.ops[idx + 1 :])
+        record = multi_traffic(plan, 2)
+        audit = audit_schedule(
+            "multi-gpu", [split, *irs[1:]], TEST_DEVICE,
+            bounds=lambda t: traffic_checks("multi", record, t),
+        )
+        assert (record.num_h2d, audit.num_h2d) == (26, 27)
+        assert audit.bytes_h2d == record.bytes_h2d
+        assert audit.findings == [] and audit.hb.ok and not audit.ok
+        assert [c.name for c in audit.bounds if not c.ok] == ["multi-h2d-copies"]
 
     def test_unbatched_cases_run_strided_copies(self):
         # the two unbatched boundary schedules are the ones that pay per
