@@ -1,13 +1,15 @@
-"""Wall-clock microbenchmark of the kernel engine's backends.
+"""Wall-clock microbenchmark of the min-plus kernels.
 
-:func:`sweep_backends` times the ``reference`` backend bare and ``jit``
-(per tile size) through :class:`~repro.core.engine.KernelEngine`, as the
-drivers run it, on ``n³`` float32 min-plus products. A product at or
-above :data:`~repro.core.engine.SPLIT_WORK` is split across cores, and
-its row records the panel count. Each config is repeated so its row
-carries its best time plus the median and quartiles, every result is
-verified bit-identical to the reference, and :func:`save_sweep`
-persists the rows to ``BENCH_kernels.json`` at the repository root.
+:func:`sweep_backends` times the numpy kernel bare (rows labelled
+``backend = flavor = "reference"``) and, per tile size, the kernel
+engine as the drivers run it (``backend = "jit"``, ``flavor`` the
+engine's kernels: ``cc``, or ``numpy`` under ``REPRO_JIT=off``) on
+``n³`` float32 min-plus products. A product at or above
+:data:`~repro.core.engine.SPLIT_WORK` is split across cores, and its row
+records the panel count. Each config is repeated so its row carries its
+best time plus the median and quartiles, every result is verified
+bit-identical to the numpy one, and :func:`save_sweep` persists the rows
+to ``BENCH_kernels.json`` at the repository root.
 :class:`~repro.verifyplan.timing.TimingCalibration` prices analytic
 selection off the best bit-identical row; the engine never reads this
 file.
@@ -26,7 +28,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.bench.baseline import baseline_path, record
-from repro.core.backends import backend_names, create_backend
+from repro.core.backends.base import rank1_update
 from repro.core.engine import KernelEngine, panel_count
 from repro.core.minplus import DIST_DTYPE, minplus_ops
 
@@ -44,7 +46,7 @@ __all__ = [
 #: headline Gop/s target
 DEFAULT_SIZES = (256, 457, 1024)
 
-#: tile sizes tried for the one backend that takes a tile (``jit``)
+#: tile sizes of the engine's rows (the compiled kernel's column tile)
 DEFAULT_TILES = (64, 128, 256)
 
 
@@ -72,25 +74,24 @@ def machine_info() -> dict:
 def sweep_backends(
     sizes: tuple[int, ...] = DEFAULT_SIZES,
     tiles: tuple[int, ...] = DEFAULT_TILES,
-    backends: tuple[str, ...] | None = None,
     *,
     repeats: int = 5,
     seed: int = 0,
     verify: bool = True,
 ) -> list[dict]:
-    """Time every backend × tile × size; returns one row dict per config.
+    """Time the numpy kernel and the engine per tile, at every size;
+    returns one row dict per config.
 
     Rows carry ``backend, flavor, n, tile, panels, seconds, gops,
     speedup, identical`` — ``seconds`` is the best of ``repeats`` runs
     (``gops`` and ``speedup`` derive from it), ``median_seconds``/
     ``q1_seconds``/``q3_seconds`` give the spread, ``panels`` is how
-    many column panels the product ran in (``1`` for the bare reference
-    and below the engine's split cutoff), ``speedup`` is against the
-    reference backend at the same ``n``, ``identical`` the bit-identity
-    check against the reference result. The reference row is always
-    measured first so speedups exist.
+    many column panels the product ran in (``1`` for the bare numpy
+    kernel and below the engine's split cutoff), ``speedup`` is against
+    the numpy kernel at the same ``n``, ``identical`` the bit-identity
+    check against its result. The numpy row is always measured first so
+    speedups exist.
     """
-    jit_tiles = tiles if "jit" in (backends or backend_names()) else ()
     rng = np.random.default_rng(seed)
     rows: list[dict] = []
     for n in sizes:
@@ -98,7 +99,7 @@ def sweep_backends(
         b = (rng.random((n, n), dtype=DIST_DTYPE) * 100).astype(DIST_DTYPE)
         ops = minplus_ops(n, n, n)
 
-        def timed(update, backend, tile, panels):
+        def timed(update, backend, flavor, tile, panels):
             times = []
             for _ in range(max(1, repeats)):
                 c = np.full((n, n), np.inf, dtype=DIST_DTYPE)
@@ -108,8 +109,8 @@ def sweep_backends(
             q1, median, q3 = np.percentile(times, (25, 50, 75))
             best = min(times)
             row = {
-                "backend": backend.name,
-                "flavor": backend.flavor,
+                "backend": backend,
+                "flavor": flavor,
                 "n": n,
                 "tile": tile,
                 "panels": panels,
@@ -121,15 +122,14 @@ def sweep_backends(
             }
             return row, c
 
-        reference = create_backend("reference")
-        ref_row, ref_c = timed(reference.update, reference, None, 1)
+        ref_row, ref_c = timed(rank1_update, "reference", "reference", None, 1)
         ref_seconds = ref_row["seconds"]
         rows.append({**ref_row, "speedup": 1.0, "identical": True})
-        for tile in jit_tiles:
-            engine = KernelEngine("jit", tile=tile)
-            # warm-up triggers one-time JIT/thread-pool costs
+        for tile in tiles:
+            engine = KernelEngine(tile=tile)
+            # warm-up triggers one-time kernel-load/thread-pool costs
             engine.update(np.full((n, n), np.inf, dtype=DIST_DTYPE), a, b)
-            row, c = timed(engine.update, engine.backend, tile, panel_count(n, n, n))
+            row, c = timed(engine.update, "jit", engine.flavor, tile, panel_count(n, n, n))
             row["speedup"] = ref_seconds / row["seconds"]
             row["identical"] = bool(np.array_equal(c, ref_c)) if verify else None
             rows.append(row)

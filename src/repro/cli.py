@@ -7,7 +7,7 @@ Commands
 ``select``        run the Section-IV selector and print the report
 ``suite``         list the paper's evaluation-graph registry
 ``devices``       list the device presets and their constants
-``bench-kernels`` wall-clock sweep of the min-plus kernel backends
+``bench-kernels`` wall-clock sweep of the min-plus kernels, numpy and compiled
 ``bench-transfers`` record/check the static transfer-volume baseline
 ``verify-plan``   statically verify the OOC execution plans (no execution):
                   derived parameters, residency and transfer bounds,
@@ -154,7 +154,6 @@ def cmd_solve(args) -> int:
             device=device,
             density_scale=args.scale,
             store_mode="disk" if args.disk else "ram",
-            kernel_backend=args.kernel_backend or None,
             faults=_fault_plan(args),
             retry=retry,
             checkpoint_dir=args.checkpoint_dir or None,
@@ -164,7 +163,7 @@ def cmd_solve(args) -> int:
         return 1
     emit(f"algorithm: {result.algorithm}")
     if "kernel_backend" in result.stats:
-        emit(f"kernel backend: {result.stats['kernel_backend']}")
+        emit(f"kernels: {result.stats['kernel_backend']}")
     emit(f"simulated time: {result.simulated_seconds:.6f}s")
     for key in ("block_size", "num_blocks", "batch_size", "num_batches",
                 "num_components", "num_boundary", "num_transfers"):
@@ -302,22 +301,13 @@ def cmd_devices(args) -> int:
 def cmd_bench_kernels(args) -> int:
     from repro.bench.kernels import save_sweep, sweep_backends
     from repro.bench.runner import format_bars, format_table
-    from repro.core.backends import backend_names
 
     try:
         sizes = tuple(int(s) for s in args.sizes.split(","))
         tiles = tuple(int(t) for t in args.tiles.split(","))
     except ValueError:
         raise SystemExit("--sizes and --tiles take comma-separated integers")
-    backends = tuple(args.backends.split(",")) if args.backends else None
-    bad = [b for b in backends or () if b not in backend_names()]
-    if bad:
-        raise SystemExit(
-            f"unknown backend(s) {', '.join(bad)}; choose from {', '.join(backend_names())}"
-        )
-    rows = sweep_backends(
-        sizes, tiles, backends, repeats=args.repeats, seed=args.seed
-    )
+    rows = sweep_backends(sizes, tiles, repeats=args.repeats, seed=args.seed)
     table_rows = [
         {
             "backend": r["backend"],
@@ -351,7 +341,7 @@ def cmd_bench_kernels(args) -> int:
         path = save_sweep(rows)
         print(f"\nwrote {path}")
     if any(r["identical"] is False for r in rows):
-        print("ERROR: a backend diverged from the reference result", file=sys.stderr)
+        print("ERROR: an engine row diverged from the numpy result", file=sys.stderr)
         return 1
     return 0
 
@@ -637,8 +627,6 @@ def cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     """Parse arguments and dispatch to the chosen subcommand."""
-    from repro.core.backends import backend_names
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Out-of-core GPU APSP (IPDPS 2022 reproduction)",
@@ -662,9 +650,6 @@ def main(argv=None) -> int:
                    help="write a chrome://tracing JSON of the device schedule")
     p.add_argument("--query", metavar="U,V", default="",
                    help="print one distance after solving")
-    p.add_argument("--kernel-backend", default="",
-                   choices=["", *backend_names()],
-                   help="host min-plus kernel backend (default: process-wide engine)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--checkpoint-dir", metavar="DIR", default="",
                    help="write per-iteration checkpoints here; rerunning with "
@@ -704,12 +689,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_devices)
 
     p = sub.add_parser("bench-kernels",
-                       help="wall-clock Gop/s sweep of the min-plus kernel backends")
+                       help="wall-clock Gop/s sweep of the min-plus kernels")
     p.add_argument("--sizes", default="256,457,1024", help="comma-separated problem sizes")
     p.add_argument("--tiles", default="64,128,256",
-                   help="comma-separated tile sizes for the jit backend")
-    p.add_argument("--backends", default="",
-                   help="comma-separated backend names (default: all registered)")
+                   help="comma-separated tile sizes of the engine's rows")
     p.add_argument("--repeats", type=int, default=5,
                    help="timing repeats per config: rows record the best, "
                         "median and quartiles")

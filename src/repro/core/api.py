@@ -27,7 +27,6 @@ def solve_apsp(
     store_mode: str = "ram",
     store_dir=None,
     seed: int = 0,
-    kernel_backend=None,
     faults=None,
     retry=None,
     checkpoint_dir=None,
@@ -51,10 +50,6 @@ def solve_apsp(
         the selector's density filter (see :mod:`repro.graphs.suite`).
     store_mode:
         ``"ram"`` or ``"disk"`` for the output matrix (Table IV regime).
-    kernel_backend:
-        A kernel backend name (``"reference"`` or ``"jit"``) or a prebuilt
-        :class:`~repro.core.engine.KernelEngine` for the host-side min-plus
-        and FW tile kernels; ``None`` uses the process-wide default.
     faults:
         A :class:`~repro.faults.FaultPlan` injected into the device — chosen
         transfers, kernel launches, or allocations raise transient errors
@@ -73,7 +68,11 @@ def solve_apsp(
     algorithm_options:
         Forwarded to the chosen driver (e.g. ``overlap``,
         ``batch_transfers``, ``dynamic_parallelism``, ``num_components``,
-        ``block_size``, ``batch_size``).
+        ``block_size``, ``batch_size``, or ``engine``, a
+        :class:`~repro.core.engine.KernelEngine` for the FW and boundary
+        drivers' host min-plus and FW tiles, which Johnson ignores;
+        without one they run the process-wide default, compiled unless
+        ``REPRO_JIT=off``).
 
     Returns
     -------
@@ -103,17 +102,6 @@ def solve_apsp(
             device.faults = faults
         if retry is not None:
             device.retry = retry
-    if kernel_backend is not None:
-        from repro.core.engine import KernelEngine
-
-        engine = (
-            kernel_backend
-            if isinstance(kernel_backend, KernelEngine)
-            else KernelEngine(kernel_backend)
-        )
-    else:
-        engine = None
-
     report = None
     if algorithm == "auto":
         from repro.select.selector import Selector
@@ -132,16 +120,14 @@ def solve_apsp(
     if checkpoint_dir is not None:
         common["checkpoint"] = checkpoint_dir
     if algorithm == "floyd-warshall":
-        result = ooc_floyd_warshall(
-            graph, device, engine=engine, **common, **algorithm_options
-        )
+        result = ooc_floyd_warshall(graph, device, **common, **algorithm_options)
     elif algorithm == "johnson":
         # SSSP-based: no dense min-plus tiles, so no kernel engine to pass
+        # (``engine=`` may still come with ``algorithm="auto"``)
+        algorithm_options.pop("engine", None)
         result = ooc_johnson(graph, device, **common, **algorithm_options)
     else:
-        result = ooc_boundary(
-            graph, device, seed=seed, engine=engine, **common, **algorithm_options
-        )
+        result = ooc_boundary(graph, device, seed=seed, **common, **algorithm_options)
     if report is not None:
         result.stats["selection"] = report
     return result

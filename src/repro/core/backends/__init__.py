@@ -1,48 +1,14 @@
-"""Registry of interchangeable min-plus / FW-tile kernel backends.
+"""The two implementations of the host kernels, bit-identical on the
+library's distance domain:
 
-Every backend implements :class:`~repro.core.backends.base.KernelBackend`
-and produces **bit-identical** distance tiles on the library's distance
-domain; they differ only in wall-clock speed. A
-:class:`~repro.core.engine.KernelEngine` runs one (``jit`` unless
-``REPRO_KERNEL_BACKEND`` or an explicit API argument names another) and
-splits large products across cores itself.
+* :mod:`repro.core.backends.base` — the numpy min-plus and FW tile
+  kernels (the batched Near-Far numpy loop lives in
+  :mod:`repro.sssp.near_far`);
+* :mod:`repro.core.backends.jit` — the compiled C kernels and their
+  ctypes call sites.
 
-============  ==========================================================
-``reference``  the seed rank-1 numpy loop — the semantics oracle
-``jit``        compiled C, else ``reference``, degrading gracefully
-============  ==========================================================
+:func:`repro.core.backends.jit.compiled_kernels`, set by ``REPRO_JIT``,
+is the one switch between them: the kernel engine
+(:class:`repro.core.engine.KernelEngine`) and batched Near-Far both ask
+it.
 """
-
-from __future__ import annotations
-
-from repro.core.backends.base import KernelBackend
-from repro.core.backends.jit import JITBackend
-from repro.core.backends.reference import ReferenceBackend
-
-__all__ = [
-    "JITBackend",
-    "KernelBackend",
-    "ReferenceBackend",
-    "backend_names",
-    "create_backend",
-]
-
-_REGISTRY: dict[str, type[KernelBackend]] = {
-    cls.name: cls for cls in (ReferenceBackend, JITBackend)
-}
-
-
-def backend_names() -> tuple[str, ...]:
-    """All registered backend names, reference first."""
-    return tuple(_REGISTRY)
-
-
-def create_backend(name: str, **options) -> KernelBackend:
-    """Instantiate a registered backend by name."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; choose from {backend_names()}"
-        ) from None
-    return cls(**options)

@@ -1,31 +1,33 @@
-"""JIT-compiled min-plus/FW and batched Near-Far kernels with graceful degradation.
+"""The compiled C kernels: min-plus/FW tiles and batched Near-Far.
 
-Two flavors:
+:func:`compiled_kernels` is the one switch between these kernels and
+the numpy ones. It returns the loaded :class:`_CCKernels`, or ``None``
+under ``REPRO_JIT=off`` or where no C compiler builds them. Given
+kernels, the engine (:class:`repro.core.engine.KernelEngine`) runs its
+min-plus and FW tiles through :meth:`_CCKernels.update` and
+:meth:`_CCKernels.fw_tile`, and :func:`repro.sssp.near_far.near_far_batch`
+its batches through ``near_far_f64``; given ``None``, both run their
+numpy kernels (:mod:`repro.core.backends.base` and the numpy loop of
+:mod:`repro.sssp.near_far`), which the tests compare against.
 
-1. ``cc`` — a small C translation unit compiled at first use with the
-   system C compiler (``gcc``/``cc``/``clang``) into a per-user cache
-   directory and loaded through :mod:`ctypes`. No build-time dependency:
-   machines without any compiler simply skip this flavor. The ``.so`` is
-   keyed by a hash of the source, compiler, and flag set, so later
-   processes pay only a ``dlopen``;
-2. ``fallback`` — delegate to
-   :class:`~repro.core.backends.reference.ReferenceBackend` (pure numpy),
-   so requesting ``jit`` is always safe.
-
-``jit`` is ``cc`` whenever the C kernels load and ``fallback``
-otherwise; ``REPRO_JIT=off`` forces the fallback (used by the CI leg
-that exercises the degradation path). No kernel starts a thread; the
-callers spread large work across cores by calling a kernel on disjoint
-parts from the engine's pool (:func:`repro.core.engine.shared_executor`):
-the engine calls the min-plus kernel on disjoint column panels of a
-large product, and :func:`repro.sssp.near_far.near_far_batch` calls the
-Near-Far kernel on contiguous row ranges of a large batch, the first on
-the calling thread and the rest on the pool.
+The C translation unit is compiled at first use with the system C
+compiler (``gcc``/``cc``/``clang``, or ``REPRO_CC``) into a per-user
+cache directory (``REPRO_JIT_CACHE`` overrides it) and loaded through
+:mod:`ctypes`. No build-time dependency: a machine without a compiler
+runs the numpy kernels. The ``.so`` is keyed by a hash of the source,
+compiler, and flag set, so later processes pay only a ``dlopen``. No
+kernel starts a thread; the callers spread large work across cores by
+calling a kernel on disjoint parts from the engine's pool
+(:func:`repro.core.engine.shared_executor`): the engine calls the
+min-plus kernel on disjoint column panels of a large product, and
+:func:`repro.sssp.near_far.near_far_batch` calls the Near-Far kernel on
+contiguous row ranges of a large batch, the first on the calling thread
+and the rest on the pool.
 
 A plain build uses one fixed flag set, :data:`_CFLAGS`, and compiles
 nothing when its ``.so`` is cached. A compiler that rejects any of
 those flags gets one retry with the ``-O3``-only set, so a machine with
-a compiler never loses the cc flavor to a flag quirk
+a compiler never loses the compiled kernels to a flag quirk
 (:func:`cc_build_info` reports what was actually used).
 
 The C source is not an opaque string: it is assembled from
@@ -61,12 +63,10 @@ rank-1 formulation.
 
 The translation unit also holds one kernel that is not min-plus:
 ``near_far_f64``, the whole loop of one batched Near-Far MSSP launch
-over a range of rows. It is no flavor of :class:`JITBackend`:
-:func:`repro.sssp.near_far.near_far_batch` calls it whenever
-:func:`load_cc_kernels` loads and :func:`jit_enabled` holds
-(``REPRO_JIT=off`` turns it off with the min-plus kernels), and its
-ctypes arguments are ``ndpointer`` types, which check dtype, rank and
-layout on every call. It returns no batch statistics of its own, only
+over a range of rows. :func:`repro.sssp.near_far.near_far_batch` calls
+it whenever :func:`compiled_kernels` returns kernels, and its ctypes
+arguments are ``ndpointer`` types, which check dtype, rank and layout on
+every call. It returns no batch statistics of its own, only
 per-level records (split, round count, heavy edges per round) in arrays
 whose every write is guarded by their capacity ``cap``; the caller
 merges the records of one or more row ranges into ``NearFarStats``.
@@ -87,19 +87,15 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.backends.base import KernelBackend
-from repro.core.backends.reference import ReferenceBackend
-
 __all__ = [
     "CCBuildInfo",
-    "JITBackend",
     "KERNEL_TEMPLATES",
     "KernelTemplate",
     "SANITIZER_FLAGS",
     "cc_build_info",
     "cc_compiler",
     "compile_cc_so",
-    "jit_enabled",
+    "compiled_kernels",
     "kernel_source",
     "load_cc_kernels",
     "sanitizer_runtime",
@@ -307,13 +303,15 @@ _NEAR_FAR_SOURCE = r"""
  * rerun with room for all. A row waiting at Far distance d works at the
  * first split above d, which is its own (floor(d / delta) + 1) * delta
  * whatever the other rows' distances, unless floor(d / delta) * delta
- * rounds above d: then stats[3] = 1, and merged row ranges may differ
- * from one call over all rows. Every queue append is guarded by its
- * capacity; a failed guard or a spent round or level budget leaves
- * status stats[4] = 1 or 2, a split that cannot pass the smallest Far
- * distance gives 3. stats[0..2]: relaxations, levels, rounds. No
- * a * b + c in the float path: it could be fused into an FMA, which
- * rounds differently. */
+ * rounds above d, or (floor(d / delta) + 1) * delta rounds to no more
+ * than d and the split takes (floor(d / delta) + 2) * delta instead:
+ * then stats[3] = 1, and merged row ranges may differ from one call
+ * over all rows. Every queue append is guarded by its capacity; a
+ * failed guard or a spent round or level budget leaves status
+ * stats[4] = 1 or 2, and a split whose second step does not pass the
+ * smallest Far distance either gives 3. stats[0..2]: relaxations,
+ * levels, rounds. No a * b + c in the float path: it could be fused
+ * into an FMA, which rounds differently. */
 void near_far_f64(double *dist, const i64 *indptr, const i64 *indices,
                   const double *weights, const i64 *sources,
                   i64 n, i64 m, i64 bat, double delta, i64 heavy, i64 budget,
@@ -351,8 +349,15 @@ void near_far_f64(double *dist, const i64 *indptr, const i64 *indices,
         }
         double next = (floor(min_far / delta) + 1) * delta;
         if (!(next > min_far)) {
-            stats[4] = 3;
-            return;
+            /* the split rounded onto min_far (8.1 at delta 0.1): take the
+             * next one, and flag it, as a range's split then may differ
+             * from the split of one call over all rows */
+            next = (floor(min_far / delta) + 2) * delta;
+            rounded = 1;
+            if (!(next > min_far)) {
+                stats[4] = 3;
+                return;
+            }
         }
         found = 0;
         for (i64 r = 0; r < bat; r++) {
@@ -586,7 +591,7 @@ _SANITIZER_RUNTIMES = {
 
 @dataclass(frozen=True)
 class CCBuildInfo:
-    """What the cc flavor was actually built with on this machine.
+    """What the compiled kernels were actually built with on this machine.
 
     ``sanitize`` is the instrumentation that actually went into the
     build (``None`` for a plain build); ``degraded`` lists every request
@@ -720,6 +725,22 @@ def _build_lock(so_path: Path) -> Iterator[None]:
             fcntl.flock(fh, fcntl.LOCK_UN)
 
 
+def _checked_operand(arr: np.ndarray, dtype: type) -> int:
+    """FFI operand guard: dtype + unit inner stride, returns row stride.
+
+    Every ndarray handed to a C entry point by address passes through
+    here first — the statically-evident contiguity/dtype guard the FFI
+    lint (RPR009) requires at ``.ctypes.data`` call sites.
+    """
+    if arr.dtype != dtype:
+        raise TypeError(
+            f"compiled kernels need {np.dtype(dtype).name} operands, got {arr.dtype}"
+        )
+    if arr.strides[1] != arr.itemsize:
+        raise ValueError("compiled kernels need unit stride along the last axis")
+    return arr.strides[0] // arr.itemsize
+
+
 class _CCKernels:
     """ctypes bindings to the compiled shared object.
 
@@ -753,6 +774,23 @@ class _CCKernels:
             *(_array_arg(t, 1, out) for t in (f64, i64, i64, i64)),
         ]
         self.near_far.restype = None
+
+    def update(self, c: np.ndarray, a: np.ndarray, b: np.ndarray, tile: int) -> None:
+        """In-place ``C = min(C, A ⊗ B)`` on float32 operands with unit
+        inner stride, ``C`` disjoint from ``A`` and ``B``."""
+        self.mp_update(
+            c.ctypes.data, a.ctypes.data, b.ctypes.data,
+            c.shape[0], a.shape[1], c.shape[1],
+            _checked_operand(c, np.float32),
+            _checked_operand(a, np.float32),
+            _checked_operand(b, np.float32),
+            tile,
+        )
+
+    def fw_tile(self, dist: np.ndarray) -> None:
+        """Floyd–Warshall closure of one square float32 tile, in place."""
+        stride = _checked_operand(dist, np.float32)
+        self.fw_inplace(dist.ctypes.data, dist.shape[0], stride)
 
 
 def _array_arg(dtype: type, ndim: int = 1, flags: tuple[str, ...] = ("C_CONTIGUOUS",)):
@@ -876,74 +914,16 @@ def load_cc_kernels(sanitize: str | None = None) -> _CCKernels | None:
     return kernels
 
 
-def jit_enabled() -> bool:
-    """False when ``REPRO_JIT=off`` (or ``0``/``no``) turns compiled kernels off."""
-    return os.environ.get("REPRO_JIT", "").lower() not in ("off", "0", "no")
+def compiled_kernels() -> _CCKernels | None:
+    """The compiled kernels, or ``None`` when ``REPRO_JIT=off`` (or ``0``/
+    ``no``) turns them off or none load: the one switch between the
+    compiled and the numpy min-plus, FW and Near-Far kernels."""
+    if os.environ.get("REPRO_JIT", "").lower() in ("off", "0", "no"):
+        return None
+    return load_cc_kernels()
 
 
 def cc_build_info(sanitize: str | None = None) -> CCBuildInfo | None:
     """Build provenance of the loaded cc kernels (``None`` if unavailable)."""
     kernels = load_cc_kernels(sanitize)
     return kernels.build if kernels else None
-
-
-class JITBackend(KernelBackend):
-    """Compiled-C kernels, degrading gracefully to the reference backend."""
-
-    name = "jit"
-    summary = "JIT kernel: vectorized C, else reference numpy"
-
-    def __init__(self, tile: int = 256) -> None:
-        self.tile = tile
-        self._cc = load_cc_kernels() if jit_enabled() else None
-        self._fallback = ReferenceBackend()
-
-    @property
-    def flavor(self) -> str:
-        """Implementation that answered: ``cc`` or ``fallback``."""
-        return "cc" if self._cc is not None else "fallback"
-
-    @property
-    def compiled(self) -> bool:
-        """True when the C kernels are active."""
-        return self._cc is not None
-
-    @staticmethod
-    def _checked_operand(arr: np.ndarray, dtype: type) -> int:
-        """FFI operand guard: dtype + unit inner stride, returns row stride.
-
-        Every ndarray handed to a C entry point passes through here
-        first — the statically-evident contiguity/dtype guard the FFI
-        lint (RPR009) requires at ``.ctypes.data`` call sites.
-        """
-        if arr.dtype != dtype:
-            raise TypeError(
-                f"jit backend needs {np.dtype(dtype).name} operands, got {arr.dtype}"
-            )
-        if arr.strides[1] != arr.itemsize:
-            raise ValueError("jit backend needs unit stride along the last axis")
-        return arr.strides[0] // arr.itemsize
-
-    def update(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """In-place ``C = min(C, A ⊗ B)`` via the active JIT flavor."""
-        if self._cc is not None:
-            bi, bj = c.shape
-            bk = a.shape[1]
-            self._cc.mp_update(
-                c.ctypes.data, a.ctypes.data, b.ctypes.data,
-                bi, bk, bj,
-                self._checked_operand(c, np.float32),
-                self._checked_operand(a, np.float32),
-                self._checked_operand(b, np.float32),
-                self.tile,
-            )
-            return c
-        return self._fallback.update(c, a, b)
-
-    def fw_inplace(self, dist: np.ndarray) -> np.ndarray:
-        """Floyd–Warshall closure of one tile via the active JIT flavor."""
-        if self._cc is not None:
-            stride = self._checked_operand(dist, np.float32)
-            self._cc.fw_inplace(dist.ctypes.data, dist.shape[0], stride)
-            return dist
-        return self._fallback.fw_inplace(dist)

@@ -1,23 +1,26 @@
-"""The kernel engine: backend selection, coercion, and the split across cores.
+"""The kernel engine: the compiled-or-numpy switch, coercion, and the split across cores.
 
 Every numeric hot path in the repository — blocked FW stages 1–3, the
 boundary algorithm's ``dist4`` chain, in-core FW, dynamic patches —
-funnels through a :class:`KernelEngine`, which owns one
-:class:`~repro.core.backends.base.KernelBackend` and guards its operand
-contract:
+funnels through a :class:`KernelEngine`. It runs the compiled C kernels
+when :func:`~repro.core.backends.jit.compiled_kernels` returns them, and
+the numpy kernels (:func:`~repro.core.backends.base.rank1_update`,
+:func:`~repro.core.backends.base.numpy_fw_inplace`) under
+``REPRO_JIT=off`` or without a C compiler; batched Near-Far asks the
+same switch. The engine guards the kernels' operand contract:
 
 * operands are coerced to C-layout :data:`~repro.core.minplus.DIST_DTYPE`
   (a Fortran-ordered or float64 tile can no longer silently take a slow
   broadcast path or change the result dtype);
-* non-``DIST_DTYPE`` accumulators keep the generic numpy reference path,
+* non-``DIST_DTYPE`` accumulators keep the generic numpy path,
   preserving exact legacy semantics for float64 callers;
 * the output array is updated strictly in place, whatever its layout;
 * the output never shares memory with an input: :meth:`KernelEngine.update`
-  rejects overlapping operands, so no backend needs an aliased path.
+  rejects overlapping operands, so no kernel needs an aliased path.
 
 One rule spreads a product across cores (:func:`panel_count`): a product
 of fewer than :data:`SPLIT_WORK` ``rows × depth × cols`` steps is one
-backend call, and a larger one is split into disjoint column panels of
+kernel call, and a larger one is split into disjoint column panels of
 ``C`` (with the matching columns of ``B``), one per worker of
 :func:`shared_executor`, whose workers are each bound to one CPU. The
 compiled kernels release the GIL, and a disjoint split leaves every
@@ -34,20 +37,13 @@ the first range, and the caller runs the first, bound for that call to
 a CPU none of those workers is bound to (:func:`bound_apart`).
 
 :meth:`KernelEngine.fw_inplace` closes matrices up to
-:data:`FW_CLOSURE_BLOCK` with the backend's tile kernel and larger ones
-with the blocked closure
-(:func:`~repro.core.blocked_fw.blocked_floyd_warshall`), which runs on
-the same disjoint ``update``.
+:data:`FW_CLOSURE_BLOCK` with the tile kernel and larger ones with the
+blocked closure (:func:`~repro.core.blocked_fw.blocked_floyd_warshall`),
+which runs on the same disjoint ``update``.
 
-Selection order:
-
-1. an explicit ``engine=`` argument on any driver / ``KernelEngine(name)``;
-2. the ``REPRO_KERNEL_BACKEND`` environment variable
-   (``reference | jit``);
-3. ``jit`` — the compiled C kernels, degrading to the ``reference``
-   numpy loop on a machine without a compiler.
-
-Run ``python -m repro bench-kernels`` for the full wall-clock sweep (see
+Drivers take an explicit ``engine=``; without one they use
+:func:`default_engine`, which follows ``REPRO_JIT``. Run
+``python -m repro bench-kernels`` for the full wall-clock sweep (see
 ``docs/PERFORMANCE.md``).
 """
 
@@ -62,8 +58,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from repro.core.backends import KernelBackend, create_backend
 from repro.core.backends.base import numpy_fw_inplace, rank1_update
+from repro.core.backends.jit import compiled_kernels
 from repro.core.blocked_fw import blocked_floyd_warshall
 from repro.core.minplus import DIST_DTYPE
 
@@ -75,16 +71,9 @@ __all__ = [
     "panel_count",
     "range_count",
     "reset_default_engine",
-    "set_default_backend",
     "shared_executor",
     "worker_cpu",
 ]
-
-#: environment variable naming the backend
-ENV_BACKEND = "REPRO_KERNEL_BACKEND"
-
-#: backend of an engine built with no name and no environment override
-DEFAULT_BACKEND = "jit"
 
 #: smallest product (``rows × depth × cols``) :meth:`KernelEngine.update`
 #: splits across workers. Measured on 2 cores (``docs/PERFORMANCE.md``):
@@ -209,35 +198,30 @@ def range_count(rows: int, edges: int) -> int:
 
 
 class KernelEngine:
-    """One configured kernel backend plus the operand-contract guard rails
-    and the split of large products across cores."""
+    """The min-plus/FW tile kernels — compiled when
+    :func:`~repro.core.backends.jit.compiled_kernels` returns them at
+    construction, else numpy — plus the operand-contract guard rails and
+    the split of large products across cores. ``tile`` is the compiled
+    min-plus kernel's column tile."""
 
-    def __init__(self, backend: str | KernelBackend | None = None, **options) -> None:
+    def __init__(self, *, tile: int = 256) -> None:
+        self.tile = tile
         #: always ``None``: no persisted winner is read (kept for readers
         #: of the attribute)
         self.tuned: dict | None = None
-        if isinstance(backend, KernelBackend):
-            self.backend = backend
-        else:
-            name = backend or os.environ.get(ENV_BACKEND) or DEFAULT_BACKEND
-            self.backend = create_backend(name, **options)
+        self._cc = compiled_kernels()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def name(self) -> str:
-        """Registry name of the active backend."""
-        return self.backend.name
-
-    @property
     def flavor(self) -> str:
-        """Concrete implementation in use (e.g. ``cc`` inside ``jit``)."""
-        return self.backend.flavor
+        """The kernels in use: ``cc`` (compiled) or ``numpy``."""
+        return "cc" if self._cc is not None else "numpy"
 
     def describe(self) -> str:
-        """Human-readable ``name (flavor)`` string for CLI output."""
-        return self.name if self.flavor == self.name else f"{self.name} ({self.flavor})"
+        """The kernels in use, for CLI output and run statistics."""
+        return self.flavor
 
     # ------------------------------------------------------------------
     # Operand coercion
@@ -290,19 +274,26 @@ class KernelEngine:
         self._product(c, a, b)
         return c
 
+    def _serial(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+        """One kernel call on contract-conforming float32 operands."""
+        if self._cc is not None:
+            self._cc.update(c, a, b, self.tile)
+        else:
+            rank1_update(c, a, b)
+
     def _product(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-        """One backend call, or :func:`panel_count` disjoint column panels
-        on the shared pool, each calling the backend directly. Every panel
-        is joined before any panel's exception propagates, so no worker is
-        still writing ``C`` when the caller sees the error."""
+        """One kernel call, or :func:`panel_count` disjoint column panels
+        on the shared pool, each one kernel call. Every panel is joined
+        before any panel's exception propagates, so no worker is still
+        writing ``C`` when the caller sees the error."""
         panels = panel_count(a.shape[0], a.shape[1], c.shape[1])
         if panels < 2:
-            self.backend.update(c, a, b)
+            self._serial(c, a, b)
             return
         bounds = np.linspace(0, c.shape[1], panels + 1, dtype=int)
         ex = shared_executor(panels)
         futures = [
-            ex.submit(self.backend.update, c[:, lo:hi], a, b[:, lo:hi])
+            ex.submit(self._serial, c[:, lo:hi], a, b[:, lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         wait(futures)
@@ -313,7 +304,7 @@ class KernelEngine:
         """Floyd–Warshall closure of a square matrix, in place.
 
         Matrices larger than :data:`FW_CLOSURE_BLOCK` run the blocked
-        closure on this engine; smaller ones the backend's tile kernel.
+        closure on this engine; smaller ones the tile kernel.
         """
         n = dist.shape[0]
         if dist.shape != (n, n):
@@ -322,9 +313,10 @@ class KernelEngine:
             return blocked_floyd_warshall(dist, FW_CLOSURE_BLOCK, engine=self)
         if n == 0:
             return dist
-        if dist.dtype != DIST_DTYPE or dist.strides[-1] != dist.itemsize:
+        if self._cc is None or dist.dtype != DIST_DTYPE or dist.strides[-1] != dist.itemsize:
             return numpy_fw_inplace(dist)
-        return self.backend.fw_inplace(dist)
+        self._cc.fw_tile(dist)
+        return dist
 
     def minplus(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Fresh min-plus product ``A ⊗ B`` (no accumulation)."""
@@ -340,34 +332,19 @@ class KernelEngine:
 # Process-wide default engine
 # ----------------------------------------------------------------------
 _DEFAULT: KernelEngine | None = None
-_DEFAULT_KEY: str | None = None
-_PINNED = "<pinned>"
 
 
 def default_engine() -> KernelEngine:
-    """The lazily created process-wide engine.
-
-    Tracks ``REPRO_KERNEL_BACKEND`` (re-resolving if it changes between
-    calls) unless :func:`set_default_backend` pinned an explicit choice.
-    """
-    global _DEFAULT, _DEFAULT_KEY
-    key = os.environ.get(ENV_BACKEND) or DEFAULT_BACKEND
-    if _DEFAULT is None or (_DEFAULT_KEY != _PINNED and key != _DEFAULT_KEY):
-        _DEFAULT = KernelEngine(key)
-        _DEFAULT_KEY = key
-    return _DEFAULT
-
-
-def set_default_backend(backend: str | KernelBackend | KernelEngine) -> KernelEngine:
-    """Pin the process-wide default engine to ``backend``; returns it."""
-    global _DEFAULT, _DEFAULT_KEY
-    _DEFAULT = backend if isinstance(backend, KernelEngine) else KernelEngine(backend)
-    _DEFAULT_KEY = _PINNED
+    """The lazily created process-wide engine, rebuilt whenever
+    :func:`~repro.core.backends.jit.compiled_kernels` answers otherwise
+    (``REPRO_JIT`` changed since), so it runs the kernels the switch names."""
+    global _DEFAULT
+    if _DEFAULT is None or _DEFAULT._cc is not compiled_kernels():
+        _DEFAULT = KernelEngine()
     return _DEFAULT
 
 
 def reset_default_engine() -> None:
     """Drop the cached default engine (next use re-resolves it)."""
-    global _DEFAULT, _DEFAULT_KEY
+    global _DEFAULT
     _DEFAULT = None
-    _DEFAULT_KEY = None

@@ -5,14 +5,14 @@ of Algorithm 1) and the boundary algorithm's ``dist4`` step (Algorithm 3,
 lines 16–17): ``C[i,j] = min(C[i,j], min_k A[i,k] + B[k,j])``.
 
 The GPU implements this with shared-memory tiling [Katz & Kider]; on the
-host the computation is dispatched through the pluggable kernel engine
-(:mod:`repro.core.engine`), whose registered backends — the original rank-1
-numpy loop and the JIT-compiled kernels — are bit-identical on distance
-tiles and differ only in wall-clock speed; the engine splits a large
-product across cores. ``C`` must not share memory with ``A`` or ``B``;
-the engine rejects overlapping operands. The default backend is ``jit``;
-select another with ``REPRO_KERNEL_BACKEND`` or an explicit ``engine=``
-argument.
+host the computation is dispatched through the kernel engine
+(:mod:`repro.core.engine`), which runs the compiled C kernel, or the
+original rank-1 numpy loop under ``REPRO_JIT=off`` or without a C
+compiler — bit-identical on distance tiles, they differ only in
+wall-clock speed; the engine splits a large product across cores. ``C``
+must not share memory with ``A`` or ``B``; the engine rejects
+overlapping operands. An explicit ``engine=`` argument overrides the
+process-wide engine.
 
 Dense distance tiles use **float32** throughout the library
 (:data:`DIST_DTYPE`): the paper stores 4-byte ``int`` distances, and with

@@ -10,7 +10,7 @@ RPR001  raw-minplus          inside ``repro/core/`` (outside ``core/backends/``)
                              min-plus products must go through the
                              :class:`~repro.core.engine.KernelEngine` — no raw
                              ``np.minimum(C, A[:, :, None] + B[None, :, :])``-style
-                             broadcasts that bypass backend selection and the
+                             broadcasts that bypass the compiled kernels and the
                              operand contract
 RPR002  float64-into-engine  engine call sites (``minplus``, ``minplus_update``,
                              ``.update``, ``.fw_inplace``) must not be fed inline

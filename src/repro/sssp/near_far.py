@@ -45,9 +45,10 @@ across ranges per (level, round). One call over all rows is the
 one-range case of the same merge. The merge is exact because a row
 waiting at Far distance ``d`` works next at the split
 ``(⌊d / Δ⌋ + 1) · Δ`` whatever the other rows wait at, unless
-``⌊d / Δ⌋ · Δ`` rounds above ``d``. The kernel flags that case; a range
-that flags it, or stops on a stalled split, a guard or a budget, reruns
-the batch as one range, so the outcome is the unsplit one.
+``⌊d / Δ⌋ · Δ`` rounds above ``d`` or the split steps twice (below).
+The kernel flags both cases; a range that flags one, or stops on a
+stalled split, a guard or a budget, reruns the batch as one range, so
+the outcome is the unsplit one.
 
 The numpy loop keeps both queues as worklists of flat positions
 ``row · n + vertex`` into the distance matrix, so an iteration costs
@@ -64,10 +65,12 @@ time in proportion to its frontier and relaxations, not to ``bat · n``:
   into row-major order) and drops stale ones.
 
 Both paths are label-correcting and exact for non-negative weights
-(property tests compare against Dijkstra and scipy under Δ sweeps). A
-Δ so small that a split level ``(⌊d / Δ⌋ + 1) · Δ`` rounds to no more
-than the smallest Far distance ``d`` could never advance; both paths
-raise ``ValueError`` there instead of looping. With float64 weights a
+(property tests compare against Dijkstra and scipy under Δ sweeps).
+Where the next split ``(⌊d / Δ⌋ + 1) · Δ`` rounds to no more than the
+smallest Far distance ``d`` (``d = 8.1`` at ``Δ = 0.1``: ``81 · 0.1`` is
+8.1), both paths take ``(⌊d / Δ⌋ + 2) · Δ`` instead. A Δ so small that
+this one rounds to no more than ``d`` too could never advance; both
+paths raise ``ValueError`` there instead of looping. With float64 weights a
 row equals the per-source Dijkstra row bit for bit: both reach the
 minimum over paths of the left-to-right path sum.
 """
@@ -165,21 +168,22 @@ def near_far_batch(
 
 
 def compiled_kernel():
-    """The C batch kernel, or ``None`` under ``REPRO_JIT=off`` or without a compiler."""
+    """The C batch kernel, or ``None`` under ``REPRO_JIT=off`` or without a
+    compiler: asks :func:`repro.core.backends.jit.compiled_kernels`, the
+    switch the kernel engine asks too."""
     # imported here: repro.core imports this module
-    from repro.core.backends.jit import jit_enabled, load_cc_kernels
+    from repro.core.backends.jit import compiled_kernels
 
-    if not jit_enabled():
-        return None
-    kernels = load_cc_kernels()
+    kernels = compiled_kernels()
     return kernels.near_far if kernels is not None else None
 
 
 def _stalled_split(delta: float) -> ValueError:
     return ValueError(
-        f"delta={delta!r} is too small for these distances: a split level "
-        "(floor(d / delta) + 1) * delta rounds to no more than the smallest "
-        "Far distance d, so the split cannot advance"
+        f"delta={delta!r} is too small for these distances: the split levels "
+        "(floor(d / delta) + 1) * delta and (floor(d / delta) + 2) * delta "
+        "both round to no more than the smallest Far distance d, so the "
+        "split cannot advance"
     )
 
 
@@ -196,7 +200,7 @@ class _RangeRecord(NamedTuple):
     rounds: np.ndarray  # int64: relax rounds of each of those levels
     heavy: np.ndarray  # int64: heavy edges of each round, level after level
     status: int  # 0 done, 1 a queue guard failed, 2 a budget ran out, 3 stalled
-    rounded: bool  # a Far distance d had floor(d / delta) * delta > d
+    rounded: bool  # a Far distance d had floor(d / delta) * delta > d, or a split stepped twice
 
 
 def _compiled_batch(
@@ -439,7 +443,10 @@ def _numpy_batch(
             min_far = fdist.min()
             split = (np.floor(min_far / delta) + 1.0) * delta
             if not split > min_far:
-                raise _stalled_split(delta)
+                # rounded onto min_far (8.1 at delta 0.1): one step further
+                split = (np.floor(min_far / delta) + 2.0) * delta
+                if not split > min_far:
+                    raise _stalled_split(delta)
             splits_advanced += 1
             move = fdist < split
             near = np.sort(fpos[move])

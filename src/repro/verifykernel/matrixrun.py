@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from repro.core.backends.base import numpy_fw_inplace, rank1_update
-from repro.core.backends.jit import CCBuildInfo, JITBackend, _CCKernels
+from repro.core.backends.jit import CCBuildInfo, _CCKernels, _checked_operand
 from repro.graphs.csr import CSRGraph
 from repro.sssp.near_far import _compiled_batch, _numpy_batch
 
@@ -74,9 +74,9 @@ def _mp_args(c, a, b, tile=_TILE):
     return (
         c.ctypes.data, a.ctypes.data, b.ctypes.data,
         c.shape[0], a.shape[1], c.shape[1],
-        JITBackend._checked_operand(c, np.float32),
-        JITBackend._checked_operand(a, np.float32),
-        JITBackend._checked_operand(b, np.float32),
+        _checked_operand(c, np.float32),
+        _checked_operand(a, np.float32),
+        _checked_operand(b, np.float32),
         tile,
     )
 
@@ -119,7 +119,7 @@ def run_matrix_cases(kern: _CCKernels, *, fast: bool = False) -> list[dict]:
     d0[d0 < np.inf] = np.floor(d0[d0 < np.inf])  # integer weights: exact
     want_d = numpy_fw_inplace(d0.copy())
     d = d0.copy()
-    kern.fw_inplace(d.ctypes.data, n, JITBackend._checked_operand(d, np.float32))
+    kern.fw_inplace(d.ctypes.data, n, _checked_operand(d, np.float32))
     record(f"fw/inplace/n={n}", d, want_d)
 
     for name, graph, sources, delta, heavy in _near_far_cases(rng, fast):

@@ -64,6 +64,16 @@ def forced_split(workers: int):
         yield
 
 
+def numpy_engine():
+    """A kernel engine on the numpy kernels whatever compiler loads: the
+    engine built under ``REPRO_JIT=off``."""
+    from repro.core.engine import KernelEngine
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_JIT", "off")
+        return KernelEngine()
+
+
 @pytest.fixture
 def device() -> Device:
     """A tiny device that forces out-of-core behaviour at n≈100."""

@@ -22,7 +22,6 @@ import json
 
 import pytest
 
-from repro.core.engine import KernelEngine
 from repro.core.multi_gpu import emit_multi_ir, ooc_boundary_multi
 from repro.core.ooc_boundary import emit_boundary_ir, ooc_boundary
 from repro.core.ooc_fw import emit_fw_ir, ooc_floyd_warshall, plan_fw_block_size
@@ -46,6 +45,7 @@ from repro.verifyplan.timing import (
     kernel_duration,
     predict_timing,
 )
+from tests.conftest import numpy_engine
 
 V100_64 = V100.scaled(1 / 64)
 
@@ -276,7 +276,7 @@ class TestTimingAgreement:
     def test_fw_makespan(self, graph_factory, spec, pinned):
         g = graph_factory()
         dev = Device(spec)
-        res = ooc_floyd_warshall(g, dev, engine=KernelEngine(backend="reference"))
+        res = ooc_floyd_warshall(g, dev, engine=numpy_engine())
         b = plan_fw_block_size(g.num_vertices, spec, overlap=True)
         ir = emit_fw_ir(g.num_vertices, spec, block_size=b, overlap=True)
         self._assert_pinned(
@@ -300,7 +300,7 @@ class TestTimingAgreement:
     def test_boundary_makespan(self, graph_factory, spec, pinned):
         g = graph_factory()
         dev = Device(spec)
-        res = ooc_boundary(g, dev, seed=0, engine=KernelEngine(backend="reference"))
+        res = ooc_boundary(g, dev, seed=0, engine=numpy_engine())
         pred = predict_timing([emit_boundary_ir(g, spec, seed=0)], spec)
         self._assert_pinned(pinned[2], res.simulated_seconds, pred, [dev.clock])
 
@@ -436,7 +436,7 @@ class TestAnalyticSelector:
         report = Selector(TEST_DEVICE, analytic=True).select(g)
         if {"johnson", "floyd-warshall"} <= set(report.estimates):
             dyn_fw = ooc_floyd_warshall(
-                g, Device(TEST_DEVICE), engine=KernelEngine(backend="reference")
+                g, Device(TEST_DEVICE), engine=numpy_engine()
             ).simulated_seconds
             dyn_jn = ooc_johnson(g, Device(TEST_DEVICE)).simulated_seconds
             analytic_says_fw = (

@@ -1,18 +1,19 @@
-"""Cross-backend equivalence and contract tests for the kernel engine.
+"""Cross-path equivalence and contract tests for the kernel engine.
 
-Every backend registered in :mod:`repro.core.backends`, and the engine's
+The engine on the numpy kernels, on the compiled kernels, and with its
 split of a product into column panels across threads, must produce
 results **bit-identical** to the naive rank-1 reference loop — min is
 order-independent and float32 ``a + b`` rounds identically regardless of
-JIT compilation or threading, so equality here is exact ``array_equal``,
+compilation or threading, so equality here is exact ``array_equal``,
 not ``allclose``. The suite covers random, inf-heavy, empty, degenerate,
 and non-square tiles (parametrized and property-based),
 Floyd–Warshall closure, the engine's dtype/layout coercion rules, its
-serial-or-split rule, the environment/API selection knobs, and the
-graceful C→numpy fallback.
+serial-or-split rule, the one switch ``REPRO_JIT`` (for the engine and
+batched Near-Far alike), and the graceful C→numpy fallback.
 """
 
 import contextlib
+import importlib
 import os
 import sys
 import threading
@@ -23,42 +24,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.backends.jit as jit
 import repro.core.engine as engine_mod
-from repro.core.backends import backend_names, create_backend
 from repro.core.backends.base import finite_column_indices, numpy_fw_inplace, rank1_update
-from repro.core.backends.jit import JITBackend
-from repro.core.backends.reference import ReferenceBackend
 from repro.core.blocked_fw import blocked_floyd_warshall, floyd_warshall_inplace
 from repro.core.engine import (
-    ENV_BACKEND,
     KernelEngine,
     default_engine,
     panel_count,
     reset_default_engine,
-    set_default_backend,
 )
 from repro.core.minplus import DIST_DTYPE, minplus, minplus_update
-from tests.conftest import forced_split
+from tests.conftest import forced_split, numpy_engine
 
-BACKENDS = backend_names()
-
-#: the engine case that splits every product: the ``jit`` engine with the
-#: cutoff forced to 0, three column panels on the shared thread pool
-SPLIT = "threaded"
-
-#: engine cases: each backend, and :data:`SPLIT`
-ENGINES = (*BACKENDS, SPLIT)
+#: engine cases, by the ids these tests have always carried: the engine
+#: built under ``REPRO_JIT=off`` (numpy kernels), the default-built one
+#: (compiled kernels when a compiler loads), and the latter with the
+#: split cutoff forced to 0, three column panels on the shared pool
+NUMPY, COMPILED, SPLIT = "reference", "jit", "threaded"
+ENGINES = (NUMPY, COMPILED, SPLIT)
 
 
 @contextlib.contextmanager
 def engine_case(case):
     """The :class:`KernelEngine` an :data:`ENGINES` case names, live for
     the ``with`` block (the split case forces the split inside it)."""
-    if case != SPLIT:
-        yield KernelEngine(case)
-        return
-    with forced_split(workers=3):
-        yield KernelEngine("jit")
+    if case == NUMPY:
+        yield numpy_engine()
+    elif case == COMPILED:
+        yield KernelEngine()
+    else:
+        with forced_split(workers=3):
+            yield KernelEngine()
 
 
 @pytest.fixture(autouse=True)
@@ -143,8 +140,9 @@ def test_backend_empty_tiles(backend, shape):
     seed=st.integers(0, 2**16),
 )
 def test_backends_agree_property(bi, bk, bj, inf_frac, seed):
-    """Property: all backends, and the jit engine with the cutoff forced
-    to 0 (every product split), agree bit-for-bit on arbitrary tiles."""
+    """Property: the numpy and compiled engines, and the compiled one with
+    the cutoff forced to 0 (every product split), agree bit-for-bit on
+    arbitrary tiles."""
     c, a, b = random_tiles((bi, bk, bj), inf_frac, seed)
     expected = naive_update(c, a, b)
     for name in ENGINES:
@@ -229,7 +227,7 @@ def test_engine_coerces_fortran_operands():
     c, a, b = random_tiles((20, 16, 12), inf_frac=0.2, seed=9)
     expected = naive_update(c, a, b)
     got = c.copy()
-    KernelEngine("jit").update(got, np.asfortranarray(a), np.asfortranarray(b))
+    KernelEngine().update(got, np.asfortranarray(a), np.asfortranarray(b))
     assert np.array_equal(got, expected)
     assert got.dtype == DIST_DTYPE
 
@@ -237,7 +235,7 @@ def test_engine_coerces_fortran_operands():
 def test_engine_float64_accumulator_keeps_dtype():
     c, a, b = random_tiles((10, 8, 6), seed=13)
     c64 = c.astype(np.float64)
-    got = KernelEngine("jit").update(c64, a, b)
+    got = KernelEngine().update(c64, a, b)
     assert got is c64 and got.dtype == np.float64
     assert np.array_equal(got, naive_update(c, a, b).astype(np.float64))
 
@@ -247,13 +245,13 @@ def test_engine_strided_output_updated_in_place():
     base = c.T.copy()  # c-view through a transpose: non-unit last stride
     view = base.T
     expected = naive_update(view.copy(), a, b)
-    got = KernelEngine("jit").update(view, a, b)
+    got = KernelEngine().update(view, a, b)
     assert got is view
     assert np.array_equal(view, expected)
 
 
 def test_engine_shape_validation():
-    eng = KernelEngine("reference")
+    eng = numpy_engine()
     with pytest.raises(ValueError, match="incompatible shapes"):
         eng.update(
             np.zeros((2, 2), DIST_DTYPE),
@@ -262,15 +260,15 @@ def test_engine_shape_validation():
         )
     with pytest.raises(ValueError, match="square"):
         eng.fw_inplace(np.zeros((2, 3), DIST_DTYPE))
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        KernelEngine("nope")
+    with pytest.raises(TypeError):
+        KernelEngine("jit")  # no kernels by name: REPRO_JIT picks them
 
 
 def test_minplus_module_dispatch():
     c, a, b = random_tiles((12, 9, 14), inf_frac=0.2, seed=23)
     expected = naive_update(np.full_like(c, np.inf), a, b)
     assert np.array_equal(minplus(a, b), expected)
-    assert np.array_equal(minplus(a, b, engine=KernelEngine("reference")), expected)
+    assert np.array_equal(minplus(a, b, engine=numpy_engine()), expected)
     got = np.full_like(c, np.inf)
     with engine_case(SPLIT) as eng:
         minplus_update(got, a, b, engine=eng)
@@ -278,41 +276,70 @@ def test_minplus_module_dispatch():
 
 
 # ----------------------------------------------------------------------
-# Selection knobs
+# The one switch
 # ----------------------------------------------------------------------
-def test_env_variable_selects_backend(monkeypatch):
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    assert default_engine().name == "jit"  # the default
-    monkeypatch.setenv(ENV_BACKEND, "reference")
-    assert default_engine().name == "reference"  # re-resolves on env change
-    monkeypatch.setenv(ENV_BACKEND, "jit")
-    assert default_engine().name == "jit"
+def test_repro_jit_switches_both_kernels_after_a_solve(monkeypatch):
+    """``REPRO_JIT`` alone picks the kernels, and a process follows it
+    after its first solve: off, the default engine's min-plus/FW tiles
+    and batched Near-Far both run numpy; unset again, both run compiled."""
+    from repro.core import solve_apsp
+    from repro.graphs.generators import rmat
 
+    # the package re-exports the function ``near_far`` under the module's name
+    near_far_mod = importlib.import_module("repro.sssp.near_far")
+    monkeypatch.delenv("REPRO_JIT", raising=False)
+    if near_far_mod.compiled_kernel() is None:
+        pytest.skip("no C compiler loads")
+    ran = []
 
-def test_set_default_backend_pins(monkeypatch):
-    set_default_backend("reference")
-    monkeypatch.setenv(ENV_BACKEND, "jit")
-    assert default_engine().name == "reference"  # pinned beats the env
+    def spy(name, fn):
+        def recorded(*args, **kwargs):
+            ran.append(name)
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    for mod, attr, name in (
+        (engine_mod, "rank1_update", "numpy tiles"),
+        (engine_mod, "numpy_fw_inplace", "numpy tiles"),
+        (near_far_mod, "_numpy_batch", "numpy near-far"),
+        (near_far_mod, "_compiled_batch", "cc near-far"),
+    ):
+        monkeypatch.setattr(mod, attr, spy(name, getattr(mod, attr)))
+    graph = rmat(120, 900, seed=7)
+
+    def kernels_run():
+        ran.clear()
+        fw = solve_apsp(graph, algorithm="floyd-warshall")
+        solve_apsp(graph, algorithm="johnson")
+        assert fw.stats["kernel_backend"] == default_engine().describe()
+        return default_engine().flavor, sorted(set(ran))
+
+    assert kernels_run() == ("cc", ["cc near-far"])
+    monkeypatch.setenv("REPRO_JIT", "off")
+    assert kernels_run() == ("numpy", ["numpy near-far", "numpy tiles"])
+    monkeypatch.delenv("REPRO_JIT")
+    assert kernels_run() == ("cc", ["cc near-far"])
 
 
 def test_jit_off_falls_back(monkeypatch):
     monkeypatch.setenv("REPRO_JIT", "off")
-    backend = JITBackend()
-    assert backend.flavor == "fallback" and not backend.compiled
+    eng = KernelEngine()
+    assert eng.flavor == "numpy" and eng.describe() == "numpy"
     c, a, b = random_tiles((9, 9, 9), inf_frac=0.2, seed=29)
     got = c.copy()
-    backend.update(got, a, b)
+    eng.update(got, a, b)
     assert np.array_equal(got, naive_update(c, a, b))
 
 
 # ----------------------------------------------------------------------
-# Compiled-C flavor: simd fast path
+# Compiled kernels: simd fast path
 # ----------------------------------------------------------------------
-HAVE_CC = JITBackend().flavor == "cc"
+#: the compiled kernels, called directly (``None`` under ``REPRO_JIT=off``
+#: or without a compiler)
+CC = jit.compiled_kernels()
 
-cc_only = pytest.mark.skipif(
-    not HAVE_CC, reason="no C compiler available for the cc flavor"
-)
+cc_only = pytest.mark.skipif(CC is None, reason="no compiled kernels load")
 
 
 @cc_only
@@ -323,7 +350,7 @@ def test_cc_flavor_bit_identical(flavor, shape, inf_frac):
     c, a, b = random_tiles(shape, inf_frac, seed=hash((flavor, shape)) % 2**32)
     expected = naive_update(c, a, b)
     got = c.copy()
-    JITBackend().update(got, a, b)
+    CC.update(got, a, b, 256)
     assert np.array_equal(got, expected)
 
 
@@ -352,7 +379,7 @@ def test_cc_flavors_agree_on_strided_views(bi, bk, bj, pad, tile, inf_frac, seed
 
     expected = naive_update(c, a, b)
     got = padded(c)
-    JITBackend(tile=tile).update(got, padded(a), padded(b))
+    CC.update(got, padded(a), padded(b), tile)
     assert np.array_equal(got, expected)
 
 
@@ -363,30 +390,33 @@ def test_cc_inf_column_fast_path():
     c, a, b = random_tiles((31, 19, 23), inf_frac=0.0, seed=3)
     a[:, ::2] = np.inf
     got = c.copy()
-    JITBackend().update(got, a, b)
+    CC.update(got, a, b, 256)
     assert np.array_equal(got, naive_update(c, a, b))
 
 
 # ----------------------------------------------------------------------
 # The serial-or-split rule
 # ----------------------------------------------------------------------
-class _RecordingBackend(ReferenceBackend):
-    """Reference backend that logs the column range of ``C`` it gets."""
+def _recording_engine(monkeypatch, whole=None):
+    """An engine whose kernel calls log the rows and the column range of
+    ``C`` (within ``whole``) each one gets; returns it and the log."""
+    eng = KernelEngine()
+    calls = []
+    serial = eng._serial
 
-    def __init__(self, whole=None):
-        self.calls = []
-        self.whole = whole
-
-    def update(self, c, a, b):
+    def recorded(c, a, b):
         lo = 0
-        if self.whole is not None:
-            lo = (c.ctypes.data - self.whole.ctypes.data) // c.itemsize
-        self.calls.append((c.shape[0], lo, lo + c.shape[1]))
-        return super().update(c, a, b)
+        if whole is not None:
+            lo = (c.ctypes.data - whole.ctypes.data) // c.itemsize
+        calls.append((c.shape[0], lo, lo + c.shape[1]))
+        serial(c, a, b)
+
+    monkeypatch.setattr(eng, "_serial", recorded)
+    return eng, calls
 
 
 def test_split_rule_one_call_below_cutoff_panels_at_or_above(monkeypatch):
-    """Below the work cutoff the backend sees one call on all of ``C``;
+    """Below the work cutoff the kernel sees one call on all of ``C``;
     at or above it, ``default_workers()`` disjoint column panels that
     together cover ``C``, with the result unchanged."""
     monkeypatch.setattr(engine_mod, "default_workers", lambda: 3)
@@ -399,9 +429,9 @@ def test_split_rule_one_call_below_cutoff_panels_at_or_above(monkeypatch):
     ):
         monkeypatch.setattr(engine_mod, "SPLIT_WORK", cutoff)
         c = c0.copy()
-        backend = _RecordingBackend(whole=c)
-        KernelEngine(backend).update(c, a, b)
-        assert sorted(backend.calls) == calls
+        eng, got = _recording_engine(monkeypatch, whole=c)
+        eng.update(c, a, b)
+        assert sorted(got) == calls
         assert np.array_equal(c, expected)
     monkeypatch.setattr(engine_mod, "SPLIT_WORK", 0)
     assert panel_count(40, 30, 2) == 2  # never more panels than columns
@@ -409,22 +439,22 @@ def test_split_rule_one_call_below_cutoff_panels_at_or_above(monkeypatch):
     assert panel_count(40, 30, 500) == 1
 
 
-def test_split_joins_every_panel_before_raising():
+def test_split_joins_every_panel_before_raising(monkeypatch):
     """A panel that raises surfaces only after the other panel returned:
     no worker is still writing ``C`` when the caller sees the error."""
     returned = threading.Event()
-
-    class FailFirstPanel(ReferenceBackend):
-        def update(self, c, a, b):
-            if c.ctypes.data == whole.ctypes.data:
-                raise RuntimeError("panel 0 failed")
-            time.sleep(0.2)
-            super().update(c, a, b)
-            returned.set()
-            return c
-
     whole, a, b = random_tiles((8, 4, 10), seed=3)
-    eng = KernelEngine(FailFirstPanel())
+    eng = KernelEngine()
+    serial = eng._serial
+
+    def fail_first_panel(c, a, b):
+        if c.ctypes.data == whole.ctypes.data:
+            raise RuntimeError("panel 0 failed")
+        time.sleep(0.2)
+        serial(c, a, b)
+        returned.set()
+
+    monkeypatch.setattr(eng, "_serial", fail_first_panel)
     with forced_split(workers=2):
         with pytest.raises(RuntimeError, match="panel 0 failed"):
             eng.update(whole, a, b)
@@ -483,7 +513,7 @@ def test_split_concurrent_callers_stress():
     """Four caller threads share one engine and its pool, every product
     split into three panels (more workers than cores) with a short switch
     interval: a panel lost or written twice would change a result."""
-    eng = KernelEngine("jit")
+    eng = KernelEngine()
     cases = [random_tiles((33, 17, 45), 0.2, seed=s) for s in range(4)]
     failures = []
 
@@ -520,23 +550,22 @@ def _stage2_operands(seed=37):
     return tile, diag
 
 
-def test_split_rejects_aliased_operands_before_any_panel():
+def test_split_rejects_aliased_operands_before_any_panel(monkeypatch):
     """FW stage 2 on one panel, ``T ⊗ diag`` over ``T``: split into column
     panels, an aliased ``update(T, T, diag)`` would let each worker read
     the panels the others are writing. The engine rejects it before any
-    panel reaches the backend; the fresh product that replaces it has a
+    panel reaches a kernel; the fresh product that replaces it has a
     disjoint output and is split like any other update."""
     tile, diag = _stage2_operands()
     before = tile.copy()
-    backend = _RecordingBackend()
-    eng = KernelEngine(backend)
+    eng, calls = _recording_engine(monkeypatch)
     with forced_split(workers=2):
         with pytest.raises(ValueError, match="shares memory"):
             eng.update(tile, tile, diag)
-        assert backend.calls == [] and np.array_equal(tile, before)
+        assert calls == [] and np.array_equal(tile, before)
         eng.minplus(tile, diag)
-    assert [rows for rows, *_ in backend.calls] == [64, 64]
-    assert sorted(hi - lo for _, lo, hi in backend.calls) == [128, 128]
+    assert [rows for rows, *_ in calls] == [64, 64]
+    assert sorted(hi - lo for _, lo, hi in calls) == [128, 128]
 
 
 @pytest.mark.parametrize("pattern", ["c==a", "c==b"])
@@ -550,7 +579,7 @@ def test_threaded_aliased_matches_serial_inner(pattern):
     tile, diag = _stage2_operands()
     if pattern == "c==b":
         tile = np.ascontiguousarray(np.vstack([tile] * 4).T)  # 256×256
-    serial = KernelEngine("jit")
+    serial = KernelEngine()
 
     def product(eng, tile):
         if pattern == "c==a":
@@ -578,57 +607,63 @@ def test_forced_split_keeps_distances_and_simulated_seconds(algorithm):
     from repro.graphs.generators import rmat
 
     g = rmat(600, 4800, seed=5)
-    base = solve_apsp(g, algorithm=algorithm, kernel_backend="jit")
+    base = solve_apsp(g, algorithm=algorithm)
     with forced_split(workers=2):
-        split = solve_apsp(g, algorithm=algorithm, kernel_backend="jit")
+        split = solve_apsp(g, algorithm=algorithm)
     assert split.simulated_seconds == base.simulated_seconds
     assert np.array_equal(split.store.data, base.store.data)
 
 
 def test_default_engine_opens_no_file_and_times_nothing(monkeypatch):
-    """With nothing set the engine is ``jit``, built without reading a
-    file and without running a single product: nothing is calibrated."""
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    JITBackend()  # the C kernels load (and may compile) outside the check
+    """With nothing set the engine runs the compiled kernels (numpy without
+    a compiler), built without reading a file and without running a
+    single product: nothing is calibrated."""
+    monkeypatch.delenv("REPRO_JIT", raising=False)
+    kernels = jit.compiled_kernels()  # loads (and may compile) outside the check
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"building the default engine ran {args[:1]}")
 
     monkeypatch.setattr("builtins.open", refuse)
     monkeypatch.setattr("io.open", refuse)
-    for cls in (ReferenceBackend, JITBackend):
-        monkeypatch.setattr(cls, "update", refuse)
-        monkeypatch.setattr(cls, "fw_inplace", refuse)
+    for mod, attr in ((engine_mod, "rank1_update"), (engine_mod, "numpy_fw_inplace"),
+                      (jit._CCKernels, "update"), (jit._CCKernels, "fw_tile")):
+        monkeypatch.setattr(mod, attr, refuse)
     eng = default_engine()
-    assert eng.name == "jit" and eng.tuned is None
+    assert eng.flavor == ("numpy" if kernels is None else "cc") and eng.tuned is None
 
 
-def test_registry_contents():
-    assert backend_names() == ("reference", "jit")
-    # every registered backend is constructible in this environment
-    # (jit degrades to its fallback flavor rather than dropping out)
-    for name in BACKENDS:
-        assert create_backend(name).name == name
-
-
-def test_removed_backend_names_the_choices(monkeypatch, capsys):
+def test_cli_has_no_kernel_option(capsys):
+    """The kernels have no CLI option: neither ``solve`` nor
+    ``bench-kernels`` lists one naming a backend, and the sweep's old
+    ``--backends`` is a usage error (exit 2)."""
     from repro.cli import main
 
-    for name in ("tiled", "threaded", "auto"):
-        monkeypatch.setenv(ENV_BACKEND, name)
-        with pytest.raises(ValueError, match=r"choose from \('reference', 'jit'\)"):
-            default_engine()
-        with pytest.raises(SystemExit):
-            main(["solve", "er:n=20,m=40", "--kernel-backend", name])
-        assert "choose from '', 'reference', 'jit')" in capsys.readouterr().err
+    for command in ("solve", "bench-kernels"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "backend" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench-kernels", "--sizes", "8", "--backends", "jit", "--no-save"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_solve_apsp_kernel_backend_arg():
+def test_solve_apsp_engine_option_reaches_the_driver():
+    """``solve_apsp`` takes no kernel name; an ``engine=`` option reaches
+    the FW driver, where the numpy engine gives the default's distances,
+    and Johnson, which runs no min-plus tiles, ignores it."""
     from repro.core import solve_apsp
     from repro.graphs.generators import erdos_renyi
 
     g = erdos_renyi(60, 300, seed=1)
-    base = solve_apsp(g, algorithm="floyd-warshall", kernel_backend="reference")
-    fast = solve_apsp(g, algorithm="floyd-warshall", kernel_backend="jit")
-    assert fast.stats["kernel_backend"].startswith("jit")
+    with pytest.raises(TypeError, match="kernel_backend"):
+        solve_apsp(g, algorithm="floyd-warshall", kernel_backend="jit")
+    base = solve_apsp(g, algorithm="floyd-warshall", engine=numpy_engine())
+    fast = solve_apsp(g, algorithm="floyd-warshall")
+    assert base.stats["kernel_backend"] == "numpy"
+    assert fast.stats["kernel_backend"] == default_engine().describe()
     assert np.array_equal(base.store.data, fast.store.data)
+    johnson = solve_apsp(g, algorithm="johnson", engine=numpy_engine())
+    assert np.array_equal(johnson.store.data, fast.store.data)

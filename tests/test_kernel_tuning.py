@@ -127,15 +127,18 @@ def test_cc_build_info_reports_degraded_sanitizer(tmp_path, monkeypatch):
 
 
 def test_no_compiler_falls_back_to_python_kernels(tmp_path, monkeypatch):
-    """cc absent: load_cc_kernels is None and JITBackend still computes."""
+    """cc absent: load_cc_kernels is None and the engine still computes."""
     import repro.core.backends.jit as jit
+    from repro.core.engine import KernelEngine
 
+    monkeypatch.delenv("REPRO_JIT", raising=False)
     monkeypatch.setenv("REPRO_CC", str(tmp_path / "no-such-cc"))
     monkeypatch.setattr(jit, "_CC_KERNELS", {})
     assert jit.load_cc_kernels() is None
     assert jit.cc_build_info() is None
-    backend = jit.JITBackend()
-    assert backend.flavor == "fallback"  # honest, no phantom cc
+    assert jit.compiled_kernels() is None
+    backend = KernelEngine()
+    assert backend.flavor == "numpy"  # honest, no phantom cc
     n = 16
     rng = np.random.default_rng(7)
     a = rng.random((n, n)).astype(np.float32)
@@ -149,9 +152,10 @@ def test_no_compiler_falls_back_to_python_kernels(tmp_path, monkeypatch):
 
 
 def test_loader_errors_are_not_swallowed(monkeypatch):
-    """A failed compile or load (``OSError``) degrades to ``fallback``;
-    any other error in the build propagates."""
+    """A failed compile or load (``OSError``) degrades to the numpy
+    kernels; any other error in the build propagates."""
     import repro.core.backends.jit as jit
+    from repro.core.engine import KernelEngine
 
     monkeypatch.setenv("REPRO_CC", "sh")  # any executable: nothing compiles
 
@@ -167,7 +171,7 @@ def test_loader_errors_are_not_swallowed(monkeypatch):
         jit.load_cc_kernels()
     monkeypatch.setattr(jit, "_compile_and_load", broken(OSError("cc exited 1")))
     assert jit.load_cc_kernels() is None
-    assert jit.JITBackend().flavor == "fallback"
+    assert KernelEngine().flavor == "numpy"
 
 
 @needs_gcc

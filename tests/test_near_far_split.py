@@ -5,8 +5,9 @@ one kernel call per contiguous row range and merges the ranges' level
 records into the batch's ``NearFarStats``. Every pinned case must give
 the pinned stats and distance digest at 2, 3 and one range per row; the
 merge sums heavy edges across ranges before rounding them up to child
-blocks; and a range that flags the rounding case or stops (a stalled
-split) reruns the batch as one range, so the outcome is the unsplit one.
+blocks; and a range that flags a rounding case (a split below its own
+value, or one stepped twice) or stops (a stalled split) reruns the batch
+as one range, so the outcome is the unsplit one.
 """
 
 from __future__ import annotations
@@ -200,6 +201,22 @@ def test_rounding_case_reruns_as_one_range(range_calls, monkeypatch):
     want_dist, want_stats = _one_range(graph, sources, delta)
     assert dist.tobytes() == want_dist.tobytes() and stats == want_stats
     assert dist[0, 1] == d
+
+
+@needs_kernel
+def test_second_split_step_reruns_as_one_range(range_calls, monkeypatch):
+    """Row 0 waits at the Far distance 8.1, where the split ``81 · 0.1``
+    rounds onto 8.1 and steps to ``82 · 0.1``: the range flags it, and
+    the batch reruns as one range, with the numpy loop's outcome."""
+    monkeypatch.delenv("REPRO_JIT", raising=False)
+    graph = CSRGraph.from_edges(4, [0, 2], [1, 3], [8.1, 0.05])
+    sources = np.array([0, 2])
+    with forced_split(2):
+        dist, stats = near_far_batch(graph, sources, delta=0.1)
+    assert range_calls == [1, 1, 2]  # two ranges, then the batch as one
+    want_dist, want_stats = near_far_module._numpy_batch(graph, sources, 0.1, 32)
+    assert dist.tobytes() == want_dist.tobytes() and stats == want_stats
+    assert dist[0, 1] == 8.1
 
 
 @needs_kernel

@@ -199,6 +199,39 @@ class TestNearFarInputs:
         dist, _ = near_far(_two_edge_path(), 0, delta=1e-12)
         assert dist.tolist() == [0.0, 37.0, 42.0]
 
+    def test_split_that_rounds_onto_a_decimal_distance(self, near_far_path):
+        """``81 * 0.1`` rounds to 8.1, so the split after the Far distance
+        8.1, ``(floor(8.1 / 0.1) + 1) * 0.1``, does not pass it; the split
+        steps once more to ``82 * 0.1`` instead of raising."""
+        g = CSRGraph.from_edges(2, [0], [1], [8.1])
+        assert not (np.floor(8.1 / 0.1) + 1) * 0.1 > 8.1
+        dist, _ = near_far(g, 0, delta=0.1)
+        assert np.array_equal(dist, oracle_sssp(g, [0])[0])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_decimal_weights_match_scipy(self, near_far_path, data):
+        """Decimal Δ (one or two digits) and decimal weights that are
+        whole multiples of it, each the double nearest its decimal value,
+        so Δ is at least 1e-6 × the largest weight: every row equals
+        scipy's. Their path sums keep landing on a split that rounds onto
+        them (``81 · 0.1`` is 8.1)."""
+        n = data.draw(st.integers(2, 16))
+        num, den = data.draw(st.integers(1, 20)), data.draw(st.sampled_from([10, 100]))
+        delta = num / den
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 100)),
+            min_size=1, max_size=4 * n,
+        ))
+        src, dst, steps = (list(col) for col in zip(*edges))
+        weights = np.array(steps) * num / den
+        g = CSRGraph.from_edges(n, src, dst, weights)
+        assert delta >= 1e-6 * weights.max()
+        dist, _ = near_far_batch(g, np.arange(n), delta=delta)
+        assert np.allclose(dist, oracle_sssp(g, np.arange(n)), rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("jit", ["on", "off"])
     def test_stalled_split_raises(self, jit):
         """``(floor(37 / 1e-15) + 1) * 1e-15`` rounds to 37.0, so the split

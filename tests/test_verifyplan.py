@@ -39,7 +39,7 @@ from repro.verifyplan import (
     update_traffic,
     verify_plan,
 )
-from tests.conftest import forced_split, timed_op_names
+from tests.conftest import forced_split, numpy_engine, timed_op_names
 
 V100_64 = V100.scaled(1 / 64)
 
@@ -161,15 +161,15 @@ class TestStaticDynamicAgreement:
         # The kernel engine only changes how each block update computes,
         # never the schedule: with every product split into four column
         # panels it moves the bytes the verifier proves, in the same
-        # simulated time, to the same distances as the reference and
-        # default engines.
+        # simulated time, to the same distances as the numpy and default
+        # engines.
         from repro.core.engine import KernelEngine, default_engine
 
         g = road_like(400, 2.6, seed=7)
         audit = verify_plan(g, TEST_DEVICE, algorithms=["fw"]).audits["floyd-warshall"]
         runs = []
-        for engine, split in ((KernelEngine(backend="reference"), False),
-                              (default_engine(), False), (KernelEngine(backend="jit"), True)):
+        for engine, split in ((numpy_engine(), False),
+                              (default_engine(), False), (KernelEngine(), True)):
             device = Device(TEST_DEVICE)
             with forced_split(workers=4) if split else contextlib.nullcontext():
                 runs.append(ooc_floyd_warshall(g, device, engine=engine))
