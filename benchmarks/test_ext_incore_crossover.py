@@ -5,11 +5,13 @@ graphs". This experiment sweeps n across the device-memory boundary and
 shows (a) in-core FW is the fastest choice while the matrix fits (no
 per-iteration streaming), (b) it hard-fails beyond the boundary where the
 out-of-core driver keeps going with a modest streaming overhead.
+
+In-core FW is the out-of-core driver's one-block plan
+(``block_size=n``): upload, one on-device closure, download.
 """
 
 from repro.bench import ExperimentRecord, device_profile
 from repro.core import ooc_floyd_warshall
-from repro.core.incore import fits_in_core, incore_apsp
 from repro.gpu.device import Device
 from repro.gpu.errors import OutOfMemoryError
 from repro.graphs.generators import erdos_renyi
@@ -31,9 +33,9 @@ def run_experiment() -> ExperimentRecord:
     boundary = int(math.sqrt(spec.memory_bytes / 4))
     for n in (boundary // 4, boundary // 2, int(boundary * 0.9), int(boundary * 1.5), boundary * 3):
         graph = erdos_renyi(n, 8 * n, seed=n)
-        fits = fits_in_core(n, spec)
+        fits = n * n * 4 <= spec.memory_bytes
         try:
-            t_in = incore_apsp(graph, Device(spec)).simulated_seconds
+            t_in = ooc_floyd_warshall(graph, Device(spec), block_size=n).simulated_seconds
         except OutOfMemoryError:
             t_in = None
         t_ooc = ooc_floyd_warshall(graph, Device(spec)).simulated_seconds

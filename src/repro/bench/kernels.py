@@ -9,10 +9,8 @@ engine's kernels: ``cc``, or ``numpy`` under ``REPRO_JIT=off``) on
 records the panel count. Each config is repeated so its row carries its
 best time plus the median and quartiles, every result is verified
 bit-identical to the numpy one, and :func:`save_sweep` persists the rows
-to ``BENCH_kernels.json`` at the repository root.
-:class:`~repro.verifyplan.timing.TimingCalibration` prices analytic
-selection off the best bit-identical row; the engine never reads this
-file.
+to ``BENCH_kernels.json`` at the repository root. Neither the engine
+nor the selector reads this file.
 
 Entry points: ``python -m repro bench-kernels`` and
 ``benchmarks/test_kernel_backends.py``.

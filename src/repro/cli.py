@@ -230,29 +230,9 @@ def cmd_select(args) -> int:
 
     graph = _load_graph(args)
     spec = _device_spec(args)
-    timing_calibration = None
-    if args.calibrated:
-        if not args.analytic:
-            raise SystemExit("--calibrated requires --analytic")
-        from repro.verifyplan.timing import TimingCalibration
-
-        timing_calibration = TimingCalibration.from_bench()
-        if timing_calibration.minplus_rate is None and not args.json:
-            print("no measured kernel rate found; run `repro bench-kernels` first")
-        elif not args.json:
-            print(
-                f"pricing min-plus off the measured kernel: "
-                f"{timing_calibration.minplus_rate / 1e9:.2f} Gop/s"
-            )
     if not args.json and not args.analytic:
         print("calibrating cost models...")
-    selector = Selector(
-        spec,
-        density_scale=args.scale,
-        seed=0,
-        analytic=args.analytic,
-        timing_calibration=timing_calibration,
-    )
+    selector = Selector(spec, density_scale=args.scale, seed=0, analytic=args.analytic)
     report = selector.select(graph)
     if args.json:
         print(_json.dumps(
@@ -675,10 +655,7 @@ def main(argv=None) -> int:
     add_graph_args(p)
     p.add_argument("--analytic", action="store_true",
                    help="rank candidates by the symbolic schedule-DAG "
-                        "critical path instead of calibration/sampling runs")
-    p.add_argument("--calibrated", action="store_true",
-                   help="with --analytic: price min-plus off the measured "
-                        "kernel rate in BENCH_kernels.json (repro bench-kernels)")
+                        "critical path instead of the calibrated cost models")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_select)
 

@@ -26,7 +26,6 @@ from repro.core.ooc_boundary import (
     ooc_boundary,
     plan_boundary,
 )
-from repro.core.incore import fits_in_core, incore_apsp
 from repro.core.multi_gpu import ooc_boundary_multi
 from repro.core.ooc_fw import ooc_floyd_warshall, plan_fw_block_size
 from repro.core.ooc_johnson import ooc_johnson, plan_batch_size
@@ -50,8 +49,6 @@ __all__ = [
     "minplus",
     "minplus_update",
     "VerificationReport",
-    "fits_in_core",
-    "incore_apsp",
     "ooc_boundary",
     "ooc_boundary_multi",
     "ooc_floyd_warshall",

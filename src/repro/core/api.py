@@ -30,7 +30,6 @@ def solve_apsp(
     faults=None,
     retry=None,
     checkpoint_dir=None,
-    resume_from=None,
     **algorithm_options,
 ) -> APSPResult:
     """Solve all-pairs shortest paths out-of-core.
@@ -59,12 +58,9 @@ def solve_apsp(
         budget/backoff schedule.
     checkpoint_dir:
         Directory for per-outer-iteration checkpoints; a later call with
-        ``resume_from`` pointing at the same directory resumes the run.
-    resume_from:
-        Existing checkpoint directory to resume from (implies
-        ``checkpoint_dir=resume_from``). Raises
-        :class:`~repro.faults.CheckpointError` if the directory does not
-        exist or belongs to a different graph/algorithm.
+        the same directory resumes from whatever it holds (a
+        :class:`~repro.faults.CheckpointError` if that belongs to a
+        different graph/algorithm).
     algorithm_options:
         Forwarded to the chosen driver (e.g. ``overlap``,
         ``batch_transfers``, ``dynamic_parallelism``, ``num_components``,
@@ -83,16 +79,6 @@ def solve_apsp(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    if resume_from is not None:
-        from pathlib import Path
-
-        from repro.faults import CheckpointError
-
-        if not Path(resume_from).is_dir():
-            raise CheckpointError(
-                f"resume_from directory does not exist [{resume_from}]"
-            )
-        checkpoint_dir = resume_from
     if device is None:
         device = Device(V100, faults=faults, retry=retry)
     elif isinstance(device, DeviceSpec):

@@ -28,6 +28,7 @@ import contextlib
 
 from repro.core.engine import default_engine
 from repro.core.ooc_boundary import (
+    BoundaryInfeasibleError,
     BoundaryPlan,
     _block_ops,
     _BoundaryHost,
@@ -64,13 +65,15 @@ def ooc_boundary_multi(
     """Solve APSP with the boundary algorithm across ``devices``.
 
     All devices must share a spec-compatible memory budget (the plan is
-    validated against the smallest device). With ``overlap=True`` each
-    device drains its step-4 output strips asynchronously on a
-    ``multi-copy`` stream behind ``strip-ready``/``strip-down`` event
-    edges, double-buffering two strips so compute on strip ``p+1``
-    overlaps the download of strip ``p`` (costs one extra strip of
-    device memory per device; off by default to keep the baseline
-    footprint).
+    validated against the smallest device). Each device holds one output
+    strip (a block-row), so a plan with no room for one (``n_row == 0``)
+    raises :class:`~repro.core.ooc_boundary.BoundaryInfeasibleError`
+    before any device work. With ``overlap=True`` each device drains its
+    step-4 strips asynchronously on a ``multi-copy`` stream behind
+    ``strip-ready``/``strip-down`` event edges, in the plan's
+    ``num_buffers`` strips: with two, compute on strip ``p+1`` overlaps
+    the download of strip ``p`` (costs one extra strip of device memory
+    per device; off by default to keep the baseline footprint).
 
     ``checkpoint`` saves the same ``dist2-{i}``/``dist3``/``dist4``
     stages as the single-device driver (stamped ``boundary-multi``, so
@@ -86,6 +89,7 @@ def ooc_boundary_multi(
         plan = plan_boundary(
             graph, smallest, num_components=num_components, seed=seed
         )
+    _check_strip_room(plan, smallest)
     state = _BoundaryHost(graph, plan, store_mode=store_mode, store_dir=store_dir)
 
     for dev in devices:
@@ -108,8 +112,7 @@ def ooc_boundary_multi(
 
     elapsed = _barrier(devices)
     state.host.flush()
-    # the trace's end − start sum, which these stats have always reported
-    per_device = [dev.clock.busy_time("compute") for dev in devices]
+    per_device = [dev.clock.busy["compute"] for dev in devices]
     merged = devices[0].fault_report
     for dev in devices[1:]:
         merged = merged.merged(dev.fault_report)
@@ -131,6 +134,15 @@ def ooc_boundary_multi(
     )
 
 
+def _check_strip_room(plan: BoundaryPlan, spec: DeviceSpec) -> None:
+    """Step 4 needs room for one output strip per device."""
+    if plan.n_row < 1:
+        raise BoundaryInfeasibleError(
+            0, 0, spec.memory_bytes,
+            f"no room for one output strip at k={plan.num_components}",
+        )
+
+
 def _multi_schedule(ems, plan: BoundaryPlan, n: int, overlap: bool,
                     resume: tuple[int, bool, int] = (0, False, 0)):
     """Algorithm 3 across ``len(ems)`` devices (see module docstring).
@@ -138,7 +150,8 @@ def _multi_schedule(ems, plan: BoundaryPlan, n: int, overlap: bool,
     ``ems[d]`` is device ``d``'s emitter: the round-robin dist2 tiles,
     the boundary closure on device 0 with its host-staged broadcast, each
     device's step-4 strip pipeline (async on ``multi-copy`` behind
-    ``strip-ready``/``strip-down`` edges when ``overlap=True``), and a
+    ``strip-ready``/``strip-down`` edges in the plan's ``num_buffers``
+    strips when ``overlap=True``), and a
     barrier on every device at each fleet synchronisation point. Yields
     the same checkpoint stages as the single-device schedule, one
     ``("dist4", i + 1)`` per block-row; ``resume`` skips the restored
@@ -169,10 +182,10 @@ def _multi_schedule(ems, plan: BoundaryPlan, n: int, overlap: bool,
     for em in ems:
         em.barrier("after-broadcast")
 
-    # step 4: block rows round-robin, double-buffered strips with overlap
+    # step 4: block rows round-robin, the plan's strips with overlap
     nmax = plan.max_component
     bmax = max(1, int(plan.comp_boundary.max()))
-    nbuf = 2 if overlap else 1
+    nbuf = plan.num_buffers if overlap else 1
     copier = "multi-copy" if overlap else "default"
     scratch = []
     for em in ems:
@@ -247,6 +260,7 @@ def emit_multi_ir(
         raise ValueError("need at least one device")
     if plan is None:
         plan = plan_boundary(graph, spec, num_components=num_components, seed=seed)
+    _check_strip_room(plan, spec)
     ems = [
         IREmitter(
             f"boundary-multi[{num_devices}]", f"{spec.name}#{d}",

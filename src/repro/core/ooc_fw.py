@@ -59,18 +59,17 @@ def plan_fw_block_size(n: int, spec: DeviceSpec, *, overlap: bool = True) -> int
 
 
 def transfer_stats(device: Device) -> dict:
-    """Summarise bus traffic from the device trace (shared by all drivers)."""
+    """Summarise bus traffic (shared by all drivers): bytes and copies
+    from the device trace, busy seconds from the clock's summed durations."""
     clock = device.clock
     h2d = clock.engine_ops("h2d")
     d2h = clock.engine_ops("d2h")
-    # busy seconds as the trace's end − start sums, which these stats
-    # have always reported
     return {
         "bytes_h2d": sum(op.nbytes for op in h2d),
         "bytes_d2h": sum(op.nbytes for op in d2h),
         "num_transfers": len(h2d) + len(d2h),
-        "transfer_seconds": clock.busy_time("h2d") + clock.busy_time("d2h"),
-        "compute_seconds": clock.busy_time("compute"),
+        "transfer_seconds": clock.busy["h2d"] + clock.busy["d2h"],
+        "compute_seconds": clock.busy["compute"],
     }
 
 
@@ -89,12 +88,14 @@ def ooc_floyd_warshall(
 
     ``simulated_seconds`` in the result is the device-model makespan of the
     full schedule (kernels + transfers, overlapped where requested).
-    ``engine`` overrides the process-wide kernel engine for the host-side
-    numeric work. ``checkpoint`` (a directory path or
-    :class:`~repro.faults.CheckpointStore`) saves progress after every
-    outer iteration ``k`` and resumes from whatever the store already
-    holds — a killed run re-run with the same store produces distances
-    bit-identical to an uninterrupted one.
+    ``block_size=graph.num_vertices`` runs in-core FW, the one-block plan:
+    one upload, one closure, one download (``OutOfMemoryError`` when the
+    ``n×n`` matrix does not fit). ``engine`` overrides the process-wide
+    kernel engine for the host-side numeric work. ``checkpoint`` (a
+    directory path or :class:`~repro.faults.CheckpointStore`) saves
+    progress after every outer iteration ``k`` and resumes from whatever
+    the store already holds — a killed run re-run with the same store
+    produces distances bit-identical to an uninterrupted one.
     """
     n = graph.num_vertices
     spec = device.spec
@@ -200,6 +201,12 @@ def _fw_schedule(em, layout: BlockLayout, overlap: bool, *, start_k: int = 0):
         em.h2d(diag, key=("A", k, k))
         em.kernel("fw_diag", reads=(diag,), writes=(diag,))
         em.d2h(diag, key=("A", k, k))
+        if nd == 1:
+            # one block is the whole matrix (the in-core case): no
+            # off-diagonal block, so no stage-2/3 buffers
+            em.free(diag)
+            yield k
+            continue
         # stage 2: row and column panels against the closed diagonal
         panel = em.alloc("row-panel", (bk, bmax))
         for j in range(nd):

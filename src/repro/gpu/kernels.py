@@ -83,7 +83,7 @@ def extract_cost(spec: "DeviceSpec", rows: int, cols: int) -> float:
     return _roofline(spec, 0.0, nbytes, spec.minplus_rate)
 
 
-_FW_KERNELS = frozenset({"fw_diag", "fw_comp", "fw_bound", "fw_incore", "fold_closure"})
+_FW_KERNELS = frozenset({"fw_diag", "fw_comp", "fw_bound", "fold_closure"})
 _EXTRACT_KERNELS = frozenset({"extract_c2b", "extract_b2c"})
 _MINPLUS_KERNELS = frozenset({"fold_panel", "rank1_patch"})
 

@@ -73,8 +73,9 @@ class Clock:
 
     With ``record_trace=False`` the clock keeps neither the trace nor the
     predecessor links — a long-lived device would otherwise retain its
-    whole history — so :meth:`busy_time` and :meth:`critical_path` see
-    nothing; ``busy`` and ``num_ops`` still count every op.
+    whole history — so :meth:`engine_ops` and :meth:`critical_path` see
+    nothing; ``busy`` (summed op durations per engine) and ``num_ops``
+    still count every op.
     """
 
     def __init__(self, *, record_trace: bool = True) -> None:
@@ -247,14 +248,6 @@ class Clock:
     def engine_ops(self, engine: str) -> list[ClockOp]:
         return [op for op in self.ops if op.engine == engine]
 
-    def busy_time(self, engine: str) -> float:
-        """Occupied time on ``engine`` summed as end − start over the trace.
-
-        Differs from ``busy[engine]`` (the summed durations) in the last
-        bits; the run-time consumers were fitted and pinned on this sum.
-        """
-        return sum(op.end - op.start for op in self.ops if op.engine == engine)
-
     def validate(self) -> None:
         """Check scheduling invariants; raises ``AssertionError`` on breach.
 
@@ -353,8 +346,8 @@ class TimingReport:
 def timing_report(algorithm: str, device: str, clocks: list[Clock]) -> TimingReport:
     """Summarise the clocks of one device (or fleet) as a :class:`TimingReport`.
 
-    Busy seconds are the summed op durations (``Clock.busy``), the sum the
-    replay has always reported and ``BENCH_cluster`` pins. Overlap
+    Busy seconds are the summed op durations (``Clock.busy``), the sum
+    runs, replays and ``BENCH_cluster`` all report. Overlap
     efficiency places the makespan between the fully serialised schedule
     (0.0) and the busiest engine (1.0); the critical path runs back from
     the clock that finishes last. Retry backoff on the ``"host"`` engine

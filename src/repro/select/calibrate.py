@@ -9,15 +9,19 @@ The paper seeds its models with measured reference runs:
 * boundary, large separator — a ``c_unit`` (seconds per operation) per
   ``NB``-range bin, fit on a set of training graphs.
 
-:class:`Calibration` performs those runs on a fresh device with the target
-spec and stores the constants. Calibration uses *compute-engine busy time*
-(kernel seconds), because the models add their own transfer terms.
+Here the computation time is the simulated device's, which depends only
+on the schedule: :class:`Calibration` replays each reference run's
+schedule IR on the device's own clock
+(:func:`~repro.verifyplan.timing.predict_timing`) and reads the compute
+engine's busy seconds — a device run's ``clock.busy["compute"]`` — as
+the models add their own transfer terms. It solves nothing and builds
+no device; FW's schedule needs only ``n₀``, while the boundary
+references still partition their graphs to plan theirs.
 
 As in the paper, calibration is a one-time step per device: the constants
 are simulated seconds, fixed by the spec, the reference sizes and the
-seed (not by the host's kernel engine), so :meth:`Calibration.run`
-computes them once per process and key and copies them into every later
-instance with the same key.
+seed, so :meth:`Calibration.run` computes them once per process and key
+and copies them into every later instance with the same key.
 """
 
 from __future__ import annotations
@@ -26,7 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gpu.device import Device, DeviceSpec
+from repro.core.ooc_boundary import BoundaryInfeasibleError, emit_boundary_ir, plan_boundary
+from repro.core.ooc_fw import emit_fw_ir
+from repro.gpu.device import DeviceSpec
+from repro.graphs.generators import planar_like, random_geometric
+from repro.verifyplan.timing import predict_timing
 
 __all__ = ["Calibration"]
 
@@ -80,29 +88,21 @@ class Calibration:
         self._calibrated = True
         return self
 
-    def _device(self) -> Device:
-        return Device(self.spec, record_trace=True)
+    def _compute_seconds(self, ir) -> float:
+        """Compute-engine busy seconds of one schedule, replayed."""
+        return predict_timing([ir], self.spec).compute_seconds
 
     def _run_fw_reference(self) -> None:
-        from repro.core.ooc_fw import ooc_floyd_warshall
-        from repro.graphs.generators import erdos_renyi
-
         n0 = self.fw_n0
-        g = erdos_renyi(n0, 8 * n0, seed=self.seed, name="fw-calib")
-        dev = self._device()
-        ooc_floyd_warshall(g, dev)
-        # the trace's end − start sum: the constants were fitted on it
-        self.fw_reference = (dev.clock.busy_time("compute"), float(n0))
+        self.fw_reference = (
+            self._compute_seconds(emit_fw_ir(n0, self.spec)), float(n0)
+        )
 
     def _run_boundary_reference(self) -> None:
-        from repro.core.ooc_boundary import ooc_boundary
-        from repro.graphs.generators import planar_like
-
         n0 = self.boundary_n0
         g = planar_like(n0, seed=self.seed, name="boundary-calib")
-        dev = self._device()
-        ooc_boundary(g, dev, seed=self.seed)
-        self.boundary_reference = (dev.clock.busy_time("compute"), float(n0))
+        ir = emit_boundary_ir(g, self.spec, seed=self.seed)
+        self.boundary_reference = (self._compute_seconds(ir), float(n0))
 
     def _fit_c_unit_bins(self) -> None:
         """Train c_unit per NB-range on geometric graphs of rising degree.
@@ -110,12 +110,6 @@ class Calibration:
         Denser geometric graphs partition with progressively larger
         boundary sets, populating successive NB bins.
         """
-        from repro.core.ooc_boundary import (
-            BoundaryInfeasibleError,
-            ooc_boundary,
-            plan_boundary,
-        )
-        from repro.graphs.generators import random_geometric
         from repro.select.cost_models import boundary_n_op
 
         n0 = self.boundary_n0
@@ -124,15 +118,15 @@ class Calibration:
             g = random_geometric(n0, radius, seed=self.seed + idx, name=f"cunit-{idx}")
             try:
                 plan = plan_boundary(g, self.spec, seed=self.seed)
-                dev = self._device()
-                ooc_boundary(g, dev, plan=plan, seed=self.seed)
             except BoundaryInfeasibleError:
                 continue
-            compute = dev.clock.busy_time("compute")
+            ir = emit_boundary_ir(g, self.spec, plan=plan, seed=self.seed)
             nb = plan.num_boundary
             k = plan.num_components
             n_op = boundary_n_op(g.num_vertices, k, nb / k)
-            self.c_unit_bins[self._bin_index(g.num_vertices, nb)] = compute / n_op
+            self.c_unit_bins[self._bin_index(g.num_vertices, nb)] = (
+                self._compute_seconds(ir) / n_op
+            )
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -20,7 +20,7 @@ pricing it emits no IR.
 The **computation** models:
 
 * Floyd–Warshall — cost is ``O(n³)`` with graph-independent constants, so a
-  single calibration run at ``n₀`` extrapolates:
+  single calibration replay at ``n₀`` extrapolates:
   ``T = T₀ · (n/n₀)³``.
 * Johnson — per-batch times are near-uniform (the paper measures batch
   std-dev at 1.67–13.4% of the mean), so price ``k`` randomly chosen
@@ -59,7 +59,7 @@ from repro.verifyplan.bounds import boundary_traffic, fw_traffic, johnson_traffi
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.select.calibrate import Calibration
-    from repro.verifyplan.timing import TimingCalibration, TimingReport
+    from repro.verifyplan.timing import TimingReport
 
 __all__ = [
     "CostEstimate",
@@ -202,7 +202,7 @@ def estimate_boundary(
 
 
 # ----------------------------------------------------------------------
-# analytic estimators (schedule-DAG critical path, no calibration runs)
+# analytic estimators (schedule-DAG critical path, no calibration)
 # ----------------------------------------------------------------------
 def _estimate_from_timing(algorithm: str, report: "TimingReport") -> CostEstimate:
     """A :class:`CostEstimate` whose total is the predicted makespan.
@@ -225,9 +225,7 @@ def _estimate_from_timing(algorithm: str, report: "TimingReport") -> CostEstimat
     )
 
 
-def analytic_estimate_fw(
-    graph, spec: DeviceSpec, *, calibration: "TimingCalibration | None" = None
-) -> CostEstimate:
+def analytic_estimate_fw(graph, spec: DeviceSpec) -> CostEstimate:
     """Price Algorithm 1 off its own schedule IR: emit the plan, replay it
     symbolically, and report the critical-path makespan. No device runs."""
     from repro.core.ooc_fw import emit_fw_ir
@@ -236,16 +234,13 @@ def analytic_estimate_fw(
     n = graph.num_vertices
     b = plan_fw_block_size(n, spec, overlap=True)
     ir = emit_fw_ir(n, spec, block_size=b, overlap=True)
-    return _estimate_from_timing(
-        "floyd-warshall", predict_timing([ir], spec, calibration=calibration)
-    )
+    return _estimate_from_timing("floyd-warshall", predict_timing([ir], spec))
 
 
 def analytic_estimate_johnson(
     graph,
     spec: DeviceSpec,
     *,
-    calibration: "TimingCalibration | None" = None,
     num_sample_batches: int = JOHNSON_SAMPLE_BATCHES,
     seed: int = 0,
 ) -> CostEstimate:
@@ -262,16 +257,13 @@ def analytic_estimate_johnson(
         graph, batch_size=bat, sample=num_sample_batches, seed=seed
     )
     ir = emit_johnson_ir(graph, spec, batch_size=bat, workloads=workloads)
-    return _estimate_from_timing(
-        "johnson", predict_timing([ir], spec, calibration=calibration)
-    )
+    return _estimate_from_timing("johnson", predict_timing([ir], spec))
 
 
 def analytic_estimate_boundary(
     graph,
     spec: DeviceSpec,
     *,
-    calibration: "TimingCalibration | None" = None,
     plan: BoundaryPlan | None = None,
     seed: int = 0,
 ) -> CostEstimate:
@@ -284,6 +276,4 @@ def analytic_estimate_boundary(
     if plan is None:
         plan = plan_boundary(graph, spec, seed=seed)
     ir = emit_boundary_ir(graph, spec, plan=plan, seed=seed)
-    return _estimate_from_timing(
-        "boundary", predict_timing([ir], spec, calibration=calibration)
-    )
+    return _estimate_from_timing("boundary", predict_timing([ir], spec))

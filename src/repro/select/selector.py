@@ -13,13 +13,13 @@ then falls back to Johnson's algorithm, which is exactly the behaviour the
 paper describes for "other sparse graphs".
 
 Two ranking backends are available. The default (``method="measured"``)
-is the paper's: reference runs calibrated once per process and device
-(:meth:`Calibration.run`), plus Johnson priced from sampled batch
-workloads. ``analytic=True`` instead prices each candidate off its
-schedule IR — the symbolic critical-path makespan from
-:func:`repro.verifyplan.timing.predict_timing` — which needs no
-calibration runs at all and can be re-rated from measured benchmarks via
-a :class:`~repro.verifyplan.timing.TimingCalibration`. Neither backend
+is the paper's: reference timings calibrated once per process and device
+(:meth:`Calibration.run`, which replays the reference schedules' IRs),
+plus Johnson priced from sampled batch workloads. ``analytic=True``
+instead prices each candidate off its own schedule IR — the symbolic
+critical-path makespan from
+:func:`repro.verifyplan.timing.predict_timing` — and needs no
+calibration at all. Both price simulated device seconds, and neither
 touches the device the chosen algorithm later runs on.
 """
 
@@ -40,7 +40,6 @@ from repro.select.cost_models import (
     estimate_johnson,
 )
 from repro.select.density_filter import density_band, filter_candidates
-from repro.verifyplan.timing import TimingCalibration
 
 __all__ = ["SelectionReport", "Selector"]
 
@@ -96,20 +95,16 @@ class Selector:
         density_scale: float = 1.0,
         seed: int = 0,
         analytic: bool = False,
-        timing_calibration: TimingCalibration | None = None,
     ) -> None:
         """``density_scale`` converts scaled stand-in densities back to
         paper-equivalent units (see :mod:`repro.graphs.suite`).
 
         ``analytic=True`` ranks candidates by the symbolic critical-path
-        makespan of their schedule IRs instead of calibration runs (the
-        up-front :meth:`Calibration.run` is skipped entirely);
-        ``timing_calibration`` optionally re-rates the device model from
-        measured benchmark files.
+        makespan of their schedule IRs instead of the calibrated models
+        (the up-front :meth:`Calibration.run` is skipped entirely).
         """
         self.spec = spec
         self.analytic = analytic
-        self.timing_calibration = timing_calibration
         self.calibration = (
             None if analytic else (calibration or Calibration(spec)).run()
         )
@@ -170,22 +165,19 @@ class Selector:
     def _estimate_analytic(
         self, graph, candidates: tuple[str, ...]
     ) -> tuple[dict[str, CostEstimate], list[str]]:
-        cal = self.timing_calibration
         estimates: dict[str, CostEstimate] = {}
         infeasible: list[str] = []
         for cand in candidates:
             if cand == "johnson":
                 estimates[cand] = analytic_estimate_johnson(
-                    graph, self.spec, calibration=cal, seed=self.seed
+                    graph, self.spec, seed=self.seed
                 )
             elif cand == "floyd-warshall":
-                estimates[cand] = analytic_estimate_fw(
-                    graph, self.spec, calibration=cal
-                )
+                estimates[cand] = analytic_estimate_fw(graph, self.spec)
             elif cand == "boundary":
                 try:
                     estimates[cand] = analytic_estimate_boundary(
-                        graph, self.spec, calibration=cal, seed=self.seed
+                        graph, self.spec, seed=self.seed
                     )
                 except BoundaryInfeasibleError:
                     infeasible.append(cand)

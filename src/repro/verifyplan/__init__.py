@@ -111,7 +111,6 @@ from repro.verifyplan.ir import (
     WaitOp,
 )
 from repro.verifyplan.timing import (
-    TimingCalibration,
     TimingReport,
     kernel_duration,
     predict_timing,
@@ -158,7 +157,6 @@ __all__ = [
     "SoundnessFinding",
     "SymBuffer",
     "SymEvent",
-    "TimingCalibration",
     "TimingReport",
     "Traffic",
     "TransferTally",

@@ -27,20 +27,15 @@ The replay reports a :class:`~repro.gpu.timeline.TimingReport`:
   busiest engine): 1.0 means copies hide perfectly behind compute,
   0.0 means no overlap was won at all;
 * per-engine busy seconds, which feed the selector's analytic cost
-  estimates (:mod:`repro.select.cost_models`).
+  estimates (:mod:`repro.select.cost_models`) and its calibration
+  constants (:class:`repro.select.calibrate.Calibration`).
 
-:class:`TimingCalibration` optionally rescales the spec's rates from the
-measured ``BENCH_kernels.json`` sweep so the same DAG can predict host
-wall-clock instead of the simulated device; by default no calibration is
-applied and predictions target the simulated device exactly.
+Every rate comes from the spec, so a prediction is always in simulated
+device seconds, never host wall-clock.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.gpu.device import DeviceSpec
@@ -61,7 +56,6 @@ from repro.verifyplan.ir import (
 )
 
 __all__ = [
-    "TimingCalibration",
     "TimingReport",
     "kernel_duration",
     "predict_timing",
@@ -117,7 +111,6 @@ def predict_timing(
     spec: DeviceSpec,
     *,
     link_of: Callable[[int, int], LinkSpec] | None = None,
-    calibration: "TimingCalibration | None" = None,
 ) -> TimingReport:
     """Statically predict the simulated makespan of one schedule.
 
@@ -143,8 +136,6 @@ def predict_timing(
     :class:`ValueError`; :func:`~repro.verifyplan.hb.analyze_hb` names
     the blocked recvs.
     """
-    if calibration is not None:
-        spec = calibration.apply(spec)
     clocks = [Clock() for _ in irs]
     events: list[dict] = [{} for _ in irs]
 
@@ -173,37 +164,3 @@ def predict_timing(
     walk_fleet(irs, visit, barrier=lambda waiting: fleet_floor(clocks), stall=stall)
     return timing_report(irs[0].algorithm, fleet_name(irs), clocks)
 
-
-@dataclass(frozen=True)
-class TimingCalibration:
-    """Optional rate overrides for the timing pass.
-
-    ``from_bench`` derives them from the measured sweep checked into the
-    repo: the best bit-identical row of ``BENCH_kernels.json``
-    (``python -m repro bench-kernels``) replaces the simulated
-    ``minplus_rate``, so the DAG predicts host wall-clock off the measured
-    kernel. With no calibration the pass targets the simulated device
-    exactly.
-    """
-
-    minplus_rate: float | None = None
-
-    def apply(self, spec: DeviceSpec) -> DeviceSpec:
-        if self.minplus_rate is None:
-            return spec
-        return dataclasses.replace(spec, minplus_rate=self.minplus_rate)
-
-    @classmethod
-    def from_bench(cls, kernels_path: Path | str | None = None) -> "TimingCalibration":
-        root = Path(__file__).resolve().parents[3]
-        kernels_path = Path(kernels_path) if kernels_path else root / "BENCH_kernels.json"
-        best_gops = 0.0
-        if kernels_path.exists():
-            payload = json.loads(kernels_path.read_text())
-            for row in payload.get("rows", []):
-                gops = float(row.get("gops", 0.0))
-                if row.get("identical", True) and gops > best_gops:
-                    best_gops = gops
-        if best_gops <= 0.0:
-            return cls()
-        return cls(minplus_rate=best_gops * 1e9)

@@ -342,11 +342,11 @@ def _audit_multi(graph, spec, overlap: bool, num_devices: int, seed: int) -> Aud
 
     try:
         plan = plan_boundary(graph, spec, seed=seed)
+        irs = emit_multi_ir(graph, spec, num_devices, plan=plan, overlap=overlap)
     except BoundaryInfeasibleError as exc:
         return Audit("multi-gpu", feasible=False, reason=exc.detail)
     return audit_schedule(
-        "multi-gpu", emit_multi_ir(graph, spec, num_devices, plan=plan, overlap=overlap),
-        spec,
+        "multi-gpu", irs, spec,
         parameters={
             "num_devices": num_devices,
             "num_components": plan.num_components,

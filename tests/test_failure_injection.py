@@ -8,12 +8,7 @@ reusable, and a subsequent run on the same device must succeed.
 import numpy as np
 import pytest
 
-from repro.core import (
-    incore_apsp,
-    ooc_boundary,
-    ooc_floyd_warshall,
-    ooc_johnson,
-)
+from repro.core import ooc_boundary, ooc_floyd_warshall, ooc_johnson
 from repro.gpu.device import TEST_DEVICE, Device, V100
 from repro.gpu.errors import OutOfMemoryError
 from repro.graphs.generators import erdos_renyi, road_like
@@ -25,7 +20,7 @@ class TestNoLeakOnFailure:
         device = Device(TEST_DEVICE)
         g = erdos_renyi(250, 2000, seed=1)
         with pytest.raises(OutOfMemoryError):
-            ooc_floyd_warshall(g, device, block_size=250)  # stage 3 cannot fit
+            ooc_floyd_warshall(g, device, block_size=249)  # stage 3 cannot fit
         assert device.memory.used == 0
         assert device.memory.num_live == 0
 
@@ -56,7 +51,7 @@ class TestNoLeakOnFailure:
         device = Device(TEST_DEVICE)
         g = erdos_renyi(500, 3000, seed=4)
         with pytest.raises(OutOfMemoryError):
-            incore_apsp(g, device)
+            ooc_floyd_warshall(g, device, block_size=500)  # one block
         assert device.memory.used == 0
 
     def test_device_reusable_after_failure(self):
@@ -64,7 +59,7 @@ class TestNoLeakOnFailure:
         big = erdos_renyi(250, 2000, seed=5)
         small = erdos_renyi(80, 500, seed=6)
         with pytest.raises(OutOfMemoryError):
-            ooc_floyd_warshall(big, device, block_size=250)
+            ooc_floyd_warshall(big, device, block_size=249)
         res = ooc_floyd_warshall(small, device)
         assert np.allclose(res.to_array(), oracle_apsp(small))
         assert device.memory.used == 0

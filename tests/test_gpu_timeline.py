@@ -98,12 +98,13 @@ class TestRules:
 
 
 class TestAccounting:
-    def test_busy_time(self):
+    def test_busy_sums_durations(self):
         clock = Clock()
         clock.schedule("compute", "a", 1.0)
         clock.schedule("compute", _at(clock, "b", 5.0), 2.0)
-        assert clock.busy_time("compute") == pytest.approx(3.0)
+        # the idle gap before the second op is not busy time
         assert clock.busy["compute"] == 3.0
+        assert clock.busy["h2d"] == 0.0
 
     def test_engine_ops_filter(self):
         clock = Clock()

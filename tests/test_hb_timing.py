@@ -18,7 +18,6 @@ Three contracts:
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
@@ -40,11 +39,7 @@ from repro.select.selector import Selector
 from repro.verifyplan import verify_plan
 from repro.verifyplan.hb import analyze_hb
 from repro.verifyplan.ir import KernelOp, RecordOp, Rect, WaitOp
-from repro.verifyplan.timing import (
-    TimingCalibration,
-    kernel_duration,
-    predict_timing,
-)
+from repro.verifyplan.timing import kernel_duration, predict_timing
 from tests.conftest import numpy_engine
 
 V100_64 = V100.scaled(1 / 64)
@@ -364,41 +359,6 @@ class TestTimingAgreement:
                 assert audit.timing is not None
                 assert audit.timing.makespan > 0
                 assert audit.to_dict()["timing"]["makespan_seconds"] > 0
-
-
-class TestCalibration:
-    def test_from_bench_reads_checked_in_sweep(self):
-        cal = TimingCalibration.from_bench()
-        assert cal.minplus_rate is not None and cal.minplus_rate > 0
-        spec = cal.apply(TEST_DEVICE)
-        assert spec.minplus_rate == cal.minplus_rate
-        assert TEST_DEVICE.minplus_rate != spec.minplus_rate
-
-    def test_from_bench_propagates_unexpected_errors(self, tmp_path):
-        """A corrupt sweep file is an error, not an unmeasured machine."""
-        path = tmp_path / "BENCH_kernels.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError):
-            TimingCalibration.from_bench(path)
-
-    def test_from_bench_takes_best_identical_row(self, tmp_path):
-        path = tmp_path / "BENCH_kernels.json"
-        path.write_text(json.dumps({"rows": [
-            {"gops": 4.0, "identical": True},
-            {"gops": 9.0, "identical": False},
-        ]}))
-        assert TimingCalibration.from_bench(path).minplus_rate == 4.0e9
-
-    def test_calibration_rescales_compute(self):
-        g = road_like(220, 2.6, seed=1)
-        b = plan_fw_block_size(g.num_vertices, TEST_DEVICE, overlap=True)
-        ir = emit_fw_ir(g.num_vertices, TEST_DEVICE, block_size=b, overlap=True)
-        base = predict_timing([ir], TEST_DEVICE)
-        slow = predict_timing(
-            [ir], TEST_DEVICE,
-            calibration=TimingCalibration(minplus_rate=TEST_DEVICE.minplus_rate / 10),
-        )
-        assert slow.compute_seconds > base.compute_seconds
 
 
 class TestAnalyticSelector:

@@ -1,12 +1,11 @@
-"""Tests for the in-core fast path, largest-component utility, and the
-results-report generator."""
+"""Tests for in-core FW (the out-of-core driver's one-block plan), the
+largest-component utility, and the results-report generator."""
 
 import numpy as np
 import pytest
 
 from repro.bench.report import collect_records, render_markdown, write_report
 from repro.bench.runner import ExperimentRecord
-from repro.core.incore import fits_in_core, incore_apsp
 from repro.core.ooc_fw import ooc_floyd_warshall
 from repro.gpu.device import TEST_DEVICE, Device
 from repro.gpu.errors import OutOfMemoryError
@@ -16,31 +15,39 @@ from repro.graphs.properties import largest_component
 from tests.conftest import oracle_apsp
 
 
+def one_block_fw(graph, device):
+    """In-core FW: the out-of-core driver's one-block plan."""
+    return ooc_floyd_warshall(graph, device, block_size=graph.num_vertices)
+
+
 class TestInCore:
     def test_matches_oracle(self, small_rmat, device):
-        res = incore_apsp(small_rmat, device)
+        res = one_block_fw(small_rmat, device)
         assert np.allclose(res.to_array(), oracle_apsp(small_rmat))
-        assert res.stats["in_core"]
+        assert res.stats["num_blocks"] == 1
 
-    def test_fits_predicate(self):
-        # TEST_DEVICE: 512 KiB -> n*n*4 <= 0.9*512Ki -> n <= ~343
-        assert fits_in_core(300, TEST_DEVICE)
-        assert not fits_in_core(400, TEST_DEVICE)
+    def test_peak_is_the_matrix_alone(self):
+        # TEST_DEVICE: 512 KiB holds one 300² matrix (360 kB) but not two
+        g = erdos_renyi(300, 2000, seed=2)
+        device = Device(TEST_DEVICE)
+        res = one_block_fw(g, device)
+        assert np.allclose(res.to_array(), oracle_apsp(g))
+        assert device.memory.peak == 300 * 300 * 4
 
     def test_oom_beyond_boundary(self, device):
         g = erdos_renyi(450, 2000, seed=1)
         with pytest.raises(OutOfMemoryError):
-            incore_apsp(g, device)
+            one_block_fw(g, device)
 
     def test_faster_than_ooc_when_it_fits(self, small_rmat):
-        t_in = incore_apsp(small_rmat, Device(TEST_DEVICE)).simulated_seconds
+        t_in = one_block_fw(small_rmat, Device(TEST_DEVICE)).simulated_seconds
         t_ooc = ooc_floyd_warshall(
             small_rmat, Device(TEST_DEVICE), block_size=40
         ).simulated_seconds
         assert t_in < t_ooc
 
     def test_exactly_three_transfers_total(self, small_rmat, device):
-        res = incore_apsp(small_rmat, device)
+        res = one_block_fw(small_rmat, device)
         # one upload + one download (num_transfers counts both engines)
         assert res.stats["num_transfers"] == 2
 

@@ -65,8 +65,8 @@ class TestOocFloydWarshall:
     def test_oversized_block_raises_oom(self, device):
         g = erdos_renyi(250, 2000, seed=43)
         with pytest.raises(OutOfMemoryError):
-            # a single 250² tile fits, but stage 3 needs several
-            ooc_floyd_warshall(g, device, block_size=250)
+            # a 249² diagonal tile fits, but stage 3 needs several
+            ooc_floyd_warshall(g, device, block_size=249)
 
     def test_plan_block_size_fits(self, device):
         b = plan_fw_block_size(1000, device.spec, overlap=True)

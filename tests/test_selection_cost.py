@@ -1,5 +1,6 @@
 """What selection costs: the Johnson source sample, the per-process
-calibration memo, and a selector that leaves the caller's device alone."""
+calibration memo, a calibration that replays schedules instead of
+solving, and a selector that leaves the caller's device alone."""
 
 import importlib
 
@@ -10,20 +11,31 @@ import repro.select.calibrate as calibrate_mod
 import repro.select.cost_models as cost_models_mod
 from repro.bench.runner import device_profile
 from repro.core import solve_apsp
-from repro.core.ooc_boundary import ooc_boundary
+from repro.core.ooc_boundary import ooc_boundary, plan_boundary
+from repro.core.ooc_fw import ooc_floyd_warshall
 from repro.core.ooc_johnson import (
     SAMPLE_SOURCES,
     collect_mssp_workloads,
     sample_batch_sources,
 )
 from repro.faults import FaultPlan, FaultSpec
-from repro.gpu.device import V100, Device
+from repro.gpu.device import K80, V100, Device
 from repro.gpu.errors import KernelFaultError
 from repro.gpu.kernels import MsspWorkload
-from repro.graphs.generators import rmat, road_like
+from repro.graphs.generators import (
+    erdos_renyi,
+    planar_like,
+    random_geometric,
+    rmat,
+    road_like,
+)
 from repro.graphs.suite import get_suite_graph
 from repro.select import Calibration, Selector
-from repro.select.cost_models import analytic_estimate_johnson, estimate_johnson
+from repro.select.cost_models import (
+    analytic_estimate_johnson,
+    boundary_n_op,
+    estimate_johnson,
+)
 from repro.sssp.near_far import EDGES_PER_CHILD_BLOCK, near_far_batch
 
 # ``repro.core`` re-exports the drivers under their modules' names
@@ -117,29 +129,25 @@ class TestSourceSample:
 
 class TestCalibrationMemo:
     @pytest.fixture
-    def solves(self, monkeypatch):
-        """Fresh memo; counts the reference solves calibration runs."""
+    def replays(self, monkeypatch):
+        """Fresh memo; counts the reference schedules calibration replays."""
         monkeypatch.setattr(calibrate_mod, "_CALIBRATED", {})
         count = {"n": 0}
+        orig = calibrate_mod.predict_timing
 
-        def counting(orig):
-            def run(*args, **kwargs):
-                count["n"] += 1
-                return orig(*args, **kwargs)
-            return run
+        def counting(*args, **kwargs):
+            count["n"] += 1
+            return orig(*args, **kwargs)
 
-        monkeypatch.setattr(ooc_fw_mod, "ooc_floyd_warshall",
-                            counting(ooc_fw_mod.ooc_floyd_warshall))
-        monkeypatch.setattr(ooc_boundary_mod, "ooc_boundary",
-                            counting(ooc_boundary_mod.ooc_boundary))
+        monkeypatch.setattr(calibrate_mod, "predict_timing", counting)
         return count
 
-    def test_second_selector_runs_no_reference_solve(self, solves):
+    def test_second_selector_runs_no_reference_solve(self, replays):
         first = Selector(SPEC).calibration
-        assert solves["n"] > 0
-        solves["n"] = 0
+        assert replays["n"] > 0
+        replays["n"] = 0
         second = Selector(SPEC).calibration
-        assert solves["n"] == 0
+        assert replays["n"] == 0
         assert second.fw_reference == first.fw_reference
         assert second.boundary_reference == first.boundary_reference
         assert second.c_unit_bins == first.c_unit_bins
@@ -148,17 +156,64 @@ class TestCalibrationMemo:
         second.c_unit_bins.clear()
         assert Selector(SPEC).calibration.c_unit_bins == first.c_unit_bins
 
-    def test_other_spec_or_size_calibrates_afresh(self, solves):
+    def test_other_spec_or_size_calibrates_afresh(self, replays):
         Calibration(SPEC, fw_n0=96, boundary_n0=192).run()
-        solves["n"] = 0
+        replays["n"] = 0
         Calibration(SPEC, fw_n0=128, boundary_n0=192).run()
-        assert solves["n"] > 0
-        solves["n"] = 0
+        assert replays["n"] > 0
+        replays["n"] = 0
         Calibration(V100.scaled(1 / 32), fw_n0=96, boundary_n0=192).run()
-        assert solves["n"] > 0
-        solves["n"] = 0
+        assert replays["n"] > 0
+        replays["n"] = 0
         Calibration(SPEC, fw_n0=96, boundary_n0=192).run()
-        assert solves["n"] == 0
+        assert replays["n"] == 0
+
+
+class TestCalibrationReplays:
+    """Calibration replays its reference schedules instead of solving."""
+
+    @staticmethod
+    def device_constants(cal: Calibration):
+        """The constants, read from device runs of the reference graphs."""
+        spec = cal.spec
+
+        def compute(solve, graph, **kwargs):
+            device = Device(spec)
+            solve(graph, device, **kwargs)
+            return device.clock.busy["compute"]
+
+        fw = compute(ooc_floyd_warshall, erdos_renyi(cal.fw_n0, 8 * cal.fw_n0, seed=cal.seed))
+        n0 = cal.boundary_n0
+        boundary = compute(ooc_boundary, planar_like(n0, seed=cal.seed), seed=cal.seed)
+        bins = {}
+        for idx, deg in enumerate((6.0, 12.0, 24.0, 48.0)):
+            g = random_geometric(n0, float(np.sqrt(deg / (np.pi * n0))), seed=cal.seed + idx)
+            plan = plan_boundary(g, spec, seed=cal.seed)
+            k, nb = plan.num_components, plan.num_boundary
+            bins[Calibration._bin_index(n0, nb)] = compute(
+                ooc_boundary, g, plan=plan, seed=cal.seed
+            ) / boundary_n_op(n0, k, nb / k)
+        return fw, boundary, bins
+
+    @pytest.mark.parametrize(
+        "spec", [V100.scaled(1 / 64), K80.scaled(1 / 64)], ids=["v100", "k80"]
+    )
+    def test_constants_equal_a_device_run(self, monkeypatch, spec):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("calibration ran a solve or built a device")
+
+        with monkeypatch.context() as m:
+            m.setattr(calibrate_mod, "_CALIBRATED", {})
+            m.setattr(ooc_fw_mod, "ooc_floyd_warshall", forbidden)
+            m.setattr(ooc_boundary_mod, "ooc_boundary", forbidden)
+            m.setattr(Device, "__init__", forbidden)
+            cal = Calibration(spec).run()
+        fw, boundary, bins = self.device_constants(cal)
+        assert cal.fw_reference == (fw, float(cal.fw_n0))
+        assert cal.boundary_reference[0] == pytest.approx(boundary, rel=1e-12, abs=0)
+        assert cal.c_unit_bins.keys() == bins.keys()
+        for idx, c_unit in bins.items():
+            assert cal.c_unit_bins[idx] == pytest.approx(c_unit, rel=1e-12, abs=0)
 
 
 class TestSelectionLeavesDeviceAlone:
