@@ -7,6 +7,12 @@ edges merge with summed connectivity. Edge *weights* here are connectivity
 strengths for the partitioner, not shortest-path lengths — the partitioner
 treats every input edge as strength 1, the standard choice for minimising
 the boundary-vertex count.
+
+A matching is fixed by one draw, ``rng.permutation(n)`` (the visit
+order), and one tie-break: a vertex takes the *first strictly heavier*
+unmatched neighbour in CSR order, so among equal strengths the earliest
+edge wins. The greedy loop walks memoryviews of the CSR arrays with plain
+Python scalars; contraction is vectorised.
 """
 
 from __future__ import annotations
@@ -39,25 +45,23 @@ def heavy_edge_matching(
     """
     n = graph.num_vertices
     match = np.arange(n, dtype=np.int64)
-    matched = np.zeros(n, dtype=bool)
-    order = rng.permutation(n)
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    for u in order:
+    mate = memoryview(match)
+    matched = bytearray(n)
+    indptr, indices, weights = map(memoryview, (graph.indptr, graph.indices, graph.weights))
+    for u in memoryview(rng.permutation(n)):
         if matched[u]:
             continue
-        lo, hi = indptr[u], indptr[u + 1]
         best = -1
         best_w = -np.inf
-        for e in range(lo, hi):
+        for e in range(indptr[u], indptr[u + 1]):
             v = indices[e]
             if v != u and not matched[v] and weights[e] > best_w:
                 best = v
                 best_w = weights[e]
         if best >= 0:
-            match[u] = best
-            match[best] = u
-            matched[u] = True
-            matched[best] = True
+            mate[u] = best
+            mate[best] = u
+            matched[u] = matched[best] = 1
     return match
 
 

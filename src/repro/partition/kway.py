@@ -9,6 +9,16 @@ Directed inputs are symmetrised for partitioning (cut direction is
 irrelevant to the boundary-vertex definition) and connectivity strengths are
 uniform, which minimises the *number* of cut edges — a proxy for the number
 of boundary vertices the paper's algorithm cares about.
+
+Labels depend on the graph, ``k`` and the seed alone. One generator makes
+every draw, in this order: a ``permutation`` of each level's vertices as it
+is coarsened; ``integers(n)`` for the first seed and, for a later seed, a
+``choice`` of an unseeded vertex only when every vertex the seeds reach is a
+seed; a ``permutation(k)`` per round of region growing; and a
+``permutation`` of the boundary per refinement pass, coarsest level first.
+Ties go to the lower id: the next seed is the farthest vertex in hops; a
+part grows its frontier in labelling order, neighbours in CSR order; an
+unreached vertex joins the lightest part.
 """
 
 from __future__ import annotations
@@ -42,36 +52,25 @@ class PartitionResult:
 
 def _spread_seeds(graph: CSRGraph, k: int, rng: np.random.Generator) -> np.ndarray:
     """k seeds chosen by repeated farthest-point BFS (hop distance)."""
+    # imported here: at module load scipy.sparse.csgraph would add ~9 MB RSS
+    from scipy.sparse.csgraph import shortest_path
+
+    adjacency = graph.to_scipy()
+
+    def hops(source: int) -> np.ndarray:
+        return shortest_path(adjacency, method="D", unweighted=True, indices=source)
+
     n = graph.num_vertices
     seeds = [int(rng.integers(n))]
-    hop = _bfs_hops(graph, seeds[0])
+    hop = hops(seeds[0])
     for _ in range(1, k):
         cand = int(np.argmax(np.where(np.isfinite(hop), hop, -1.0)))
         if hop[cand] <= 0:  # disconnected or exhausted: random unseeded vertex
             unused = np.setdiff1d(np.arange(n), np.array(seeds))
             cand = int(rng.choice(unused)) if unused.size else int(rng.integers(n))
         seeds.append(cand)
-        hop = np.minimum(hop, _bfs_hops(graph, cand))
+        hop = np.minimum(hop, hops(cand))
     return np.array(seeds, dtype=np.int64)
-
-
-def _bfs_hops(graph: CSRGraph, source: int) -> np.ndarray:
-    n = graph.num_vertices
-    hop = np.full(n, np.inf)
-    hop[source] = 0.0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        nxt: list[np.ndarray] = []
-        for u in frontier:
-            nbrs = graph.indices[graph.indptr[u] : graph.indptr[u + 1]]
-            fresh = nbrs[~np.isfinite(hop[nbrs])]
-            if fresh.size:
-                hop[fresh] = level
-                nxt.append(np.unique(fresh))
-        frontier = np.unique(np.concatenate(nxt)) if nxt else np.empty(0, dtype=np.int64)
-    return hop
 
 
 def _grow_regions(
@@ -85,35 +84,38 @@ def _grow_regions(
     n = graph.num_vertices
     k = seeds.size
     labels = np.full(n, -1, dtype=np.int64)
-    budget = balance_tol * vertex_weight.sum() / k
-    weight = np.zeros(k)
-    frontiers: list[list[int]] = [[int(s)] for s in seeds]
-    for p, s in enumerate(seeds):
-        labels[s] = p
-        weight[p] += vertex_weight[s]
+    budget = float(balance_tol * vertex_weight.sum() / k)
+    label = memoryview(labels)
+    vw = memoryview(np.ascontiguousarray(vertex_weight))
+    indptr, indices = memoryview(graph.indptr), memoryview(graph.indices)
+    weight = [0.0] * k
+    frontiers = [[s] for s in memoryview(seeds)]
+    for p, s in enumerate(memoryview(seeds)):
+        label[s] = p
+        weight[p] += vw[s]
 
     active = True
     while active:
         active = False
-        for p in rng.permutation(k):
+        for p in memoryview(rng.permutation(k)):
             if weight[p] >= budget or not frontiers[p]:
                 continue
             new_frontier: list[int] = []
             for u in frontiers[p]:
-                for v in graph.indices[graph.indptr[u] : graph.indptr[u + 1]]:
-                    if labels[v] < 0 and weight[p] + vertex_weight[v] <= budget:
-                        labels[v] = p
-                        weight[p] += vertex_weight[v]
-                        new_frontier.append(int(v))
+                for v in indices[indptr[u] : indptr[u + 1]]:
+                    if label[v] < 0 and weight[p] + vw[v] <= budget:
+                        label[v] = p
+                        weight[p] += vw[v]
+                        new_frontier.append(v)
             frontiers[p] = new_frontier
             if new_frontier:
                 active = True
 
     # Unreached vertices (disconnected or budget-blocked) go to the lightest part.
-    for v in np.nonzero(labels < 0)[0]:
-        p = int(np.argmin(weight))
-        labels[v] = p
-        weight[p] += vertex_weight[v]
+    for v in memoryview(np.flatnonzero(labels < 0)):
+        p = min(range(k), key=weight.__getitem__)
+        label[v] = p
+        weight[p] += vw[v]
     return labels
 
 
@@ -147,8 +149,10 @@ def partition_kway(
 
     rng = np.random.default_rng(seed)
     # Partition on the symmetrised graph with uniform strengths.
-    src, dst, _ = graph.symmetrize().edge_array()
-    work = CSRGraph.from_edges(n, src, dst, np.ones(src.size), dedupe="min")
+    src, dst, _ = graph.edge_array()
+    work = CSRGraph.from_edges(
+        n, np.concatenate([src, dst]), np.concatenate([dst, src]), np.ones(2 * src.size)
+    )
 
     if coarsen_to is None:
         coarsen_to = max(20 * num_parts, 200)

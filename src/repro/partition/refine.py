@@ -6,6 +6,13 @@ balance constraint on weighted part sizes. This is the uncoarsening-phase
 refinement of the multilevel scheme (METIS calls it greedy k-way
 refinement); a few passes per level recover most of the cut quality of a
 full FM implementation at a fraction of the complexity.
+
+Each pass makes one draw, ``rng.permutation(boundary)``, the visit order
+of that pass's boundary vertices (sources of cut out-edges, ascending).
+A vertex's connectivity to each part sums its out-edge strengths in CSR
+order; it moves to the part of largest connectivity among the parts with
+room, the *first in part order* on ties, and only for a positive gain.
+The loop walks memoryviews of the CSR arrays with plain Python scalars.
 """
 
 from __future__ import annotations
@@ -46,38 +53,42 @@ def refine_partition(
         vertex_weight = np.ones(n)
     if rng is None:
         rng = np.random.default_rng(0)
-    part_weight = np.bincount(labels, weights=vertex_weight, minlength=num_parts)
-    max_weight = balance_tol * vertex_weight.sum() / num_parts
-    part_count = np.bincount(labels, minlength=num_parts)
+    part_weight = np.bincount(labels, weights=vertex_weight, minlength=num_parts).tolist()
+    max_weight = float(balance_tol * vertex_weight.sum() / num_parts)
+    part_count = np.bincount(labels, minlength=num_parts).tolist()
 
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    src, dst, _ = graph.edge_array()
+    label = memoryview(labels)
+    vw = memoryview(np.ascontiguousarray(vertex_weight))
+    indptr, indices, weights = map(memoryview, (graph.indptr, graph.indices, graph.weights))
 
     for _pass in range(max_passes):
         moved = 0
-        src, dst, _ = graph.edge_array()
         boundary = np.unique(src[labels[src] != labels[dst]])
         if boundary.size == 0:
             break
-        for v in rng.permutation(boundary):
-            a = labels[v]
+        for v in memoryview(rng.permutation(boundary)):
+            a = label[v]
             if part_count[a] <= 1:
                 continue
-            lo, hi = indptr[v], indptr[v + 1]
-            nbr_parts = labels[indices[lo:hi]]
-            conn = np.bincount(nbr_parts, weights=weights[lo:hi], minlength=num_parts)
-            conn_a = conn[a]
-            conn[a] = -np.inf
-            # Only parts with room.
-            room = part_weight + vertex_weight[v] <= max_weight
-            conn[~room] = -np.inf
-            b = int(np.argmax(conn))
-            if conn[b] == -np.inf:
-                continue
-            gain = conn[b] - conn_a
-            if gain > 0:
-                labels[v] = b
-                part_weight[a] -= vertex_weight[v]
-                part_weight[b] += vertex_weight[v]
+            conn: dict[int, float] = {}
+            for e in range(indptr[v], indptr[v + 1]):
+                p = label[indices[e]]
+                conn[p] = conn.get(p, 0.0) + weights[e]
+            # the best part with room: only a neighbour part can gain
+            w_v = vw[v]
+            b, conn_b = -1, -np.inf
+            for p, c in conn.items():
+                if (
+                    p != a
+                    and (c > conn_b or (c == conn_b and p < b))
+                    and part_weight[p] + w_v <= max_weight
+                ):
+                    b, conn_b = p, c
+            if b >= 0 and conn_b - conn.get(a, 0.0) > 0:
+                label[v] = b
+                part_weight[a] -= w_v
+                part_weight[b] += w_v
                 part_count[a] -= 1
                 part_count[b] += 1
                 moved += 1

@@ -108,11 +108,16 @@ class Calibration:
         """Train c_unit per NB-range on geometric graphs of rising degree.
 
         Denser geometric graphs partition with progressively larger
-        boundary sets, populating successive NB bins.
+        boundary sets, populating successive NB bins. Every graph is
+        partitioned, as its bin depends on its boundary count, but only the
+        last feasible graph of a bin is replayed: its c_unit is the one the
+        bin keeps. Bins keep the order in which a graph first lands in
+        them, which :meth:`c_unit_for` breaks nearest-bin ties by.
         """
         from repro.select.cost_models import boundary_n_op
 
         n0 = self.boundary_n0
+        last: dict[int, tuple] = {}  # bin -> (graph, plan) of its last graph
         for idx, deg in enumerate((6.0, 12.0, 24.0, 48.0)):
             radius = float(np.sqrt(deg / (np.pi * n0)))
             g = random_geometric(n0, radius, seed=self.seed + idx, name=f"cunit-{idx}")
@@ -120,13 +125,12 @@ class Calibration:
                 plan = plan_boundary(g, self.spec, seed=self.seed)
             except BoundaryInfeasibleError:
                 continue
+            last[self._bin_index(g.num_vertices, plan.num_boundary)] = (g, plan)
+        for bin_idx, (g, plan) in last.items():
             ir = emit_boundary_ir(g, self.spec, plan=plan, seed=self.seed)
-            nb = plan.num_boundary
             k = plan.num_components
-            n_op = boundary_n_op(g.num_vertices, k, nb / k)
-            self.c_unit_bins[self._bin_index(g.num_vertices, nb)] = (
-                self._compute_seconds(ir) / n_op
-            )
+            n_op = boundary_n_op(g.num_vertices, k, plan.num_boundary / k)
+            self.c_unit_bins[bin_idx] = self._compute_seconds(ir) / n_op
 
     # ------------------------------------------------------------------
     @staticmethod

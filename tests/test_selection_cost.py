@@ -11,7 +11,7 @@ import repro.select.calibrate as calibrate_mod
 import repro.select.cost_models as cost_models_mod
 from repro.bench.runner import device_profile
 from repro.core import solve_apsp
-from repro.core.ooc_boundary import ooc_boundary, plan_boundary
+from repro.core.ooc_boundary import emit_boundary_ir, ooc_boundary, plan_boundary
 from repro.core.ooc_fw import ooc_floyd_warshall
 from repro.core.ooc_johnson import (
     SAMPLE_SOURCES,
@@ -37,6 +37,7 @@ from repro.select.cost_models import (
     estimate_johnson,
 )
 from repro.sssp.near_far import EDGES_PER_CHILD_BLOCK, near_far_batch
+from repro.verifyplan.timing import predict_timing
 
 # ``repro.core`` re-exports the drivers under their modules' names
 ooc_boundary_mod = importlib.import_module("repro.core.ooc_boundary")
@@ -214,6 +215,43 @@ class TestCalibrationReplays:
         assert cal.c_unit_bins.keys() == bins.keys()
         for idx, c_unit in bins.items():
             assert cal.c_unit_bins[idx] == pytest.approx(c_unit, rel=1e-12, abs=0)
+
+    def test_one_replay_per_bin(self, monkeypatch):
+        """All four c_unit graphs are partitioned, since a graph's bin
+        depends on its boundary count, but a bin replays only its last
+        graph, whose value it keeps: on V100/64 the graphs land in bins
+        0, 0, 1, 1, so two replays. The table equals the one from
+        replaying all four, in keys, values and order."""
+        n0 = Calibration(SPEC).boundary_n0
+        replay_all = {}
+        for idx, deg in enumerate((6.0, 12.0, 24.0, 48.0)):
+            g = random_geometric(n0, float(np.sqrt(deg / (np.pi * n0))), seed=idx)
+            plan = plan_boundary(g, SPEC)
+            ir = emit_boundary_ir(g, SPEC, plan=plan)
+            k, nb = plan.num_components, plan.num_boundary
+            replay_all[Calibration._bin_index(n0, nb)] = predict_timing(
+                [ir], SPEC
+            ).compute_seconds / boundary_n_op(n0, k, nb / k)
+
+        bins, replays = [], []
+        orig_plan, orig_timing = calibrate_mod.plan_boundary, calibrate_mod.predict_timing
+
+        def counting_plan(graph, *args, **kwargs):
+            plan = orig_plan(graph, *args, **kwargs)
+            bins.append(Calibration._bin_index(graph.num_vertices, plan.num_boundary))
+            return plan
+
+        def counting_timing(*args, **kwargs):
+            replays.append(1)
+            return orig_timing(*args, **kwargs)
+
+        monkeypatch.setattr(calibrate_mod, "plan_boundary", counting_plan)
+        monkeypatch.setattr(calibrate_mod, "predict_timing", counting_timing)
+        cal = Calibration(SPEC)
+        cal._fit_c_unit_bins()
+        assert bins == [0, 0, 1, 1]
+        assert len(replays) == 2
+        assert list(cal.c_unit_bins.items()) == list(replay_all.items())
 
 
 class TestSelectionLeavesDeviceAlone:
