@@ -9,10 +9,9 @@ Regenerate every modeled record into a scratch directory, then compare::
 
 Each committed ``benchmarks/results/*.json`` must equal its fresh copy:
 floats within 1e-9 relative, every other field exactly. Skipped: the
-wall-clock ``kernels.json``, and ``dynamic.json``/``serve.json``, which
-mirror ``BENCH_dynamic.json``/``BENCH_serve.json`` (gated by
-``bench-dynamic --check`` and ``bench-serve --check``) and which no
-benchmark here writes. Exits 1 and names each difference.
+wall-clock ``kernels.json``, which only the two ignored kernel
+benchmarks (and ``python -m repro bench-kernels``) write. Exits 1 and
+names each difference.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import sys
 from pathlib import Path
 
 RESULTS = Path(__file__).resolve().parent / "results"
-SKIPPED = {"kernels.json", "dynamic.json", "serve.json"}
+SKIPPED = {"kernels.json"}
 REL_TOL = 1e-9
 
 

@@ -1,49 +1,27 @@
-"""Cluster scaling baseline (``python -m repro bench-cluster``).
+"""Cluster scaling record (``benchmarks/test_cluster_scaling.py``).
 
-Pins the distributed blocked-FW model's **strong-scaling** (fixed
+Collects the distributed blocked-FW model's **strong-scaling** (fixed
 ``n``, growing node/device count) and **weak-scaling** (``n ∝ √N``,
-constant matrix share per node) curves into ``BENCH_cluster.json`` at
-the repo root. For every configuration the sweep records the statically
-predicted makespan (α–β link replay,
+constant matrix share per node) curves as the ``cluster`` record under
+``benchmarks/results/``. For every configuration the sweep records the
+statically predicted makespan (α–β link replay,
 :func:`repro.verifyplan.timing.predict_timing`), the network
 busy time, and the exact communication volume — and *also* executes the
-dynamic cluster simulator, asserting its simulated makespan equals the
-static prediction bit-for-bit (``exact`` per entry).
+dynamic cluster simulator, whose simulated makespan must equal the
+static prediction bit-for-bit (``exact`` per row).
 
 Both sides are deterministic models (simulated clocks, not wall
-clocks), so the baseline is machine-independent and ``--check`` can
-demand exact equality: any schedule or cost-model drift fails CI before
-a wall-clock benchmark would notice.
+clocks), so the record is machine-independent and
+``tests/test_benchmark_records.py`` demands exact equality with the
+committed copy: any schedule or cost-model drift fails before a
+wall-clock benchmark would notice.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+from repro.bench.runner import ExperimentRecord
 
-from repro.bench.baseline import baseline_path, diff_configs, read_json, record
-
-__all__ = [
-    "SCALING_CONFIGS",
-    "bench_cluster_path",
-    "collect_baseline",
-    "compare_baseline",
-    "load_baseline",
-    "save_baseline",
-]
-
-#: per-entry fields that must match the recorded baseline exactly (the
-#: models are deterministic, so even the float makespans are pinned)
-BASELINE_FIELDS = (
-    "ok",
-    "exact",
-    "block_size",
-    "num_messages",
-    "total_bytes",
-    "peak_bytes",
-    "num_kernels",
-    "makespan",
-    "net_seconds",
-)
+__all__ = ["SCALING_CONFIGS", "collect_baseline"]
 
 #: (entry name, vertices, nodes, devices/node, edge seed) — strong
 #: scaling holds n fixed while the fleet grows; weak scaling grows the
@@ -60,12 +38,6 @@ SCALING_CONFIGS = (
 )
 
 
-def bench_cluster_path() -> Path:
-    """Canonical location of ``BENCH_cluster.json`` (repo root, or
-    ``REPRO_BENCH_CLUSTER`` when set)."""
-    return baseline_path("BENCH_cluster.json", "REPRO_BENCH_CLUSTER")
-
-
 def _run_config(cfg: dict) -> dict:
     from repro.cluster import ClusterSpec, verify_cluster
     from repro.graphs.generators import rmat
@@ -78,7 +50,12 @@ def _run_config(cfg: dict) -> dict:
     timing = audit.timing
     assert timing is not None
     return {
-        "config": dict(cfg),
+        "config": cfg["name"],
+        "curve": cfg["curve"],
+        "n": cfg["n"],
+        "nodes": cfg["nodes"],
+        "devices": cfg["devices"],
+        "seed": cfg["seed"],
         "cluster": cluster.name,
         "grid": params["grid"],
         "ok": ver.ok,
@@ -94,30 +71,15 @@ def _run_config(cfg: dict) -> dict:
     }
 
 
-def collect_baseline(configs=SCALING_CONFIGS) -> dict:
-    """Verify + simulate every scaling configuration; return the payload."""
-    entries = {cfg["name"]: _run_config(cfg) for cfg in configs}
-    return {
-        "experiment": "cluster",
-        "title": "distributed blocked-FW scaling baseline (predicted == simulated)",
-        "generated_by": "python -m repro bench-cluster",
-        "fields": list(BASELINE_FIELDS),
-        "configs": entries,
-    }
-
-
-def save_baseline(payload: dict | None = None, path: Path | str | None = None) -> Path:
-    """Write the baseline to ``BENCH_cluster.json``."""
-    return record(
-        payload or collect_baseline(), path or bench_cluster_path(), sort_keys=False
+def collect_baseline() -> ExperimentRecord:
+    """Verify + simulate every scaling configuration: one row each."""
+    return ExperimentRecord(
+        experiment="cluster",
+        title="distributed blocked-FW scaling baseline (predicted == simulated)",
+        paper_expectation=(
+            "the statically predicted makespan of the distributed blocked-FW "
+            "schedule equals the cluster simulator's, at every node and "
+            "device count"
+        ),
+        rows=[_run_config(cfg) for cfg in SCALING_CONFIGS],
     )
-
-
-def load_baseline(path: Path | str | None = None) -> dict:
-    """Read the checked-in baseline."""
-    return read_json(path or bench_cluster_path())
-
-
-def compare_baseline(baseline: dict | None = None) -> list[str]:
-    """Recompute the sweep and diff it against ``baseline`` exactly."""
-    return diff_configs(baseline or load_baseline(), collect_baseline(), BASELINE_FIELDS)

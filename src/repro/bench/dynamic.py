@@ -1,4 +1,5 @@
-"""Update-latency vs re-solve crossover baseline (``repro bench-dynamic``).
+"""Update-latency vs re-solve crossover record
+(``benchmarks/test_dynamic_crossover.py``).
 
 Everything here is closed-form. Each term's transfer time is the price
 (:meth:`~repro.verifyplan.bounds.Traffic.seconds`) of the verifier's
@@ -8,9 +9,8 @@ traffic record for the schedule that runs: a patch pass's
 blocked-FW re-solve's :func:`~repro.verifyplan.bounds.fw_traffic`
 (proven by ``verify-plan``). Compute is priced against a
 :class:`~repro.gpu.device.DeviceSpec`'s min-plus and relax rates. No
-device is instantiated and nothing executes, so the baseline is exact,
-machine-independent, and committable — ``bench-dynamic --check`` gates
-CI on the recorded crossover without rewriting anything.
+device is instantiated and nothing executes, so the ``dynamic`` record
+under ``benchmarks/results/`` is exact and machine-independent.
 
 Per configuration the record answers the selection question the paper
 asks of every method pair: *when does patching stop paying?* A batch of
@@ -21,49 +21,25 @@ whose summed cost reaches one full blocked-FW re-solve.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any
 
-from repro.bench.baseline import baseline_path, diff_configs, read_json, record
+from repro.bench.runner import ExperimentRecord
 from repro.dynamic.patch import UpdatePlan
 from repro.verifyplan.bounds import fw_traffic
 from repro.verifyplan.updatebounds import update_traffic
 
-__all__ = [
-    "DYNAMIC_CONFIGS",
-    "bench_dynamic_path",
-    "collect_dynamic",
-    "compare_dynamic",
-    "load_dynamic",
-    "save_dynamic",
-]
+__all__ = ["DYNAMIC_CONFIGS", "collect_dynamic"]
 
 #: modeled configurations: (vertices, block rows, edges, device). Sizes
 #: bracket the paper's single-GPU out-of-core range on both Table II cards.
 DYNAMIC_CONFIGS = (
     {"name": "n1000-v100", "n": 1000, "nd": 4, "m": 2600, "device": "v100"},
-    {"name": "n5000-v100", "n": 5000, "nd": 8, "m": 13000, "device": "v100"},
     {"name": "n2000-k80", "n": 2000, "nd": 4, "m": 5200, "device": "k80"},
+    {"name": "n5000-v100", "n": 5000, "nd": 8, "m": 13000, "device": "v100"},
 )
 
 #: batched-decrease widths recorded per configuration
 BATCH_SIZES = (1, 4, 16)
-
-#: audited fields that must match the baseline exactly
-BASELINE_FIELDS = (
-    "decrease_us",
-    "per_update_us",
-    "resolve_us",
-    "speedup",
-    "crossover_updates",
-    "increase_us",
-)
-
-
-def bench_dynamic_path() -> Path:
-    """Canonical location of ``BENCH_dynamic.json`` (repo root, or
-    ``REPRO_BENCH_DYNAMIC`` when set)."""
-    return baseline_path("BENCH_dynamic.json", "REPRO_BENCH_DYNAMIC")
 
 
 def _device_spec(name: str) -> Any:
@@ -94,75 +70,35 @@ def _resolve_seconds(spec: Any, n: int, nd: int) -> float:
     return traffic.seconds(spec) + 2 * n**3 / spec.minplus_rate
 
 
-def collect_dynamic(configs=DYNAMIC_CONFIGS) -> dict:
-    """Model every configuration; returns the baseline payload."""
-    entries: dict[str, Any] = {}
-    for cfg in configs:
+def collect_dynamic() -> ExperimentRecord:
+    """Model every configuration: one row per (configuration, batch
+    width), one note per configuration."""
+    record = ExperimentRecord(
+        experiment="dynamic",
+        title="incremental-update latency vs full re-solve crossover (modeled)",
+        paper_expectation=(
+            "incremental updates amortise: a batched O(n²) patch beats the "
+            "O(n_d·n²)-movement re-solve until hundreds of sequential updates"
+        ),
+        notes=["modeled (closed-form)"],
+    )
+    for cfg in DYNAMIC_CONFIGS:
         spec = _device_spec(cfg["device"])
         n, nd, m = cfg["n"], cfg["nd"], cfg["m"]
         resolve = _resolve_seconds(spec, n, nd)
         single = _decrease_seconds(spec, n, nd, 1)
-        rows = {}
+        increase = _increase_seconds(spec, n, nd, m)
         for k in BATCH_SIZES:
             dec = _decrease_seconds(spec, n, nd, k)
-            rows[str(k)] = {
-                "decrease_us": round(dec * 1e6, 3),
-                "per_update_us": round(dec * 1e6 / k, 3),
-                "resolve_us": round(resolve * 1e6, 3),
-                "speedup": round(resolve / dec, 3),
-                "crossover_updates": -(-round(resolve, 12) // round(single, 12)),
-                "increase_us": round(_increase_seconds(spec, n, nd, m) * 1e6, 3),
-            }
-        entries[cfg["name"]] = {"config": dict(cfg), "batches": rows}
-    return {
-        "experiment": "dynamic",
-        "title": "incremental-update latency vs full re-solve crossover (modeled)",
-        "generated_by": "python -m repro bench-dynamic",
-        "fields": list(BASELINE_FIELDS),
-        "configs": entries,
-    }
-
-
-def save_dynamic(payload: dict | None = None, path: Path | str | None = None) -> Path:
-    """Write the baseline to ``BENCH_dynamic.json`` (stable key order)
-    and mirror the crossover table into ``benchmarks/results/`` — the
-    mirror is only refreshed for the canonical (non-redirected) path,
-    and only when its gated content actually changed."""
-    return record(
-        payload or collect_dynamic(), path or bench_dynamic_path(), mirror=_mirror_record
-    )
-
-
-def _mirror_record(payload: dict) -> dict:
-    rows = []
-    for name, entry in sorted(payload["configs"].items()):
-        for k, row in sorted(entry["batches"].items(), key=lambda kv: int(kv[0])):
-            rows.append({"graph": name, "batch_k": int(k), **row})
-    return {
-        "experiment": "dynamic",
-        "title": payload["title"],
-        "generated_by": payload["generated_by"],
-        "paper_expectation": (
-            "incremental updates amortise: a batched O(n²) patch beats the "
-            "O(n_d·n²)-movement re-solve until hundreds of sequential updates"
-        ),
-        "rows": rows,
-        "notes": ["modeled (closed-form) — canonical copy: BENCH_dynamic.json"],
-    }
-
-
-def load_dynamic(path: Path | str | None = None) -> dict:
-    """Read the checked-in baseline."""
-    return read_json(path or bench_dynamic_path())
-
-
-def compare_dynamic(baseline: dict | None = None) -> list[str]:
-    """Recompute the model and diff it against ``baseline``; empty list
-    means every modeled figure matches the recorded crossover exactly."""
-    return diff_configs(
-        baseline or load_dynamic(),
-        collect_dynamic(),
-        BASELINE_FIELDS,
-        rows="batches",
-        label="k=",
-    )
+            record.add(
+                graph=cfg["name"],
+                batch_k=k,
+                decrease_us=round(dec * 1e6, 3),
+                per_update_us=round(dec * 1e6 / k, 3),
+                resolve_us=round(resolve * 1e6, 3),
+                speedup=round(resolve / dec, 3),
+                crossover_updates=-(-round(resolve, 12) // round(single, 12)),
+                increase_us=round(increase * 1e6, 3),
+            )
+        record.note_config(cfg)
+    return record

@@ -9,8 +9,9 @@ engine's kernels: ``cc``, or ``numpy`` under ``REPRO_JIT=off``) on
 records the panel count. Each config is repeated so its row carries its
 best time plus the median and quartiles, every result is verified
 bit-identical to the numpy one, and :func:`save_sweep` persists the rows
-to ``BENCH_kernels.json`` at the repository root. Neither the engine
-nor the selector reads this file.
+to ``BENCH_kernels.json`` at the repository root and their gated fields
+to ``kernels.json`` beside the other records. Neither the engine nor the
+selector reads these files.
 
 Entry points: ``python -m repro bench-kernels`` and
 ``benchmarks/test_kernel_backends.py``.
@@ -18,6 +19,7 @@ Entry points: ``python -m repro bench-kernels`` and
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 from pathlib import Path
@@ -25,7 +27,7 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.bench.baseline import baseline_path, record
+from repro.bench.runner import results_dir
 from repro.core.backends.base import rank1_update
 from repro.core.engine import KernelEngine, panel_count
 from repro.core.minplus import DIST_DTYPE, minplus_ops
@@ -33,7 +35,6 @@ from repro.core.minplus import DIST_DTYPE, minplus_ops
 __all__ = [
     "DEFAULT_SIZES",
     "DEFAULT_TILES",
-    "bench_kernels_path",
     "machine_info",
     "save_sweep",
     "sweep_backends",
@@ -48,10 +49,8 @@ DEFAULT_SIZES = (256, 457, 1024)
 DEFAULT_TILES = (64, 128, 256)
 
 
-def bench_kernels_path() -> Path:
-    """Canonical location of ``BENCH_kernels.json`` (repo root, or
-    ``REPRO_BENCH_KERNELS`` when set)."""
-    return baseline_path("BENCH_kernels.json", "REPRO_BENCH_KERNELS")
+#: the sweep's file, with machine timings
+SWEEP_PATH = Path(__file__).resolve().parents[3] / "BENCH_kernels.json"
 
 
 def machine_info() -> dict:
@@ -145,17 +144,24 @@ def _gated_row(row: dict) -> dict:
     return {k: row[k] for k in GATED_ROW_FIELDS if k in row}
 
 
-def save_sweep(rows: list[dict], path: Path | str | None = None) -> Path:
-    """Write the sweep to ``BENCH_kernels.json`` (and mirror a record into
-    ``benchmarks/results/`` so ``python -m repro report`` includes it).
+def _write_if_changed(path: Path, payload: dict) -> None:
+    """Write ``payload`` as key-sorted JSON unless the file already holds
+    exactly that text, which keeps no-op re-runs out of VCS status."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if not (path.exists() and path.read_text() == text):
+        path.write_text(text)
 
-    Both files are emitted with a stable key order, and the mirror
-    carries only the gated fields (:data:`GATED_ROW_FIELDS`) — measured
-    timings, machine info, and build notes stay in the canonical root
-    file, so benchmark re-runs leave the committed mirror byte-identical
-    unless a configuration or bit-identity verdict actually changed.
+
+def save_sweep(rows: list[dict]) -> Path:
+    """Write the sweep to :data:`SWEEP_PATH` and its report record to
+    ``kernels.json`` in :func:`~repro.bench.runner.results_dir`, so
+    ``python -m repro report`` includes it; returns the sweep's path.
+
+    The record carries only the gated fields (:data:`GATED_ROW_FIELDS`):
+    measured timings and machine info stay in the sweep file, so
+    benchmark re-runs leave the committed record byte-identical unless a
+    configuration or bit-identity verdict actually changed.
     """
-    path = Path(path) if path else bench_kernels_path()
     non_ref = [r for r in rows if r["backend"] != "reference"]
     best = max(non_ref, key=lambda r: r["gops"]) if non_ref else None
     payload = {
@@ -167,7 +173,9 @@ def save_sweep(rows: list[dict], path: Path | str | None = None) -> Path:
         "best": best,
         "best_speedup": best["speedup"] if best else None,
     }
-    return record(payload, path, mirror=_mirror_payload)
+    _write_if_changed(SWEEP_PATH, payload)
+    _write_if_changed(results_dir() / "kernels.json", _mirror_payload(payload))
+    return SWEEP_PATH
 
 
 def _mirror_payload(payload: dict) -> dict:

@@ -25,7 +25,7 @@ _ORDER = [
     "table5", "fig6", "fig7", "table6", "fig8", "selector_accuracy",
     "batch_variance", "weight_sensitivity", "model_sensitivity", "ablation_components",
     "ablation_dp", "ablation_transfer_modes", "ext_multi_gpu", "ext_incore",
-    "kernels", "dynamic",
+    "kernels", "transfers", "cluster", "dynamic", "serve",
 ]
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.cpumodel.model import HASWELL_32, XEON_E5_2680, CpuSpec
@@ -84,16 +84,16 @@ class ExperimentRecord:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
+    def note_config(self, config: dict, **extra) -> None:
+        """Note one configuration as ``name: key=value, ...``: its
+        parameters, then ``extra``."""
+        fields = {**config, **extra}
+        name = fields.pop("name")
+        self.note(f"{name}: " + ", ".join(f"{k}={v}" for k, v in fields.items()))
+
     def save(self) -> Path:
         path = results_dir() / f"{self.experiment}.json"
-        payload = {
-            "experiment": self.experiment,
-            "title": self.title,
-            "paper_expectation": self.paper_expectation,
-            "rows": self.rows,
-            "notes": self.notes,
-        }
-        path.write_text(json.dumps(payload, indent=2, default=str))
+        path.write_text(json.dumps(asdict(self), indent=2, default=str))
         return path
 
     def print(self) -> None:

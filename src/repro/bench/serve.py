@@ -1,4 +1,5 @@
-"""Serving-layer latency/throughput baseline (``repro bench-serve``).
+"""Serving-layer latency/throughput record
+(``benchmarks/test_serve_throughput.py``).
 
 A deterministic load generator drives the real :class:`~repro.serve.service.
 APSPService` — admission, keyed-dedup coalescing, the persistent simulated
@@ -6,9 +7,9 @@ device, the modelled MSSP kernel cost — at fixed offered loads of
 *distinct-source* SSSP queries, once with the paper's ``bat`` batching and
 once with the batch size capped at 1 (the per-query path). Everything runs
 on the service's modeled clock, so p50/p99 latency and throughput are
-machine-independent and ``bench-serve --check`` gates CI with exact
-equality, plus the issue's hard floor: batched throughput must stay
-**≥ 3×** the unbatched path at offered loads ≥ 64.
+machine-independent: the ``serve`` record under ``benchmarks/results/`` is
+compared exactly, and its benchmark enforces the hard floor — batched
+throughput must stay **≥ 3×** the unbatched path at offered loads ≥ 64.
 
 Distinct sources make this the *adversarial* shape for batching — keyed
 dedup never merges two queries, so the whole win must come from occupancy
@@ -18,12 +19,11 @@ the V100's saturation point).
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from repro.bench.baseline import baseline_path, diff_configs, read_json, record
+from repro.bench.runner import ExperimentRecord
 from repro.graphs.generators import rmat, road_like
 from repro.serve.loadgen import generate_queries
 from repro.serve.service import APSPService
@@ -33,11 +33,7 @@ __all__ = [
     "SERVE_CONFIGS",
     "SPEEDUP_FLOOR",
     "SPEEDUP_GATE_LOAD",
-    "bench_serve_path",
     "collect_serve",
-    "compare_serve",
-    "load_serve",
-    "save_serve",
 ]
 
 #: benchmark graphs (V100 spec: the occupancy story needs the real
@@ -52,26 +48,9 @@ SERVE_CONFIGS = (
 #: offered loads: concurrent distinct-source SSSP queries arriving at t=0
 OFFERED_LOADS = (16, 64, 128)
 
-#: CI floor on batched/unbatched throughput, applied at loads >= the gate
+#: floor on batched/unbatched throughput, applied at loads >= the gate
 SPEEDUP_FLOOR = 3.0
 SPEEDUP_GATE_LOAD = 64
-
-#: audited fields that must match the baseline exactly
-BASELINE_FIELDS = (
-    "batched_p50_us",
-    "batched_p99_us",
-    "batched_qps",
-    "unbatched_p50_us",
-    "unbatched_p99_us",
-    "unbatched_qps",
-    "speedup",
-)
-
-
-def bench_serve_path() -> Path:
-    """Canonical location of ``BENCH_serve.json`` (repo root, or
-    ``REPRO_BENCH_SERVE`` when set)."""
-    return baseline_path("BENCH_serve.json", "REPRO_BENCH_SERVE")
 
 
 def _build_graph(cfg: dict) -> Any:
@@ -106,92 +85,35 @@ def _run_leg(graph: Any, spec: Any, load: int, *, batch_size: "int | None") -> d
     }
 
 
-def collect_serve(configs=None, loads=None) -> dict:
-    """Drive every configuration at every offered load; returns the
-    baseline payload. Defaults resolve at call time (so tests can
-    monkeypatch the module-level tables)."""
-    configs = SERVE_CONFIGS if configs is None else configs
-    loads = OFFERED_LOADS if loads is None else loads
-    entries: dict[str, Any] = {}
-    for cfg in configs:
-        graph = _build_graph(cfg)
-        spec = _device_spec(cfg["device"])
-        rows: dict[str, Any] = {}
-        for load in loads:
-            batched = _run_leg(graph, spec, load, batch_size=None)
-            unbatched = _run_leg(graph, spec, load, batch_size=1)
-            rows[str(load)] = {
-                "batched_p50_us": round(batched["p50_us"], 3),
-                "batched_p99_us": round(batched["p99_us"], 3),
-                "batched_qps": round(batched["qps"], 3),
-                "unbatched_p50_us": round(unbatched["p50_us"], 3),
-                "unbatched_p99_us": round(unbatched["p99_us"], 3),
-                "unbatched_qps": round(unbatched["qps"], 3),
-                "speedup": round(batched["qps"] / unbatched["qps"], 3),
-            }
-        entries[cfg["name"]] = {
-            "config": dict(cfg),
-            "num_edges": graph.num_edges,
-            "loads": rows,
-        }
-    return {
-        "experiment": "serve",
-        "title": "service throughput/latency vs offered load, batched vs per-query (modeled)",
-        "generated_by": "python -m repro bench-serve",
-        "fields": list(BASELINE_FIELDS),
-        "speedup_floor": SPEEDUP_FLOOR,
-        "speedup_gate_load": SPEEDUP_GATE_LOAD,
-        "configs": entries,
-    }
-
-
-def save_serve(payload: dict | None = None, path: Path | str | None = None) -> Path:
-    """Write the baseline to ``BENCH_serve.json`` (stable key order) and
-    mirror the table into ``benchmarks/results/`` — the mirror is only
-    refreshed for the canonical (non-redirected) path, and only when its
-    gated content actually changed."""
-    return record(
-        payload or collect_serve(), path or bench_serve_path(), mirror=_mirror_record
-    )
-
-
-def _mirror_record(payload: dict) -> dict:
-    rows = []
-    for name, entry in sorted(payload["configs"].items()):
-        for load, row in sorted(entry["loads"].items(), key=lambda kv: int(kv[0])):
-            rows.append({"graph": name, "offered_load": int(load), **row})
-    return {
-        "experiment": "serve",
-        "title": payload["title"],
-        "generated_by": payload["generated_by"],
-        "paper_expectation": (
+def collect_serve() -> ExperimentRecord:
+    """Drive every configuration at every offered load: one row per
+    (configuration, load), one note per configuration."""
+    record = ExperimentRecord(
+        experiment="serve",
+        title="service throughput/latency vs offered load, batched vs per-query (modeled)",
+        paper_expectation=(
             "amortising many SSSP sources per MSSP launch restores occupancy: "
             "batched serving sustains >= 3x the per-query throughput at "
             "offered loads >= 64"
         ),
-        "rows": rows,
-        "notes": ["modeled clock — canonical copy: BENCH_serve.json"],
-    }
-
-
-def load_serve(path: Path | str | None = None) -> dict:
-    """Read the checked-in baseline."""
-    return read_json(path or bench_serve_path())
-
-
-def compare_serve(baseline: dict | None = None) -> list[str]:
-    """Re-drive the service and diff against ``baseline``; empty list
-    means every modeled figure matches exactly AND the ≥ 3× batching
-    floor holds at every gated load."""
-    current = collect_serve()
-    drifts = diff_configs(
-        baseline or load_serve(), current, BASELINE_FIELDS, rows="loads", label="load="
+        notes=["modeled clock"],
     )
-    for name, entry in current["configs"].items():
-        for load, row in entry["loads"].items():
-            if int(load) >= SPEEDUP_GATE_LOAD and row["speedup"] < SPEEDUP_FLOOR:
-                drifts.append(
-                    f"{name}/load={load}: batched speedup {row['speedup']} "
-                    f"below the {SPEEDUP_FLOOR}x floor"
-                )
-    return drifts
+    for cfg in SERVE_CONFIGS:
+        graph = _build_graph(cfg)
+        spec = _device_spec(cfg["device"])
+        for load in OFFERED_LOADS:
+            batched = _run_leg(graph, spec, load, batch_size=None)
+            unbatched = _run_leg(graph, spec, load, batch_size=1)
+            record.add(
+                graph=cfg["name"],
+                offered_load=load,
+                batched_p50_us=round(batched["p50_us"], 3),
+                batched_p99_us=round(batched["p99_us"], 3),
+                batched_qps=round(batched["qps"], 3),
+                unbatched_p50_us=round(unbatched["p50_us"], 3),
+                unbatched_p99_us=round(unbatched["p99_us"], 3),
+                unbatched_qps=round(unbatched["qps"], 3),
+                speedup=round(batched["qps"] / unbatched["qps"], 3),
+            )
+        record.note_config(cfg, num_edges=graph.num_edges)
+    return record

@@ -1,46 +1,26 @@
-"""Transfer-volume baseline (``python -m repro bench-transfers``).
+"""Transfer-volume record (``benchmarks/test_transfer_volumes.py``).
 
 The static plan verifier (:mod:`repro.verifyplan`) predicts, per
 algorithm, exactly how many bytes each OOC schedule moves across PCIe
-and how much device memory it peaks at. This module pins those symbolic
-predictions for a fixed set of graph/device configurations into
-``BENCH_transfers.json`` at the repo root so CI can catch *transfer
-regressions* — a driver change that silently starts re-uploading
-resident blocks or doubles its download volume fails the
-``--check`` gate (and ``tests/test_transfer_baseline.py``) before any
-wall-clock benchmark would notice.
+and how much device memory it peaks at. This module collects those
+symbolic predictions for a fixed set of graph/device configurations as
+the ``transfers`` record under ``benchmarks/results/``, so a driver
+change that silently starts re-uploading resident blocks or doubles its
+download volume changes a committed figure (compared exactly by
+``tests/test_benchmark_records.py`` and within ``REL_TOL`` by
+``benchmarks/check_records.py``) before any wall-clock benchmark would
+notice.
 
 Everything here is static: no :class:`~repro.gpu.device.Device` is
-instantiated and nothing executes, so the baseline is exact and
+instantiated and nothing executes, so the record is exact and
 machine-independent.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+from repro.bench.runner import ExperimentRecord
 
-from repro.bench.baseline import baseline_path, diff_configs, read_json, record
-
-__all__ = [
-    "STANDARD_CONFIGS",
-    "bench_transfers_path",
-    "collect_baseline",
-    "compare_baseline",
-    "load_baseline",
-    "save_baseline",
-]
-
-#: audited fields that must match the baseline exactly (all byte-exact
-#: integers — the plan IR is deterministic)
-BASELINE_FIELDS = (
-    "feasible",
-    "peak_bytes",
-    "bytes_h2d",
-    "bytes_d2h",
-    "num_h2d",
-    "num_d2h",
-    "redundant_bytes",
-)
+__all__ = ["STANDARD_CONFIGS", "collect_baseline"]
 
 #: (config name, graph builder args, device) — small enough to audit in
 #: milliseconds, varied enough to exercise every driver code path
@@ -53,12 +33,6 @@ STANDARD_CONFIGS = (
     {"name": "road400-test", "kind": "road", "n": 400, "deg": 2.6, "seed": 7, "device": "test"},
     {"name": "road900-v100", "kind": "road", "n": 900, "deg": 2.6, "seed": 3, "device": "v100/64"},
 )
-
-
-def bench_transfers_path() -> Path:
-    """Canonical location of ``BENCH_transfers.json`` (repo root, or
-    ``REPRO_BENCH_TRANSFERS`` when set)."""
-    return baseline_path("BENCH_transfers.json", "REPRO_BENCH_TRANSFERS")
 
 
 def _build_graph(cfg: dict):
@@ -81,59 +55,38 @@ def _device_spec(name: str):
     raise ValueError(f"unknown baseline device {name!r}")
 
 
-def collect_baseline(configs=STANDARD_CONFIGS) -> dict:
-    """Audit every standard configuration with the plan verifier and
-    return the baseline payload (without writing it)."""
+def collect_baseline() -> ExperimentRecord:
+    """Audit every standard configuration with the plan verifier: one
+    row per (configuration, algorithm), one note per configuration."""
     from repro.verifyplan import verify_plan
 
-    entries = {}
-    for cfg in configs:
+    record = ExperimentRecord(
+        experiment="transfers",
+        title="static transfer-volume and peak-residency baseline",
+        paper_expectation=(
+            "every feasible out-of-core plan moves exactly its closed-form "
+            "bytes and copies and no redundant byte"
+        ),
+        notes=["n, m: the built graph's vertices and edges; per graph, its generator"],
+    )
+    for cfg in STANDARD_CONFIGS:
         graph = _build_graph(cfg)
         ver = verify_plan(graph, _device_spec(cfg["device"]))
-        entries[cfg["name"]] = {
-            "config": dict(cfg),
-            "n": graph.num_vertices,
-            "m": graph.num_edges,
-            "ok": ver.ok,
-            "algorithms": {
-                name: {
-                    "verified": audit.ok,
-                    **{f: getattr(audit, f) for f in BASELINE_FIELDS},
-                }
-                for name, audit in ver.audits.items()
-            },
-        }
-    return {
-        "experiment": "transfers",
-        "title": "static transfer-volume and peak-residency baseline",
-        "generated_by": "python -m repro bench-transfers",
-        "fields": list(BASELINE_FIELDS),
-        "configs": entries,
-    }
-
-
-def save_baseline(payload: dict | None = None, path: Path | str | None = None) -> Path:
-    """Write the baseline to ``BENCH_transfers.json``."""
-    return record(
-        payload or collect_baseline(), path or bench_transfers_path(), sort_keys=False
-    )
-
-
-def load_baseline(path: Path | str | None = None) -> dict:
-    """Read the checked-in baseline."""
-    return read_json(path or bench_transfers_path())
-
-
-def compare_baseline(baseline: dict | None = None) -> list[str]:
-    """Recompute the audits and diff them against ``baseline``.
-
-    Returns a list of human-readable drift messages — empty means every
-    byte count, copy count, and peak matches the recorded baseline
-    exactly.
-    """
-    return diff_configs(
-        baseline or load_baseline(),
-        collect_baseline(),
-        ("verified", *BASELINE_FIELDS),
-        rows="algorithms",
-    )
+        for name, audit in ver.audits.items():
+            record.add(
+                graph=cfg["name"],
+                n=graph.num_vertices,
+                m=graph.num_edges,
+                ok=ver.ok,
+                algorithm=name,
+                verified=audit.ok,
+                feasible=audit.feasible,
+                peak_bytes=audit.peak_bytes,
+                bytes_h2d=audit.bytes_h2d,
+                bytes_d2h=audit.bytes_d2h,
+                num_h2d=audit.num_h2d,
+                num_d2h=audit.num_d2h,
+                redundant_bytes=audit.redundant_bytes,
+            )
+        record.note_config(cfg)
+    return record

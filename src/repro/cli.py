@@ -8,30 +8,29 @@ Commands
 ``suite``         list the paper's evaluation-graph registry
 ``devices``       list the device presets and their constants
 ``bench-kernels`` wall-clock sweep of the min-plus kernels, numpy and compiled
-``bench-transfers`` record/check the static transfer-volume baseline
 ``verify-plan``   statically verify the OOC execution plans (no execution):
                   derived parameters, residency and transfer bounds,
                   happens-before and the predicted makespan
 ``verify-cluster`` cross-node HB + communication-volume proofs for the
                   distributed blocked-FW schedule
-``bench-cluster`` record/check the cluster scaling baseline
 ``verify-update`` static O(n²) transfer proofs + patch-soundness checks for
                   the dynamic-graph update schedules
-``bench-dynamic`` record/check the update-latency vs re-solve crossover baseline
 ``serve``         run the batched/cached/admission-controlled query service
                   over a deterministic workload (``--selftest`` for the
                   differential smoke test)
-``bench-serve``   record/check the serving latency/throughput baseline
 ``lint``          run the repository AST contract checker
 ``verify-kernels`` static bounds/alias proofs + sanitizer legs for the JIT C kernels
+``report``        render ``benchmarks/results/*.json`` to ``RESULTS.md``
+
+The modeled benchmark records (the paper's tables and figures, plus the
+transfer-volume, cluster-scaling, dynamic-crossover and serving records)
+are written by the files under ``benchmarks/`` and checked by
+``benchmarks/check_records.py``, not by a subcommand.
 
 Exit codes (``verify-plan``, ``verify-cluster``, ``verify-update``,
-``bench-transfers --check``, ``bench-cluster --check``,
-``bench-dynamic --check``, ``serve``, ``bench-serve --check``, ``lint``,
-``verify-kernels``):
-0 — clean/verified; 1 — findings, failed bounds or checks, or
-baseline drift; 2 — usage error (argparse, including a device, node or
-block count below 1).
+``serve``, ``lint``, ``verify-kernels``):
+0 — clean/verified; 1 — findings, failed bounds or checks; 2 — usage
+error (argparse, including a device, node or block count below 1).
 
 The three schedule verifiers (``verify-plan``, ``verify-cluster``,
 ``verify-update``) print one report shape: a header line with the
@@ -369,53 +368,10 @@ def cmd_verify_cluster(args) -> int:
     ))
 
 
-def _bench_baseline(args, compare, save, filename: str, clean: str) -> int:
-    """``--check``: print each drift from ``filename`` (exit 1) or
-    ``clean``; otherwise re-record the baseline."""
-    if args.check:
-        drifts = compare()
-        if drifts:
-            for line in drifts:
-                print(line)
-            print(f"{len(drifts)} drift(s) from {filename}", file=sys.stderr)
-            return 1
-        print(clean)
-        return 0
-    print(f"wrote {save()}")
-    return 0
-
-
-def cmd_bench_cluster(args) -> int:
-    from repro.bench.cluster import compare_baseline, save_baseline
-
-    return _bench_baseline(
-        args, compare_baseline, save_baseline,
-        "BENCH_cluster.json", "cluster scaling baseline: no drift",
-    )
-
-
-def cmd_bench_transfers(args) -> int:
-    from repro.bench.transfers import compare_baseline, save_baseline
-
-    return _bench_baseline(
-        args, compare_baseline, save_baseline,
-        "BENCH_transfers.json", "transfer baseline: no drift",
-    )
-
-
 def cmd_verify_update(args) -> int:
     from repro.dynamic import verify_update
 
     return _print_verification(args, verify_update(_device_spec(args)))
-
-
-def cmd_bench_dynamic(args) -> int:
-    from repro.bench.dynamic import compare_dynamic, save_dynamic
-
-    return _bench_baseline(
-        args, compare_dynamic, save_dynamic,
-        "BENCH_dynamic.json", "dynamic crossover baseline: no drift",
-    )
 
 
 def cmd_serve(args) -> int:
@@ -501,15 +457,6 @@ def cmd_serve(args) -> int:
               f"{c['misses']} misses, {c['evictions']} evictions, "
               f"{c['revalidate_hits']} revalidations")
     return 0
-
-
-def cmd_bench_serve(args) -> int:
-    from repro.bench.serve import compare_serve, save_serve
-
-    return _bench_baseline(
-        args, compare_serve, save_serve,
-        "BENCH_serve.json", "serving baseline: no drift (>=3x batching floor holds)",
-    )
 
 
 def cmd_lint(args) -> int:
@@ -716,15 +663,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify_cluster)
 
     p = sub.add_parser(
-        "bench-cluster",
-        help="record (default) or --check the cluster scaling baseline "
-             "in BENCH_cluster.json (predicted == simulated makespans)",
-    )
-    p.add_argument("--check", action="store_true",
-                   help="diff the recomputed sweep against the recorded baseline")
-    p.set_defaults(fn=cmd_bench_cluster)
-
-    p = sub.add_parser(
         "verify-update",
         help="statically prove the dynamic-graph update schedules sound: "
              "closed-form O(n²) transfer bounds == static IR tally, "
@@ -737,15 +675,6 @@ def main(argv=None) -> int:
     p.add_argument("--device", choices=["v100", "k80", "test"], default="test")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_verify_update)
-
-    p = sub.add_parser(
-        "bench-dynamic",
-        help="record (default) or --check the modeled update-latency vs "
-             "full re-solve crossover baseline in BENCH_dynamic.json",
-    )
-    p.add_argument("--check", action="store_true",
-                   help="diff the recomputed model against the recorded baseline")
-    p.set_defaults(fn=cmd_bench_dynamic)
 
     p = sub.add_parser(
         "serve",
@@ -786,25 +715,6 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "bench-serve",
-        help="record (default) or --check the modeled serving "
-             "latency/throughput baseline in BENCH_serve.json "
-             "(--check also enforces the >=3x batching floor)",
-    )
-    p.add_argument("--check", action="store_true",
-                   help="diff the re-driven service against the recorded baseline")
-    p.set_defaults(fn=cmd_bench_serve)
-
-    p = sub.add_parser(
-        "bench-transfers",
-        help="record (default) or --check the static transfer-volume "
-             "baseline in BENCH_transfers.json",
-    )
-    p.add_argument("--check", action="store_true",
-                   help="diff current audits against the recorded baseline")
-    p.set_defaults(fn=cmd_bench_transfers)
 
     p = sub.add_parser("lint", help="AST contract checks for this repository")
     p.add_argument("paths", nargs="*", default=["src"],

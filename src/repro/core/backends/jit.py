@@ -38,17 +38,14 @@ the per-kernel sources and statically proves every subscript within the
 declared extents and each kernel's alias class — run
 ``python -m repro verify-kernels``.
 
-**Sanitizer-instrumented builds** ride the same pipeline: pass
-``sanitize="asan" | "ubsan"`` to :func:`load_cc_kernels` /
-:func:`compile_cc_so` (or set ``REPRO_JIT_SANITIZE``) and the flag set
-grows the matching ``-fsanitize=...`` group, whose first flag is
-test-compiled first. A toolchain without the sanitizer degrades to a
-plain build — honestly reported in
-``CCBuildInfo.sanitize``/``CCBuildInfo.degraded``, never silently. Note
-ASan-instrumented objects cannot be ``dlopen``-ed into an ordinary
-process: the verification harness (:mod:`repro.verifykernel.sanitizers`)
-runs them in a subprocess with the runtime preloaded
-(:func:`sanitizer_runtime`).
+**Sanitizer-instrumented builds** are made only by the verification
+harness (:mod:`repro.verifykernel.sanitizers`): :func:`_resolve_flags`
+grows the flag set by the mode's ``-fsanitize=...`` group, whose first
+flag is test-compiled first (a toolchain without the sanitizer gets the
+plain set, reported as degraded), and :func:`compile_cc_so` builds the
+object. This process never loads one: ASan objects cannot be
+``dlopen``-ed into an ordinary interpreter, so the harness runs them in
+a subprocess with the runtime preloaded (:func:`sanitizer_runtime`).
 
 The C side has one float32 min-plus kernel, a **register-blocked**
 ``mp_update_f32`` (2 output rows × 4 inner ``k`` per step, ``#pragma omp
@@ -591,19 +588,12 @@ _SANITIZER_RUNTIMES = {
 
 @dataclass(frozen=True)
 class CCBuildInfo:
-    """What the compiled kernels were actually built with on this machine.
-
-    ``sanitize`` is the instrumentation that actually went into the
-    build (``None`` for a plain build); ``degraded`` lists every request
-    the toolchain could not honour (e.g. ``"sanitize:asan"`` when
-    ``-fsanitize=address`` was rejected and the build fell back to
-    plain) — the honesty contract the fallback-chain tests assert.
-    """
+    """What the compiled kernels were actually built with on this machine:
+    the compiler and the flag set (:data:`_CFLAGS`, or the ``-O3``-only
+    retry when the compiler rejected it)."""
 
     compiler: str
     flags: tuple[str, ...]
-    sanitize: str | None = None
-    degraded: tuple[str, ...] = ()
 
 
 def cc_compiler() -> str | None:
@@ -642,20 +632,6 @@ def sanitizer_runtime(mode: str, compiler: str | None = None) -> str | None:
     return path
 
 
-def _normalize_sanitize(sanitize: str | None) -> str | None:
-    """Resolve a sanitize request (``None`` = consult ``REPRO_JIT_SANITIZE``)."""
-    if sanitize is None:
-        sanitize = os.environ.get("REPRO_JIT_SANITIZE", "")
-    sanitize = sanitize.strip().lower()
-    if sanitize in ("", "0", "off", "none", "no"):
-        return None
-    if sanitize not in SANITIZER_FLAGS:
-        raise ValueError(
-            f"unknown sanitizer {sanitize!r}; choose from {sorted(SANITIZER_FLAGS)}"
-        )
-    return sanitize
-
-
 def _cache_dir() -> Path:
     root = os.environ.get("REPRO_JIT_CACHE")
     if root:
@@ -685,16 +661,13 @@ def _sanitizer_works(compiler: str, mode: str) -> bool:
 
 
 def _resolve_flags(
-    compiler: str, sanitize: str | None = None
+    compiler: str, sanitize: str
 ) -> tuple[list[str], str | None, tuple[str, ...]]:
-    """The build's ``(flags, sanitize, degraded)``.
+    """An instrumented build's ``(flags, sanitize, degraded)``.
 
-    A plain build is :data:`_CFLAGS`, with no test compile. A requested
-    sanitizer whose probe flag the compiler rejects degrades to a plain
-    build, recorded in ``degraded`` — never a hard failure.
+    A sanitizer whose probe flag the compiler rejects degrades to the
+    plain :data:`_CFLAGS`, recorded in ``degraded`` — never a hard failure.
     """
-    if sanitize is None:
-        return list(_CFLAGS), None, ()
     if _sanitizer_works(compiler, sanitize):
         return [*SANITIZER_FLAGS[sanitize], *_CFLAGS], sanitize, ()
     return list(_CFLAGS), None, (f"sanitize:{sanitize}",)
@@ -798,16 +771,14 @@ def _array_arg(dtype: type, ndim: int = 1, flags: tuple[str, ...] = ("C_CONTIGUO
     return np.ctypeslib.ndpointer(dtype=dtype, ndim=ndim, flags=flags)
 
 
-#: per-sanitize-mode cache: missing = untried, False = failed
-_CC_KERNELS: dict[str | None, "_CCKernels | bool"] = {}
+#: the loaded kernels: ``None`` = untried, ``False`` = failed
+_CC_KERNELS: "_CCKernels | bool | None" = None
 
 
 def compile_cc_so(
     compiler: str,
     flags: list[str],
     *,
-    sanitize: str | None = None,
-    degraded: tuple[str, ...] = (),
     source: str | None = None,
     cache_dir: Path | None = None,
 ) -> tuple[Path, CCBuildInfo]:
@@ -841,76 +812,36 @@ def compile_cc_so(
                     if proc.returncode != 0:
                         raise OSError(proc.stderr.decode(errors="replace")[:2000])
                     os.replace(out, so_path)  # atomic publish into the cache
-    build = CCBuildInfo(
-        compiler=compiler,
-        flags=tuple(flags),
-        sanitize=sanitize,
-        degraded=degraded,
-    )
-    return so_path, build
+    return so_path, CCBuildInfo(compiler=compiler, flags=tuple(flags))
 
 
-def _compile_and_load(
-    compiler: str,
-    flags: list[str],
-    *,
-    sanitize: str | None = None,
-    degraded: tuple[str, ...] = (),
-) -> _CCKernels:
-    so_path, build = compile_cc_so(
-        compiler, flags, sanitize=sanitize, degraded=degraded
-    )
+def _compile_and_load(compiler: str, flags: list[str]) -> _CCKernels:
+    so_path, build = compile_cc_so(compiler, flags)
     return _CCKernels(ctypes.CDLL(str(so_path)), build)
 
 
-def load_cc_kernels(sanitize: str | None = None) -> _CCKernels | None:
+def load_cc_kernels() -> _CCKernels | None:
     """Compile (once, cached on disk) and load the C kernels.
 
-    ``sanitize`` selects an instrumented build (``"asan"`` or
-    ``"ubsan"``; default consults ``REPRO_JIT_SANITIZE``). Returns
-    ``None`` when no compiler is present or both compile attempts
-    (:data:`_CFLAGS`, then the ``-O3``-only set) fail with an ``OSError``
-    or a ``SubprocessError`` — callers degrade to the numpy fallback; any
-    other error propagates. A rejected sanitizer flag degrades to a
-    plain build, reported in ``CCBuildInfo.degraded``. ASan objects only
-    load inside a process with the ASan runtime preloaded
-    (:func:`sanitizer_runtime`).
+    Returns ``None`` when no compiler is present or both compile
+    attempts (:data:`_CFLAGS`, then the ``-O3``-only set) fail with an
+    ``OSError`` or a ``SubprocessError`` — callers degrade to the numpy
+    fallback; any other error propagates. The result, kernels or
+    failure, is cached for the process.
     """
-    mode = _normalize_sanitize(sanitize)
-    if mode == "asan":
-        # dlopen of an ASan object into a process without the runtime
-        # hard-aborts the interpreter ("runtime does not come first in
-        # initial library list") — refuse with a recoverable error
-        # instead; repro.verifykernel.sanitizers sets the preload.
-        preload = os.environ.get("LD_PRELOAD", "")
-        if f"lib{mode}" not in preload:
-            raise RuntimeError(
-                f"{mode}-instrumented kernels need the sanitizer runtime "
-                f"preloaded: relaunch with LD_PRELOAD={sanitizer_runtime(mode)}"
-            )
-    cached = _CC_KERNELS.get(mode, None)
-    if cached is not None:
-        return cached if isinstance(cached, _CCKernels) else None
+    global _CC_KERNELS
+    if _CC_KERNELS is not None:
+        return _CC_KERNELS or None
     compiler = cc_compiler()
     kernels = None
     if compiler is not None:
-        flags, got_mode, degraded = _resolve_flags(compiler, mode)
-        for attempt_flags, attempt_mode, attempt_degraded in (
-            (flags, got_mode, degraded),
-            (_DEGRADED_CFLAGS, None,
-             degraded + ((f"sanitize:{mode}",) if got_mode else ())),
-        ):
+        for flags in (_CFLAGS, _DEGRADED_CFLAGS):
             try:
-                kernels = _compile_and_load(
-                    compiler,
-                    list(attempt_flags),
-                    sanitize=attempt_mode,
-                    degraded=attempt_degraded,
-                )
+                kernels = _compile_and_load(compiler, list(flags))
                 break
             except (OSError, subprocess.SubprocessError):
                 continue
-    _CC_KERNELS[mode] = kernels or False
+    _CC_KERNELS = kernels or False
     return kernels
 
 
@@ -923,7 +854,7 @@ def compiled_kernels() -> _CCKernels | None:
     return load_cc_kernels()
 
 
-def cc_build_info(sanitize: str | None = None) -> CCBuildInfo | None:
+def cc_build_info() -> CCBuildInfo | None:
     """Build provenance of the loaded cc kernels (``None`` if unavailable)."""
-    kernels = load_cc_kernels(sanitize)
+    kernels = load_cc_kernels()
     return kernels.build if kernels else None

@@ -347,7 +347,7 @@ def timing_report(algorithm: str, device: str, clocks: list[Clock]) -> TimingRep
     """Summarise the clocks of one device (or fleet) as a :class:`TimingReport`.
 
     Busy seconds are the summed op durations (``Clock.busy``), the sum
-    runs, replays and ``BENCH_cluster`` all report. Overlap
+    runs, replays and the ``cluster`` scaling record all report. Overlap
     efficiency places the makespan between the fully serialised schedule
     (0.0) and the busiest engine (1.0); the critical path runs back from
     the clock that finishes last. Retry backoff on the ``"host"`` engine

@@ -137,22 +137,21 @@ def partition_kway(
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
     n = graph.num_vertices
-    if num_parts == 1 or n <= num_parts:
-        labels = np.zeros(n, dtype=np.int64) if num_parts == 1 else np.arange(n) % num_parts
-        sym = graph.symmetrize()
-        return PartitionResult(
-            labels=labels,
-            num_parts=num_parts,
-            edge_cut=edge_cut(sym, labels) / 2.0,
-            part_sizes=np.bincount(labels, minlength=num_parts),
-        )
-
-    rng = np.random.default_rng(seed)
     # Partition on the symmetrised graph with uniform strengths.
     src, dst, _ = graph.edge_array()
     work = CSRGraph.from_edges(
         n, np.concatenate([src, dst]), np.concatenate([dst, src]), np.ones(2 * src.size)
     )
+    if num_parts == 1 or n <= num_parts:
+        labels = np.zeros(n, dtype=np.int64) if num_parts == 1 else np.arange(n) % num_parts
+        return PartitionResult(
+            labels=labels,
+            num_parts=num_parts,
+            edge_cut=edge_cut(work, labels) / 2.0,
+            part_sizes=np.bincount(labels, minlength=num_parts),
+        )
+
+    rng = np.random.default_rng(seed)
 
     if coarsen_to is None:
         coarsen_to = max(20 * num_parts, 200)

@@ -127,12 +127,10 @@ def run_matrix(
     if not result.available or cc is None:
         result.detail = f"toolchain lacks {mode}; leg skipped"
         return result
-    flags, san, degraded = _resolve_flags(cc, sanitize=mode)
+    flags, _san, degraded = _resolve_flags(cc, sanitize=mode)
     result.degraded = degraded
     source = kernel_source(overrides) if overrides else None
-    so_path, _build = compile_cc_so(
-        cc, flags, sanitize=san, degraded=degraded, source=source
-    )
+    so_path, _build = compile_cc_so(cc, flags, source=source)
     code, detail = _run_python_matrix(mode, so_path, fast=fast)
     result.ran = True
     result.returncode = code

@@ -13,8 +13,8 @@ This module holds that proof layer for the plans of
   once (``8(n+1) + 16m`` bytes) and writes back exactly the
   affected-region rectangles enumerated from the SSSP frontier, one per
   affected block-row (``|X| · n`` elements). Every field is checked
-  against the IR tally of the schedule the pass runs, and
-  ``bench-dynamic`` prices the same record;
+  against the IR tally of the schedule the pass runs, and the dynamic
+  crossover record (:mod:`repro.bench.dynamic`) prices the same record;
 
 * **asymptotic gate** — total traffic must stay within ``4n²`` elements
   (constant independent of the block count ``n_d``; the engine caps

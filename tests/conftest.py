@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import functools
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,26 @@ try:  # hypothesis is optional for most of the suite
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 except ImportError:  # pragma: no cover
     pass
+
+
+#: the committed benchmark records (``benchmarks/results/*.json``)
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+
+def committed_record(name: str) -> dict:
+    """The committed benchmark record ``name`` (e.g. ``"serve"``)."""
+    return json.loads((RESULTS / f"{name}.json").read_text())
+
+
+@functools.cache
+def record_checker():
+    """``benchmarks/check_records.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "check_records", RESULTS.parent / "check_records.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def oracle_apsp(graph: CSRGraph) -> np.ndarray:

@@ -275,11 +275,13 @@ class TestCheckSchedule:
         assert exc.value.code == 2
 
 
-class TestBenchTransfers:
-    def test_check_mode_clean(self, capsys):
-        rc = main(["bench-transfers", "--check"])
-        assert rc == 0
-        assert "no drift" in capsys.readouterr().out
+class TestRemovedBenchCommands:
+    @pytest.mark.parametrize("record", ["transfers", "cluster", "dynamic", "serve"])
+    def test_is_a_usage_error(self, record):
+        """These records are written by their benchmark files only."""
+        with pytest.raises(SystemExit) as exc:
+            main([f"bench-{record}", "--check"])
+        assert exc.value.code == 2
 
 
 class TestLintJson:

@@ -358,23 +358,23 @@ class TestVerifyCluster:
 
 
 class TestScalingBaseline:
-    """Spot-check BENCH_cluster.json entries against a fresh run."""
-
     @pytest.mark.parametrize("name", ["strong-n180-2x2", "weak-n120-1x1"])
     def test_committed_entry_reproduces_exactly(self, name):
-        from repro.bench.cluster import BASELINE_FIELDS, _run_config, load_baseline
+        """One scaling configuration, run alone, equals its committed row."""
+        from repro.bench.cluster import SCALING_CONFIGS, _run_config
+        from tests.conftest import committed_record
 
-        baseline = load_baseline()
-        entry = baseline["configs"][name]
-        fresh = _run_config(entry["config"])
-        for field in BASELINE_FIELDS:
-            assert fresh[field] == entry[field], field
+        (cfg,) = [c for c in SCALING_CONFIGS if c["name"] == name]
+        (row,) = [r for r in committed_record("cluster")["rows"] if r["config"] == name]
+        assert json.loads(json.dumps(_run_config(cfg))) == row
 
     def test_every_committed_entry_is_exact(self):
-        from repro.bench.cluster import load_baseline
+        """Every committed scaling row verified, and its predicted
+        makespan equals the simulated one."""
+        from tests.conftest import committed_record
 
-        for name, entry in load_baseline()["configs"].items():
-            assert entry["ok"] and entry["exact"], name
+        for row in committed_record("cluster")["rows"]:
+            assert row["ok"] and row["exact"], row["config"]
 
 
 class TestClusterCLI:
@@ -405,9 +405,3 @@ class TestClusterCLI:
         audit = payload["audits"]["cluster-fw"]
         assert all(b["ok"] for b in audit["bounds"])
         assert audit["checks"] == []
-
-    def test_bench_cluster_check_passes_on_committed_baseline(self, capsys):
-        from repro.cli import main
-
-        assert main(["bench-cluster", "--check"]) == 0
-        assert "no drift" in capsys.readouterr().out

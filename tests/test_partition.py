@@ -92,6 +92,10 @@ class TestPartition:
         g = erdos_renyi(10, 40, seed=10)
         res = partition_kway(g, 10, seed=0)
         assert res.num_parts == 10
+        # one vertex per part: every distinct vertex pair with an edge is
+        # cut, counted once at uniform strength as for k < n
+        assert res.edge_cut == 25.0
+        assert partition_kway(g, 9, seed=0).edge_cut == 24.0
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):

@@ -1,51 +1,45 @@
-"""The checked-in transfer baseline is a CI regression gate.
+"""Invariants of the committed transfer-volume record.
 
-``BENCH_transfers.json`` pins the static plan verifier's byte-exact
-predictions for the standard configurations; a driver change that moves
-different bytes (or starts wasting bus bandwidth on redundant copies)
-fails here before any wall-clock benchmark would notice.
+``benchmarks/results/transfers.json`` holds the static plan verifier's
+byte-exact predictions for the standard configurations
+(``tests/test_benchmark_records.py`` re-collects it exactly). Every
+feasible plan in it must verify and move zero redundant bytes: a driver
+that starts wasting bus bandwidth on redundant copies fails here.
 """
 
-from repro.bench.transfers import (
-    STANDARD_CONFIGS,
-    bench_transfers_path,
-    collect_baseline,
-    compare_baseline,
-    load_baseline,
-)
+import copy
+
+from repro.bench.transfers import STANDARD_CONFIGS
+from tests.conftest import committed_record, record_checker
 
 
 class TestBaselineFile:
     def test_checked_in_baseline_exists(self):
-        path = bench_transfers_path()
-        assert path.exists(), "run `python -m repro bench-transfers` to record it"
-        baseline = load_baseline()
-        assert set(baseline["configs"]) == {c["name"] for c in STANDARD_CONFIGS}
-
-    def test_no_drift_from_baseline(self):
-        drifts = compare_baseline()
-        assert drifts == []
+        rows = committed_record("transfers")["rows"]
+        assert {r["graph"] for r in rows} == {c["name"] for c in STANDARD_CONFIGS}
 
     def test_compare_detects_drift(self):
-        baseline = load_baseline()
-        entry = baseline["configs"]["road220-test"]["algorithms"]["floyd-warshall"]
-        entry["bytes_h2d"] += 4
-        drifts = compare_baseline(baseline)
-        assert any("road220-test/floyd-warshall: bytes_h2d" in d for d in drifts)
+        committed = committed_record("transfers")
+        drifted = copy.deepcopy(committed)
+        i, row = next(
+            (i, r) for i, r in enumerate(drifted["rows"])
+            if (r["graph"], r["algorithm"]) == ("road220-test", "floyd-warshall")
+        )
+        row["bytes_h2d"] += 4
+        assert list(record_checker().diff(committed, drifted)) == [
+            (f"/rows[{i}]/bytes_h2d", row["bytes_h2d"] - 4, row["bytes_h2d"])
+        ]
 
 
 class TestZeroRedundancy:
     def test_all_current_drivers_waste_no_bytes(self):
-        # the ISSUE acceptance invariant: every feasible plan of every
+        # the acceptance invariant: every feasible plan of every
         # standard configuration moves zero redundant bytes
-        current = collect_baseline()
-        for name, entry in current["configs"].items():
-            for algo, audit in entry["algorithms"].items():
-                if audit["feasible"]:
-                    assert audit["redundant_bytes"] == 0, (name, algo)
-                    assert audit["verified"], (name, algo)
+        for r in committed_record("transfers")["rows"]:
+            if r["feasible"]:
+                assert r["redundant_bytes"] == 0, (r["graph"], r["algorithm"])
+                assert r["verified"], (r["graph"], r["algorithm"])
 
     def test_every_standard_config_verifies(self):
-        current = collect_baseline()
-        for name, entry in current["configs"].items():
-            assert entry["ok"], name
+        for r in committed_record("transfers")["rows"]:
+            assert r["ok"], r["graph"]
