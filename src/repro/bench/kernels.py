@@ -5,13 +5,13 @@
 engine as the drivers run it (``backend = "jit"``, ``flavor`` the
 engine's kernels: ``cc``, or ``numpy`` under ``REPRO_JIT=off``) on
 ``n³`` float32 min-plus products. A product at or above
-:data:`~repro.core.engine.SPLIT_WORK` is split across cores, and its row
-records the panel count. Each config is repeated so its row carries its
-best time plus the median and quartiles, every result is verified
-bit-identical to the numpy one, and :func:`save_sweep` persists the rows
-to ``BENCH_kernels.json`` at the repository root and their gated fields
-to ``kernels.json`` beside the other records. Neither the engine nor the
-selector reads these files.
+:data:`~repro.core.engine.SPLIT_WORK` is split across cores in row
+panels, and its row records the panel count. Each config is repeated so
+its row carries its best time plus the median and quartiles, every
+result is verified bit-identical to the numpy one, and
+:func:`save_sweep` persists the rows to ``BENCH_kernels.json`` at the
+repository root and their gated fields to ``kernels.json`` beside the
+other records. Neither the engine nor the selector reads these files.
 
 Entry points: ``python -m repro bench-kernels`` and
 ``benchmarks/test_kernel_backends.py``.
@@ -83,7 +83,7 @@ def sweep_backends(
     speedup, identical`` — ``seconds`` is the best of ``repeats`` runs
     (``gops`` and ``speedup`` derive from it), ``median_seconds``/
     ``q1_seconds``/``q3_seconds`` give the spread, ``panels`` is how
-    many column panels the product ran in (``1`` for the bare numpy
+    many row panels the product ran in (``1`` for the bare numpy
     kernel and below the engine's split cutoff), ``speedup`` is against
     the numpy kernel at the same ``n``, ``identical`` the bit-identity
     check against its result. The numpy row is always measured first so
@@ -179,8 +179,9 @@ def save_sweep(rows: list[dict]) -> Path:
 
 
 def _mirror_payload(payload: dict) -> dict:
-    """The gated-fields report record derived from a full sweep payload."""
-    best = payload.get("best")
+    """The gated-fields report record derived from a full sweep payload:
+    no field that a timing picks, so a re-run rewrites it only when a
+    configuration or a bit-identity verdict changed."""
     return {
         "experiment": "kernels",
         "title": payload["title"],
@@ -190,7 +191,6 @@ def _mirror_payload(payload: dict) -> dict:
             "rank-1 loop's Gop/s at n=1024 (ISSUE 1 acceptance)"
         ),
         "rows": [_gated_row(r) for r in payload["rows"]],
-        "best": _gated_row(best) if best else None,
         "notes": [
             "gated fields only (config + bit-identity) — measured timings "
             "live in the canonical copy: BENCH_kernels.json"

@@ -19,7 +19,7 @@ compiler, and flag set, so later processes pay only a ``dlopen``. No
 kernel starts a thread; the callers spread large work across cores by
 calling a kernel on disjoint parts from the engine's pool
 (:func:`repro.core.engine.shared_executor`): the engine calls the
-min-plus kernel on disjoint column panels of a large product, and
+min-plus kernel on disjoint row panels of a large product, and
 :func:`repro.sssp.near_far.near_far_batch` calls the Near-Far kernel on
 contiguous row ranges of a large batch, the first on the calling thread
 and the rest on the pool.
@@ -48,8 +48,11 @@ object. This process never loads one: ASan objects cannot be
 a subprocess with the runtime preloaded (:func:`sanitizer_runtime`).
 
 The C side has one float32 min-plus kernel, a **register-blocked**
-``mp_update_f32`` (2 output rows × 4 inner ``k`` per step, ``#pragma omp
-simd`` inner loops). It requires ``C`` disjoint from ``A`` and ``B``,
+``mp_update_f32``: 4 output rows × 4 pivots per step, over column panels
+of at most 128 (``min(tile, 128)``) inside each ``tile``-deep ``k``
+tile, with ``#pragma omp simd`` inner loops. A block of 4 rows keeps its
+C panel in L1 while it walks the ``k`` tile, and each load of ``B``
+serves all 4 rows. It requires ``C`` disjoint from ``A`` and ``B``,
 which :meth:`repro.core.engine.KernelEngine.update` guarantees by
 rejecting overlapping operands. Min is order-independent and every
 candidate ``a + b`` is the identical float32 sum, so reassociating the
@@ -148,41 +151,51 @@ class KernelTemplate:
 
 
 _MP_FAST_SOURCE = r"""
-/* Register-blocked fast path: 2 output rows x 4 pivots per step. Each
- * B row load is reused by both output rows and each C row is loaded and
- * stored once per 4 pivots. Candidates are the same float32 sums as the
+/* Register-blocked loop: 4 output rows x 4 pivots per step, over column
+ * panels of at most 128 (pw = min(tile, 128)). Per k tile and panel,
+ * each block of 4 rows walks the tile's pivots in groups of 4: its four
+ * C rows (4 x pw floats) stay in L1 across the whole tile, and each B
+ * load of a group's four rows serves all four output rows, so B streams
+ * from L2 once per 4 rows. Candidates are the same float32 sums as the
  * reference; min is order-independent, so the reassociation is
  * bit-exact. REQUIRES C disjoint from A and B (the engine rejects
- * overlapping operands). All-inf pivot groups short-circuit; a lone
- * inf pivot contributes only +inf candidates, which never win. */
+ * overlapping operands). A pivot group whose 16 A values are all inf
+ * is skipped, and so are the 4 values of a remainder pivot; a lone inf
+ * contributes only +inf candidates, which never win. Rows past the last
+ * block of 4 run a 1-row loop. */
 void mp_update_f32(float *c, const float *a, const float *b,
                    i64 bi, i64 bk, i64 bj,
                    i64 cs, i64 as, i64 bs, i64 tile)
 {
     if (tile <= 0) tile = 256;
+    i64 pw = tile < 128 ? tile : 128;
     for (i64 k0 = 0; k0 < bk; k0 += tile) {
         i64 k1 = k0 + tile < bk ? k0 + tile : bk;
-        for (i64 j0 = 0; j0 < bj; j0 += tile) {
-            i64 len = (j0 + tile < bj ? j0 + tile : bj) - j0;
+        for (i64 j0 = 0; j0 < bj; j0 += pw) {
+            i64 len = (j0 + pw < bj ? j0 + pw : bj) - j0;
             i64 i = 0;
-            for (; i + 2 <= bi; i += 2) {
+            for (; i + 4 <= bi; i += 4) {
                 float *c0r = c + i * cs + j0;
-                float *c1r = c0r + cs;
+                float *c1r = c0r + cs, *c2r = c1r + cs, *c3r = c2r + cs;
                 const float *a0r = a + i * as;
-                const float *a1r = a0r + as;
+                const float *a1r = a0r + as, *a2r = a1r + as, *a3r = a2r + as;
                 i64 k = k0;
                 for (; k + 4 <= k1; k += 4) {
                     float a00 = a0r[k], a01 = a0r[k+1], a02 = a0r[k+2], a03 = a0r[k+3];
                     float a10 = a1r[k], a11 = a1r[k+1], a12 = a1r[k+2], a13 = a1r[k+3];
+                    float a20 = a2r[k], a21 = a2r[k+1], a22 = a2r[k+2], a23 = a2r[k+3];
+                    float a30 = a3r[k], a31 = a3r[k+1], a32 = a3r[k+2], a33 = a3r[k+3];
                     if (isinf(a00) && isinf(a01) && isinf(a02) && isinf(a03) &&
-                        isinf(a10) && isinf(a11) && isinf(a12) && isinf(a13))
+                        isinf(a10) && isinf(a11) && isinf(a12) && isinf(a13) &&
+                        isinf(a20) && isinf(a21) && isinf(a22) && isinf(a23) &&
+                        isinf(a30) && isinf(a31) && isinf(a32) && isinf(a33))
                         continue;
                     const float *b0 = b + k * bs + j0;
                     const float *b1 = b0 + bs, *b2 = b1 + bs, *b3 = b2 + bs;
                     #pragma omp simd
                     for (i64 j = 0; j < len; j++) {
                         float w0 = b0[j], w1 = b1[j], w2 = b2[j], w3 = b3[j];
-                        float v0 = c0r[j], v1 = c1r[j];
+                        float v0 = c0r[j], v1 = c1r[j], v2 = c2r[j], v3 = c3r[j];
                         float t;
                         t = a00 + w0; v0 = t < v0 ? t : v0;
                         t = a01 + w1; v0 = t < v0 ? t : v0;
@@ -192,25 +205,30 @@ void mp_update_f32(float *c, const float *a, const float *b,
                         t = a11 + w1; v1 = t < v1 ? t : v1;
                         t = a12 + w2; v1 = t < v1 ? t : v1;
                         t = a13 + w3; v1 = t < v1 ? t : v1;
-                        c0r[j] = v0; c1r[j] = v1;
+                        t = a20 + w0; v2 = t < v2 ? t : v2;
+                        t = a21 + w1; v2 = t < v2 ? t : v2;
+                        t = a22 + w2; v2 = t < v2 ? t : v2;
+                        t = a23 + w3; v2 = t < v2 ? t : v2;
+                        t = a30 + w0; v3 = t < v3 ? t : v3;
+                        t = a31 + w1; v3 = t < v3 ? t : v3;
+                        t = a32 + w2; v3 = t < v3 ? t : v3;
+                        t = a33 + w3; v3 = t < v3 ? t : v3;
+                        c0r[j] = v0; c1r[j] = v1; c2r[j] = v2; c3r[j] = v3;
                     }
                 }
                 for (; k < k1; k++) {
+                    float x0 = a0r[k], x1 = a1r[k], x2 = a2r[k], x3 = a3r[k];
+                    if (isinf(x0) && isinf(x1) && isinf(x2) && isinf(x3))
+                        continue;
                     const float *brow = b + k * bs + j0;
-                    float aik0 = a0r[k], aik1 = a1r[k];
-                    if (!isinf(aik0)) {
-                        #pragma omp simd
-                        for (i64 j = 0; j < len; j++) {
-                            float cand = aik0 + brow[j];
-                            c0r[j] = cand < c0r[j] ? cand : c0r[j];
-                        }
-                    }
-                    if (!isinf(aik1)) {
-                        #pragma omp simd
-                        for (i64 j = 0; j < len; j++) {
-                            float cand = aik1 + brow[j];
-                            c1r[j] = cand < c1r[j] ? cand : c1r[j];
-                        }
+                    #pragma omp simd
+                    for (i64 j = 0; j < len; j++) {
+                        float w = brow[j];
+                        float t;
+                        t = x0 + w; c0r[j] = t < c0r[j] ? t : c0r[j];
+                        t = x1 + w; c1r[j] = t < c1r[j] ? t : c1r[j];
+                        t = x2 + w; c2r[j] = t < c2r[j] ? t : c2r[j];
+                        t = x3 + w; c3r[j] = t < c3r[j] ? t : c3r[j];
                     }
                 }
             }

@@ -20,9 +20,12 @@ same switch. The engine guards the kernels' operand contract:
 
 One rule spreads a product across cores (:func:`panel_count`): a product
 of fewer than :data:`SPLIT_WORK` ``rows × depth × cols`` steps is one
-kernel call, and a larger one is split into disjoint column panels of
-``C`` (with the matching columns of ``B``), one per worker of
-:func:`shared_executor`, whose workers are each bound to one CPU. The
+kernel call, and a larger one is split into disjoint row panels of
+``C`` (with the matching rows of ``A`` and all of ``B``), one per worker
+of :func:`shared_executor`, whose workers are each bound to one CPU.
+Rows, not columns: the compiled kernel walks ``C`` in column panels of
+up to 128, and a column split would narrow them (the 228- and 229-wide
+halves of a 457-wide product would each run as 128 + 100 or 101). The
 compiled kernels release the GIL, and a disjoint split leaves every
 element's candidate set unchanged, so the result is bit-identical
 either way. This is blocked FW's own parallel unit: phase-3 updates
@@ -77,9 +80,10 @@ __all__ = [
 
 #: smallest product (``rows × depth × cols``) :meth:`KernelEngine.update`
 #: splits across workers. Measured on 2 cores (``docs/PERFORMANCE.md``):
-#: a two-panel split loses up to 16.8M (800×8×800, 256³), ties at 24.0M
-#: (306×256×306) and wins from 30.4M (258×457×258); so fw-rmat's
-#: 457-wide products split and every smaller product is one serial call
+#: a two-panel row split loses up to 15.2M (800×8×800, 256×256×232),
+#: ties at 16.8M and 24.0M (256³, 306×256×306) and wins from 30.4M
+#: (258×457×258); so fw-rmat's 457-wide products split and every smaller
+#: product is one serial call
 SPLIT_WORK = 27_000_000
 
 #: smallest batched Near-Far launch (``rows × edges``)
@@ -179,12 +183,12 @@ def shared_executor(workers: int) -> ThreadPoolExecutor:
 
 
 def panel_count(rows: int, depth: int, cols: int) -> int:
-    """Column panels :meth:`KernelEngine.update` splits a product into:
-    one below :data:`SPLIT_WORK`, else one per worker (at most one per
-    column of ``C``)."""
+    """Row panels :meth:`KernelEngine.update` splits a product into: one
+    below :data:`SPLIT_WORK`, else one per worker (at most one per row of
+    ``C``)."""
     if rows * depth * cols < SPLIT_WORK:
         return 1
-    return max(1, min(default_workers(), cols))
+    return max(1, min(default_workers(), rows))
 
 
 def range_count(rows: int, edges: int) -> int:
@@ -282,18 +286,19 @@ class KernelEngine:
             rank1_update(c, a, b)
 
     def _product(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-        """One kernel call, or :func:`panel_count` disjoint column panels
-        on the shared pool, each one kernel call. Every panel is joined
-        before any panel's exception propagates, so no worker is still
-        writing ``C`` when the caller sees the error."""
+        """One kernel call, or :func:`panel_count` disjoint row panels on
+        the shared pool, each one kernel call on ``C[lo:hi]``,
+        ``A[lo:hi]`` and all of ``B``. Every panel is joined before any
+        panel's exception propagates, so no worker is still writing ``C``
+        when the caller sees the error."""
         panels = panel_count(a.shape[0], a.shape[1], c.shape[1])
         if panels < 2:
             self._serial(c, a, b)
             return
-        bounds = np.linspace(0, c.shape[1], panels + 1, dtype=int)
+        bounds = np.linspace(0, c.shape[0], panels + 1, dtype=int)
         ex = shared_executor(panels)
         futures = [
-            ex.submit(self._serial, c[:, lo:hi], a, b[:, lo:hi])
+            ex.submit(self._serial, c[lo:hi], a[lo:hi], b)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         wait(futures)

@@ -113,6 +113,16 @@ def run_matrix_cases(kern: _CCKernels, *, fast: bool = False) -> list[dict]:
     kern.mp_update(*_mp_args(c, a, b))
     record(f"f32/fast/strided/n={n}", np.ascontiguousarray(c), want)
 
+    # -- float32, the default tile: 128-wide column panels ----------------
+    # (every case above runs panels of _TILE), with a 3-column last panel
+    # and 3 remainder rows and pivots
+    n = 131
+    c0, a0, b0 = _dist_matrix(rng, n), _dist_matrix(rng, n), _dist_matrix(rng, n)
+    want = rank1_update(c0.copy(), a0, b0)
+    c = c0.copy()
+    kern.mp_update(*_mp_args(c, a0, b0, tile=256))
+    record(f"f32/fast/panels/n={n}", c, want)
+
     # -- Floyd–Warshall tile closure ---------------------------------------
     n = sizes[-1]
     d0 = _dist_matrix(rng, n, inf_frac=0.5)

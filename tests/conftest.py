@@ -73,7 +73,7 @@ def timed_op_names(ir) -> list[str]:
 @contextlib.contextmanager
 def forced_split(workers: int):
     """Split every float32 min-plus product the kernel engine runs into
-    ``workers`` column panels, and every compiled Near-Far batch into
+    ``workers`` row panels, and every compiled Near-Far batch into
     ``workers`` row ranges (at most one per row): both work cutoffs are
     forced to 0. The parts queue on at most three pool threads, so a
     range per row starts no more."""

@@ -1,7 +1,7 @@
 """Cross-path equivalence and contract tests for the kernel engine.
 
 The engine on the numpy kernels, on the compiled kernels, and with its
-split of a product into column panels across threads, must produce
+split of a product into row panels across threads, must produce
 results **bit-identical** to the naive rank-1 reference loop — min is
 order-independent and float32 ``a + b`` rounds identically regardless of
 compilation or threading, so equality here is exact ``array_equal``,
@@ -40,7 +40,7 @@ from tests.conftest import forced_split, numpy_engine
 #: engine cases, by the ids these tests have always carried: the engine
 #: built under ``REPRO_JIT=off`` (numpy kernels), the default-built one
 #: (compiled kernels when a compiler loads), and the latter with the
-#: split cutoff forced to 0, three column panels on the shared pool
+#: split cutoff forced to 0, three row panels on the shared pool
 NUMPY, COMPILED, SPLIT = "reference", "jit", "threaded"
 ENGINES = (NUMPY, COMPILED, SPLIT)
 
@@ -342,6 +342,15 @@ CC = jit.compiled_kernels()
 cc_only = pytest.mark.skipif(CC is None, reason="no compiled kernels load")
 
 
+def _padded(m, pad):
+    """``m`` as a view with row stride ``cols + pad`` (unit last stride),
+    as blocked FW passes tiles of a larger matrix."""
+    rows, cols = m.shape
+    store = np.full((rows, cols + pad), np.inf, dtype=DIST_DTYPE)
+    store[:, :cols] = m
+    return store[:, :cols]
+
+
 @cc_only
 @pytest.mark.parametrize("flavor", ["cc"])
 @pytest.mark.parametrize("shape", SHAPES)
@@ -370,16 +379,9 @@ def test_cc_flavors_agree_on_strided_views(bi, bk, bj, pad, tile, inf_frac, seed
     naive loop on *views* with arbitrary row strides (tile views of a
     larger matrix), across tile sizes that exercise the unroll tails."""
     c, a, b = random_tiles((bi, bk, bj), inf_frac, seed)
-
-    def padded(m):
-        rows, cols = m.shape
-        store = np.full((rows, cols + pad), np.inf, dtype=DIST_DTYPE)
-        store[:, :cols] = m
-        return store[:, :cols]  # unit last stride, row stride cols+pad
-
     expected = naive_update(c, a, b)
-    got = padded(c)
-    CC.update(got, padded(a), padded(b), tile)
+    got = _padded(c, pad)
+    CC.update(got, _padded(a, pad), _padded(b, pad), tile)
     assert np.array_equal(got, expected)
 
 
@@ -394,12 +396,60 @@ def test_cc_inf_column_fast_path():
     assert np.array_equal(got, naive_update(c, a, b))
 
 
+@cc_only
+@pytest.mark.parametrize("tile", [64, 256])
+@pytest.mark.parametrize("bj", [127, 128, 129, 144, 257])
+def test_cc_row_blocks_pivot_groups_and_panels(bj, tile):
+    """The 4-row × 4-pivot loop equals ``rank1_update`` bit for bit with
+    every row remainder (``bi % 4``) and pivot remainder (``bk % 4``, also
+    in the last of two ``k`` tiles at tile 64), on widths on both sides
+    of the 128-column panel; at tile 64 the panel is the tile."""
+    for bi in (12, 13, 14, 15):
+        for bk in (68, 69, 70, 71):
+            c, a, b = random_tiles((bi, bk, bj), 0.3, seed=bi * 1000 + bk + bj, integer=False)
+            want = rank1_update(c.copy(), a, b)
+            got = c.copy()
+            CC.update(got, a, b, tile)
+            assert np.array_equal(got, want), (bi, bk)
+
+
+@cc_only
+@pytest.mark.parametrize("tile", [64, 256])
+def test_cc_row_blocks_on_strided_views(tile):
+    """Row-strided views of all three operands, with a row and a pivot
+    remainder and a partial last panel, equal ``rank1_update``."""
+    c, a, b = random_tiles((15, 71, 257), 0.3, seed=41, integer=False)
+    want = rank1_update(c.copy(), a, b)
+    got = _padded(c, 5)
+    CC.update(got, _padded(a, 3), _padded(b, 7), tile)
+    assert np.array_equal(got, want)
+
+
+@cc_only
+def test_cc_inf_pivot_group_beside_one_finite_entry():
+    """A 4-row block's pivot group of 16 inf values is skipped, and a
+    group beside it whose only finite value sits at any one of its 16
+    places still contributes that value's candidates."""
+    c, a, b = random_tiles((8, 8, 130), seed=43)
+    for row in range(4):
+        for pivot in range(4, 8):
+            a[:4, :] = np.inf  # rows 0-3: pivots 0-3 all inf, 4-7 all but one
+            a[row, pivot] = 2.0
+            want = rank1_update(c.copy(), a, b)
+            got = c.copy()
+            CC.update(got, a, b, 256)
+            assert np.array_equal(got, want), (row, pivot)
+            assert not np.array_equal(got[row], c[row])  # the finite value won
+
+
 # ----------------------------------------------------------------------
 # The serial-or-split rule
 # ----------------------------------------------------------------------
 def _recording_engine(monkeypatch, whole=None):
-    """An engine whose kernel calls log the rows and the column range of
-    ``C`` (within ``whole``) each one gets; returns it and the log."""
+    """An engine whose kernel calls log the row range of ``C`` (within
+    ``whole``) and the column count each one gets; returns it and the
+    log. Every call must get the matching rows of ``A`` and all of
+    ``B``."""
     eng = KernelEngine()
     calls = []
     serial = eng._serial
@@ -407,8 +457,9 @@ def _recording_engine(monkeypatch, whole=None):
     def recorded(c, a, b):
         lo = 0
         if whole is not None:
-            lo = (c.ctypes.data - whole.ctypes.data) // c.itemsize
-        calls.append((c.shape[0], lo, lo + c.shape[1]))
+            lo = (c.ctypes.data - whole.ctypes.data) // whole.strides[0]
+        assert a.shape[0] == c.shape[0] and b.shape[1] == c.shape[1]
+        calls.append((lo, lo + c.shape[0], c.shape[1]))
         serial(c, a, b)
 
     monkeypatch.setattr(eng, "_serial", recorded)
@@ -417,15 +468,16 @@ def _recording_engine(monkeypatch, whole=None):
 
 def test_split_rule_one_call_below_cutoff_panels_at_or_above(monkeypatch):
     """Below the work cutoff the kernel sees one call on all of ``C``;
-    at or above it, ``default_workers()`` disjoint column panels that
-    together cover ``C``, with the result unchanged."""
+    at or above it, ``default_workers()`` disjoint row panels that
+    together cover ``C``, each with the matching rows of ``A`` and all of
+    ``B``, with the result unchanged."""
     monkeypatch.setattr(engine_mod, "default_workers", lambda: 3)
-    c0, a, b = random_tiles((40, 30, 500), inf_frac=0.2, seed=31, integer=False)
+    c0, a, b = random_tiles((500, 30, 40), inf_frac=0.2, seed=31, integer=False)
     expected = naive_update(c0, a, b)
-    work = 40 * 30 * 500
+    work = 500 * 30 * 40
     for cutoff, calls in (
-        (work + 1, [(40, 0, 500)]),
-        (work, [(40, 0, 166), (40, 166, 333), (40, 333, 500)]),
+        (work + 1, [(0, 500, 40)]),
+        (work, [(0, 166, 40), (166, 333, 40), (333, 500, 40)]),
     ):
         monkeypatch.setattr(engine_mod, "SPLIT_WORK", cutoff)
         c = c0.copy()
@@ -434,9 +486,9 @@ def test_split_rule_one_call_below_cutoff_panels_at_or_above(monkeypatch):
         assert sorted(got) == calls
         assert np.array_equal(c, expected)
     monkeypatch.setattr(engine_mod, "SPLIT_WORK", 0)
-    assert panel_count(40, 30, 2) == 2  # never more panels than columns
+    assert panel_count(2, 30, 40) == 2  # never more panels than rows
     monkeypatch.setattr(engine_mod, "default_workers", lambda: 1)
-    assert panel_count(40, 30, 500) == 1
+    assert panel_count(500, 30, 40) == 1
 
 
 def test_split_joins_every_panel_before_raising(monkeypatch):
@@ -551,11 +603,12 @@ def _stage2_operands(seed=37):
 
 
 def test_split_rejects_aliased_operands_before_any_panel(monkeypatch):
-    """FW stage 2 on one panel, ``T ⊗ diag`` over ``T``: split into column
-    panels, an aliased ``update(T, T, diag)`` would let each worker read
-    the panels the others are writing. The engine rejects it before any
-    panel reaches a kernel; the fresh product that replaces it has a
-    disjoint output and is split like any other update."""
+    """FW stage 2 on one panel, ``T ⊗ diag`` over ``T``: split into row
+    panels, an aliased ``update(T, T, diag)`` would have each worker's
+    kernel read pivot groups of its rows of ``A`` ahead of its writes to
+    the same rows of ``C``. The engine rejects it before any panel
+    reaches a kernel; the fresh product that replaces it has a disjoint
+    output and is split like any other update."""
     tile, diag = _stage2_operands()
     before = tile.copy()
     eng, calls = _recording_engine(monkeypatch)
@@ -564,8 +617,8 @@ def test_split_rejects_aliased_operands_before_any_panel(monkeypatch):
             eng.update(tile, tile, diag)
         assert calls == [] and np.array_equal(tile, before)
         eng.minplus(tile, diag)
-    assert [rows for rows, *_ in calls] == [64, 64]
-    assert sorted(hi - lo for _, lo, hi in calls) == [128, 128]
+    assert [cols for *_, cols in calls] == [256, 256]
+    assert sorted(hi - lo for lo, hi, _ in calls) == [32, 32]
 
 
 @pytest.mark.parametrize("pattern", ["c==a", "c==b"])

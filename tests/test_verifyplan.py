@@ -159,7 +159,7 @@ class TestStaticDynamicAgreement:
 
     def test_fw_fanout_engine_moves_same_bytes(self):
         # The kernel engine only changes how each block update computes,
-        # never the schedule: with every product split into four column
+        # never the schedule: with every product split into four row
         # panels it moves the bytes the verifier proves, in the same
         # simulated time, to the same distances as the numpy and default
         # engines.
